@@ -64,37 +64,15 @@ int main() {
 
   cachetrie::harness::BenchReport report{"ablation_mixed"};
 
-  Table table{{"read%", "chm (ms)", "cachetrie", "w/o cache", "ctrie",
-               "skiplist"}};
+  Table table = bench::roster_table("read%");
   for (const unsigned read_pct : {95u, 70u, 50u}) {
-    const Summary chm = bench_mix([] { return bench::ChmMap{}; }, keys,
-                                  threads, read_pct, ops);
-    const Summary trie =
-        bench_mix(bench::make_cachetrie, keys, threads, read_pct, ops);
-    const Summary trie_nc = bench_mix(bench::make_cachetrie_nocache, keys,
-                                      threads, read_pct, ops);
-    const Summary ctrie = bench_mix([] { return bench::CtrieMap{}; }, keys,
-                                    threads, read_pct, ops);
-    const Summary slist = bench_mix([] { return bench::SkipListMap{}; },
-                                    keys, threads, read_pct, ops);
-    {
-      const Summary cells[5] = {chm, trie, trie_nc, ctrie, slist};
-      for (int i = 0; i < 5; ++i) {
-        report.add(bench::kStructureNames[i],
-                   {{"op", "mixed"},
-                    {"n", std::to_string(n)},
-                    {"threads", std::to_string(threads)},
-                    {"read_pct", std::to_string(read_pct)}},
-                   cells[i], static_cast<std::uint64_t>(ops) * threads);
-      }
-    }
-    auto cell = [&](const Summary& s) {
-      return Table::fmt(s.mean_ms) + " (" +
-             Table::fmt_ratio(s.mean_ms, chm.mean_ms) + ")";
-    };
-    table.add_row({std::to_string(read_pct),
-                   Table::fmt_mean_std(chm.mean_ms, chm.stddev_ms),
-                   cell(trie), cell(trie_nc), cell(ctrie), cell(slist)});
+    const auto r = bench::run_roster([&](auto make) {
+      return bench_mix(make, keys, threads, read_pct, ops);
+    });
+    bench::report_row(report, "mixed", n, threads, r,
+                      static_cast<std::uint64_t>(ops) * threads,
+                      {{"read_pct", std::to_string(read_pct)}});
+    bench::add_roster_row(table, std::to_string(read_pct), r);
   }
   table.print();
   std::printf(

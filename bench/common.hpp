@@ -44,6 +44,17 @@ inline CacheTrieMap make_cachetrie_nocache() {
   return CacheTrieMap{cfg};
 }
 
+/// Runs `fn(make)` once per structure, in kStructureNames order, and returns
+/// the five results in that order; `make()` constructs a fresh map of that
+/// structure. The braced list evaluates left to right, so the run order is
+/// the name order too.
+template <typename Fn>
+auto run_roster(Fn&& fn) {
+  return std::vector{fn([] { return ChmMap{}; }), fn(make_cachetrie),
+                     fn(make_cachetrie_nocache), fn([] { return CtrieMap{}; }),
+                     fn([] { return SkipListMap{}; })};
+}
+
 /// Runs `body(map)` for a freshly constructed map, under the measurement
 /// protocol; `make()` constructs the map, body returns elapsed ms.
 template <typename Make, typename Body>
@@ -80,25 +91,51 @@ inline void print_preamble(const char* figure, const char* description) {
               std::thread::hardware_concurrency());
 }
 
-/// Canonical structure names used in the JSON artifacts — the same order
-/// the figure helpers return their Summary vectors in (CHM first: it is the
-/// baseline every table's ratios divide by).
+/// Canonical structure names used in the JSON artifacts — the order
+/// run_roster returns its results in (CHM first: it is the baseline every
+/// table's ratios divide by).
 inline constexpr const char* kStructureNames[5] = {
     "chm", "cachetrie", "cachetrie_nocache", "ctrie", "skiplist"};
 
 /// Adds one table row's five structure cells to the JSON report. `threads`
 /// 0 means single-threaded (the param is omitted); `ops_per_rep` is the
-/// operation count one rep performs (0 = not applicable).
+/// operation count one rep performs (0 = not applicable); `extra` params
+/// follow the standard ones.
 inline void report_row(cachetrie::harness::BenchReport& report,
                        const std::string& op, std::size_t n, int threads,
                        const std::vector<cachetrie::harness::Summary>& cells,
-                       std::uint64_t ops_per_rep = 0) {
+                       std::uint64_t ops_per_rep = 0,
+                       const cachetrie::harness::BenchParams& extra = {}) {
   for (std::size_t i = 0; i < cells.size() && i < 5; ++i) {
     cachetrie::harness::BenchParams params{{"op", op},
                                            {"n", std::to_string(n)}};
     if (threads > 0) params.emplace_back("threads", std::to_string(threads));
+    params.insert(params.end(), extra.begin(), extra.end());
     report.add(kStructureNames[i], std::move(params), cells[i], ops_per_rep);
   }
+}
+
+/// A console table with one row per x-axis point and one column per
+/// structure, in kStructureNames order.
+inline cachetrie::harness::Table roster_table(const char* axis) {
+  return cachetrie::harness::Table{
+      {axis, "chm (ms)", "cachetrie", "w/o cache", "ctrie", "skiplist"}};
+}
+
+/// Adds one roster_table row: chm as "mean ±stddev", every other structure
+/// as "ms (ratio vs chm)".
+inline void add_roster_row(
+    cachetrie::harness::Table& table, std::string axis_value,
+    const std::vector<cachetrie::harness::Summary>& cells) {
+  using cachetrie::harness::Table;
+  const double chm_ms = cells[0].mean_ms;
+  std::vector<std::string> row{
+      std::move(axis_value), Table::fmt_mean_std(chm_ms, cells[0].stddev_ms)};
+  for (std::size_t i = 1; i < cells.size(); ++i) {
+    row.push_back(Table::fmt(cells[i].mean_ms) + " (" +
+                  Table::fmt_ratio(cells[i].mean_ms, chm_ms) + ")");
+  }
+  table.add_row(std::move(row));
 }
 
 /// Adds per-op lookup tail-latency rows (p50/p90/p99/p999 cells, unit=ns)
@@ -109,28 +146,24 @@ inline void report_row(cachetrie::harness::BenchReport& report,
 /// (cache-depth effects, pathological probe chains), not scheduler jitter.
 inline void add_latency_rows(cachetrie::harness::BenchReport& report,
                              std::size_t n, std::size_t passes = 3) {
-  using cachetrie::harness::measure_latency;
-  const cachetrie::harness::BenchParams params{
-      {"op", "lookup_latency"}, {"n", std::to_string(n)}};
-  const auto run = [&](const char* name, auto make) {
+  const auto stats = run_roster([&](auto make) {
     auto map = make();
     for (std::size_t i = 0; i < n; ++i) map.insert(i, i);
     volatile std::uint64_t sink = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (auto v = map.lookup(i)) sink = sink + *v;
     }
-    const auto ls = measure_latency(
+    return cachetrie::harness::measure_latency(
         [&](std::uint64_t i) {
           if (auto v = map.lookup(i % n)) sink = sink + *v;
         },
         n, passes);
-    report.add_latency(name, params, ls);
-  };
-  run(kStructureNames[0], [] { return ChmMap{}; });
-  run(kStructureNames[1], make_cachetrie);
-  run(kStructureNames[2], make_cachetrie_nocache);
-  run(kStructureNames[3], [] { return CtrieMap{}; });
-  run(kStructureNames[4], [] { return SkipListMap{}; });
+  });
+  const cachetrie::harness::BenchParams params{
+      {"op", "lookup_latency"}, {"n", std::to_string(n)}};
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    report.add_latency(kStructureNames[i], params, stats[i]);
+  }
 }
 
 /// Writes the artifact; exits non-zero on I/O failure so CI never mistakes

@@ -61,16 +61,11 @@ int main() {
     for (std::size_t i = 0; i < keys.size(); ++i) (void)trie.lookup(keys[i]);
     tc = static_cast<double>(trie.footprint_bytes());
 
-    {
-      const double by_structure[5] = {hm, tc, tnc, ct, sl};
-      for (int i = 0; i < 5; ++i) {
-        report.add(bench::kStructureNames[i],
-                   {{"op", "footprint"},
-                    {"n", std::to_string(n)},
-                    {"unit", "bytes"}},
-                   bytes_summary(by_structure[i]));
-      }
-    }
+    bench::report_row(report, "footprint", n, /*threads=*/0,
+                      {bytes_summary(hm), bytes_summary(tc),
+                       bytes_summary(tnc), bytes_summary(ct),
+                       bytes_summary(sl)},
+                      /*ops_per_rep=*/0, {{"unit", "bytes"}});
 
     auto cell = [&](double bytes) {
       return Table::fmt(bytes / 1e6) + " MB (" + Table::fmt_ratio(bytes, sl) +

@@ -41,23 +41,17 @@ Summary bench_insert(Make&& make, const std::vector<bench::Key>& keys) {
       bench::bench_options());
 }
 
-template <typename RunAll>
+template <typename BenchOne>
 void print_figure(const char* title, const std::vector<std::size_t>& sizes,
-                  cachetrie::harness::BenchReport& report, RunAll run_all) {
+                  cachetrie::harness::BenchReport& report, BenchOne bench_one) {
   std::printf("--- %s ---\n", title);
-  Table table{{"N", "chm (ms)", "cachetrie", "w/o cache", "ctrie",
-               "skiplist"}};
+  Table table = bench::roster_table("N");
   for (const std::size_t n : sizes) {
     const auto keys = cachetrie::harness::shuffled_sequential_keys(n);
-    const auto r = run_all(keys);
+    const auto r =
+        bench::run_roster([&](auto make) { return bench_one(make, keys); });
     bench::report_row(report, title, n, /*threads=*/0, r, n);
-    auto cell = [&](const Summary& s) {
-      return Table::fmt(s.mean_ms) + " (" +
-             Table::fmt_ratio(s.mean_ms, r[0].mean_ms) + ")";
-    };
-    table.add_row({std::to_string(n), Table::fmt_mean_std(r[0].mean_ms,
-                                                          r[0].stddev_ms),
-                   cell(r[1]), cell(r[2]), cell(r[3]), cell(r[4])});
+    bench::add_roster_row(table, std::to_string(n), r);
   }
   table.print();
   std::printf("\n");
@@ -77,26 +71,11 @@ int main() {
 
   cachetrie::harness::BenchReport report{"fig10_single_thread"};
 
-  print_figure("lookup", sizes, report,
-               [](const std::vector<bench::Key>& keys) {
-    return std::vector<Summary>{
-        bench_lookup([] { return bench::ChmMap{}; }, keys),
-        bench_lookup(bench::make_cachetrie, keys),
-        bench_lookup(bench::make_cachetrie_nocache, keys),
-        bench_lookup([] { return bench::CtrieMap{}; }, keys),
-        bench_lookup([] { return bench::SkipListMap{}; }, keys),
-    };
+  print_figure("lookup", sizes, report, [](auto make, const auto& keys) {
+    return bench_lookup(make, keys);
   });
-
-  print_figure("insert", sizes, report,
-               [](const std::vector<bench::Key>& keys) {
-    return std::vector<Summary>{
-        bench_insert([] { return bench::ChmMap{}; }, keys),
-        bench_insert(bench::make_cachetrie, keys),
-        bench_insert(bench::make_cachetrie_nocache, keys),
-        bench_insert([] { return bench::CtrieMap{}; }, keys),
-        bench_insert([] { return bench::SkipListMap{}; }, keys),
-    };
+  print_figure("insert", sizes, report, [](auto make, const auto& keys) {
+    return bench_insert(make, keys);
   });
 
   std::printf(

@@ -46,30 +46,14 @@ int main() {
   for (const std::size_t n : sizes) {
     const SharedKeys workload{n};
     std::printf("--- N = %zu ---\n", n);
-    Table table{{"threads", "chm (ms)", "cachetrie", "w/o cache", "ctrie",
-                 "skiplist"}};
+    Table table = bench::roster_table("threads");
     for (const int threads : bench::thread_sweep()) {
-      const Summary chm =
-          bench_contended([] { return bench::ChmMap{}; }, workload, threads);
-      const Summary trie =
-          bench_contended(bench::make_cachetrie, workload, threads);
-      const Summary trie_nc =
-          bench_contended(bench::make_cachetrie_nocache, workload, threads);
-      const Summary ctrie =
-          bench_contended([] { return bench::CtrieMap{}; }, workload,
-                          threads);
-      const Summary slist = bench_contended(
-          [] { return bench::SkipListMap{}; }, workload, threads);
-      bench::report_row(report, "insert_high_contention", n, threads,
-                        {chm, trie, trie_nc, ctrie, slist},
+      const auto r = bench::run_roster([&](auto make) {
+        return bench_contended(make, workload, threads);
+      });
+      bench::report_row(report, "insert_high_contention", n, threads, r,
                         static_cast<std::uint64_t>(n) * threads);
-      auto cell = [&](const Summary& s) {
-        return Table::fmt(s.mean_ms) + " (" +
-               Table::fmt_ratio(s.mean_ms, chm.mean_ms) + ")";
-      };
-      table.add_row({std::to_string(threads),
-                     Table::fmt_mean_std(chm.mean_ms, chm.stddev_ms),
-                     cell(trie), cell(trie_nc), cell(ctrie), cell(slist)});
+      bench::add_roster_row(table, std::to_string(threads), r);
     }
     table.print();
     std::printf("\n");

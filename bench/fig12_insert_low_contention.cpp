@@ -44,29 +44,15 @@ int main() {
 
   for (const std::size_t total : totals) {
     std::printf("--- N = %zu total ---\n", total);
-    Table table{{"threads", "chm (ms)", "cachetrie", "w/o cache", "ctrie",
-                 "skiplist"}};
+    Table table = bench::roster_table("threads");
     for (const int threads : bench::thread_sweep()) {
       const DisjointKeys workload{threads, total / threads};
-      const Summary chm =
-          bench_disjoint([] { return bench::ChmMap{}; }, workload, threads);
-      const Summary trie =
-          bench_disjoint(bench::make_cachetrie, workload, threads);
-      const Summary trie_nc =
-          bench_disjoint(bench::make_cachetrie_nocache, workload, threads);
-      const Summary ctrie = bench_disjoint(
-          [] { return bench::CtrieMap{}; }, workload, threads);
-      const Summary slist = bench_disjoint(
-          [] { return bench::SkipListMap{}; }, workload, threads);
-      bench::report_row(report, "insert_low_contention", total, threads,
-                        {chm, trie, trie_nc, ctrie, slist}, total);
-      auto cell = [&](const Summary& s) {
-        return Table::fmt(s.mean_ms) + " (" +
-               Table::fmt_ratio(s.mean_ms, chm.mean_ms) + ")";
-      };
-      table.add_row({std::to_string(threads),
-                     Table::fmt_mean_std(chm.mean_ms, chm.stddev_ms),
-                     cell(trie), cell(trie_nc), cell(ctrie), cell(slist)});
+      const auto r = bench::run_roster([&](auto make) {
+        return bench_disjoint(make, workload, threads);
+      });
+      bench::report_row(report, "insert_low_contention", total, threads, r,
+                        total);
+      bench::add_roster_row(table, std::to_string(threads), r);
     }
     table.print();
     std::printf("\n");

@@ -47,29 +47,14 @@ int main() {
 
   cachetrie::harness::BenchReport report{"fig13_parallel_lookup"};
 
-  Table table{{"threads", "chm (ms)", "cachetrie", "w/o cache", "ctrie",
-               "skiplist"}};
+  Table table = bench::roster_table("threads");
   for (const int threads : bench::thread_sweep()) {
-    const Summary chm = bench_parallel_lookup(
-        [] { return bench::ChmMap{}; }, keys, threads);
-    const Summary trie =
-        bench_parallel_lookup(bench::make_cachetrie, keys, threads);
-    const Summary trie_nc =
-        bench_parallel_lookup(bench::make_cachetrie_nocache, keys, threads);
-    const Summary ctrie = bench_parallel_lookup(
-        [] { return bench::CtrieMap{}; }, keys, threads);
-    const Summary slist = bench_parallel_lookup(
-        [] { return bench::SkipListMap{}; }, keys, threads);
-    bench::report_row(report, "parallel_lookup", n, threads,
-                      {chm, trie, trie_nc, ctrie, slist},
+    const auto r = bench::run_roster([&](auto make) {
+      return bench_parallel_lookup(make, keys, threads);
+    });
+    bench::report_row(report, "parallel_lookup", n, threads, r,
                       static_cast<std::uint64_t>(n) * threads);
-    auto cell = [&](const Summary& s) {
-      return Table::fmt(s.mean_ms) + " (" +
-             Table::fmt_ratio(s.mean_ms, chm.mean_ms) + ")";
-    };
-    table.add_row({std::to_string(threads),
-                   Table::fmt_mean_std(chm.mean_ms, chm.stddev_ms),
-                   cell(trie), cell(trie_nc), cell(ctrie), cell(slist)});
+    bench::add_roster_row(table, std::to_string(threads), r);
   }
   table.print();
   std::printf(

@@ -70,22 +70,14 @@ Summary smoke_churn(Make&& make, const std::vector<bench::Key>& keys) {
       smoke_options());
 }
 
-template <typename Bench>
+template <typename BenchOne>
 void smoke_row(cachetrie::harness::BenchReport& report, Table& table,
                const char* op, const std::vector<bench::Key>& keys,
-               std::uint64_t ops_per_rep, Bench bench_one) {
-  const std::vector<Summary> cells{
-      bench_one([] { return bench::ChmMap{}; }),
-      bench_one(bench::make_cachetrie),
-      bench_one(bench::make_cachetrie_nocache),
-      bench_one([] { return bench::CtrieMap{}; }),
-      bench_one([] { return bench::SkipListMap{}; }),
-  };
+               std::uint64_t ops_per_rep, BenchOne bench_one) {
+  const auto cells = bench::run_roster(bench_one);
   bench::report_row(report, op, keys.size(), /*threads=*/0, cells,
                     ops_per_rep);
-  table.add_row({op, Table::fmt_mean_std(cells[0].mean_ms, cells[0].stddev_ms),
-                 Table::fmt(cells[1].mean_ms), Table::fmt(cells[2].mean_ms),
-                 Table::fmt(cells[3].mean_ms), Table::fmt(cells[4].mean_ms)});
+  bench::add_roster_row(table, op, cells);
 }
 
 }  // namespace
@@ -99,8 +91,7 @@ int main() {
   const auto keys = cachetrie::harness::shuffled_sequential_keys(kN);
   cachetrie::harness::BenchReport report{"smoke"};
 
-  Table table{{"op", "chm (ms)", "cachetrie", "w/o cache", "ctrie",
-               "skiplist"}};
+  Table table = bench::roster_table("op");
   smoke_row(report, table, "insert", keys, kN,
             [&](auto make) { return smoke_insert(make, keys); });
   smoke_row(report, table, "lookup", keys, kN,

@@ -162,6 +162,11 @@ run_lint() {
 
 want="${1:-all}"
 
+# Provenance: a green run names the machine width, compiler, and commit.
+echo "=== provenance: nproc=$(nproc 2>/dev/null || echo unknown)" \
+  "compiler=\"$( (c++ --version 2>/dev/null || echo unknown) | head -n 1)\"" \
+  "commit=$(git -C "$repo" rev-parse --short HEAD 2>/dev/null || echo unknown) ==="
+
 case "$want" in
   lint) run_lint ;;
   plain) run_stage plain ;;

@@ -19,13 +19,11 @@
 #include "harness/thread_team.hpp"
 #include "harness/workload.hpp"
 #include "mr/epoch.hpp"
-#include "mr/hazard.hpp"
 #include "mr/leak.hpp"
 #include "mr/reclaimer.hpp"
 #include "net/client.hpp"
 #include "net/proto.hpp"
 #include "net/reactor.hpp"
-#include "net/serve_map.hpp"
 #include "net/shard.hpp"
 #include "net/socket.hpp"
 #include "obs/inventory.hpp"
@@ -36,7 +34,6 @@
 #include "obs/trace_export.hpp"
 #include "obs/tsc.hpp"
 #include "skiplist/skiplist.hpp"
-#include "testkit/adapter.hpp"
 #include "testkit/chaos.hpp"
 #include "testkit/driver.hpp"
 #include "testkit/fault.hpp"
@@ -45,6 +42,7 @@
 #include "testkit/watchdog.hpp"
 #include "util/bits.hpp"
 #include "util/hashing.hpp"
+#include "util/kv_map.hpp"
 #include "util/ordering_contracts.hpp"
 #include "util/padded.hpp"
 #include "util/rng.hpp"
@@ -54,6 +52,43 @@
 #include <string>
 
 namespace {
+
+// The capability matrix the lin-check mix and the server dispatch rely on:
+// a renamed method would otherwise silently drop an op from the mix.
+namespace util = cachetrie::util;
+using U64 = std::uint64_t;
+using CacheTrieU64 = cachetrie::CacheTrie<U64, U64>;
+using BoundedTrieU64 = cachetrie::evict::BoundedCacheTrie<U64, U64>;
+using ChmU64 = cachetrie::chm::ConcurrentHashMap<U64, U64>;
+using BoundedChmU64 = cachetrie::evict::BoundedChm<U64, U64>;
+using CtrieU64 = cachetrie::ctrie::Ctrie<U64, U64>;
+using SkipListU64 = cachetrie::csl::ConcurrentSkipList<U64, U64>;
+
+constexpr unsigned kPutIfAbsent = 1;
+constexpr unsigned kReplace = 2;
+constexpr unsigned kReplaceIfEquals = 4;
+constexpr unsigned kRemoveIfEquals = 8;
+
+template <class M>
+constexpr unsigned caps() {
+  return (util::HasPutIfAbsent<M> ? kPutIfAbsent : 0u) |
+         (util::HasReplace<M> ? kReplace : 0u) |
+         (util::HasReplaceIfEquals<M> ? kReplaceIfEquals : 0u) |
+         (util::HasRemoveIfEquals<M> ? kRemoveIfEquals : 0u);
+}
+
+constexpr unsigned kAllCaps =
+    kPutIfAbsent | kReplace | kReplaceIfEquals | kRemoveIfEquals;
+
+static_assert(util::KvMap<CacheTrieU64> && util::KvMap<BoundedTrieU64> &&
+              util::KvMap<ChmU64> && util::KvMap<BoundedChmU64> &&
+              util::KvMap<CtrieU64> && util::KvMap<SkipListU64>);
+static_assert(caps<CacheTrieU64>() == kAllCaps);
+static_assert(caps<BoundedTrieU64>() == kAllCaps);
+static_assert(caps<ChmU64>() == (kPutIfAbsent | kRemoveIfEquals));
+static_assert(caps<BoundedChmU64>() == (kPutIfAbsent | kRemoveIfEquals));
+static_assert(caps<CtrieU64>() == kPutIfAbsent);
+static_assert(caps<SkipListU64>() == kPutIfAbsent);
 
 // Instantiate the main templates so their member functions are actually
 // compiled under the strict flags, not just parsed.

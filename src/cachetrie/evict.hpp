@@ -151,7 +151,7 @@ class BoundedCacheTrie {
     return r >= c ? 0 : c - r;
   }
   /// True once resident bytes cross `frac` of the ceiling — the serving
-  /// layer's graceful-degradation signal (net/serve_map.hpp).
+  /// layer's graceful-degradation signal (net/shard.hpp).
   bool near_ceiling(double frac = 0.9) const {
     const std::size_t c = ceiling_bytes();
     return c != 0 && static_cast<double>(resident_bytes()) >=
@@ -266,13 +266,6 @@ class BoundedChm {
                                 : op_tick_.load(std::memory_order_relaxed);
   }
   std::size_t ceiling_bytes() const { return ceiling_; }
-  /// Same contract as BoundedCacheTrie::resident_headroom_bytes, over the
-  /// derived estimate.
-  std::size_t resident_headroom_bytes() const {
-    if (ceiling_ == 0) return std::numeric_limits<std::size_t>::max();
-    const std::size_t r = resident_bytes();
-    return r >= ceiling_ ? 0 : ceiling_ - r;
-  }
   bool near_ceiling(double frac = 0.9) const {
     return ceiling_ != 0 && static_cast<double>(resident_bytes()) >=
                                 frac * static_cast<double>(ceiling_);

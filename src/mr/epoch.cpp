@@ -214,8 +214,8 @@ std::size_t EpochDomain::fallback_scan() {
       obs::trace::EventId::kMrFallbackScanBegin,
       obs::trace::EventId::kMrFallbackScanEnd,
       limbo_bytes_.load(std::memory_order_relaxed)};
-  // Hazard-style sweep (same shape as HazardDomain::scan_list, with the
-  // published epoch playing the role of the hazard pointer). A record
+  // Hazard-pointer-style sweep (the published epoch plays the role of the
+  // hazard pointer). A record
   // pinned at an epoch other than the current one is what is blocking
   // advancement (the advance rule caps absolute lag at one epoch), so the
   // sweep measures *persistence*: tick such a record once per sweep, and

@@ -24,9 +24,9 @@
 //      CACHETRIE_LIMBO_CAP_BYTES environment variable; default: unlimited,
 //      i.e. classic EBR behavior).
 //   2. *Epoch-lag detection.* While the cap is exceeded, `fallback_scan()`
-//      performs a hazard-style sweep of every pinned thread record (the
-//      same snapshot-all-published-slots shape as HazardDomain::scan, with
-//      the published *epoch* playing the role of the hazard pointer). A
+//      performs a hazard-pointer-style sweep of every pinned thread record
+//      (snapshot every published slot, with the published *epoch* playing
+//      the role of the hazard pointer). A
 //      record is "lagging" when it is pinned at an epoch other than the
 //      current one — by the advance rule that very record is what is
 //      holding the epoch back, so its absolute lag can never exceed one;

@@ -3,7 +3,7 @@
 // The paper's artifact runs on the JVM, where the garbage collector silently
 // guarantees that a node a reader still holds is never recycled. A native
 // reproduction must provide that guarantee manually; this directory supplies
-// three interchangeable policies:
+// two interchangeable policies:
 //
 //   * mr::EpochReclaimer  — epoch-based reclamation (EBR); the default for
 //                           every data structure in this repo. Readers pin a
@@ -12,9 +12,6 @@
 //                           stall-tolerant degraded mode (byte-capped limbo
 //                           + hazard-style fallback sweep; see epoch.hpp and
 //                           DESIGN.md "Reclamation under faults").
-//   * mr::HazardReclaimer — hazard pointers (Michael 2004); per-pointer
-//                           protection, used by the chashmap bucket lists and
-//                           available for ablation.
 //   * mr::LeakReclaimer   — never frees; isolates reclamation overhead in
 //                           the ablation benches and simplifies some tests.
 //
@@ -32,8 +29,7 @@
 //
 // Contract — retire must be called inside a Guard. The retiring operation
 // is itself a reader of the structure it just unlinked from: the guard is
-// what proves the unlink happened in a well-defined epoch (or, for hazard
-// pointers, that the retiring thread has a registered record). Calling any
+// what proves the unlink happened in a well-defined epoch. Calling any
 // retire variant outside a pin is undefined: with EBR the item would be
 // tagged with an epoch no reader handshake protects, so it can be freed
 // while a concurrent reader still dereferences it. EpochDomain asserts the

@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "net/proto.hpp"
-#include "net/serve_map.hpp"
 #include "net/socket.hpp"
 #include "obs/interval.hpp"
 #include "obs/inventory.hpp"
@@ -60,6 +59,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 #include "testkit/chaos.hpp"
+#include "util/kv_map.hpp"
 
 namespace cachetrie::net {
 
@@ -122,6 +122,50 @@ struct PhaseLatency {
     total.merge(o.total);
   }
 };
+
+/// Executes one data request against the map. Fills `*value_out` for ops
+/// that produce a value (GET, REMOVE return the stored value; PUT and PING
+/// echo the request's). Never throws protocol-level errors — an unknown op
+/// is a kBadRequest reply, not a closed connection.
+template <typename Map>
+  requires util::KvMap<Map> && util::HasRemoveIfEquals<Map>
+proto::Status execute(Map& map, const proto::RequestFrame& req,
+                      std::uint64_t* value_out) {
+  switch (static_cast<proto::Op>(req.op)) {
+    case proto::Op::kGet: {
+      const auto v = map.lookup(req.key);
+      if (!v.has_value()) return proto::Status::kNotFound;
+      *value_out = *v;
+      return proto::Status::kOk;
+    }
+    case proto::Op::kPut:
+      map.insert(req.key, req.value);
+      *value_out = req.value;
+      return proto::Status::kOk;
+    case proto::Op::kRemove: {
+      const auto v = map.remove(req.key);
+      if (!v.has_value()) return proto::Status::kNotFound;
+      *value_out = *v;
+      return proto::Status::kOk;
+    }
+    case proto::Op::kRemoveIfEquals:
+      if (!map.remove_if_equals(req.key, req.value)) {
+        return proto::Status::kNotFound;
+      }
+      *value_out = req.value;
+      return proto::Status::kOk;
+    case proto::Op::kPing:
+      *value_out = req.value;
+      return proto::Status::kOk;
+    case proto::Op::kStats:
+    case proto::Op::kTraceCtl:
+      // Introspection ops are intercepted by the shard before execute()
+      // (the shard owns the registry differ and the write buffer); one
+      // reaching the bare dispatcher is a caller error.
+      break;
+  }
+  return proto::Status::kBadRequest;
+}
 
 template <typename Map>
 class Shard {
@@ -444,7 +488,7 @@ class Shard {
         obs::trace::Span exec(obs::trace::EventId::kNetExecuteBegin,
                               obs::trace::EventId::kNetExecuteEnd, p.conn_id,
                               p.req.request_id);
-        st = map_.execute(p.req, &value);
+        st = execute(map_, p.req, &value);
       }
       testkit::chaos_point("net.reply_enqueue");
       const std::uint64_t done = proto::now_us();
@@ -712,7 +756,7 @@ class Shard {
     drained_.store(true, std::memory_order_release);  // [publishes: NET_DRAIN]
   }
 
-  ServeMap<Map> map_;
+  Map& map_;
   ShardConfig cfg_;
   std::size_t index_;
   const std::atomic<bool>& stop_;

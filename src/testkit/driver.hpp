@@ -29,10 +29,10 @@
 #include <vector>
 
 #include "obs/trace_export.hpp"
-#include "testkit/adapter.hpp"
 #include "testkit/chaos.hpp"
 #include "testkit/history.hpp"
 #include "testkit/lin_check.hpp"
+#include "util/kv_map.hpp"
 #include "util/rng.hpp"
 
 namespace cachetrie::testkit {
@@ -65,8 +65,8 @@ constexpr std::uint64_t mix(std::uint64_t x) noexcept {
 }
 
 /// One thread's deterministic slice of one history.
-template <typename A>
-void run_thread_ops(A& map, HistoryRecorder& rec, const DriverConfig& cfg,
+template <util::KvMap Map>
+void run_thread_ops(Map& map, HistoryRecorder& rec, const DriverConfig& cfg,
                     std::uint64_t history, std::uint32_t tid) {
   util::SplitMix64 rng(mix(cfg.seed ^ (history * 0x9e3779b97f4a7c15ULL) ^
                            (tid * 0xbf58476d1ce4e5b9ULL)));
@@ -85,14 +85,15 @@ void run_thread_ops(A& map, HistoryRecorder& rec, const DriverConfig& cfg,
     } else if (roll < 50) {
       ev.op = Op::kInsert;
     } else if (roll < 70) {
-      ev.op = roll < 60 || !A::kHasRemoveIfEquals ? Op::kRemove
-                                                  : Op::kRemoveIfEquals;
+      ev.op = roll < 60 || !util::HasRemoveIfEquals<Map> ? Op::kRemove
+                                                         : Op::kRemoveIfEquals;
     } else if (roll < 85) {
-      ev.op = A::kHasPutIfAbsent ? Op::kPutIfAbsent : Op::kInsert;
+      ev.op = util::HasPutIfAbsent<Map> ? Op::kPutIfAbsent : Op::kInsert;
     } else if (roll < 93) {
-      ev.op = A::kHasReplace ? Op::kReplace : Op::kInsert;
+      ev.op = util::HasReplace<Map> ? Op::kReplace : Op::kInsert;
     } else {
-      ev.op = A::kHasReplaceIfEquals ? Op::kReplaceIfEquals : Op::kInsert;
+      ev.op = util::HasReplaceIfEquals<Map> ? Op::kReplaceIfEquals
+                                            : Op::kInsert;
     }
     ev.invoke = rec.ticket();
     switch (ev.op) {
@@ -100,17 +101,17 @@ void run_thread_ops(A& map, HistoryRecorder& rec, const DriverConfig& cfg,
         ev.ok = map.insert(ev.key, ev.arg);
         break;
       case Op::kPutIfAbsent:
-        if constexpr (A::kHasPutIfAbsent) {
+        if constexpr (util::HasPutIfAbsent<Map>) {
           ev.ok = map.put_if_absent(ev.key, ev.arg);
         }
         break;
       case Op::kReplace:
-        if constexpr (A::kHasReplace) {
+        if constexpr (util::HasReplace<Map>) {
           ev.ok = map.replace(ev.key, ev.arg);
         }
         break;
       case Op::kReplaceIfEquals:
-        if constexpr (A::kHasReplaceIfEquals) {
+        if constexpr (util::HasReplaceIfEquals<Map>) {
           ev.ok = map.replace_if_equals(ev.key, ev.expected, ev.arg);
         }
         break;
@@ -127,7 +128,7 @@ void run_thread_ops(A& map, HistoryRecorder& rec, const DriverConfig& cfg,
         break;
       }
       case Op::kRemoveIfEquals:
-        if constexpr (A::kHasRemoveIfEquals) {
+        if constexpr (util::HasRemoveIfEquals<Map>) {
           ev.ok = map.remove_if_equals(ev.key, ev.expected);
         }
         break;
@@ -140,19 +141,19 @@ void run_thread_ops(A& map, HistoryRecorder& rec, const DriverConfig& cfg,
 }  // namespace driver_detail
 
 /// Runs cfg.histories multi-threaded histories against maps produced by
-/// `make` (a callable returning something dereferenceable to an adapter,
-/// e.g. std::unique_ptr<MapAdapter<...>>), checking each one.
+/// `make` (a callable returning something dereferenceable to a KvMap, e.g.
+/// std::make_unique<Map>(...)), checking each one.
 template <typename Factory>
 DriverResult run_histories(Factory&& make, const DriverConfig& cfg) {
-  using AdapterPtr = std::invoke_result_t<Factory&>;
-  using A = std::remove_reference_t<decltype(*std::declval<AdapterPtr&>())>;
+  using MapPtr = std::invoke_result_t<Factory&>;
+  using Map = std::remove_reference_t<decltype(*std::declval<MapPtr&>())>;
 
   DriverResult out;
   out.seed = cfg.seed;
   HistoryRecorder rec(cfg.threads, cfg.ops_per_thread);
   std::barrier start(cfg.threads + 1);
   std::barrier finish(cfg.threads + 1);
-  AdapterPtr map{};
+  MapPtr map{};
   std::atomic<bool> stop{false};
   chaos::enable(true);
 
@@ -164,7 +165,7 @@ DriverResult run_histories(Factory&& make, const DriverConfig& cfg) {
         start.arrive_and_wait();
         if (!stop.load(std::memory_order_acquire)) {
           chaos::bind_thread(tid);
-          driver_detail::run_thread_ops<A>(*map, rec, cfg, h, tid);
+          driver_detail::run_thread_ops<Map>(*map, rec, cfg, h, tid);
         }
         finish.arrive_and_wait();
       }
@@ -196,7 +197,7 @@ DriverResult run_histories(Factory&& make, const DriverConfig& cfg) {
         }
       }
       ++out.histories_checked;
-      map = AdapterPtr{};  // destroy before the next history's factory call
+      map = MapPtr{};  // destroy before the next history's factory call
     }
   }
   for (auto& t : workers) t.join();

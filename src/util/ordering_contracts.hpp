@@ -15,7 +15,7 @@
 // evidence. See DESIGN.md §2f.
 //
 // Naming: CT_* cachetrie, CTRIE_* ctrie, CHM_* chashmap, CSL_* skiplist,
-// EPOCH_*/MR_*/HP_* memory reclamation, TRACE_* flight recorder, TK_*
+// EPOCH_*/MR_* memory reclamation, TRACE_* flight recorder, TK_*
 // testkit. The second argument is prose: what data the edge publishes and
 // which paper/DESIGN section owns the argument.
 //
@@ -67,7 +67,7 @@
                       "find()/lookup() use to skip corpses")                 \
   X(CSL_VSYNC,        "vsync dead-bit CAS serializes in-place value "        \
                       "updates against logical removal")                     \
-  /* --- mr (epoch + hazard reclamation) --- */                              \
+  /* --- mr (epoch reclamation) --- */                                      \
   X(EPOCH_PIN,        "seq_cst pin store vs try_advance's seq_cst state "    \
                       "read: the Dekker pair behind grace periods")          \
   X(EPOCH_FLIP,       "global epoch CAS publishes the flip; pins and "       \
@@ -76,9 +76,6 @@
                       "record for scanners traversing the registry")         \
   X(MR_ORPHANS,       "orphan-batch CAS publishes limbo lists abandoned "    \
                       "by exited threads to the adopting thread")            \
-  X(HP_PUBLISH,       "seq_cst hazard-slot store vs scan's seq_cst slot "    \
-                      "read: either scan sees the hazard or the reader "     \
-                      "sees the unlink")                                     \
   /* --- obs (flight recorder) --- */                                        \
   X(TRACE_RING_PUBLISH, "ring-registry push CAS publishes a thread's ring "  \
                       "to snapshot/clear/post-mortem iteration")             \

@@ -86,8 +86,11 @@ TEST(Epoch, GracePeriodProtectsReaders) {
   // We model this with a shared atomic pointer that the writer swaps and
   // retires while readers dereference under guards.
   auto& dom = EpochDomain::instance();
+  // Poisoned on destruction, so a read after a premature free trips the
+  // canary (best effort; ASan builds catch it outright).
   struct Box {
     std::atomic<std::uint64_t> canary{0xDEADBEEFCAFEBABEULL};
+    ~Box() { canary.store(0, std::memory_order_relaxed); }
   };
   std::atomic<Box*> shared{new Box()};
   std::atomic<bool> stop{false};
@@ -111,10 +114,6 @@ TEST(Epoch, GracePeriodProtectsReaders) {
       auto g = dom.pin();
       Box* fresh = new Box();
       Box* old = shared.exchange(fresh, std::memory_order_acq_rel);
-      // Poison on destruction so a use-after-free trips the canary (best
-      // effort; ASan builds catch it outright).
-      old->canary.store(0, std::memory_order_relaxed);  // logically dead
-      old->canary.store(0xDEADBEEFCAFEBABEULL, std::memory_order_relaxed);
       dom.retire(old);
     }
     stop.store(true, std::memory_order_release);

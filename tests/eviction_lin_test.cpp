@@ -66,18 +66,13 @@ constexpr std::uint64_t kBallastBase = 1u << 16;  // disjoint from checker keys
 std::atomic<std::uint64_t> g_evict_successes{0};
 std::atomic<std::uint64_t> g_ttl_expiries{0};
 
-/// Adapter over the BoundedCacheTrie facade. remove() alternates (per
+/// Test fake over the BoundedCacheTrie facade. remove() alternates (per
 /// thread) between user remove(k) and forced evict(k): both are
 /// linearizable removes, so the checker treats them identically — any
 /// divergence in the eviction path's linearization shows up as a violation.
 class BoundedTrieAdapter {
  public:
   using Map = cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
-
-  static constexpr bool kHasPutIfAbsent = true;
-  static constexpr bool kHasReplace = true;
-  static constexpr bool kHasReplaceIfEquals = true;
-  static constexpr bool kHasRemoveIfEquals = true;
 
   explicit BoundedTrieAdapter(cachetrie::evict::BoundedConfig cfg,
                               bool plant_ballast)
@@ -192,13 +187,12 @@ TEST(EvictionLinSweep, BoundedChmInertHorizons) {
   // The baseline wrapper re-routes every operation (lookup_refresh, stamp
   // threading, remove mirrors); this sweep proves the re-routing preserved
   // the chm's linearizability. Horizons inert for the same reason as above.
-  using A = tk::MapAdapter<
-      cachetrie::evict::BoundedChm<std::uint64_t, std::uint64_t>>;
+  using Map = cachetrie::evict::BoundedChm<std::uint64_t, std::uint64_t>;
   cachetrie::evict::BoundedConfig cfg;
   cfg.ttl_ticks = 1ull << 40;
   cfg.ceiling_bytes = 0;
   tk::chaos::reset_counters();
-  sweep([cfg] { return std::make_unique<A>(cfg); },
+  sweep([cfg] { return std::make_unique<Map>(cfg); },
         "bounded chashmap (inert horizons)");
   EXPECT_GT(tk::chaos::site_hits("chm.bin_locked"), 0u);
 }

@@ -19,7 +19,6 @@
 #include "chashmap/chashmap.hpp"
 #include "ctrie/ctrie.hpp"
 #include "skiplist/skiplist.hpp"
-#include "testkit/adapter.hpp"
 #include "testkit/chaos.hpp"
 #include "testkit/driver.hpp"
 
@@ -56,19 +55,19 @@ void sweep(Factory&& make, const char* what,
 }
 
 TEST(LinSweep, CacheTrie) {
-  using A = tk::MapAdapter<cachetrie::CacheTrie<std::uint64_t, std::uint64_t>>;
+  using Map = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
   tk::chaos::reset_counters();
-  sweep([] { return std::make_unique<A>(); }, "cache-trie");
+  sweep([] { return std::make_unique<Map>(); }, "cache-trie");
   // The perturbation actually reached the txn protocol's decision windows.
   EXPECT_GT(tk::chaos::site_hits("cachetrie.txn_announce"), 0u);
   EXPECT_GT(tk::chaos::totals().yields, 0u);
 }
 
 TEST(LinSweep, CacheTrieNoCacheAblation) {
-  using A = tk::MapAdapter<cachetrie::CacheTrie<std::uint64_t, std::uint64_t>>;
+  using Map = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
   cachetrie::Config cfg;
   cfg.use_cache = false;
-  sweep([cfg] { return std::make_unique<A>(cfg); }, "cache-trie (no cache)");
+  sweep([cfg] { return std::make_unique<Map>(cfg); }, "cache-trie (no cache)");
 }
 
 TEST(LinSweep, CacheTrieDeepCollidingPrefix) {
@@ -81,38 +80,35 @@ TEST(LinSweep, CacheTrieDeepCollidingPrefix) {
       return (k << 56) | (0x00FFFFFFFFFFFFFFull >> 8);
     }
   };
-  using A = tk::MapAdapter<
-      cachetrie::CacheTrie<std::uint64_t, std::uint64_t, DeepPrefixHash>>;
+  using Map =
+      cachetrie::CacheTrie<std::uint64_t, std::uint64_t, DeepPrefixHash>;
   tk::chaos::reset_counters();
-  sweep([] { return std::make_unique<A>(); }, "cache-trie (deep prefix)",
+  sweep([] { return std::make_unique<Map>(); }, "cache-trie (deep prefix)",
         /*key_range=*/16);
   EXPECT_GT(tk::chaos::site_hits("cachetrie.freeze_slot"), 0u);
   EXPECT_GT(tk::chaos::site_hits("cachetrie.enode_complete"), 0u);
 }
 
 TEST(LinSweep, Ctrie) {
-  using A =
-      tk::MapAdapter<cachetrie::ctrie::Ctrie<std::uint64_t, std::uint64_t>>;
+  using Map = cachetrie::ctrie::Ctrie<std::uint64_t, std::uint64_t>;
   tk::chaos::reset_counters();
-  sweep([] { return std::make_unique<A>(); }, "ctrie");
+  sweep([] { return std::make_unique<Map>(); }, "ctrie");
   EXPECT_GT(tk::chaos::site_hits("ctrie.gcas"), 0u);
 }
 
 TEST(LinSweep, Chashmap) {
-  using A = tk::MapAdapter<
-      cachetrie::chm::ConcurrentHashMap<std::uint64_t, std::uint64_t>>;
+  using Map = cachetrie::chm::ConcurrentHashMap<std::uint64_t, std::uint64_t>;
   tk::chaos::reset_counters();
   // 4 initial bins with 6 live keys: the incremental transfer (resize)
   // machinery runs in-history, not just at warm-up.
-  sweep([] { return std::make_unique<A>(4); }, "chashmap");
+  sweep([] { return std::make_unique<Map>(4); }, "chashmap");
   EXPECT_GT(tk::chaos::site_hits("chm.bin_locked"), 0u);
 }
 
 TEST(LinSweep, Skiplist) {
-  using A = tk::MapAdapter<
-      cachetrie::csl::ConcurrentSkipList<std::uint64_t, std::uint64_t>>;
+  using Map = cachetrie::csl::ConcurrentSkipList<std::uint64_t, std::uint64_t>;
   tk::chaos::reset_counters();
-  sweep([] { return std::make_unique<A>(); }, "skip list");
+  sweep([] { return std::make_unique<Map>(); }, "skip list");
   EXPECT_GT(tk::chaos::site_hits("csl.mark_bottom"), 0u);
 }
 

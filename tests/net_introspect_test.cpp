@@ -19,7 +19,6 @@
 #include "net/client.hpp"
 #include "net/proto.hpp"
 #include "net/reactor.hpp"
-#include "net/serve_map.hpp"
 #include "obs/trace.hpp"
 
 namespace {

@@ -1,7 +1,7 @@
 // net_proto_test.cpp — serving-layer unit coverage that needs no fault
 // engine: wire-format round trips and stream discipline (proto.hpp), the
-// retry backoff curve (client.hpp), the op dispatch of the map adapter
-// (serve_map.hpp), and one end-to-end loopback serve pass. The end-to-end
+// retry backoff curve (client.hpp), the op dispatch of the free execute()
+// (shard.hpp), and one end-to-end loopback serve pass. The end-to-end
 // test lives here, in the fast label, deliberately: check.sh runs `fast`
 // under ASan while the `net` fault label is plain+tsan only (killed-victim
 // tests leak by design), so this is the pass that sweeps the reactor,
@@ -19,7 +19,7 @@
 #include "net/client.hpp"
 #include "net/proto.hpp"
 #include "net/reactor.hpp"
-#include "net/serve_map.hpp"
+#include "net/shard.hpp"
 #include "net/socket.hpp"
 
 namespace {
@@ -333,7 +333,6 @@ TEST(NetServeMap, DispatchesOpsAndSensesCeiling) {
   cachetrie::evict::BoundedConfig cfg;
   cfg.ceiling_bytes = 1u << 20;
   BoundedTrie map{cfg};
-  net::ServeMap<BoundedTrie> sm{map};
 
   proto::RequestFrame req;
   std::uint64_t v = 0;
@@ -341,26 +340,37 @@ TEST(NetServeMap, DispatchesOpsAndSensesCeiling) {
   req.op = static_cast<std::uint8_t>(proto::Op::kPut);
   req.key = 5;
   req.value = 50;
-  EXPECT_EQ(sm.execute(req, &v), proto::Status::kOk);
+  EXPECT_EQ(net::execute(map, req, &v), proto::Status::kOk);
 
   req.op = static_cast<std::uint8_t>(proto::Op::kGet);
-  EXPECT_EQ(sm.execute(req, &v), proto::Status::kOk);
+  EXPECT_EQ(net::execute(map, req, &v), proto::Status::kOk);
   EXPECT_EQ(v, 50u);
 
   req.op = static_cast<std::uint8_t>(proto::Op::kRemoveIfEquals);
   req.value = 49;  // wrong expected value
-  EXPECT_EQ(sm.execute(req, &v), proto::Status::kNotFound);
+  EXPECT_EQ(net::execute(map, req, &v), proto::Status::kNotFound);
   req.value = 50;
-  EXPECT_EQ(sm.execute(req, &v), proto::Status::kOk);
+  EXPECT_EQ(net::execute(map, req, &v), proto::Status::kOk);
 
   req.op = static_cast<std::uint8_t>(proto::Op::kRemove);
-  EXPECT_EQ(sm.execute(req, &v), proto::Status::kNotFound);
+  EXPECT_EQ(net::execute(map, req, &v), proto::Status::kNotFound);
+
+  req.op = static_cast<std::uint8_t>(proto::Op::kPing);
+  req.value = 1234;
+  EXPECT_EQ(net::execute(map, req, &v), proto::Status::kOk);
+  EXPECT_EQ(v, 1234u);
+
+  // Introspection ops belong to the shard; the bare dispatcher refuses them.
+  for (const proto::Op op : {proto::Op::kStats, proto::Op::kTraceCtl}) {
+    req.op = static_cast<std::uint8_t>(op);
+    EXPECT_EQ(net::execute(map, req, &v), proto::Status::kBadRequest);
+  }
 
   req.op = 0xee;  // unknown op — reply, don't kill the connection
-  EXPECT_EQ(sm.execute(req, &v), proto::Status::kBadRequest);
+  EXPECT_EQ(net::execute(map, req, &v), proto::Status::kBadRequest);
 
-  EXPECT_FALSE(sm.near_ceiling(0.9));
-  EXPECT_GT(sm.resident_headroom_bytes(), 0u);
+  EXPECT_FALSE(map.near_ceiling(0.9));
+  EXPECT_GT(map.resident_headroom_bytes(), 0u);
 }
 
 // One full serve pass over a real loopback socket: every op, both outcome

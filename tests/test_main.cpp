@@ -1,6 +1,6 @@
 // test_main.cpp — shared gtest main for the whole suite.
 //
-// After every test, both reclamation domains are drained (each test joins
+// After every test, the epoch reclamation domain is drained (each test joins
 // its worker threads, so the process is quiescent at OnTestEnd). This keeps
 // retired-but-not-yet-freed nodes from accumulating across tests and from
 // being reported as leaks by LeakSanitizer at process exit — EBR frees lag
@@ -8,14 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "mr/epoch.hpp"
-#include "mr/hazard.hpp"
 
 namespace {
 
 class DrainReclamationListener : public ::testing::EmptyTestEventListener {
   void OnTestEnd(const ::testing::TestInfo&) override {
     cachetrie::mr::EpochDomain::instance().drain_for_testing();
-    cachetrie::mr::HazardDomain::instance().drain_for_testing();
   }
 };
 

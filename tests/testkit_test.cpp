@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <thread>
 #include <vector>
 
-#include "testkit/adapter.hpp"
 #include "testkit/chaos.hpp"
 #include "testkit/driver.hpp"
 #include "testkit/history.hpp"
@@ -230,6 +232,65 @@ TEST(Chaos, SiteHashIsCompileTimeAndStable) {
 
 // --- mutation smoke: the checker must have teeth ---------------------------
 
+/// Deliberately non-linearizable map — the mutation smoke test that proves
+/// the checker has teeth. Every mutation is a non-atomic read-modify-write
+/// with a forced reschedule inside the window, so two concurrent
+/// put_if_absent calls on a key can both report "inserted" and two
+/// concurrent removes can both claim the victim. All cells are atomics, so
+/// the breakage is purely protocol-level (no UB, no torn reads) — exactly
+/// the class of bug a botched CAS protocol would introduce and end-state
+/// assertions cannot see.
+class BrokenMap {
+ public:
+  explicit BrokenMap(std::size_t key_space = 1024)
+      : size_(key_space), slots_(new Slot[key_space]) {}
+
+  bool insert(std::uint64_t k, std::uint64_t v) {
+    Slot& s = at(k);
+    const bool was = s.present.load(std::memory_order_relaxed);
+    std::this_thread::yield();  // the "lost CAS" stand-in
+    s.value.store(v, std::memory_order_relaxed);
+    s.present.store(true, std::memory_order_relaxed);
+    return !was;
+  }
+
+  bool put_if_absent(std::uint64_t k, std::uint64_t v) {
+    Slot& s = at(k);
+    if (s.present.load(std::memory_order_relaxed)) return false;
+    std::this_thread::yield();
+    s.value.store(v, std::memory_order_relaxed);
+    s.present.store(true, std::memory_order_relaxed);
+    return true;
+  }
+
+  std::optional<std::uint64_t> lookup(std::uint64_t k) const {
+    const Slot& s = at(k);
+    if (!s.present.load(std::memory_order_relaxed)) return std::nullopt;
+    return s.value.load(std::memory_order_relaxed);
+  }
+
+  std::optional<std::uint64_t> remove(std::uint64_t k) {
+    Slot& s = at(k);
+    if (!s.present.load(std::memory_order_relaxed)) return std::nullopt;
+    std::this_thread::yield();
+    const std::uint64_t v = s.value.load(std::memory_order_relaxed);
+    s.present.store(false, std::memory_order_relaxed);
+    return v;
+  }
+
+ private:
+  struct Slot {
+    std::atomic<bool> present{false};
+    std::atomic<std::uint64_t> value{0};
+  };
+
+  Slot& at(std::uint64_t k) { return slots_[k % size_]; }
+  const Slot& at(std::uint64_t k) const { return slots_[k % size_]; }
+
+  std::size_t size_;
+  std::unique_ptr<Slot[]> slots_;
+};
+
 TEST(MutationSmoke, BrokenMapIsRejected) {
   // BrokenMap's mutations are non-atomic read-modify-writes with a forced
   // reschedule in the window; under 4 contending threads the checker must
@@ -242,7 +303,7 @@ TEST(MutationSmoke, BrokenMapIsRejected) {
   cfg.histories = 2000;
   cfg.seed = 1;
   auto result = tk::run_histories(
-      [] { return std::make_unique<tk::MapAdapter<tk::BrokenMap>>(); }, cfg);
+      [] { return std::make_unique<BrokenMap>(); }, cfg);
   ASSERT_TRUE(result.violation.has_value())
       << "non-linearizable BrokenMap survived " << result.histories_checked
       << " histories undetected";
@@ -257,9 +318,7 @@ TEST(MutationSmoke, ViolationReproducesFromPrintedSeed) {
   cfg.key_range = 2;
   cfg.histories = 2000;
   cfg.seed = 99;
-  auto make = [] {
-    return std::make_unique<tk::MapAdapter<tk::BrokenMap>>();
-  };
+  auto make = [] { return std::make_unique<BrokenMap>(); };
   auto first = tk::run_histories(make, cfg);
   ASSERT_TRUE(first.violation.has_value());
   // Re-running the identical (seed, config) replays the identical workload
