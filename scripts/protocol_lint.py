@@ -116,6 +116,7 @@ FUNC_ANNOTATION_RE = re.compile(r"\[(smr):\s*caller-pinned\s*\]|"
                                 r"\[(helper):\s*no-retire\s*\]")
 DELETE_ANNOTATION_RE = re.compile(r"\[delete:\s*unpublished\s*\]")
 EXPECT_RE = re.compile(r"expect:\s*([a-z0-9.\-]+)")
+RETIRE_NAME_RE = re.compile(r"^retire(_[A-Za-z0-9_]+)?$")
 EDGE_MACRO_RE = re.compile(r"^\s*#\s*define\s+CACHETRIE_ORDERING_EDGES\b")
 EDGE_ENTRY_RE = re.compile(r"\bX\(\s*([A-Za-z0-9_]+)\s*,")
 
@@ -631,9 +632,10 @@ class FileAnalysis:
 
     def is_retire_call(self, idx):
         tok = self.tokens[idx]
-        if not tok.text.startswith("retire"):
-            return False
-        if tok.text == "retire_pulse":
+        # `retire`, `retire_raw`, `retire_raw_sized` and `retire_<word>`
+        # wrappers; `retired*` accessors never match, and a field named
+        # `retire_<word>` fails the `(`/`<` test below.
+        if not RETIRE_NAME_RE.match(tok.text):
             return False
         j = idx + 1
         if j < len(self.tokens) and self.tokens[j].text == "<":

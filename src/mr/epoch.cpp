@@ -1,5 +1,6 @@
 #include "mr/epoch.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "obs/metrics.hpp"
@@ -15,6 +16,18 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   char* end = nullptr;
   const unsigned long long v = std::strtoull(s, &end, 10);
   return (end == s) ? fallback : static_cast<std::uint64_t>(v);
+}
+
+// Single-writer counter updates: only the record's owner writes these
+// fields, so a relaxed load and store do what an RMW would, without locking
+// the line.
+template <typename T>
+void owner_add(std::atomic<T>& c, T n) noexcept {
+  c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+template <typename T>
+void owner_sub(std::atomic<T>& c, T n) noexcept {
+  c.store(c.load(std::memory_order_relaxed) - n, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -144,7 +157,40 @@ bool EpochDomain::current_thread_declared_stalled() {
           kStalledBit) != 0;
 }
 
-void EpochDomain::note_limbo_bytes(std::size_t now) noexcept {
+template <typename T>
+T EpochDomain::sum_records(
+    std::atomic<T> ThreadRecord::* field) const noexcept {
+  T n = 0;
+  for (ThreadRecord* rec = records_.load(std::memory_order_acquire);
+       rec != nullptr; rec = rec->next) {
+    n += (rec->*field).load(std::memory_order_relaxed);
+  }
+  return n;
+}
+
+std::uint64_t EpochDomain::retired_count() const noexcept {
+  return sum_records(&ThreadRecord::retired);
+}
+
+std::uint64_t EpochDomain::freed_count() const noexcept {
+  return orphans_freed_.load(std::memory_order_relaxed) +
+         sum_records(&ThreadRecord::freed);
+}
+
+std::size_t EpochDomain::retired_bytes() const noexcept {
+  return orphan_bytes_.load(std::memory_order_relaxed) +
+         sum_records(&ThreadRecord::limbo_bytes);
+}
+
+std::size_t EpochDomain::retired_bytes_high_water() const noexcept {
+  return std::max(limbo_bytes_hwm_.load(std::memory_order_relaxed),
+                  retired_bytes());
+}
+
+void EpochDomain::fold_high_water() noexcept {
+  // Limbo only grows between frees, so folding the sum in just before each
+  // free records every peak.
+  const std::size_t now = retired_bytes();
   std::size_t hwm = limbo_bytes_hwm_.load(std::memory_order_relaxed);
   while (now > hwm && !limbo_bytes_hwm_.compare_exchange_weak(
                           hwm, now, std::memory_order_relaxed,
@@ -164,23 +210,24 @@ void EpochDomain::retire(void* p, Deleter deleter, std::size_t bytes) {
   Segment& seg = rec->limbo.back();
   seg.items.push_back(Retired{p, deleter, bytes});
   seg.bytes += bytes;
-  retired_total_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t now =
-      limbo_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  note_limbo_bytes(now);
+  owner_add(rec->retired, std::uint64_t{1});
+  owner_add(rec->limbo_bytes, bytes);
   if (++rec->retire_pulse >= kAdvanceInterval) {
     rec->retire_pulse = 0;
     try_advance();
     collect_local(*rec, global_epoch_.load(std::memory_order_acquire));
   }
-  if (now > limbo_cap_bytes_.load(std::memory_order_relaxed)) {
+  // With no cap (the default) the sum over the records is never taken, so a
+  // retirement writes nothing shared.
+  const std::size_t cap = limbo_cap_bytes_.load(std::memory_order_relaxed);
+  if (cap != kNoLimboCap && retired_bytes() > cap) {
     // Over the cap: push the epoch and collect eagerly; when that frees
     // nothing and limbo stays over the cap, a straggler is blocking
     // advancement — run the stall fallback.
     try_advance();
     const std::size_t freed =
         collect_local(*rec, global_epoch_.load(std::memory_order_acquire));
-    if (freed == 0 && limbo_bytes_.load(std::memory_order_relaxed) >
+    if (freed == 0 && retired_bytes() >
                           limbo_cap_bytes_.load(std::memory_order_relaxed)) {
       fallback_scan();
     }
@@ -212,8 +259,7 @@ std::size_t EpochDomain::fallback_scan() {
   fallback_scans_.fetch_add(1, std::memory_order_relaxed);
   [[maybe_unused]] obs::trace::Span span{
       obs::trace::EventId::kMrFallbackScanBegin,
-      obs::trace::EventId::kMrFallbackScanEnd,
-      limbo_bytes_.load(std::memory_order_relaxed)};
+      obs::trace::EventId::kMrFallbackScanEnd, retired_bytes()};
   // Hazard-pointer-style sweep (the published epoch plays the role of the
   // hazard pointer). A record
   // pinned at an epoch other than the current one is what is blocking
@@ -256,12 +302,12 @@ std::size_t EpochDomain::fallback_scan() {
                        global_epoch_.load(std::memory_order_acquire));
 }
 
-std::size_t EpochDomain::free_segment(Segment& seg) {
+std::size_t EpochDomain::free_segment(ThreadRecord& rec, Segment& seg) {
   if (seg.items.empty()) return 0;
   for (const Retired& r : seg.items) r.deleter(r.ptr);
   const std::size_t n = seg.items.size();
-  freed_total_.fetch_add(n, std::memory_order_relaxed);
-  limbo_bytes_.fetch_sub(seg.bytes, std::memory_order_relaxed);
+  owner_add(rec.freed, static_cast<std::uint64_t>(n));
+  owner_sub(rec.limbo_bytes, seg.bytes);
   seg.items.clear();
   seg.bytes = 0;
   return n;
@@ -271,10 +317,14 @@ std::size_t EpochDomain::collect_local(ThreadRecord& rec,
                                        std::uint64_t current) {
   std::size_t freed = 0;
   std::size_t keep_from = 0;
-  // Segments are in increasing-epoch order; free the safe prefix.
+  // Segments are in increasing-epoch order; free the safe prefix, folding
+  // the high-water mark in first.
+  if (!rec.limbo.empty() && rec.limbo.front().epoch + 2 <= current) {
+    fold_high_water();
+  }
   while (keep_from < rec.limbo.size() &&
          rec.limbo[keep_from].epoch + 2 <= current) {
-    freed += free_segment(rec.limbo[keep_from]);
+    freed += free_segment(rec, rec.limbo[keep_from]);
     ++keep_from;
   }
   if (keep_from != 0) {
@@ -285,6 +335,10 @@ std::size_t EpochDomain::collect_local(ThreadRecord& rec,
 }
 
 void EpochDomain::orphan_all(ThreadRecord& rec) {
+  // Count the bytes on the orphan list before taking them off the record:
+  // a concurrent retired_bytes() may see them twice, never zero times.
+  const std::size_t bytes = rec.limbo_bytes.load(std::memory_order_relaxed);
+  orphan_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   for (Segment& seg : rec.limbo) {
     for (const Retired& r : seg.items) {
       auto* orphan = new Orphan{r, seg.epoch, nullptr};
@@ -298,6 +352,7 @@ void EpochDomain::orphan_all(ThreadRecord& rec) {
     }
   }
   rec.limbo.clear();
+  owner_sub(rec.limbo_bytes, bytes);
 }
 
 void EpochDomain::collect_orphans(std::uint64_t current) {
@@ -320,8 +375,9 @@ void EpochDomain::collect_orphans(std::uint64_t current) {
     head = next;
   }
   if (freed != 0) {
-    freed_total_.fetch_add(freed, std::memory_order_relaxed);
-    limbo_bytes_.fetch_sub(freed_bytes, std::memory_order_relaxed);
+    fold_high_water();
+    orphans_freed_.fetch_add(freed, std::memory_order_relaxed);
+    orphan_bytes_.fetch_sub(freed_bytes, std::memory_order_relaxed);
   }
   while (keep != nullptr) {
     Orphan* next = keep->next;
@@ -343,6 +399,7 @@ std::size_t EpochDomain::drain_for_testing() {
   // all orphans.
   ThreadRecord* self = local_record();
   assert(self->nesting == 0 && "drain_for_testing() under an active guard");
+  fold_high_water();
   for (ThreadRecord* rec = records_.load(std::memory_order_acquire);
        rec != nullptr; rec = rec->next) {
     // Only safe because the caller asserts global quiescence: exited threads
@@ -351,7 +408,7 @@ std::size_t EpochDomain::drain_for_testing() {
     // with their owners, so skip them.
     if (rec != self && rec->in_use.load(std::memory_order_acquire)) continue;
     for (Segment& seg : rec->limbo) {
-      freed += free_segment(seg);  // free_segment updates the counters
+      freed += free_segment(*rec, seg);  // free_segment updates the counters
     }
     rec->limbo.clear();
   }
@@ -367,8 +424,8 @@ std::size_t EpochDomain::drain_for_testing() {
     head = next;
   }
   if (orphan_freed != 0) {
-    freed_total_.fetch_add(orphan_freed, std::memory_order_relaxed);
-    limbo_bytes_.fetch_sub(orphan_bytes, std::memory_order_relaxed);
+    orphans_freed_.fetch_add(orphan_freed, std::memory_order_relaxed);
+    orphan_bytes_.fetch_sub(orphan_bytes, std::memory_order_relaxed);
   }
   return freed + orphan_freed;
 }

@@ -18,11 +18,16 @@
 // bound even though every structure operation keeps completing. This domain
 // closes the hole with three cooperating mechanisms:
 //
-//   1. *Byte accounting.* Every retirement carries a byte size; the domain
-//      tracks the bytes currently in limbo (plus a high-water mark) and a
-//      configurable cap (`set_limbo_cap_bytes`, or the
-//      CACHETRIE_LIMBO_CAP_BYTES environment variable; default: unlimited,
-//      i.e. classic EBR behavior).
+//   1. *Byte accounting.* Every retirement carries a byte size. Each thread
+//      record counts its own retired and freed objects and the bytes in
+//      its limbo, written only by its owner, so a retirement writes no
+//      shared cache line; the domain's accessors sum the records plus the
+//      orphan list. The high-water mark is folded in just before limbo
+//      shrinks (a free), and its accessor also reports the current sum
+//      when that is larger. A configurable cap (`set_limbo_cap_bytes`, or
+//      the CACHETRIE_LIMBO_CAP_BYTES environment variable; default:
+//      unlimited, i.e. classic EBR behavior) is compared against the full
+//      sum on every retirement; with no cap the sum is never taken there.
 //   2. *Epoch-lag detection.* While the cap is exceeded, `fallback_scan()`
 //      performs a hazard-pointer-style sweep of every pinned thread record
 //      (snapshot every published slot, with the published *epoch* playing
@@ -148,23 +153,18 @@ class EpochDomain {
   std::uint64_t epoch() const noexcept {
     return global_epoch_.load(std::memory_order_acquire);
   }
-  std::uint64_t retired_count() const noexcept {
-    return retired_total_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t freed_count() const noexcept {
-    return freed_total_.load(std::memory_order_relaxed);
-  }
+  /// Objects ever retired (sum over the thread records).
+  std::uint64_t retired_count() const noexcept;
+  /// Objects ever freed (sum over the thread records, plus orphans).
+  std::uint64_t freed_count() const noexcept;
 
   // --- stall-tolerance counters and knobs ---------------------------------
 
   /// Bytes currently sitting in limbo (all threads + orphans).
-  std::size_t retired_bytes() const noexcept {
-    return limbo_bytes_.load(std::memory_order_relaxed);
-  }
-  /// Highest value retired_bytes() has ever reached.
-  std::size_t retired_bytes_high_water() const noexcept {
-    return limbo_bytes_hwm_.load(std::memory_order_relaxed);
-  }
+  std::size_t retired_bytes() const noexcept;
+  /// Highest value retired_bytes() has ever reached: the mark folded in
+  /// before each free, or the current sum when that is larger.
+  std::size_t retired_bytes_high_water() const noexcept;
   /// Records currently declared stalled (pinned + lagging past threshold).
   std::uint64_t stalled_records() const noexcept {
     return stalled_records_.load(std::memory_order_relaxed);
@@ -236,6 +236,13 @@ class EpochDomain {
     std::uint32_t nesting = 0;
     /// Retirements since the last advance attempt.
     std::uint32_t retire_pulse = 0;
+    /// Cumulative objects retired/freed and the bytes now in this record's
+    /// limbo. Only the owner writes them (a relaxed load and store, no RMW);
+    /// the domain's accessors sum them. They survive recycling: a released
+    /// record's limbo is orphaned, so its limbo_bytes is zero.
+    std::atomic<std::uint64_t> retired{0};
+    std::atomic<std::uint64_t> freed{0};
+    std::atomic<std::size_t> limbo_bytes{0};
     /// Limbo segments in increasing-epoch order; owner-only.
     std::vector<Segment> limbo;
     /// Claimed by a live thread?
@@ -261,21 +268,30 @@ class EpochDomain {
   void exit();
   ThreadRecord* local_record();
   ThreadRecord* acquire_record();
-  std::size_t free_segment(Segment& seg);
+  std::size_t free_segment(ThreadRecord& rec, Segment& seg);
   std::size_t collect_local(ThreadRecord& rec, std::uint64_t current);
   void collect_orphans(std::uint64_t current);
   void orphan_all(ThreadRecord& rec);
-  void note_limbo_bytes(std::size_t now) noexcept;
+  void fold_high_water() noexcept;
+  /// Sum of one owner-written counter over every record.
+  template <typename T>
+  T sum_records(std::atomic<T> ThreadRecord::* field) const noexcept;
 
   static constexpr std::uint32_t kAdvanceInterval = 64;
 
-  std::atomic<std::uint64_t> global_epoch_{1};
-  std::atomic<ThreadRecord*> records_{nullptr};
+  // Layout: every enter() reads global_epoch_ twice, so it sits alone on
+  // its line and nothing written per retire() shares it. The fields below
+  // are read-mostly or written only off the per-operation path (thread
+  // registration, orphaning, freeing, the over-cap fallback).
+  alignas(util::kCacheLineSize) std::atomic<std::uint64_t> global_epoch_{1};
+  alignas(util::kCacheLineSize) std::atomic<ThreadRecord*> records_{nullptr};
   std::atomic<Orphan*> orphans_{nullptr};
-  std::atomic<std::uint64_t> retired_total_{0};
-  std::atomic<std::uint64_t> freed_total_{0};
+  /// Objects freed from, and bytes still on, the orphan list. orphan_all()
+  /// adds bytes here before taking them off the record, so a concurrent
+  /// retired_bytes() may count them twice but never misses them.
+  std::atomic<std::uint64_t> orphans_freed_{0};
+  std::atomic<std::size_t> orphan_bytes_{0};
 
-  std::atomic<std::size_t> limbo_bytes_{0};
   std::atomic<std::size_t> limbo_bytes_hwm_{0};
   std::atomic<std::size_t> limbo_cap_bytes_{kNoLimboCap};
   std::atomic<std::uint64_t> stall_lag_epochs_{kDefaultStallLagEpochs};

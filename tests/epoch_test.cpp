@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -215,6 +217,67 @@ TEST(Epoch, ByteAccountingTracksLimbo) {
   dom.drain_for_testing();
   // Every byte accounted in must be accounted back out when freed.
   EXPECT_LE(dom.retired_bytes(), bytes0);
+}
+
+TEST(Epoch, ConcurrentAccountingSumsThreadRecords) {
+  // Retire and free counts and limbo bytes live in each thread's record;
+  // the domain's accessors must add them up exactly once the threads are
+  // joined and limbo is drained.
+  auto& dom = EpochDomain::instance();
+  dom.drain_for_testing();
+  Tracked::live.store(0);
+  constexpr int kThreads = 3;
+  constexpr int kEach = 1000;
+  constexpr std::size_t kBytes = 96;
+  const std::uint64_t retired0 = dom.retired_count();
+  const std::size_t bytes0 = dom.retired_bytes();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      auto g = dom.pin();
+      for (int i = 0; i < kEach; ++i) {
+        dom.retire(static_cast<void*>(new Tracked()),
+                   &cachetrie::mr::delete_as<Tracked>, kBytes);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  dom.drain_for_testing();
+  EXPECT_EQ(dom.retired_count() - retired0,
+            std::uint64_t{kThreads} * kEach);
+  EXPECT_EQ(dom.freed_count(), dom.retired_count());
+  EXPECT_EQ(dom.retired_bytes(), bytes0);
+  EXPECT_GE(dom.retired_bytes_high_water(), kEach * kBytes);
+  EXPECT_EQ(Tracked::live.load(), 0);
+}
+
+TEST(Epoch, HighWaterSurvivesFreeingOwnLimbo) {
+  // More retirements than kAdvanceInterval in one guard: the advance they
+  // trigger must not lose the peak, and the thread freeing its own limbo
+  // afterwards must fold the peak into the stored mark first.
+  auto& dom = EpochDomain::instance();
+  dom.drain_for_testing();
+  Tracked::live.store(0);
+  constexpr int kCount = 200;
+  constexpr std::size_t kBytes = 80;
+  const std::size_t bytes0 = dom.retired_bytes();
+  {
+    auto g = dom.pin();
+    for (int i = 0; i < kCount; ++i) {
+      dom.retire(static_cast<void*>(new Tracked()),
+                 &cachetrie::mr::delete_as<Tracked>, kBytes);
+    }
+  }
+  EXPECT_GE(dom.retired_bytes_high_water(), kCount * kBytes);
+  // Ordinary guards: each advance lets the guard's exit collect limbo.
+  for (int i = 0; i < 10 && Tracked::live.load() != 0; ++i) {
+    auto g = dom.pin();
+    dom.try_advance();
+  }
+  EXPECT_EQ(Tracked::live.load(), 0);
+  EXPECT_LE(dom.retired_bytes(), bytes0);
+  EXPECT_GE(dom.retired_bytes_high_water(), kCount * kBytes);
+  dom.drain_for_testing();
 }
 
 TEST(Epoch, StalledReaderFallbackKeepsGarbageBounded) {
