@@ -162,10 +162,16 @@ run_lint() {
 
 want="${1:-all}"
 
-# Provenance: a green run names the machine width, compiler, and commit.
+# Provenance: a green run names the machine width, compiler, commit, and the
+# transparent-huge-page mode. The node pool (src/mr/node_pool.hpp) asks for
+# huge pages with madvise; under `never` it gets 4 KiB pages and the large
+# read workloads lose that gain, so a result must say which mode it ran under.
+thp="$(sed -n 's/.*\[\(.*\)\].*/\1/p' \
+  /sys/kernel/mm/transparent_hugepage/enabled 2>/dev/null || true)"
 echo "=== provenance: nproc=$(nproc 2>/dev/null || echo unknown)" \
   "compiler=\"$( (c++ --version 2>/dev/null || echo unknown) | head -n 1)\"" \
-  "commit=$(git -C "$repo" rev-parse --short HEAD 2>/dev/null || echo unknown) ==="
+  "commit=$(git -C "$repo" rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+  "thp=${thp:-unknown} ==="
 
 case "$want" in
   lint) run_lint ;;

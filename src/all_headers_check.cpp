@@ -20,6 +20,7 @@
 #include "harness/workload.hpp"
 #include "mr/epoch.hpp"
 #include "mr/leak.hpp"
+#include "mr/node_pool.hpp"
 #include "mr/reclaimer.hpp"
 #include "net/client.hpp"
 #include "net/proto.hpp"
@@ -89,6 +90,31 @@ static_assert(caps<ChmU64>() == (kPutIfAbsent | kRemoveIfEquals));
 static_assert(caps<BoundedChmU64>() == (kPutIfAbsent | kRemoveIfEquals));
 static_assert(caps<CtrieU64>() == kPutIfAbsent);
 static_assert(caps<SkipListU64>() == kPutIfAbsent);
+
+// Every node the instantiated maps allocate fits a pool size class, so none
+// silently falls back to ::operator new. The ctrie's CNodes with 31 or 32
+// branches (272 B) are the one exception by design: see DESIGN.md "Node
+// memory".
+template <class T>
+constexpr bool fits_pool_class() {
+  return sizeof(T) <= cachetrie::mr::NodePool::kMaxBytes &&
+         alignof(T) <= cachetrie::mr::NodePool::kGranule;
+}
+namespace ct = cachetrie::detail;
+namespace ctr = cachetrie::ctrie::detail;
+static_assert(fits_pool_class<ct::SNode<U64, U64>>() &&
+              fits_pool_class<ct::LNode<U64, U64>>() &&
+              fits_pool_class<ct::ENode>() && fits_pool_class<ct::FNode>() &&
+              fits_pool_class<ct::ANode>());
+static_assert(ct::ANode::alloc_size(16) <= cachetrie::mr::NodePool::kMaxBytes);
+static_assert(fits_pool_class<ctr::SNode<U64, U64>>() &&
+              fits_pool_class<ctr::LNode<U64, U64>>() &&
+              fits_pool_class<ctr::TNode<U64, U64>>() &&
+              fits_pool_class<ctr::INode>() && fits_pool_class<ctr::CNode>());
+static_assert(ctr::CNode::alloc_size(30) <= cachetrie::mr::NodePool::kMaxBytes);
+static_assert(ChmU64::kNodeBytes <= cachetrie::mr::NodePool::kMaxBytes);
+static_assert(SkipListU64::kMaxNodeBytes <=
+              cachetrie::mr::NodePool::kMaxBytes);
 
 // Instantiate the main templates so their member functions are actually
 // compiled under the strict flags, not just parsed.

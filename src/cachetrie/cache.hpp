@@ -23,6 +23,7 @@
 #include <new>
 
 #include "cachetrie/nodes.hpp"
+#include "mr/node_pool.hpp"
 #include "util/padded.hpp"
 
 namespace cachetrie::detail {
@@ -69,8 +70,9 @@ struct CacheArray {
   static CacheArray* make(std::uint32_t level, std::uint32_t miss_slots,
                           CacheArray* parent) {
     assert(level >= 4 && level <= 30 && level % 4 == 0);
-    void* raw = ::operator new(alloc_size(level, miss_slots),
-                               std::align_val_t{util::kCacheLineSize});
+    // Arrays of 2 MiB or more land on their own huge-page mapping.
+    void* raw = mr::NodePool::allocate_array(alloc_size(level, miss_slots),
+                                             util::kCacheLineSize);
     auto* c = new (raw) CacheArray{level, miss_slots, parent};
     for (std::uint32_t i = 0; i < miss_slots; ++i) {
       std::construct_at(c->misses() + i);
@@ -83,7 +85,8 @@ struct CacheArray {
   }
 
   static void destroy(CacheArray* c) noexcept {
-    ::operator delete(c, std::align_val_t{util::kCacheLineSize});
+    mr::NodePool::deallocate_array(c, c->footprint_bytes(),
+                                   util::kCacheLineSize);
   }
 
   /// Type-erased deleter for reclaimer retirement.

@@ -290,8 +290,10 @@ class CacheTrie {
   }
 
   /// Bytes of heap owned by the trie: nodes, plus the cache arrays when the
-  /// cache is enabled. malloc overhead is not modeled (documented in
-  /// EXPERIMENTS.md; it shifts all structures equally).
+  /// cache is enabled, each at its exact size. The node pool rounds every
+  /// node up to a 16 B class (mr/node_pool.hpp) and keeps freed blocks for
+  /// reuse; neither is counted here (NodePool::mapped_bytes() and the
+  /// mr.pool.mapped_bytes gauge cover it, for all structures alike).
   std::size_t footprint_bytes() const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     std::size_t bytes = sizeof(*this);
@@ -1678,7 +1680,7 @@ class CacheTrie {
     }
     clear_cache_refs(frozen, prefix, level);
     account(-static_cast<std::ptrdiff_t>(ANode::alloc_size(frozen->length)));
-    Reclaimer::retire_raw_sized(frozen, &mr::free_raw_storage,
+    Reclaimer::retire_raw_sized(frozen, &ANode::destroy_erased,
                                 ANode::alloc_size(frozen->length));
   }
 

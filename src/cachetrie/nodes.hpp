@@ -24,6 +24,8 @@
 #include <memory>
 #include <new>
 
+#include "mr/node_pool.hpp"
+
 namespace cachetrie::detail {
 
 enum class Kind : std::uint8_t {
@@ -38,8 +40,13 @@ enum class Kind : std::uint8_t {
   kPending,  // sentinel: ENode result not yet computed
 };
 
-struct NodeBase {
+/// Every node type derives from NodeBase, so `new`/`delete` of any of them
+/// goes through the node pool (mr/node_pool.hpp).
+struct NodeBase : mr::PoolAllocated {
   Kind kind;
+
+  NodeBase() = default;
+  constexpr NodeBase(Kind k) noexcept : kind(k) {}
 };
 
 /// Process-wide sentinel singletons. They are compared by address and never
@@ -76,13 +83,13 @@ struct ANode : NodeBase {
     return reinterpret_cast<const std::atomic<NodeBase*>*>(this + 1);
   }
 
-  static std::size_t alloc_size(std::uint32_t len) noexcept {
+  static constexpr std::size_t alloc_size(std::uint32_t len) noexcept {
     return sizeof(ANode) + len * sizeof(std::atomic<NodeBase*>);
   }
 
   static ANode* make(std::uint32_t len) {
     assert(len == 4 || len == 16);
-    void* raw = ::operator new(alloc_size(len));
+    void* raw = mr::NodePool::allocate(alloc_size(len));
     auto* a = new (raw) ANode{};
     a->kind = Kind::kANode;
     a->length = len;
@@ -92,9 +99,13 @@ struct ANode : NodeBase {
     return a;
   }
 
-  /// Direct deallocation for unpublished nodes; published nodes go through
-  /// the reclaimer with mr::free_raw_storage instead.
-  static void destroy(ANode* a) noexcept { ::operator delete(a); }
+  static void destroy(ANode* a) noexcept {
+    mr::NodePool::deallocate(a, alloc_size(a->length));
+  }
+  /// Type-erased deleter for reclaimer retirement.
+  static void destroy_erased(void* a) noexcept {
+    destroy(static_cast<ANode*>(a));
+  }
 };
 
 static_assert(sizeof(ANode) % alignof(std::atomic<NodeBase*>) == 0,

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "mr/epoch.hpp"
+#include "mr/node_pool.hpp"
 #include "obs/inventory.hpp"
 #include "obs/trace.hpp"
 #include "testkit/chaos.hpp"
@@ -52,7 +53,8 @@ class ConcurrentHashMap {
   /// because insert() forces bit 63 off... see adjust_hash).
   static constexpr std::uint64_t kForwardHash = ~std::uint64_t{0};
 
-  struct Node {
+  /// Allocated from the node pool (mr/node_pool.hpp), like the tries' nodes.
+  struct Node : mr::PoolAllocated {
     std::uint64_t hash;
     K key;
     V value;
@@ -64,7 +66,7 @@ class ConcurrentHashMap {
 
     static Node* make(std::uint64_t h, const K& k, const V& v, Node* nxt,
                       std::uint64_t stamp = 0) {
-      auto* n = new Node{h, k, v, {}, {}};
+      auto* n = new Node{{}, h, k, v, {}, {}};
       n->next.store(nxt, std::memory_order_relaxed);
       n->stamp.store(stamp, std::memory_order_relaxed);
       return n;
@@ -90,7 +92,9 @@ class ConcurrentHashMap {
     }
 
     static Table* make(std::size_t nbins) {
-      void* raw = ::operator new(alloc_size(nbins));
+      // Tables of 2 MiB or more land on their own huge-page mapping.
+      void* raw =
+          mr::NodePool::allocate_array(alloc_size(nbins), alignof(Table));
       auto* t = new (raw) Table{};
       t->nbins = nbins;
       for (std::size_t i = 0; i < nbins; ++i) {
@@ -101,8 +105,9 @@ class ConcurrentHashMap {
     }
 
     static void destroy(Table* t) noexcept {
+      const std::size_t bytes = alloc_size(t->nbins);
       t->~Table();
-      ::operator delete(t);
+      mr::NodePool::deallocate_array(t, bytes, alignof(Table));
     }
     static void destroy_erased(void* t) { destroy(static_cast<Table*>(t)); }
   };
@@ -127,6 +132,9 @@ class ConcurrentHashMap {
   };
 
  public:
+  /// Bytes of one node; the header sweep checks it fits a pool size class.
+  static constexpr std::size_t kNodeBytes = sizeof(Node);
+
   explicit ConcurrentHashMap(std::size_t initial_bins = 16) {
     std::size_t n = 16;
     while (n < initial_bins) n <<= 1;

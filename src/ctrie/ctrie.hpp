@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "mr/epoch.hpp"
+#include "mr/node_pool.hpp"
 #include "obs/inventory.hpp"
 #include "obs/trace.hpp"
 #include "testkit/chaos.hpp"
@@ -44,8 +45,13 @@ namespace detail {
 
 enum class Kind : std::uint8_t { kSNode, kINode, kCNode, kTNode, kLNode };
 
-struct Base {
+/// Every node type derives from Base, so `new`/`delete` of any of them goes
+/// through the node pool (mr/node_pool.hpp), as the cache-trie's do.
+struct Base : mr::PoolAllocated {
   Kind kind;
+
+  Base() = default;
+  constexpr Base(Kind k) noexcept : kind(k) {}
 };
 
 /// Leaf: immutable key-value pair.
@@ -100,7 +106,7 @@ struct CNode : Base {
   std::uint32_t bmp;
   std::uint32_t len;
 
-  static std::size_t header_size() noexcept {
+  static constexpr std::size_t header_size() noexcept {
     return (sizeof(CNode) + alignof(Base*) - 1) & ~(alignof(Base*) - 1);
   }
 
@@ -113,12 +119,12 @@ struct CNode : Base {
         reinterpret_cast<const char*>(this) + header_size());
   }
 
-  static std::size_t alloc_size(std::uint32_t len) noexcept {
+  static constexpr std::size_t alloc_size(std::uint32_t len) noexcept {
     return header_size() + len * sizeof(Base*);
   }
 
   static CNode* make(std::uint32_t bmp, std::uint32_t len) {
-    void* raw = ::operator new(alloc_size(len));
+    void* raw = mr::NodePool::allocate(alloc_size(len));
     auto* cn = new (raw) CNode{};
     cn->kind = Kind::kCNode;
     cn->bmp = bmp;
@@ -126,7 +132,13 @@ struct CNode : Base {
     return cn;
   }
 
-  static void destroy(CNode* cn) noexcept { ::operator delete(cn); }
+  static void destroy(CNode* cn) noexcept {
+    mr::NodePool::deallocate(cn, alloc_size(cn->len));
+  }
+  /// Type-erased deleter for reclaimer retirement.
+  static void destroy_erased(void* cn) noexcept {
+    destroy(static_cast<CNode*>(cn));
+  }
 
   std::uint32_t pos_of(std::uint32_t flag) const noexcept {
     return static_cast<std::uint32_t>(util::popcount(bmp & (flag - 1)));
@@ -574,7 +586,7 @@ class Ctrie {
   void retire_main_container(Base* main) {
     if (main->kind == Kind::kCNode) {
       Reclaimer::retire_raw_sized(
-          main, &mr::free_raw_storage,
+          main, &CNode::destroy_erased,
           CNode::alloc_size(static_cast<CNode*>(main)->len));
     } else if (main->kind == Kind::kTNode) {
       // TNode and its tombed SNode are both superseded (resurrection copies
@@ -672,7 +684,7 @@ class Ctrie {
           Reclaimer::template retire<SNodeT>(survivor);
         }
       }
-      Reclaimer::retire_raw_sized(cn, &mr::free_raw_storage,
+      Reclaimer::retire_raw_sized(cn, &CNode::destroy_erased,
                                   CNode::alloc_size(cn->len));
       obs::sites::ctrie_clean.add();
       obs::trace::emit(obs::trace::EventId::kCtrieClean,
@@ -722,7 +734,7 @@ class Ctrie {
     if (parent->main.compare_exchange_strong(e, contracted,
                                              std::memory_order_acq_rel,
                                              std::memory_order_acquire)) {
-      Reclaimer::retire_raw_sized(cn, &mr::free_raw_storage,
+      Reclaimer::retire_raw_sized(cn, &CNode::destroy_erased,
                                   CNode::alloc_size(cn->len));
       Reclaimer::template retire<SNodeT>(tn->sn);
       Reclaimer::template retire<TNodeT>(tn);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "mr/node_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -63,6 +64,11 @@ EpochDomain::EpochDomain() {
                         g(&EpochDomain::fallback_scans));
   reg.register_gauge_fn("mr.epoch.stalled_guard_exits",
                         g(&EpochDomain::stalled_guard_exits));
+  // Node memory the pool holds, live or free: it is never returned to the
+  // OS, so this explains RSS that footprint_bytes() does not count.
+  reg.register_gauge_fn("mr.pool.mapped_bytes", [] {
+    return static_cast<std::int64_t>(NodePool::mapped_bytes());
+  });
 }
 
 EpochDomain& EpochDomain::instance() {

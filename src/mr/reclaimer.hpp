@@ -60,10 +60,4 @@ void delete_as(void* p) {
   delete static_cast<T*>(p);
 }
 
-/// Deleter for raw storage obtained from ::operator new (flexible-array
-/// nodes whose members are all trivially destructible).
-inline void free_raw_storage(void* p) {
-  ::operator delete(p);
-}
-
 }  // namespace cachetrie::mr

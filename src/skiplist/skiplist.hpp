@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "mr/epoch.hpp"
+#include "mr/node_pool.hpp"
 #include "obs/inventory.hpp"
 #include "obs/trace.hpp"
 #include "testkit/chaos.hpp"
@@ -84,7 +85,7 @@ class ConcurrentSkipList {
       return reinterpret_cast<const std::atomic<std::uintptr_t>*>(this + 1);
     }
 
-    static std::size_t alloc_size(int top_level) noexcept {
+    static constexpr std::size_t alloc_size(int top_level) noexcept {
       return sizeof(Node) +
              static_cast<std::size_t>(top_level + 1) *
                  sizeof(std::atomic<std::uintptr_t>);
@@ -92,7 +93,8 @@ class ConcurrentSkipList {
 
     static Node* make(const K& key, const V& value, int top_level,
                       bool is_head = false) {
-      void* raw = ::operator new(alloc_size(top_level));
+      void* raw =
+          mr::NodePool::allocate(alloc_size(top_level), alignof(Node));
       auto* n = new (raw) Node{key, {}, {}, top_level, is_head};
       n->value.store(value, std::memory_order_relaxed);
       for (int i = 0; i <= top_level; ++i) {
@@ -102,8 +104,9 @@ class ConcurrentSkipList {
     }
 
     static void destroy(Node* n) noexcept {
+      const std::size_t bytes = alloc_size(n->top_level);
       n->~Node();
-      ::operator delete(n);
+      mr::NodePool::deallocate(n, bytes, alignof(Node));
     }
     static void destroy_erased(void* n) { destroy(static_cast<Node*>(n)); }
   };
@@ -117,6 +120,10 @@ class ConcurrentSkipList {
   }
 
  public:
+  /// Bytes of the tallest node (the head); the header sweep checks that every
+  /// node of the instantiated lists fits a pool size class.
+  static constexpr std::size_t kMaxNodeBytes = Node::alloc_size(kMaxLevel - 1);
+
   ConcurrentSkipList() {
     head_ = Node::make(K{}, V{}, kMaxLevel - 1, /*is_head=*/true);
   }
