@@ -16,12 +16,8 @@ struct Block {
   Block* next;
 };
 
+/// A thread's list for one class, and a batch handed through the depot.
 struct FreeList {
-  Block* head = nullptr;
-  std::uint32_t count = 0;
-};
-
-struct Batch {
   Block* head = nullptr;
   std::uint32_t count = 0;
 };
@@ -98,7 +94,7 @@ struct PoolInternals {
     void* refill(std::size_t cls) {
       Depot& d = depot();
       if (d.batch_count[cls].load(std::memory_order_relaxed) != 0) {
-        Batch b;
+        FreeList b;
         {
           std::lock_guard<std::mutex> lock(d.mu);
           auto& v = d.batches[cls];
@@ -108,9 +104,11 @@ struct PoolInternals {
             d.batch_count[cls].store(v.size(), std::memory_order_relaxed);
           }
         }
-        if (b.head != nullptr) {
-          lists[cls] = FreeList{b.head->next, b.count - 1};
-          return b.head;
+        if (Block* head = b.head; head != nullptr) {
+          b.head = head->next;
+          --b.count;
+          lists[cls] = b;
+          return head;
         }
       }
       const std::size_t size = (cls + 1) * NodePool::kGranule;
@@ -149,16 +147,14 @@ struct PoolInternals {
       l.head = last->next;
       l.count -= kBatch;
       last->next = nullptr;
-      push_batch(cls, Batch{first, kBatch});
+      push_batch(cls, FreeList{first, kBatch});
     }
 
     /// Thread exit: every list and the span's usable tail go to the depot.
     void donate() {
       for (std::size_t cls = 0; cls < kClasses; ++cls) {
-        if (lists[cls].head != nullptr) {
-          push_batch(cls, Batch{lists[cls].head, lists[cls].count});
-        }
-        lists[cls] = FreeList{nullptr, 0};
+        if (lists[cls].head != nullptr) push_batch(cls, lists[cls]);
+        lists[cls] = FreeList{};
       }
       if (static_cast<std::size_t>(end - cur) >= kSpareSpanMin) {
         Depot& d = depot();
@@ -169,7 +165,7 @@ struct PoolInternals {
       cur = end = nullptr;
     }
 
-    static void push_batch(std::size_t cls, Batch b) {
+    static void push_batch(std::size_t cls, FreeList b) {
       Depot& d = depot();
       std::lock_guard<std::mutex> lock(d.mu);
       d.batches[cls].push_back(b);
@@ -180,7 +176,7 @@ struct PoolInternals {
 
   struct Depot {
     std::mutex mu;
-    std::vector<Batch> batches[kClasses];
+    std::vector<FreeList> batches[kClasses];
     std::vector<Span> spans;
     // Sizes of the vectors above, written under `mu`. The hot path reads
     // them without the lock only to skip it when the depot is empty; the

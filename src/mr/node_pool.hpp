@@ -29,12 +29,13 @@
 // MADV_HUGEPAGE region and deallocate_array() unmaps it; below that they
 // use ::operator new.
 //
-// Under AddressSanitizer and ThreadSanitizer the pool forwards everything
-// to ::operator new/delete. ASan keeps its quarantine and use-after-free
-// reports. TSan cannot see a recycled block as new memory: once the stall-
-// tolerant reclaimer frees what a declared-dead reader last read (DESIGN.md
-// §2c), that old read would race with the block's next owner, a report that
-// with malloc lands in the suppressed free path instead.
+// Under AddressSanitizer and ThreadSanitizer allocate()/deallocate() forward
+// every request to ::operator new/delete; the class allocator stays
+// callable. ASan keeps its quarantine and use-after-free reports. TSan
+// cannot see a recycled block as new memory: once the stall-tolerant
+// reclaimer frees what a declared-dead reader last read (DESIGN.md §2c),
+// that old read would race with the block's next owner, a report that with
+// malloc lands in the suppressed free path instead.
 #pragma once
 
 #include <atomic>
@@ -44,16 +45,20 @@
 
 namespace cachetrie::mr {
 
+namespace detail {
+// Compiler-defined only: no build switch turns the pool off.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CACHETRIE_NODE_POOL_FORWARDS 1
+inline constexpr bool kSanitized = true;
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define CACHETRIE_NODE_POOL_FORWARDS 1
+inline constexpr bool kSanitized = true;
+#else
+inline constexpr bool kSanitized = false;
 #endif
+#else
+inline constexpr bool kSanitized = false;
 #endif
-#ifndef CACHETRIE_NODE_POOL_FORWARDS
-#define CACHETRIE_NODE_POOL_FORWARDS 0
-#endif
+}  // namespace detail
 
 class NodePool {
  public:
@@ -63,8 +68,9 @@ class NodePool {
   static constexpr std::size_t kChunkBytes = std::size_t{2} << 20;
   /// Blocks per depot hand-off; a thread list holds at most 2 * kBatch.
   static constexpr std::uint32_t kBatch = 64;
-  /// False under ASan and TSan: every request then goes to ::operator new.
-  static constexpr bool kEnabled = !CACHETRIE_NODE_POOL_FORWARDS;
+  /// False under ASan and TSan: allocate() then sends every request to
+  /// ::operator new. The class allocator below works either way.
+  static constexpr bool kEnabled = !detail::kSanitized;
 
   /// True when a request of `bytes` aligned to `align` is served from a class.
   static constexpr bool pooled(std::size_t bytes,
@@ -92,6 +98,14 @@ class NodePool {
   static void deallocate_array(void* p, std::size_t bytes,
                                std::size_t align) noexcept;
 
+  /// The class allocator itself, which allocate() routes to when pooled().
+  /// Callable directly, so its cross-thread paths also run under sanitizers.
+  static constexpr std::size_t class_of(std::size_t bytes) noexcept {
+    return (bytes - 1) / kGranule;
+  }
+  static void* allocate_class(std::size_t cls);
+  static void deallocate_class(void* p, std::size_t cls) noexcept;
+
   /// Bytes of chunk memory the pool has mapped for node classes. Never
   /// shrinks: freed blocks are reused, not returned.
   static std::size_t mapped_bytes() noexcept {
@@ -99,9 +113,6 @@ class NodePool {
   }
 
  private:
-  static constexpr std::size_t class_of(std::size_t bytes) noexcept {
-    return (bytes - 1) / kGranule;
-  }
   static void* system_allocate(std::size_t bytes, std::size_t align) {
     if (align <= __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
       return ::operator new(bytes);
@@ -116,9 +127,6 @@ class NodePool {
       ::operator delete(p, bytes, std::align_val_t{align});
     }
   }
-
-  static void* allocate_class(std::size_t cls);
-  static void deallocate_class(void* p, std::size_t cls) noexcept;
 
   friend struct PoolInternals;
   static inline std::atomic<std::size_t> mapped_bytes_{0};

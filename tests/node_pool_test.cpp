@@ -26,28 +26,31 @@ bool aligned_to(const void* p, std::size_t align) {
   return reinterpret_cast<std::uintptr_t>(p) % align == 0;
 }
 
-#define SKIP_WITHOUT_POOL()                                             \
-  if (!NodePool::kEnabled) {                                            \
-    GTEST_SKIP() << "pool forwards to ::operator new under sanitizers"; \
-  }
+// The class allocator, called directly: under ASan and TSan allocate()
+// forwards to ::operator new, and these tests still run the pool itself.
+void* take(std::size_t bytes) {
+  return NodePool::allocate_class(NodePool::class_of(bytes));
+}
+void give(void* p, std::size_t bytes) {
+  NodePool::deallocate_class(p, NodePool::class_of(bytes));
+}
 
 // (a) Every class round-trips, and a block freed by a thread is the next one
 // that thread gets back for the same class.
 TEST(NodePool, RoundTripPerClassAndReuse) {
-  SKIP_WITHOUT_POOL();
   std::thread([] {
     for (std::size_t bytes = NodePool::kGranule; bytes <= NodePool::kMaxBytes;
          bytes += NodePool::kGranule) {
-      ASSERT_TRUE(NodePool::pooled(bytes));
-      void* p = NodePool::allocate(bytes);
+      EXPECT_EQ(NodePool::pooled(bytes), NodePool::kEnabled);
+      void* p = take(bytes);
       ASSERT_NE(p, nullptr);
       EXPECT_TRUE(aligned_to(p, NodePool::kGranule)) << bytes;
       std::memset(p, 0xab, bytes);
-      NodePool::deallocate(p, bytes);
+      give(p, bytes);
       // One byte less still rounds up to the same class.
-      void* q = NodePool::allocate(bytes - 1);
+      void* q = take(bytes - 1);
       EXPECT_EQ(q, p) << "class of " << bytes << " B did not reuse its block";
-      NodePool::deallocate(q, bytes - 1);
+      give(q, bytes - 1);
     }
   }).join();
 }
@@ -55,7 +58,6 @@ TEST(NodePool, RoundTripPerClassAndReuse) {
 // (b) One thread only allocates, another only frees. The depot must carry
 // the freed blocks back to the allocator, or it keeps mapping new chunks.
 TEST(NodePool, ProducerConsumerStaysBounded) {
-  SKIP_WITHOUT_POOL();
   constexpr int kRounds = 50;
   constexpr std::size_t kBlocks = 20000;  // ~1 MB of SNode-sized blocks
 
@@ -69,7 +71,7 @@ TEST(NodePool, ProducerConsumerStaysBounded) {
   std::thread producer([&] {
     for (int round = 0; round < kRounds; ++round) {
       std::vector<void*> blocks(kBlocks);
-      for (auto& p : blocks) p = NodePool::allocate(kSNodeBytes);
+      for (auto& p : blocks) p = take(kSNodeBytes);
       std::unique_lock<std::mutex> lock(mu);
       handoff = std::move(blocks);
       ++produced;
@@ -86,7 +88,7 @@ TEST(NodePool, ProducerConsumerStaysBounded) {
         cv.wait(lock, [&] { return produced > round; });
         blocks = std::move(handoff);
       }
-      for (void* p : blocks) NodePool::deallocate(p, kSNodeBytes);
+      for (void* p : blocks) give(p, kSNodeBytes);
       std::lock_guard<std::mutex> lock(mu);
       ++consumed;
       cv.notify_all();
@@ -103,23 +105,22 @@ TEST(NodePool, ProducerConsumerStaysBounded) {
 // (c) A thread that allocates, frees and exits donates its lists and the
 // rest of its span; the next thread's allocations map no new chunk.
 TEST(NodePool, ExitedThreadDonatesToNextThread) {
-  SKIP_WITHOUT_POOL();
   constexpr std::size_t kBlocks = 5000;
   std::thread([] {
     std::vector<void*> blocks(kBlocks);
-    for (auto& p : blocks) p = NodePool::allocate(kSNodeBytes);
-    for (void* p : blocks) NodePool::deallocate(p, kSNodeBytes);
+    for (auto& p : blocks) p = take(kSNodeBytes);
+    for (void* p : blocks) give(p, kSNodeBytes);
   }).join();
 
   const std::size_t before = NodePool::mapped_bytes();
   std::thread([] {
     std::vector<void*> same(kBlocks);
-    for (auto& p : same) p = NodePool::allocate(kSNodeBytes);
+    for (auto& p : same) p = take(kSNodeBytes);
     // Another class comes out of the donated span.
     std::vector<void*> other(1000);
-    for (auto& p : other) p = NodePool::allocate(NodePool::kMaxBytes);
-    for (void* p : same) NodePool::deallocate(p, kSNodeBytes);
-    for (void* p : other) NodePool::deallocate(p, NodePool::kMaxBytes);
+    for (auto& p : other) p = take(NodePool::kMaxBytes);
+    for (void* p : same) give(p, kSNodeBytes);
+    for (void* p : other) give(p, NodePool::kMaxBytes);
   }).join();
   EXPECT_EQ(NodePool::mapped_bytes(), before);
 }
@@ -158,7 +159,6 @@ TEST(NodePool, LargeAndOverAlignedFallBack) {
 
 // (e) Node chunks and large arrays start on 2 MiB boundaries.
 TEST(NodePool, ChunksAre2MiBAligned) {
-  SKIP_WITHOUT_POOL();
   std::thread([] {
     // Carve until a fresh chunk is mapped: its first block is its base.
     std::vector<void*> blocks;
@@ -166,18 +166,20 @@ TEST(NodePool, ChunksAre2MiBAligned) {
     const std::size_t limit = 4 * NodePool::kChunkBytes / NodePool::kMaxBytes;
     while (first_of_chunk == nullptr && blocks.size() < limit) {
       const std::size_t before = NodePool::mapped_bytes();
-      blocks.push_back(NodePool::allocate(NodePool::kMaxBytes));
+      blocks.push_back(take(NodePool::kMaxBytes));
       if (NodePool::mapped_bytes() != before) first_of_chunk = blocks.back();
     }
     ASSERT_NE(first_of_chunk, nullptr);
     EXPECT_TRUE(aligned_to(first_of_chunk, NodePool::kChunkBytes));
-    for (void* p : blocks) NodePool::deallocate(p, NodePool::kMaxBytes);
+    for (void* p : blocks) give(p, NodePool::kMaxBytes);
   }).join();
 
+  // Under sanitizers arrays come from ::operator new, aligned as asked.
+  const std::size_t array_align = NodePool::kEnabled ? NodePool::kChunkBytes : 64;
   for (std::size_t bytes :
        {NodePool::kChunkBytes, 3 * NodePool::kChunkBytes + 1}) {
     void* a = NodePool::allocate_array(bytes, 64);
-    EXPECT_TRUE(aligned_to(a, NodePool::kChunkBytes)) << bytes;
+    EXPECT_TRUE(aligned_to(a, array_align)) << bytes;
     std::memset(a, 0x11, bytes);
     NodePool::deallocate_array(a, bytes, 64);
   }
