@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -100,6 +101,71 @@ TEST(NodePool, ProducerConsumerStaysBounded) {
   // Slack: one chunk for the consumer's short lists and a partly carved span.
   EXPECT_LE(NodePool::mapped_bytes(), after_first + NodePool::kChunkBytes)
       << "after round 1: " << after_first;
+}
+
+// The same one-way traffic with both threads running at once, so the
+// consumer's depot hand-offs overlap the producer's refills (the test above
+// steps its threads in turn). Each block carries a stamp its consumer
+// checks before freeing it: a block handed out twice shows up as an
+// overwritten stamp, and under TSan a missing depot lock shows up as a race.
+TEST(NodePool, OverlappedProducerConsumerNeverSharesABlock) {
+  constexpr std::uint64_t kBlocks = 200000;
+  constexpr std::size_t kGroup = 256;
+  constexpr std::size_t kMaxQueued = 8;
+  constexpr std::size_t kWords = kSNodeBytes / sizeof(std::uint64_t);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<std::vector<void*>> queue;
+  bool done = false;
+
+  std::thread producer([&] {
+    std::vector<void*> group;
+    for (std::uint64_t i = 0; i < kBlocks; ++i) {
+      auto* words = static_cast<std::uint64_t*>(take(kSNodeBytes));
+      for (std::size_t w = 0; w < kWords; ++w) words[w] = i;
+      group.push_back(words);
+      if (group.size() == kGroup || i + 1 == kBlocks) {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return queue.size() < kMaxQueued; });
+        queue.push_back(std::move(group));
+        group.clear();
+        cv.notify_all();
+      }
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+    cv.notify_all();
+  });
+  std::uint64_t freed = 0;
+  std::uint64_t wrong = 0;
+  std::thread consumer([&] {
+    for (;;) {
+      std::vector<void*> group;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return !queue.empty() || done; });
+        if (queue.empty()) return;
+        group = std::move(queue.front());
+        queue.pop_front();
+        cv.notify_all();
+      }
+      // Blocks arrive in allocation order, so block number `freed` must
+      // still hold its own index in every word.
+      for (void* p : group) {
+        const auto* words = static_cast<const std::uint64_t*>(p);
+        for (std::size_t w = 0; w < kWords; ++w) {
+          if (words[w] != freed) ++wrong;
+        }
+        give(p, kSNodeBytes);
+        ++freed;
+      }
+    }
+  });
+  producer.join();
+  consumer.join();
+  EXPECT_EQ(freed, kBlocks);
+  EXPECT_EQ(wrong, 0u) << "a block was handed out while still in use";
 }
 
 // (c) A thread that allocates, frees and exits donates its lists and the
