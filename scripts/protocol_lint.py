@@ -5,7 +5,7 @@ reclamation contracts (stdlib only, like perf_gate.py / trace_summarize.py).
 The paper's correctness argument rests on a handful of ordering and
 reclamation invariants (freeze-before-copy publication, txn-word CAS edges,
 seq_cst fences around cache installs, unlinker-retires-exactly-once). This
-pass makes them machine-checked instead of comment-checked. Three rule
+pass makes them machine-checked instead of comment-checked. Four rule
 families, documented in DESIGN.md section 2f:
 
   Atomics discipline
@@ -42,6 +42,16 @@ families, documented in DESIGN.md section 2f:
     smr.raw-new                raw `new` outside the designated make helpers
                                (protocol dirs only)
 
+  Read-path discipline (functions annotated [read-path])
+    readpath.rmw               an atomic read-modify-write (.fetch_*,
+                               .exchange, .compare_exchange_*) in the body
+    readpath.seq-cst           a seq_cst (or defaulted) .store, or a seq_cst
+                               atomic_thread_fence, in the body
+                               Each of these is a locked instruction or a
+                               full barrier on x86. The rule reads only the
+                               marked body, not its callees, and cannot see
+                               operator forms such as ++ on an atomic.
+
   Suppression hygiene (warnings; never fail the run)
     suppression.undocumented   scripts/lint_suppressions.txt entry without a
                                justification comment directly above it
@@ -58,6 +68,9 @@ Annotation grammar (inside any C++ comment):
                                   to one starting within 5 lines below)
     [helper: no-retire]           this function is a helping path and must
                                   never retire (same binding rule)
+    [read-path]                   this function is on the lookup fast path
+                                  and may not use an atomic RMW or a
+                                  seq_cst store or fence (same binding rule)
     [delete: unpublished]         this `delete` destroys a node that was
                                   never published, so no grace period applies
 
@@ -93,6 +106,7 @@ ATOMIC_METHODS = {
     "fetch_add", "fetch_sub", "fetch_and", "fetch_or", "fetch_xor",
 }
 CAS_METHODS = {"compare_exchange_weak", "compare_exchange_strong"}
+RMW_METHODS = ATOMIC_METHODS - {"load", "store"}
 
 # Directories whose raw new/delete traffic must flow through make/destroy
 # helpers (the protocol node types live here). "net" carries no protocol
@@ -112,8 +126,14 @@ TYPE_SCOPE_KEYWORDS = {"struct", "class", "union", "enum", "namespace"}
 
 ANNOTATION_RE = re.compile(
     r"\[(publishes|acquires):\s*([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)\s*\]")
-FUNC_ANNOTATION_RE = re.compile(r"\[(smr):\s*caller-pinned\s*\]|"
-                                r"\[(helper):\s*no-retire\s*\]")
+# Function annotations: Scope attribute -> (pattern, spelling).
+FUNC_ANNOTATIONS = {
+    "caller_pinned": (re.compile(r"\[smr:\s*caller-pinned\s*\]"),
+                      "smr: caller-pinned"),
+    "no_retire": (re.compile(r"\[helper:\s*no-retire\s*\]"),
+                  "helper: no-retire"),
+    "read_path": (re.compile(r"\[read-path\]"), "read-path"),
+}
 DELETE_ANNOTATION_RE = re.compile(r"\[delete:\s*unpublished\s*\]")
 EXPECT_RE = re.compile(r"expect:\s*([a-z0-9.\-]+)")
 RETIRE_NAME_RE = re.compile(r"^retire(_[A-Za-z0-9_]+)?$")
@@ -304,7 +324,8 @@ def tokenize(text):
 class Scope:
     """One {...} region. kind: 'function' | 'type' | 'control' | 'other'."""
     __slots__ = ("kind", "name", "open_index", "close_index", "parent",
-                 "open_line", "header_line", "caller_pinned", "no_retire")
+                 "open_line", "header_line", "caller_pinned", "no_retire",
+                 "read_path")
 
     def __init__(self, kind, name, open_index, open_line, header_line,
                  parent):
@@ -317,6 +338,7 @@ class Scope:
         self.parent = parent
         self.caller_pinned = False
         self.no_retire = False
+        self.read_path = False
 
 
 def classify_scope(tokens, open_idx, boundary_idx):
@@ -593,42 +615,41 @@ class FileAnalysis:
                                  "a pure load cannot be the release side of "
                                  "edge {}".format(", ".join(names)))
 
-    # --- rule family 3: SMR discipline ------------------------------------
+    # --- function annotations (rule families 3 and 4) ---------------------
 
     def bind_function_annotations(self):
         funcs = [s for s in self.scopes if s.kind == "function"]
         for c in self.comments:
-            m = FUNC_ANNOTATION_RE.search(c.text)
-            if not m:
-                continue
-            kind = "caller-pinned" if m.group(1) else "no-retire"
-            # Prefer the function whose body contains the comment; else the
-            # first function whose header starts within the next few lines.
-            target = None
+            for attr, (pattern, spelling) in FUNC_ANNOTATIONS.items():
+                if pattern.search(c.text):
+                    self.bind_function_annotation(funcs, c, attr, spelling)
+
+    def bind_function_annotation(self, funcs, c, attr, spelling):
+        # Prefer the function whose body contains the comment; else the
+        # first function whose header starts within the next few lines.
+        target = None
+        for f in funcs:
+            if f.open_line <= c.line and (
+                    f.close_index is not None and
+                    self.tokens[f.close_index].line >= c.line):
+                if target is None or f.open_line >= target.open_line:
+                    target = f
+        if target is None:
+            best = None
             for f in funcs:
-                if f.open_line <= c.line and (
-                        f.close_index is not None and
-                        self.tokens[f.close_index].line >= c.line):
-                    if target is None or f.open_line >= target.open_line:
-                        target = f
-            if target is None:
-                best = None
-                for f in funcs:
-                    if c.line <= f.header_line <= \
-                            c.line + MAX_FUNC_ANNOTATION_BIND_LINES:
-                        if best is None or f.header_line < best.header_line:
-                            best = f
-                target = best
-            if target is None:
-                self.add("contract.orphan-annotation", c.line,
-                         "[{}] does not bind to any function".format(
-                             "smr: caller-pinned" if kind == "caller-pinned"
-                             else "helper: no-retire"))
-                continue
-            if kind == "caller-pinned":
-                target.caller_pinned = True
-            else:
-                target.no_retire = True
+                if c.line <= f.header_line <= \
+                        c.line + MAX_FUNC_ANNOTATION_BIND_LINES:
+                    if best is None or f.header_line < best.header_line:
+                        best = f
+            target = best
+        if target is None:
+            self.add("contract.orphan-annotation", c.line,
+                     "[{}] does not bind to any function".format(
+                         spelling))
+            return
+        setattr(target, attr, True)
+
+    # --- rule family 3: SMR discipline ------------------------------------
 
     def is_retire_call(self, idx):
         tok = self.tokens[idx]
@@ -664,7 +685,6 @@ class FileAnalysis:
         return enclosing_function(self.scope_at[idx]) is None
 
     def check_smr(self, dir_parts):
-        self.bind_function_annotations()
         n = len(self.tokens)
         for idx, tok in enumerate(self.tokens):
             if self.is_retire_call(idx) and not self.is_declaration_header(
@@ -748,6 +768,29 @@ class FileAnalysis:
                 self.add("smr.raw-new", tok.line,
                          "raw new in {}() -- protocol nodes are allocated "
                          "by their designated make helpers".format(fn.name))
+
+    # --- rule family 4: read-path discipline ------------------------------
+
+    def check_read_path(self):
+        for f in self.scopes:
+            if not f.read_path or f.close_index is None:
+                continue
+            for s in self.sites:
+                if not f.open_index < s.index < f.close_index:
+                    continue
+                seq_cst = not s.order_args or any(
+                    o.endswith("seq_cst") for o in s.order_args)
+                if s.method in RMW_METHODS:
+                    self.add("readpath.rmw", s.line,
+                             ".{}() in [read-path] function {}() -- an "
+                             "atomic RMW is a locked instruction".format(
+                                 s.method, f.name))
+                elif (s.is_fence or s.method == "store") and seq_cst:
+                    self.add("readpath.seq-cst", s.line,
+                             "seq_cst {} in [read-path] function {}() -- "
+                             "a full barrier".format(
+                                 "fence" if s.is_fence else ".store()",
+                                 f.name))
 
 
 # --- suppressions ----------------------------------------------------------
@@ -883,7 +926,9 @@ def analyze_files(files, pooled=True):
         a.check_atomics()
         a.check_contracts(declared)
         dir_parts = set(a.rel.replace("\\", "/").split("/"))
+        a.bind_function_annotations()
         a.check_smr(dir_parts)
+        a.check_read_path()
 
     findings = []
     for a in analyses:

@@ -148,6 +148,7 @@ class CacheTrie {
   /// Bounded mode: a hit refreshes the pair's stamp (relaxed store — the
   /// stamp is advisory); a TTL-expired pair is reported absent without being
   /// evicted here (lookups stay wait-free; writers do the lazy eviction).
+  // [read-path]
   std::optional<V> lookup(const K& key) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     testkit::chaos_point("cachetrie.pinned");
@@ -174,7 +175,7 @@ class CacheTrie {
           // the key absent (no other key shares this hash prefix, else an
           // ANode would occupy the position).
           bump_stat(&Stats::cache_fast_hits);
-          // One relaxed RMW on a private stripe; its return value doubles
+          // One plain add to this thread's stripe; its return value doubles
           // as a ~1/64 sampler for the depth histogram (depth 1: the
           // cached SNode was the only dereference).
           if ((obs::sites::cachetrie_cache_hit.add() & 63u) == 0u) {
@@ -317,6 +318,21 @@ class CacheTrie {
   std::int32_t cache_level() const {
     CacheArray* c = cache_head_.load(std::memory_order_acquire);
     return c == nullptr ? -1 : static_cast<std::int32_t>(c->level);
+  }
+
+  /// What the cache array at `level` holds for `key`'s hash: nullptr when
+  /// the entry is empty or no array in the chain covers `level`. For tests;
+  /// the node may be retired as soon as another operation runs.
+  const detail::NodeBase* debug_cache_entry(const K& key,
+                                            std::uint32_t level) const {
+    const std::uint64_t h = hasher_(key);
+    for (CacheArray* c = cache_head_.load(std::memory_order_acquire);
+         c != nullptr; c = c->parent) {
+      if (c->level == level) {
+        return c->entries()[c->index_of(h)].load(std::memory_order_acquire);
+      }
+    }
+    return nullptr;
   }
 
   const Config& config() const noexcept { return config_; }
@@ -968,14 +984,19 @@ class CacheTrie {
 
   // --- lookup (paper Fig. 2, with the Fig. 6 cache hooks) -------------------
 
+  // [read-path]
   std::optional<V> lookup_rec(const K& key, std::uint64_t h,
                               std::uint32_t lev, const ANode* cur,
                               std::int32_t cache_level,
                               std::uint32_t start_lev, bool sample_depth,
                               const Horizon& hz) const {
     // Fig. 6 line 3: passing the cache level on the way down lets the slow
-    // path repopulate the cache.
-    if (static_cast<std::int32_t>(lev) == cache_level) {
+    // path repopulate the cache. A one-hop descent starts at the ANode it
+    // just read from the deepest cache entry (lev == start_lev, not the
+    // root); re-storing it would write back the pointer already there, and
+    // pay the inhabit's seq_cst fence for nothing.
+    if (static_cast<std::int32_t>(lev) == cache_level &&
+        (lev != start_lev || cur == root_)) {
       maybe_inhabit(const_cast<ANode*>(cur), h, lev);
     }
     const auto& slot = cur->slots()[slot_index(h, lev, cur->length)];
@@ -1765,6 +1786,7 @@ class CacheTrie {
       // inhabiter sees the mark, or the clearer sees the store — so no
       // resurrection survives the node's grace period.
       auto& entry = cache->entries()[cache->index_of(h)];
+      bump_stat(&Stats::cache_inhabits);
       // [publishes: CT_CACHE_INSTALL]
       entry.store(nv, std::memory_order_release);
       std::atomic_thread_fence(std::memory_order_seq_cst);

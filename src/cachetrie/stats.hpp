@@ -13,6 +13,8 @@ struct Stats {
   std::atomic<std::uint64_t> expansions{0};
   std::atomic<std::uint64_t> compressions{0};
   std::atomic<std::uint64_t> cache_installs{0};
+  /// Stores into a cache entry (maybe_inhabit at the deepest level).
+  std::atomic<std::uint64_t> cache_inhabits{0};
   std::atomic<std::uint64_t> cache_level_changes{0};
   std::atomic<std::uint64_t> cache_fast_hits{0};
   std::atomic<std::uint64_t> cache_misses_recorded{0};

@@ -132,7 +132,8 @@ struct LatencySummary {
 
 /// Per-operation latency protocol. `per_op(i)` executes the i-th operation;
 /// each of `passes` passes times all `ops` operations individually on the
-/// TSC clock into a log2-sub-bucketed histogram (≤1/16 relative error),
+/// TSC clock (tsc::now_ordered(), so neither read overlaps the op) into a
+/// log2-sub-bucketed histogram (≤1/16 relative error),
 /// then the per-pass quantiles are combined with Welford so the artifact
 /// cells carry a cross-pass stddev. Runs *after* the throughput reps by
 /// convention — the structure is warm and the timing cells are unaffected.
@@ -145,9 +146,9 @@ LatencySummary measure_latency(PerOp&& per_op, std::uint64_t ops,
   for (std::size_t p = 0; p < passes; ++p) {
     obs::LatencyHistogram h;
     for (std::uint64_t i = 0; i < ops; ++i) {
-      const std::uint64_t t0 = obs::tsc::now();
+      const std::uint64_t t0 = obs::tsc::now_ordered();
       per_op(i);
-      const std::uint64_t t1 = obs::tsc::now();
+      const std::uint64_t t1 = obs::tsc::now_ordered();
       h.record(t1 - t0);
     }
     q50.add(static_cast<double>(h.quantile(0.50)) * ns_per_tick);

@@ -122,9 +122,9 @@ EpochDomain::Handle::~Handle() {
   record->in_use.store(false, std::memory_order_release);
 }
 
-void EpochDomain::enter() {
+EpochDomain::ThreadRecord* EpochDomain::enter() {
   ThreadRecord* rec = local_record();
-  if (rec->nesting++ != 0) return;
+  if (rec->nesting++ != 0) return rec;
   // Publish the observed epoch, then verify it did not move; this closes the
   // window where we would announce a stale epoch after an advance.
   std::uint64_t e;
@@ -135,27 +135,77 @@ void EpochDomain::enter() {
     rec->state.store((e << kEpochShift) | kPinnedBit,
                      std::memory_order_seq_cst);
   } while (global_epoch_.load(std::memory_order_seq_cst) != e);
+  return rec;
 }
 
-void EpochDomain::exit() {
-  ThreadRecord* rec = local_record();
-  assert(rec->nesting > 0);
-  if (--rec->nesting != 0) return;
+// [read-path]
+void EpochDomain::exit(ThreadRecord& rec) {
+  assert(rec.nesting > 0);
+  if (--rec.nesting != 0) return;
   // Opportunistically recycle limbo segments that became safe while pinned.
-  collect_local(*rec, global_epoch_.load(std::memory_order_acquire));
-  // Exchange (not store) so a concurrent fallback_scan declaring us stalled
-  // either lands before (we observe the bit here) or fails its CAS.
-  const std::uint64_t old = rec->state.exchange(0, std::memory_order_acq_rel);
-  if (old & kStalledBit) {
-    // A fallback sweep declared this reader dead, yet here it is exiting its
-    // guard. Benign when the exit is the testkit's death-unwind (it touches
-    // no shared memory on the way out); otherwise a crash-stop model
-    // violation — see the header comment.
-    stalled_records_.fetch_sub(1, std::memory_order_relaxed);
-    stalled_guard_exits_.fetch_add(1, std::memory_order_relaxed);
-    obs::trace::emit(obs::trace::EventId::kMrStalledGuardExit,
-                     reinterpret_cast<std::uintptr_t>(rec));
+  collect_local(rec, global_epoch_.load(std::memory_order_acquire));
+  // A plain store: if a sweep declared this reader stalled, the sweeps count
+  // the exit once they see the word change (reconcile()).
+  // [publishes: EPOCH_UNPIN]
+  rec.state.store(0, std::memory_order_release);
+}
+
+void EpochDomain::count_stalled_exit(ThreadRecord& rec) const noexcept {
+  // A fallback sweep declared this reader dead, yet it exited its guard.
+  // Benign when the exit is the testkit's death-unwind (it touches no
+  // shared memory on the way out); otherwise a crash-stop model violation —
+  // see the header comment.
+  stalled_records_.fetch_sub(1, std::memory_order_relaxed);
+  stalled_guard_exits_.fetch_add(1, std::memory_order_relaxed);
+  obs::trace::emit(obs::trace::EventId::kMrStalledGuardExit,
+                   reinterpret_cast<std::uintptr_t>(&rec));
+}
+
+void EpochDomain::reconcile(ThreadRecord& rec) const noexcept {
+  std::uint64_t d = rec.declared.load(std::memory_order_acquire);
+  if (d != 0 && rec.state.load(std::memory_order_acquire) != d &&
+      rec.declared.compare_exchange_strong(d, 0, std::memory_order_acq_rel,
+                                           std::memory_order_relaxed)) {
+    count_stalled_exit(rec);
   }
+}
+
+void EpochDomain::reconcile_all() const noexcept {
+  for (ThreadRecord* rec = records_.load(std::memory_order_acquire);
+       rec != nullptr; rec = rec->next) {
+    reconcile(*rec);
+  }
+}
+
+void EpochDomain::record_declared(ThreadRecord& rec,
+                                  std::uint64_t word) const noexcept {
+  std::uint64_t d = 0;
+  while (!rec.declared.compare_exchange_strong(d, word,
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_acquire)) {
+    // An earlier declaration `d` is still pending. The state word holds at
+    // most one of `d` and `word`, and the owner has left the other one.
+    if (rec.state.load(std::memory_order_acquire) == d) {
+      // `d` is live (or equal to `word`): the exit to count is this one's.
+      count_stalled_exit(rec);
+      return;
+    }
+    if (rec.declared.compare_exchange_strong(d, 0, std::memory_order_acq_rel,
+                                             std::memory_order_relaxed)) {
+      count_stalled_exit(rec);
+    }
+    d = 0;
+  }
+}
+
+std::uint64_t EpochDomain::stalled_records() const noexcept {
+  reconcile_all();
+  return stalled_records_.load(std::memory_order_relaxed);
+}
+
+std::uint64_t EpochDomain::stalled_guard_exits() const noexcept {
+  reconcile_all();
+  return stalled_guard_exits_.load(std::memory_order_relaxed);
 }
 
 bool EpochDomain::current_thread_declared_stalled() {
@@ -244,7 +294,7 @@ bool EpochDomain::try_advance() {
   std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
   for (ThreadRecord* rec = records_.load(std::memory_order_acquire);
        rec != nullptr; rec = rec->next) {
-    // [acquires: EPOCH_PIN]
+    // [acquires: EPOCH_PIN, EPOCH_UNPIN]
     const std::uint64_t s = rec->state.load(std::memory_order_seq_cst);
     if ((s & kPinnedBit) != 0 && (s & kStalledBit) == 0 &&
         (s >> kEpochShift) != e) {
@@ -279,6 +329,7 @@ std::size_t EpochDomain::fallback_scan() {
   const std::uint64_t lag = stall_lag_epochs();
   for (ThreadRecord* rec = records_.load(std::memory_order_acquire);
        rec != nullptr; rec = rec->next) {
+    reconcile(*rec);
     std::uint64_t s = rec->state.load(std::memory_order_seq_cst);
     if ((s & kPinnedBit) != 0 && (s & kStalledBit) == 0 &&
         (s >> kEpochShift) != e) {
@@ -295,6 +346,7 @@ std::size_t EpochDomain::fallback_scan() {
         stalled_records_.fetch_add(1, std::memory_order_relaxed);
         obs::trace::emit(obs::trace::EventId::kMrStallDeclare,
                          reinterpret_cast<std::uintptr_t>(rec), ticks + 1);
+        record_declared(*rec, desired);
       }
     }
   }

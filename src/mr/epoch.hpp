@@ -58,11 +58,41 @@
 // assumed dead or permanently descheduled and to execute no further
 // instructions, so memory it may still reference can be recycled: it will
 // never dereference it. A declared reader that *does* resume is a model
-// violation; its guard exit is counted in `stalled_guard_exits()` and the
-// testkit fault engine (src/testkit/fault.hpp) converts such resumptions
-// into a simulated death-unwind so the assumption holds by construction in
-// fault tests. Deployments that cannot accept the assumption leave the cap
-// unlimited and get classic (unbounded-garbage) EBR.
+// violation; its guard exit is counted in `stalled_guard_exits()` (see
+// "Guard cost" below for who counts it) and the testkit fault engine
+// (src/testkit/fault.hpp) converts such resumptions into a simulated
+// death-unwind so the assumption holds by construction in fault tests.
+// Deployments that cannot accept the assumption leave the cap unlimited
+// and get classic (unbounded-garbage) EBR.
+//
+// Guard cost. A lookup pins and unpins once, so the guard is on every
+// read's fast path, and it holds the read path's only locked instruction:
+//
+//   * `enter` publishes its pin with a seq_cst store (an `xchg` on x86).
+//     It stays: the pin and `try_advance`'s scan are a store-buffering
+//     (Dekker) pair. Without a full fence between the pin store and the
+//     reader's first node load, the load could run before the pin is
+//     visible; an advance that missed the pin could then free the node.
+//     The other way to order them is an asymmetric fence: a plain pin, and
+//     `membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)` in `try_advance`. A
+//     prototype of that was correct but no faster. Each membarrier call
+//     took 9-66 us with 1-3 busy threads on a 4-vCPU VM. Advances had to
+//     drop to one per 1024 retirements. `served_evict_churn` lost 5-10%,
+//     and neither map workload beat the design here.
+//   * `exit` ends with a plain release store of zero. That store is the
+//     release side of the EPOCH_UNPIN edge: `try_advance` reads the zero
+//     and so orders every load of the guard before the advance that lets
+//     the loaded nodes be freed. An exit does not learn whether a sweep
+//     declared it stalled. The sweeps count such exits instead: a sweep
+//     that declares a record also saves the declared state word in the
+//     record's scanner-only `declared` field. `fallback_scan()`,
+//     `stalled_records()` and `stalled_guard_exits()` reconcile every
+//     record whose state word has moved off its `declared` word. One CAS
+//     on `declared` clears it, so each exit is counted once. A declared
+//     word does not come back by itself once its owner leaves it: a
+//     declared word has a nonzero tick field and a fresh pin a zero one.
+//     Only a new declaration can recreate it, and `record_declared`
+//     counts the old exit in that case.
 //
 // The domain is a process-wide singleton: thread records are registered
 // lazily on first use via a thread-local handle and recycled (never freed)
@@ -85,6 +115,8 @@
 namespace cachetrie::mr {
 
 class EpochDomain {
+  struct ThreadRecord;
+
  public:
   /// The process-wide domain all EpochReclaimer users share.
   static EpochDomain& instance();
@@ -96,15 +128,17 @@ class EpochDomain {
   EpochDomain(const EpochDomain&) = delete;
   EpochDomain& operator=(const EpochDomain&) = delete;
 
-  /// RAII read-side critical section. Cheap (two atomic ops on the
-  /// outermost level, a counter bump when nested).
+  /// RAII read-side critical section. Cheap (one locked store and one
+  /// plain store on the outermost level, a counter bump when nested). It
+  /// keeps the record `enter` returns, so exiting looks nothing up.
   class Guard {
    public:
-    explicit Guard(EpochDomain& domain) : domain_(&domain) { domain.enter(); }
+    explicit Guard(EpochDomain& domain)
+        : domain_(&domain), rec_(domain.enter()) {}
     ~Guard() {
-      if (domain_ != nullptr) domain_->exit();
+      if (domain_ != nullptr) domain_->exit(*rec_);
     }
-    Guard(Guard&& other) noexcept : domain_(other.domain_) {
+    Guard(Guard&& other) noexcept : domain_(other.domain_), rec_(other.rec_) {
       other.domain_ = nullptr;
     }
     Guard(const Guard&) = delete;
@@ -113,6 +147,7 @@ class EpochDomain {
 
    private:
     EpochDomain* domain_;
+    ThreadRecord* rec_;
   };
 
   Guard pin() { return Guard{*this}; }
@@ -166,9 +201,8 @@ class EpochDomain {
   /// before each free, or the current sum when that is larger.
   std::size_t retired_bytes_high_water() const noexcept;
   /// Records currently declared stalled (pinned + lagging past threshold).
-  std::uint64_t stalled_records() const noexcept {
-    return stalled_records_.load(std::memory_order_relaxed);
-  }
+  /// Reconciles first, so a declared reader that has exited is not counted.
+  std::uint64_t stalled_records() const noexcept;
   /// Times the over-cap fallback sweep ran.
   std::uint64_t fallback_scans() const noexcept {
     return fallback_scans_.load(std::memory_order_relaxed);
@@ -176,10 +210,8 @@ class EpochDomain {
   /// Guard exits by records that had been declared stalled. Nonzero means a
   /// declared reader ran again: either the testkit's simulated death-unwind
   /// (benign — it touches no shared memory) or a genuine crash-stop model
-  /// violation worth investigating.
-  std::uint64_t stalled_guard_exits() const noexcept {
-    return stalled_guard_exits_.load(std::memory_order_relaxed);
-  }
+  /// violation worth investigating. Reconciles first (see "Guard cost").
+  std::uint64_t stalled_guard_exits() const noexcept;
 
   void set_limbo_cap_bytes(std::size_t cap) noexcept {
     limbo_cap_bytes_.store(cap, std::memory_order_relaxed);
@@ -223,6 +255,8 @@ class EpochDomain {
   // owner writes the whole word (publish on outermost enter, zero on
   // outermost exit — which resets the tick field); scanners may only CAS a
   // tick increment or the stalled bit in while the record stays pinned.
+  // The owner's plain stores can land between a scanner's load and CAS;
+  // the CAS then fails, so no owner write is ever lost.
   static constexpr std::uint64_t kPinnedBit = 1;
   static constexpr std::uint64_t kStalledBit = 2;
   static constexpr int kTickShift = 2;
@@ -232,6 +266,10 @@ class EpochDomain {
   /// One record per (recycled) thread slot; lives forever once allocated.
   struct alignas(util::kCacheLineSize) ThreadRecord {
     std::atomic<std::uint64_t> state{0};
+    /// The state word a sweep declared stalled, until a sweep or accessor
+    /// sees the owner leave it and counts the exit; 0 when none is pending.
+    /// Only scanners touch it.
+    std::atomic<std::uint64_t> declared{0};
     /// Guard nesting depth; only the owning thread touches it.
     std::uint32_t nesting = 0;
     /// Retirements since the last advance attempt.
@@ -264,8 +302,16 @@ class EpochDomain {
     Orphan* next;
   };
 
-  void enter();
-  void exit();
+  ThreadRecord* enter();
+  void exit(ThreadRecord& rec);
+  /// Saves `word`, a state word the caller just CAS-ed the stalled bit into,
+  /// as `rec`'s pending declaration.
+  void record_declared(ThreadRecord& rec, std::uint64_t word) const noexcept;
+  /// Counts the exit of `rec`'s pending declaration if its owner has left
+  /// the declared word.
+  void reconcile(ThreadRecord& rec) const noexcept;
+  void reconcile_all() const noexcept;
+  void count_stalled_exit(ThreadRecord& rec) const noexcept;
   ThreadRecord* local_record();
   ThreadRecord* acquire_record();
   std::size_t free_segment(ThreadRecord& rec, Segment& seg);
@@ -295,9 +341,10 @@ class EpochDomain {
   std::atomic<std::size_t> limbo_bytes_hwm_{0};
   std::atomic<std::size_t> limbo_cap_bytes_{kNoLimboCap};
   std::atomic<std::uint64_t> stall_lag_epochs_{kDefaultStallLagEpochs};
-  std::atomic<std::uint64_t> stalled_records_{0};
+  // Mutable: the const accessors reconcile declared records first.
+  mutable std::atomic<std::uint64_t> stalled_records_{0};
   std::atomic<std::uint64_t> fallback_scans_{0};
-  std::atomic<std::uint64_t> stalled_guard_exits_{0};
+  mutable std::atomic<std::uint64_t> stalled_guard_exits_{0};
 
   friend struct Handle;
 };

@@ -8,11 +8,14 @@
 //
 //   * Counter   — monotone event count, striped over cache-line-padded
 //                 slots so concurrent recorders never share a line. A
-//                 record is one relaxed fetch_add on a (mostly)
-//                 thread-private slot; reads sum the stripes. Totals are
-//                 exact after quiescence and monotone at all times (each
-//                 stripe is monotone, and repeated relaxed loads of one
-//                 atomic respect its modification order).
+//                 thread claims one of the stripes on its first add and
+//                 then owns it: a record is a relaxed load and store, no
+//                 RMW. Threads that find every stripe taken, and adds made
+//                 after a thread released its stripe at exit, fetch_add one
+//                 shared overflow cell. Reads sum the stripes and the
+//                 overflow. Totals are exact after quiescence and monotone
+//                 at all times (each cell is monotone, and repeated relaxed
+//                 loads of one atomic respect its modification order).
 //   * Histogram — mergeable bucketed distribution: exact unit buckets for
 //                 values < 16 (depths, level counts) and log2 buckets
 //                 above (latencies, byte sizes). Striped like Counter;
@@ -36,9 +39,9 @@
 //     The Null* types are defined unconditionally so the zero-size
 //     guarantee is static_assert-enforced even in metrics-on test builds.
 //
-// Recording is lock-free (wait-free, in fact: one relaxed RMW); only
-// registration (cold: first use of a name) and snapshot/reset take the
-// registry mutex.
+// Recording is lock-free (wait-free, in fact: a counter add is a plain
+// store, a histogram record two relaxed RMWs); only registration (cold:
+// first use of a name) and snapshot/reset take the registry mutex.
 #pragma once
 
 #include <array>
@@ -246,25 +249,64 @@ namespace detail {
 /// recorders rarely collide, small enough to sum cheaply.
 inline constexpr std::size_t kStripes = 16;
 
-inline std::size_t stripe_index() noexcept {
-  // Deliberately NOT util::current_thread_id(): that is a thread_local, and
-  // this build forces the global-dynamic TLS model, so every access is a
-  // __tls_get_addr call — measured at +25-50% on the cache-hit lookup path.
-  // A local's address is a free per-thread discriminator instead: thread
-  // stacks sit megabytes apart, so the page number differs across threads,
-  // and a thread re-entering the same record site sees the same frame
-  // address. The page number is Fibonacci-hashed rather than masked because
-  // glibc spaces stacks at multiples of the stack size (8 MiB = 2048 pages,
-  // divisible by kStripes) — a plain mask would alias every thread onto one
-  // stripe. Occasional intra-thread stripe drift between call sites is
-  // harmless — every cell is atomic, so totals stay exact and stripes stay
-  // monotone.
-  static_assert(std::has_single_bit(kStripes));
-  constexpr int kShift = 64 - std::countr_zero(kStripes);
-  const int probe = 0;
-  const auto page = reinterpret_cast<std::uintptr_t>(&probe) >> 12;
-  return static_cast<std::size_t>(
-      (page * std::uintptr_t{0x9e3779b97f4a7c15}) >> kShift);
+// --- stripe ownership ------------------------------------------------------
+//
+// Each thread owns one stripe index, the same in every Counter and
+// Histogram, from its first record until its thread_local lease is
+// destroyed at thread exit. Only the owner writes its counter cells, so a
+// counter add is a relaxed load and store. The lease's release and the next
+// claimer's acquire order the old owner's stores before the new owner's.
+
+inline constexpr std::uint32_t kStripeUnclaimed = kStripes;
+/// Every stripe was taken at the first record, or the lease is gone.
+inline constexpr std::uint32_t kStripeOverflow = kStripes + 1;
+static_assert(kStripes <= 32);
+
+/// This thread's stripe: an index below kStripes once claimed. Constant-
+/// initialized and trivially destructible, so reading it is one
+/// thread-pointer-relative load with no init guard (unlike a dynamically
+/// initialized thread_local such as util::current_thread_id()'s).
+inline thread_local std::uint32_t t_stripe = kStripeUnclaimed;
+
+/// Bit i is set while a live thread owns stripe i.
+inline std::atomic<std::uint32_t> g_stripes_owned{0};
+
+struct StripeLease {
+  std::uint32_t stripe;
+  ~StripeLease() {
+    t_stripe = kStripeOverflow;
+    g_stripes_owned.fetch_and(~(std::uint32_t{1} << stripe),
+                              std::memory_order_release);
+  }
+};
+
+/// Claims the lowest free stripe for this thread, or settles it on
+/// kStripeOverflow when all are taken. Runs once per thread.
+[[gnu::noinline]] inline std::uint32_t claim_stripe() noexcept {
+  std::uint32_t owned = g_stripes_owned.load(std::memory_order_relaxed);
+  for (;;) {
+    const std::uint32_t free = ~owned & ((std::uint32_t{1} << kStripes) - 1);
+    if (free == 0) {
+      t_stripe = kStripeOverflow;
+      return kStripeOverflow;
+    }
+    const auto stripe = static_cast<std::uint32_t>(std::countr_zero(free));
+    if (g_stripes_owned.compare_exchange_weak(
+            owned, owned | (std::uint32_t{1} << stripe),
+            std::memory_order_acquire, std::memory_order_relaxed)) {
+      thread_local StripeLease lease{stripe};
+      t_stripe = stripe;
+      return stripe;
+    }
+  }
+}
+
+/// Stripe for cells written with an RMW (histograms): the owned one, or a
+/// shared one for threads without a stripe. Sharing is safe there.
+inline std::size_t rmw_stripe() noexcept {
+  std::uint32_t stripe = t_stripe;
+  if (stripe == kStripeUnclaimed) [[unlikely]] stripe = claim_stripe();
+  return stripe % kStripes;
 }
 
 struct alignas(util::kCacheLineSize) CounterCell {
@@ -273,14 +315,19 @@ struct alignas(util::kCacheLineSize) CounterCell {
 
 struct CounterCells {
   std::array<CounterCell, kStripes> cells{};
+  /// Shared by threads without a stripe; the only cell added with an RMW.
+  CounterCell overflow{};
 
   std::uint64_t total() const noexcept {
-    std::uint64_t t = 0;
+    std::uint64_t t = overflow.v.load(std::memory_order_relaxed);
     for (const auto& c : cells) t += c.v.load(std::memory_order_relaxed);
     return t;
   }
+  /// Needs quiescent recorders: an owner's add that straddles the reset
+  /// stores its pre-reset sum back.
   void reset() noexcept {
     for (auto& c : cells) c.v.store(0, std::memory_order_relaxed);
+    overflow.v.store(0, std::memory_order_relaxed);
   }
 };
 
@@ -314,17 +361,44 @@ class Counter {
  public:
   explicit Counter(const char* name);
 
-  /// Records n events. Returns the written stripe's *previous* value —
+  /// Records n events. Returns the written cell's *previous* value —
   /// callers use it for cheap 1-in-2^k sampling decisions without a second
   /// atomic (`if ((c.add() & 63) == 0) hist.record(...)`).
-  std::uint64_t add(std::uint64_t n = 1) noexcept {
-    return cells_->cells[detail::stripe_index()].v.fetch_add(
-        n, std::memory_order_relaxed);
+  ///
+  /// always_inline, as libstdc++'s std::atomic members are: in a large TU,
+  /// GCC stops inlining plain inline functions once the unit's growth
+  /// budget is spent, and an out-of-line call per record is not free.
+  // [read-path]
+  [[gnu::always_inline]] std::uint64_t add(std::uint64_t n = 1) noexcept {
+    const std::uint32_t stripe = detail::t_stripe;
+    if (stripe < detail::kStripes) [[likely]] {
+      return owner_add(cells_->cells[stripe].v, n);
+    }
+    return add_unowned(n);
   }
 
   std::uint64_t total() const noexcept { return cells_->total(); }
 
  private:
+  /// Only this thread writes the cell, so a load and store do what an RMW
+  /// would, without locking the line.
+  [[gnu::always_inline]] static std::uint64_t owner_add(
+      std::atomic<std::uint64_t>& cell, std::uint64_t n) noexcept {
+    const std::uint64_t old = cell.load(std::memory_order_relaxed);
+    cell.store(old + n, std::memory_order_relaxed);
+    return old;
+  }
+
+  /// The first add on a thread, and every add by a thread without a stripe.
+  [[gnu::noinline]] std::uint64_t add_unowned(std::uint64_t n) noexcept {
+    std::uint32_t stripe = detail::t_stripe;
+    if (stripe == detail::kStripeUnclaimed) stripe = detail::claim_stripe();
+    if (stripe < detail::kStripes) {
+      return owner_add(cells_->cells[stripe].v, n);
+    }
+    return cells_->overflow.v.fetch_add(n, std::memory_order_relaxed);
+  }
+
   detail::CounterCells* cells_;
 };
 
@@ -334,7 +408,7 @@ class Histogram {
   explicit Histogram(const char* name);
 
   void record(std::uint64_t v) noexcept {
-    auto& s = cells_->stripes[detail::stripe_index()];
+    auto& s = cells_->stripes[detail::rmw_stripe()];
     s.buckets[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
     s.sum.fetch_add(v, std::memory_order_relaxed);
   }
@@ -426,9 +500,10 @@ class Registry {
   }
 
   /// Zeroes counters, histograms and settable gauges. Callback gauges
-  /// re-sample their source and are unaffected. Totals are exact only
-  /// against recordings that completed before the reset (concurrent
-  /// recorders may land on either side — same caveat as Stats).
+  /// re-sample their source and are unaffected. Needs quiescent recorders:
+  /// a counter add racing the reset can store its pre-reset stripe sum
+  /// back (see DESIGN.md "Striping"). Every caller resets between runs,
+  /// with no recorder running.
   void reset() {
     std::lock_guard<std::mutex> lk{mu_};
     for (auto& [name, cells] : counters_) cells->reset();

@@ -56,7 +56,7 @@ enum class EventId : std::uint16_t {
   kMrFallbackScanBegin,  // span: over-cap stall sweep (a0 = limbo bytes)
   kMrFallbackScanEnd,
   kMrStallDeclare,       // sweep declared a reader stalled (a0 = record)
-  kMrStalledGuardExit,   // a declared-stalled reader exited its guard
+  kMrStalledGuardExit,   // a sweep saw a declared-stalled reader exit
 
   // --- testkit ----------------------------------------------------------------
   kFaultPark,          // fault engine parked a thread (a0 = site hash)

@@ -39,6 +39,22 @@ inline std::uint64_t now() noexcept {
 #endif
 }
 
+/// now() fenced on both sides with lfence, for timing one short operation:
+/// the read waits for every earlier instruction to complete, and no later
+/// instruction starts before it. A bare rdtsc can run before the timed
+/// op's loads finish when the op ends without a locked instruction. Trace
+/// points keep the unfenced now().
+inline std::uint64_t now_ordered() noexcept {
+#if CACHETRIE_TSC_RDTSC
+  _mm_lfence();
+  const std::uint64_t t = __rdtsc();
+  _mm_lfence();
+  return t;
+#else
+  return now();
+#endif
+}
+
 struct Calibration {
   double ns_per_tick = 1.0;
 };

@@ -70,6 +70,9 @@
   /* --- mr (epoch reclamation) --- */                                      \
   X(EPOCH_PIN,        "seq_cst pin store vs try_advance's seq_cst state "    \
                       "read: the Dekker pair behind grace periods")          \
+  X(EPOCH_UNPIN,      "guard exit's release store(0) vs try_advance's "      \
+                      "state read: the reader's loads happen before the "    \
+                      "advance that lets their nodes be freed")              \
   X(EPOCH_FLIP,       "global epoch CAS publishes the flip; pins and "       \
                       "retires stamp themselves against it")                 \
   X(MR_RECORD_LINK,   "thread-record push CAS publishes the immortal "       \

@@ -281,4 +281,78 @@ TEST(CacheBehavior, PinnedCacheLevelStaysPinned) {
   }
 }
 
+TEST(CacheBehavior, OneHopLookupLeavesItsEntryAlone) {
+  // Every key's level-8 entry holds the ANode its leaf hangs from, so the
+  // second pass is all one-hop hits. Each starts at the ANode it just read
+  // from the entry; storing it back would change nothing, so none may.
+  Config cfg = stats_config();
+  cfg.cache_init_level = 8;
+  cfg.min_cache_level = 8;
+  cfg.max_cache_level = 8;
+  Trie trie{cfg};
+  const auto keys = cachetrie::harness::random_keys(3000);
+  for (auto k : keys) trie.insert(k, k);
+  for (auto k : keys) (void)trie.lookup(k);
+  ASSERT_EQ(trie.cache_level(), 8);
+
+  const std::uint64_t inhabits0 = trie.stats().cache_inhabits.load();
+  const std::uint64_t hits0 = trie.stats().cache_fast_hits.load();
+  std::size_t one_hop = 0;
+  for (auto k : keys) {
+    const auto* entry = trie.debug_cache_entry(k, 8);
+    if (entry == nullptr || entry->kind != cachetrie::detail::Kind::kANode) {
+      continue;
+    }
+    ++one_hop;
+    ASSERT_EQ(trie.lookup(k).value(), k);
+    ASSERT_EQ(trie.debug_cache_entry(k, 8), entry);
+  }
+  EXPECT_GT(one_hop, keys.size() / 2);
+  EXPECT_EQ(trie.stats().cache_fast_hits.load(), hits0 + one_hop);
+  EXPECT_EQ(trie.stats().cache_inhabits.load(), inhabits0);
+}
+
+TEST(CacheBehavior, DescentFromShallowerArrayInhabitsDeepestLevel) {
+  // Inserts fill the level-8 array; the first lookups miss (the leaves sit
+  // deeper) until sampling grows the cache to 12, so the chain becomes
+  // [12 -> 8]. A key whose level-12 entry is empty but whose level-8 entry
+  // holds an ANode starts its descent one array up; passing level 12 on the
+  // way down must fill the deepest entry (Fig. 6).
+  Config cfg = stats_config();
+  cfg.cache_init_level = 8;
+  cfg.min_cache_level = 8;
+  cfg.max_cache_level = 12;
+  Trie trie{cfg};
+  const auto keys = cachetrie::harness::random_keys(20000);
+  for (auto k : keys) trie.insert(k, k);
+  ASSERT_EQ(trie.cache_level(), 8);
+  for (std::size_t i = 0; i < keys.size() && trie.cache_level() != 12; ++i) {
+    (void)trie.lookup(keys[i]);
+  }
+  ASSERT_EQ(trie.cache_level(), 12);
+
+  using cachetrie::detail::Kind;
+  std::size_t descents = 0;
+  std::size_t filled = 0;
+  for (auto k : keys) {
+    const auto* shallow = trie.debug_cache_entry(k, 8);
+    if (trie.debug_cache_entry(k, 12) != nullptr || shallow == nullptr ||
+        shallow->kind != Kind::kANode) {
+      continue;
+    }
+    ++descents;
+    const std::uint64_t inhabits0 = trie.stats().cache_inhabits.load();
+    ASSERT_EQ(trie.lookup(k).value(), k);
+    const auto* deep = trie.debug_cache_entry(k, 12);
+    if (deep != nullptr && deep->kind == Kind::kANode) {
+      ++filled;
+      EXPECT_GT(trie.stats().cache_inhabits.load(), inhabits0);
+    }
+  }
+  // Nearly every such descent passes an ANode at level 12 (the rest end in
+  // a leaf at level 12, which note_leaf_level caches instead).
+  EXPECT_GT(descents, 1000u);
+  EXPECT_GT(filled, descents * 3 / 4);
+}
+
 }  // namespace

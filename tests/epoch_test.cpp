@@ -339,6 +339,65 @@ TEST(Epoch, StalledReaderFallbackKeepsGarbageBounded) {
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
+TEST(Epoch, DeclaredReaderThatRepinsCountsOneStalledExit) {
+  // A declared reader exits (a plain store; nothing is counted yet) and
+  // pins again before any sweep or accessor runs. The next accessor must
+  // count exactly one stalled exit, and the new pin is an ordinary one:
+  // not declared, and it holds the epoch back once it lags.
+  auto& dom = EpochDomain::instance();
+  dom.drain_for_testing();
+  dom.set_stall_lag_epochs(2);
+
+  std::atomic<int> phase{0};
+  std::atomic<bool> repin_declared{true};
+  std::thread victim([&] {
+    {
+      auto g = dom.pin();
+      phase.store(1, std::memory_order_release);
+      while (phase.load(std::memory_order_acquire) != 2) {
+        std::this_thread::yield();
+      }
+    }
+    auto g = dom.pin();
+    repin_declared.store(dom.current_thread_declared_stalled());
+    phase.store(3, std::memory_order_release);
+    while (phase.load(std::memory_order_acquire) != 4) {
+      std::this_thread::yield();
+    }
+  });
+  while (phase.load(std::memory_order_acquire) != 1) {
+    std::this_thread::yield();
+  }
+
+  // Sweep until the parked victim is declared (it lags after one advance).
+  const std::uint64_t stalled0 = dom.stalled_records();
+  const std::uint64_t exits0 = dom.stalled_guard_exits();
+  for (int i = 0; i < 64 && dom.stalled_records() == stalled0; ++i) {
+    dom.fallback_scan();
+  }
+  ASSERT_EQ(dom.stalled_records(), stalled0 + 1);
+
+  phase.store(2, std::memory_order_release);
+  while (phase.load(std::memory_order_acquire) != 3) {
+    std::this_thread::yield();
+  }
+  EXPECT_FALSE(repin_declared.load());
+  EXPECT_EQ(dom.stalled_guard_exits(), exits0 + 1);
+  EXPECT_EQ(dom.stalled_records(), stalled0);
+  // Later sweeps and reads do not count the same exit again.
+  dom.fallback_scan();
+  EXPECT_EQ(dom.stalled_guard_exits(), exits0 + 1);
+  EXPECT_EQ(dom.stalled_records(), stalled0);
+  // The new pin blocks the second advance like any live reader's.
+  dom.try_advance();
+  EXPECT_FALSE(dom.try_advance());
+
+  phase.store(4, std::memory_order_release);
+  victim.join();
+  dom.set_stall_lag_epochs(EpochDomain::kDefaultStallLagEpochs);
+  dom.drain_for_testing();
+}
+
 TEST(LeakReclaimer, CountsButNeverFrees) {
   using cachetrie::mr::LeakReclaimer;
   Tracked::live.store(0);

@@ -119,6 +119,88 @@ TEST_F(MetricsTest, CounterTotalsAreExactAcrossThreads) {
             kThreads * kPerThread);
 }
 
+// These reach into the stripe internals, which only exist when metrics are
+// compiled in.
+#if CACHETRIE_METRICS
+TEST_F(MetricsTest, CounterStaysExactWithMoreThreadsThanStripes) {
+  // 24 concurrent adders against 16 stripes: the threads that find every
+  // stripe taken share the overflow cell, and nothing is lost either way.
+  obs::Counter c{"test.counter.overflow"};
+  constexpr int kThreads = 24;
+  constexpr std::uint64_t kPerThread = 20000;
+  static_assert(kThreads > static_cast<int>(obs::detail::kStripes));
+  std::atomic<int> started{0};
+  std::vector<std::thread> team;
+  team.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    team.emplace_back([&] {
+      c.add(0);  // claim (or miss) a stripe while every adder is alive
+      started.fetch_add(1);
+      while (started.load() < kThreads) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < kPerThread; ++i) c.add();
+    });
+  }
+  for (auto& th : team) th.join();
+  EXPECT_EQ(c.total(), kThreads * kPerThread);
+}
+
+TEST_F(MetricsTest, CounterStaysExactAcrossThreadTurnover) {
+  // Threads exit mid-run and new ones take their released stripes while
+  // long-lived adders keep recording.
+  obs::Counter c{"test.counter.turnover"};
+  constexpr int kLongLived = 3;
+  constexpr int kWaves = 10;
+  constexpr int kPerWave = 6;
+  constexpr std::uint64_t kLongAdds = 200000;
+  constexpr std::uint64_t kShortAdds = 5000;
+  std::vector<std::thread> long_lived;
+  for (int t = 0; t < kLongLived; ++t) {
+    long_lived.emplace_back([&c] {
+      for (std::uint64_t i = 0; i < kLongAdds; ++i) c.add();
+    });
+  }
+  for (int w = 0; w < kWaves; ++w) {
+    std::vector<std::thread> wave;
+    for (int t = 0; t < kPerWave; ++t) {
+      wave.emplace_back([&c] {
+        for (std::uint64_t i = 0; i < kShortAdds; ++i) c.add();
+      });
+    }
+    for (auto& th : wave) th.join();
+  }
+  for (auto& th : long_lived) th.join();
+  EXPECT_EQ(c.total(),
+            kLongLived * kLongAdds + kWaves * kPerWave * kShortAdds);
+}
+
+// Adds from a thread_local destructor that runs after the thread's stripe
+// lease is gone, and notes which stripe state it saw.
+obs::Counter* g_exit_counter = nullptr;
+std::atomic<std::uint32_t> g_exit_stripe{0};
+
+struct AddOnThreadExit {
+  ~AddOnThreadExit() {
+    g_exit_stripe.store(obs::detail::t_stripe);
+    g_exit_counter->add(5);
+  }
+};
+
+TEST_F(MetricsTest, CounterCountsAddsAfterTheStripeIsReleased) {
+  obs::Counter c{"test.counter.after_release"};
+  g_exit_counter = &c;
+  std::thread t([&c] {
+    // Constructed before the first add, so destroyed after the lease that
+    // add creates: thread_local destructors run in reverse order.
+    thread_local AddOnThreadExit on_exit;
+    (void)on_exit;
+    c.add(1);
+  });
+  t.join();
+  EXPECT_EQ(g_exit_stripe.load(), obs::detail::kStripeOverflow);
+  EXPECT_EQ(c.total(), 6u);
+}
+#endif  // CACHETRIE_METRICS
+
 TEST_F(MetricsTest, CounterAddReturnsPreviousStripeValue) {
   // The 1-in-2^k sampling idiom depends on add() returning the stripe's
   // pre-add value: the very first record on a thread samples.
