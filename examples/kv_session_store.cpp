@@ -3,7 +3,7 @@
 // hot sessions) runs on several threads while the main thread reports
 // throughput, live-session count, structure footprint and the adaptive
 // cache level. Shows the operational/observability side of the API
-// (Config, Stats, cache_level, footprint_bytes).
+// (Config, the obs:: metrics registry, cache_level, footprint_bytes).
 //
 //   run: ./build/examples/kv_session_store [threads] [seconds]
 #include <atomic>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cachetrie/cache_trie.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -30,9 +31,9 @@ int main(int argc, char** argv) {
   const int threads = argc > 1 ? std::atoi(argv[1]) : 4;
   const int seconds = argc > 2 ? std::atoi(argv[2]) : 3;
 
-  cachetrie::Config cfg;
-  cfg.collect_stats = true;  // cheap enough for an ops dashboard
-  cachetrie::CacheTrie<std::uint64_t, Session> store(cfg);
+  // The dashboard reads the process-wide metrics registry: each count is a
+  // store into the recording thread's own stripe, no shared locked add.
+  cachetrie::CacheTrie<std::uint64_t, Session> store;
 
   constexpr std::uint64_t kSessionSpace = 1 << 20;
   // Warm the store with an initial population.
@@ -70,15 +71,18 @@ int main(int argc, char** argv) {
 
   for (int s = 0; s < seconds; ++s) {
     std::this_thread::sleep_for(std::chrono::seconds(1));
-    const auto& st = store.stats();
+    const auto st = cachetrie::obs::registry().snapshot();
     std::printf(
         "[t+%ds] ops/s=%.2fM cache_level=%d fast_hits=%llu samples=%llu "
         "expansions=%llu compressions=%llu\n",
         s + 1, static_cast<double>(ops.exchange(0)) / 1e6, store.cache_level(),
-        static_cast<unsigned long long>(st.cache_fast_hits.load()),
-        static_cast<unsigned long long>(st.sampling_passes.load()),
-        static_cast<unsigned long long>(st.expansions.load()),
-        static_cast<unsigned long long>(st.compressions.load()));
+        static_cast<unsigned long long>(
+            st.counter_value("cachetrie.cache.hit")),
+        static_cast<unsigned long long>(
+            st.counter_value("cachetrie.cache.sampling_pass")),
+        static_cast<unsigned long long>(st.counter_value("cachetrie.expand")),
+        static_cast<unsigned long long>(
+            st.counter_value("cachetrie.compress")));
   }
   stop.store(true, std::memory_order_release);
   for (auto& w : workers) w.join();

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # check.sh — protocol lint, then build + run the fast test label under
-# three toolchains (plain, AddressSanitizer+UBSan, ThreadSanitizer), then
-# a perf-smoke regression gate (scripts/perf_gate.py vs the committed
+# three toolchains (plain, AddressSanitizer+UBSan, ThreadSanitizer) and in
+# the compiled-out configuration (off: CACHETRIE_METRICS and CACHETRIE_TRACE
+# both OFF, so every site handle is a zero-size Null* type), then a
+# perf-smoke regression gate (scripts/perf_gate.py vs the committed
 # baseline). Each configuration gets its own build tree so they never
 # fight over the CMake cache.
 #
-#   scripts/check.sh            # all stages (lint, plain, asan, tsan, perf)
-#   scripts/check.sh lint       # just one stage (lint|plain|asan|tsan|perf)
+#   scripts/check.sh            # all stages (lint, plain, asan, tsan, off, perf)
+#   scripts/check.sh lint       # one stage (lint|plain|asan|tsan|off|perf)
 #
 # The fault label (fault-injection + stall-tolerant reclamation + progress
 # watchdog, see tests/*fault*, tests/watchdog_progress_test.cpp) runs in the
@@ -79,9 +81,9 @@ run_stage() {
       ctest --test-dir "$dir" -L trace --output-on-failure -j 1
     if [ "$stage" = plain ]; then
       echo "=== [$stage] trace_summarize smoke (strict) ==="
-      # --strict: an event name missing from the summarizer's KNOWN_EVENTS
-      # table (drift vs trace_events.hpp) fails the stage instead of
-      # scrolling by as a warning.
+      # --strict: a dump without its embedded event table, or an event
+      # name missing from that table, fails the stage instead of scrolling
+      # by as a warning.
       python3 "$repo/scripts/trace_summarize.py" --strict --top 5 \
         "$trace_out"/TRACE_*.json
       echo "=== [$stage] fig15 phase-attribution trace smoke ==="
@@ -178,16 +180,18 @@ case "$want" in
   plain) run_stage plain ;;
   asan) run_stage asan -DCACHETRIE_SANITIZE=ON ;;
   tsan) run_stage tsan -DCACHETRIE_TSAN=ON ;;
+  off) run_stage off -DCACHETRIE_METRICS=OFF -DCACHETRIE_TRACE=OFF ;;
   perf) run_perf ;;
   all)
     run_lint
     run_stage plain
     run_stage asan -DCACHETRIE_SANITIZE=ON
     run_stage tsan -DCACHETRIE_TSAN=ON
+    run_stage off -DCACHETRIE_METRICS=OFF -DCACHETRIE_TRACE=OFF
     run_perf
     ;;
   *)
-    echo "usage: $0 [lint|plain|asan|tsan|perf|all]" >&2
+    echo "usage: $0 [lint|plain|asan|tsan|off|perf|all]" >&2
     exit 2
     ;;
 esac

@@ -8,10 +8,11 @@ For each file (a Chrome trace-event dump written by obs/trace_export.hpp):
 
   * header: reason, event count, how many events ever emitted and how many
     scrolled out of the rings before the drain (overwrite loss);
-  * per-event-name counts, sorted descending — names not in the known-event
-    table (mirroring obs/trace_events.hpp's kEventInfo) are flagged, so a
-    renamed or misspelled emitter shows up in the digest instead of silently
-    forking the event namespace;
+  * per-event-name counts, sorted descending — names missing from the
+    event table the dump embeds (otherData.event_table, written from
+    obs/sites.hpp's site table) are flagged, so a name the exporter did not
+    take from the table shows up in the digest instead of silently forking
+    the event namespace;
   * inter-event gap statistics per event name (min/mean/max microseconds
     between consecutive occurrences on the global timeline) — a cheap way
     to spot "the epoch stopped flipping for 400 ms";
@@ -24,7 +25,8 @@ For each file (a Chrome trace-event dump written by obs/trace_export.hpp):
     connection's close reason.
 
 Stdlib only; no third-party imports. Exit status: 0 on success, 2 on a
-missing/undecodable/foreign-schema file.
+missing/undecodable/foreign-schema file, and with --strict also 2 when a
+dump carries no event table or names an event its own table lacks.
 """
 
 import argparse
@@ -32,57 +34,6 @@ import json
 import sys
 
 SCHEMA = "cachetrie-trace-v1"
-
-# Every event name the flight recorder can emit — keep in lockstep with the
-# kEventInfo table in src/obs/trace_events.hpp (same order). An unknown name
-# in a dump means an emitter drifted from the table (or the dump predates a
-# rename); the digest prints a warning rather than failing, since old traces
-# remain worth reading.
-KNOWN_EVENTS = frozenset({
-    "cachetrie.freeze",
-    "cachetrie.expand",
-    "cachetrie.compress",
-    "cachetrie.txn_commit",
-    "cachetrie.cache.install",
-    "cachetrie.cache.level_change",
-    "cachetrie.evict",
-    "cachetrie.expire",
-    "cachetrie.ceiling_hit",
-    "ctrie.gcas",
-    "ctrie.gcas.retry",
-    "ctrie.entomb",
-    "ctrie.clean",
-    "ctrie.clean_parent",
-    "chm.bin_lock",
-    "chm.resize",
-    "chm.transfer.help",
-    "chm.transfer.bin",
-    "csl.mark_bottom",
-    "csl.help_mark",
-    "mr.epoch.flip",
-    "mr.epoch.fallback_scan",
-    "mr.epoch.stall_declare",
-    "mr.epoch.stalled_guard_exit",
-    "testkit.fault.park",
-    "testkit.fault.resume",
-    "testkit.fault.kill",
-    "testkit.watchdog.violation",
-    "testkit.lin_check.fail",
-    "net.accept",
-    "net.conn.close",
-    "net.request",
-    "net.shed",
-    "net.deadline_expire",
-    "net.backpressure_kill",
-    "net.drain",
-    "net.shutdown",
-    "net.req.parsed",
-    "net.req.admitted",
-    "net.req.dequeued",
-    "net.req.execute",
-    "net.req.flushed",
-})
-
 
 def load(path):
     try:
@@ -206,7 +157,7 @@ def connection_view(events, spans, top):
               f"  bp_kill {r['bp_kill']}  close {close}")
 
 
-# Request-phase lifecycle stamps (PR-9 block of trace_events.hpp): every
+# Request-phase lifecycle stamps (obs/sites.hpp's net.req.* rows): every
 # one carries (a0=conn id, a1=request id), the join key of the phase view.
 PHASE_EVENTS = frozenset({
     "net.req.parsed", "net.req.admitted", "net.req.dequeued",
@@ -294,6 +245,13 @@ def summarize(path, top):
     for ev in events:
         by_name.setdefault(ev.get("name", "?"), []).append(ev.get("ts", 0))
 
+    # Dumps from before the table was embedded have none: the digest still
+    # prints, but nothing can be checked against it (--strict fails).
+    table = other.get("event_table")
+    known = None if table is None else {e.get("name") for e in table}
+    if known is None:
+        print("  WARNING: dump carries no event_table; names are unchecked")
+
     print("  event counts:")
     unknown = []
     for name, stamps in sorted(by_name.items(),
@@ -302,7 +260,8 @@ def summarize(path, top):
         # an instant named "<name> (unmatched)" — an overwrite artifact of a
         # known event, not namespace drift.
         base = name.removesuffix(" (unmatched)")
-        tag = "" if base in KNOWN_EVENTS else " [?]"
+        drifted = known is not None and base not in known
+        tag = " [?]" if drifted else ""
         line = f"    {name + tag:<34} {len(stamps):>7}"
         stats = gap_stats(stamps)
         if stats is not None:
@@ -310,11 +269,11 @@ def summarize(path, top):
             line += (f"   gap us min/mean/max "
                      f"{lo:.1f}/{mean:.1f}/{hi:.1f}")
         print(line)
-        if base not in KNOWN_EVENTS:
+        if drifted:
             unknown.append(name)
     if unknown:
-        print(f"  WARNING: {len(unknown)} event name(s) not in the known "
-              f"table (trace_events.hpp drift?): {', '.join(sorted(unknown))}")
+        print(f"  WARNING: {len(unknown)} event name(s) not in the dump's "
+              f"event_table: {', '.join(sorted(unknown))}")
 
     spans, open_spans = collect_spans(events)
     if spans:
@@ -331,7 +290,7 @@ def summarize(path, top):
 
     connection_view(events, spans, top)
     phase_view(events, spans, top)
-    return len(unknown)
+    return known is None, len(unknown)
 
 
 def main():
@@ -341,19 +300,21 @@ def main():
     ap.add_argument("--top", type=int, default=10,
                     help="how many longest spans to print (default 10)")
     ap.add_argument("--strict", action="store_true",
-                    help="exit 2 if any event name is missing from the "
-                         "known-event table (CI mode: event-table drift "
-                         "fails instead of scrolling by as a warning)")
+                    help="exit 2 if a dump carries no event table, or names "
+                         "an event its own table lacks (CI mode: these fail "
+                         "instead of scrolling by as warnings)")
     args = ap.parse_args()
-    drifted = 0
+    tableless = drifted = 0
     for i, path in enumerate(args.traces):
         if i:
             print()
-        drifted += summarize(path, args.top)
-    if args.strict and drifted:
-        print(f"trace_summarize: --strict: {drifted} unknown event name(s) — "
-              f"update KNOWN_EVENTS to match trace_events.hpp",
-              file=sys.stderr)
+        no_table, unknown = summarize(path, args.top)
+        tableless += no_table
+        drifted += unknown
+    if args.strict and (tableless or drifted):
+        print(f"trace_summarize: --strict: {tableless} dump(s) without an "
+              f"event_table, {drifted} event name(s) missing from their "
+              f"dump's table", file=sys.stderr)
         return 2
     return 0
 

@@ -9,7 +9,6 @@
 #include "cachetrie/config.hpp"
 #include "cachetrie/evict.hpp"
 #include "cachetrie/nodes.hpp"
-#include "cachetrie/stats.hpp"
 #include "chashmap/chashmap.hpp"
 #include "ctrie/ctrie.hpp"
 #include "harness/report.hpp"
@@ -27,11 +26,10 @@
 #include "net/reactor.hpp"
 #include "net/shard.hpp"
 #include "net/socket.hpp"
-#include "obs/inventory.hpp"
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sites.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_events.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/tsc.hpp"
 #include "skiplist/skiplist.hpp"

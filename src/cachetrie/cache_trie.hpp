@@ -48,10 +48,8 @@
 #include "cachetrie/cache.hpp"
 #include "cachetrie/config.hpp"
 #include "cachetrie/nodes.hpp"
-#include "cachetrie/stats.hpp"
 #include "mr/epoch.hpp"
-#include "obs/inventory.hpp"
-#include "obs/trace.hpp"
+#include "obs/sites.hpp"
 #include "testkit/chaos.hpp"
 #include "util/hashing.hpp"
 #include "util/rng.hpp"
@@ -174,7 +172,6 @@ class CacheTrie {
           // Live SNode on this key's path: it either is the key, or proves
           // the key absent (no other key shares this hash prefix, else an
           // ANode would occupy the position).
-          bump_stat(&Stats::cache_fast_hits);
           // One plain add to this thread's stripe; its return value doubles
           // as a ~1/64 sampler for the depth histogram (depth 1: the
           // cached SNode was the only dereference).
@@ -210,7 +207,6 @@ class CacheTrie {
             continue;
           }
         }
-        bump_stat(&Stats::cache_fast_hits);
         // Same counter as the SNode fast path, so its pre-add value keeps
         // sampling one in 64 hits regardless of which hit kind fires.
         const bool sample_depth =
@@ -336,7 +332,6 @@ class CacheTrie {
   }
 
   const Config& config() const noexcept { return config_; }
-  const Stats& stats() const noexcept { return stats_; }
 
   // --- bounded-memory mode (DESIGN.md §3) -----------------------------------
 
@@ -412,12 +407,6 @@ class CacheTrie {
     return static_cast<std::uint32_t>((h >> lev) & (len - 1));
   }
 
-  void bump_stat(std::atomic<std::uint64_t> Stats::* member) const noexcept {
-    if (config_.collect_stats) {
-      (stats_.*member).fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   // --- bounded-memory mode machinery (DESIGN.md §3) -------------------------
 
   /// Per-operation eviction horizons, computed once at each public entry
@@ -473,12 +462,10 @@ class CacheTrie {
   void note_eviction(bool expiry, std::uint64_t h, std::uint32_t lev) const {
     if (expiry) {
       ttl_expiries_.fetch_add(1, std::memory_order_relaxed);
-      obs::sites::cachetrie_evict_ttl.add();
-      obs::trace::emit(obs::trace::EventId::kCachetrieExpire, h, lev);
+      obs::sites::cachetrie_evict_ttl.record(h, lev);
     } else {
       lru_evictions_.fetch_add(1, std::memory_order_relaxed);
-      obs::sites::cachetrie_evict_lru.add();
-      obs::trace::emit(obs::trace::EventId::kCachetrieEvict, h, lev);
+      obs::sites::cachetrie_evict_lru.record(h, lev);
     }
   }
 
@@ -527,9 +514,8 @@ class CacheTrie {
       return;
     }
     backpressure_scans_.fetch_add(1, std::memory_order_relaxed);
-    obs::sites::cachetrie_evict_backpressure.add();
-    obs::trace::emit(obs::trace::EventId::kCachetrieCeilingHit, resident,
-                     config_.ceiling_bytes);
+    obs::sites::cachetrie_evict_backpressure.record(resident,
+                                                    config_.ceiling_bytes);
     hz.lru_floor = hz.now > w ? hz.now - w : hz.now;
     const std::size_t evicted = evict_scan(hz, config_.evict_probes);
     if (evicted == 0 && w > 1) {
@@ -602,7 +588,6 @@ class CacheTrie {
       const Res r =
           insert_rec(key, value, h, 0, root_, nullptr, mode, expected, hz);
       if (r != Res::kRestart) return note_mutate_result(r);
-      bump_stat(&Stats::root_restarts);
       obs::sites::cachetrie_root_restart.add();
     }
   }
@@ -777,7 +762,7 @@ class CacheTrie {
           // The window between the txn announcement and the slot commit is
           // where helpers race the winner (§3.3's two-CAS protocol).
           testkit::chaos_point("cachetrie.txn_commit");
-          obs::trace::emit(obs::trace::EventId::kCachetrieTxnCommit, h, lev);
+          obs::sites::cachetrie_txn_commit.record(h, lev);
           NodeBase* eo = osn;
           slot.compare_exchange_strong(eo, sn, std::memory_order_acq_rel,
                                        std::memory_order_acquire);
@@ -849,7 +834,7 @@ class CacheTrie {
                                            std::memory_order_acq_rel,
                                            std::memory_order_acquire)) {
         testkit::chaos_point("cachetrie.txn_commit");
-        obs::trace::emit(obs::trace::EventId::kCachetrieTxnCommit, h, lev);
+        obs::sites::cachetrie_txn_commit.record(h, lev);
         NodeBase* eo = osn;
         slot.compare_exchange_strong(eo, subtree, std::memory_order_acq_rel,
                                      std::memory_order_acquire);
@@ -1139,7 +1124,6 @@ class CacheTrie {
         }
         return r == Res::kRemoved ? std::move(out) : std::nullopt;
       }
-      bump_stat(&Stats::root_restarts);
       obs::sites::cachetrie_root_restart.add();
     }
   }
@@ -1189,8 +1173,7 @@ class CacheTrie {
                                                  std::memory_order_acq_rel,
                                                  std::memory_order_acquire)) {
               testkit::chaos_point("cachetrie.txn_commit");
-              obs::trace::emit(obs::trace::EventId::kCachetrieTxnCommit, h,
-                               lev);
+              obs::sites::cachetrie_txn_commit.record(h, lev);
               NodeBase* eo = osn;
               slot.compare_exchange_strong(eo, nullptr,
                                            std::memory_order_acq_rel,
@@ -1338,9 +1321,8 @@ class CacheTrie {
   void freeze(ANode* cur) {
     // Counts freeze passes, helpers included — the helping rate under
     // contention is itself the signal of interest.
-    obs::sites::cachetrie_freeze.add();
-    obs::trace::emit(obs::trace::EventId::kCachetrieFreeze,
-                     reinterpret_cast<std::uintptr_t>(cur), cur->length);
+    obs::sites::cachetrie_freeze.record(reinterpret_cast<std::uintptr_t>(cur),
+                                        cur->length);
     std::uint32_t i = 0;
     while (i < cur->length) {
       // Freezing races other freezers slot-by-slot and pending txns get
@@ -1459,15 +1441,10 @@ class CacheTrie {
       if (committed != nullptr && committed->kind == Kind::kANode) {
         maybe_inhabit(committed, en->hash, en->level);
       }
-      bump_stat(en->compress ? &Stats::compressions : &Stats::expansions);
       if (en->compress) {
-        obs::sites::cachetrie_compress.add();
-        obs::trace::emit(obs::trace::EventId::kCachetrieCompress, en->hash,
-                         en->level);
+        obs::sites::cachetrie_compress.record(en->hash, en->level);
       } else {
-        obs::sites::cachetrie_expand.add();
-        obs::trace::emit(obs::trace::EventId::kCachetrieExpand, en->hash,
-                         en->level);
+        obs::sites::cachetrie_expand.record(en->hash, en->level);
       }
       retire_frozen(en->target, en->hash, en->level);
       Reclaimer::template retire<ENode>(en);
@@ -1765,10 +1742,8 @@ class CacheTrie {
                                               std::memory_order_acq_rel,
                                               std::memory_order_acquire)) {
         account(static_cast<std::ptrdiff_t>(fresh->footprint_bytes()));
-        bump_stat(&Stats::cache_installs);
-        obs::sites::cachetrie_cache_install.add();
-        obs::trace::emit(obs::trace::EventId::kCachetrieCacheInstall,
-                         config_.cache_init_level, node_level);
+        obs::sites::cachetrie_cache_install.record(config_.cache_init_level,
+                                                   node_level);
       } else {
         CacheArray::destroy(fresh);
       }
@@ -1786,7 +1761,7 @@ class CacheTrie {
       // inhabiter sees the mark, or the clearer sees the store — so no
       // resurrection survives the node's grace period.
       auto& entry = cache->entries()[cache->index_of(h)];
-      bump_stat(&Stats::cache_inhabits);
+      obs::sites::cachetrie_cache_inhabit.add();
       // [publishes: CT_CACHE_INSTALL]
       entry.store(nv, std::memory_order_release);
       std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -1853,7 +1828,6 @@ class CacheTrie {
   void record_cache_miss() const {
     CacheArray* cache = cache_head_.load(std::memory_order_acquire);
     if (cache == nullptr) return;
-    bump_stat(&Stats::cache_misses_recorded);
     obs::sites::cachetrie_cache_miss.add();
     auto& counter =
         cache->misses()[util::current_thread_id() % cache->miss_slots].value;
@@ -1871,7 +1845,6 @@ class CacheTrie {
   /// levels. Neither the counting nor the sampling is linearizable — a race
   /// can pick a stale level, which the next pass corrects.
   void sample_and_adjust(CacheArray* head) const {
-    bump_stat(&Stats::sampling_passes);
     obs::sites::cachetrie_sampling_pass.add();
     std::array<std::uint32_t, 17> hist{};
     auto& rng = util::thread_rng();
@@ -1950,10 +1923,7 @@ class CacheTrie {
                                               std::memory_order_acq_rel,
                                               std::memory_order_acquire)) {
         account(static_cast<std::ptrdiff_t>(fresh->footprint_bytes()));
-        bump_stat(&Stats::cache_level_changes);
-        obs::sites::cachetrie_cache_level_change.add();
-        obs::trace::emit(obs::trace::EventId::kCachetrieCacheLevelChange,
-                         head->level, desired);
+        obs::sites::cachetrie_cache_level_change.record(head->level, desired);
       } else {
         CacheArray::destroy(fresh);
       }
@@ -1972,10 +1942,7 @@ class CacheTrie {
       if (fresh != anc) {
         account(static_cast<std::ptrdiff_t>(fresh->footprint_bytes()));
       }
-      bump_stat(&Stats::cache_level_changes);
-      obs::sites::cachetrie_cache_level_change.add();
-      obs::trace::emit(obs::trace::EventId::kCachetrieCacheLevelChange,
-                       head->level, desired);
+      obs::sites::cachetrie_cache_level_change.record(head->level, desired);
       // Retire the unlinked prefix [head, anc); readers inside guards may
       // still be walking it.
       for (CacheArray* c = head; c != anc;) {
@@ -2168,7 +2135,6 @@ class CacheTrie {
   Hash hasher_{};
   ANode* root_;
   mutable std::atomic<CacheArray*> cache_head_{nullptr};
-  mutable Stats stats_;
 
   // --- bounded-memory mode state (DESIGN.md §3). All words are advisory:
   // every access is relaxed, and no protocol decision builds a

@@ -53,10 +53,6 @@ struct Config {
   /// several times").
   std::uint32_t sample_size = 192;
 
-  /// Maintain operation counters (expansions, cache hits, ...). Off by
-  /// default: benches must not pay for shared-counter traffic.
-  bool collect_stats = false;
-
   // --- bounded-memory mode (DESIGN.md §3; evict.hpp wraps these) ------------
   // The mode is active iff ceiling_bytes != 0 or ttl_ticks != 0; otherwise
   // every knob below is inert and the trie pays one predictable branch.

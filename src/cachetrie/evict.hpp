@@ -33,8 +33,8 @@
 
 #include "cachetrie/cache_trie.hpp"
 #include "chashmap/chashmap.hpp"
-#include "obs/inventory.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sites.hpp"
 #include "util/hashing.hpp"
 
 namespace cachetrie::evict {

@@ -33,8 +33,7 @@
 
 #include "mr/epoch.hpp"
 #include "mr/node_pool.hpp"
-#include "obs/inventory.hpp"
-#include "obs/trace.hpp"
+#include "obs/sites.hpp"
 #include "testkit/chaos.hpp"
 #include "util/hashing.hpp"
 #include "util/padded.hpp"
@@ -588,8 +587,7 @@ class ConcurrentHashMap {
   void start_or_help_transfer(Table* t) {
     testkit::chaos_point("chm.transfer_help");
     if (table_.load(std::memory_order_acquire) != t) return;  // superseded
-    obs::sites::chm_transfer_help.add();
-    obs::trace::emit(obs::trace::EventId::kChmTransferHelp, t->nbins);
+    obs::sites::chm_transfer_help.record(t->nbins);
     Table* next = t->next.load(std::memory_order_acquire);
     if (next == nullptr) {
       Table* fresh = Table::make(t->nbins * 2);
@@ -598,9 +596,7 @@ class ConcurrentHashMap {
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire)) {
         // Unique per doubling: this thread initiated the resize.
-        obs::sites::chm_resize.add();
-        obs::trace::emit(obs::trace::EventId::kChmResize, t->nbins,
-                         t->nbins * 2);
+        obs::sites::chm_resize.record(t->nbins, t->nbins * 2);
       } else {
         Table::destroy(fresh);
       }
@@ -651,8 +647,7 @@ class ConcurrentHashMap {
 
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   void transfer_bin(Table* t, Table* next, std::size_t bi) {
-    obs::sites::chm_transfer_bin.add();
-    obs::trace::emit(obs::trace::EventId::kChmTransferBin, bi, t->nbins);
+    obs::sites::chm_transfer_bin.record(bi, t->nbins);
     BinLock lock{t, bi};
     while (true) {
       Node* head = t->bins()[bi].load(std::memory_order_acquire);

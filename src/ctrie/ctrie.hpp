@@ -33,8 +33,7 @@
 
 #include "mr/epoch.hpp"
 #include "mr/node_pool.hpp"
-#include "obs/inventory.hpp"
-#include "obs/trace.hpp"
+#include "obs/sites.hpp"
 #include "testkit/chaos.hpp"
 #include "util/bits.hpp"
 #include "util/hashing.hpp"
@@ -557,10 +556,8 @@ class Ctrie {
     // The GCAS stand-in: every structural replacement funnels through this
     // single INode.main CAS, so one chaos point (and one trace span,
     // covering the CAS plus retiring the loser) covers them all.
-    [[maybe_unused]] obs::trace::Span span{
-        obs::trace::EventId::kCtrieGcasBegin,
-        obs::trace::EventId::kCtrieGcasEnd,
-        reinterpret_cast<std::uintptr_t>(i)};
+    [[maybe_unused]] auto span =
+        obs::sites::ctrie_gcas.span(reinterpret_cast<std::uintptr_t>(i));
     testkit::chaos_point("ctrie.gcas");
     Base* e = expected;
     // [publishes: CTRIE_GCAS]
@@ -568,15 +565,12 @@ class Ctrie {
                                         std::memory_order_acq_rel,
                                         std::memory_order_acquire)) {
       if (desired->kind == Kind::kTNode) {
-        obs::trace::emit(obs::trace::EventId::kCtrieEntomb,
-                         reinterpret_cast<std::uintptr_t>(i));
+        obs::sites::ctrie_entomb.record(reinterpret_cast<std::uintptr_t>(i));
       }
       retire_main_container(expected);
       return true;
     }
-    obs::sites::ctrie_gcas_retry.add();
-    obs::trace::emit(obs::trace::EventId::kCtrieGcasRetry,
-                     reinterpret_cast<std::uintptr_t>(i));
+    obs::sites::ctrie_gcas_retry.record(reinterpret_cast<std::uintptr_t>(i));
     return false;
   }
 
@@ -686,19 +680,15 @@ class Ctrie {
       }
       Reclaimer::retire_raw_sized(cn, &CNode::destroy_erased,
                                   CNode::alloc_size(cn->len));
-      obs::sites::ctrie_clean.add();
-      obs::trace::emit(obs::trace::EventId::kCtrieClean,
-                       reinterpret_cast<std::uintptr_t>(i), recs.size());
+      obs::sites::ctrie_clean.record(reinterpret_cast<std::uintptr_t>(i),
+                                     recs.size());
       if (tombs) {
-        obs::trace::emit(obs::trace::EventId::kCtrieEntomb,
-                         reinterpret_cast<std::uintptr_t>(i));
+        obs::sites::ctrie_entomb.record(reinterpret_cast<std::uintptr_t>(i));
       }
       return;
     }
     // Lost the race: everything we built is unpublished.
-    obs::sites::ctrie_gcas_retry.add();
-    obs::trace::emit(obs::trace::EventId::kCtrieGcasRetry,
-                     reinterpret_cast<std::uintptr_t>(i));
+    obs::sites::ctrie_gcas_retry.record(reinterpret_cast<std::uintptr_t>(i));
     // [delete: unpublished]
     for (const auto& r : recs) delete r.copy;
     if (tombs) {
@@ -744,17 +734,15 @@ class Ctrie {
         // was consumed by to_contracted's container and never published.
         delete resurrected;  // [delete: unpublished]
       }
-      obs::sites::ctrie_clean_parent.add();
-      obs::trace::emit(obs::trace::EventId::kCtrieCleanParent,
-                       reinterpret_cast<std::uintptr_t>(parent), lev);
+      obs::sites::ctrie_clean_parent.record(
+          reinterpret_cast<std::uintptr_t>(parent), lev);
       if (contracted != ncn) {
-        obs::trace::emit(obs::trace::EventId::kCtrieEntomb,
-                         reinterpret_cast<std::uintptr_t>(parent));
+        obs::sites::ctrie_entomb.record(
+            reinterpret_cast<std::uintptr_t>(parent));
       }
     } else {
-      obs::sites::ctrie_gcas_retry.add();
-      obs::trace::emit(obs::trace::EventId::kCtrieGcasRetry,
-                       reinterpret_cast<std::uintptr_t>(parent));
+      obs::sites::ctrie_gcas_retry.record(
+          reinterpret_cast<std::uintptr_t>(parent));
       if (contracted != ncn) {
         // [delete: unpublished]
         delete static_cast<TNodeT*>(contracted)->sn;

@@ -5,7 +5,7 @@
 
 #include "mr/node_pool.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sites.hpp"
 
 namespace cachetrie::mr {
 
@@ -157,8 +157,8 @@ void EpochDomain::count_stalled_exit(ThreadRecord& rec) const noexcept {
   // see the header comment.
   stalled_records_.fetch_sub(1, std::memory_order_relaxed);
   stalled_guard_exits_.fetch_add(1, std::memory_order_relaxed);
-  obs::trace::emit(obs::trace::EventId::kMrStalledGuardExit,
-                   reinterpret_cast<std::uintptr_t>(&rec));
+  obs::sites::mr_stalled_guard_exit.record(
+      reinterpret_cast<std::uintptr_t>(&rec));
 }
 
 void EpochDomain::reconcile(ThreadRecord& rec) const noexcept {
@@ -305,7 +305,7 @@ bool EpochDomain::try_advance() {
   const bool advanced = global_epoch_.compare_exchange_strong(
       e, e + 1, std::memory_order_acq_rel, std::memory_order_acquire);
   if (advanced) {
-    obs::trace::emit(obs::trace::EventId::kMrEpochFlip, e + 1);
+    obs::sites::mr_epoch_flip.record(e + 1);
     collect_orphans(e + 1);
   }
   return advanced;
@@ -313,9 +313,8 @@ bool EpochDomain::try_advance() {
 
 std::size_t EpochDomain::fallback_scan() {
   fallback_scans_.fetch_add(1, std::memory_order_relaxed);
-  [[maybe_unused]] obs::trace::Span span{
-      obs::trace::EventId::kMrFallbackScanBegin,
-      obs::trace::EventId::kMrFallbackScanEnd, retired_bytes()};
+  [[maybe_unused]] auto span =
+      obs::sites::mr_fallback_scan.span(retired_bytes());
   // Hazard-pointer-style sweep (the published epoch plays the role of the
   // hazard pointer). A record
   // pinned at an epoch other than the current one is what is blocking
@@ -344,8 +343,8 @@ std::size_t EpochDomain::fallback_scan() {
                                              std::memory_order_relaxed) &&
           (desired & kStalledBit) != 0) {
         stalled_records_.fetch_add(1, std::memory_order_relaxed);
-        obs::trace::emit(obs::trace::EventId::kMrStallDeclare,
-                         reinterpret_cast<std::uintptr_t>(rec), ticks + 1);
+        obs::sites::mr_stall_declare.record(
+            reinterpret_cast<std::uintptr_t>(rec), ticks + 1);
         record_declared(*rec, desired);
       }
     }

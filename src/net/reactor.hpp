@@ -34,8 +34,7 @@
 
 #include "net/shard.hpp"
 #include "net/socket.hpp"
-#include "obs/inventory.hpp"
-#include "obs/trace.hpp"
+#include "obs/sites.hpp"
 #include "testkit/chaos.hpp"
 #include "testkit/fault.hpp"
 
@@ -196,8 +195,7 @@ class Server {
         }
         const std::uint64_t id = next_conn_id++;
         const std::size_t target = pick_shard(rr++);
-        obs::trace::emit(obs::trace::EventId::kNetAccept, id, target);
-        obs::sites::net_accept.add();
+        obs::sites::net_accept.record(id, target);
         shards_[target]->adopt(fd, id);
       }
     }

@@ -54,9 +54,8 @@
 #include "net/proto.hpp"
 #include "net/socket.hpp"
 #include "obs/interval.hpp"
-#include "obs/inventory.hpp"
 #include "obs/latency.hpp"
-#include "obs/trace.hpp"
+#include "obs/sites.hpp"
 #include "obs/trace_export.hpp"
 #include "testkit/chaos.hpp"
 #include "util/kv_map.hpp"
@@ -237,8 +236,7 @@ class Shard {
       if (stopping && drain_start_us == 0) {
         drain_start_us = proto::now_us();
         testkit::chaos_point("net.drain");
-        obs::trace::emit(obs::trace::EventId::kNetDrain, index_,
-                         conns_.size());
+        obs::sites::net_drain.record(index_, conns_.size());
       }
       shed_this_iter_ = false;
 
@@ -340,9 +338,7 @@ class Shard {
     auto it = conns_.find(id);
     if (it == conns_.end()) return;
     testkit::chaos_point("net.conn_close");
-    obs::trace::emit(obs::trace::EventId::kNetConnClose, id,
-                     static_cast<std::uint64_t>(reason));
-    obs::sites::net_conn_close.add();
+    obs::sites::net_conn_close.record(id, static_cast<std::uint64_t>(reason));
     obs::sites::net_conns_open.add(-1);
     stats_.conns_closed.fetch_add(1, std::memory_order_relaxed);
     ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, it->second.fd.get(), nullptr);
@@ -398,7 +394,7 @@ class Shard {
         return;
       }
       off += consumed;
-      obs::trace::emit(obs::trace::EventId::kNetReqParsed, id, req.request_id);
+      obs::sites::net_req_parsed.record(id, req.request_id);
       admit(id, req, stopping);
       if (conns_.find(id) == conns_.end()) return;  // admit killed the conn
     }
@@ -433,8 +429,7 @@ class Shard {
       p.expiry_us = base + budget;
     }
     queue_.push_back(p);
-    obs::trace::emit(obs::trace::EventId::kNetReqAdmitted, conn_id,
-                     req.request_id);
+    obs::sites::net_req_admitted.record(conn_id, req.request_id);
     const auto depth = static_cast<std::uint64_t>(queue_.size());
     if (depth > stats_.queue_hwm.load(std::memory_order_relaxed)) {
       stats_.queue_hwm.store(depth, std::memory_order_relaxed);
@@ -444,8 +439,7 @@ class Shard {
   void shed_reply(std::uint64_t conn_id, const proto::RequestFrame& req,
                   std::uint16_t extra_flags, std::uint64_t now) {
     testkit::chaos_point("net.shed");
-    obs::trace::emit(obs::trace::EventId::kNetShed, conn_id, req.request_id);
-    obs::sites::net_shed.add();
+    obs::sites::net_shed.record(conn_id, req.request_id);
     stats_.shed.fetch_add(1, std::memory_order_relaxed);
     shed_this_iter_ = true;
     send_reply(conn_id, req, proto::Status::kShed, 0, extra_flags, now, now);
@@ -460,22 +454,18 @@ class Shard {
       Pending p = queue_.front();
       queue_.pop_front();
       if (conns_.find(p.conn_id) == conns_.end()) continue;  // conn died
-      obs::trace::Span span(obs::trace::EventId::kNetRequestBegin,
-                            obs::trace::EventId::kNetRequestEnd, p.conn_id,
-                            p.req.request_id);
+      [[maybe_unused]] auto span =
+          obs::sites::net_request.span(p.conn_id, p.req.request_id);
       const std::uint64_t now = proto::now_us();
       if (p.expiry_us != 0 && now > p.expiry_us) {
         testkit::chaos_point("net.deadline_expire");
-        obs::trace::emit(obs::trace::EventId::kNetDeadlineExpire, p.conn_id,
-                         p.req.request_id);
-        obs::sites::net_deadline_expired.add();
+        obs::sites::net_deadline_expired.record(p.conn_id, p.req.request_id);
         stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
         send_reply(p.conn_id, p.req, proto::Status::kDeadlineExceeded, 0,
                    base_flags, p.admit_us, now);
         continue;
       }
-      obs::trace::emit(obs::trace::EventId::kNetReqDequeued, p.conn_id,
-                       p.req.request_id);
+      obs::sites::net_req_dequeued.record(p.conn_id, p.req.request_id);
       const auto op = static_cast<proto::Op>(p.req.op);
       if (op == proto::Op::kStats || op == proto::Op::kTraceCtl) {
         execute_introspection(p, op, base_flags, now);
@@ -485,9 +475,8 @@ class Shard {
       std::uint64_t value = 0;
       proto::Status st;
       {
-        obs::trace::Span exec(obs::trace::EventId::kNetExecuteBegin,
-                              obs::trace::EventId::kNetExecuteEnd, p.conn_id,
-                              p.req.request_id);
+        [[maybe_unused]] auto exec =
+            obs::sites::net_req_execute.span(p.conn_id, p.req.request_id);
         st = execute(map_, p.req, &value);
       }
       testkit::chaos_point("net.reply_enqueue");
@@ -507,7 +496,6 @@ class Shard {
   void record_served(const Pending& p, std::uint64_t exec_begin,
                      std::uint64_t exec_end, std::uint16_t base_flags) {
     obs::sites::net_request_served.add();
-    obs::sites::net_queue_delay_us.record(exec_end - p.admit_us);
     obs::sites::net_phase_queue_us.record(exec_begin - p.admit_us);
     obs::sites::net_phase_execute_us.record(exec_end - exec_begin);
     stats_.served.fetch_add(1, std::memory_order_relaxed);
@@ -532,9 +520,8 @@ class Shard {
     if (op == proto::Op::kStats) {
       std::ostringstream os;
       {
-        obs::trace::Span exec(obs::trace::EventId::kNetExecuteBegin,
-                              obs::trace::EventId::kNetExecuteEnd, p.conn_id,
-                              p.req.request_id);
+        [[maybe_unused]] auto exec =
+            obs::sites::net_req_execute.span(p.conn_id, p.req.request_id);
         const obs::Snapshot snap = obs::registry().snapshot();
         os << "{\"shard\":" << index_ << ",\"now_us\":" << exec_begin
            << ",\"snapshot\":";
@@ -554,9 +541,8 @@ class Shard {
     proto::Status st = proto::Status::kOk;
     std::uint64_t result = 0;
     {
-      obs::trace::Span exec(obs::trace::EventId::kNetExecuteBegin,
-                            obs::trace::EventId::kNetExecuteEnd, p.conn_id,
-                            p.req.request_id);
+      [[maybe_unused]] auto exec =
+          obs::sites::net_req_execute.span(p.conn_id, p.req.request_id);
       switch (static_cast<proto::TraceCtl>(p.req.value)) {
         case proto::TraceCtl::kDisable:
           obs::trace::enable(false);
@@ -646,9 +632,7 @@ class Shard {
     }
     if (pending > cfg_.write_buf_cap) {
       testkit::chaos_point("net.backpressure_kill");
-      obs::trace::emit(obs::trace::EventId::kNetBackpressureKill, conn_id,
-                       pending);
-      obs::sites::net_backpressure_kill.add();
+      obs::sites::net_backpressure_kill.record(conn_id, pending);
       stats_.backpressure_kills.fetch_add(1, std::memory_order_relaxed);
       close_conn(conn_id, CloseReason::kBackpressure);
     }
@@ -697,8 +681,7 @@ class Shard {
     const std::uint64_t now = proto::now_us();
     while (!c.marks.empty() && c.flushed_bytes >= c.marks.front().end_offset) {
       const ReplyMark& m = c.marks.front();
-      obs::trace::emit(obs::trace::EventId::kNetReqFlushed, c.id,
-                       m.request_id);
+      obs::sites::net_req_flushed.record(c.id, m.request_id);
       const std::uint64_t flush_us =
           now >= m.exec_end_us ? now - m.exec_end_us : 0;
       obs::sites::net_phase_flush_us.record(flush_us);
@@ -749,8 +732,8 @@ class Shard {
       close_conn(id, CloseReason::kShutdown);
     }
     testkit::chaos_point("net.shutdown");
-    obs::trace::emit(obs::trace::EventId::kNetShutdown, index_,
-                     stats_.served.load(std::memory_order_relaxed));
+    obs::sites::net_shutdown.record(
+        index_, stats_.served.load(std::memory_order_relaxed));
     open_conns_.store(0, std::memory_order_relaxed);
     // Publishes the final stats to whoever joins the shard thread.
     drained_.store(true, std::memory_order_release);  // [publishes: NET_DRAIN]

@@ -437,7 +437,7 @@ class Gauge {
 };
 
 /// Process-wide metric table. Leak-free Meyers singleton: constructed on
-/// first use (which static-initialization of the inventory handles forces
+/// first use (which static-initialization of the site handles forces
 /// before main), destroyed after every handle (handles are trivially
 /// destructible and nothing records during static destruction).
 class Registry {

@@ -41,7 +41,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/trace_events.hpp"
 #include "obs/tsc.hpp"
 
 #if defined(CACHETRIE_TRACE) && CACHETRIE_TRACE
@@ -56,13 +55,17 @@
 
 namespace cachetrie::obs::trace {
 
+/// Generated from the site table in obs/sites.hpp, which also names the
+/// enumerators (0 is kNone).
+enum class EventId : std::uint16_t;
+
 /// One drained event, in plain data form. `ts` is raw tsc ticks
-/// (tsc::to_ns converts deltas); payload meaning is per-event (see
-/// trace_events.hpp comments).
+/// (tsc::to_ns converts deltas); payload meaning is per-event (see the
+/// site table's comments).
 struct Event {
   std::uint64_t ts = 0;
   std::uint32_t tid = 0;
-  EventId id = EventId::kNone;
+  EventId id{};
   std::uint64_t a0 = 0;
   std::uint64_t a1 = 0;
 };

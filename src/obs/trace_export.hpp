@@ -5,9 +5,15 @@
 // Shape:
 //   { "displayTimeUnit": "ms",
 //     "otherData": { "schema": "cachetrie-trace-v1", "reason": ...,
-//                    "events": N, "emitted_total": M, "overwritten": K },
+//                    "events": N, "emitted_total": M, "overwritten": K,
+//                    "ns_per_tick": T,
+//                    "event_table": [ {"name", "cat", "ph"} ... ] },
 //     "traceEvents": [ { "name", "cat", "ph", "ts", "pid", "tid",
 //                        "args": {"a0", "a1"} } ... ] }
+//
+// "event_table" is obs/sites.hpp's kEventInfo in EventId order, so a dump
+// names every event this build could emit and scripts/trace_summarize.py
+// checks the dump against it instead of keeping its own copy.
 //
 // Timestamps are microseconds relative to the earliest drained event,
 // converted from raw ticks with the shared tsc calibration. Span begins
@@ -34,6 +40,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"  // detail_emit::json_escape
+#include "obs/sites.hpp"
 #include "obs/trace.hpp"
 
 namespace cachetrie::obs::trace {
@@ -51,7 +58,14 @@ inline void write_chrome_json(std::ostream& os, std::vector<Event> events,
   os << "\",\"events\":" << events.size()
      << ",\"emitted_total\":" << registry().total_emitted()
      << ",\"overwritten\":" << registry().total_overwritten()
-     << ",\"ns_per_tick\":" << ns_per_tick << "},\"traceEvents\":[";
+     << ",\"ns_per_tick\":" << ns_per_tick << ",\"event_table\":[";
+  for (std::size_t i = 0; i < kEventCount; ++i) {
+    const EventInfo& info = kEventInfo[i];
+    os << (i == 0 ? "" : ",") << "{\"name\":\"" << info.name
+       << "\",\"cat\":\"" << info.category << "\",\"ph\":\"" << info.phase
+       << "\"}";
+  }
+  os << "]},\"traceEvents\":[";
   std::map<std::uint32_t, int> depth;
   bool first = true;
   char buf[32];

@@ -47,8 +47,7 @@
 
 #include "mr/epoch.hpp"
 #include "mr/node_pool.hpp"
-#include "obs/inventory.hpp"
-#include "obs/trace.hpp"
+#include "obs/sites.hpp"
 #include "testkit/chaos.hpp"
 #include "util/rng.hpp"
 #include "util/spinwait.hpp"
@@ -282,8 +281,7 @@ class ConcurrentSkipList {
       if (victim->vsync.compare_exchange_weak(s, s | kDead,
                                               std::memory_order_seq_cst,
                                               std::memory_order_seq_cst)) {
-        obs::trace::emit(obs::trace::EventId::kCslMarkBottom, key,
-                         victim->top_level);
+        obs::sites::csl_mark_bottom.record(key, victim->top_level);
         break;
       }
     }
@@ -414,9 +412,8 @@ class ConcurrentSkipList {
   /// the freeze and report a false absent. The top-down order restores the
   /// invariant "bottom-marked implies marked everywhere above".
   static void help_mark(Node* n) {
-    obs::sites::csl_help_mark.add();
-    obs::trace::emit(obs::trace::EventId::kCslHelpMark,
-                     reinterpret_cast<std::uintptr_t>(n), n->top_level);
+    obs::sites::csl_help_mark.record(reinterpret_cast<std::uintptr_t>(n),
+                                     n->top_level);
     for (int lev = n->top_level; lev >= 1; --lev) {
       testkit::chaos_point("csl.mark_upper");
       std::uintptr_t t = n->next()[lev].load(std::memory_order_seq_cst);

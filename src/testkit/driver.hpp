@@ -190,7 +190,7 @@ DriverResult run_histories(Factory&& make, const DriverConfig& cfg) {
         out.trace = format_trace(*out.violation, cfg.seed, h);
         // Post-mortem: keep the protocol-event window leading up to the
         // failing history (no-op unless tracing is enabled).
-        obs::trace::emit(obs::trace::EventId::kLinCheckFail, cfg.seed, h);
+        obs::sites::lin_check_fail.record(cfg.seed, h);
         obs::trace::post_mortem_dump("lin_check_failure");
         if (cfg.stop_on_violation) {
           stop.store(true, std::memory_order_release);

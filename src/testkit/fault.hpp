@@ -47,7 +47,7 @@
 #include <mutex>
 
 #include "mr/epoch.hpp"
-#include "obs/trace.hpp"
+#include "obs/sites.hpp"
 #endif
 
 namespace cachetrie::testkit::fault {
@@ -211,8 +211,8 @@ inline ThreadHits& thread_hits() {
 /// Park per the spec, then either resume or die. Throws ThreadKilled.
 inline void execute(const Spec& spec) {
   auto& pk = parking();
-  obs::trace::emit(obs::trace::EventId::kFaultPark, spec.site,
-                   static_cast<std::uint64_t>(spec.kind));
+  obs::sites::fault_park.record(spec.site,
+                                static_cast<std::uint64_t>(spec.kind));
   bool deadline_elapsed = false;
   {
     std::unique_lock<std::mutex> lk(pk.m);
@@ -231,16 +231,16 @@ inline void execute(const Spec& spec) {
   }
   (void)deadline_elapsed;
   if (spec.kind == Kind::kDie) {
-    obs::trace::emit(obs::trace::EventId::kFaultKill, spec.site);
+    obs::sites::fault_kill.record(spec.site);
     throw ThreadKilled{};
   }
   // Resume fence: a victim the reclaimer declared dead while it was parked
   // must not execute another instruction of structure code.
   if (mr::EpochDomain::instance().current_thread_declared_stalled()) {
-    obs::trace::emit(obs::trace::EventId::kFaultKill, spec.site, 1);
+    obs::sites::fault_kill.record(spec.site, 1);
     throw ThreadKilled{};
   }
-  obs::trace::emit(obs::trace::EventId::kFaultResume, spec.site);
+  obs::sites::fault_resume.record(spec.site);
 }
 
 inline void on_chaos_point(const char* /*site*/, std::uint64_t site_h) {

@@ -133,8 +133,8 @@ class ProgressWatchdog {
         // A violation is the moment the timeline matters: record it, then
         // preserve the first one's flight-recorder window (no-op unless
         // tracing is enabled; later violations cannot overwrite it).
-        obs::trace::emit(obs::trace::EventId::kWatchdogViolation, now,
-                         ticks_.load(std::memory_order_relaxed));
+        obs::sites::watchdog_violation.record(
+            now, ticks_.load(std::memory_order_relaxed));
         obs::trace::post_mortem_dump("watchdog_violation");
       }
       std::uint64_t prev = min_delta_.load(std::memory_order_relaxed);

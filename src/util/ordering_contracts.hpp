@@ -3,7 +3,7 @@
 // Part of the cache-trie reproduction (Prokopec, PPoPP'18).
 //
 // Every cross-thread happens-before edge the protocol relies on is declared
-// here by name, X-macro style (same idiom as obs/trace_events.hpp). The
+// here by name, X-macro style (same idiom as obs/sites.hpp). The
 // release side of an edge carries a `// [publishes: <EDGE>]` comment on
 // the atomic operation that makes the data visible, the acquire side a
 // `// [acquires: <EDGE>]` comment on the operation that synchronizes

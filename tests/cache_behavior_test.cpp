@@ -9,17 +9,23 @@
 #include "cachetrie/cache_trie.hpp"
 #include "harness/workload.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sites.hpp"
 
 namespace {
 
 using cachetrie::CacheTrie;
 using cachetrie::Config;
+namespace sites = cachetrie::obs::sites;
 
 using Trie = CacheTrie<std::uint64_t, std::uint64_t>;
 
-Config stats_config() {
+// Cache-path counts are registry counter deltas, read through the site
+// handles. With metrics compiled out every counter reads 0, so those
+// checks run only when kCounted; the rest of each test still runs.
+constexpr bool kCounted = cachetrie::obs::kMetricsCompiled;
+
+Config sampling_config() {
   Config cfg;
-  cfg.collect_stats = true;
   cfg.max_misses = 64;  // sample aggressively so tests converge fast
   return cfg;
 }
@@ -28,7 +34,7 @@ TEST(CacheBehavior, NoCacheWhileTrieIsShallow) {
   // The cache is created only once some key reaches
   // cache_init_trigger_level (12). Grow the trie key by key and check the
   // cache appears exactly when the histogram says depth >= 3 exists.
-  Trie trie{stats_config()};
+  Trie trie{sampling_config()};
   for (std::uint64_t k = 0; k < 3000; ++k) {
     trie.insert(k, k);
     (void)trie.lookup(k);
@@ -47,31 +53,37 @@ TEST(CacheBehavior, NoCacheWhileTrieIsShallow) {
 }
 
 TEST(CacheBehavior, CacheCreatedWhenTrieDeepens) {
-  Trie trie{stats_config()};
+  const std::uint64_t installs0 = sites::cachetrie_cache_install.total();
+  Trie trie{sampling_config()};
   const auto keys = cachetrie::harness::random_keys(300000);
   for (auto k : keys) trie.insert(k, k);
   for (auto k : keys) (void)trie.lookup(k);
   EXPECT_GE(trie.cache_level(), 8);
-  EXPECT_GE(trie.stats().cache_installs.load(), 1u);
+  if (kCounted) {
+    EXPECT_GE(sites::cachetrie_cache_install.total() - installs0, 1u);
+  }
 }
 
 TEST(CacheBehavior, LookupsHitTheCacheAfterWarmup) {
-  Trie trie{stats_config()};
+  Trie trie{sampling_config()};
   const auto keys = cachetrie::harness::random_keys(300000);
   for (auto k : keys) trie.insert(k, k);
   for (auto k : keys) (void)trie.lookup(k);  // create + adapt + warm
   for (auto k : keys) (void)trie.lookup(k);  // warm at the settled level
-  const auto hits0 = trie.stats().cache_fast_hits.load();
+  const auto hits0 = sites::cachetrie_cache_hit.total();
   for (auto k : keys) {
     ASSERT_EQ(trie.lookup(k).value(), k);
   }
-  const auto hits = trie.stats().cache_fast_hits.load() - hits0;
+  const auto hits = sites::cachetrie_cache_hit.total() - hits0;
   // The vast majority of lookups must be served through the cache.
-  EXPECT_GT(hits, keys.size() * 9 / 10);
+  if (kCounted) {
+    EXPECT_GT(hits, keys.size() * 9 / 10);
+  }
 }
 
 TEST(CacheBehavior, SamplingMovesCacheToPopulatedLevel) {
-  Trie trie{stats_config()};
+  const std::uint64_t samples0 = sites::cachetrie_sampling_pass.total();
+  Trie trie{sampling_config()};
   const std::size_t n = 1000000;  // most keys at levels 16/20 (16^5 = n)
   const auto keys = cachetrie::harness::random_keys(n);
   for (auto k : keys) trie.insert(k, k);
@@ -81,7 +93,9 @@ TEST(CacheBehavior, SamplingMovesCacheToPopulatedLevel) {
   }
   EXPECT_GE(trie.cache_level(), 16);
   EXPECT_LE(trie.cache_level(), 20);
-  EXPECT_GE(trie.stats().sampling_passes.load(), 1u);
+  if (kCounted) {
+    EXPECT_GE(sites::cachetrie_sampling_pass.total() - samples0, 1u);
+  }
 }
 
 TEST(CacheBehavior, CacheLevelShrinksWhenPopulationShrinks) {
@@ -89,7 +103,7 @@ TEST(CacheBehavior, CacheLevelShrinksWhenPopulationShrinks) {
   // survivors keep their depth (compression collapses empty/singleton
   // nodes, it does not rebalance). The downward adjustment shows when the
   // deep population is replaced by a shallow one.
-  Config cfg = stats_config();
+  Config cfg = sampling_config();
   Trie trie{cfg};
   const auto big = cachetrie::harness::random_keys(1000000, 1);
   for (auto k : big) trie.insert(k, k);
@@ -115,7 +129,7 @@ TEST(CacheBehavior, CacheLevelShrinksWhenPopulationShrinks) {
 TEST(CacheBehavior, RemovedKeysInvisibleThroughWarmCache) {
   // The automatic-eviction property (§3.4): after a removal, a lookup that
   // goes through a stale cache entry must still answer "absent".
-  Trie trie{stats_config()};
+  Trie trie{sampling_config()};
   const auto keys = cachetrie::harness::random_keys(300000);
   for (auto k : keys) trie.insert(k, k);
   for (auto k : keys) (void)trie.lookup(k);  // warm cache with SNodes
@@ -128,7 +142,7 @@ TEST(CacheBehavior, RemovedKeysInvisibleThroughWarmCache) {
 }
 
 TEST(CacheBehavior, ReplacedValueVisibleThroughWarmCache) {
-  Trie trie{stats_config()};
+  Trie trie{sampling_config()};
   const auto keys = cachetrie::harness::random_keys(300000);
   for (auto k : keys) trie.insert(k, 1);
   for (auto k : keys) (void)trie.lookup(k);  // warm
@@ -139,41 +153,44 @@ TEST(CacheBehavior, ReplacedValueVisibleThroughWarmCache) {
 }
 
 TEST(CacheBehavior, MissCounterTriggersSampling) {
-  Config cfg = stats_config();
+  if (!kCounted) GTEST_SKIP() << "metrics compiled out (CACHETRIE_METRICS=0)";
+  Config cfg = sampling_config();
   cfg.max_misses = 16;
   Trie trie{cfg};
   const auto keys = cachetrie::harness::random_keys(400000);
   for (auto k : keys) trie.insert(k, k);
-  const auto samples0 = trie.stats().sampling_passes.load();
+  const auto samples0 = sites::cachetrie_sampling_pass.total();
+  const auto misses0 = sites::cachetrie_cache_miss.total();
   for (auto k : keys) (void)trie.lookup(k);
-  EXPECT_GT(trie.stats().sampling_passes.load(), samples0);
-  EXPECT_GT(trie.stats().cache_misses_recorded.load(), 0u);
+  EXPECT_GT(sites::cachetrie_sampling_pass.total(), samples0);
+  EXPECT_GT(sites::cachetrie_cache_miss.total() - misses0, 0u);
 }
 
 TEST(CacheBehavior, WithoutCacheNoStatsAccumulate) {
-  Config cfg = stats_config();
+  Config cfg = sampling_config();
   cfg.use_cache = false;
+  const auto hits0 = sites::cachetrie_cache_hit.total();
+  const auto installs0 = sites::cachetrie_cache_install.total();
   Trie trie{cfg};
   const auto keys = cachetrie::harness::random_keys(200000);
   for (auto k : keys) trie.insert(k, k);
   for (auto k : keys) (void)trie.lookup(k);
   EXPECT_EQ(trie.cache_level(), -1);
-  EXPECT_EQ(trie.stats().cache_fast_hits.load(), 0u);
-  EXPECT_EQ(trie.stats().cache_installs.load(), 0u);
+  EXPECT_EQ(sites::cachetrie_cache_hit.total(), hits0);
+  EXPECT_EQ(sites::cachetrie_cache_install.total(), installs0);
 }
 
 // --- telemetry-based invariants (obs/ layer; paper §3.4 + Theorem 4.2) -----
 //
-// The two tests below verify the paper's cache claims through the external
-// metrics layer rather than the trie's internal Stats — exercising the same
-// counters operators would watch in production.
+// The two tests below verify the paper's cache claims through registry
+// snapshots, the same counters operators would watch in production.
 
 TEST(CacheBehaviorTelemetry, HitRateRisesTowardOneOnWarmReadOnlyPhase) {
   if (!cachetrie::obs::kMetricsCompiled) {
     GTEST_SKIP() << "metrics compiled out (CACHETRIE_METRICS=0)";
   }
   auto& reg = cachetrie::obs::registry();
-  Trie trie{stats_config()};
+  Trie trie{sampling_config()};
   const auto keys = cachetrie::harness::random_keys(300000);
   constexpr std::size_t kProbe = 200;  // fixed probe set, re-looked-up later
 
@@ -210,7 +227,7 @@ TEST(CacheBehaviorTelemetry, SampledDepthAtMostTwoAfterCacheGrowth) {
     GTEST_SKIP() << "metrics compiled out (CACHETRIE_METRICS=0)";
   }
   auto& reg = cachetrie::obs::registry();
-  Trie trie{stats_config()};
+  Trie trie{sampling_config()};
   // Population size matters for the 90% bound: 50k random keys concentrate
   // on levels 16/20 (Theorem 4.2's two adjacent levels), exactly the pair
   // a settled level-16 cache serves in 1-2 dereferences. A population
@@ -264,7 +281,7 @@ TEST(CacheBehaviorTelemetry, SampledDepthAtMostTwoAfterCacheGrowth) {
 }
 
 TEST(CacheBehavior, PinnedCacheLevelStaysPinned) {
-  Config cfg = stats_config();
+  Config cfg = sampling_config();
   cfg.cache_init_level = 12;
   cfg.min_cache_level = 12;
   cfg.max_cache_level = 12;
@@ -285,7 +302,7 @@ TEST(CacheBehavior, OneHopLookupLeavesItsEntryAlone) {
   // Every key's level-8 entry holds the ANode its leaf hangs from, so the
   // second pass is all one-hop hits. Each starts at the ANode it just read
   // from the entry; storing it back would change nothing, so none may.
-  Config cfg = stats_config();
+  Config cfg = sampling_config();
   cfg.cache_init_level = 8;
   cfg.min_cache_level = 8;
   cfg.max_cache_level = 8;
@@ -295,8 +312,8 @@ TEST(CacheBehavior, OneHopLookupLeavesItsEntryAlone) {
   for (auto k : keys) (void)trie.lookup(k);
   ASSERT_EQ(trie.cache_level(), 8);
 
-  const std::uint64_t inhabits0 = trie.stats().cache_inhabits.load();
-  const std::uint64_t hits0 = trie.stats().cache_fast_hits.load();
+  const std::uint64_t inhabits0 = sites::cachetrie_cache_inhabit.total();
+  const std::uint64_t hits0 = sites::cachetrie_cache_hit.total();
   std::size_t one_hop = 0;
   for (auto k : keys) {
     const auto* entry = trie.debug_cache_entry(k, 8);
@@ -308,8 +325,10 @@ TEST(CacheBehavior, OneHopLookupLeavesItsEntryAlone) {
     ASSERT_EQ(trie.debug_cache_entry(k, 8), entry);
   }
   EXPECT_GT(one_hop, keys.size() / 2);
-  EXPECT_EQ(trie.stats().cache_fast_hits.load(), hits0 + one_hop);
-  EXPECT_EQ(trie.stats().cache_inhabits.load(), inhabits0);
+  if (kCounted) {
+    EXPECT_EQ(sites::cachetrie_cache_hit.total(), hits0 + one_hop);
+  }
+  EXPECT_EQ(sites::cachetrie_cache_inhabit.total(), inhabits0);
 }
 
 TEST(CacheBehavior, DescentFromShallowerArrayInhabitsDeepestLevel) {
@@ -318,7 +337,7 @@ TEST(CacheBehavior, DescentFromShallowerArrayInhabitsDeepestLevel) {
   // [12 -> 8]. A key whose level-12 entry is empty but whose level-8 entry
   // holds an ANode starts its descent one array up; passing level 12 on the
   // way down must fill the deepest entry (Fig. 6).
-  Config cfg = stats_config();
+  Config cfg = sampling_config();
   cfg.cache_init_level = 8;
   cfg.min_cache_level = 8;
   cfg.max_cache_level = 12;
@@ -341,12 +360,14 @@ TEST(CacheBehavior, DescentFromShallowerArrayInhabitsDeepestLevel) {
       continue;
     }
     ++descents;
-    const std::uint64_t inhabits0 = trie.stats().cache_inhabits.load();
+    const std::uint64_t inhabits0 = sites::cachetrie_cache_inhabit.total();
     ASSERT_EQ(trie.lookup(k).value(), k);
     const auto* deep = trie.debug_cache_entry(k, 12);
     if (deep != nullptr && deep->kind == Kind::kANode) {
       ++filled;
-      EXPECT_GT(trie.stats().cache_inhabits.load(), inhabits0);
+      if (kCounted) {
+        EXPECT_GT(sites::cachetrie_cache_inhabit.total(), inhabits0);
+      }
     }
   }
   // Nearly every such descent passes an ANode at level 12 (the rest end in

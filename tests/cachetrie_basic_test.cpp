@@ -240,7 +240,6 @@ TEST(CacheTrieBasic, WithoutCacheVariant) {
 
 TEST(CacheTrieBasic, CacheGetsCreatedOnDeepTries) {
   Config cfg;
-  cfg.collect_stats = true;
   CacheTrie<int, int> trie(cfg);
   for (int i = 0; i < 200000; ++i) trie.insert(i, i);
   // Lookups drive cache creation and inhabitation.

@@ -250,7 +250,6 @@ TEST(CacheTrieConcurrent, CompressionStormInsertRemoveWaves) {
   Config cfg;
   cfg.compress = true;
   cfg.compress_singletons = true;
-  cfg.collect_stats = true;
   CacheTrie<int, int, cachetrie::util::DegradedHash<20>> trie(cfg);
   constexpr int kPerThread = 2000;
   run_threads(kThreads, [&](int t) {

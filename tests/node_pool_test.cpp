@@ -253,6 +253,9 @@ TEST(NodePool, ChunksAre2MiBAligned) {
 
 // The pool's mapped bytes ride along in every metrics snapshot.
 TEST(NodePool, MappedBytesGauge) {
+  if (!cachetrie::obs::kMetricsCompiled) {
+    GTEST_SKIP() << "metrics compiled out (CACHETRIE_METRICS=0)";
+  }
   cachetrie::mr::EpochDomain::instance();  // registers the mr.* gauges
   void* p = NodePool::allocate(kSNodeBytes);
   const auto snap = cachetrie::obs::registry().snapshot();

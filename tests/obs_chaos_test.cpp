@@ -12,7 +12,7 @@
 
 #include "cachetrie/cache_trie.hpp"
 #include "chashmap/chashmap.hpp"
-#include "obs/inventory.hpp"
+#include "obs/sites.hpp"
 #include "obs/metrics.hpp"
 #include "testkit/chaos.hpp"
 

@@ -18,6 +18,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "obs/sites.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/tsc.hpp"
 #include "util/thread_id.hpp"
@@ -58,6 +60,7 @@ static_assert(trace::kTraceCompiled);
 
 // The event-info table is total: every id below kCount has a name and a
 // phase the exporter understands, and out-of-range ids fall back to "none".
+// Every dump embeds exactly this table, in id order, for the summarizer.
 TEST(TraceEvents, InfoTableIsTotal) {
   for (std::size_t i = 0; i < static_cast<std::size_t>(EventId::kCount);
        ++i) {
@@ -69,6 +72,18 @@ TEST(TraceEvents, InfoTableIsTotal) {
   }
   EXPECT_STREQ(trace::event_info(EventId::kCount).name, "none");
   EXPECT_STREQ(trace::event_info(static_cast<EventId>(0xffff)).name, "none");
+
+  std::string table = "\"event_table\":[";
+  for (std::size_t i = 0; i < trace::kEventCount; ++i) {
+    const auto& info = trace::kEventInfo[i];
+    table += std::string(i == 0 ? "" : ",") + "{\"name\":\"" + info.name +
+             "\",\"cat\":\"" + info.category + "\",\"ph\":\"" +
+             info.phase + "\"}";
+  }
+  table += "]}";
+  std::ostringstream os;
+  trace::write_chrome_json(os, {}, "event_table");
+  EXPECT_NE(os.str().find(table), std::string::npos) << os.str();
 }
 
 // --- live recorder (trace-on builds only) ----------------------------------
@@ -98,6 +113,29 @@ TEST_F(TraceTest, DisabledEmitRecordsNothing) {
   { trace::Span s{EventId::kCtrieGcasBegin, EventId::kCtrieGcasEnd}; }
   EXPECT_EQ(trace::registry().total_emitted(), 0u);
   EXPECT_TRUE(trace::registry().drain().empty());
+}
+
+// A site with a counter and an event records both with one call: the
+// counter gains exactly 1 and exactly one event carries the payload. With
+// the recorder off at runtime the counter still counts.
+TEST_F(TraceTest, SiteRecordCountsOnceAndEmitsOnce) {
+  if (!cachetrie::obs::kMetricsCompiled) {
+    GTEST_SKIP() << "metrics compiled out (CACHETRIE_METRICS=0)";
+  }
+  auto& site = cachetrie::obs::sites::cachetrie_freeze;
+  const std::uint64_t before = site.total();
+  site.record(7, 8);
+  EXPECT_EQ(site.total(), before + 1);
+  const auto events = trace::registry().drain();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].id, EventId::kCachetrieFreeze);
+  EXPECT_EQ(events[0].a0, 7u);
+  EXPECT_EQ(events[0].a1, 8u);
+
+  trace::enable(false);
+  site.record(9, 10);
+  EXPECT_EQ(site.total(), before + 2);
+  EXPECT_EQ(trace::registry().total_emitted(), 1u);
 }
 
 TEST_F(TraceTest, EmitRecordsPayloadThreadIdAndOrder) {
