@@ -27,11 +27,13 @@
 
 #include "cachetrie/evict.hpp"
 #include "common.hpp"
+#include "obs/sites.hpp"
 
 namespace {
 
 using cachetrie::harness::Summary;
 using cachetrie::harness::Table;
+namespace sites = cachetrie::obs::sites;
 
 using BoundedTrie = cachetrie::evict::BoundedCacheTrie<bench::Key, bench::Val>;
 using BoundedChm = cachetrie::evict::BoundedChm<bench::Key, bench::Val>;
@@ -87,6 +89,9 @@ Summary run_churn(MakeMap&& make, ChurnStats& stats) {
   return cachetrie::harness::measure(
       [&]() -> double {
         auto map = make();
+        const std::uint64_t lru0 = sites::cachetrie_evict_lru.total();
+        const std::uint64_t scans0 =
+            sites::cachetrie_evict_backpressure.total();
         std::atomic<std::size_t> running{kChurnThreads};
         const double ms = cachetrie::harness::time_ms([&] {
           std::vector<std::thread> writers;
@@ -107,9 +112,8 @@ Summary run_churn(MakeMap&& make, ChurnStats& stats) {
         });
         stats.hwm = std::max(stats.hwm, map.resident_bytes());
         stats.final_resident = map.resident_bytes();
-        const auto counts = map.eviction_counts();
-        stats.evictions = counts.lru_evictions;
-        stats.scans = counts.backpressure_scans;
+        stats.evictions = sites::cachetrie_evict_lru.total() - lru0;
+        stats.scans = sites::cachetrie_evict_backpressure.total() - scans0;
         return ms;
       },
       fig14_options());

@@ -22,6 +22,7 @@
 #include <memory>
 #include <new>
 
+#include "cachetrie/config.hpp"
 #include "cachetrie/nodes.hpp"
 #include "mr/node_pool.hpp"
 #include "util/padded.hpp"
@@ -29,9 +30,8 @@
 namespace cachetrie::detail {
 
 struct CacheArray {
-  std::uint32_t level;       // trie level covered (bits of hash consumed)
-  std::uint32_t miss_slots;  // padded per-thread miss counters
-  CacheArray* parent;        // next shallower cache level (may be null)
+  std::uint32_t level;  // trie level covered (bits of hash consumed)
+  CacheArray* parent;   // next shallower cache level (may be null)
 
   std::size_t entry_count() const noexcept { return std::size_t{1} << level; }
 
@@ -42,39 +42,37 @@ struct CacheArray {
 
   std::atomic<NodeBase*>* entries() noexcept {
     return reinterpret_cast<std::atomic<NodeBase*>*>(
-        reinterpret_cast<char*>(this) + entries_offset(miss_slots));
+        reinterpret_cast<char*>(this) + entries_offset());
   }
   const std::atomic<NodeBase*>* entries() const noexcept {
     return reinterpret_cast<const std::atomic<NodeBase*>*>(
-        reinterpret_cast<const char*>(this) + entries_offset(miss_slots));
+        reinterpret_cast<const char*>(this) + entries_offset());
   }
 
   std::size_t index_of(std::uint64_t hash) const noexcept {
     return hash & (entry_count() - 1);
   }
 
-  static std::size_t misses_offset() noexcept {
+  static constexpr std::size_t misses_offset() noexcept {
     // Counters are cache-line padded; start them on a line boundary.
     return (sizeof(CacheArray) + util::kCacheLineSize - 1) &
            ~(util::kCacheLineSize - 1);
   }
-  static std::size_t entries_offset(std::uint32_t miss_slots) noexcept {
-    return misses_offset() + miss_slots * sizeof(util::PaddedCounter);
+  static constexpr std::size_t entries_offset() noexcept {
+    return misses_offset() + kMissSlots * sizeof(util::PaddedCounter);
   }
-  static std::size_t alloc_size(std::uint32_t level,
-                                std::uint32_t miss_slots) noexcept {
-    return entries_offset(miss_slots) +
+  static std::size_t alloc_size(std::uint32_t level) noexcept {
+    return entries_offset() +
            (std::size_t{1} << level) * sizeof(std::atomic<NodeBase*>);
   }
 
-  static CacheArray* make(std::uint32_t level, std::uint32_t miss_slots,
-                          CacheArray* parent) {
+  static CacheArray* make(std::uint32_t level, CacheArray* parent) {
     assert(level >= 4 && level <= 30 && level % 4 == 0);
     // Arrays of 2 MiB or more land on their own huge-page mapping.
-    void* raw = mr::NodePool::allocate_array(alloc_size(level, miss_slots),
+    void* raw = mr::NodePool::allocate_array(alloc_size(level),
                                              util::kCacheLineSize);
-    auto* c = new (raw) CacheArray{level, miss_slots, parent};
-    for (std::uint32_t i = 0; i < miss_slots; ++i) {
+    auto* c = new (raw) CacheArray{level, parent};
+    for (std::uint32_t i = 0; i < kMissSlots; ++i) {
       std::construct_at(c->misses() + i);
     }
     const std::size_t n = c->entry_count();
@@ -95,7 +93,7 @@ struct CacheArray {
   }
 
   std::size_t footprint_bytes() const noexcept {
-    return alloc_size(level, miss_slots);
+    return alloc_size(level);
   }
 };
 

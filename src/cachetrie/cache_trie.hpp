@@ -25,7 +25,8 @@
 //     level, then to the root. Slow operations lazily inhabit the cache and
 //     count misses; after max_misses misses a thread samples random trie
 //     paths, estimates the key-depth distribution, and moves the cache to
-//     the most populated pair of adjacent levels.
+//     the most populated pair of adjacent levels (deeper only once that
+//     pair clearly beats the current one).
 //
 // Progress: lookup is wait-free (it never helps — special nodes carry enough
 // state to continue read-only); insert and remove are lock-free.
@@ -355,18 +356,6 @@ class CacheTrie {
     return b > 0 ? static_cast<std::size_t>(b) : 0;
   }
 
-  struct EvictionCounts {
-    std::uint64_t lru_evictions = 0;
-    std::uint64_t ttl_expiries = 0;
-    std::uint64_t backpressure_scans = 0;
-  };
-
-  EvictionCounts eviction_counts() const noexcept {
-    return {lru_evictions_.load(std::memory_order_relaxed),
-            ttl_expiries_.load(std::memory_order_relaxed),
-            backpressure_scans_.load(std::memory_order_relaxed)};
-  }
-
   /// Forcibly removes the pair through the eviction path. The removal is a
   /// linearizable remove — same two-CAS protocol, same linearization point —
   /// but its success is counted as an LRU eviction, not a user remove.
@@ -461,10 +450,8 @@ class CacheTrie {
 
   void note_eviction(bool expiry, std::uint64_t h, std::uint32_t lev) const {
     if (expiry) {
-      ttl_expiries_.fetch_add(1, std::memory_order_relaxed);
       obs::sites::cachetrie_evict_ttl.record(h, lev);
     } else {
-      lru_evictions_.fetch_add(1, std::memory_order_relaxed);
       obs::sites::cachetrie_evict_lru.record(h, lev);
     }
   }
@@ -513,7 +500,6 @@ class CacheTrie {
       }
       return;
     }
-    backpressure_scans_.fetch_add(1, std::memory_order_relaxed);
     obs::sites::cachetrie_evict_backpressure.record(resident,
                                                     config_.ceiling_bytes);
     hz.lru_floor = hz.now > w ? hz.now - w : hz.now;
@@ -1074,7 +1060,7 @@ class CacheTrie {
     // so for them every probing hash yields the same index.)
     if (cache_level == kNoCacheLevel) {
       // No cache yet: a sufficiently deep leaf triggers creation (Fig. 7).
-      if (sn != nullptr && leaf_lev >= config_.cache_init_trigger_level) {
+      if (sn != nullptr && leaf_lev >= kCacheInitTriggerLevel) {
         maybe_inhabit(sn, sn->hash, leaf_lev);
       }
       return;
@@ -1726,16 +1712,15 @@ class CacheTrie {
 
   /// Writes `nv` into the cache if the cache covers `node_level`, creating
   /// the cache at cache_init_level the first time a node at or below
-  /// cache_init_trigger_level shows up (Fig. 7).
+  /// kCacheInitTriggerLevel shows up (Fig. 7).
   void maybe_inhabit(NodeBase* nv, std::uint64_t h,
                      std::uint32_t node_level) const {
     if (!config_.use_cache) return;
     // [acquires: CT_CACHE_HEAD]
     CacheArray* cache = cache_head_.load(std::memory_order_acquire);
     if (cache == nullptr) {
-      if (node_level < config_.cache_init_trigger_level) return;
-      CacheArray* fresh = CacheArray::make(config_.cache_init_level,
-                                           config_.miss_slots, nullptr);
+      if (node_level < kCacheInitTriggerLevel) return;
+      CacheArray* fresh = CacheArray::make(config_.cache_init_level, nullptr);
       CacheArray* expected = nullptr;
       // [publishes: CT_CACHE_HEAD]
       if (cache_head_.compare_exchange_strong(expected, fresh,
@@ -1830,7 +1815,7 @@ class CacheTrie {
     if (cache == nullptr) return;
     obs::sites::cachetrie_cache_miss.add();
     auto& counter =
-        cache->misses()[util::current_thread_id() % cache->miss_slots].value;
+        cache->misses()[util::current_thread_id() % kMissSlots].value;
     const std::int64_t count = counter.load(std::memory_order_relaxed);
     if (count >= static_cast<std::int64_t>(config_.max_misses)) {
       counter.store(0, std::memory_order_relaxed);
@@ -1842,13 +1827,15 @@ class CacheTrie {
 
   /// Depth sampling (§3.6): descend random hash paths, histogram the leaf
   /// depths, and move the cache to the most populated pair of adjacent
-  /// levels. Neither the counting nor the sampling is linearizable — a race
-  /// can pick a stale level, which the next pass corrects.
+  /// levels; a deeper pair must beat the current level's pair by
+  /// kLevelHysteresis samples. Neither the counting nor the sampling is
+  /// linearizable — a race can pick a stale level, which the next pass
+  /// corrects.
   void sample_and_adjust(CacheArray* head) const {
     obs::sites::cachetrie_sampling_pass.add();
     std::array<std::uint32_t, 17> hist{};
     auto& rng = util::thread_rng();
-    for (std::uint32_t s = 0; s < config_.sample_size; ++s) {
+    for (std::uint32_t s = 0; s < kSampleSize; ++s) {
       const int lev = sample_path_leaf_level(rng.next());
       if (lev >= 0) {
         ++hist[static_cast<std::size_t>(lev) / 4];
@@ -1867,6 +1854,11 @@ class CacheTrie {
       }
     }
     if (best_count == 0) return;
+    const std::size_t cur_d = head->level / 4;
+    if (best_d > cur_d &&
+        best_count < hist[cur_d] + hist[cur_d + 1] + kLevelHysteresis) {
+      return;
+    }
     std::uint32_t desired = static_cast<std::uint32_t>(best_d) * 4;
     desired = std::max(desired, config_.min_cache_level);
     desired = std::min(desired, config_.max_cache_level);
@@ -1916,8 +1908,7 @@ class CacheTrie {
   void adjust_cache_level(CacheArray* head, std::uint32_t desired) const {
     if (head->level == desired) return;
     if (desired > head->level) {
-      CacheArray* fresh =
-          CacheArray::make(desired, config_.miss_slots, head);
+      CacheArray* fresh = CacheArray::make(desired, head);
       CacheArray* expected = head;
       if (cache_head_.compare_exchange_strong(expected, fresh,
                                               std::memory_order_acq_rel,
@@ -1933,8 +1924,7 @@ class CacheTrie {
     while (anc != nullptr && anc->level > desired) anc = anc->parent;
     CacheArray* fresh = (anc != nullptr && anc->level == desired)
                             ? anc
-                            : CacheArray::make(desired, config_.miss_slots,
-                                               anc);
+                            : CacheArray::make(desired, anc);
     CacheArray* expected = head;
     if (cache_head_.compare_exchange_strong(expected, fresh,
                                             std::memory_order_acq_rel,
@@ -2147,9 +2137,6 @@ class CacheTrie {
   mutable std::atomic<std::int64_t> resident_bytes_{0};
   std::atomic<std::uint64_t> evict_cursor_{0};
   std::atomic<std::uint64_t> lru_window_{1};
-  mutable std::atomic<std::uint64_t> lru_evictions_{0};
-  mutable std::atomic<std::uint64_t> ttl_expiries_{0};
-  mutable std::atomic<std::uint64_t> backpressure_scans_{0};
 };
 
 }  // namespace cachetrie

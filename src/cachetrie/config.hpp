@@ -15,6 +15,32 @@ namespace cachetrie {
 /// deterministic. A plain function pointer keeps Config trivially copyable.
 using TickFn = std::uint64_t (*)();
 
+/// Padded per-thread miss counters per cache array (§3.6: the paper's
+/// THROUGHPUT_FACTOR * #CPU).
+inline constexpr std::uint32_t kMissSlots = 16;
+
+/// The cache is first created when a slow operation encounters a node at
+/// this trie level or deeper (§3.5: "If the cachee level is 12, inhabit
+/// initializes the cache at level 8" — Config::cache_init_level).
+inline constexpr std::uint32_t kCacheInitTriggerLevel = 12;
+
+/// Random trie descents per sampling pass (§3.6: "The thread repeats this
+/// several times").
+inline constexpr std::uint32_t kSampleSize = 192;
+
+/// Samples by which a pass's best pair of adjacent levels must outscore the
+/// pair at the current cache level before the pass moves the cache deeper
+/// (ours, not the paper's: §3.6 always moves to the best pair). Where two
+/// pairs share the middle level and the outer levels are thinly populated,
+/// one pass in about a thousand draws (almost) no shallow leaf and picks
+/// the deeper pair by chance. Each such flip allocates a 16x larger array,
+/// and a remove that starts from it cannot compress the node it starts at,
+/// until a later pass moves back. With this margin a flip needs four more
+/// deep samples than shallow ones in one pass instead of one. Moves toward
+/// the root keep the paper's rule, so a trie that has emptied, whose passes
+/// find only a few leaves, still shrinks its cache.
+inline constexpr std::uint32_t kLevelHysteresis = 4;
+
 struct Config {
   /// Master switch for the auxiliary cache (§3.4). Off reproduces the
   /// paper's "w/o cache" variant used throughout the evaluation.
@@ -33,14 +59,7 @@ struct Config {
   /// pass (§3.6; "experimentally set to 2048" in the paper).
   std::uint32_t max_misses = 2048;
 
-  /// Number of padded per-thread miss counters (the paper's
-  /// THROUGHPUT_FACTOR * #CPU).
-  std::uint32_t miss_slots = 16;
-
-  /// The cache is first created when a slow operation encounters a node at
-  /// this trie level or deeper (§3.5: "If the cachee level is 12, inhabit
-  /// initializes the cache at level 8").
-  std::uint32_t cache_init_trigger_level = 12;
+  /// Level of the first cache array (§3.5; see kCacheInitTriggerLevel).
   std::uint32_t cache_init_level = 8;
 
   /// Bounds for the adaptive cache level. The lower bound keeps the cache
@@ -48,10 +67,6 @@ struct Config {
   /// cache array at 2^max_cache_level pointers.
   std::uint32_t min_cache_level = 8;
   std::uint32_t max_cache_level = 24;
-
-  /// Random trie descents per sampling pass (§3.6: "The thread repeats this
-  /// several times").
-  std::uint32_t sample_size = 192;
 
   // --- bounded-memory mode (DESIGN.md §3; evict.hpp wraps these) ------------
   // The mode is active iff ceiling_bytes != 0 or ttl_ticks != 0; otherwise

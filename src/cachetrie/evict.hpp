@@ -26,7 +26,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -60,23 +59,10 @@ inline void register_resident_gauge() {
   });
 }
 
-/// Env override for the ceiling: CACHETRIE_CACHE_CEILING_BYTES. Returns 0
-/// (unbounded) when unset or unparsable — same strtoull contract as the
-/// mr/ env knobs.
-inline std::size_t env_ceiling_bytes() {
-  const char* s = std::getenv("CACHETRIE_CACHE_CEILING_BYTES");
-  if (s == nullptr || *s == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s) return 0;
-  return static_cast<std::size_t>(v);
-}
-
-/// Knobs of the bounded mode. `ceiling_bytes == 0` defers to the env
-/// override; if that is unset too, no ceiling is enforced (TTL may still
-/// be). See Config for the trie-level fields these map onto.
+/// Knobs of the bounded mode. `ceiling_bytes == 0` enforces no ceiling
+/// (TTL may still be). See Config for the trie-level fields these map onto.
 struct BoundedConfig {
-  std::size_t ceiling_bytes = 0;      // 0 -> CACHETRIE_CACHE_CEILING_BYTES
+  std::size_t ceiling_bytes = 0;      // 0 -> unbounded
   std::uint64_t ttl_ticks = 0;        // 0 -> no TTL
   std::uint64_t lru_idle_ticks = 1024;
   std::uint32_t evict_probes = 8;
@@ -93,7 +79,6 @@ template <typename K, typename V, typename Hash = util::DefaultHash<K>,
 class BoundedCacheTrie {
  public:
   using Trie = CacheTrie<K, V, Hash, Reclaimer>;
-  using EvictionCounts = typename Trie::EvictionCounts;
 
   explicit BoundedCacheTrie(BoundedConfig cfg = {})
       : trie_(make_trie_config(cfg)) {
@@ -135,7 +120,6 @@ class BoundedCacheTrie {
 
   std::size_t footprint_bytes() const { return trie_.footprint_bytes(); }
   std::size_t resident_bytes() const { return trie_.resident_bytes(); }
-  EvictionCounts eviction_counts() const { return trie_.eviction_counts(); }
   std::uint64_t now_tick() const { return trie_.now_tick(); }
   std::size_t ceiling_bytes() const {
     return trie_.config().ceiling_bytes;
@@ -165,8 +149,7 @@ class BoundedCacheTrie {
  private:
   static Config make_trie_config(const BoundedConfig& cfg) {
     Config c = cfg.trie;
-    c.ceiling_bytes =
-        cfg.ceiling_bytes != 0 ? cfg.ceiling_bytes : env_ceiling_bytes();
+    c.ceiling_bytes = cfg.ceiling_bytes;
     c.ttl_ticks = cfg.ttl_ticks;
     c.lru_idle_ticks = cfg.lru_idle_ticks;
     c.evict_probes = cfg.evict_probes;
@@ -190,16 +173,9 @@ class BoundedChm {
  public:
   using Map = chm::ConcurrentHashMap<K, V, Hash, Reclaimer>;
 
-  struct EvictionCounts {
-    std::uint64_t lru_evictions = 0;
-    std::uint64_t ttl_expiries = 0;
-    std::uint64_t backpressure_scans = 0;
-  };
-
   explicit BoundedChm(BoundedConfig cfg = {})
       : cfg_(cfg),
-        ceiling_(cfg.ceiling_bytes != 0 ? cfg.ceiling_bytes
-                                        : env_ceiling_bytes()),
+        ceiling_(cfg.ceiling_bytes),
         lru_window_(cfg.lru_idle_ticks == 0 ? 1 : cfg.lru_idle_ticks) {
     register_resident_gauge();
   }
@@ -255,12 +231,6 @@ class BoundedChm {
     return map_.footprint_estimate_bytes();
   }
 
-  EvictionCounts eviction_counts() const {
-    return {lru_evictions_.load(std::memory_order_relaxed),
-            ttl_expiries_.load(std::memory_order_relaxed),
-            backpressure_scans_.load(std::memory_order_relaxed)};
-  }
-
   std::uint64_t now_tick() const {
     return cfg_.tick != nullptr ? cfg_.tick()
                                 : op_tick_.load(std::memory_order_relaxed);
@@ -292,7 +262,6 @@ class BoundedChm {
     const std::uint64_t floor = ttl_floor(now);
     if (floor == 0) return false;
     if (map_.remove_if_stale(key, floor)) {
-      ttl_expiries_.fetch_add(1, std::memory_order_relaxed);
       obs::sites::cachetrie_evict_ttl.add();
       return true;
     }
@@ -304,13 +273,11 @@ class BoundedChm {
   void maybe_backpressure(std::uint64_t now) {
     if (ceiling_ == 0) return;
     if (resident_bytes() <= ceiling_) return;
-    backpressure_scans_.fetch_add(1, std::memory_order_relaxed);
     obs::sites::cachetrie_evict_backpressure.add();
     const std::uint64_t w = lru_window_.load(std::memory_order_relaxed);
     const std::uint64_t floor = now > w ? now - w : now;
     const std::size_t evicted = map_.evict_stale(floor, cfg_.evict_probes);
     if (evicted != 0) {
-      lru_evictions_.fetch_add(evicted, std::memory_order_relaxed);
       obs::sites::cachetrie_evict_lru.add(evicted);
     } else if (w > 1) {
       // Fruitless scan: tighten the idle window so the next scan can bite.
@@ -323,9 +290,6 @@ class BoundedChm {
   Map map_;
   mutable std::atomic<std::uint64_t> op_tick_{0};
   std::atomic<std::uint64_t> lru_window_{1024};
-  mutable std::atomic<std::uint64_t> lru_evictions_{0};
-  mutable std::atomic<std::uint64_t> ttl_expiries_{0};
-  mutable std::atomic<std::uint64_t> backpressure_scans_{0};
 };
 
 }  // namespace cachetrie::evict

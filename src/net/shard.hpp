@@ -481,23 +481,17 @@ class Shard {
       }
       testkit::chaos_point("net.reply_enqueue");
       const std::uint64_t done = proto::now_us();
-      record_served(p, now, done, base_flags);
+      record_served(base_flags);
       send_reply(p.conn_id, p.req, st, value, base_flags, p.admit_us, done,
                  /*exec_end_us=*/done, /*exec_begin_us=*/now);
     }
   }
 
-  /// Bookkeeping shared by every served request (data or introspection):
-  /// counters plus the queue and execute metric stamps. `exec_begin` is the
-  /// dequeue-time clock read and `exec_end` the post-execution one — both
-  /// reused by the caller for the reply, so the phase partition is exact.
-  /// The PhaseLatency histograms are NOT fed here: they record at flush
-  /// time (stamp_flushed), over the flushed-reply population only.
-  void record_served(const Pending& p, std::uint64_t exec_begin,
-                     std::uint64_t exec_end, std::uint16_t base_flags) {
+  /// Counters shared by every served request (data or introspection). No
+  /// phase histogram is fed here: they all record at flush time
+  /// (stamp_flushed), over the flushed-reply population only.
+  void record_served(std::uint16_t base_flags) {
     obs::sites::net_request_served.add();
-    obs::sites::net_phase_queue_us.record(exec_begin - p.admit_us);
-    obs::sites::net_phase_execute_us.record(exec_end - exec_begin);
     stats_.served.fetch_add(1, std::memory_order_relaxed);
     if (base_flags != 0) {
       obs::sites::net_degraded_replies.add();
@@ -532,7 +526,7 @@ class Shard {
       }
       testkit::chaos_point("net.reply_enqueue");
       const std::uint64_t done = proto::now_us();
-      record_served(p, exec_begin, done, base_flags);
+      record_served(base_flags);
       send_stats_reply(p, os.str(), base_flags, exec_begin, done);
       return;
     }
@@ -560,7 +554,7 @@ class Shard {
     }
     testkit::chaos_point("net.reply_enqueue");
     const std::uint64_t done = proto::now_us();
-    record_served(p, exec_begin, done, base_flags);
+    record_served(base_flags);
     send_reply(p.conn_id, p.req, st, result, base_flags, p.admit_us, done,
                /*exec_end_us=*/done, exec_begin);
   }
@@ -682,11 +676,15 @@ class Shard {
     while (!c.marks.empty() && c.flushed_bytes >= c.marks.front().end_offset) {
       const ReplyMark& m = c.marks.front();
       obs::sites::net_req_flushed.record(c.id, m.request_id);
+      const std::uint64_t queue_us = m.exec_begin_us - m.admit_us;
+      const std::uint64_t execute_us = m.exec_end_us - m.exec_begin_us;
       const std::uint64_t flush_us =
           now >= m.exec_end_us ? now - m.exec_end_us : 0;
+      obs::sites::net_phase_queue_us.record(queue_us);
+      obs::sites::net_phase_execute_us.record(execute_us);
       obs::sites::net_phase_flush_us.record(flush_us);
-      phase_.queue.record(m.exec_begin_us - m.admit_us);
-      phase_.execute.record(m.exec_end_us - m.exec_begin_us);
+      phase_.queue.record(queue_us);
+      phase_.execute.record(execute_us);
       phase_.flush.record(flush_us);
       phase_.total.record(now >= m.admit_us ? now - m.admit_us : 0);
       c.marks.pop_front();

@@ -155,7 +155,7 @@ class IntervalDiffer {
       double prev_p50 = 0.0;
       double prev_p99 = 0.0;
       if (before != nullptr && h.count >= before->count) {
-        for (std::size_t b = 0; b < kHistBuckets; ++b) {
+        for (std::size_t b = 0; b < h.buckets.size(); ++b) {
           // Per-bucket clamp: concurrent recording means bucket deltas can
           // individually dip negative even when the totals are monotone.
           interval.buckets[b] =

@@ -1,18 +1,18 @@
-// latency.hpp — per-operation latency histogram for tail percentiles.
+// latency.hpp — the histogram geometry of obs/, and a per-operation latency
+// histogram built on it.
 //
-// The obs::Histogram of metrics.hpp is built for concurrent recording of
-// small discrete values (depths, level counts): exact below 16, then one
-// bucket per power of two — a p99 at 2^17 ns could be anywhere in a 2x
-// range. Tail latencies need finer resolution but not concurrency (the
-// harness records from the measuring thread): this histogram is the
-// classic HdrHistogram-lite layout — exact unit buckets below 32, then 16
-// linear sub-buckets per power of two, bounding relative error by 1/16
-// (~6%) at every magnitude up to 2^64. Quantiles interpolate linearly
-// within the landing bucket, the same fix metrics.hpp's
-// Snapshot::Histogram::quantile applies to its coarser geometry.
+// One geometry serves every histogram in the repo, the registry's striped
+// obs::Histogram (metrics.hpp) included: the classic HdrHistogram-lite
+// layout — exact unit buckets below 32, then 16 linear sub-buckets per
+// power of two, bounding relative error by 1/16 (~6%) at every magnitude
+// up to 2^64. Small discrete values (trie depths, level counts) stay
+// exact; tail latencies get fine resolution. Counts is the plain bucket
+// array plus count and sum, with the one quantile walk: LatencyHistogram
+// records into one, and a registry snapshot's Snapshot::Histogram is one.
 //
-// Plain (non-atomic) counters: one recorder per instance; merge() combines
-// per-pass or per-thread instances losslessly (bucket-wise addition).
+// LatencyHistogram has plain (non-atomic) counters: one recorder per
+// instance; merge() combines per-pass or per-thread instances losslessly
+// (bucket-wise addition).
 #pragma once
 
 #include <array>
@@ -49,63 +49,87 @@ class LatencyHistogram {
     return b < 32 ? 1 : (std::uint64_t{1} << (b / 16 - 1));
   }
 
+  /// Bucket counts in this geometry, with their count and sum.
+  struct Counts {
+    std::array<std::uint64_t, kBuckets> buckets{};
+    std::uint64_t count = 0;  // == sum of buckets, unless a delta clamped one
+    std::uint64_t sum = 0;
+
+    double mean() const noexcept {
+      return count == 0 ? 0.0
+                        : static_cast<double>(sum) /
+                              static_cast<double>(count);
+    }
+
+    /// p-quantile (p in [0,1]) with linear interpolation inside the
+    /// landing bucket — exact for values < 32, within bucket-width/count
+    /// above.
+    double quantile(double p) const noexcept {
+      if (count == 0) return 0.0;
+      double target = p * static_cast<double>(count);
+      if (target > static_cast<double>(count)) {
+        target = static_cast<double>(count);
+      }
+      std::uint64_t cum = 0;
+      std::size_t last = 0;
+      for (std::size_t b = 0; b < kBuckets; ++b) {
+        if (buckets[b] == 0) continue;
+        if (static_cast<double>(cum + buckets[b]) >= target) {
+          double frac = (target - static_cast<double>(cum)) /
+                        static_cast<double>(buckets[b]);
+          if (frac < 0.0) frac = 0.0;
+          return static_cast<double>(lower_of(b)) +
+                 static_cast<double>(width_of(b) - 1) * frac;
+        }
+        cum += buckets[b];
+        last = b;
+      }
+      // count exceeds the bucket total: an interval delta whose buckets
+      // were clamped at zero. Report the top of the highest bucket.
+      return static_cast<double>(lower_of(last) + (width_of(last) - 1));
+    }
+
+    /// Fraction of recorded values <= v (resolution: bucket boundaries;
+    /// exact for v < 32 thanks to the unit buckets).
+    double fraction_at_most(std::uint64_t v) const noexcept {
+      if (count == 0) return 0.0;
+      std::uint64_t cum = 0;
+      for (std::size_t b = 0; b <= index_of(v); ++b) cum += buckets[b];
+      return static_cast<double>(cum) / static_cast<double>(count);
+    }
+
+    /// Bucket-wise addition: per-pass, per-thread, per-stripe and per-run
+    /// counts combine losslessly.
+    void merge(const Counts& other) noexcept {
+      for (std::size_t b = 0; b < kBuckets; ++b) {
+        buckets[b] += other.buckets[b];
+      }
+      count += other.count;
+      sum += other.sum;
+    }
+  };
+
   void record(std::uint64_t v) noexcept {
-    ++buckets_[index_of(v)];
-    ++count_;
-    sum_ += v;
+    ++counts_.buckets[index_of(v)];
+    ++counts_.count;
+    counts_.sum += v;
     if (v > max_) max_ = v;
   }
 
-  std::uint64_t count() const noexcept { return count_; }
+  std::uint64_t count() const noexcept { return counts_.count; }
   std::uint64_t max_value() const noexcept { return max_; }
+  double mean() const noexcept { return counts_.mean(); }
+  double quantile(double p) const noexcept { return counts_.quantile(p); }
 
-  double mean() const noexcept {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) /
-                             static_cast<double>(count_);
-  }
-
-  /// p-quantile (p in [0,1]) with linear interpolation inside the landing
-  /// bucket — exact for values < 32, within bucket-width/count above.
-  double quantile(double p) const noexcept {
-    if (count_ == 0) return 0.0;
-    double target = p * static_cast<double>(count_);
-    if (target > static_cast<double>(count_)) {
-      target = static_cast<double>(count_);
-    }
-    std::uint64_t cum = 0;
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      if (buckets_[b] == 0) continue;
-      if (static_cast<double>(cum + buckets_[b]) >= target) {
-        double frac =
-            (target - static_cast<double>(cum)) /
-            static_cast<double>(buckets_[b]);
-        if (frac < 0.0) frac = 0.0;
-        return static_cast<double>(lower_of(b)) +
-               static_cast<double>(width_of(b) - 1) * frac;
-      }
-      cum += buckets_[b];
-    }
-    return static_cast<double>(max_);
-  }
-
-  /// Bucket-wise addition (per-pass / per-thread instances combine
-  /// losslessly, like Snapshot::Histogram::merge).
   void merge(const LatencyHistogram& other) noexcept {
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      buckets_[b] += other.buckets_[b];
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
+    counts_.merge(other.counts_);
     if (other.max_ > max_) max_ = other.max_;
   }
 
   void reset() noexcept { *this = LatencyHistogram{}; }
 
  private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
+  Counts counts_;
   std::uint64_t max_ = 0;
 };
 

@@ -16,11 +16,13 @@
 //                 overflow. Totals are exact after quiescence and monotone
 //                 at all times (each cell is monotone, and repeated relaxed
 //                 loads of one atomic respect its modification order).
-//   * Histogram — mergeable bucketed distribution: exact unit buckets for
-//                 values < 16 (depths, level counts) and log2 buckets
-//                 above (latencies, byte sizes). Striped like Counter;
-//                 merging is bucket-wise addition, so per-stripe, per-run
-//                 and per-machine histograms all combine losslessly.
+//   * Histogram — mergeable bucketed distribution in LatencyHistogram's
+//                 geometry (latency.hpp): exact unit buckets for values
+//                 < 32 (depths, level counts), then 16 sub-buckets per
+//                 power of two (latencies, byte sizes). Striped like
+//                 Counter; merging is bucket-wise addition, so per-stripe,
+//                 per-run and per-machine histograms all combine
+//                 losslessly.
 //   * Gauge     — a settable level, plus registered *callback* gauges that
 //                 sample an external source at snapshot time (used to fold
 //                 the mr/ epoch-limbo and stall counters into snapshots
@@ -57,37 +59,10 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/latency.hpp"
 #include "util/padded.hpp"
 
 namespace cachetrie::obs {
-
-// --- bucket geometry (unconditional: unit below 16, log2 above) -----------
-
-/// Unit buckets 0..15 hold exact small values (trie depths, dereference
-/// counts); bucket 16 + k holds [2^(4+k), 2^(5+k)). The last bucket tops
-/// out at 2^64 - 1.
-inline constexpr std::size_t kHistBuckets = 76;
-
-constexpr std::size_t bucket_index(std::uint64_t v) noexcept {
-  return v < 16 ? static_cast<std::size_t>(v)
-                : 11 + static_cast<std::size_t>(std::bit_width(v));
-}
-
-constexpr std::uint64_t bucket_lower_bound(std::size_t b) noexcept {
-  return b < 16 ? b : (std::uint64_t{1} << (b - 12));
-}
-
-constexpr std::uint64_t bucket_upper_bound(std::size_t b) noexcept {
-  if (b < 16) return b;
-  if (b >= kHistBuckets - 1) return ~std::uint64_t{0};
-  return (std::uint64_t{1} << (b - 11)) - 1;
-}
-
-static_assert(bucket_index(0) == 0 && bucket_index(15) == 15);
-static_assert(bucket_index(16) == 16 && bucket_index(31) == 16);
-static_assert(bucket_index(32) == 17);
-static_assert(bucket_index(~std::uint64_t{0}) == kHistBuckets - 1);
-static_assert(bucket_lower_bound(16) == 16 && bucket_upper_bound(16) == 31);
 
 // --- snapshot (unconditional plain data) -----------------------------------
 
@@ -102,79 +77,10 @@ struct Snapshot {
     std::string name;
     std::int64_t value = 0;
   };
-  struct Histogram {
+  /// Bucket counts in LatencyHistogram's geometry (mean, quantile,
+  /// fraction_at_most and merge come from there) under a metric name.
+  struct Histogram : LatencyHistogram::Counts {
     std::string name;
-    std::array<std::uint64_t, kHistBuckets> buckets{};
-    std::uint64_t count = 0;  // == sum of buckets
-    std::uint64_t sum = 0;
-
-    double mean() const noexcept {
-      return count == 0 ? 0.0
-                        : static_cast<double>(sum) / static_cast<double>(count);
-    }
-
-    /// Upper bound of the bucket containing the p-quantile (p in [0,1]).
-    std::uint64_t quantile_upper_bound(double p) const noexcept {
-      if (count == 0) return 0;
-      const double target = p * static_cast<double>(count);
-      std::uint64_t cum = 0;
-      for (std::size_t b = 0; b < kHistBuckets; ++b) {
-        cum += buckets[b];
-        if (static_cast<double>(cum) >= target && cum > 0) {
-          return bucket_upper_bound(b);
-        }
-      }
-      return bucket_upper_bound(kHistBuckets - 1);
-    }
-
-    /// p-quantile with linear interpolation inside the landing bucket.
-    /// quantile_upper_bound is exact for the unit range but a log2 bucket
-    /// spans a 2x range — at high buckets the upper bound alone overstates
-    /// a mid-bucket quantile by up to 2x. Assuming in-bucket uniformity
-    /// and interpolating bounds the error by the in-bucket mass instead.
-    /// Unit buckets still return their exact value.
-    double quantile(double p) const noexcept {
-      if (count == 0) return 0.0;
-      double target = p * static_cast<double>(count);
-      if (target > static_cast<double>(count)) {
-        target = static_cast<double>(count);
-      }
-      std::uint64_t cum = 0;
-      for (std::size_t b = 0; b < kHistBuckets; ++b) {
-        if (buckets[b] == 0) continue;
-        if (static_cast<double>(cum + buckets[b]) >= target) {
-          const std::uint64_t lo = bucket_lower_bound(b);
-          const std::uint64_t hi = bucket_upper_bound(b);
-          if (hi == lo) return static_cast<double>(lo);  // unit bucket
-          double frac = (target - static_cast<double>(cum)) /
-                        static_cast<double>(buckets[b]);
-          if (frac < 0.0) frac = 0.0;
-          return static_cast<double>(lo) +
-                 static_cast<double>(hi - lo) * frac;
-        }
-        cum += buckets[b];
-      }
-      return static_cast<double>(bucket_upper_bound(kHistBuckets - 1));
-    }
-
-    /// Fraction of recorded values <= v (resolution: bucket boundaries;
-    /// exact for v < 16 thanks to the unit buckets).
-    double fraction_at_most(std::uint64_t v) const noexcept {
-      if (count == 0) return 0.0;
-      std::uint64_t cum = 0;
-      for (std::size_t b = 0; b <= bucket_index(v); ++b) cum += buckets[b];
-      return static_cast<double>(cum) / static_cast<double>(count);
-    }
-
-    /// Bucket-wise addition — the merge operation that makes per-stripe,
-    /// per-thread and per-run histograms combine losslessly.
-    void merge(const Histogram& other) noexcept {
-      for (std::size_t b = 0; b < kHistBuckets; ++b) {
-        buckets[b] += other.buckets[b];
-      }
-      count += other.count;
-      sum += other.sum;
-    }
   };
 
   std::vector<Counter> counters;
@@ -243,10 +149,9 @@ static_assert(std::is_empty_v<NullCounter> && std::is_empty_v<NullHistogram> &&
 inline constexpr bool kMetricsCompiled = true;
 
 namespace detail {
-
-/// Stripe count: power of two, sized like Config::miss_slots (the paper's
-/// THROUGHPUT_FACTOR * #CPU miss array, §3.6) — enough that concurrent
-/// recorders rarely collide, small enough to sum cheaply.
+/// Stripe count: power of two, sized like kMissSlots in config.hpp (the
+/// paper's THROUGHPUT_FACTOR * #CPU miss array, §3.6) — enough that
+/// concurrent recorders rarely collide, small enough to sum cheaply.
 inline constexpr std::size_t kStripes = 16;
 
 // --- stripe ownership ------------------------------------------------------
@@ -332,7 +237,7 @@ struct CounterCells {
 };
 
 struct alignas(util::kCacheLineSize) HistStripe {
-  std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
+  std::array<std::atomic<std::uint64_t>, LatencyHistogram::kBuckets> buckets{};
   std::atomic<std::uint64_t> sum{0};
 };
 
@@ -402,14 +307,15 @@ class Counter {
   detail::CounterCells* cells_;
 };
 
-/// Striped unit/log2 histogram (see bucket geometry above).
+/// Striped histogram in LatencyHistogram's bucket geometry.
 class Histogram {
  public:
   explicit Histogram(const char* name);
 
   void record(std::uint64_t v) noexcept {
     auto& s = cells_->stripes[detail::rmw_stripe()];
-    s.buckets[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
+    s.buckets[LatencyHistogram::index_of(v)].fetch_add(
+        1, std::memory_order_relaxed);
     s.sum.fetch_add(v, std::memory_order_relaxed);
   }
 
@@ -486,7 +392,7 @@ class Registry {
       Snapshot::Histogram h;
       h.name = name;
       for (const auto& stripe : cells->stripes) {
-        for (std::size_t b = 0; b < kHistBuckets; ++b) {
+        for (std::size_t b = 0; b < h.buckets.size(); ++b) {
           const std::uint64_t n =
               stripe.buckets[b].load(std::memory_order_relaxed);
           h.buckets[b] += n;
@@ -602,7 +508,7 @@ inline void json_escape(std::ostream& os, std::string_view s) {
 }  // namespace detail_emit
 
 /// Machine-readable form: counters/gauges as name -> value maps; histograms
-/// as sparse [bucket_lower_bound, count] pairs plus count/sum.
+/// as sparse [bucket lower bound, count] pairs plus count/sum.
 inline void Snapshot::write_json(std::ostream& os) const {
   os << "{\"counters\":{";
   for (std::size_t i = 0; i < counters.size(); ++i) {
@@ -627,11 +533,11 @@ inline void Snapshot::write_json(std::ostream& os) const {
     os << "\":{\"count\":" << h.count << ",\"sum\":" << h.sum
        << ",\"buckets\":[";
     bool first = true;
-    for (std::size_t b = 0; b < kHistBuckets; ++b) {
+    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
       if (h.buckets[b] == 0) continue;
       if (!first) os << ",";
       first = false;
-      os << "[" << bucket_lower_bound(b) << "," << h.buckets[b] << "]";
+      os << "[" << LatencyHistogram::lower_of(b) << "," << h.buckets[b] << "]";
     }
     os << "]}";
   }

@@ -207,10 +207,10 @@
      them per request. The three phase histograms partition a served         \
      request's shard-side lifetime exactly: queue (admission -> dequeue),    \
      execute (map operation), flush (reply bytes accepted by the kernel).    \
-     Coarse log2 buckets: the fine-grained per-shard view is the             \
-     obs::LatencyHistogram set in net/shard.hpp; these exist so a kStats     \
-     poll (and any snapshot) can see the decomposition. introspect.ops:      \
-     kStats/kTraceCtl requests served. --- */                                \
+     They record in stamp_flushed from the same stamps, in the same          \
+     geometry, as the per-shard net::PhaseLatency set, so a kStats poll      \
+     (and any snapshot) describes the requests fig15 reports.                \
+     introspect.ops: kStats/kTraceCtl requests served. --- */                \
   X(net_req_parsed, NoMetric, nullptr,                                       \
     instant, kNetReqParsed, "net.req.parsed", "net")                         \
   X(net_req_admitted, NoMetric, nullptr,                                     \

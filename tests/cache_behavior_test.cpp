@@ -10,6 +10,7 @@
 #include "harness/workload.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sites.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -32,7 +33,7 @@ Config sampling_config() {
 
 TEST(CacheBehavior, NoCacheWhileTrieIsShallow) {
   // The cache is created only once some key reaches
-  // cache_init_trigger_level (12). Grow the trie key by key and check the
+  // kCacheInitTriggerLevel (12). Grow the trie key by key and check the
   // cache appears exactly when the histogram says depth >= 3 exists.
   Trie trie{sampling_config()};
   for (std::uint64_t k = 0; k < 3000; ++k) {
@@ -123,6 +124,41 @@ TEST(CacheBehavior, CacheLevelShrinksWhenPopulationShrinks) {
   // Lookups remain exact across the shrink.
   for (std::size_t i = 0; i < small.size(); i += 17) {
     ASSERT_EQ(trie.lookup(small[i]).value(), small[i]);
+  }
+}
+
+TEST(CacheBehavior, SteadyChurnKeepsItsCacheLevel) {
+  // Lookups, inserts and removes over 2^14 keys at ~50% occupancy leave
+  // most leaves at level 16, some at 12 and some at 20, so the pairs
+  // (12,16) and (16,20) share the middle level and a pass that draws
+  // almost no level-12 leaf prefers (16,20) by chance. kLevelHysteresis
+  // keeps such a pass from moving the cache: once settled, the level holds
+  // through thousands of passes.
+  Config cfg = sampling_config();
+  cfg.max_misses = 16;
+  Trie trie{cfg};
+  const auto keys = cachetrie::harness::random_keys(1u << 14, 3);
+  for (std::size_t i = 0; i < keys.size() / 2; ++i) trie.insert(keys[i], i);
+  cachetrie::util::XorShift64Star rng{7};
+  const auto churn = [&] {
+    const std::uint64_t r = rng.next();
+    const std::uint64_t k = keys[r & (keys.size() - 1)];
+    switch ((r >> 32) % 4) {
+      case 0: trie.insert(k, r); break;
+      case 1: (void)trie.remove(k); break;
+      default: (void)trie.lookup(k);
+    }
+  };
+  for (int i = 0; i < 200000; ++i) churn();
+  const auto level = trie.cache_level();
+  ASSERT_GE(level, 8);
+  const auto passes0 = sites::cachetrie_sampling_pass.total();
+  for (int i = 0; i < 2000000; ++i) {
+    churn();
+    ASSERT_EQ(trie.cache_level(), level) << "moved after " << i << " ops";
+  }
+  if (kCounted) {
+    EXPECT_GE(sites::cachetrie_sampling_pass.total() - passes0, 1000u);
   }
 }
 
@@ -265,7 +301,7 @@ TEST(CacheBehaviorTelemetry, SampledDepthAtMostTwoAfterCacheGrowth) {
   // true <=2 fraction is ~0.95, putting the 0.9 threshold several binomial
   // standard deviations away.
   cachetrie::obs::Snapshot::Histogram delta = *h1;
-  for (std::size_t b = 0; b < cachetrie::obs::kHistBuckets; ++b) {
+  for (std::size_t b = 0; b < delta.buckets.size(); ++b) {
     delta.buckets[b] -= h0->buckets[b];
   }
   delta.count -= h0->count;

@@ -25,6 +25,8 @@
 
 #include "cachetrie/evict.hpp"
 #include "mr/epoch.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sites.hpp"
 #include "testkit/chaos.hpp"
 #include "testkit/fault.hpp"
 #include "testkit/watchdog.hpp"
@@ -33,11 +35,17 @@ namespace {
 
 namespace tk = cachetrie::testkit;
 namespace fault = cachetrie::testkit::fault;
+namespace sites = cachetrie::obs::sites;
 using cachetrie::mr::EpochDomain;
 using namespace std::chrono_literals;
 
 using Bounded =
     cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
+
+// Eviction counts are deltas of the registry's cachetrie.evict.* site
+// counters. With metrics compiled out every counter reads 0, so those
+// checks run only when kCounted.
+constexpr bool kCounted = cachetrie::obs::kMetricsCompiled;
 
 cachetrie::evict::BoundedConfig ceiling_config(std::size_t ceiling) {
   cachetrie::evict::BoundedConfig cfg;
@@ -64,6 +72,8 @@ TEST(EvictionFault, DeadEvictorCeilingHolds) {
   fault::install(fault::Plan(21).die("cachetrie.evict_scan", /*thread=*/0));
 
   Bounded trie(ceiling_config(kCeiling));
+  const std::uint64_t lru0 = sites::cachetrie_evict_lru.total();
+  const std::uint64_t scans0 = sites::cachetrie_evict_backpressure.total();
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> survivor_ops{0};
   std::atomic<bool> victim_killed{false};
@@ -118,16 +128,20 @@ TEST(EvictionFault, DeadEvictorCeilingHolds) {
   stop.store(true, std::memory_order_release);
   for (auto& c : churners) c.join();
 
-  const auto counts = trie.eviction_counts();
+  const std::uint64_t lru = sites::cachetrie_evict_lru.total() - lru0;
+  const std::uint64_t scans =
+      sites::cachetrie_evict_backpressure.total() - scans0;
   const std::uint64_t ops = survivor_ops.load(std::memory_order_relaxed);
   // (a) The ceiling held as observed footprint: the high-water mark stays
   // within the cap plus a slack of in-flight per-writer overshoot.
   EXPECT_LT(hwm, kCeiling + kCeiling / 2)
       << "resident bytes escaped the ceiling with the evictor dead "
-      << "(ops=" << ops << ", scans=" << counts.backpressure_scans << ")";
+      << "(ops=" << ops << ", scans=" << scans << ")";
   // (b) Enforcement really ran, from the surviving writers.
-  EXPECT_GT(counts.backpressure_scans, 0u);
-  EXPECT_GT(counts.lru_evictions, 0u);
+  if (kCounted) {
+    EXPECT_GT(scans, 0u);
+    EXPECT_GT(lru, 0u);
+  }
   // (c) Lock-freedom held: survivors completed work in every tick.
   EXPECT_GE(watchdog.ticks(), 4u);
   EXPECT_EQ(watchdog.violations(), 0u)
@@ -190,6 +204,7 @@ TEST(EvictionFault, EvictRacingRemoveHasOneWinner) {
   cachetrie::evict::BoundedConfig cfg;
   cfg.ttl_ticks = 1ull << 40;  // bounded mode on, horizons inert
   Bounded trie(cfg);
+  const std::uint64_t lru0 = sites::cachetrie_evict_lru.total();
 
   tk::chaos::set_global_seed(34);
   tk::chaos::enable(true);
@@ -215,8 +230,10 @@ TEST(EvictionFault, EvictRacingRemoveHasOneWinner) {
     fault::clear();
     victim.join();
     EXPECT_EQ(evicted, std::nullopt);
-    EXPECT_EQ(trie.eviction_counts().lru_evictions, 0u)
-        << "a failed eviction must not count";
+    if (kCounted) {
+      EXPECT_EQ(sites::cachetrie_evict_lru.total() - lru0, 0u)
+          << "a failed eviction must not count";
+    }
   }
 
   {  // remove stalls, evict wins
@@ -240,7 +257,9 @@ TEST(EvictionFault, EvictRacingRemoveHasOneWinner) {
     fault::clear();
     victim.join();
     EXPECT_EQ(removed, std::nullopt);
-    EXPECT_EQ(trie.eviction_counts().lru_evictions, 1u);
+    if (kCounted) {
+      EXPECT_EQ(sites::cachetrie_evict_lru.total() - lru0, 1u);
+    }
   }
   tk::chaos::enable(false);
 }
@@ -262,6 +281,7 @@ TEST(EvictionFault, StallStormLeavesStructureValidAndLedgerExact) {
                                          /*n_victims=*/4, 1us, 200us));
 
   Bounded trie(ceiling_config(128u << 10));
+  const std::uint64_t lru0 = sites::cachetrie_evict_lru.total();
   std::vector<std::thread> workers;
   for (std::uint64_t t = 0; t < 4; ++t) {
     workers.emplace_back([&, t] {
@@ -289,7 +309,9 @@ TEST(EvictionFault, StallStormLeavesStructureValidAndLedgerExact) {
   EXPECT_EQ(trie.resident_bytes(),
             trie.footprint_bytes() - sizeof(Bounded::Trie))
       << "byte ledger diverged from the live structure";
-  EXPECT_GT(trie.eviction_counts().lru_evictions, 0u);
+  if (kCounted) {
+    EXPECT_GT(sites::cachetrie_evict_lru.total() - lru0, 0u);
+  }
 }
 
 }  // namespace

@@ -33,10 +33,13 @@
 #include <optional>
 
 #include "cachetrie/evict.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sites.hpp"
 #include "testkit/chaos.hpp"
 #include "testkit/driver.hpp"
 
 namespace tk = cachetrie::testkit;
+namespace sites = cachetrie::obs::sites;
 
 static_assert(tk::kChaosCompiled,
               "eviction_lin_test must build with CACHETRIE_TESTKIT=1");
@@ -63,8 +66,10 @@ constexpr std::uint64_t kTtl = 1000;
 constexpr std::uint64_t kNow = 1u << 20;  // ttl_floor = kNow - kTtl
 constexpr std::uint64_t kBallastBase = 1u << 16;  // disjoint from checker keys
 
-std::atomic<std::uint64_t> g_evict_successes{0};
-std::atomic<std::uint64_t> g_ttl_expiries{0};
+// Eviction counts are registry counter deltas taken around a sweep; with
+// metrics compiled out every counter reads 0, so those checks run only
+// when kCounted.
+constexpr bool kCounted = cachetrie::obs::kMetricsCompiled;
 
 /// Test fake over the BoundedCacheTrie facade. remove() alternates (per
 /// thread) between user remove(k) and forced evict(k): both are
@@ -86,12 +91,6 @@ class BoundedTrieAdapter {
       }
     }
     g_clock.store(kNow, std::memory_order_relaxed);
-  }
-
-  ~BoundedTrieAdapter() {
-    const auto c = map_.eviction_counts();
-    g_evict_successes.fetch_add(c.lru_evictions, std::memory_order_relaxed);
-    g_ttl_expiries.fetch_add(c.ttl_expiries, std::memory_order_relaxed);
   }
 
   bool insert(std::uint64_t k, std::uint64_t v) { return map_.insert(k, v); }
@@ -150,7 +149,7 @@ cachetrie::evict::BoundedConfig inert_bounded_config() {
 
 TEST(EvictionLinSweep, EvictApiRacesUserOps) {
   tk::chaos::reset_counters();
-  g_evict_successes.store(0, std::memory_order_relaxed);
+  const std::uint64_t lru0 = sites::cachetrie_evict_lru.total();
   sweep(
       [] {
         return std::make_unique<BoundedTrieAdapter>(inert_bounded_config(),
@@ -159,7 +158,9 @@ TEST(EvictionLinSweep, EvictApiRacesUserOps) {
       "bounded cache-trie (evict vs user ops)");
   // The alternation actually exercised the eviction-counted remove path
   // and the perturbation reached the txn decision windows.
-  EXPECT_GT(g_evict_successes.load(std::memory_order_relaxed), 0u);
+  if (kCounted) {
+    EXPECT_GT(sites::cachetrie_evict_lru.total() - lru0, 0u);
+  }
   EXPECT_GT(tk::chaos::site_hits("cachetrie.txn_announce"), 0u);
   EXPECT_GT(tk::chaos::totals().yields, 0u);
 }
@@ -170,7 +171,7 @@ TEST(EvictionLinSweep, CorpseEvictionUnderneathLiveKeys) {
   cfg.ceiling_bytes = 0;
   cfg.tick = &test_clock;
   tk::chaos::reset_counters();
-  g_ttl_expiries.store(0, std::memory_order_relaxed);
+  const std::uint64_t ttl0 = sites::cachetrie_evict_ttl.total();
   sweep(
       [cfg] {
         return std::make_unique<BoundedTrieAdapter>(cfg,
@@ -180,7 +181,9 @@ TEST(EvictionLinSweep, CorpseEvictionUnderneathLiveKeys) {
   // The lazy-eviction CAS path (announce on the corpse's txn word) really
   // fired under perturbation, and corpses were counted as TTL expiries.
   EXPECT_GT(tk::chaos::site_hits("cachetrie.evict_announce"), 0u);
-  EXPECT_GT(g_ttl_expiries.load(std::memory_order_relaxed), 0u);
+  if (kCounted) {
+    EXPECT_GT(sites::cachetrie_evict_ttl.total() - ttl0, 0u);
+  }
 }
 
 TEST(EvictionLinSweep, BoundedChmInertHorizons) {

@@ -1,5 +1,6 @@
 // metrics_test.cpp — unit tests of the obs/ observability substrate:
-// bucket geometry, striped counter/histogram exactness under concurrency,
+// striped counter/histogram exactness under concurrency, quantiles that
+// match LatencyHistogram's (whose geometry latency_test checks),
 // snapshot-vs-reset semantics, and the static zero-size guarantee the OFF
 // configuration relies on.
 #include "obs/metrics.hpp"
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/interval.hpp"
+#include "obs/latency.hpp"
 
 #include <atomic>
 #include <sstream>
@@ -14,41 +16,9 @@
 #include <vector>
 
 namespace obs = cachetrie::obs;
+using obs::LatencyHistogram;
 
 namespace {
-
-// --- bucket geometry (compile-time + runtime spot checks) ------------------
-
-// The static_asserts in metrics.hpp already pin the corners; these pin the
-// general shape so a bucket-math refactor cannot silently shift boundaries.
-static_assert(obs::bucket_index(1) == 1);
-static_assert(obs::bucket_index(15) == 15);
-static_assert(obs::bucket_index(16) == 16);
-static_assert(obs::bucket_index(17) == 16);
-static_assert(obs::bucket_index(63) == 17);
-static_assert(obs::bucket_index(64) == 18);
-static_assert(obs::bucket_lower_bound(17) == 32);
-static_assert(obs::bucket_upper_bound(17) == 63);
-
-TEST(MetricsBuckets, UnitBucketsAreExactBelow16) {
-  for (std::uint64_t v = 0; v < 16; ++v) {
-    EXPECT_EQ(obs::bucket_index(v), v);
-    EXPECT_EQ(obs::bucket_lower_bound(v), v);
-    EXPECT_EQ(obs::bucket_upper_bound(v), v);
-  }
-}
-
-TEST(MetricsBuckets, Log2BucketsPartitionTheRange) {
-  // Every bucket's lower bound maps back into that bucket, every upper
-  // bound too, and bucket b+1 starts exactly after bucket b ends.
-  for (std::size_t b = 16; b + 1 < obs::kHistBuckets; ++b) {
-    EXPECT_EQ(obs::bucket_index(obs::bucket_lower_bound(b)), b);
-    EXPECT_EQ(obs::bucket_index(obs::bucket_upper_bound(b)), b);
-    EXPECT_EQ(obs::bucket_lower_bound(b + 1),
-              obs::bucket_upper_bound(b) + 1);
-  }
-  EXPECT_EQ(obs::bucket_index(~std::uint64_t{0}), obs::kHistBuckets - 1);
-}
 
 // --- OFF configuration: zero-size, constexpr no-op handles -----------------
 
@@ -229,7 +199,7 @@ TEST_F(MetricsTest, HistogramConcurrentRecordingLosesNothing) {
   for (int t = 0; t < kThreads; ++t) {
     team.emplace_back([&h, t] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        h.record((i + static_cast<std::uint64_t>(t)) % 40);  // unit + log2
+        h.record((i + static_cast<std::uint64_t>(t)) % 40);  // unit + sub
       }
     });
   }
@@ -264,27 +234,15 @@ TEST_F(MetricsTest, SnapshotHistogramMergeIsBucketwiseAddition) {
   merged.merge(*hb);
   EXPECT_EQ(merged.count, 7u);
   EXPECT_EQ(merged.sum, 522u + 36u);
-  EXPECT_EQ(merged.buckets[obs::bucket_index(1)], 3u);
-  EXPECT_EQ(merged.buckets[obs::bucket_index(15)], 1u);
-  EXPECT_EQ(merged.buckets[obs::bucket_index(20)], 2u);
-  EXPECT_EQ(merged.buckets[obs::bucket_index(500)], 1u);
-}
-
-TEST_F(MetricsTest, QuantileUpperBoundWalksTheCdf) {
-  obs::Histogram h{"test.hist.quantile"};
-  for (std::uint64_t i = 0; i < 100; ++i) h.record(i < 90 ? 2 : 100);
-  const auto snap = obs::registry().snapshot();
-  const auto* hist = snap.find_histogram("test.hist.quantile");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->quantile_upper_bound(0.5), 2u);
-  // 100 lands in the [64,127] bucket; its upper bound is 127.
-  EXPECT_EQ(hist->quantile_upper_bound(0.99), 127u);
+  EXPECT_EQ(merged.buckets[LatencyHistogram::index_of(1)], 3u);
+  EXPECT_EQ(merged.buckets[LatencyHistogram::index_of(15)], 1u);
+  EXPECT_EQ(merged.buckets[LatencyHistogram::index_of(20)], 2u);
+  EXPECT_EQ(merged.buckets[LatencyHistogram::index_of(500)], 1u);
 }
 
 TEST_F(MetricsTest, QuantileInterpolatesWithinBucket) {
-  // quantile_upper_bound snaps to the bucket ceiling — p99 of a
-  // distribution topping out at 100 reports 127. The interpolated
-  // quantile() must land inside the bucket, not on its edge.
+  // A quantile landing in a multi-value bucket must land inside the
+  // bucket, not on its edge.
   obs::Histogram h{"test.hist.quantile_interp"};
   for (std::uint64_t i = 0; i < 100; ++i) h.record(i < 90 ? 2 : 100);
   const auto snap = obs::registry().snapshot();
@@ -292,24 +250,50 @@ TEST_F(MetricsTest, QuantileInterpolatesWithinBucket) {
   ASSERT_NE(hist, nullptr);
   // Unit bucket: exact, no interpolation artifacts.
   EXPECT_DOUBLE_EQ(hist->quantile(0.5), 2.0);
-  // [64,127] holds ranks 91..100; p99 (rank 99) sits ~90% into the
-  // bucket: 64 + 63 * (99 - 90) / 10 = 120.7. Anything in (64, 127)
-  // beats the old 127 ceiling; pin the exact interpolation too.
+  // 100 lands in [100,103], which holds ranks 91..100; p99 (rank 99)
+  // sits 90% into the bucket: 100 + 3 * (99 - 90) / 10 = 102.7.
+  const std::size_t b = LatencyHistogram::index_of(100);
+  ASSERT_EQ(LatencyHistogram::lower_of(b), 100u);
+  ASSERT_EQ(LatencyHistogram::width_of(b), 4u);
   const double p99 = hist->quantile(0.99);
-  EXPECT_GT(p99, 64.0);
-  EXPECT_LT(p99, 127.0);
-  EXPECT_NEAR(p99, 64.0 + 63.0 * 0.9, 1e-9);
-  // p1 of all-identical values stays exact even in a log2 bucket.
+  EXPECT_GT(p99, 100.0);
+  EXPECT_LT(p99, 103.0);
+  EXPECT_NEAR(p99, 100.0 + 3.0 * 0.9, 1e-9);
+  // All-identical values stay inside their bucket at every quantile.
   obs::Histogram one{"test.hist.quantile_interp_one"};
   for (int i = 0; i < 50; ++i) one.record(1000);
   const auto snap2 = obs::registry().snapshot();
   const auto* h1 = snap2.find_histogram("test.hist.quantile_interp_one");
   ASSERT_NE(h1, nullptr);
   const double lo = h1->quantile(0.01), hi = h1->quantile(0.999);
-  // All mass in [512,1023]: every quantile must stay inside the bucket.
-  EXPECT_GE(lo, 512.0);
+  // All mass in [992,1023].
+  EXPECT_GE(lo, 992.0);
   EXPECT_LE(hi, 1023.0);
   EXPECT_LE(lo, hi);
+}
+
+TEST_F(MetricsTest, RegistryQuantilesMatchLatencyHistogram) {
+  // A registry histogram and a LatencyHistogram fed the same values read
+  // the same quantiles: one geometry, one quantile walk.
+  obs::Histogram reg{"test.hist.match_latency"};
+  LatencyHistogram lat;
+  const auto both = [&](std::uint64_t v) {
+    reg.record(v);
+    lat.record(v);
+  };
+  // Unit values, values past 2^10 and values past 2^20.
+  for (std::uint64_t v = 0; v < 32; ++v) both(v);
+  for (std::uint64_t v = 1000; v < 9000; v += 37) both(v);
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    both((std::uint64_t{1} << 20) + i * 104729);
+  }
+  const auto snap = obs::registry().snapshot();
+  const auto* hist = snap.find_histogram("test.hist.match_latency");
+  ASSERT_NE(hist, nullptr);
+  ASSERT_EQ(hist->count, lat.count());
+  for (const double p : {0.5, 0.9, 0.99, 0.999}) {
+    EXPECT_DOUBLE_EQ(hist->quantile(p), lat.quantile(p)) << "p=" << p;
+  }
 }
 
 TEST_F(MetricsTest, GaugeSetAddAndCallbackGauges) {
@@ -381,8 +365,8 @@ TEST_F(MetricsTest, JsonEmitterProducesBalancedNamedOutput) {
   EXPECT_NE(out.find("\"test.json.hist\""), std::string::npos);
   EXPECT_NE(out.find("\"count\":2"), std::string::npos);
   EXPECT_NE(out.find("\"sum\":303"), std::string::npos);
-  // 300 lands in [256,511]: sparse bucket pair [256,1].
-  EXPECT_NE(out.find("[256,1]"), std::string::npos);
+  // 300 lands in [288,303]: sparse bucket pair [288,1].
+  EXPECT_NE(out.find("[288,1]"), std::string::npos);
 }
 
 // --- interval differ (obs/interval.hpp) ------------------------------------

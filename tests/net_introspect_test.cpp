@@ -2,8 +2,10 @@
 // kStats must hand back a parse-valid JSON document (registry snapshot +
 // the shard's interval delta) while data traffic hammers the same server,
 // and kTraceCtl must flip the flight recorder and trigger a dump over the
-// wire. Lives in the net label because it wants the machine to itself —
-// the concurrent-load pass makes latency-ish claims about a shared server.
+// wire, and the registry's phase histograms must describe the requests
+// PhaseLatency does. Lives in the net label because it wants the machine
+// to itself — the concurrent-load pass makes latency-ish claims about a
+// shared server.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,12 +15,15 @@
 #include <string>
 #include <sys/stat.h>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cachetrie/evict.hpp"
 #include "net/client.hpp"
 #include "net/proto.hpp"
 #include "net/reactor.hpp"
+#include "obs/latency.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -276,6 +281,50 @@ TEST(NetIntrospect, TraceCtlRoundTrip) {
   }
   server.stop();
   ::unsetenv("CACHETRIE_TRACE_OUT");
+}
+
+// The registry's net.phase.*_us rows (what a kStats pull reports) and the
+// server's PhaseLatency (what fig15 reports) record the same flushed
+// replies from the same stamps in the same geometry, so after a drain
+// their counts and quantiles are equal.
+TEST(NetIntrospect, RegistryPhaseHistogramsMatchPhaseLatency) {
+  if (!cachetrie::obs::kMetricsCompiled) {
+    GTEST_SKIP() << "metrics compiled out";
+  }
+  cachetrie::obs::registry().reset();
+  BoundedTrie map{{}};
+  net::ServerConfig scfg;
+  scfg.shards = 2;
+  net::Server<BoundedTrie> server{map, scfg};
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.start());
+  {
+    net::Client client{server.port()};
+    ASSERT_TRUE(client.ok());
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      ASSERT_TRUE(client.put(i, i).ok());
+      ASSERT_TRUE(client.get(i).ok());
+    }
+    ASSERT_TRUE(client.stats().ok());
+  }
+  server.stop();
+
+  const auto snap = cachetrie::obs::registry().snapshot();
+  const net::PhaseLatency phases = server.phase_latency();
+  const std::pair<const char*, const cachetrie::obs::LatencyHistogram*>
+      rows[] = {{"net.phase.queue_us", &phases.queue},
+                {"net.phase.execute_us", &phases.execute},
+                {"net.phase.flush_us", &phases.flush}};
+  for (const auto& [name, lat] : rows) {
+    const auto* reg = snap.find_histogram(name);
+    ASSERT_NE(reg, nullptr) << name;
+    EXPECT_GE(reg->count, 601u) << name;
+    EXPECT_EQ(reg->count, lat->count()) << name;
+    for (const double p : {0.5, 0.9, 0.99, 1.0}) {
+      EXPECT_DOUBLE_EQ(reg->quantile(p), lat->quantile(p))
+          << name << " p=" << p;
+    }
+  }
 }
 
 }  // namespace

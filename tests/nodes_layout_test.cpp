@@ -99,7 +99,7 @@ TEST(NodeLayout, LNodeChainLinks) {
 }
 
 TEST(CacheLayout, EntryCountAndIndexing) {
-  CacheArray* c = CacheArray::make(8, 4, nullptr);
+  CacheArray* c = CacheArray::make(8, nullptr);
   EXPECT_EQ(c->level, 8u);
   EXPECT_EQ(c->entry_count(), 256u);
   EXPECT_EQ(c->index_of(0xABCDEFull), 0xEFull);  // low 8 bits
@@ -108,16 +108,21 @@ TEST(CacheLayout, EntryCountAndIndexing) {
 }
 
 TEST(CacheLayout, MissCountersOnDistinctCacheLines) {
-  CacheArray* c = CacheArray::make(8, 4, nullptr);
+  CacheArray* c = CacheArray::make(8, nullptr);
   const auto a0 = reinterpret_cast<std::uintptr_t>(&c->misses()[0]);
   const auto a1 = reinterpret_cast<std::uintptr_t>(&c->misses()[1]);
   EXPECT_GE(a1 - a0, cachetrie::util::kCacheLineSize);
   EXPECT_EQ(a0 % cachetrie::util::kCacheLineSize, 0u);
+  // The entries start after the last of the kMissSlots counters.
+  const auto last = reinterpret_cast<std::uintptr_t>(
+      &c->misses()[cachetrie::kMissSlots - 1]);
+  EXPECT_GE(reinterpret_cast<std::uintptr_t>(c->entries()) - last,
+            cachetrie::util::kCacheLineSize);
   CacheArray::destroy(c);
 }
 
 TEST(CacheLayout, EntriesZeroInitialized) {
-  CacheArray* c = CacheArray::make(12, 2, nullptr);
+  CacheArray* c = CacheArray::make(12, nullptr);
   for (std::size_t i = 0; i < c->entry_count(); i += 97) {
     EXPECT_EQ(c->entries()[i].load(), nullptr);
   }
@@ -125,8 +130,8 @@ TEST(CacheLayout, EntriesZeroInitialized) {
 }
 
 TEST(CacheLayout, ParentChainAndFootprint) {
-  CacheArray* p = CacheArray::make(8, 2, nullptr);
-  CacheArray* c = CacheArray::make(12, 2, p);
+  CacheArray* p = CacheArray::make(8, nullptr);
+  CacheArray* c = CacheArray::make(12, p);
   EXPECT_EQ(c->parent, p);
   EXPECT_GT(c->footprint_bytes(), p->footprint_bytes());
   EXPECT_GE(c->footprint_bytes(),

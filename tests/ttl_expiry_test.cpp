@@ -24,8 +24,12 @@
 #include <set>
 
 #include "cachetrie/evict.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sites.hpp"
 
 namespace {
+
+namespace sites = cachetrie::obs::sites;
 
 using BoundedTrie =
     cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
@@ -36,6 +40,27 @@ std::atomic<std::uint64_t> g_clock{0};
 std::uint64_t test_clock() { return g_clock.load(std::memory_order_relaxed); }
 
 constexpr std::uint64_t kTtl = 100;
+
+// Eviction counts are deltas of the registry's cachetrie.evict.* site
+// counters, which both bounded maps record. With metrics compiled out every
+// counter reads 0, so those checks run only when kCounted.
+constexpr bool kCounted = cachetrie::obs::kMetricsCompiled;
+
+struct EvictionDelta {
+  std::uint64_t lru0 = sites::cachetrie_evict_lru.total();
+  std::uint64_t ttl0 = sites::cachetrie_evict_ttl.total();
+  std::uint64_t scans0 = sites::cachetrie_evict_backpressure.total();
+
+  std::uint64_t lru() const {
+    return sites::cachetrie_evict_lru.total() - lru0;
+  }
+  std::uint64_t ttl() const {
+    return sites::cachetrie_evict_ttl.total() - ttl0;
+  }
+  std::uint64_t scans() const {
+    return sites::cachetrie_evict_backpressure.total() - scans0;
+  }
+};
 
 cachetrie::evict::BoundedConfig ttl_config() {
   cachetrie::evict::BoundedConfig cfg;
@@ -48,6 +73,7 @@ cachetrie::evict::BoundedConfig ttl_config() {
 TEST(TtlExpiry, ExpiredKeysUnobservable) {
   g_clock.store(1, std::memory_order_relaxed);
   BoundedTrie t(ttl_config());
+  const EvictionDelta evicted;
   for (std::uint64_t k = 0; k < 10; ++k) ASSERT_TRUE(t.insert(k, k * 7));
 
   // Just inside the horizon: everything still visible.
@@ -67,12 +93,15 @@ TEST(TtlExpiry, ExpiredKeysUnobservable) {
   t.for_each([&](std::uint64_t, std::uint64_t) { ++seen; });
   EXPECT_EQ(seen, 0u);
   // Lookups are wait-free and must not have evicted anything.
-  EXPECT_EQ(t.eviction_counts().ttl_expiries, 0u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 0u);
+  }
 }
 
 TEST(TtlExpiry, UnexpiredNeverEvicted) {
   g_clock.store(1, std::memory_order_relaxed);
   BoundedTrie t(ttl_config());
+  const EvictionDelta evicted;
   for (std::uint64_t k = 0; k < 64; ++k) ASSERT_TRUE(t.insert(k, k));
 
   // Heavy traffic with the clock inside the horizon: no pair may vanish.
@@ -84,10 +113,11 @@ TEST(TtlExpiry, UnexpiredNeverEvicted) {
     }
   }
   EXPECT_EQ(t.size(), 64u);
-  const auto c = t.eviction_counts();
-  EXPECT_EQ(c.ttl_expiries, 0u);
-  EXPECT_EQ(c.lru_evictions, 0u);
-  EXPECT_EQ(c.backpressure_scans, 0u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 0u);
+    EXPECT_EQ(evicted.lru(), 0u);
+    EXPECT_EQ(evicted.scans(), 0u);
+  }
 }
 
 TEST(TtlExpiry, StampRefreshOnHit) {
@@ -116,43 +146,57 @@ TEST(TtlExpiry, StampRefreshOnHit) {
 TEST(TtlExpiry, MutationsOverCorpsesActAsAbsent) {
   g_clock.store(1, std::memory_order_relaxed);
   BoundedTrie t(ttl_config());
+  const EvictionDelta evicted;
   for (std::uint64_t k = 0; k < 5; ++k) ASSERT_TRUE(t.insert(k, 100 + k));
   g_clock.store(2 + kTtl, std::memory_order_relaxed);  // all corpses
 
   // remove: nothing to remove, but the corpse is physically evicted.
   EXPECT_EQ(t.remove(0), std::nullopt);
-  EXPECT_EQ(t.eviction_counts().ttl_expiries, 1u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 1u);
+  }
 
   // remove_if_equals against the (dead) old value: absent.
   EXPECT_FALSE(t.remove_if_equals(1, 101));
-  EXPECT_EQ(t.eviction_counts().ttl_expiries, 2u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 2u);
+  }
 
   // replace: key absent, so no replacement happens.
   EXPECT_FALSE(t.replace(2, 999));
   EXPECT_EQ(t.lookup(2), std::nullopt);
-  EXPECT_EQ(t.eviction_counts().ttl_expiries, 3u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 3u);
+  }
 
   // put_if_absent: the slot is free again — insertion succeeds.
   EXPECT_TRUE(t.put_if_absent(3, 333));
   EXPECT_EQ(t.lookup(3), std::optional<std::uint64_t>(333));
-  EXPECT_EQ(t.eviction_counts().ttl_expiries, 4u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 4u);
+  }
 
   // upsert: reports a fresh insert, not a replacement.
   EXPECT_TRUE(t.insert(4, 444));
   EXPECT_EQ(t.lookup(4), std::optional<std::uint64_t>(444));
-  EXPECT_EQ(t.eviction_counts().ttl_expiries, 5u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 5u);
+  }
 }
 
 TEST(TtlExpiry, MetricsEquationSingleThreaded) {
   g_clock.store(1, std::memory_order_relaxed);
   BoundedTrie t(ttl_config());
+  const EvictionDelta evicted;
   constexpr std::uint64_t kN = 200;
   for (std::uint64_t k = 0; k < kN; ++k) ASSERT_TRUE(t.insert(k, k));
 
   // Expire everything, then re-insert: each upsert evicts one corpse.
   g_clock.store(2 + kTtl, std::memory_order_relaxed);
   for (std::uint64_t k = 0; k < kN; ++k) EXPECT_TRUE(t.insert(k, k * 2));
-  EXPECT_EQ(t.eviction_counts().ttl_expiries, kN);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), kN);
+  }
   EXPECT_EQ(t.size(), kN);
 
   // User removes and forced evictions are counted in their own ledgers.
@@ -166,9 +210,10 @@ TEST(TtlExpiry, MetricsEquationSingleThreaded) {
     EXPECT_TRUE(t.evict(k).has_value());
     ++forced;
   }
-  const auto c = t.eviction_counts();
-  EXPECT_EQ(c.ttl_expiries, kN);
-  EXPECT_EQ(c.lru_evictions, forced);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), kN);
+    EXPECT_EQ(evicted.lru(), forced);
+  }
   // Every vanished pair is accounted for exactly once:
   //   inserted distinct - user removes - forced evictions == live size
   // (the kN expiries correspond to the first generation, each of which was
@@ -203,6 +248,7 @@ TEST(TtlExpiry, ResidentBytesMatchFootprintAtQuiescence) {
 TEST(TtlExpiryChm, ExpiredKeysUnobservableAndEvictedLazily) {
   g_clock.store(1, std::memory_order_relaxed);
   BoundedChm m(ttl_config());
+  const EvictionDelta evicted;
   for (std::uint64_t k = 0; k < 10; ++k) ASSERT_TRUE(m.insert(k, k * 7));
 
   g_clock.store(2 + kTtl, std::memory_order_relaxed);
@@ -213,13 +259,17 @@ TEST(TtlExpiryChm, ExpiredKeysUnobservableAndEvictedLazily) {
   // corpse reports "absent" and counts one expiry.
   EXPECT_EQ(m.remove(0), std::nullopt);
   EXPECT_FALSE(m.remove_if_equals(1, 7));
-  EXPECT_EQ(m.eviction_counts().ttl_expiries, 2u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 2u);
+  }
 
   // Insert over a corpse: the corpse is dropped first, so this is a fresh
   // insert, and put_if_absent succeeds.
   EXPECT_TRUE(m.insert(2, 999));
   EXPECT_TRUE(m.put_if_absent(3, 888));
-  EXPECT_EQ(m.eviction_counts().ttl_expiries, 4u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 4u);
+  }
   EXPECT_EQ(m.lookup(2), std::optional<std::uint64_t>(999));
   EXPECT_EQ(m.lookup(3), std::optional<std::uint64_t>(888));
 }
@@ -241,14 +291,16 @@ TEST(TtlExpiryChm, StampRefreshOnHit) {
 TEST(TtlExpiryChm, UnexpiredNeverEvicted) {
   g_clock.store(1, std::memory_order_relaxed);
   BoundedChm m(ttl_config());
+  const EvictionDelta evicted;
   for (std::uint64_t k = 0; k < 64; ++k) ASSERT_TRUE(m.insert(k, k));
   g_clock.store(kTtl / 2, std::memory_order_relaxed);
   for (std::uint64_t k = 0; k < 64; ++k) {
     EXPECT_TRUE(m.lookup(k).has_value()) << "key " << k;
   }
-  const auto c = m.eviction_counts();
-  EXPECT_EQ(c.ttl_expiries, 0u);
-  EXPECT_EQ(c.lru_evictions, 0u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 0u);
+    EXPECT_EQ(evicted.lru(), 0u);
+  }
 }
 
 }  // namespace
