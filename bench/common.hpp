@@ -9,6 +9,7 @@
 //   skiplist   — csl::ConcurrentSkipList     (ConcurrentSkipListMap)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -25,6 +26,7 @@
 #include "harness/workload.hpp"
 #include "mr/epoch.hpp"
 #include "skiplist/skiplist.hpp"
+#include "util/rng.hpp"
 
 namespace bench {
 
@@ -205,6 +207,31 @@ struct ReclaimSnapshot {
         static_cast<double>(limbo_bytes) / 1e6,
         static_cast<double>(limbo_bytes_hwm) / 1e6);
   }
+};
+
+/// Inverse-CDF zipf(s=1.0) sampler over ranks 0..ranks-1, deterministic
+/// (splitmix64 from `seed`) so the cells it drives are reproducible.
+class ZipfSampler {
+ public:
+  ZipfSampler(std::size_t ranks, std::uint64_t seed) : rng_(seed) {
+    cdf_.reserve(ranks);
+    double sum = 0.0;
+    for (std::size_t r = 1; r <= ranks; ++r) {
+      sum += 1.0 / static_cast<double>(r);
+      cdf_.push_back(sum);
+    }
+    for (double& c : cdf_) c /= sum;
+  }
+
+  std::size_t next_rank() {
+    const double u = static_cast<double>(rng_.next() >> 11) * 0x1.0p-53;
+    return static_cast<std::size_t>(
+        std::upper_bound(cdf_.begin(), cdf_.end(), u) - cdf_.begin());
+  }
+
+ private:
+  std::vector<double> cdf_;
+  cachetrie::util::SplitMix64 rng_;
 };
 
 }  // namespace bench

@@ -35,7 +35,7 @@ using cachetrie::harness::Summary;
 using cachetrie::harness::Table;
 namespace sites = cachetrie::obs::sites;
 
-using BoundedTrie = cachetrie::evict::BoundedCacheTrie<bench::Key, bench::Val>;
+using BoundedTrie = cachetrie::CacheTrie<bench::Key, bench::Val>;
 using BoundedChm = cachetrie::evict::BoundedChm<bench::Key, bench::Val>;
 
 constexpr std::size_t kCeiling = 1u << 20;        // 1 MiB byte ceiling
@@ -47,8 +47,8 @@ constexpr std::size_t kZipfRanks = 60000;         // ~4x what the ceiling holds
 constexpr std::size_t kZipfWarm = 150000;
 constexpr std::size_t kZipfOps = 300000;
 
-cachetrie::evict::BoundedConfig bounded_config() {
-  cachetrie::evict::BoundedConfig cfg;
+cachetrie::Config bounded_config() {
+  cachetrie::Config cfg;
   cfg.ceiling_bytes = kCeiling;
   cfg.ttl_ticks = 0;  // pure LRU-pressure mode; TTL is covered by the tests
   return cfg;
@@ -124,35 +124,6 @@ struct ZipfStats {
   std::size_t resident = 0;
 };
 
-/// Inverse-CDF zipf(s=1.0) sampler over kZipfRanks ranks, deterministic
-/// (splitmix64, fixed seed) so the miss-rate cells are reproducible.
-class ZipfSampler {
- public:
-  explicit ZipfSampler(std::uint64_t seed) : state_(seed) {
-    cdf_.reserve(kZipfRanks);
-    double sum = 0.0;
-    for (std::size_t r = 1; r <= kZipfRanks; ++r) {
-      sum += 1.0 / static_cast<double>(r);
-      cdf_.push_back(sum);
-    }
-    for (double& c : cdf_) c /= sum;
-  }
-
-  std::size_t next_rank() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
-    return static_cast<std::size_t>(
-        std::upper_bound(cdf_.begin(), cdf_.end(), u) - cdf_.begin());
-  }
-
- private:
-  std::vector<double> cdf_;
-  std::uint64_t state_;
-};
-
 /// Read-mostly cache usage: lookup, insert on miss. Warm phase populates the
 /// hot set; the measured window reports the miss percentage. Single-threaded
 /// on purpose — the cell gates the eviction *policy* (what the cache kept),
@@ -160,7 +131,7 @@ class ZipfSampler {
 template <typename MakeMap>
 Summary run_zipf(MakeMap&& make, ZipfStats& stats) {
   auto map = make();
-  ZipfSampler zipf(0x5eedull);
+  bench::ZipfSampler zipf(kZipfRanks, 0x5eedull);
   const auto step = [&](bench::Key k) {
     if (map.lookup(k).has_value()) return true;
     map.insert(k, k);

@@ -41,7 +41,7 @@
 #include <thread>
 #include <vector>
 
-#include "cachetrie/evict.hpp"
+#include "cachetrie/cache_trie.hpp"
 #include "common.hpp"
 #include "net/client.hpp"
 #include "net/proto.hpp"
@@ -60,8 +60,7 @@ using cachetrie::harness::LatencySummary;
 using cachetrie::harness::RunningStats;
 using cachetrie::harness::Table;
 
-using BoundedTrie =
-    cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
+using BoundedTrie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
 
 constexpr std::size_t kShards = 2;
 constexpr std::size_t kConns = 2;          // generator connections per phase
@@ -77,38 +76,6 @@ constexpr std::size_t kZipfRanks = 4096;
 // backlog can never alias a slot; the drain is a (counted) departure from
 // pure open-loop that only engages when the server is far behind.
 constexpr std::size_t kMaxInflight = 900;
-
-std::uint64_t splitmix(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-/// Inverse-CDF zipf(s=1.0) over kZipfRanks ranks (fig14's sampler, sized
-/// for a serving keyspace).
-class ZipfSampler {
- public:
-  explicit ZipfSampler(std::uint64_t seed) : state_(seed) {
-    cdf_.reserve(kZipfRanks);
-    double sum = 0.0;
-    for (std::size_t r = 1; r <= kZipfRanks; ++r) {
-      sum += 1.0 / static_cast<double>(r);
-      cdf_.push_back(sum);
-    }
-    for (double& c : cdf_) c /= sum;
-  }
-  std::size_t next_rank() {
-    const double u =
-        static_cast<double>(splitmix(state_) >> 11) * 0x1.0p-53;
-    return static_cast<std::size_t>(
-        std::upper_bound(cdf_.begin(), cdf_.end(), u) - cdf_.begin());
-  }
-
- private:
-  std::vector<double> cdf_;
-  std::uint64_t state_;
-};
 
 /// One scheduled arrival: fire `op(key,value)` at `offset_us` past phase
 /// start on connection `conn`.
@@ -138,15 +105,15 @@ const char* phase_name(Phase p) {
 std::vector<Arrival> make_schedule(Phase phase, std::uint64_t seed) {
   const std::uint64_t gap =
       phase == Phase::kOverload ? kOverloadGapUs : kSteadyGapUs;
-  std::uint64_t rng = seed;
-  ZipfSampler zipf(seed ^ 0x5eedull);
+  cachetrie::util::SplitMix64 rng(seed);
+  bench::ZipfSampler zipf(kZipfRanks, seed ^ 0x5eedull);
   std::vector<Arrival> out;
   out.reserve(kRequests);
   for (std::size_t i = 0; i < kRequests; ++i) {
     Arrival a;
     a.offset_us = gap * i;
     a.conn = i % kConns;
-    const std::uint64_t r = splitmix(rng);
+    const std::uint64_t r = rng.next();
     switch (phase) {
       case Phase::kHotkey:
         a.key = 42;
@@ -298,7 +265,7 @@ int main() {
       "loss counts print below but are load-dependent and never gated.\n"
       "Fixed sizes; REPRO_SCALE is ignored.");
 
-  cachetrie::evict::BoundedConfig bcfg;
+  cachetrie::Config bcfg;
   bcfg.ceiling_bytes = 8u << 20;
   bcfg.ttl_ticks = 0;
   BoundedTrie map{bcfg};
@@ -474,7 +441,7 @@ int main() {
         static_cast<unsigned long long>(totals.wbuf_hwm_bytes),
         scfg.shard.write_buf_cap, proto::kReplyWire);
   }
-  if (!map.underlying().debug_validate().empty()) {
+  if (!map.debug_validate().empty()) {
     ok = false;
     std::fprintf(stderr, "FAIL: served map failed debug_validate\n");
   }

@@ -30,7 +30,7 @@
 #include <thread>
 #include <vector>
 
-#include "cachetrie/evict.hpp"
+#include "cachetrie/cache_trie.hpp"
 #include "net/client.hpp"
 #include "net/proto.hpp"
 #include "net/reactor.hpp"
@@ -41,8 +41,7 @@ namespace {
 
 namespace net = cachetrie::net;
 namespace proto = cachetrie::net::proto;
-using BoundedTrie =
-    cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
+using BoundedTrie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
 
 std::atomic<bool> g_stop{false};
 void on_signal(int) { g_stop.store(true, std::memory_order_release); }
@@ -181,7 +180,7 @@ int main(int argc, char** argv) {
   const std::size_t ceiling_mb =
       pos.size() > 2 ? static_cast<std::size_t>(std::atoi(pos[2])) : 64;
 
-  cachetrie::evict::BoundedConfig bcfg;
+  cachetrie::Config bcfg;
   bcfg.ceiling_bytes = ceiling_mb << 20;
   BoundedTrie map{bcfg};
 

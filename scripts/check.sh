@@ -28,6 +28,9 @@
 # smoke-runs scripts/trace_summarize.py over whatever TRACE_*.json the
 # tests dumped.
 #
+# The plain stage also builds benchmark/ as its own project
+# (build-check-benchmark) and runs all three of its workloads for 1 s each.
+#
 # The slow label (soak_test, lin_check_test) is excluded here on purpose —
 # run `ctest -L slow` in any of the build trees for the long suite.
 set -euo pipefail
@@ -102,6 +105,21 @@ run_stage() {
         | tee "$trace_out/fig15_phase_view.txt"
       grep -q "tail attribution" "$trace_out/fig15_phase_view.txt" || {
         echo "FAIL: fig15 dump produced no tail-attribution view" >&2
+        exit 1
+      }
+      echo "=== [$stage] benchmark/ build + 1 s run of every workload ==="
+      # benchmark/ is its own CMake project over ../src and spells map
+      # names that nothing else here compiles. Build it the way
+      # benchmark/run.py does and require each workload's own correctness
+      # checks to pass in a short untraced run (exit 0).
+      local bench_dir="$repo/build-check-benchmark"
+      cmake -S "$repo/benchmark" -B "$bench_dir" \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+      cmake --build "$bench_dir" -j "$jobs" >/dev/null
+      "$bench_dir/cachetrie_benchmark" --seconds 1 \
+        >"$bench_dir/smoke.log" 2>&1 || {
+        tail -n 20 "$bench_dir/smoke.log" >&2
+        echo "FAIL: cachetrie_benchmark --seconds 1 exited non-zero" >&2
         exit 1
       }
     fi

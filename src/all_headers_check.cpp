@@ -8,6 +8,7 @@
 #include "cachetrie/cache_trie.hpp"
 #include "cachetrie/config.hpp"
 #include "cachetrie/evict.hpp"
+#include "cachetrie/evict_policy.hpp"
 #include "cachetrie/nodes.hpp"
 #include "chashmap/chashmap.hpp"
 #include "ctrie/ctrie.hpp"
@@ -49,6 +50,8 @@
 #include "util/thread_id.hpp"
 
 #include <string>
+#include <type_traits>
+#include <utility>
 
 namespace {
 
@@ -57,7 +60,6 @@ namespace {
 namespace util = cachetrie::util;
 using U64 = std::uint64_t;
 using CacheTrieU64 = cachetrie::CacheTrie<U64, U64>;
-using BoundedTrieU64 = cachetrie::evict::BoundedCacheTrie<U64, U64>;
 using ChmU64 = cachetrie::chm::ConcurrentHashMap<U64, U64>;
 using BoundedChmU64 = cachetrie::evict::BoundedChm<U64, U64>;
 using CtrieU64 = cachetrie::ctrie::Ctrie<U64, U64>;
@@ -79,15 +81,23 @@ constexpr unsigned caps() {
 constexpr unsigned kAllCaps =
     kPutIfAbsent | kReplace | kReplaceIfEquals | kRemoveIfEquals;
 
-static_assert(util::KvMap<CacheTrieU64> && util::KvMap<BoundedTrieU64> &&
-              util::KvMap<ChmU64> && util::KvMap<BoundedChmU64> &&
-              util::KvMap<CtrieU64> && util::KvMap<SkipListU64>);
+static_assert(util::KvMap<CacheTrieU64> && util::KvMap<ChmU64> &&
+              util::KvMap<BoundedChmU64> && util::KvMap<CtrieU64> &&
+              util::KvMap<SkipListU64>);
 static_assert(caps<CacheTrieU64>() == kAllCaps);
-static_assert(caps<BoundedTrieU64>() == kAllCaps);
 static_assert(caps<ChmU64>() == (kPutIfAbsent | kRemoveIfEquals));
 static_assert(caps<BoundedChmU64>() == (kPutIfAbsent | kRemoveIfEquals));
 static_assert(caps<CtrieU64>() == kPutIfAbsent);
 static_assert(caps<SkipListU64>() == kPutIfAbsent);
+
+// benchmark/ is a frozen contract that names the bounded trie
+// evict::BoundedCacheTrie and reads map->underlying(); this row breaks the
+// build before the benchmark's own build would.
+using BenchmarkTrieU64 = cachetrie::evict::BoundedCacheTrie<U64, U64>;
+static_assert(caps<BenchmarkTrieU64>() == kAllCaps &&
+              std::is_same_v<
+                  decltype(std::declval<BenchmarkTrieU64&>().underlying()),
+                  CacheTrieU64&>);
 
 // Every node the instantiated maps allocate fits a pool size class, so none
 // silently falls back to ::operator new. The ctrie's CNodes with 31 or 32
@@ -131,9 +141,9 @@ int touch() {
 // Compile every member of the serving-layer templates under the strict
 // flags (nothing is constructed — no sockets open in this check).
 template class cachetrie::net::Shard<
-    cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>>;
+    cachetrie::CacheTrie<std::uint64_t, std::uint64_t>>;
 template class cachetrie::net::Server<
-    cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>>;
+    cachetrie::CacheTrie<std::uint64_t, std::uint64_t>>;
 template class cachetrie::net::Shard<
     cachetrie::evict::BoundedChm<std::uint64_t, std::uint64_t>>;
 template class cachetrie::net::Server<

@@ -48,6 +48,7 @@
 
 #include "cachetrie/cache.hpp"
 #include "cachetrie/config.hpp"
+#include "cachetrie/evict_policy.hpp"
 #include "cachetrie/nodes.hpp"
 #include "mr/epoch.hpp"
 #include "obs/sites.hpp"
@@ -94,7 +95,8 @@ class CacheTrie {
   explicit CacheTrie(Config config = {})
       : config_(config),
         bounded_(config.ceiling_bytes != 0 || config.ttl_ticks != 0),
-        lru_window_(config.lru_idle_ticks == 0 ? 1 : config.lru_idle_ticks) {
+        policy_(config) {
+    if (bounded_) evict::register_resident_gauge();
     root_ = ANode::make(16);
     account(static_cast<std::ptrdiff_t>(ANode::alloc_size(16)));
   }
@@ -112,8 +114,8 @@ class CacheTrie {
     }
     // Whatever this trie still counted as resident leaves the process-wide
     // gauge with it.
-    if (config_.resident_gauge != nullptr) {
-      config_.resident_gauge->fetch_sub(
+    if (bounded_) {
+      evict::process_resident_bytes().fetch_sub(
           resident_bytes_.load(std::memory_order_relaxed),
           std::memory_order_relaxed);
     }
@@ -336,17 +338,6 @@ class CacheTrie {
 
   // --- bounded-memory mode (DESIGN.md §3) -----------------------------------
 
-  /// True when this trie enforces a byte ceiling and/or TTL.
-  bool bounded() const noexcept { return bounded_; }
-
-  /// Current eviction-clock tick, without advancing the logical clock.
-  std::uint64_t now_tick() const noexcept {
-    if (!bounded_) return 0;
-    return config_.tick_fn != nullptr
-               ? config_.tick_fn()
-               : op_tick_.load(std::memory_order_relaxed);
-  }
-
   /// Observed resident footprint: bytes published into the trie minus bytes
   /// retired out of it — exact double-entry accounting at the protocol's
   /// publish/retire choke points, excluding bytes parked in reclaimer limbo
@@ -354,6 +345,18 @@ class CacheTrie {
   std::size_t resident_bytes() const noexcept {
     const std::int64_t b = resident_bytes_.load(std::memory_order_relaxed);
     return b > 0 ? static_cast<std::size_t>(b) : 0;
+  }
+
+  /// Bytes left under the ceiling; SIZE_MAX when there is none.
+  std::size_t resident_headroom_bytes() const noexcept {
+    return policy_.headroom_bytes(resident_bytes());
+  }
+
+  /// True once resident bytes cross `frac` of the ceiling — the serving
+  /// layer's graceful-degradation signal (net/shard.hpp). Always false
+  /// without a ceiling.
+  bool near_ceiling(double frac = 0.9) const noexcept {
+    return policy_.near_ceiling(resident_bytes(), frac);
   }
 
   /// Forcibly removes the pair through the eviction path. The removal is a
@@ -400,33 +403,13 @@ class CacheTrie {
 
   /// Per-operation eviction horizons, computed once at each public entry
   /// point and threaded through the descent. Inert (all zero) when the trie
-  /// is unbounded: no stamp is ever below a zero floor, so every check falls
-  /// through at the cost of one predictable compare.
-  struct Horizon {
-    std::uint64_t now = 0;        // current tick; doubles as creation stamp
-    std::uint64_t ttl_floor = 0;  // stamp < ttl_floor => semantically absent
-    std::uint64_t lru_floor = 0;  // stamp < lru_floor => evictable (pressure)
+  /// is unbounded, so every check falls through at the cost of one
+  /// predictable compare.
+  using Horizon = evict::Horizon;
 
-    bool expired(std::uint64_t stamp) const noexcept {
-      return stamp < ttl_floor;
-    }
-    bool evictable(std::uint64_t stamp) const noexcept {
-      return stamp < ttl_floor || stamp < lru_floor;
-    }
-  };
-
-  /// Computes this operation's horizons, advancing the logical clock by one
-  /// tick — unless an injectable clock owns time (then tests drive it).
   Horizon make_horizon() const {
-    Horizon hz;
-    if (!bounded_) return hz;
-    hz.now = config_.tick_fn != nullptr
-                 ? config_.tick_fn()
-                 : op_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (config_.ttl_ticks != 0 && hz.now > config_.ttl_ticks) {
-      hz.ttl_floor = hz.now - config_.ttl_ticks;
-    }
-    return hz;
+    if (!bounded_) return {};
+    return policy_.horizon();
   }
 
   /// Exact double-entry byte accounting: every publish-success adds the
@@ -437,9 +420,7 @@ class CacheTrie {
   void account(std::ptrdiff_t delta) const noexcept {
     if (!bounded_) return;
     resident_bytes_.fetch_add(delta, std::memory_order_relaxed);
-    if (config_.resident_gauge != nullptr) {
-      config_.resident_gauge->fetch_add(delta, std::memory_order_relaxed);
-    }
+    evict::process_resident_bytes().fetch_add(delta, std::memory_order_relaxed);
   }
 
   // [smr: caller-pinned] -- the guard is held by the public entry point.
@@ -482,31 +463,13 @@ class CacheTrie {
     return true;
   }
 
-  /// Ceiling enforcement. Every writer passes through here before doing its
-  /// own work, so enforcement survives any particular evictor dying: there
-  /// is no dedicated eviction thread to lose. Over the ceiling, the op runs
-  /// a bounded clock-hand scan against an adaptive idle window; the window
-  /// halves whenever a scan frees nothing and relaxes once pressure clears.
+  /// Ceiling enforcement (evict::Policy::backpressure): over the ceiling,
+  /// the writer runs a bounded clock-hand scan against the policy's idle
+  /// window before doing its own work.
   void maybe_backpressure(Horizon& hz) {
-    if (config_.ceiling_bytes == 0) return;
-    const std::size_t resident = resident_bytes();
-    const std::uint64_t w = lru_window_.load(std::memory_order_relaxed);
-    if (resident <= config_.ceiling_bytes) {
-      if (w < config_.lru_idle_ticks &&
-          resident <= config_.ceiling_bytes - config_.ceiling_bytes / 4) {
-        lru_window_.store(
-            std::min<std::uint64_t>(w * 2, config_.lru_idle_ticks),
-            std::memory_order_relaxed);
-      }
-      return;
-    }
-    obs::sites::cachetrie_evict_backpressure.record(resident,
-                                                    config_.ceiling_bytes);
-    hz.lru_floor = hz.now > w ? hz.now - w : hz.now;
-    const std::size_t evicted = evict_scan(hz, config_.evict_probes);
-    if (evicted == 0 && w > 1) {
-      lru_window_.store(w / 2, std::memory_order_relaxed);
-    }
+    policy_.backpressure(
+        hz, [this] { return resident_bytes(); },
+        [this](const Horizon& h) { return evict_scan(h, kEvictProbes); });
   }
 
   /// The lazy clock hand (after the fwoodruff Lock-Free-Cache design: no
@@ -2130,13 +2093,11 @@ class CacheTrie {
   // every access is relaxed, and no protocol decision builds a
   // happens-before edge through them.
   bool bounded_ = false;
-  /// Logical eviction clock (one tick per op) when no injectable clock is
-  /// configured. Mutable: lookups refresh stamps and advance the clock.
-  mutable std::atomic<std::uint64_t> op_tick_{0};
+  /// Clock, horizons and idle window, shared in kind with evict::BoundedChm.
+  evict::Policy policy_;
   /// Signed so transient publish/retire interleavings can dip below zero.
   mutable std::atomic<std::int64_t> resident_bytes_{0};
   std::atomic<std::uint64_t> evict_cursor_{0};
-  std::atomic<std::uint64_t> lru_window_{1};
 };
 
 }  // namespace cachetrie

@@ -1,10 +1,13 @@
 // config.hpp — tuning knobs of the cache-trie.
 //
 // Defaults follow the paper; every knob exists so the ablation benches and
-// the property tests can move it.
+// the property tests can move it. The same Config switches on the
+// bounded-memory mode (DESIGN.md §3): set `ceiling_bytes` or `ttl_ticks`
+// and the trie evicts under evict_policy.hpp's policy, which
+// evict::BoundedChm reads from the same three fields. Constants below are
+// fixed choices that no caller tunes.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -27,6 +30,16 @@ inline constexpr std::uint32_t kCacheInitTriggerLevel = 12;
 /// Random trie descents per sampling pass (§3.6: "The thread repeats this
 /// several times").
 inline constexpr std::uint32_t kSampleSize = 192;
+
+/// Bounded mode: initial and largest width of the adaptive LRU window.
+/// Under ceiling pressure, pairs idle for more than the window's ticks are
+/// evictable; the window halves when a backpressure scan frees nothing and
+/// doubles back once the footprint is at most 3/4 of the ceiling.
+inline constexpr std::uint64_t kLruIdleTicks = 1024;
+
+/// Bounded mode: hash paths (trie) or bins (chm) probed per backpressure
+/// scan — the lazy clock hand.
+inline constexpr std::uint32_t kEvictProbes = 8;
 
 /// Samples by which a pass's best pair of adjacent levels must outscore the
 /// pair at the current cache level before the pass moves the cache deeper
@@ -68,7 +81,7 @@ struct Config {
   std::uint32_t min_cache_level = 8;
   std::uint32_t max_cache_level = 24;
 
-  // --- bounded-memory mode (DESIGN.md §3; evict.hpp wraps these) ------------
+  // --- bounded-memory mode (DESIGN.md §3; evict_policy.hpp) -----------------
   // The mode is active iff ceiling_bytes != 0 or ttl_ticks != 0; otherwise
   // every knob below is inert and the trie pays one predictable branch.
 
@@ -81,23 +94,9 @@ struct Config {
   /// `now - ttl_ticks` is semantically absent and lazily evicted.
   std::uint64_t ttl_ticks = 0;
 
-  /// Initial width of the adaptive LRU window: under ceiling pressure,
-  /// pairs idle for more than this many ticks are evictable. The window
-  /// halves when a backpressure scan frees nothing and relaxes back once
-  /// the footprint drops below 3/4 of the ceiling.
-  std::uint64_t lru_idle_ticks = 1024;
-
-  /// Hash paths probed per backpressure scan (the lazy clock hand).
-  std::uint32_t evict_probes = 8;
-
   /// Clock for stamps and horizons; nullptr = a per-trie logical tick that
   /// advances once per operation.
   TickFn tick_fn = nullptr;
-
-  /// Optional process-wide resident-bytes cell this trie mirrors its exact
-  /// byte accounting into; evict.hpp points it at the cell its registered
-  /// callback gauge reads. Must outlive the trie.
-  std::atomic<std::int64_t>* resident_gauge = nullptr;
 };
 
 }  // namespace cachetrie

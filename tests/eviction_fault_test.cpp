@@ -23,7 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "cachetrie/evict.hpp"
+#include "cachetrie/cache_trie.hpp"
 #include "mr/epoch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sites.hpp"
@@ -40,15 +40,15 @@ using cachetrie::mr::EpochDomain;
 using namespace std::chrono_literals;
 
 using Bounded =
-    cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
+    cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
 
 // Eviction counts are deltas of the registry's cachetrie.evict.* site
 // counters. With metrics compiled out every counter reads 0, so those
 // checks run only when kCounted.
 constexpr bool kCounted = cachetrie::obs::kMetricsCompiled;
 
-cachetrie::evict::BoundedConfig ceiling_config(std::size_t ceiling) {
-  cachetrie::evict::BoundedConfig cfg;
+cachetrie::Config ceiling_config(std::size_t ceiling) {
+  cachetrie::Config cfg;
   cfg.ceiling_bytes = ceiling;
   cfg.ttl_ticks = 0;  // pure LRU-pressure mode
   return cfg;
@@ -201,7 +201,7 @@ TEST(EvictionFault, EvictRacingRemoveHasOneWinner) {
   // evict() is a linearizable remove: racing it against remove() on the
   // same key yields exactly one winner, and only a *successful* eviction
   // moves the eviction counters. Both directions, deterministically.
-  cachetrie::evict::BoundedConfig cfg;
+  cachetrie::Config cfg;
   cfg.ttl_ticks = 1ull << 40;  // bounded mode on, horizons inert
   Bounded trie(cfg);
   const std::uint64_t lru0 = sites::cachetrie_evict_lru.total();
@@ -304,10 +304,10 @@ TEST(EvictionFault, StallStormLeavesStructureValidAndLedgerExact) {
   tk::chaos::enable(false);
 
   EXPECT_GT(fault::injected_stalls(), 0u) << "the storm never engaged";
-  const auto issues = trie.underlying().debug_validate();
+  const auto issues = trie.debug_validate();
   EXPECT_TRUE(issues.empty()) << issues.front();
   EXPECT_EQ(trie.resident_bytes(),
-            trie.footprint_bytes() - sizeof(Bounded::Trie))
+            trie.footprint_bytes() - sizeof(Bounded))
       << "byte ledger diverged from the live structure";
   if (kCounted) {
     EXPECT_GT(sites::cachetrie_evict_lru.total() - lru0, 0u);

@@ -71,15 +71,15 @@ constexpr std::uint64_t kBallastBase = 1u << 16;  // disjoint from checker keys
 // when kCounted.
 constexpr bool kCounted = cachetrie::obs::kMetricsCompiled;
 
-/// Test fake over the BoundedCacheTrie facade. remove() alternates (per
+/// Test fake over a bounded CacheTrie. remove() alternates (per
 /// thread) between user remove(k) and forced evict(k): both are
 /// linearizable removes, so the checker treats them identically — any
 /// divergence in the eviction path's linearization shows up as a violation.
 class BoundedTrieAdapter {
  public:
-  using Map = cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
+  using Map = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
 
-  explicit BoundedTrieAdapter(cachetrie::evict::BoundedConfig cfg,
+  explicit BoundedTrieAdapter(cachetrie::Config cfg,
                               bool plant_ballast)
       : map_(cfg) {
     if (plant_ballast) {
@@ -136,14 +136,14 @@ void sweep(Factory&& make, const char* what) {
   EXPECT_GE(total, kSeeds * histories_per_seed()) << what;
 }
 
-cachetrie::evict::BoundedConfig inert_bounded_config() {
-  cachetrie::evict::BoundedConfig cfg;
+cachetrie::Config inert_bounded_config() {
+  cachetrie::Config cfg;
   // Bounded mode active (stamps written, horizons computed) but inert: the
   // TTL is astronomically larger than any tick the sweep reaches, and no
   // ceiling means no backpressure — nothing ever expires spontaneously.
   cfg.ttl_ticks = 1ull << 40;
   cfg.ceiling_bytes = 0;
-  cfg.tick = &test_clock;
+  cfg.tick_fn = &test_clock;
   return cfg;
 }
 
@@ -166,10 +166,10 @@ TEST(EvictionLinSweep, EvictApiRacesUserOps) {
 }
 
 TEST(EvictionLinSweep, CorpseEvictionUnderneathLiveKeys) {
-  cachetrie::evict::BoundedConfig cfg;
+  cachetrie::Config cfg;
   cfg.ttl_ticks = kTtl;
   cfg.ceiling_bytes = 0;
-  cfg.tick = &test_clock;
+  cfg.tick_fn = &test_clock;
   tk::chaos::reset_counters();
   const std::uint64_t ttl0 = sites::cachetrie_evict_ttl.total();
   sweep(
@@ -191,7 +191,7 @@ TEST(EvictionLinSweep, BoundedChmInertHorizons) {
   // threading, remove mirrors); this sweep proves the re-routing preserved
   // the chm's linearizability. Horizons inert for the same reason as above.
   using Map = cachetrie::evict::BoundedChm<std::uint64_t, std::uint64_t>;
-  cachetrie::evict::BoundedConfig cfg;
+  cachetrie::Config cfg;
   cfg.ttl_ticks = 1ull << 40;
   cfg.ceiling_bytes = 0;
   tk::chaos::reset_counters();

@@ -35,7 +35,7 @@
 #include <thread>
 #include <vector>
 
-#include "cachetrie/evict.hpp"
+#include "cachetrie/cache_trie.hpp"
 #include "mr/epoch.hpp"
 #include "net/client.hpp"
 #include "net/proto.hpp"
@@ -53,8 +53,7 @@ namespace proto = cachetrie::net::proto;
 using cachetrie::mr::EpochDomain;
 using namespace std::chrono_literals;
 
-using BoundedTrie =
-    cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
+using Trie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
 
 // Chaos stream ids (reactor.hpp): acceptor = kChaosBase, shard i = base+1+i.
 constexpr std::uint64_t kChaosBase = 100;
@@ -94,8 +93,8 @@ TEST(NetFault, DeadlineExpiredDeterministicallyBehindStall) {
   fault::install(fault::Plan(41).stall("net.request_execute", 700ms,
                                        /*thread=*/kShard0));
 
-  BoundedTrie map{{}};
-  net::Server<BoundedTrie> server{map, one_shard_config()};
+  Trie map;
+  net::Server<Trie> server{map, one_shard_config()};
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.start());
 
@@ -131,7 +130,7 @@ TEST(NetFault, DeadlineExpiredDeterministicallyBehindStall) {
   EXPECT_EQ(totals.deadline_expired, 3u);
   EXPECT_EQ(totals.served, 1u);
   EXPECT_EQ(server.killed_shards(), 0u);
-  EXPECT_TRUE(map.underlying().debug_validate().empty());
+  EXPECT_TRUE(map.debug_validate().empty());
 }
 
 // A post-stall flood is parsed in one batch: exactly max_inflight requests
@@ -142,10 +141,10 @@ TEST(NetFault, ShedsDeterministicallyPastInflightCap) {
   fault::install(fault::Plan(42).stall("net.request_execute", 500ms,
                                        /*thread=*/kShard0));
 
-  BoundedTrie map{{}};
+  Trie map;
   auto scfg = one_shard_config();
   scfg.shard.max_inflight = 4;
-  net::Server<BoundedTrie> server{map, scfg};
+  net::Server<Trie> server{map, scfg};
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.start());
 
@@ -195,12 +194,12 @@ TEST(NetFault, DieMidRequestLeavesMapValidAndSurvivorsGreen) {
   fault::install(fault::Plan(43).die("net.request_execute",
                                      /*thread=*/kShard0));
 
-  BoundedTrie map{{}};
+  Trie map;
   net::ServerConfig scfg;
   scfg.shards = 2;
   scfg.chaos_thread_base = kChaosBase;
   scfg.least_loaded = false;  // round-robin: conn 1 -> shard 0, conn 2 -> 1
-  net::Server<BoundedTrie> server{map, scfg};
+  net::Server<Trie> server{map, scfg};
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.start());
 
@@ -258,7 +257,7 @@ TEST(NetFault, DieMidRequestLeavesMapValidAndSurvivorsGreen) {
   EXPECT_GT(server.totals().served, 0u);
   // The kill unwound through lock-free map code: structure still valid and
   // directly usable.
-  EXPECT_TRUE(map.underlying().debug_validate().empty());
+  EXPECT_TRUE(map.debug_validate().empty());
   EXPECT_TRUE(map.insert(0xbeef, 2));
   EXPECT_EQ(map.lookup(0xbeef).value_or(0), 2u);
 }
@@ -281,8 +280,8 @@ TEST(NetFault, KilledShardIsDeclaredStalledReader) {
   fault::install(fault::Plan(44).die("cachetrie.pinned",
                                      /*thread=*/kShard0));
 
-  BoundedTrie map{{}};
-  net::Server<BoundedTrie> server{map, one_shard_config()};
+  Trie map;
+  net::Server<Trie> server{map, one_shard_config()};
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.start());
 
@@ -321,7 +320,7 @@ TEST(NetFault, KilledShardIsDeclaredStalledReader) {
   client.close();
   server.stop();
   EXPECT_EQ(server.killed_shards(), 1u);
-  EXPECT_TRUE(map.underlying().debug_validate().empty());
+  EXPECT_TRUE(map.debug_validate().empty());
 
   dom.set_limbo_cap_bytes(EpochDomain::kNoLimboCap);
   dom.set_stall_lag_epochs(EpochDomain::kDefaultStallLagEpochs);
@@ -331,13 +330,13 @@ TEST(NetFault, KilledShardIsDeclaredStalledReader) {
 // write-buffer cap and is disconnected; buffered reply bytes stay bounded
 // by cap + one frame.
 TEST(NetFault, BackpressureCapsAndKillsNonReadingClient) {
-  BoundedTrie map{{}};
+  Trie map;
   auto scfg = one_shard_config();
   scfg.shard.max_inflight = 4096;        // isolate backpressure from shed
   scfg.shard.max_queue_age_us = 1'000'000;
   scfg.shard.write_buf_cap = 16 * 1024;
   scfg.conn_sndbuf = 4096;               // small kernel buffers server-side
-  net::Server<BoundedTrie> server{map, scfg};
+  net::Server<Trie> server{map, scfg};
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.start());
 
@@ -381,10 +380,10 @@ TEST(NetFault, DrainShedsLateRequestsWithDrainingFlag) {
   fault::install(fault::Plan(45).stall("net.drain", 400ms,
                                        /*thread=*/kShard0));
 
-  BoundedTrie map{{}};
+  Trie map;
   auto scfg = one_shard_config();
   scfg.shard.drain_timeout_us = 2'000'000;
-  net::Server<BoundedTrie> server{map, scfg};
+  net::Server<Trie> server{map, scfg};
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.start());
 
@@ -419,12 +418,12 @@ TEST(NetFault, DrainShedsLateRequestsWithDrainingFlag) {
 // quanta dwarf an unloaded loopback ping), reply bytes stay under the cap,
 // and the map survives validation.
 TEST(NetFault, OverloadShedsRatherThanQueues) {
-  BoundedTrie map{{}};
+  Trie map;
   auto scfg = one_shard_config();
   scfg.shard.max_inflight = 64;
   scfg.shard.write_buf_cap = 64 * 1024;
   scfg.conn_sndbuf = 4096;
-  net::Server<BoundedTrie> server{map, scfg};
+  net::Server<Trie> server{map, scfg};
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.start());
 
@@ -525,7 +524,7 @@ TEST(NetFault, OverloadShedsRatherThanQueues) {
       << "p99 accepted " << p99_loaded << "us vs unloaded " << p99_unloaded
       << "us — the server queued instead of shedding";
 
-  EXPECT_TRUE(map.underlying().debug_validate().empty());
+  EXPECT_TRUE(map.debug_validate().empty());
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include <utility>
 #include <vector>
 
-#include "cachetrie/evict.hpp"
+#include "cachetrie/cache_trie.hpp"
 #include "net/client.hpp"
 #include "net/proto.hpp"
 #include "net/reactor.hpp"
@@ -30,8 +30,7 @@ namespace {
 
 namespace net = cachetrie::net;
 namespace proto = cachetrie::net::proto;
-using BoundedTrie = cachetrie::evict::BoundedCacheTrie<std::uint64_t,
-                                                       std::uint64_t>;
+using Trie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
 
 // ---- a deliberately tiny JSON validator ----------------------------------
 // Recursive-descent over the full grammar (objects, arrays, strings with
@@ -175,10 +174,10 @@ TEST(JsonValidator, SelfTest) {
 // document that parses, names this PR's envelope keys, and embeds the
 // registry snapshot sections — while writers churn the same shards.
 TEST(NetIntrospect, StatsParseValidUnderConcurrentLoad) {
-  BoundedTrie map{{}};
+  Trie map;
   net::ServerConfig scfg;
   scfg.shards = 2;
-  net::Server<BoundedTrie> server{map, scfg};
+  net::Server<Trie> server{map, scfg};
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.start());
 
@@ -242,8 +241,8 @@ TEST(NetIntrospect, TraceCtlRoundTrip) {
   ::setenv("CACHETRIE_TRACE_OUT", out_dir.c_str(), 1);
   cachetrie::obs::trace::enable(false);
 
-  BoundedTrie map{{}};
-  net::Server<BoundedTrie> server{map, {}};
+  Trie map;
+  net::Server<Trie> server{map, {}};
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.start());
   {
@@ -292,10 +291,10 @@ TEST(NetIntrospect, RegistryPhaseHistogramsMatchPhaseLatency) {
     GTEST_SKIP() << "metrics compiled out";
   }
   cachetrie::obs::registry().reset();
-  BoundedTrie map{{}};
+  Trie map;
   net::ServerConfig scfg;
   scfg.shards = 2;
-  net::Server<BoundedTrie> server{map, scfg};
+  net::Server<Trie> server{map, scfg};
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.start());
   {

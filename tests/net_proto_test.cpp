@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "cachetrie/evict.hpp"
+#include "cachetrie/cache_trie.hpp"
 #include "net/client.hpp"
 #include "net/proto.hpp"
 #include "net/reactor.hpp"
@@ -26,8 +26,7 @@ namespace {
 
 namespace net = cachetrie::net;
 namespace proto = cachetrie::net::proto;
-using BoundedTrie = cachetrie::evict::BoundedCacheTrie<std::uint64_t,
-                                                       std::uint64_t>;
+using Trie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
 
 TEST(NetProto, RequestRoundTrip) {
   proto::RequestFrame req;
@@ -330,9 +329,9 @@ TEST(NetClient, BackoffCurveIsCappedExponentialWithJitter) {
 }
 
 TEST(NetServeMap, DispatchesOpsAndSensesCeiling) {
-  cachetrie::evict::BoundedConfig cfg;
+  cachetrie::Config cfg;
   cfg.ceiling_bytes = 1u << 20;
-  BoundedTrie map{cfg};
+  Trie map{cfg};
 
   proto::RequestFrame req;
   std::uint64_t v = 0;
@@ -377,13 +376,13 @@ TEST(NetServeMap, DispatchesOpsAndSensesCeiling) {
 // statuses, bad-request survival, and a clean drain. This is the ASan
 // sweep of the reactor (see file comment).
 TEST(NetServe, EndToEndBasics) {
-  cachetrie::evict::BoundedConfig bcfg;
+  cachetrie::Config bcfg;
   bcfg.ceiling_bytes = 8u << 20;
-  BoundedTrie map{bcfg};
+  Trie map{bcfg};
 
   net::ServerConfig scfg;
   scfg.shards = 2;
-  net::Server<BoundedTrie> server{map, scfg};
+  net::Server<Trie> server{map, scfg};
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.start());
 
@@ -431,16 +430,44 @@ TEST(NetServe, EndToEndBasics) {
   EXPECT_EQ(totals.proto_errors, 0u);
   EXPECT_EQ(server.killed_shards(), 0u);
   EXPECT_EQ(totals.conns_adopted, totals.conns_closed);
-  EXPECT_TRUE(map.underlying().debug_validate().empty());
+  EXPECT_TRUE(map.debug_validate().empty());
+}
+
+// An unbounded trie is a servable map as it is: no ceiling, so no reply
+// may carry the near-ceiling hint.
+TEST(NetServe, UnboundedTrieServesWithoutDegradedFlag) {
+  Trie map;
+  net::ServerConfig scfg;
+  scfg.shards = 2;
+  net::Server<Trie> server{map, scfg};
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.start());
+  {
+    net::Client client{server.port()};
+    ASSERT_TRUE(client.ok());
+    for (std::uint64_t k = 0; k < 100; ++k) {
+      const auto put = client.put(k, k * 3);
+      EXPECT_TRUE(put.ok()) << "put " << k;
+      EXPECT_EQ(put.flags & proto::kFlagDegraded, 0u) << "put " << k;
+      const auto get = client.get(k);
+      EXPECT_TRUE(get.ok()) << "get " << k;
+      EXPECT_EQ(get.value, k * 3);
+      EXPECT_EQ(get.flags & proto::kFlagDegraded, 0u) << "get " << k;
+    }
+  }
+  server.stop();
+  EXPECT_EQ(server.totals().proto_errors, 0u);
+  EXPECT_EQ(map.size(), 100u);
+  EXPECT_FALSE(map.near_ceiling());
 }
 
 // Multiple client threads through one server, each on its own connection —
 // the shard-per-core claim is that this needs no cross-shard coordination.
 TEST(NetServe, ConcurrentClients) {
-  BoundedTrie map{{}};
+  Trie map;
   net::ServerConfig scfg;
   scfg.shards = 2;
-  net::Server<BoundedTrie> server{map, scfg};
+  net::Server<Trie> server{map, scfg};
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.start());
 
@@ -470,7 +497,7 @@ TEST(NetServe, ConcurrentClients) {
 
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(map.size(), kThreads * kOps);
-  EXPECT_TRUE(map.underlying().debug_validate().empty());
+  EXPECT_TRUE(map.debug_validate().empty());
 }
 
 }  // namespace

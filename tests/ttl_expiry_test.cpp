@@ -32,7 +32,7 @@ namespace {
 namespace sites = cachetrie::obs::sites;
 
 using BoundedTrie =
-    cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
+    cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
 using BoundedChm =
     cachetrie::evict::BoundedChm<std::uint64_t, std::uint64_t>;
 
@@ -62,11 +62,11 @@ struct EvictionDelta {
   }
 };
 
-cachetrie::evict::BoundedConfig ttl_config() {
-  cachetrie::evict::BoundedConfig cfg;
+cachetrie::Config ttl_config() {
+  cachetrie::Config cfg;
   cfg.ttl_ticks = kTtl;
   cfg.ceiling_bytes = 0;  // TTL only: no pressure machinery in these tests
-  cfg.tick = &test_clock;
+  cfg.tick_fn = &test_clock;
   return cfg;
 }
 
@@ -239,8 +239,8 @@ TEST(TtlExpiry, ResidentBytesMatchFootprintAtQuiescence) {
   // footprint walk of the live structure finds (minus the object header,
   // which the walk includes but the ledger does not track).
   EXPECT_EQ(t.resident_bytes(),
-            t.footprint_bytes() - sizeof(BoundedTrie::Trie));
-  EXPECT_TRUE(t.underlying().debug_validate().empty());
+            t.footprint_bytes() - sizeof(BoundedTrie));
+  EXPECT_TRUE(t.debug_validate().empty());
 }
 
 // --- the chm baseline wrapper: same semantics where the surface overlaps ---
