@@ -29,7 +29,9 @@
 # tests dumped.
 #
 # The plain stage also builds benchmark/ as its own project
-# (build-check-benchmark) and runs all three of its workloads for 1 s each.
+# (build-check-benchmark), runs all three of its workloads for 1 s each, and
+# counts the fences and locked instructions in the disassembled
+# CacheTrie<u64,u64>::lookup it runs.
 #
 # The slow label (soak_test, lin_check_test) is excluded here on purpose —
 # run `ctest -L slow` in any of the build trees for the long suite.
@@ -122,6 +124,35 @@ run_stage() {
         echo "FAIL: cachetrie_benchmark --seconds 1 exited non-zero" >&2
         exit 1
       }
+      echo "=== [$stage] lookup disassembly: no new locked instruction ==="
+      # protocol_lint's [read-path] rule reads only marked bodies, not what
+      # they call or what inlining makes of them; this reads the machine
+      # code of the instantiation benchmark/ runs. Allowed: one locked
+      # instruction, the bounded-mode op tick (`lock xadd` in
+      # evict::Policy::horizon). The pin's xchg sits out of line in
+      # EpochDomain::enter, and `xchg %ax,%ax` is a nop with no memory
+      # operand, so neither counts.
+      local lookup_sym='cachetrie::CacheTrie<unsigned long, unsigned long, cachetrie::util::DefaultHash<unsigned long>, cachetrie::mr::EpochReclaimer>::lookup(unsigned long const&) const'
+      local lookup_asm="$bench_dir/lookup.s"
+      objdump -d -C --no-show-raw-insn "$bench_dir/cachetrie_benchmark" |
+        awk -v sym="<$lookup_sym>:" \
+          'index($0, sym) { f = 1; next } /^$/ { f = 0 } f' \
+          >"$lookup_asm"
+      if [ ! -s "$lookup_asm" ]; then
+        echo "FAIL: no out-of-line $lookup_sym in the benchmark binary" >&2
+        exit 1
+      fi
+      local fences locked
+      fences="$(grep -cE '^ *[0-9a-f]+:[[:space:]]+mfence' "$lookup_asm" || true)"
+      locked="$(grep -cE '^ *[0-9a-f]+:[[:space:]]+(lock[[:space:]]|xchg[bwlq]?[[:space:]][^#]*\()' \
+        "$lookup_asm" || true)"
+      echo "lookup: $(wc -l <"$lookup_asm") instructions, $fences mfence," \
+        "$locked locked"
+      if [ "$fences" -ne 0 ] || [ "$locked" -gt 1 ]; then
+        grep -nE 'mfence|lock[[:space:]]|xchg' "$lookup_asm" >&2
+        echo "FAIL: CacheTrie::lookup gained a fence or a locked instruction" >&2
+        exit 1
+      fi
     fi
   fi
 }

@@ -158,12 +158,9 @@ class CacheTrie {
     CacheArray* cache = config_.use_cache
                             ? cache_head_.load(std::memory_order_acquire)
                             : nullptr;
-    if (cache == nullptr) {
-      const bool sample_depth =
-          (obs::sites::cachetrie_lookup_slow.add() & 63u) == 0u;
-      return lookup_rec(key, h, 0, root_, kNoCacheLevel, 0, sample_depth, hz);
-    }
-    const std::int32_t cache_level = static_cast<std::int32_t>(cache->level);
+    const std::int32_t cache_level =
+        cache == nullptr ? kNoCacheLevel
+                         : static_cast<std::int32_t>(cache->level);
     // Fast path (paper Fig. 6): probe cache levels, deepest first.
     for (CacheArray* c = cache; c != nullptr; c = c->parent) {
       NodeBase* cachee =
@@ -181,35 +178,15 @@ class CacheTrie {
           if ((obs::sites::cachetrie_cache_hit.add() & 63u) == 0u) {
             obs::sites::cachetrie_lookup_depth.record(1);
           }
-          if (sn->hash == h && sn->key == key) {
-            if (bounded_) {
-              if (hz.expired(sn->stamp.load(std::memory_order_relaxed))) {
-                return std::nullopt;
-              }
-              sn->stamp.store(hz.now, std::memory_order_relaxed);
-            }
-            return sn->value;
-          }
-          return std::nullopt;
+          return snode_hit(sn, key, h, hz);
         }
         continue;  // stale entry; try a shallower cache level
       }
       if (cachee->kind == Kind::kANode) {
         auto* an = static_cast<ANode*>(cachee);
-        NodeBase* entry = an->slots()[slot_index(h, c->level, an->length)]
-                              .load(std::memory_order_acquire);
         // If the relevant entry is frozen the ANode may already be detached;
-        // fall back. Otherwise the ANode is still reachable (§3.4: a node
-        // with any non-frozen entry has a path from the root).
-        if (entry == Sentinels::fv()) continue;
-        if (entry != nullptr) {
-          if (entry->kind == Kind::kFNode) continue;
-          if (entry->kind == Kind::kSNode &&
-              static_cast<SNodeT*>(entry)->txn.load(
-                  std::memory_order_acquire) == Sentinels::fs()) {
-            continue;
-          }
-        }
+        // fall back.
+        if (entry_frozen</*SeqCst=*/false>(an, h, c->level)) continue;
         // Same counter as the SNode fast path, so its pre-add value keeps
         // sampling one in 64 hits regardless of which hit kind fires.
         const bool sample_depth =
@@ -219,11 +196,9 @@ class CacheTrie {
       }
       // Anything else cached is stale; fall through to shallower levels.
     }
-    {
-      const bool sample_depth =
-          (obs::sites::cachetrie_lookup_slow.add() & 63u) == 0u;
-      return lookup_rec(key, h, 0, root_, cache_level, 0, sample_depth, hz);
-    }
+    const bool sample_depth =
+        (obs::sites::cachetrie_lookup_slow.add() & 63u) == 0u;
+    return lookup_rec(key, h, 0, root_, cache_level, 0, sample_depth, hz);
   }
 
   bool contains(const K& key) const { return lookup(key).has_value(); }
@@ -266,11 +241,11 @@ class CacheTrie {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     const Horizon hz = make_horizon();
     std::size_t n = 0;
-    auto count = [&](const K&, const V&, std::uint64_t st) {
+    auto count = [&](const K&, const V&, std::uint64_t st, std::uint32_t) {
       if (bounded_ && hz.expired(st)) return;
       ++n;
     };
-    for_each_node(root_, count);
+    for_each_node(root_, 0, count);
     return n;
   }
 
@@ -282,11 +257,12 @@ class CacheTrie {
   void for_each(F&& fn) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     const Horizon hz = make_horizon();
-    auto visit = [&](const K& k, const V& v, std::uint64_t st) {
+    auto visit = [&](const K& k, const V& v, std::uint64_t st,
+                     std::uint32_t) {
       if (bounded_ && hz.expired(st)) return;
       fn(k, v);
     };
-    for_each_node(root_, visit);
+    for_each_node(root_, 0, visit);
   }
 
   /// Bytes of heap owned by the trie: nodes, plus the cache arrays when the
@@ -309,7 +285,11 @@ class CacheTrie {
   LevelHistogram level_histogram() const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     LevelHistogram hist;
-    collect_histogram(root_, 0, hist);
+    auto tally = [&](const K&, const V&, std::uint64_t, std::uint32_t lev) {
+      ++hist.counts[lev / 4];
+      ++hist.total;
+    };
+    for_each_node(root_, 0, tally);
     return hist;
   }
 
@@ -394,6 +374,7 @@ class CacheTrie {
 
   static constexpr std::int32_t kNoCacheLevel = -1;
 
+  // [read-path]
   static std::uint32_t slot_index(std::uint64_t h, std::uint32_t lev,
                                   std::uint32_t len) noexcept {
     return static_cast<std::uint32_t>((h >> lev) & (len - 1));
@@ -437,29 +418,17 @@ class CacheTrie {
     }
   }
 
-  /// Lazily evicts `osn` through its txn word — the identical announce/commit
-  /// pair the remove path uses, so an eviction linearizes exactly like a
-  /// remove of that key. Returns true iff this thread won the announcement
-  /// (and is therefore the unique retirer).
+  /// Lazily evicts `osn` through its txn word — the remove path's
+  /// commit_txn, so an eviction linearizes exactly like a remove of that
+  /// key. Returns true iff this thread won the announcement (and is
+  /// therefore the unique retirer).
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   bool try_evict_snode(std::atomic<NodeBase*>& slot, SNodeT* osn, ANode* cur,
                        ANode* prev, std::uint32_t lev, bool expiry) {
-    testkit::chaos_point("cachetrie.evict_announce");
-    NodeBase* etxn = Sentinels::no_txn();
-    // [publishes: CT_TXN]
-    if (!osn->txn.compare_exchange_strong(etxn, nullptr,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-      return false;
-    }
-    testkit::chaos_point("cachetrie.evict_commit");
-    NodeBase* eo = osn;
-    slot.compare_exchange_strong(eo, nullptr, std::memory_order_acq_rel,
-                                 std::memory_order_acquire);
-    clear_cache_refs(osn, osn->hash, lev + 4);
-    retire_snode(osn);
-    note_eviction(expiry, osn->hash, lev);
-    maybe_compress(cur, prev, osn->hash, lev);
+    const std::uint64_t h = osn->hash;
+    if (!commit_txn(slot, osn, nullptr, h, lev, kEvictTxn)) return false;
+    note_eviction(expiry, h, lev);
+    maybe_compress(cur, prev, h, lev);
     return true;
   }
 
@@ -528,15 +497,24 @@ class CacheTrie {
     Horizon hz = make_horizon();
     if (bounded_) maybe_backpressure(hz);  // may raise hz.lru_floor
     const std::uint64_t h = hasher_(key);
+    return note_mutate_result(
+        descend(h, [&](std::uint32_t lev, ANode* start) {
+          return insert_rec(key, value, h, lev, start, nullptr, mode,
+                            expected, hz);
+        }));
+  }
+
+  /// Runs a write-path descent `from(level, node)` from a cached ANode when
+  /// cache_start finds one, then from the root until it does not restart.
+  template <typename From>
+  Res descend(std::uint64_t h, From&& from) {
     if (auto start = cache_start(h); start.node != nullptr) {
-      const Res r = insert_rec(key, value, h, start.level, start.node,
-                               nullptr, mode, expected, hz);
-      if (r != Res::kRestart) return note_mutate_result(r);
+      const Res r = from(start.level, start.node);
+      if (r != Res::kRestart) return r;
     }
     while (true) {
-      const Res r =
-          insert_rec(key, value, h, 0, root_, nullptr, mode, expected, hz);
-      if (r != Res::kRestart) return note_mutate_result(r);
+      const Res r = from(0, root_);
+      if (r != Res::kRestart) return r;
       obs::sites::cachetrie_root_restart.add();
     }
   }
@@ -560,7 +538,7 @@ class CacheTrie {
 
   /// Finds a cached ANode to begin a write-path descent. Only ANode cachees
   /// are usable (writes may need the node's parent, which the cache cannot
-  /// supply for SNodes). Mirrors the validity checks of the fast lookup.
+  /// supply for SNodes). Uses the fast lookup's validity check.
   CacheStart cache_start(std::uint64_t h) const {
     if (!config_.use_cache) return {};
     for (CacheArray* c = cache_head_.load(std::memory_order_acquire);
@@ -569,20 +547,137 @@ class CacheTrie {
           c->entries()[c->index_of(h)].load(std::memory_order_acquire);
       if (cachee == nullptr || cachee->kind != Kind::kANode) continue;
       auto* an = static_cast<ANode*>(cachee);
-      NodeBase* entry = an->slots()[slot_index(h, c->level, an->length)]
-                            .load(std::memory_order_acquire);
-      if (entry == Sentinels::fv()) continue;
-      if (entry != nullptr) {
-        if (entry->kind == Kind::kFNode) continue;
-        if (entry->kind == Kind::kSNode &&
-            static_cast<SNodeT*>(entry)->txn.load(
-                std::memory_order_acquire) == Sentinels::fs()) {
-          continue;
-        }
-      }
+      if (entry_frozen</*SeqCst=*/false>(an, h, c->level)) continue;
       return {an, c->level};
     }
     return {};
+  }
+
+  // --- leaf commits: the txn protocol and the chain rebuild ------------------
+
+  /// Chaos sites around commit_txn's two CASes. An eviction has its own
+  /// pair and counts neither a txn commit nor a retry.
+  struct TxnSites {
+    const char* announce;
+    const char* commit;
+    bool counted;  // records cachetrie.txn_commit and cachetrie.txn.retry
+  };
+  static constexpr TxnSites kWriteTxn{"cachetrie.txn_announce",
+                                      "cachetrie.txn_commit", true};
+  static constexpr TxnSites kEvictTxn{"cachetrie.evict_announce",
+                                      "cachetrie.evict_commit", false};
+
+  /// The slot half of the txn protocol: commits the value announced on
+  /// osn->txn (nullptr for a removal) into the parent slot. The announcer
+  /// and any number of helpers run it; only the first CAS takes effect.
+  static void commit_announced(std::atomic<NodeBase*>& slot, SNodeT* osn,
+                               NodeBase* txn) {
+    NodeBase* expected = osn;
+    slot.compare_exchange_strong(expected, txn, std::memory_order_acq_rel,
+                                 std::memory_order_acquire);
+  }
+
+  /// The two-CAS txn commit (§3.3, Fig. 3) every SNode change goes
+  /// through: announce `nv` on osn->txn — a new SNode, a subtree, or
+  /// nullptr for a removal — which invalidates osn's cache entries at once,
+  /// then commit it into the parent slot, clear those entries, book the
+  /// bytes and retire osn. Returns false when the announcement loses; `nv`
+  /// is then destroyed and nothing else changed. `h` is the operation's key
+  /// hash, for the commit event.
+  // [smr: caller-pinned] -- the guard is held by the public entry point.
+  bool commit_txn(std::atomic<NodeBase*>& slot, SNodeT* osn, NodeBase* nv,
+                  std::uint64_t h, std::uint32_t lev, const TxnSites& sites) {
+    // Footprint of the replacement, taken while it is still private; after
+    // the txn wins, helpers may commit it and make it concurrently mutable.
+    const std::ptrdiff_t nv_bytes =
+        bounded_ ? static_cast<std::ptrdiff_t>(subtree_footprint(nv)) : 0;
+    testkit::chaos_point(sites.announce);
+    NodeBase* expected = Sentinels::no_txn();
+    // [publishes: CT_TXN]
+    if (!osn->txn.compare_exchange_strong(expected, nv,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+      destroy_subtree(nv);  // never published
+      if (sites.counted) obs::sites::cachetrie_txn_retry.add();
+      return false;
+    }
+    // The window between the txn announcement and the slot commit is where
+    // helpers race the winner.
+    testkit::chaos_point(sites.commit);
+    if (sites.counted) obs::sites::cachetrie_txn_commit.record(h, lev);
+    commit_announced(slot, osn, nv);
+    // The only possible slot transition was osn -> nv (helpers commit the
+    // announced txn), so osn is out either way; we won the txn and are the
+    // unique retirer.
+    clear_cache_refs(osn, osn->hash, lev + 4);
+    account(nv_bytes);
+    retire_snode(osn);
+    return true;
+  }
+
+  /// The chain rebuild behind every same-hash insert into and removal from
+  /// a collision chain. Chains are immutable, so the rebuild copies the
+  /// chain without `key`'s old pair and without TTL corpses, adds
+  /// (key, *value) unless `value` is null, and swaps the copy in with one
+  /// CAS. A chain holds at least 2 pairs: one pair collapses to an SNode
+  /// and none empties the slot, which may let `cur` compress. The CAS
+  /// winner books the bytes, counts each dropped corpse as an expiry and
+  /// retires the old chain. Returns kRetryLevel when the CAS loses, else
+  /// kRemoved (no `value`), kReplaced (`key` had a live pair) or kNew.
+  // [smr: caller-pinned] -- the guard is held by the public entry point.
+  Res rebuild_chain(std::atomic<NodeBase*>& slot, LNodeT* chain, const K& key,
+                    const V* value, std::uint64_t h, std::uint32_t lev,
+                    ANode* cur, ANode* prev, const Horizon& hz) {
+    bool had_key = false;
+    std::size_t corpses = 0;
+    std::size_t pairs = value != nullptr ? 1 : 0;
+    const LNodeT* kept = nullptr;
+    for (const LNodeT* l = chain; l != nullptr; l = l->next) {
+      if (bounded_ && hz.expired(l->stamp)) {
+        ++corpses;
+      } else if (l->key == key) {
+        had_key = true;
+      } else {
+        ++pairs;
+        kept = l;
+      }
+    }
+    NodeBase* replacement = nullptr;
+    if (pairs == 1) {
+      replacement =
+          value != nullptr
+              ? SNodeT::make(h, key, *value, hz.now)
+              : SNodeT::make(kept->hash, kept->key, kept->value, kept->stamp);
+    } else if (pairs > 1) {
+      LNodeT* fresh = nullptr;
+      for (const LNodeT* l = chain; l != nullptr; l = l->next) {
+        if (l->key == key || (bounded_ && hz.expired(l->stamp))) continue;
+        fresh = LNodeT::make(l->hash, l->key, l->value, fresh, l->stamp);
+      }
+      if (value != nullptr) {
+        fresh = LNodeT::make(h, key, *value, fresh, hz.now);
+      }
+      replacement = fresh;
+    }
+    const std::ptrdiff_t bytes =
+        bounded_ ? static_cast<std::ptrdiff_t>(subtree_footprint(replacement))
+                 : 0;
+    NodeBase* expected = chain;
+    if (!slot.compare_exchange_strong(expected, replacement,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+      destroy_subtree(replacement);  // never published
+      obs::sites::cachetrie_txn_retry.add();
+      return Res::kRetryLevel;
+    }
+    account(bytes);
+    for (std::size_t i = 0; i < corpses; ++i) {
+      note_eviction(/*expiry=*/true, h, lev);
+    }
+    retire_chain(chain);
+    if (value != nullptr) return had_key ? Res::kReplaced : Res::kNew;
+    if (replacement == nullptr) maybe_compress(cur, prev, h, lev);
+    return Res::kRemoved;
   }
 
   // --- insert (paper Fig. 3) -----------------------------------------------
@@ -629,7 +724,7 @@ class CacheTrie {
           continue;
         }
         case Kind::kLNode: {
-          const Res r = insert_at_lnode(key, value, h, lev, slot,
+          const Res r = insert_at_lnode(key, value, h, lev, cur, prev, slot,
                                         static_cast<LNodeT*>(old), mode,
                                         expected_value, hz);
           if (r != Res::kRetryLevel) return r;
@@ -648,9 +743,6 @@ class CacheTrie {
     }
   }
 
-  /// Slot holds an SNode: replace in place (same key), expand a narrow node
-  /// (collision in a 4-slot node), or hang a fresh subtree (collision in a
-  /// wide node). Paper Fig. 3, lines 11-38.
   /// Value comparison for the compare-and-replace mode; instantiable even
   /// for value types without operator== (the mode is then unreachable).
   static bool value_equals(const V& a, const V& b) {
@@ -663,6 +755,9 @@ class CacheTrie {
     }
   }
 
+  /// Slot holds an SNode: replace in place (same key), expand a narrow node
+  /// (collision in a 4-slot node), or hang a fresh subtree (collision in a
+  /// wide node). Paper Fig. 3, lines 11-38.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   Res insert_at_snode(const K& key, const V& value, std::uint64_t h,
                       std::uint32_t lev, ANode* cur, ANode* prev,
@@ -684,52 +779,23 @@ class CacheTrie {
           try_evict_snode(slot, osn, cur, prev, lev, /*expiry=*/true);
           return Res::kNotFound;
         }
-        if (!corpse) {
-          if (mode == Mode::kIfAbsent) {
-            if (bounded_) {
-              osn->stamp.store(hz.now, std::memory_order_relaxed);
-            }
-            return Res::kExists;
-          }
-          if (mode == Mode::kReplaceIfEquals &&
-              !value_equals(osn->value, *expected_value)) {
-            if (bounded_) {
-              osn->stamp.store(hz.now, std::memory_order_relaxed);
-            }
-            return Res::kExists;
-          }
+        if (!corpse &&
+            (mode == Mode::kIfAbsent ||
+             (mode == Mode::kReplaceIfEquals &&
+              !value_equals(osn->value, *expected_value)))) {
+          touch(osn, hz);  // the pair stays, and the write is a use of it
+          return Res::kExists;
         }
-        // case (4): same key — two-CAS replacement. The txn CAS both
-        // announces the change and invalidates any cache entry.
-        SNodeT* sn = SNodeT::make(h, key, value, hz.now);
-        testkit::chaos_point("cachetrie.txn_announce");
-        NodeBase* expected = Sentinels::no_txn();
-        // [publishes: CT_TXN]
-        if (osn->txn.compare_exchange_strong(expected, sn,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-          // The window between the txn announcement and the slot commit is
-          // where helpers race the winner (§3.3's two-CAS protocol).
-          testkit::chaos_point("cachetrie.txn_commit");
-          obs::sites::cachetrie_txn_commit.record(h, lev);
-          NodeBase* eo = osn;
-          slot.compare_exchange_strong(eo, sn, std::memory_order_acq_rel,
-                                       std::memory_order_acquire);
-          // The only possible slot transition was osn -> sn (helpers commit
-          // the announced txn), so osn is out either way; we won the txn and
-          // are the unique retirer.
-          clear_cache_refs(osn, h, lev + 4);
-          account(static_cast<std::ptrdiff_t>(sizeof(SNodeT)));
-          retire_snode(osn);
-          if (corpse) {
-            note_eviction(/*expiry=*/true, h, lev);
-            return Res::kNew;  // the replaced pair was semantically absent
-          }
-          return Res::kReplaced;
+        // case (4): same key — two-CAS replacement.
+        if (!commit_txn(slot, osn, SNodeT::make(h, key, value, hz.now), h,
+                        lev, kWriteTxn)) {
+          return Res::kRetryLevel;
         }
-        delete sn;  // [delete: unpublished]
-        obs::sites::cachetrie_txn_retry.add();
-        return Res::kRetryLevel;
+        if (corpse) {
+          note_eviction(/*expiry=*/true, h, lev);
+          return Res::kNew;  // the replaced pair was semantically absent
+        }
+        return Res::kReplaced;
       }
       // A stale colliding pair is lazily evicted instead of growing a
       // subtree under a corpse; the caller re-reads the emptied slot.
@@ -771,49 +837,27 @@ class CacheTrie {
       // case (2): collision in a wide node — build a deeper subtree that
       // holds a fresh copy of osn's pair plus the new pair, and commit it
       // through osn's txn.
-      NodeBase* subtree = create_subtree(osn, h, key, value, lev + 4, hz.now);
-      // Footprint of the replacement, taken while it is still private; after
-      // the txn wins, helpers may commit it and make it concurrently mutable.
-      const std::ptrdiff_t sub_bytes =
-          bounded_ ? static_cast<std::ptrdiff_t>(subtree_footprint(subtree))
-                   : 0;
-      testkit::chaos_point("cachetrie.txn_announce");
-      NodeBase* expected = Sentinels::no_txn();
-      if (osn->txn.compare_exchange_strong(expected, subtree,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-        testkit::chaos_point("cachetrie.txn_commit");
-        obs::sites::cachetrie_txn_commit.record(h, lev);
-        NodeBase* eo = osn;
-        slot.compare_exchange_strong(eo, subtree, std::memory_order_acq_rel,
-                                     std::memory_order_acquire);
-        clear_cache_refs(osn, h, lev + 4);
-        account(sub_bytes);
-        retire_snode(osn);
-        return Res::kNew;
-      }
-      destroy_subtree_value(subtree);
-      obs::sites::cachetrie_txn_retry.add();
-      return Res::kRetryLevel;
+      return commit_txn(slot, osn,
+                        create_subtree(osn, h, key, value, lev + 4, hz.now),
+                        h, lev, kWriteTxn)
+                 ? Res::kNew
+                 : Res::kRetryLevel;
     }
     if (txn == Sentinels::fs()) return Res::kRestart;  // frozen leaf
-    // A transaction is pending on this SNode: help commit it (the announced
-    // value may be nullptr — a removal) and retry.
-    NodeBase* eo = osn;
-    slot.compare_exchange_strong(eo, txn, std::memory_order_acq_rel,
-                                 std::memory_order_acquire);
+    // A transaction is pending on this SNode: help commit it and retry.
+    commit_announced(slot, osn, txn);
     obs::sites::cachetrie_txn_retry.add();
     return Res::kRetryLevel;
   }
 
-  /// Slot holds a collision chain. Chains are immutable: build the updated
-  /// chain (or, when the new hash differs, a subtree that pushes the chain
-  /// deeper) and swap it in with one CAS.
+  /// Slot holds a collision chain. Chains are immutable: rebuild it with the
+  /// pair added or replaced, or, when the new hash differs, hang it with the
+  /// new pair under a fresh inner path; either swaps in with one CAS.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   Res insert_at_lnode(const K& key, const V& value, std::uint64_t h,
-                      std::uint32_t lev, std::atomic<NodeBase*>& slot,
-                      LNodeT* chain, Mode mode, const V* expected_value,
-                      const Horizon& hz) {
+                      std::uint32_t lev, ANode* cur, ANode* prev,
+                      std::atomic<NodeBase*>& slot, LNodeT* chain, Mode mode,
+                      const V* expected_value, const Horizon& hz) {
     if (chain->hash != h) {
       // The new key only shares a prefix with the chain's hash: grow an
       // inner path below this slot that separates them. The existing chain
@@ -824,15 +868,12 @@ class CacheTrie {
       }
       SNodeT* sn = SNodeT::make(h, key, value, hz.now);
       NodeBase* subtree = branch_apart(chain, chain->hash, sn, lev + 4);
-      std::ptrdiff_t delta = 0;
-      if (bounded_) {
-        // The reused chain is already accounted; only the fresh inner path
-        // and the new pair are new bytes.
-        delta = static_cast<std::ptrdiff_t>(subtree_footprint(subtree));
-        for (LNodeT* l = chain; l != nullptr; l = l->next) {
-          delta -= static_cast<std::ptrdiff_t>(sizeof(LNodeT));
-        }
-      }
+      // The reused chain is already accounted; only the fresh inner path
+      // and the new pair are new bytes.
+      const std::ptrdiff_t delta =
+          bounded_ ? static_cast<std::ptrdiff_t>(subtree_footprint(subtree)) -
+                         static_cast<std::ptrdiff_t>(subtree_footprint(chain))
+                   : 0;
       NodeBase* expected = chain;
       if (slot.compare_exchange_strong(expected, subtree,
                                        std::memory_order_acq_rel,
@@ -840,83 +881,84 @@ class CacheTrie {
         account(delta);
         return Res::kNew;
       }
-      destroy_subtree_value_sparing(subtree, chain);
+      destroy_subtree(subtree, chain);
       obs::sites::cachetrie_txn_retry.add();
       return Res::kRetryLevel;
     }
-    // Same full hash: rebuild the chain with the pair added or replaced.
-    // Bounded mode: TTL-expired pairs are semantically absent — invisible to
-    // the mode checks, and dropped (counted as expiries) by the rebuild.
-    bool found = false;       // a live pair for `key` exists
-    bool key_corpse = false;  // an expired pair for `key` exists
-    std::size_t live_others = 0;
-    std::size_t expired_others = 0;
-    for (LNodeT* l = chain; l != nullptr; l = l->next) {
-      const bool expired = bounded_ && hz.expired(l->stamp);
-      if (l->key == key) {
-        if (expired) {
-          key_corpse = true;
-          continue;
-        }
-        found = true;
-        if (mode == Mode::kReplaceIfEquals &&
-            !value_equals(l->value, *expected_value)) {
-          return Res::kExists;
-        }
-      } else if (expired) {
-        ++expired_others;
-      } else {
-        ++live_others;
+    // Same full hash. The mode checks see only `key`'s live pair: a
+    // TTL-expired one is semantically absent (and the rebuild drops it).
+    const LNodeT* live = chain_find(chain, key, h, hz);
+    if (live != nullptr) {
+      if (mode == Mode::kIfAbsent) return Res::kExists;
+      if (mode == Mode::kReplaceIfEquals &&
+          !value_equals(live->value, *expected_value)) {
+        return Res::kExists;
       }
-    }
-    if (found && mode == Mode::kIfAbsent) return Res::kExists;
-    if (!found && (mode == Mode::kReplaceOnly ||
-                   mode == Mode::kReplaceIfEquals)) {
+    } else if (mode == Mode::kReplaceOnly ||
+               mode == Mode::kReplaceIfEquals) {
       // A corpse for `key` (if any) stays until a mutating walk rebuilds the
       // chain; it is already unobservable, so reporting absent is correct.
       return Res::kNotFound;
     }
-    // Rebuild without `key`'s old pair and without corpses. A chain that
-    // would hold a single pair collapses back to an SNode (chain invariant:
-    // >= 2 pairs).
-    NodeBase* replacement = nullptr;
-    LNodeT* fresh = nullptr;
-    if (live_others == 0) {
-      replacement = SNodeT::make(h, key, value, hz.now);
-    } else {
-      for (LNodeT* l = chain; l != nullptr; l = l->next) {
-        if (l->key == key || (bounded_ && hz.expired(l->stamp))) continue;
-        fresh = LNodeT::make(l->hash, l->key, l->value, fresh, l->stamp);
-      }
-      fresh = LNodeT::make(h, key, value, fresh, hz.now);
-      replacement = fresh;
-    }
-    NodeBase* expected = chain;
-    if (slot.compare_exchange_strong(expected, replacement,
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-      account(static_cast<std::ptrdiff_t>(
-          live_others == 0 ? sizeof(SNodeT)
-                           : (live_others + 1) * sizeof(LNodeT)));
-      for (std::size_t i = 0; i < expired_others; ++i) {
-        note_eviction(/*expiry=*/true, h, lev);
-      }
-      // The old pair for `key`, when expired, is evicted-by-replacement just
-      // like the SNode corpse path: count it and report the key as new.
-      if (key_corpse) note_eviction(/*expiry=*/true, h, lev);
-      retire_chain(chain);
-      return found ? Res::kReplaced : Res::kNew;
-    }
-    if (live_others == 0) {
-      delete static_cast<SNodeT*>(replacement);  // [delete: unpublished]
-    } else {
-      destroy_chain(fresh);
-    }
-    obs::sites::cachetrie_txn_retry.add();
-    return Res::kRetryLevel;
+    return rebuild_chain(slot, chain, key, &value, h, lev, cur, prev, hz);
   }
 
   // --- lookup (paper Fig. 2, with the Fig. 6 cache hooks) -------------------
+
+  /// True when `an`'s entry for `h` is frozen: FVNode, an FNode, or an SNode
+  /// whose txn is FSNode. A detached ANode has every entry frozen, so a
+  /// cached ANode whose entry is not frozen is still reachable from the
+  /// root (§3.4). The lookup and write-path cache probes load with acquire;
+  /// the inhabit re-check (`SeqCst`) loads with seq_cst for its Dekker pair.
+  // [read-path]
+  template <bool SeqCst>
+  static bool entry_frozen(const ANode* an, std::uint64_t h,
+                           std::uint32_t lev) noexcept {
+    NodeBase* e = an->slots()[slot_index(h, lev, an->length)].load(
+        SeqCst ? std::memory_order_seq_cst : std::memory_order_acquire);
+    if (e == Sentinels::fv()) return true;
+    if (e == nullptr) return false;
+    return e->kind == Kind::kFNode ||
+           (e->kind == Kind::kSNode &&
+            static_cast<SNodeT*>(e)->txn.load(
+                SeqCst ? std::memory_order_seq_cst
+                       : std::memory_order_acquire) == Sentinels::fs());
+  }
+
+  /// A lookup that reached SNode `sn` on `key`'s path: its value when it
+  /// holds `key`, else absent. Bounded mode: a TTL-expired pair is a corpse,
+  /// unobservable and evicted lazily by writers; a live hit is a use.
+  // [read-path]
+  std::optional<V> snode_hit(SNodeT* sn, const K& key, std::uint64_t h,
+                             const Horizon& hz) const {
+    if (sn->hash != h || !(sn->key == key)) return std::nullopt;
+    if (bounded_ && hz.expired(sn->stamp.load(std::memory_order_relaxed))) {
+      return std::nullopt;
+    }
+    touch(sn, hz);
+    return sn->value;
+  }
+
+  /// The stamp-refresh rule: a use of a live pair in bounded mode — a
+  /// lookup hit, or a write that leaves the pair in place — restarts its
+  /// LRU/TTL clock. Relaxed: the stamp is advisory.
+  // [read-path]
+  void touch(SNodeT* sn, const Horizon& hz) const {
+    if (bounded_) sn->stamp.store(hz.now, std::memory_order_relaxed);
+  }
+
+  /// `key`'s live pair in a collision chain, or nullptr when the chain does
+  /// not hold it or holds only its TTL corpse.
+  // [read-path]
+  const LNodeT* chain_find(const LNodeT* chain, const K& key, std::uint64_t h,
+                           const Horizon& hz) const {
+    for (const LNodeT* l = chain; l != nullptr; l = l->next) {
+      if (l->hash == h && l->key == key) {
+        return bounded_ && hz.expired(l->stamp) ? nullptr : l;
+      }
+    }
+    return nullptr;
+  }
 
   // [read-path]
   std::optional<V> lookup_rec(const K& key, std::uint64_t h,
@@ -943,28 +985,14 @@ class CacheTrie {
       case Kind::kSNode: {
         auto* sn = static_cast<SNodeT*>(old);
         note_leaf_level(sn, lev + 4, cache_level, start_lev, sample_depth);
-        if (sn->hash == h && sn->key == key) {
-          if (bounded_) {
-            if (hz.expired(sn->stamp.load(std::memory_order_relaxed))) {
-              return std::nullopt;  // corpse: unobservable, evicted lazily
-            }
-            sn->stamp.store(hz.now, std::memory_order_relaxed);
-          }
-          return sn->value;
-        }
-        return std::nullopt;
+        return snode_hit(sn, key, h, hz);
       }
       case Kind::kLNode: {
         note_leaf_level(nullptr, lev + 4, cache_level, start_lev,
                         sample_depth);
-        for (const LNodeT* l = static_cast<const LNodeT*>(old); l != nullptr;
-             l = l->next) {
-          if (l->hash == h && l->key == key) {
-            if (bounded_ && hz.expired(l->stamp)) return std::nullopt;
-            return l->value;
-          }
-        }
-        return std::nullopt;
+        const LNodeT* l =
+            chain_find(static_cast<const LNodeT*>(old), key, h, hz);
+        return l != nullptr ? std::optional<V>(l->value) : std::nullopt;
       }
       case Kind::kENode: {
         // A pending expansion/compression: continue read-only through the
@@ -980,14 +1008,9 @@ class CacheTrie {
                             static_cast<const ANode*>(frozen), cache_level,
                             start_lev, sample_depth, hz);
         }
-        for (const LNodeT* l = static_cast<const LNodeT*>(frozen);
-             l != nullptr; l = l->next) {
-          if (l->hash == h && l->key == key) {
-            if (bounded_ && hz.expired(l->stamp)) return std::nullopt;
-            return l->value;
-          }
-        }
-        return std::nullopt;
+        const LNodeT* l =
+            chain_find(static_cast<const LNodeT*>(frozen), key, h, hz);
+        return l != nullptr ? std::optional<V>(l->value) : std::nullopt;
       }
       default:
         assert(false && "unexpected node kind in ANode slot");
@@ -1000,7 +1023,9 @@ class CacheTrie {
   /// cache level (or when a deep leaf justifies creating the cache), and
   /// record a miss when the leaf lies outside the cache's reach — the cache
   /// at level L serves leaves at L (direct) and L+4 (one hop through a
-  /// cached ANode).
+  /// cached ANode). Its own body stays on the read path; the inhabit and
+  /// the miss count it may call are slow-path work with their own barriers.
+  // [read-path]
   void note_leaf_level(SNodeT* sn, std::uint32_t leaf_lev,
                        std::int32_t cache_level,
                        std::uint32_t start_lev, bool sample_depth) const {
@@ -1038,6 +1063,13 @@ class CacheTrie {
 
   // --- remove (paper §3.7) ---------------------------------------------------
 
+  /// What a successful remove_rec hands back: the removed value and the
+  /// level of the slot its commit emptied or rebuilt.
+  struct Removed {
+    std::optional<V> value;
+    std::uint32_t lev = 0;
+  };
+
   /// `as_evict` routes the success to the eviction counters (the removal is
   /// the same linearizable protocol either way); used by evict().
   std::optional<V> do_remove(const K& key, const V* expected,
@@ -1046,40 +1078,22 @@ class CacheTrie {
     testkit::chaos_point("cachetrie.pinned");
     const std::uint64_t h = hasher_(key);
     const Horizon hz = make_horizon();
-    std::optional<V> out;
-    if (auto start = cache_start(h); start.node != nullptr) {
-      const Res r = remove_rec(key, h, start.level, start.node, nullptr, &out,
-                               expected, hz);
-      if (r != Res::kRestart) {
-        if (r == Res::kRemoved) {
-          if (as_evict) {
-            note_eviction(/*expiry=*/false, h, 0);
-          } else {
-            obs::sites::cachetrie_remove.add();
-          }
-        }
-        return r == Res::kRemoved ? std::move(out) : std::nullopt;
-      }
+    Removed out;
+    const Res r = descend(h, [&](std::uint32_t lev, ANode* start) {
+      return remove_rec(key, h, lev, start, nullptr, &out, expected, hz);
+    });
+    if (r != Res::kRemoved) return std::nullopt;
+    if (as_evict) {
+      note_eviction(/*expiry=*/false, h, out.lev);
+    } else {
+      obs::sites::cachetrie_remove.add();
     }
-    while (true) {
-      const Res r = remove_rec(key, h, 0, root_, nullptr, &out, expected, hz);
-      if (r != Res::kRestart) {
-        if (r == Res::kRemoved) {
-          if (as_evict) {
-            note_eviction(/*expiry=*/false, h, 0);
-          } else {
-            obs::sites::cachetrie_remove.add();
-          }
-        }
-        return r == Res::kRemoved ? std::move(out) : std::nullopt;
-      }
-      obs::sites::cachetrie_root_restart.add();
-    }
+    return std::move(out.value);
   }
 
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   Res remove_rec(const K& key, std::uint64_t h, std::uint32_t lev, ANode* cur,
-                 ANode* prev, std::optional<V>* out, const V* expected,
+                 ANode* prev, Removed* out, const V* expected,
                  const Horizon& hz) {
     while (true) {
       auto& slot = cur->slots()[slot_index(h, lev, cur->length)];
@@ -1096,121 +1110,46 @@ class CacheTrie {
           if (txn == Sentinels::no_txn()) {
             const std::uint64_t ostamp =
                 bounded_ ? osn->stamp.load(std::memory_order_relaxed) : 0;
-            if (osn->hash != h || !(osn->key == key)) {
-              // Hygiene: a stale pair crossing a remover's path is evicted
-              // even though it is not the remover's key.
-              if (bounded_ && hz.evictable(ostamp)) {
-                try_evict_snode(slot, osn, cur, prev, lev,
-                                hz.expired(ostamp));
-              }
+            const bool mine = osn->hash == h && osn->key == key;
+            // Hygiene: a stale pair crossing a remover's path is evicted
+            // even though it is not the remover's key. The remover's own
+            // pair, when a corpse, is semantically absent: evict it and
+            // report NotFound (even for a plain remove).
+            if (bounded_ &&
+                (mine ? hz.expired(ostamp) : hz.evictable(ostamp))) {
+              try_evict_snode(slot, osn, cur, prev, lev, hz.expired(ostamp));
               return Res::kNotFound;
             }
-            if (bounded_ && hz.expired(ostamp)) {
-              // The target itself is a corpse: semantically absent — evict
-              // it and report NotFound (even for a plain remove).
-              try_evict_snode(slot, osn, cur, prev, lev, /*expiry=*/true);
-              return Res::kNotFound;
-            }
+            if (!mine) return Res::kNotFound;
             if (expected != nullptr && !value_equals(osn->value, *expected)) {
               return Res::kNotFound;
             }
-            // Announce removal by publishing nullptr in txn (invalidates
-            // cache entries), then commit null into the slot.
-            testkit::chaos_point("cachetrie.txn_announce");
-            NodeBase* etxn = Sentinels::no_txn();
-            if (osn->txn.compare_exchange_strong(etxn, nullptr,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_acquire)) {
-              testkit::chaos_point("cachetrie.txn_commit");
-              obs::sites::cachetrie_txn_commit.record(h, lev);
-              NodeBase* eo = osn;
-              slot.compare_exchange_strong(eo, nullptr,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire);
-              *out = osn->value;
-              clear_cache_refs(osn, h, lev + 4);
-              retire_snode(osn);
-              maybe_compress(cur, prev, h, lev);
-              return Res::kRemoved;
-            }
-            obs::sites::cachetrie_txn_retry.add();
-            continue;
+            // Announce removal by publishing nullptr in txn, then commit
+            // null into the slot.
+            *out = {osn->value, lev};
+            if (!commit_txn(slot, osn, nullptr, h, lev, kWriteTxn)) continue;
+            maybe_compress(cur, prev, h, lev);
+            return Res::kRemoved;
           }
           if (txn == Sentinels::fs()) return Res::kRestart;
-          {  // help commit the pending transaction and retry
-            NodeBase* eo = osn;
-            slot.compare_exchange_strong(eo, txn, std::memory_order_acq_rel,
-                                         std::memory_order_acquire);
-            obs::sites::cachetrie_txn_retry.add();
-            continue;
-          }
+          // Help commit the pending transaction and retry.
+          commit_announced(slot, osn, txn);
+          obs::sites::cachetrie_txn_retry.add();
+          continue;
         }
         case Kind::kLNode: {
           auto* chain = static_cast<LNodeT*>(old);
-          if (chain->hash != h) return Res::kNotFound;
-          bool found = false;
-          std::size_t live_others = 0;
-          std::size_t expired_others = 0;
-          for (LNodeT* l = chain; l != nullptr; l = l->next) {
-            const bool is_expired = bounded_ && hz.expired(l->stamp);
-            if (l->key == key) {
-              // A corpse is semantically absent: nothing to remove. It stays
-              // until a mutating rebuild of this chain drops it.
-              if (is_expired) return Res::kNotFound;
-              if (expected != nullptr && !value_equals(l->value, *expected)) {
-                return Res::kNotFound;
-              }
-              found = true;
-              *out = l->value;
-            } else if (is_expired) {
-              ++expired_others;
-            } else {
-              ++live_others;
-            }
+          // A corpse is semantically absent: nothing to remove. It stays
+          // until a mutating rebuild of this chain drops it.
+          const LNodeT* live = chain_find(chain, key, h, hz);
+          if (live == nullptr ||
+              (expected != nullptr && !value_equals(live->value, *expected))) {
+            return Res::kNotFound;
           }
-          if (!found) return Res::kNotFound;
-          // Rebuild without the target and without corpses. Chains never
-          // hold < 2 pairs: one live survivor collapses to an SNode, zero
-          // (all others expired) empties the slot outright.
-          NodeBase* replacement = nullptr;
-          if (live_others == 1) {
-            for (LNodeT* l = chain; l != nullptr; l = l->next) {
-              if (!(l->key == key) && !(bounded_ && hz.expired(l->stamp))) {
-                replacement =
-                    SNodeT::make(l->hash, l->key, l->value, l->stamp);
-              }
-            }
-          } else if (live_others > 1) {
-            LNodeT* fresh = nullptr;
-            for (LNodeT* l = chain; l != nullptr; l = l->next) {
-              if (l->key == key || (bounded_ && hz.expired(l->stamp))) {
-                continue;
-              }
-              fresh =
-                  LNodeT::make(l->hash, l->key, l->value, fresh, l->stamp);
-            }
-            replacement = fresh;
-          }
-          NodeBase* echain = chain;
-          if (slot.compare_exchange_strong(echain, replacement,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-            if (live_others == 1) {
-              account(static_cast<std::ptrdiff_t>(sizeof(SNodeT)));
-            } else if (live_others > 1) {
-              account(static_cast<std::ptrdiff_t>(live_others *
-                                                  sizeof(LNodeT)));
-            }
-            for (std::size_t i = 0; i < expired_others; ++i) {
-              note_eviction(/*expiry=*/true, h, lev);
-            }
-            retire_chain(chain);
-            if (replacement == nullptr) maybe_compress(cur, prev, h, lev);
-            return Res::kRemoved;
-          }
-          if (replacement != nullptr) destroy_subtree_value(replacement);
-          out->reset();
-          obs::sites::cachetrie_txn_retry.add();
+          *out = {live->value, lev};
+          const Res r =
+              rebuild_chain(slot, chain, key, nullptr, h, lev, cur, prev, hz);
+          if (r != Res::kRetryLevel) return r;
           continue;
         }
         case Kind::kENode:
@@ -1225,9 +1164,11 @@ class CacheTrie {
     }
   }
 
-  /// After a removal emptied `cur`, announce a compression that replaces it
-  /// in `prev` with null (or with a collapsed copy if it was repopulated
-  /// concurrently — the freeze-then-copy protocol makes this race benign).
+  /// After a removal emptied `cur`, or left it a single SNode, announce a
+  /// compression that replaces it in `prev` with null or that SNode (or with
+  /// a collapsed copy if it was repopulated concurrently — the
+  /// freeze-then-copy protocol makes this race benign). Off unless
+  /// Config::compress.
   void maybe_compress(ANode* cur, ANode* prev, std::uint64_t h,
                       std::uint32_t lev) {
     if (!config_.compress || prev == nullptr) return;
@@ -1243,10 +1184,7 @@ class CacheTrie {
       ++live;
       if (n->kind != Kind::kSNode) hoistable_only = false;
     }
-    const bool empty = live == 0;
-    const bool singleton =
-        config_.compress_singletons && live == 1 && hoistable_only;
-    if (!empty && !singleton) return;
+    if (live > 1 || !hoistable_only) return;
     ENode* en = ENode::make(prev, slot_index(h, lev - 4, prev->length), cur,
                             h, lev, /*compress=*/true);
     testkit::chaos_point("cachetrie.compress_announce");
@@ -1310,11 +1248,8 @@ class CacheTrie {
             ++i;
             continue;
           }
-          // Pending change: commit it (possibly null) and re-examine.
-          NodeBase* expected = node;
-          slot.compare_exchange_strong(expected, txn,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire);
+          // Pending change: commit it and re-examine.
+          commit_announced(slot, sn, txn);
           continue;
         }
         case Kind::kANode:
@@ -1371,7 +1306,7 @@ class CacheTrie {
     if (!en->result.compare_exchange_strong(expected, replacement,
                                             std::memory_order_acq_rel,
                                             std::memory_order_acquire)) {
-      destroy_subtree_value(replacement);  // lost the build race
+      destroy_subtree(replacement);  // lost the build race
     }
     NodeBase* committed = en->result.load(std::memory_order_acquire);
     // Footprint of the committed replacement, taken before the parent-slot
@@ -1424,8 +1359,8 @@ class CacheTrie {
 
   /// Deep-copies a fully frozen subtree back to life (compression). Returns
   ///   * nullptr            — no live pairs remained (the paper's case);
-  ///   * a fresh SNode      — exactly one pair remained and singleton
-  ///                          collapsing is enabled (hoists it one level up);
+  ///   * a fresh SNode      — exactly one pair remained (hoists it one level
+  ///                          up; see maybe_compress);
   ///   * a fresh ANode      — otherwise, with children revived recursively.
   NodeBase* revive_copy(ANode* frozen) {
     ANode* fresh = ANode::make(frozen->length);
@@ -1459,7 +1394,7 @@ class CacheTrie {
       ANode::destroy(fresh);
       return nullptr;
     }
-    if (live == 1 && config_.compress_singletons) {
+    if (live == 1) {
       NodeBase* only = fresh->slots()[last_pos].load(std::memory_order_relaxed);
       if (only->kind == Kind::kSNode) {
         ANode::destroy(fresh);
@@ -1531,55 +1466,6 @@ class CacheTrie {
 
   // --- deallocation helpers ---------------------------------------------------
 
-  /// Deep-deletes an unpublished value subtree (lost CAS races, ENode build
-  /// races). Never called on anything reachable.
-  void destroy_subtree_value(NodeBase* node) {
-    if (node == nullptr || node == Sentinels::fv()) return;
-    switch (node->kind) {
-      case Kind::kSNode:
-        delete static_cast<SNodeT*>(node);
-        return;
-      case Kind::kLNode:
-        destroy_chain(static_cast<LNodeT*>(node));
-        return;
-      case Kind::kANode: {
-        auto* an = static_cast<ANode*>(node);
-        for (std::uint32_t i = 0; i < an->length; ++i) {
-          destroy_subtree_value(
-              an->slots()[i].load(std::memory_order_relaxed));
-        }
-        ANode::destroy(an);
-        return;
-      }
-      default:
-        assert(false && "unexpected node kind in unpublished subtree");
-    }
-  }
-
-  /// Like destroy_subtree_value, but spares `keep` (an existing chain that
-  /// was linked, not copied, into the failed subtree).
-  void destroy_subtree_value_sparing(NodeBase* node, NodeBase* keep) {
-    if (node == nullptr || node == keep) return;
-    if (node->kind == Kind::kANode) {
-      auto* an = static_cast<ANode*>(node);
-      for (std::uint32_t i = 0; i < an->length; ++i) {
-        destroy_subtree_value_sparing(
-            an->slots()[i].load(std::memory_order_relaxed), keep);
-      }
-      ANode::destroy(an);
-      return;
-    }
-    destroy_subtree_value(node);
-  }
-
-  void destroy_chain(LNodeT* chain) {
-    while (chain != nullptr) {
-      LNodeT* next = chain->next;
-      delete chain;
-      chain = next;
-    }
-  }
-
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   void retire_chain(LNodeT* chain) {
     while (chain != nullptr) {
@@ -1631,43 +1517,49 @@ class CacheTrie {
                                 ANode::alloc_size(frozen->length));
   }
 
-  /// Destructor-only: deep-deletes the live structure, including remnants of
-  /// unfinished announcements (possible if the trie is destroyed right after
-  /// a crashed thread... in practice: after quiescence these do not occur,
-  /// but handling them keeps the destructor total).
-  void destroy_subtree(NodeBase* node) {
-    if (node == nullptr || node == Sentinels::fv()) return;
+  /// Deep-deletes a subtree that no other thread can reach: a replacement
+  /// that was never published (a lost CAS or ENode build race), or, from
+  /// the destructor, the whole trie, remnants of unfinished announcements
+  /// included. `keep` is spared: an existing chain that a lost subtree
+  /// linked instead of copying.
+  void destroy_subtree(NodeBase* node, const NodeBase* keep = nullptr) {
+    if (node == nullptr || node == Sentinels::fv() || node == keep) return;
     switch (node->kind) {
       case Kind::kSNode:
         delete static_cast<SNodeT*>(node);
         return;
       case Kind::kLNode:
-        destroy_chain(static_cast<LNodeT*>(node));
+        for (auto* l = static_cast<LNodeT*>(node); l != nullptr;) {
+          LNodeT* next = l->next;
+          delete l;
+          l = next;
+        }
         return;
       case Kind::kFNode: {
         auto* fn = static_cast<FNode*>(node);
-        destroy_subtree(fn->frozen);
+        destroy_subtree(fn->frozen, keep);
         delete fn;
         return;
       }
       case Kind::kENode: {
         auto* en = static_cast<ENode*>(node);
-        destroy_subtree(en->target);
+        destroy_subtree(en->target, keep);
         NodeBase* result = en->result.load(std::memory_order_relaxed);
-        if (result != Sentinels::pending()) destroy_subtree(result);
+        if (result != Sentinels::pending()) destroy_subtree(result, keep);
         delete en;
         return;
       }
       case Kind::kANode: {
         auto* an = static_cast<ANode*>(node);
         for (std::uint32_t i = 0; i < an->length; ++i) {
-          destroy_subtree(an->slots()[i].load(std::memory_order_relaxed));
+          destroy_subtree(an->slots()[i].load(std::memory_order_relaxed),
+                          keep);
         }
         ANode::destroy(an);
         return;
       }
       default:
-        assert(false && "unexpected node kind during destruction");
+        assert(false && "unexpected node kind in an unreachable subtree");
     }
   }
 
@@ -1732,19 +1624,8 @@ class CacheTrie {
              Sentinels::no_txn();
     }
     if (nv->kind == Kind::kANode) {
-      auto* an = static_cast<ANode*>(nv);
-      NodeBase* e = an->slots()[slot_index(h, node_level, an->length)].load(
-          std::memory_order_seq_cst);
-      if (e == Sentinels::fv()) return false;
-      if (e != nullptr) {
-        if (e->kind == Kind::kFNode) return false;
-        if (e->kind == Kind::kSNode &&
-            static_cast<SNodeT*>(e)->txn.load(std::memory_order_seq_cst) ==
-                Sentinels::fs()) {
-          return false;
-        }
-      }
-      return true;
+      return !entry_frozen</*SeqCst=*/true>(
+          static_cast<ANode*>(nv), h, node_level);
     }
     return false;
   }
@@ -1912,35 +1793,38 @@ class CacheTrie {
 
   // --- traversals --------------------------------------------------------------
 
-  /// Invokes fn(key, value, stamp) for every pair in the subtree (the public
-  /// wrappers adapt the arity and filter corpses in bounded mode).
+  /// Invokes fn(key, value, stamp, lev) for every pair in the subtree, where
+  /// `lev` is the pair's leaf level: `node`'s level `lev` plus 4 per ANode
+  /// below it (the public wrappers adapt the arity and filter corpses in
+  /// bounded mode).
   template <typename F>
-  void for_each_node(const NodeBase* node, F& fn) const {
+  void for_each_node(const NodeBase* node, std::uint32_t lev, F& fn) const {
     if (node == nullptr || node == Sentinels::fv()) return;
     switch (node->kind) {
       case Kind::kSNode: {
         auto* sn = static_cast<const SNodeT*>(node);
-        fn(sn->key, sn->value, sn->stamp.load(std::memory_order_relaxed));
+        fn(sn->key, sn->value, sn->stamp.load(std::memory_order_relaxed), lev);
         return;
       }
       case Kind::kLNode:
         for (const LNodeT* l = static_cast<const LNodeT*>(node); l != nullptr;
              l = l->next) {
-          fn(l->key, l->value, l->stamp);
+          fn(l->key, l->value, l->stamp, lev);
         }
         return;
       case Kind::kANode: {
         auto* an = static_cast<const ANode*>(node);
         for (std::uint32_t i = 0; i < an->length; ++i) {
-          for_each_node(an->slots()[i].load(std::memory_order_acquire), fn);
+          for_each_node(an->slots()[i].load(std::memory_order_acquire),
+                        lev + 4, fn);
         }
         return;
       }
       case Kind::kENode:
-        for_each_node(static_cast<const ENode*>(node)->target, fn);
+        for_each_node(static_cast<const ENode*>(node)->target, lev, fn);
         return;
       case Kind::kFNode:
-        for_each_node(static_cast<const FNode*>(node)->frozen, fn);
+        for_each_node(static_cast<const FNode*>(node)->frozen, lev, fn);
         return;
       default:
         return;
@@ -1977,42 +1861,6 @@ class CacheTrie {
                subtree_footprint(static_cast<const FNode*>(node)->frozen);
       default:
         return 0;
-    }
-  }
-
-  void collect_histogram(const NodeBase* node, std::uint32_t lev,
-                         LevelHistogram& hist) const {
-    if (node == nullptr || node == Sentinels::fv()) return;
-    switch (node->kind) {
-      case Kind::kSNode:
-        ++hist.counts[lev / 4];
-        ++hist.total;
-        return;
-      case Kind::kLNode:
-        for (const LNodeT* l = static_cast<const LNodeT*>(node); l != nullptr;
-             l = l->next) {
-          ++hist.counts[lev / 4];
-          ++hist.total;
-        }
-        return;
-      case Kind::kANode: {
-        auto* an = static_cast<const ANode*>(node);
-        for (std::uint32_t i = 0; i < an->length; ++i) {
-          collect_histogram(an->slots()[i].load(std::memory_order_acquire),
-                            lev + 4, hist);
-        }
-        return;
-      }
-      case Kind::kENode:
-        collect_histogram(static_cast<const ENode*>(node)->target, lev,
-                          hist);
-        return;
-      case Kind::kFNode:
-        collect_histogram(static_cast<const FNode*>(node)->frozen, lev,
-                          hist);
-        return;
-      default:
-        return;
     }
   }
 

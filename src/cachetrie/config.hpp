@@ -59,14 +59,11 @@ struct Config {
   /// paper's "w/o cache" variant used throughout the evaluation.
   bool use_cache = true;
 
-  /// remove() compresses ANodes that became empty (§3.7).
+  /// remove() compresses ANodes that became empty (§3.7) and, beyond the
+  /// paper, ANodes left with a single SNode, which is hoisted one level up.
+  /// The reachability invariant ("the slot path is a prefix of the hash")
+  /// holds because a shorter path is still a prefix.
   bool compress = true;
-
-  /// Extension beyond the paper: during compression, an ANode left with a
-  /// single live SNode collapses to that SNode (hoisted one level up). The
-  /// reachability invariant ("the slot path is a prefix of the hash") is
-  /// preserved because a shorter path is still a prefix.
-  bool compress_singletons = true;
 
   /// Cache misses a thread accumulates before triggering a depth-sampling
   /// pass (§3.6; "experimentally set to 2048" in the paper).

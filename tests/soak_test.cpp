@@ -102,7 +102,6 @@ TEST(Soak, RandomizedRounds) {
     Config cfg;
     cfg.use_cache = meta.next_below(4) != 0;  // mostly on
     cfg.compress = meta.next_below(4) != 0;
-    cfg.compress_singletons = cfg.compress && meta.next_below(2) != 0;
     cfg.max_misses = 16u << meta.next_below(8);
     SCOPED_TRACE("round " + std::to_string(r) + " threads " +
                  std::to_string(threads) + " per_thread " +

@@ -12,12 +12,14 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
+#include "cachetrie/cache_trie.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sites.hpp"
 #include "obs/trace_export.hpp"
@@ -251,6 +253,28 @@ TEST_F(TraceTest, ConcurrentDrainSeesOnlyWellFormedEvents) {
   }
   EXPECT_EQ(trace::registry().total_emitted(),
             static_cast<std::uint64_t>(kWriters) * kPerWriter);
+}
+
+// --- map events ------------------------------------------------------------
+
+// A forced eviction reports the level of the slot its removal committed in,
+// as every other eviction does. Under the identity hash, keys 0x01 and 0x11
+// share the root's slot 1 and separate in a narrow node at level 4.
+TEST_F(TraceTest, EvictRecordsTheCommitLevel) {
+  cachetrie::CacheTrie<std::uint64_t, std::uint64_t,
+                       cachetrie::util::IdentityHash>
+      trie;
+  ASSERT_TRUE(trie.insert(0x01, 1));
+  ASSERT_TRUE(trie.insert(0x11, 2));
+  trace::registry().drain();
+  ASSERT_EQ(trie.evict(0x11), std::optional<std::uint64_t>(2));
+  std::vector<trace::Event> evictions;
+  for (const auto& ev : trace::registry().drain()) {
+    if (ev.id == EventId::kCachetrieEvict) evictions.push_back(ev);
+  }
+  ASSERT_EQ(evictions.size(), 1u);
+  EXPECT_EQ(evictions[0].a0, 0x11u);  // the key's hash
+  EXPECT_EQ(evictions[0].a1, 4u);     // the narrow node's level
 }
 
 // --- TSC clock -------------------------------------------------------------

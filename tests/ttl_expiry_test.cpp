@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <set>
 
@@ -224,9 +225,10 @@ TEST(TtlExpiry, MetricsEquationSingleThreaded) {
 TEST(TtlExpiry, ResidentBytesMatchFootprintAtQuiescence) {
   g_clock.store(1, std::memory_order_relaxed);
   BoundedTrie t(ttl_config());
-  // Churn across generations: insert, expire, overwrite, remove — every
-  // accounting choke point (publish, retire, subtree build, chain rebuild,
-  // compression) fires at least once.
+  // Churn across generations: insert, expire, overwrite, remove — the
+  // SNode accounting choke points (publish, retire, subtree build,
+  // compression) fire at least once. DefaultHash forms no chains; the
+  // chain rebuild's ledger is pinned by ResidentBytesMatchAfterChainChurn.
   for (std::uint64_t gen = 0; gen < 4; ++gen) {
     const std::uint64_t base = g_clock.load(std::memory_order_relaxed);
     for (std::uint64_t k = 0; k < 300; ++k) t.insert(k + gen * 17, k);
@@ -241,6 +243,120 @@ TEST(TtlExpiry, ResidentBytesMatchFootprintAtQuiescence) {
   EXPECT_EQ(t.resident_bytes(),
             t.footprint_bytes() - sizeof(BoundedTrie));
   EXPECT_TRUE(t.debug_validate().empty());
+}
+
+// --- LNode chains: every key shares one hash ------------------------------
+
+using ChainTrie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t,
+                                       cachetrie::util::DegradedHash<0>>;
+
+// One chain in the root: `old_keys` stamped at tick 1, `young_keys` at tick
+// 60, then the clock moves to 2 + kTtl, where the old pairs are corpses and
+// the young ones live. Each key's value is 10 * key.
+void fill_chain(ChainTrie& t, std::initializer_list<std::uint64_t> old_keys,
+                std::initializer_list<std::uint64_t> young_keys) {
+  g_clock.store(1, std::memory_order_relaxed);
+  for (std::uint64_t k : old_keys) ASSERT_TRUE(t.insert(k, 10 * k));
+  g_clock.store(60, std::memory_order_relaxed);
+  for (std::uint64_t k : young_keys) ASSERT_TRUE(t.insert(k, 10 * k));
+  g_clock.store(2 + kTtl, std::memory_order_relaxed);
+  const auto hist = t.level_histogram();
+  ASSERT_EQ(hist.total, old_keys.size() + young_keys.size());
+  ASSERT_EQ(hist.counts[1], hist.total) << "not one chain in the root";
+}
+
+TEST(TtlExpiryChain, RemovingLastLivePairEmptiesTheSlot) {
+  ChainTrie t(ttl_config());
+  fill_chain(t, {1, 2}, {3});
+  const EvictionDelta evicted;
+  EXPECT_EQ(t.remove(3), std::optional<std::uint64_t>(30));
+  // The rebuild drops both corpses with the removed pair: nothing is left
+  // to hold, so the slot empties instead of keeping a one-pair chain.
+  EXPECT_EQ(t.level_histogram().total, 0u);
+  EXPECT_EQ(t.size(), 0u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 2u);
+    EXPECT_EQ(evicted.lru(), 0u);
+  }
+  EXPECT_EQ(t.resident_bytes(), t.footprint_bytes() - sizeof(ChainTrie));
+  EXPECT_TRUE(t.debug_validate().empty());
+}
+
+TEST(TtlExpiryChain, UpsertOverKeyCorpseIsNew) {
+  ChainTrie t(ttl_config());
+  fill_chain(t, {1}, {2, 3});
+  const EvictionDelta evicted;
+  EXPECT_TRUE(t.insert(1, 111));  // the replaced pair was already absent
+  EXPECT_EQ(t.lookup(1), std::optional<std::uint64_t>(111));
+  EXPECT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.level_histogram().total, 3u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 1u);
+  }
+  EXPECT_EQ(t.resident_bytes(), t.footprint_bytes() - sizeof(ChainTrie));
+  EXPECT_TRUE(t.debug_validate().empty());
+}
+
+TEST(TtlExpiryChain, ConditionalOpsOverKeyCorpseActAsAbsent) {
+  ChainTrie t(ttl_config());
+  fill_chain(t, {1}, {2, 3});
+  const EvictionDelta evicted;
+  EXPECT_FALSE(t.replace(1, 7));
+  EXPECT_FALSE(t.replace_if_equals(1, 10, 7));
+  EXPECT_FALSE(t.remove_if_equals(1, 10));
+  EXPECT_EQ(t.remove(1), std::nullopt);
+  EXPECT_EQ(t.lookup(1), std::nullopt);
+  EXPECT_EQ(t.size(), 2u);
+  // None of the above rebuilt the chain; the corpse is still held.
+  EXPECT_EQ(t.level_histogram().total, 3u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 0u);
+  }
+  // put_if_absent finds the key absent and inserts; its rebuild drops the
+  // corpse and counts it.
+  EXPECT_TRUE(t.put_if_absent(1, 111));
+  EXPECT_EQ(t.lookup(1), std::optional<std::uint64_t>(111));
+  EXPECT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.level_histogram().total, 3u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 1u);
+  }
+  EXPECT_TRUE(t.debug_validate().empty());
+}
+
+// Generational churn over `keys` keys: insert, remove a third, expire the
+// rest, re-insert half. Every chain operation books bytes: rebuilds that
+// add, replace, drop corpses, collapse to an SNode or empty the slot, and
+// (with a few-bit hash) chains pushed below a fresh inner node and revived
+// by compression.
+template <typename Trie>
+void chain_churn(Trie& t, std::uint64_t keys) {
+  g_clock.store(1, std::memory_order_relaxed);
+  for (std::uint64_t gen = 0; gen < 4; ++gen) {
+    const std::uint64_t base = g_clock.load(std::memory_order_relaxed);
+    for (std::uint64_t k = 0; k < keys; ++k) t.insert(k + gen * 5, k);
+    g_clock.store(base + kTtl / 2, std::memory_order_relaxed);
+    for (std::uint64_t k = 0; k < keys; k += 3) t.remove(k + gen * 5);
+    g_clock.store(base + 2 * kTtl, std::memory_order_relaxed);
+    for (std::uint64_t k = 0; k < keys; k += 2) t.insert(k + gen * 5, k);
+  }
+}
+
+TEST(TtlExpiryChain, ResidentBytesMatchAfterChainChurn) {
+  {
+    ChainTrie t(ttl_config());
+    chain_churn(t, 40);
+    EXPECT_EQ(t.resident_bytes(), t.footprint_bytes() - sizeof(ChainTrie));
+    EXPECT_TRUE(t.debug_validate().empty());
+  }
+  {
+    using FewBitTrie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t,
+                                            cachetrie::util::DegradedHash<6>>;
+    FewBitTrie t(ttl_config());
+    chain_churn(t, 300);
+    EXPECT_EQ(t.resident_bytes(), t.footprint_bytes() - sizeof(FewBitTrie));
+    EXPECT_TRUE(t.debug_validate().empty());
+  }
 }
 
 // --- the chm baseline wrapper: same semantics where the surface overlaps ---
