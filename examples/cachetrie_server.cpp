@@ -179,6 +179,13 @@ int main(int argc, char** argv) {
                      : std::max(1u, std::thread::hardware_concurrency());
   const std::size_t ceiling_mb =
       pos.size() > 2 ? static_cast<std::size_t>(std::atoi(pos[2])) : 64;
+  if (shards == 0) {
+    std::fprintf(stderr,
+                 "usage: %s [port] [shards >= 1] [ceiling_mb] "
+                 "[--stats-interval <secs>]\n",
+                 argv[0]);
+    return 2;
+  }
 
   cachetrie::Config bcfg;
   bcfg.ceiling_bytes = ceiling_mb << 20;

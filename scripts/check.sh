@@ -109,6 +109,45 @@ run_stage() {
         echo "FAIL: fig15 dump produced no tail-attribution view" >&2
         exit 1
       }
+      echo "=== [$stage] cachetrie_server cross-process smoke ==="
+      # The example server is the only client of the wire protocol that
+      # runs in another process, and the only one outside the tests that
+      # reads the stats frame. Start it on a kernel-assigned port, drive
+      # data ops, a kStats pull (must be valid JSON) and kTraceCtl on/off
+      # from separate client processes, then drain it with SIGINT: it must
+      # exit 0 and print its served= report. One timeout bounds the whole
+      # smoke (it signals the process group, server included), so a hang
+      # fails the stage instead of wedging it.
+      cmake -B "$dir" -S "$repo" -DCACHETRIE_BUILD_EXAMPLES=ON >/dev/null
+      cmake --build "$dir" -j "$jobs" --target cachetrie_server >/dev/null
+      timeout 120 bash -c '
+        set -euo pipefail
+        bin="$1" log="$2"
+        "$bin" 0 2 16 >"$log" 2>&1 &
+        pid=$!
+        port=""
+        for _ in $(seq 100); do
+          port="$(sed -n "1s/.*127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p" "$log")"
+          [ -n "$port" ] && break
+          sleep 0.1
+        done
+        if [ -z "$port" ]; then
+          kill "$pid"
+          echo "FAIL: cachetrie_server printed no port" >&2
+          exit 1
+        fi
+        "$bin" --client "$port" 2000
+        "$bin" --stats "$port" | python3 -m json.tool >/dev/null
+        "$bin" --trace-ctl "$port" on
+        "$bin" --trace-ctl "$port" off
+        kill -INT "$pid"
+        wait "$pid"
+        grep "served=" "$log"
+      ' _ "$dir/examples/cachetrie_server" "$dir/server-smoke.log" || {
+        tail -n 20 "$dir/server-smoke.log" >&2 || true
+        echo "FAIL: cachetrie_server cross-process smoke" >&2
+        exit 1
+      }
       echo "=== [$stage] benchmark/ build + 1 s run of every workload ==="
       # benchmark/ is its own CMake project over ../src and spells map
       # names that nothing else here compiles. Build it the way

@@ -49,12 +49,14 @@ inline std::uint64_t retry_backoff_us(std::size_t attempt,
   return half + (half > 0 ? jitter_word % half : 0);
 }
 
+/// call()'s shed backoff: the first retry waits about kRetryBaseUs, and no
+/// retry waits more than kRetryCapUs.
+inline constexpr std::uint64_t kRetryBaseUs = 200;
+inline constexpr std::uint64_t kRetryCapUs = 50'000;
+
 struct ClientConfig {
-  std::uint32_t deadline_us = 0;  // stamped on every request; 0 = none
   std::uint64_t op_timeout_us = 2'000'000;  // client-side wait bound
   std::size_t max_retries = 6;    // kShed retry attempts in call()
-  std::uint64_t retry_base_us = 200;
-  std::uint64_t retry_cap_us = 50'000;
   std::uint64_t seed = 0x5eed;    // jitter stream
 };
 
@@ -125,35 +127,14 @@ class Client {
   };
 
   /// Pulls a live stats snapshot. A kStats request rides the same admission
-  /// queue as data ops, so it can be shed under overload — retried with the
-  /// same jittered backoff as call().
+  /// queue as data ops, so it can be shed under overload — call() retries
+  /// it like any data op.
   StatsResult stats() {
-    for (std::size_t attempt = 0;; ++attempt) {
-      std::uint64_t id = 0;
-      if (!send(proto::Op::kStats, 0, 0, &id, cfg_.deadline_us)) {
-        return StatsResult{proto::Status::kSendFailed, 0, {}};
-      }
-      const Result r = wait(id);
-      StatsResult out;
-      out.status = r.status;
-      out.flags = r.flags;
-      {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        auto it = stats_payloads_.find(id);
-        if (it != stats_payloads_.end()) {
-          out.json = std::move(it->second);
-          stats_payloads_.erase(it);
-        }
-      }
-      if (r.status != proto::Status::kShed || attempt >= cfg_.max_retries) {
-        return out;
-      }
-      const std::uint64_t delay = retry_backoff_us(
-          attempt, cfg_.retry_base_us, cfg_.retry_cap_us, next_jitter());
-      if (delay > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(delay));
-      }
-    }
+    StatsResult out;
+    const Result r = call(proto::Op::kStats, 0, 0, &out.json);
+    out.status = r.status;
+    out.flags = r.flags;
+    return out;
   }
 
   /// Flips the server's flight recorder or triggers a dump (proto::TraceCtl).
@@ -165,19 +146,27 @@ class Client {
 
   /// One operation, retried under jittered exponential backoff while the
   /// server sheds it. Every retry is a fresh request id (the shed reply
-  /// already consumed the old one).
-  Result call(proto::Op op, std::uint64_t key, std::uint64_t value) {
+  /// already consumed the old one). When `payload` is set, the final
+  /// reply's stats JSON, if it carried any, is moved into it.
+  Result call(proto::Op op, std::uint64_t key, std::uint64_t value,
+              std::string* payload = nullptr) {
     for (std::size_t attempt = 0;; ++attempt) {
       std::uint64_t id = 0;
-      if (!send(op, key, value, &id, cfg_.deadline_us)) {
+      if (!send(op, key, value, &id, 0)) {
         return Result{proto::Status::kSendFailed, 0, 0, 0};
       }
       const Result r = wait(id);
       if (r.status != proto::Status::kShed || attempt >= cfg_.max_retries) {
+        if (payload != nullptr) {
+          std::lock_guard<std::mutex> lk(stats_mu_);
+          if (auto node = stats_payloads_.extract(id)) {
+            *payload = std::move(node.mapped());
+          }
+        }
         return r;
       }
-      const std::uint64_t delay = retry_backoff_us(
-          attempt, cfg_.retry_base_us, cfg_.retry_cap_us, next_jitter());
+      const std::uint64_t delay =
+          retry_backoff_us(attempt, kRetryBaseUs, kRetryCapUs, next_jitter());
       if (delay > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(delay));
       }
@@ -331,10 +320,10 @@ class Client {
   std::thread receiver_;
   std::atomic<bool> closed_{false};
   // Variable-length stats payloads, keyed by request id: the Slot table
-  // carries only fixed fields, so the JSON rides on the side. stats()
+  // carries only fixed fields, so the JSON rides on the side. call()
   // erases its entry after wait(); an entry whose waiter timed out first
-  // lingers until a later stats() reuses the id's slot — bounded by the
-  // number of abandoned stats calls, which the sync API keeps at zero.
+  // lingers — bounded by the number of abandoned stats calls, which the
+  // sync API keeps at zero.
   std::mutex stats_mu_;
   std::unordered_map<std::uint64_t, std::string> stats_payloads_;
 };

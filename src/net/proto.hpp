@@ -177,21 +177,6 @@ inline ParseResult parse_request(const unsigned char* data, std::size_t size,
   return ParseResult::kFrame;
 }
 
-/// Parses one reply frame (the client side of the same stream discipline).
-inline ParseResult parse_reply(const unsigned char* data, std::size_t size,
-                               ReplyFrame* out,
-                               std::size_t* consumed) noexcept {
-  if (size < kLenPrefix) return ParseResult::kNeedMore;
-  std::uint32_t len = 0;
-  std::memcpy(&len, data, kLenPrefix);
-  if (len != sizeof(ReplyFrame)) return ParseResult::kProtocolError;
-  if (size < kLenPrefix + len) return ParseResult::kNeedMore;
-  std::memcpy(out, data + kLenPrefix, sizeof(ReplyFrame));
-  if (out->magic != kReplyMagic) return ParseResult::kProtocolError;
-  *consumed = kLenPrefix + len;
-  return ParseResult::kFrame;
-}
-
 /// Serializes one stats reply: length prefix, header, then the JSON bytes.
 /// The caller guarantees payload.size() <= kMaxStatsPayload (the shard
 /// downgrades an oversized snapshot to a fixed kBadRequest reply instead).

@@ -48,11 +48,9 @@ struct ServerConfig {
   /// from the test's own victim indices (which start at 0).
   std::uint64_t chaos_thread_base = 100;
   bool least_loaded = true;  // false: round-robin (deterministic tests)
-  int accept_poll_ms = 20;
-  /// When > 0, shrink accepted sockets' kernel buffers — the backpressure
-  /// tests use this to make "slow client" cheap to reproduce.
+  /// When > 0, shrink accepted sockets' kernel send buffers — the
+  /// backpressure tests use this to make "slow client" cheap to reproduce.
   int conn_sndbuf = 0;
-  int conn_rcvbuf = 0;
 };
 
 /// Aggregated view over all shards (post-join it is exact; mid-run it is a
@@ -73,7 +71,10 @@ struct ServerTotals {
 template <typename Map>
 class Server {
  public:
+  /// Not ok() with zero shards: there would be nowhere to route a
+  /// connection.
   Server(Map& map, const ServerConfig& cfg) : cfg_(cfg) {
+    if (cfg.shards == 0) return;
     listener_ = listen_loopback(cfg.port, &port_);
     if (!listener_.valid()) return;
     for (std::size_t i = 0; i < cfg_.shards; ++i) {
@@ -182,7 +183,7 @@ class Server {
     std::size_t rr = 0;
     while (!stop_.load(std::memory_order_acquire)) {  // [acquires: NET_DRAIN]
       pollfd pfd{listener_.get(), POLLIN, 0};
-      const int pr = ::poll(&pfd, 1, cfg_.accept_poll_ms);
+      const int pr = ::poll(&pfd, 1, kIdlePollMs);
       if (pr <= 0) continue;
       while (true) {
         const int fd = ::accept4(listener_.get(), nullptr, nullptr,
@@ -190,9 +191,7 @@ class Server {
         if (fd < 0) break;  // EAGAIN (burst drained) or transient error
         testkit::chaos_point("net.accept");
         set_nodelay(fd);
-        if (cfg_.conn_sndbuf > 0 || cfg_.conn_rcvbuf > 0) {
-          set_buffer_sizes(fd, cfg_.conn_sndbuf, cfg_.conn_rcvbuf);
-        }
+        set_buffer_sizes(fd, cfg_.conn_sndbuf, 0);
         const std::uint64_t id = next_conn_id++;
         const std::size_t target = pick_shard(rr++);
         obs::sites::net_accept.record(id, target);

@@ -47,6 +47,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -68,11 +69,15 @@ struct ShardConfig {
   std::size_t max_inflight = 256;        // pending-queue admission cap
   std::uint64_t max_queue_age_us = 50'000;   // shed when the head is older
   std::size_t write_buf_cap = 256 * 1024;    // per-conn buffered reply bytes
-  std::uint32_t default_deadline_us = 0;     // 0: only request-carried budgets
-  double degrade_headroom = 0.9;         // near_ceiling fraction for the flag
-  int epoll_wait_ms = 20;                // idle poll period
   std::uint64_t drain_timeout_us = 250'000;  // drain bound after stop
 };
+
+/// Replies carry kFlagDegraded while the map is past this fraction of its
+/// resident ceiling (its near_ceiling(frac)).
+inline constexpr double kDegradeHeadroom = 0.9;
+/// Idle poll period of every blocking wait in the serving layer (a shard's
+/// epoll_wait, the acceptor's poll): how late a stop flag can be noticed.
+inline constexpr int kIdlePollMs = 20;
 
 /// Why a connection closed (a1 of the net.conn.close trace event).
 enum class CloseReason : std::uint8_t {
@@ -241,7 +246,7 @@ class Shard {
       shed_this_iter_ = false;
 
       epoll_event evs[64];
-      const int timeout_ms = stopping ? 1 : cfg_.epoll_wait_ms;
+      const int timeout_ms = stopping ? 1 : kIdlePollMs;
       const int n = ::epoll_wait(epoll_.get(), evs, 64, timeout_ms);
       for (int i = 0; i < n; ++i) {
         if (evs[i].data.u64 == 0) {
@@ -407,26 +412,25 @@ class Shard {
              bool stopping) {
     testkit::chaos_point("net.request_admit");
     const std::uint64_t now = proto::now_us();
-    if (stopping) {
-      shed_reply(conn_id, req, proto::kFlagDraining, now);
-      return;
-    }
-    const bool queue_full = queue_.size() >= cfg_.max_inflight;
-    const bool head_stale =
-        !queue_.empty() && now - queue_.front().admit_us > cfg_.max_queue_age_us;
-    if (queue_full || head_stale) {
-      shed_reply(conn_id, req, 0, now);
-      return;
-    }
     Pending p;
     p.req = req;
     p.conn_id = conn_id;
     p.admit_us = now;
-    const std::uint32_t budget =
-        req.deadline_us != 0 ? req.deadline_us : cfg_.default_deadline_us;
-    if (budget != 0) {
+    const bool queue_full = queue_.size() >= cfg_.max_inflight;
+    const bool head_stale =
+        !queue_.empty() && now - queue_.front().admit_us > cfg_.max_queue_age_us;
+    if (stopping || queue_full || head_stale) {
+      testkit::chaos_point("net.shed");
+      obs::sites::net_shed.record(conn_id, req.request_id);
+      stats_.shed.fetch_add(1, std::memory_order_relaxed);
+      shed_this_iter_ = true;
+      reply(p, proto::Status::kShed, 0,
+            stopping ? proto::kFlagDraining : std::uint16_t{0}, now);
+      return;
+    }
+    if (req.deadline_us != 0) {
       const std::uint64_t base = req.send_ts_us != 0 ? req.send_ts_us : now;
-      p.expiry_us = base + budget;
+      p.expiry_us = base + req.deadline_us;
     }
     queue_.push_back(p);
     obs::sites::net_req_admitted.record(conn_id, req.request_id);
@@ -436,188 +440,146 @@ class Shard {
     }
   }
 
-  void shed_reply(std::uint64_t conn_id, const proto::RequestFrame& req,
-                  std::uint16_t extra_flags, std::uint64_t now) {
-    testkit::chaos_point("net.shed");
-    obs::sites::net_shed.record(conn_id, req.request_id);
-    stats_.shed.fetch_add(1, std::memory_order_relaxed);
-    shed_this_iter_ = true;
-    send_reply(conn_id, req, proto::Status::kShed, 0, extra_flags, now, now);
-  }
-
   // --- execution ------------------------------------------------------------
 
+  /// Dispatches every queued request once: a map op to the free execute(),
+  /// kStats/kTraceCtl to introspect(). Every executed request then leaves
+  /// through the same tail, which takes the exec-end stamp, counts it
+  /// served, and replies; exec-begin is the dequeue clock read, so the
+  /// deadline check and the queue phase share one stamp.
   void process_queue() {
-    const bool degraded = map_.near_ceiling(cfg_.degrade_headroom);
-    const std::uint16_t base_flags = degraded ? proto::kFlagDegraded : 0;
+    const std::uint16_t flags =
+        map_.near_ceiling(kDegradeHeadroom) ? proto::kFlagDegraded : 0;
     while (!queue_.empty()) {
       Pending p = queue_.front();
       queue_.pop_front();
       if (conns_.find(p.conn_id) == conns_.end()) continue;  // conn died
       [[maybe_unused]] auto span =
           obs::sites::net_request.span(p.conn_id, p.req.request_id);
-      const std::uint64_t now = proto::now_us();
-      if (p.expiry_us != 0 && now > p.expiry_us) {
+      const std::uint64_t exec_begin = proto::now_us();
+      if (p.expiry_us != 0 && exec_begin > p.expiry_us) {
         testkit::chaos_point("net.deadline_expire");
         obs::sites::net_deadline_expired.record(p.conn_id, p.req.request_id);
         stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
-        send_reply(p.conn_id, p.req, proto::Status::kDeadlineExceeded, 0,
-                   base_flags, p.admit_us, now);
+        reply(p, proto::Status::kDeadlineExceeded, 0, flags, exec_begin);
         continue;
       }
       obs::sites::net_req_dequeued.record(p.conn_id, p.req.request_id);
       const auto op = static_cast<proto::Op>(p.req.op);
-      if (op == proto::Op::kStats || op == proto::Op::kTraceCtl) {
-        execute_introspection(p, op, base_flags, now);
-        continue;
-      }
+      const bool introspection =
+          op == proto::Op::kStats || op == proto::Op::kTraceCtl;
       testkit::chaos_point("net.request_execute");
       std::uint64_t value = 0;
+      std::string_view payload;
       proto::Status st;
       {
         [[maybe_unused]] auto exec =
             obs::sites::net_req_execute.span(p.conn_id, p.req.request_id);
-        st = execute(map_, p.req, &value);
+        st = introspection ? introspect(p, exec_begin, &value, &payload)
+                           : execute(map_, p.req, &value);
       }
       testkit::chaos_point("net.reply_enqueue");
-      const std::uint64_t done = proto::now_us();
-      record_served(base_flags);
-      send_reply(p.conn_id, p.req, st, value, base_flags, p.admit_us, done,
-                 /*exec_end_us=*/done, /*exec_begin_us=*/now);
+      const std::uint64_t exec_end = proto::now_us();
+      record_served(flags);
+      reply(p, st, value, flags, exec_begin, exec_end, payload);
     }
   }
 
   /// Counters shared by every served request (data or introspection). No
   /// phase histogram is fed here: they all record at flush time
   /// (stamp_flushed), over the flushed-reply population only.
-  void record_served(std::uint16_t base_flags) {
+  void record_served(std::uint16_t flags) {
     obs::sites::net_request_served.add();
     stats_.served.fetch_add(1, std::memory_order_relaxed);
-    if (base_flags != 0) {
+    if (flags != 0) {
       obs::sites::net_degraded_replies.add();
       stats_.degraded_replies.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  // --- introspection ops (DESIGN.md §4) -------------------------------------
-
-  /// kStats / kTraceCtl, executed in queue order like any data op (they
-  /// went through the same admission and deadline gates). kStats serves a
-  /// registry snapshot plus this shard's interval delta as the protocol's
-  /// one variable-length frame; kTraceCtl flips the flight recorder or
-  /// triggers a post-mortem-style dump on demand.
-  void execute_introspection(const Pending& p, proto::Op op,
-                             std::uint16_t base_flags,
-                             std::uint64_t exec_begin) {
-    testkit::chaos_point("net.request_execute");
+  /// kStats / kTraceCtl (DESIGN.md §4), executed in queue order like any
+  /// data op (they went through the same admission and deadline gates).
+  /// kStats serves a registry snapshot plus this shard's interval delta as
+  /// `*payload`, the protocol's one variable-length frame; kTraceCtl flips
+  /// the flight recorder or triggers a post-mortem-style dump on demand,
+  /// and `*value` echoes the resulting recorder state (0/1), or whether a
+  /// dump file landed.
+  proto::Status introspect(const Pending& p, std::uint64_t exec_begin,
+                           std::uint64_t* value, std::string_view* payload) {
     obs::sites::net_introspect_ops.add();
-    if (op == proto::Op::kStats) {
+    if (static_cast<proto::Op>(p.req.op) == proto::Op::kStats) {
       std::ostringstream os;
-      {
-        [[maybe_unused]] auto exec =
-            obs::sites::net_req_execute.span(p.conn_id, p.req.request_id);
-        const obs::Snapshot snap = obs::registry().snapshot();
-        os << "{\"shard\":" << index_ << ",\"now_us\":" << exec_begin
-           << ",\"snapshot\":";
-        snap.write_json(os);
-        os << ",\"delta\":";
-        differ_.advance(snap, exec_begin).write_json(os);
-        os << "}";
-      }
-      testkit::chaos_point("net.reply_enqueue");
-      const std::uint64_t done = proto::now_us();
-      record_served(base_flags);
-      send_stats_reply(p, os.str(), base_flags, exec_begin, done);
-      return;
+      const obs::Snapshot snap = obs::registry().snapshot();
+      os << "{\"shard\":" << index_ << ",\"now_us\":" << exec_begin
+         << ",\"snapshot\":";
+      snap.write_json(os);
+      os << ",\"delta\":";
+      differ_.advance(snap, exec_begin).write_json(os);
+      os << "}";
+      stats_json_ = os.str();
+      *payload = stats_json_;
+      return proto::Status::kOk;
     }
-    // kTraceCtl: request.value carries the action; the reply's value echoes
-    // the resulting recorder state (0/1), or whether a dump file landed.
-    proto::Status st = proto::Status::kOk;
-    std::uint64_t result = 0;
-    {
-      [[maybe_unused]] auto exec =
-          obs::sites::net_req_execute.span(p.conn_id, p.req.request_id);
-      switch (static_cast<proto::TraceCtl>(p.req.value)) {
-        case proto::TraceCtl::kDisable:
-          obs::trace::enable(false);
-          break;
-        case proto::TraceCtl::kEnable:
-          obs::trace::enable(true);
-          result = 1;
-          break;
-        case proto::TraceCtl::kDump:
-          result = obs::trace::dump_to_file("trace_ctl").empty() ? 0 : 1;
-          break;
-        default:
-          st = proto::Status::kBadRequest;
-      }
+    switch (static_cast<proto::TraceCtl>(p.req.value)) {
+      case proto::TraceCtl::kDisable:
+        obs::trace::enable(false);
+        return proto::Status::kOk;
+      case proto::TraceCtl::kEnable:
+        obs::trace::enable(true);
+        *value = 1;
+        return proto::Status::kOk;
+      case proto::TraceCtl::kDump:
+        *value = obs::trace::dump_to_file("trace_ctl").empty() ? 0 : 1;
+        return proto::Status::kOk;
     }
-    testkit::chaos_point("net.reply_enqueue");
-    const std::uint64_t done = proto::now_us();
-    record_served(base_flags);
-    send_reply(p.conn_id, p.req, st, result, base_flags, p.admit_us, done,
-               /*exec_end_us=*/done, exec_begin);
+    return proto::Status::kBadRequest;
   }
 
   // --- write side: replies, flushing, backpressure --------------------------
 
-  /// `exec_end_us != 0` marks a *served* reply: a ReplyMark completes its
-  /// flush/total phase stamps when the kernel accepts its last byte. Shed
-  /// and deadline replies pass 0 — they were refused, not served, so they
-  /// advance the stream counters without entering the phase histograms.
-  void send_reply(std::uint64_t conn_id, const proto::RequestFrame& req,
-                  proto::Status st, std::uint64_t value, std::uint16_t flags,
-                  std::uint64_t admit_us, std::uint64_t now,
-                  std::uint64_t exec_end_us = 0,
-                  std::uint64_t exec_begin_us = 0) {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    Conn& c = it->second;
-    proto::ReplyFrame rep;
-    rep.status = static_cast<std::uint8_t>(st);
-    rep.op = req.op;
-    rep.flags = flags;
-    rep.request_id = req.request_id;
-    rep.value = value;
-    rep.queue_us = static_cast<std::uint32_t>(now - admit_us);
-    proto::append_frame(c.wbuf, rep);
-    c.enqueued_bytes += proto::kReplyWire;
-    if (exec_end_us != 0) {
-      c.marks.push_back({c.enqueued_bytes, req.request_id, admit_us,
-                         exec_begin_us, exec_end_us});
-    }
-    finish_reply(conn_id, c);
-  }
-
-  /// The stats reply — the protocol's one variable-length frame. An
-  /// over-cap payload downgrades to a fixed kBadRequest reply rather than
-  /// emitting a frame the parser is contracted to reject.
-  void send_stats_reply(const Pending& p, const std::string& json,
-                        std::uint16_t flags, std::uint64_t exec_begin,
-                        std::uint64_t done) {
+  /// The one reply writer: every reply — served, shed, or expired — is
+  /// framed, buffered, flushed and capped here. A non-empty `payload` is a
+  /// kStats reply and goes out as the "CDP2" frame (an over-cap payload
+  /// downgrades to a fixed kBadRequest reply rather than emitting a frame
+  /// the parser is contracted to reject); every other reply is a fixed
+  /// "CDP1" frame whose queue_us is exec_begin_us - admit_us. A served
+  /// reply passes its exec-end stamp and pushes a ReplyMark, whose
+  /// flush/total phases complete when the kernel accepts its last byte;
+  /// shed and deadline replies pass none — they were refused, not served,
+  /// so they advance the stream counters without entering the phase
+  /// histograms. May erase the connection (the backpressure kill).
+  void reply(const Pending& p, proto::Status st, std::uint64_t value,
+             std::uint16_t flags, std::uint64_t exec_begin_us,
+             std::uint64_t exec_end_us = 0, std::string_view payload = {}) {
     auto it = conns_.find(p.conn_id);
     if (it == conns_.end()) return;
-    if (json.size() > proto::kMaxStatsPayload) {
-      send_reply(p.conn_id, p.req, proto::Status::kBadRequest, 0, flags,
-                 p.admit_us, done, /*exec_end_us=*/done, exec_begin);
-      return;
-    }
     Conn& c = it->second;
-    proto::StatsReplyHeader h;
-    h.status = static_cast<std::uint8_t>(proto::Status::kOk);
-    h.flags = flags;
-    h.request_id = p.req.request_id;
-    proto::append_stats_frame(c.wbuf, h, json);
-    c.enqueued_bytes +=
-        proto::kLenPrefix + sizeof(proto::StatsReplyHeader) + json.size();
-    c.marks.push_back(
-        {c.enqueued_bytes, p.req.request_id, p.admit_us, exec_begin, done});
-    finish_reply(p.conn_id, c);
-  }
-
-  /// Common tail of every reply path: flush, then the write-buffer
-  /// accounting and backpressure kill. May erase the connection.
-  void finish_reply(std::uint64_t conn_id, Conn& c) {
+    if (payload.size() > proto::kMaxStatsPayload) {
+      st = proto::Status::kBadRequest;
+      payload = {};
+    }
+    const std::size_t before = c.wbuf.size();
+    if (payload.empty()) {
+      proto::ReplyFrame rep;
+      rep.status = static_cast<std::uint8_t>(st);
+      rep.op = p.req.op;
+      rep.flags = flags;
+      rep.request_id = p.req.request_id;
+      rep.value = value;
+      rep.queue_us = static_cast<std::uint32_t>(exec_begin_us - p.admit_us);
+      proto::append_frame(c.wbuf, rep);
+    } else {
+      proto::StatsReplyHeader h;
+      h.status = static_cast<std::uint8_t>(st);
+      h.flags = flags;
+      h.request_id = p.req.request_id;
+      proto::append_stats_frame(c.wbuf, h, payload);
+    }
+    c.enqueued_bytes += c.wbuf.size() - before;
+    if (exec_end_us != 0) {
+      c.marks.push_back({c.enqueued_bytes, p.req.request_id, p.admit_us,
+                         exec_begin_us, exec_end_us});
+    }
     flush_conn(c);
     // flush_conn never erases, so `c` is still valid here.
     const auto pending = static_cast<std::uint64_t>(c.pending_bytes());
@@ -626,9 +588,9 @@ class Shard {
     }
     if (pending > cfg_.write_buf_cap) {
       testkit::chaos_point("net.backpressure_kill");
-      obs::sites::net_backpressure_kill.record(conn_id, pending);
+      obs::sites::net_backpressure_kill.record(p.conn_id, pending);
       stats_.backpressure_kills.fetch_add(1, std::memory_order_relaxed);
-      close_conn(conn_id, CloseReason::kBackpressure);
+      close_conn(p.conn_id, CloseReason::kBackpressure);
     }
   }
 
@@ -756,6 +718,7 @@ class Shard {
   ShardStats stats_;
   PhaseLatency phase_;             // shard-thread-only; read after NET_DRAIN
   obs::IntervalDiffer differ_;     // per-shard kStats pull state
+  std::string stats_json_;         // the last kStats payload, reused
   std::atomic<std::size_t> open_conns_{0};
   std::atomic<bool> overloaded_{false};
   std::atomic<bool> drained_{false};

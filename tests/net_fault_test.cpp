@@ -115,7 +115,11 @@ TEST(NetFault, DeadlineExpiredDeterministicallyBehindStall) {
     ASSERT_TRUE(client.send(proto::Op::kPut, 99, 1, &id, 50'000));
   }
 
-  EXPECT_EQ(client.wait(trigger_id).status, proto::Status::kOk);
+  // The stall sits after the trigger's exec-begin stamp, so it is execute
+  // time, not queueing: queue_us must not include it.
+  const auto trigger = client.wait(trigger_id);
+  EXPECT_EQ(trigger.status, proto::Status::kOk);
+  EXPECT_LT(trigger.queue_us, 350'000u);
   for (const auto id : ids) {
     const auto r = client.wait(id);
     EXPECT_EQ(r.status, proto::Status::kDeadlineExceeded)
@@ -129,6 +133,8 @@ TEST(NetFault, DeadlineExpiredDeterministicallyBehindStall) {
   const auto totals = server.totals();
   EXPECT_EQ(totals.deadline_expired, 3u);
   EXPECT_EQ(totals.served, 1u);
+  // Refused replies carry no phase mark: only the served one is timed.
+  EXPECT_EQ(server.phase_latency().total.count(), totals.served);
   EXPECT_EQ(server.killed_shards(), 0u);
   EXPECT_TRUE(map.debug_validate().empty());
 }
@@ -168,7 +174,10 @@ TEST(NetFault, ShedsDeterministicallyPastInflightCap) {
   for (const auto id : ids) {
     const auto r = client.wait(id);
     if (r.status == proto::Status::kOk) ++ok;
-    if (r.status == proto::Status::kShed) ++shed;
+    if (r.status == proto::Status::kShed) {
+      ++shed;
+      EXPECT_EQ(r.queue_us, 0u);  // refused at admission, never queued
+    }
   }
   EXPECT_EQ(ok, 4u);     // exactly max_inflight admitted
   EXPECT_EQ(shed, 8u);   // the rest refused, not queued
@@ -181,6 +190,8 @@ TEST(NetFault, ShedsDeterministicallyPastInflightCap) {
   server.stop();
   const auto totals = server.totals();
   EXPECT_EQ(totals.shed, 8u);
+  EXPECT_EQ(totals.served, 6u);
+  EXPECT_EQ(server.phase_latency().total.count(), totals.served);
   EXPECT_LE(totals.queue_hwm, 4u);
   EXPECT_EQ(server.killed_shards(), 0u);
 }

@@ -11,8 +11,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cachetrie/cache_trie.hpp"
@@ -67,9 +69,15 @@ TEST(NetProto, ReplyRoundTrip) {
   ASSERT_EQ(wire.size(), proto::kReplyWire);
 
   proto::ReplyFrame out;
+  proto::StatsReplyHeader stats;
+  const unsigned char* payload = nullptr;
+  bool is_stats = true;
   std::size_t consumed = 0;
-  ASSERT_EQ(proto::parse_reply(wire.data(), wire.size(), &out, &consumed),
+  ASSERT_EQ(proto::parse_reply_stream(wire.data(), wire.size(), &out, &stats,
+                                      &payload, &is_stats, &consumed),
             proto::ParseResult::kFrame);
+  EXPECT_FALSE(is_stats);
+  EXPECT_EQ(consumed, proto::kReplyWire);
   EXPECT_EQ(static_cast<proto::Status>(out.status), proto::Status::kShed);
   EXPECT_EQ(out.flags, proto::kFlagDegraded | proto::kFlagDraining);
   EXPECT_EQ(out.request_id, 17u);
@@ -459,6 +467,88 @@ TEST(NetServe, UnboundedTrieServesWithoutDegradedFlag) {
   EXPECT_EQ(server.totals().proto_errors, 0u);
   EXPECT_EQ(map.size(), 100u);
   EXPECT_FALSE(map.near_ceiling());
+}
+
+// A trie that always reports itself near its ceiling, so the shard must
+// set the degraded hint on every reply it serves.
+class AlwaysNearCeiling {
+ public:
+  bool insert(std::uint64_t k, std::uint64_t v) { return trie_.insert(k, v); }
+  std::optional<std::uint64_t> lookup(std::uint64_t k) const {
+    return trie_.lookup(k);
+  }
+  std::optional<std::uint64_t> remove(std::uint64_t k) {
+    return trie_.remove(k);
+  }
+  bool remove_if_equals(std::uint64_t k, std::uint64_t expected) {
+    return trie_.remove_if_equals(k, expected);
+  }
+  bool near_ceiling(double /*frac*/) const { return true; }
+
+ private:
+  Trie trie_;
+};
+
+// Every request kind that is served — data ops with each outcome status,
+// an unknown op, kStats and kTraceCtl — leaves through the same reply
+// path: each carries kFlagDegraded, is counted once as served and as
+// degraded, and enters the phase histograms once.
+TEST(NetServe, DegradedFlagRidesEveryServedReply) {
+  AlwaysNearCeiling map;
+  net::ServerConfig scfg;
+  scfg.shards = 1;
+  net::Server<AlwaysNearCeiling> server{map, scfg};
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.start());
+  {
+    net::Client client{server.port()};
+    ASSERT_TRUE(client.ok());
+    std::vector<std::pair<const char*, net::Client::Result>> replies;
+    replies.emplace_back("put", client.put(1, 100));
+    replies.emplace_back("get hit", client.get(1));
+    replies.emplace_back("get miss", client.get(2));
+    replies.emplace_back("remove_if_equals", client.remove_if_equals(1, 99));
+    replies.emplace_back("remove", client.remove(1));
+    replies.emplace_back("ping", client.ping(5));
+    std::uint64_t id = 0;
+    ASSERT_TRUE(client.send(static_cast<proto::Op>(0x7e), 0, 0, &id, 0));
+    replies.emplace_back("unknown op", client.wait(id));
+    EXPECT_EQ(replies[0].second.status, proto::Status::kOk);
+    EXPECT_EQ(replies[1].second.value, 100u);
+    EXPECT_EQ(replies[2].second.status, proto::Status::kNotFound);
+    EXPECT_EQ(replies[3].second.status, proto::Status::kNotFound);
+    EXPECT_EQ(replies[4].second.status, proto::Status::kOk);
+    EXPECT_EQ(replies[6].second.status, proto::Status::kBadRequest);
+
+    const auto s = client.stats();
+    EXPECT_TRUE(s.ok());
+    EXPECT_NE(s.flags & proto::kFlagDegraded, 0u) << "stats";
+    replies.emplace_back("trace_ctl enable",
+                         client.trace_ctl(proto::TraceCtl::kEnable));
+    replies.emplace_back("trace_ctl disable",
+                         client.trace_ctl(proto::TraceCtl::kDisable));
+    for (const auto& [what, r] : replies) {
+      EXPECT_NE(r.status, proto::Status::kShed) << what;
+      EXPECT_NE(r.flags & proto::kFlagDegraded, 0u) << what;
+    }
+  }
+  server.stop();
+  const auto totals = server.totals();
+  EXPECT_EQ(totals.served, 10u);
+  EXPECT_EQ(totals.degraded_replies, 10u);
+  EXPECT_EQ(server.phase_latency().total.count(), 10u);
+  EXPECT_EQ(totals.shed, 0u);
+}
+
+// A server with no shards has nowhere to route a connection: it must refuse
+// to start rather than accept one.
+TEST(NetServe, ZeroShardsIsRejected) {
+  Trie map;
+  net::ServerConfig scfg;
+  scfg.shards = 0;
+  net::Server<Trie> server{map, scfg};
+  EXPECT_FALSE(server.ok());
+  EXPECT_FALSE(server.start());
 }
 
 // Multiple client threads through one server, each on its own connection —
