@@ -34,7 +34,10 @@
 # CacheTrie<u64,u64>::lookup it runs.
 #
 # The slow label (soak_test, lin_check_test) is excluded here on purpose —
-# run `ctest -L slow` in any of the build trees for the long suite.
+# run `ctest -L slow` in any of the build trees for the long suite. The one
+# exception: the asan and tsan stages run the lin-check sweeps
+# (`ctest -L slow -R LinSweep`), so every map's linearizability battery also
+# runs under a sanitizer.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -57,6 +60,14 @@ run_stage() {
     env_prefix=(env TSAN_OPTIONS="suppressions=$repo/scripts/tsan.supp history_size=7")
   fi
   "${env_prefix[@]}" ctest --test-dir "$dir" -L fast --output-on-failure -j "$jobs"
+  if [ "$stage" = asan ] || [ "$stage" = tsan ]; then
+    echo "=== [$stage] ctest -L slow -R LinSweep ==="
+    # The lin-check sweeps drive every map through seeded chaos schedules;
+    # under a sanitizer a lost-CAS teardown that frees a shared node, or an
+    # unordered publication, fails here instead of corrupting a history.
+    "${env_prefix[@]}" ctest --test-dir "$dir" -L slow -R LinSweep \
+      --output-on-failure -j 1
+  fi
   if [ "$stage" = plain ] || [ "$stage" = tsan ]; then
     echo "=== [$stage] ctest -L bounded ==="
     # Bounded-memory mode lin-check battery. The plain stage runs the full

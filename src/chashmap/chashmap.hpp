@@ -174,22 +174,8 @@ class ConcurrentHashMap {
   std::optional<V> lookup(const K& key) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     testkit::chaos_point("chm.pinned");
-    const std::uint64_t h = adjust_hash(hasher_(key));
-    // [acquires: CHM_TABLE_PUBLISH]
-    Table* t = table_.load(std::memory_order_acquire);
-    while (true) {
-      // [acquires: CHM_BIN_LINK]
-      Node* n = t->bins()[h & (t->nbins - 1)].load(std::memory_order_acquire);
-      while (n != nullptr) {
-        if (n->hash == kForwardHash) {
-          t = reinterpret_cast<ForwardNode*>(n)->fwd;
-          break;  // retry in the next table
-        }
-        if (n->hash == h && n->key == key) return n->value;
-        n = n->next.load(std::memory_order_acquire);
-      }
-      if (n == nullptr) return std::nullopt;
-    }
+    if (Node* n = find(key)) return n->value;
+    return std::nullopt;
   }
 
   bool contains(const K& key) const { return lookup(key).has_value(); }
@@ -201,28 +187,12 @@ class ConcurrentHashMap {
                                   std::uint64_t ttl_floor) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     testkit::chaos_point("chm.pinned");
-    const std::uint64_t h = adjust_hash(hasher_(key));
-    // [acquires: CHM_TABLE_PUBLISH]
-    Table* t = table_.load(std::memory_order_acquire);
-    while (true) {
-      // [acquires: CHM_BIN_LINK]
-      Node* n = t->bins()[h & (t->nbins - 1)].load(std::memory_order_acquire);
-      while (n != nullptr) {
-        if (n->hash == kForwardHash) {
-          t = reinterpret_cast<ForwardNode*>(n)->fwd;
-          break;  // retry in the next table
-        }
-        if (n->hash == h && n->key == key) {
-          if (n->stamp.load(std::memory_order_relaxed) < ttl_floor) {
-            return std::nullopt;
-          }
-          n->stamp.store(now, std::memory_order_relaxed);
-          return n->value;
-        }
-        n = n->next.load(std::memory_order_acquire);
-      }
-      if (n == nullptr) return std::nullopt;
+    Node* n = find(key);
+    if (n == nullptr || n->stamp.load(std::memory_order_relaxed) < ttl_floor) {
+      return std::nullopt;
     }
+    n->stamp.store(now, std::memory_order_relaxed);
+    return n->value;
   }
 
   /// JDK's 2-argument remove: unlink only while the value equals `expected`.
@@ -231,80 +201,18 @@ class ConcurrentHashMap {
   bool remove_if_equals(const K& key, const V& expected)
     requires std::equality_comparable<V>
   {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("chm.pinned");
-    const std::uint64_t h = adjust_hash(hasher_(key));
-    while (true) {
-      Table* t = current_table();
-      const std::size_t bi = h & (t->nbins - 1);
-      Node* head = t->bins()[bi].load(std::memory_order_acquire);
-      if (head == nullptr) return false;
-      if (head->hash == kForwardHash) {
-        help_transfer(t);
-        continue;
-      }
-      BinLock lock{t, bi};
-      head = t->bins()[bi].load(std::memory_order_acquire);
-      if (head != nullptr && head->hash == kForwardHash) continue;
-      Node* prev = nullptr;
-      for (Node* n = head; n != nullptr;
-           n = n->next.load(std::memory_order_relaxed)) {
-        if (n->hash == h && n->key == key) {
-          if (!(n->value == expected)) return false;
-          Node* nx = n->next.load(std::memory_order_relaxed);
-          if (prev == nullptr) {
-            t->bins()[bi].store(nx, std::memory_order_release);
-          } else {
-            prev->next.store(nx, std::memory_order_release);
-          }
-          Reclaimer::template retire<Node>(n);
-          add_count(-1);
-          return true;
-        }
-        prev = n;
-      }
-      return false;
-    }
+    return unlink_if(key, [&](const Node& n) { return n.value == expected; })
+        .has_value();
   }
 
   /// Bounded-wrapper TTL unlink: removes the key's node only if its stamp
   /// is older than `floor` (the lazy eviction of an expired entry observed
   /// by a traversal). Returns true iff it unlinked.
   bool remove_if_stale(const K& key, std::uint64_t floor) {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("chm.pinned");
-    const std::uint64_t h = adjust_hash(hasher_(key));
-    while (true) {
-      Table* t = current_table();
-      const std::size_t bi = h & (t->nbins - 1);
-      Node* head = t->bins()[bi].load(std::memory_order_acquire);
-      if (head == nullptr) return false;
-      if (head->hash == kForwardHash) {
-        help_transfer(t);
-        continue;
-      }
-      BinLock lock{t, bi};
-      head = t->bins()[bi].load(std::memory_order_acquire);
-      if (head != nullptr && head->hash == kForwardHash) continue;
-      Node* prev = nullptr;
-      for (Node* n = head; n != nullptr;
-           n = n->next.load(std::memory_order_relaxed)) {
-        if (n->hash == h && n->key == key) {
-          if (n->stamp.load(std::memory_order_relaxed) >= floor) return false;
-          Node* nx = n->next.load(std::memory_order_relaxed);
-          if (prev == nullptr) {
-            t->bins()[bi].store(nx, std::memory_order_release);
-          } else {
-            prev->next.store(nx, std::memory_order_release);
-          }
-          Reclaimer::template retire<Node>(n);
-          add_count(-1);
-          return true;
-        }
-        prev = n;
-      }
-      return false;
-    }
+    return unlink_if(key, [&](const Node& n) {
+             return n.stamp.load(std::memory_order_relaxed) < floor;
+           })
+        .has_value();
   }
 
   /// Bounded-wrapper pressure scan: sweeps up to `max_bins` bins from a
@@ -314,7 +222,7 @@ class ConcurrentHashMap {
   std::size_t evict_stale(std::uint64_t floor, std::size_t max_bins) {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     testkit::chaos_point("chm.pinned");
-    Table* t = current_table();
+    Table* t = table_.load(std::memory_order_acquire);
     std::size_t removed = 0;
     for (std::size_t probe = 0; probe < max_bins; ++probe) {
       const std::size_t bi =
@@ -327,16 +235,10 @@ class ConcurrentHashMap {
       head = t->bins()[bi].load(std::memory_order_acquire);
       if (head != nullptr && head->hash == kForwardHash) continue;
       Node* prev = nullptr;
-      Node* n = head;
-      while (n != nullptr) {
+      for (Node* n = head; n != nullptr;) {
         Node* nx = n->next.load(std::memory_order_relaxed);
         if (n->stamp.load(std::memory_order_relaxed) < floor) {
-          if (prev == nullptr) {
-            t->bins()[bi].store(nx, std::memory_order_release);
-          } else {
-            prev->next.store(nx, std::memory_order_release);
-          }
-          Reclaimer::template retire<Node>(n);
+          splice(t, bi, prev, n, nx);
           add_count(-1);
           ++removed;
         } else {
@@ -354,41 +256,7 @@ class ConcurrentHashMap {
   static constexpr std::size_t node_bytes() noexcept { return sizeof(Node); }
 
   std::optional<V> remove(const K& key) {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("chm.pinned");
-    const std::uint64_t h = adjust_hash(hasher_(key));
-    while (true) {
-      Table* t = current_table();
-      const std::size_t bi = h & (t->nbins - 1);
-      Node* head = t->bins()[bi].load(std::memory_order_acquire);
-      if (head == nullptr) return std::nullopt;
-      if (head->hash == kForwardHash) {
-        help_transfer(t);
-        continue;
-      }
-      BinLock lock{t, bi};
-      head = t->bins()[bi].load(std::memory_order_acquire);
-      if (head != nullptr && head->hash == kForwardHash) continue;
-      // Exclusive bin access: unlink in place.
-      Node* prev = nullptr;
-      for (Node* n = head; n != nullptr;
-           n = n->next.load(std::memory_order_relaxed)) {
-        if (n->hash == h && n->key == key) {
-          Node* nx = n->next.load(std::memory_order_relaxed);
-          if (prev == nullptr) {
-            t->bins()[bi].store(nx, std::memory_order_release);
-          } else {
-            prev->next.store(nx, std::memory_order_release);
-          }
-          std::optional<V> out{n->value};
-          Reclaimer::template retire<Node>(n);
-          add_count(-1);
-          return out;
-        }
-        prev = n;
-      }
-      return std::nullopt;
-    }
+    return unlink_if(key, [](const Node&) { return true; });
   }
 
   /// Approximate under concurrency, exact when quiescent.
@@ -487,6 +355,79 @@ class ConcurrentHashMap {
     ~BinLock() { t->locks()[bi].store(0, std::memory_order_release); }
   };
 
+  /// The lock-free find of lookup and lookup_refresh: walks key's bin and
+  /// follows forwarding markers into the next table. Caller is pinned.
+  Node* find(const K& key) const {
+    const std::uint64_t h = adjust_hash(hasher_(key));
+    // [acquires: CHM_TABLE_PUBLISH]
+    Table* t = table_.load(std::memory_order_acquire);
+    while (true) {
+      // [acquires: CHM_BIN_LINK]
+      Node* n = t->bins()[h & (t->nbins - 1)].load(std::memory_order_acquire);
+      while (n != nullptr) {
+        if (n->hash == kForwardHash) {
+          t = reinterpret_cast<ForwardNode*>(n)->fwd;
+          break;  // retry in the next table
+        }
+        if (n->hash == h && n->key == key) return n;
+        n = n->next.load(std::memory_order_acquire);
+      }
+      if (n == nullptr) return nullptr;
+    }
+  }
+
+  /// Under bin `bi`'s lock: puts `replacement` where `old` was linked
+  /// (after `prev`, or at the head when `prev` is null) and retires `old`.
+  /// `replacement` is old's successor (an unlink) or a fresh node that
+  /// already points at it (a value replace).
+  // [smr: caller-pinned] -- the guard is held by the public entry point.
+  static void splice(Table* t, std::size_t bi, Node* prev, Node* old,
+                     Node* replacement) {
+    if (prev == nullptr) {
+      t->bins()[bi].store(replacement, std::memory_order_release);
+    } else {
+      prev->next.store(replacement, std::memory_order_release);
+    }
+    Reclaimer::template retire<Node>(old);
+  }
+
+  /// The one locked unlink: under key's bin lock, splices out key's node if
+  /// `pred(node)` holds. Returns the unlinked value, or nullopt when the
+  /// key is absent or `pred` refused.
+  template <typename Pred>
+  std::optional<V> unlink_if(const K& key, Pred pred) {
+    [[maybe_unused]] auto guard = Reclaimer::pin();
+    testkit::chaos_point("chm.pinned");
+    const std::uint64_t h = adjust_hash(hasher_(key));
+    while (true) {
+      Table* t = table_.load(std::memory_order_acquire);
+      const std::size_t bi = h & (t->nbins - 1);
+      Node* head = t->bins()[bi].load(std::memory_order_acquire);
+      if (head == nullptr) return std::nullopt;
+      if (head->hash == kForwardHash) {
+        start_or_help_transfer(t);
+        continue;
+      }
+      BinLock lock{t, bi};
+      head = t->bins()[bi].load(std::memory_order_acquire);
+      if (head != nullptr && head->hash == kForwardHash) continue;
+      // Exclusive bin access: unlink in place.
+      Node* prev = nullptr;
+      for (Node* n = head; n != nullptr;
+           n = n->next.load(std::memory_order_relaxed)) {
+        if (n->hash == h && n->key == key) {
+          if (!pred(*n)) return std::nullopt;
+          std::optional<V> out{n->value};
+          splice(t, bi, prev, n, n->next.load(std::memory_order_relaxed));
+          add_count(-1);
+          return out;
+        }
+        prev = n;
+      }
+      return std::nullopt;
+    }
+  }
+
   bool do_insert(const K& key, const V& value, bool only_if_absent,
                  std::uint64_t stamp = 0) {
     [[maybe_unused]] auto guard = Reclaimer::pin();
@@ -498,7 +439,7 @@ class ConcurrentHashMap {
     testkit::chaos_point("chm.pinned");
     const std::uint64_t h = adjust_hash(hasher_(key));
     while (true) {
-      Table* t = current_table();
+      Table* t = table_.load(std::memory_order_acquire);
       const std::size_t bi = h & (t->nbins - 1);
       auto& bin = t->bins()[bi];
       Node* head = bin.load(std::memory_order_acquire);
@@ -519,7 +460,7 @@ class ConcurrentHashMap {
         continue;
       }
       if (head->hash == kForwardHash) {
-        help_transfer(t);
+        start_or_help_transfer(t);
         continue;
       }
       bool inserted = false;
@@ -537,14 +478,9 @@ class ConcurrentHashMap {
           if (only_if_absent) return false;
           // Replace the node (readers are lock-free; value is inline, so an
           // in-place write would tear).
-          Node* fresh = Node::make(
-              h, key, value, n->next.load(std::memory_order_relaxed), stamp);
-          if (prev == nullptr) {
-            bin.store(fresh, std::memory_order_release);
-          } else {
-            prev->next.store(fresh, std::memory_order_release);
-          }
-          Reclaimer::template retire<Node>(n);
+          splice(t, bi, prev, n,
+                 Node::make(h, key, value,
+                            n->next.load(std::memory_order_relaxed), stamp));
           return false;
         }
         // Append at the head (cheapest; chain order is irrelevant).
@@ -558,12 +494,6 @@ class ConcurrentHashMap {
         return true;
       }
     }
-  }
-
-  /// The newest table (follows the resize chain).
-  Table* current_table() const {
-    Table* t = table_.load(std::memory_order_acquire);
-    return t;
   }
 
   void add_count(std::int64_t d) {
@@ -580,8 +510,6 @@ class ConcurrentHashMap {
     if (size() * 4 < t->nbins * 3) return;  // load factor 0.75
     start_or_help_transfer(t);
   }
-
-  void help_transfer(Table* t) { start_or_help_transfer(t); }
 
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   void start_or_help_transfer(Table* t) {

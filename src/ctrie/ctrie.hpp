@@ -19,7 +19,14 @@
 // Memory reclamation mirrors the cache-trie: operations run under a
 // Reclaimer guard and the winner of each replacing CAS retires exactly the
 // nodes that became unreachable (the replaced container, never the shared
-// branches).
+// branches). Every INode-main CAS goes through cas_main.
+//
+// Tombstone ownership: an entombed SNode has exactly one owner. Before the
+// entombing CAS that is the live CNode slot; after it, the TNode, which
+// wraps that same SNode rather than a copy. Resurrection (clean /
+// clean_parent) puts the same SNode back into the parent's new CNode, so
+// the winner of a resurrecting CAS retires only the TNode shell and its
+// INode, and a loser frees only its own shell or container (discard_copy).
 #pragma once
 
 #include <atomic>
@@ -66,7 +73,8 @@ struct SNode : Base {
 };
 
 /// Tombstone: a CNode that shrank to one SNode is replaced by a TNode so
-/// that readers passing through know to contract the path.
+/// that readers passing through know to contract the path. It owns `sn`,
+/// the very SNode it entombed (see the ownership rule above).
 template <typename K, typename V>
 struct TNode : Base {
   SNode<K, V>* sn;
@@ -194,67 +202,41 @@ class Ctrie {
   Ctrie(const Ctrie&) = delete;
   Ctrie& operator=(const Ctrie&) = delete;
 
-  ~Ctrie() {
-    destroy_main(root_->main.load(std::memory_order_relaxed));
-    delete root_;
-  }
+  ~Ctrie() { destroy_tree(root_); }
 
   /// Inserts or replaces. Returns true iff the key was new.
   bool insert(const K& key, const V& value) {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    // Fault site: a victim parked here holds the guard with nothing else
-    // done — the stall-tolerant reclaimer's worst case (see testkit/fault.hpp).
-    testkit::chaos_point("ctrie.pinned");
-    const std::uint64_t h = hasher_(key);
-    while (true) {
-      const Res r = iinsert(root_, key, value, h, 0, nullptr);
-      if (r == Res::kNew) return true;
-      if (r == Res::kReplaced) return false;
-      assert(r == Res::kRestart);
-    }
+    return pinned(key, [&](std::uint64_t h) {
+             return iinsert(root_, key, value, h, 0, nullptr,
+                            /*only_if_absent=*/false);
+           }) == Res::kNew;
   }
 
   /// Inserts only if absent; true iff it inserted (API parity with the
   /// other maps in this repo and with scala TrieMap's putIfAbsent).
   bool put_if_absent(const K& key, const V& value) {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("ctrie.pinned");
-    const std::uint64_t h = hasher_(key);
-    while (true) {
-      const Res r =
-          iinsert(root_, key, value, h, 0, nullptr, /*only_if_absent=*/true);
-      if (r == Res::kNew) return true;
-      if (r == Res::kReplaced) return false;  // key existed; untouched
-      assert(r == Res::kRestart);
-    }
+    return pinned(key, [&](std::uint64_t h) {
+             return iinsert(root_, key, value, h, 0, nullptr,
+                            /*only_if_absent=*/true);
+           }) == Res::kNew;
   }
 
   std::optional<V> lookup(const K& key) const {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("ctrie.pinned");
-    const std::uint64_t h = hasher_(key);
-    while (true) {
-      std::optional<V> out;
-      const Res r = ilookup(root_, key, h, 0, nullptr, &out);
-      if (r == Res::kFound) return out;
-      if (r == Res::kNotFound) return std::nullopt;
-      assert(r == Res::kRestart);
-    }
+    std::optional<V> out;
+    pinned(key, [&](std::uint64_t h) {
+      return ilookup(root_, key, h, 0, nullptr, &out);
+    });
+    return out;
   }
 
   bool contains(const K& key) const { return lookup(key).has_value(); }
 
   std::optional<V> remove(const K& key) {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("ctrie.pinned");
-    const std::uint64_t h = hasher_(key);
-    while (true) {
-      std::optional<V> out;
-      const Res r = iremove(root_, key, h, 0, nullptr, &out);
-      if (r == Res::kFound) return out;
-      if (r == Res::kNotFound) return std::nullopt;
-      assert(r == Res::kRestart);
-    }
+    std::optional<V> out;
+    pinned(key, [&](std::uint64_t h) {
+      return iremove(root_, key, h, 0, nullptr, &out);
+    });
+    return out;
   }
 
   std::size_t size() const {
@@ -298,6 +280,42 @@ class Ctrie {
     return std::uint32_t{1} << ((h >> lev) & (kBranch - 1));
   }
 
+  /// The pin-and-restart loop of every public op: pins the guard, crosses
+  /// ctrie.pinned once, then reruns `step` from the root until it stops
+  /// asking for a restart.
+  template <typename Step>
+  Res pinned(const K& key, Step step) const {
+    [[maybe_unused]] auto guard = Reclaimer::pin();
+    // Fault site: a victim parked here holds the guard with nothing else
+    // done — the stall-tolerant reclaimer's worst case (see testkit/fault.hpp).
+    testkit::chaos_point("ctrie.pinned");
+    const std::uint64_t h = hasher_(key);
+    while (true) {
+      const Res r = step(h);
+      if (r != Res::kRestart) return r;
+    }
+  }
+
+  /// The chain's pair for `key`, or nullptr.
+  static LNodeT* chain_find(LNodeT* ln, std::uint64_t h, const K& key) {
+    for (; ln != nullptr; ln = ln->next) {
+      if (ln->hash == h && ln->key == key) return ln;
+    }
+    return nullptr;
+  }
+
+  /// A fresh copy of the chain without `key` (order reversed; chains are
+  /// unordered).
+  static LNodeT* chain_without(LNodeT* ln, const K& key) {
+    LNodeT* fresh = nullptr;
+    for (; ln != nullptr; ln = ln->next) {
+      if (!(ln->key == key)) {
+        fresh = LNodeT::make(ln->hash, ln->key, ln->value, fresh);
+      }
+    }
+    return fresh;
+  }
+
   // --- lookup ---------------------------------------------------------------
 
   Res ilookup(INode* i, const K& key, std::uint64_t h, std::uint32_t lev,
@@ -325,16 +343,12 @@ class Ctrie {
         // A tombed path must be contracted before the search can proceed.
         clean(parent, lev - kW);
         return Res::kRestart;
-      case Kind::kLNode: {
-        for (auto* l = static_cast<LNodeT*>(main); l != nullptr;
-             l = l->next) {
-          if (l->hash == h && l->key == key) {
-            *out = l->value;
-            return Res::kFound;
-          }
+      case Kind::kLNode:
+        if (LNodeT* l = chain_find(static_cast<LNodeT*>(main), h, key)) {
+          *out = l->value;
+          return Res::kFound;
         }
         return Res::kNotFound;
-      }
       default:
         assert(false && "invalid main node");
         return Res::kRestart;
@@ -345,52 +359,46 @@ class Ctrie {
 
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   Res iinsert(INode* i, const K& key, const V& value, std::uint64_t h,
-              std::uint32_t lev, INode* parent,
-              bool only_if_absent = false) {
+              std::uint32_t lev, INode* parent, bool only_if_absent) {
     Base* main = i->main.load(std::memory_order_acquire);
     switch (main->kind) {
       case Kind::kCNode: {
         auto* cn = static_cast<CNode*>(main);
         const std::uint32_t flag = flag_of(h, lev);
         const std::uint32_t pos = cn->pos_of(flag);
-        if ((cn->bmp & flag) == 0) {
-          CNode* ncn = cn->inserted(pos, flag, SNodeT::make(h, key, value));
-          if (cas_main(i, cn, ncn)) return Res::kNew;
-          destroy_cnode_and_fresh(ncn, cn);
-          return Res::kRestart;
-        }
-        Base* branch = cn->array()[pos];
-        if (branch->kind == Kind::kINode) {
+        const bool absent = (cn->bmp & flag) == 0;
+        Base* branch = absent ? nullptr : cn->array()[pos];
+        if (!absent && branch->kind == Kind::kINode) {
           return iinsert(static_cast<INode*>(branch), key, value, h,
                          lev + kW, i, only_if_absent);
         }
         auto* sn = static_cast<SNodeT*>(branch);
-        if (sn->hash == h && sn->key == key) {
-          if (only_if_absent) return Res::kReplaced;  // present: no change
+        if (absent || (sn->hash == h && sn->key == key)) {
+          if (!absent && only_if_absent) return Res::kReplaced;  // untouched
           SNodeT* nsn = SNodeT::make(h, key, value);
-          CNode* ncn = cn->updated(pos, nsn);
+          CNode* ncn =
+              absent ? cn->inserted(pos, flag, nsn) : cn->updated(pos, nsn);
           if (cas_main(i, cn, ncn)) {
+            if (absent) return Res::kNew;
             Reclaimer::template retire<SNodeT>(sn);
             return Res::kReplaced;
           }
           delete nsn;  // [delete: unpublished]
-          CNode::destroy(ncn);
+          discard_copy(ncn);
           return Res::kRestart;
         }
         // Distinct key: grow a deeper level under a fresh INode. With equal
         // full hashes branch_two builds an LNode chain that *copies* sn's
         // pair (chains have no SNodes), so the original sn is superseded
-        // and must be retired; with distinct hashes sn is shared as-is.
-        const bool sn_copied = sn->hash == h;
-        Base* deeper = branch_two(sn, h, key, value, lev + kW);
-        INode* nin = INode::make(deeper);
+        // and must be retired; with distinct hashes sn moves down as-is.
+        INode* nin = INode::make(branch_two(sn, h, key, value, lev + kW));
         CNode* ncn = cn->updated(pos, nin);
         if (cas_main(i, cn, ncn)) {
-          if (sn_copied) Reclaimer::template retire<SNodeT>(sn);
+          if (sn->hash == h) Reclaimer::template retire<SNodeT>(sn);
           return Res::kNew;
         }
-        destroy_branch_shallow(nin, sn);
-        CNode::destroy(ncn);
+        destroy_tree(nin, sn);
+        discard_copy(ncn);
         return Res::kRestart;
       }
       case Kind::kTNode:
@@ -401,32 +409,20 @@ class Ctrie {
         if (ln->hash != h) {
           // Shares only a prefix with the chain: push the chain one level
           // deeper next to the new key.
-          SNodeT* nsn = SNodeT::make(h, key, value);
-          Base* grown = branch_lnode_apart(ln, nsn, lev);
+          Base* grown =
+              branch_lnode_apart(ln, SNodeT::make(h, key, value), lev);
           if (cas_main(i, ln, grown)) return Res::kNew;
-          destroy_grown_sparing(grown, ln);
-          delete nsn;  // [delete: unpublished]
+          destroy_tree(grown, ln);
           return Res::kRestart;
         }
-        bool found = false;
-        for (auto* l = ln; l != nullptr; l = l->next) {
-          if (l->key == key) {
-            found = true;
-            break;
-          }
-        }
+        const bool found = chain_find(ln, h, key) != nullptr;
         if (found && only_if_absent) return Res::kReplaced;
-        LNodeT* fresh = nullptr;
-        for (auto* l = ln; l != nullptr; l = l->next) {
-          if (l->key == key) continue;
-          fresh = LNodeT::make(l->hash, l->key, l->value, fresh);
-        }
-        fresh = LNodeT::make(h, key, value, fresh);
+        LNodeT* fresh = LNodeT::make(h, key, value, chain_without(ln, key));
         if (cas_main(i, ln, fresh)) {
           retire_chain(ln);
           return found ? Res::kReplaced : Res::kNew;
         }
-        destroy_chain(fresh);
+        destroy_tree(fresh);
         return Res::kRestart;
       }
       default:
@@ -448,100 +444,57 @@ class Ctrie {
         if ((cn->bmp & flag) == 0) return Res::kNotFound;
         const std::uint32_t pos = cn->pos_of(flag);
         Base* branch = cn->array()[pos];
-        Res res;
         if (branch->kind == Kind::kINode) {
-          res = iremove(static_cast<INode*>(branch), key, h, lev + kW, i,
-                        out);
-        } else {
-          auto* sn = static_cast<SNodeT*>(branch);
-          if (sn->hash != h || !(sn->key == key)) return Res::kNotFound;
-          CNode* ncn = cn->removed(pos, flag);
-          // When contraction entombs, the surviving branch is *copied* into
-          // the tombstone; remember the shared original so the winner can
-          // retire it (it stays reachable only through the retired cn).
-          SNodeT* survivor = nullptr;
-          if (lev > 0 && ncn->len == 1 &&
-              ncn->array()[0]->kind == Kind::kSNode) {
-            survivor = static_cast<SNodeT*>(ncn->array()[0]);
-          }
-          Base* contracted = to_contracted(ncn, lev);
-          if (cas_main(i, cn, contracted)) {
-            *out = sn->value;
-            Reclaimer::template retire<SNodeT>(sn);
-            if (contracted != ncn && survivor != nullptr) {
-              Reclaimer::template retire<SNodeT>(survivor);
-            }
-            res = Res::kFound;
-          } else {
-            // to_contracted consumes ncn when it entombs; destroy whichever
-            // unpublished object we are left holding.
-            if (contracted != ncn) {
-              // [delete: unpublished]
-              delete static_cast<TNodeT*>(contracted)->sn;
-              delete static_cast<TNodeT*>(contracted);
-            } else {
-              CNode::destroy(ncn);
-            }
-            return Res::kRestart;
-          }
-        }
-        if (res == Res::kFound && parent != nullptr) {
+          const Res res = iremove(static_cast<INode*>(branch), key, h,
+                                  lev + kW, i, out);
           // If the removal left a tombstone, contract it into the parent.
-          if (i->main.load(std::memory_order_acquire)->kind == Kind::kTNode) {
+          if (res == Res::kFound && parent != nullptr &&
+              i->main.load(std::memory_order_acquire)->kind == Kind::kTNode) {
             clean_parent(parent, i, h, lev - kW);
           }
+          return res;
         }
-        return res;
+        auto* sn = static_cast<SNodeT*>(branch);
+        if (sn->hash != h || !(sn->key == key)) return Res::kNotFound;
+        Base* contracted = to_contracted(cn->removed(pos, flag), lev);
+        if (!cas_main(i, cn, contracted)) {
+          discard_copy(contracted);
+          return Res::kRestart;
+        }
+        *out = sn->value;
+        Reclaimer::template retire<SNodeT>(sn);
+        if (contracted->kind == Kind::kTNode && parent != nullptr) {
+          clean_parent(parent, i, h, lev - kW);
+        }
+        return Res::kFound;
       }
       case Kind::kTNode:
         clean(parent, lev - kW);
         return Res::kRestart;
       case Kind::kLNode: {
         auto* ln = static_cast<LNodeT*>(main);
-        if (ln->hash != h) return Res::kNotFound;
-        bool found = false;
-        std::size_t remaining = 0;
-        for (auto* l = ln; l != nullptr; l = l->next) {
-          if (l->key == key) {
-            found = true;
-            *out = l->value;
-          } else {
-            ++remaining;
-          }
-        }
-        if (!found) return Res::kNotFound;
+        LNodeT* found = chain_find(ln, h, key);
+        if (found == nullptr) return Res::kNotFound;
         Base* replacement;
-        if (remaining == 1) {
-          // Chain of one pair becomes a tombed SNode so the path contracts.
-          SNodeT* only = nullptr;
-          for (auto* l = ln; l != nullptr; l = l->next) {
-            if (!(l->key == key)) only = SNodeT::make(l->hash, l->key, l->value);
-          }
-          replacement = TNodeT::make(only);
+        if (ln->next->next == nullptr) {
+          // A two-pair chain leaves one pair: it becomes a tombed SNode so
+          // the path contracts.
+          LNodeT* other = found == ln ? ln->next : ln;
+          replacement = TNodeT::make(
+              SNodeT::make(other->hash, other->key, other->value));
         } else {
-          LNodeT* fresh = nullptr;
-          for (auto* l = ln; l != nullptr; l = l->next) {
-            if (l->key == key) continue;
-            fresh = LNodeT::make(l->hash, l->key, l->value, fresh);
-          }
-          replacement = fresh;
+          replacement = chain_without(ln, key);
         }
-        if (cas_main(i, ln, replacement)) {
-          retire_chain(ln);
-          if (replacement->kind == Kind::kTNode && parent != nullptr) {
-            clean_parent(parent, i, h, lev - kW);
-          }
-          return Res::kFound;
+        if (!cas_main(i, ln, replacement)) {
+          destroy_tree(replacement);
+          return Res::kRestart;
         }
-        if (replacement->kind == Kind::kTNode) {
-          // [delete: unpublished]
-          delete static_cast<TNodeT*>(replacement)->sn;
-          delete static_cast<TNodeT*>(replacement);
-        } else {
-          destroy_chain(static_cast<LNodeT*>(replacement));
+        *out = found->value;
+        retire_chain(ln);
+        if (replacement->kind == Kind::kTNode && parent != nullptr) {
+          clean_parent(parent, i, h, lev - kW);
         }
-        out->reset();
-        return Res::kRestart;
+        return Res::kFound;
       }
       default:
         assert(false && "invalid main node");
@@ -549,16 +502,20 @@ class Ctrie {
     }
   }
 
-  // --- contraction (clean / cleanParent) -------------------------------------
+  // --- the INode-main commit and contraction (clean / cleanParent) -----------
 
+  /// The one INode-main commit (the GCAS stand-in): every structural
+  /// replacement — an op's own update, clean's compression, clean_parent's
+  /// contraction — crosses its chaos `site` and CASes here, under the one
+  /// trace span. The winner retires a replaced CNode container (its
+  /// branches are shared with `desired` by construction); a replaced LNode
+  /// chain is retired by the caller, which knows whether it moved down.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  bool cas_main(INode* i, Base* expected, Base* desired) {
-    // The GCAS stand-in: every structural replacement funnels through this
-    // single INode.main CAS, so one chaos point (and one trace span,
-    // covering the CAS plus retiring the loser) covers them all.
+  static bool cas_main(INode* i, Base* expected, Base* desired,
+                       const char* site = "ctrie.gcas") {
     [[maybe_unused]] auto span =
         obs::sites::ctrie_gcas.span(reinterpret_cast<std::uintptr_t>(i));
-    testkit::chaos_point("ctrie.gcas");
+    testkit::chaos_point(site);
     Base* e = expected;
     // [publishes: CTRIE_GCAS]
     if (i->main.compare_exchange_strong(e, desired,
@@ -567,61 +524,51 @@ class Ctrie {
       if (desired->kind == Kind::kTNode) {
         obs::sites::ctrie_entomb.record(reinterpret_cast<std::uintptr_t>(i));
       }
-      retire_main_container(expected);
+      if (expected->kind == Kind::kCNode) {
+        Reclaimer::retire_raw_sized(
+            expected, &CNode::destroy_erased,
+            CNode::alloc_size(static_cast<CNode*>(expected)->len));
+      }
       return true;
     }
     obs::sites::ctrie_gcas_retry.record(reinterpret_cast<std::uintptr_t>(i));
     return false;
   }
 
-  /// Retires a replaced main node: the container only — branches are shared
-  /// with the replacement by construction.
-  // [smr: caller-pinned] -- the guard is held by the public entry point.
-  void retire_main_container(Base* main) {
-    if (main->kind == Kind::kCNode) {
-      Reclaimer::retire_raw_sized(
-          main, &CNode::destroy_erased,
-          CNode::alloc_size(static_cast<CNode*>(main)->len));
-    } else if (main->kind == Kind::kTNode) {
-      // TNode and its tombed SNode are both superseded (resurrection copies
-      // the pair into a fresh SNode).
-      auto* tn = static_cast<TNodeT*>(main);
-      Reclaimer::template retire<SNodeT>(tn->sn);
-      Reclaimer::template retire<TNodeT>(tn);
-    }
-    // LNode chains are retired by their replacing operation (retire_chain).
-  }
-
-  /// A CNode with exactly one SNode branch (below the root) entombs.
-  Base* to_contracted(CNode* cn, std::uint32_t lev) const {
+  /// A CNode with exactly one SNode branch (below the root) entombs: the
+  /// TNode takes over that very SNode and the unpublished container goes.
+  static Base* to_contracted(CNode* cn, std::uint32_t lev) {
     if (lev > 0 && cn->len == 1 && cn->array()[0]->kind == Kind::kSNode) {
-      auto* sn = static_cast<SNodeT*>(cn->array()[0]);
-      TNodeT* tn = TNodeT::make(SNodeT::make(sn->hash, sn->key, sn->value));
-      CNode::destroy(cn);  // never published
+      TNodeT* tn = TNodeT::make(static_cast<SNodeT*>(cn->array()[0]));
+      CNode::destroy(cn);
       return tn;
     }
     return cn;
   }
 
-  /// Compresses i's CNode: tombed INode children are resurrected to plain
-  /// SNode copies and the result is contracted. The set of replaced
-  /// branches is recorded *at copy time* — re-reading branch states after
-  /// the CAS would race with concurrent entombments (a branch that became
-  /// tombed after the copy is still shared by the new CNode and must NOT be
+  /// After a CAS that put a tombed INode's SNode back into its parent: the
+  /// SNode lives on there, so only the TNode shell (final once published)
+  /// and the INode are retired.
+  // [smr: caller-pinned] -- the guard is held by the public entry point.
+  static void retire_resurrected(INode* in) {
+    Reclaimer::template retire<TNodeT>(
+        static_cast<TNodeT*>(in->main.load(std::memory_order_acquire)));
+    Reclaimer::template retire<INode>(in);
+  }
+
+  /// Compresses i's CNode: tombed INode children give their SNode back to
+  /// the new CNode, and the result is contracted. The resurrected INodes
+  /// are recorded *at copy time* — re-reading branch states after the CAS
+  /// would race with concurrent entombments (a branch that became tombed
+  /// after the copy is still shared by the new CNode and must NOT be
   /// retired; a later clean_parent owns it).
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  void clean(INode* i, std::uint32_t lev) const {
+  static void clean(INode* i, std::uint32_t lev) {
     if (i == nullptr) return;  // tomb directly under the root cannot occur
     Base* main = i->main.load(std::memory_order_acquire);
     if (main->kind != Kind::kCNode) return;
     auto* cn = static_cast<CNode*>(main);
-
-    struct Resurrection {
-      INode* in;
-      TNodeT* tn;
-      SNodeT* copy;  // fresh SNode placed in the new CNode
-    };
-    std::vector<Resurrection> recs;
+    std::vector<INode*> resurrected;
     CNode* ncn = CNode::make(cn->bmp, cn->len);
     for (std::uint32_t b = 0; b < cn->len; ++b) {
       Base* branch = cn->array()[b];
@@ -629,129 +576,48 @@ class Ctrie {
         auto* in = static_cast<INode*>(branch);
         Base* m = in->main.load(std::memory_order_acquire);
         if (m->kind == Kind::kTNode) {
-          auto* tn = static_cast<TNodeT*>(m);
-          auto* copy = SNodeT::make(tn->sn->hash, tn->sn->key, tn->sn->value);
-          ncn->array()[b] = copy;
-          recs.push_back(Resurrection{in, tn, copy});
-          continue;
+          branch = static_cast<TNodeT*>(m)->sn;
+          resurrected.push_back(in);
         }
       }
       ncn->array()[b] = branch;
     }
-
-    const bool tombs =
-        lev > 0 && ncn->len == 1 && ncn->array()[0]->kind == Kind::kSNode;
-    if (recs.empty() && !tombs) {
+    Base* desired = to_contracted(ncn, lev);
+    if (resurrected.empty() && desired == ncn) {
       CNode::destroy(ncn);  // nothing to compress or contract
       return;
     }
-
-    Base* desired = ncn;
-    SNodeT* survivor = nullptr;  // the SNode copied into a tombstone
-    if (tombs) {
-      survivor = static_cast<SNodeT*>(ncn->array()[0]);
-      desired = TNodeT::make(
-          SNodeT::make(survivor->hash, survivor->key, survivor->value));
-      CNode::destroy(ncn);
-      ncn = nullptr;
-    }
-
-    testkit::chaos_point("ctrie.clean_commit");
-    Base* expected = cn;
-    if (i->main.compare_exchange_strong(expected, desired,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-      for (const auto& r : recs) {
-        Reclaimer::template retire<SNodeT>(r.tn->sn);
-        Reclaimer::template retire<TNodeT>(r.tn);
-        Reclaimer::template retire<INode>(r.in);
-      }
-      if (survivor != nullptr) {
-        // The tombstone holds a copy; dispose of the source: a fresh
-        // resurrected copy was never published (delete), a shared original
-        // was reachable through cn (retire).
-        bool fresh = false;
-        for (const auto& r : recs) fresh = fresh || r.copy == survivor;
-        if (fresh) {
-          delete survivor;  // [delete: unpublished]
-        } else {
-          Reclaimer::template retire<SNodeT>(survivor);
-        }
-      }
-      Reclaimer::retire_raw_sized(cn, &CNode::destroy_erased,
-                                  CNode::alloc_size(cn->len));
-      obs::sites::ctrie_clean.record(reinterpret_cast<std::uintptr_t>(i),
-                                     recs.size());
-      if (tombs) {
-        obs::sites::ctrie_entomb.record(reinterpret_cast<std::uintptr_t>(i));
-      }
+    if (!cas_main(i, cn, desired, "ctrie.clean_commit")) {
+      discard_copy(desired);
       return;
     }
-    // Lost the race: everything we built is unpublished.
-    obs::sites::ctrie_gcas_retry.record(reinterpret_cast<std::uintptr_t>(i));
-    // [delete: unpublished]
-    for (const auto& r : recs) delete r.copy;
-    if (tombs) {
-      // [delete: unpublished]
-      delete static_cast<TNodeT*>(desired)->sn;
-      delete static_cast<TNodeT*>(desired);
-      // A fresh `survivor` copy was already deleted via recs above; a
-      // shared one stays alive in cn.
-    } else {
-      CNode::destroy(ncn);
-    }
+    for (INode* in : resurrected) retire_resurrected(in);
+    obs::sites::ctrie_clean.record(reinterpret_cast<std::uintptr_t>(i),
+                                   resurrected.size());
   }
 
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  void clean_parent(INode* parent, INode* i, std::uint64_t h,
-                    std::uint32_t lev) {
-    Base* main = parent->main.load(std::memory_order_acquire);
-    if (main->kind != Kind::kCNode) return;
-    auto* cn = static_cast<CNode*>(main);
-    const std::uint32_t flag = flag_of(h, lev);
-    if ((cn->bmp & flag) == 0) return;
-    const std::uint32_t pos = cn->pos_of(flag);
-    if (cn->array()[pos] != i) return;
-    Base* imain = i->main.load(std::memory_order_acquire);
-    if (imain->kind != Kind::kTNode) return;
-    auto* tn = static_cast<TNodeT*>(imain);
-    SNodeT* resurrected =
-        SNodeT::make(tn->sn->hash, tn->sn->key, tn->sn->value);
-    CNode* ncn = cn->updated(pos, resurrected);
-    Base* contracted = to_contracted(ncn, lev);
-    testkit::chaos_point("ctrie.clean_parent");
-    Base* e = cn;
-    if (parent->main.compare_exchange_strong(e, contracted,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-      Reclaimer::retire_raw_sized(cn, &CNode::destroy_erased,
-                                  CNode::alloc_size(cn->len));
-      Reclaimer::template retire<SNodeT>(tn->sn);
-      Reclaimer::template retire<TNodeT>(tn);
-      Reclaimer::template retire<INode>(i);
-      if (contracted != ncn) {
-        // The tombstone holds yet another copy; the fresh `resurrected`
-        // was consumed by to_contracted's container and never published.
-        delete resurrected;  // [delete: unpublished]
+  static void clean_parent(INode* parent, INode* i, std::uint64_t h,
+                           std::uint32_t lev) {
+    while (true) {
+      Base* main = parent->main.load(std::memory_order_acquire);
+      if (main->kind != Kind::kCNode) return;
+      auto* cn = static_cast<CNode*>(main);
+      const std::uint32_t flag = flag_of(h, lev);
+      if ((cn->bmp & flag) == 0) return;
+      const std::uint32_t pos = cn->pos_of(flag);
+      if (cn->array()[pos] != i) return;
+      Base* imain = i->main.load(std::memory_order_acquire);
+      if (imain->kind != Kind::kTNode) return;
+      Base* contracted = to_contracted(
+          cn->updated(pos, static_cast<TNodeT*>(imain)->sn), lev);
+      if (cas_main(parent, cn, contracted, "ctrie.clean_parent")) {
+        retire_resurrected(i);
+        obs::sites::ctrie_clean_parent.record(
+            reinterpret_cast<std::uintptr_t>(parent), lev);
+        return;
       }
-      obs::sites::ctrie_clean_parent.record(
-          reinterpret_cast<std::uintptr_t>(parent), lev);
-      if (contracted != ncn) {
-        obs::sites::ctrie_entomb.record(
-            reinterpret_cast<std::uintptr_t>(parent));
-      }
-    } else {
-      obs::sites::ctrie_gcas_retry.record(
-          reinterpret_cast<std::uintptr_t>(parent));
-      if (contracted != ncn) {
-        // [delete: unpublished]
-        delete static_cast<TNodeT*>(contracted)->sn;
-        delete static_cast<TNodeT*>(contracted);
-      } else {
-        CNode::destroy(ncn);
-      }
-      delete resurrected;  // [delete: unpublished]
-      clean_parent(parent, i, h, lev);  // retry
+      discard_copy(contracted);
     }
   }
 
@@ -806,86 +672,62 @@ class Ctrie {
     return cn;
   }
 
-  // --- unpublished-structure teardown -----------------------------------------
+  // --- teardown -------------------------------------------------------------
 
-  /// Failed insert of a fresh subtree: free everything except the shared sn.
-  void destroy_branch_shallow(INode* nin, SNodeT* keep) {
-    Base* main = nin->main.load(std::memory_order_relaxed);
-    destroy_unpublished_main(main, keep);
-    delete nin;
-  }
-
-  void destroy_unpublished_main(Base* main, SNodeT* keep) {
-    switch (main->kind) {
-      case Kind::kLNode:
-        destroy_chain(static_cast<LNodeT*>(main));
+  /// Frees a subtree nothing else can reach — the whole trie in the
+  /// destructor, or what a losing op built — except `keep`, the one node a
+  /// growth loser shares with the live trie (the SNode or chain it pushed
+  /// down), which is left alone wherever it appears.
+  static void destroy_tree(Base* node, const Base* keep = nullptr) {
+    if (node == keep) return;
+    switch (node->kind) {
+      case Kind::kSNode:
+        delete static_cast<SNodeT*>(node);
         return;
+      case Kind::kINode: {
+        auto* in = static_cast<INode*>(node);
+        destroy_tree(in->main.load(std::memory_order_relaxed), keep);
+        delete in;
+        return;
+      }
       case Kind::kCNode: {
-        auto* cn = static_cast<CNode*>(main);
-        for (std::uint32_t i = 0; i < cn->len; ++i) {
-          Base* branch = cn->array()[i];
-          if (branch == keep) continue;
-          if (branch->kind == Kind::kSNode) {
-            delete static_cast<SNodeT*>(branch);
-          } else if (branch->kind == Kind::kINode) {
-            destroy_branch_shallow(static_cast<INode*>(branch), keep);
-          }
+        auto* cn = static_cast<CNode*>(node);
+        for (std::uint32_t b = 0; b < cn->len; ++b) {
+          destroy_tree(cn->array()[b], keep);
         }
         CNode::destroy(cn);
         return;
       }
+      case Kind::kTNode: {
+        auto* tn = static_cast<TNodeT*>(node);
+        destroy_tree(tn->sn, keep);
+        delete tn;
+        return;
+      }
+      case Kind::kLNode:
+        for (auto* l = static_cast<LNodeT*>(node); l != nullptr;) {
+          LNodeT* next = l->next;
+          delete l;
+          l = next;
+        }
+        return;
       default:
         assert(false);
     }
   }
 
-  /// Failed empty-slot insert: free the fresh CNode and its new SNode; all
-  /// other branches are shared with the still-live original.
-  void destroy_cnode_and_fresh(CNode* ncn, CNode* original) {
-    for (std::uint32_t i = 0; i < ncn->len; ++i) {
-      Base* branch = ncn->array()[i];
-      bool shared = false;
-      for (std::uint32_t j = 0; j < original->len; ++j) {
-        if (original->array()[j] == branch) {
-          shared = true;
-          break;
-        }
-      }
-      if (!shared && branch->kind == Kind::kSNode) {
-        delete static_cast<SNodeT*>(branch);
-      }
-    }
-    CNode::destroy(ncn);
-  }
-
-  /// Failed lnode split: free the grown structure but spare the chain.
-  void destroy_grown_sparing(Base* grown, LNodeT* spare) {
-    if (grown->kind == Kind::kCNode) {
-      auto* cn = static_cast<CNode*>(grown);
-      for (std::uint32_t i = 0; i < cn->len; ++i) {
-        Base* branch = cn->array()[i];
-        if (branch->kind == Kind::kINode) {
-          auto* in = static_cast<INode*>(branch);
-          Base* main = in->main.load(std::memory_order_relaxed);
-          if (main != spare) destroy_grown_sparing(main, spare);
-          delete in;
-        }
-        // SNode branches here are the caller's nsn, freed by the caller.
-      }
-      CNode::destroy(cn);
-    }
-  }
-
-  void destroy_chain(LNodeT* chain) {
-    while (chain != nullptr) {
-      LNodeT* next = chain->next;
-      delete chain;
-      chain = next;
+  /// Frees a copy that lost its CAS — a CNode container or a TNode shell —
+  /// but not its children, which the live trie still shares.
+  static void discard_copy(Base* copy) {
+    if (copy->kind == Kind::kTNode) {
+      delete static_cast<TNodeT*>(copy);  // [delete: unpublished]
+    } else {
+      CNode::destroy(static_cast<CNode*>(copy));
     }
   }
 
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  void retire_chain(LNodeT* chain) {
+  static void retire_chain(LNodeT* chain) {
     while (chain != nullptr) {
       LNodeT* next = chain->next;
       Reclaimer::template retire<LNodeT>(chain);
@@ -1032,37 +874,6 @@ class Ctrie {
       }
       default:
         issues.push_back("invalid branch kind");
-    }
-  }
-
-  void destroy_main(Base* main) {
-    switch (main->kind) {
-      case Kind::kCNode: {
-        auto* cn = static_cast<CNode*>(main);
-        for (std::uint32_t i = 0; i < cn->len; ++i) {
-          Base* branch = cn->array()[i];
-          if (branch->kind == Kind::kSNode) {
-            delete static_cast<SNodeT*>(branch);
-          } else {
-            auto* in = static_cast<INode*>(branch);
-            destroy_main(in->main.load(std::memory_order_relaxed));
-            delete in;
-          }
-        }
-        CNode::destroy(cn);
-        return;
-      }
-      case Kind::kTNode: {
-        auto* tn = static_cast<TNodeT*>(main);
-        delete tn->sn;
-        delete tn;
-        return;
-      }
-      case Kind::kLNode:
-        destroy_chain(static_cast<LNodeT*>(main));
-        return;
-      default:
-        assert(false);
     }
   }
 

@@ -115,8 +115,8 @@
     instant, kCachetrieExpire, "cachetrie.expire", "cachetrie")              \
   X(cachetrie_evict_backpressure, Counter, "cachetrie.evict.backpressure",   \
     instant, kCachetrieCeilingHit, "cachetrie.ceiling_hit", "cachetrie")     \
-  /* --- ctrie. gcas: span over the main-node CAS funnel (incl. retiring    \
-     the loser); gcas.retry: a root/main-node CAS failure forces a retry;    \
+  /* --- ctrie. gcas: span over the main-node CAS funnel, clean and        \
+     clean_parent commits included; gcas.retry: a main-node CAS failure;     \
      entomb: live SNode entombed into a TNode; clean: clean() compressed an  \
      INode's main node; clean_parent: a TNode contracted one level up. */    \
   X(ctrie_gcas, NoMetric, nullptr, span, kCtrieGcas, "ctrie.gcas", "ctrie")  \

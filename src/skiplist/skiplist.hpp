@@ -141,75 +141,11 @@ class ConcurrentSkipList {
 
   /// Inserts or replaces. Returns true iff the key was new.
   bool insert(const K& key, const V& value) {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    // Fault site: victim parks inside the guard before touching the list —
-    // the stall-tolerant reclaimer's worst case (testkit/fault.hpp).
-    testkit::chaos_point("csl.pinned");
-    Node* preds[kMaxLevel];
-    Node* succs[kMaxLevel];
-    while (true) {
-      if (find(key, preds, succs)) {
-        Node* found = succs[0];
-        if (!write_in_place(found, value)) {
-          // Logically dead: the remover linearized before us. Help the
-          // physical marks along so our retry's find() snips the corpse,
-          // then insert a fresh node.
-          help_mark(found);
-          continue;
-        }
-        return false;
-      }
-      const int top = random_level();
-      Node* n = Node::make(key, value, top);
-      n->next()[0].store(pack(succs[0], false), std::memory_order_relaxed);
-      for (int lev = 1; lev <= top; ++lev) {
-        n->next()[lev].store(pack(succs[lev], false),
-                             std::memory_order_relaxed);
-      }
-      std::uintptr_t expected = pack(succs[0], false);
-      testkit::chaos_point("csl.link_bottom");
-      if (!head_level_cas(preds[0], 0, expected, pack(n, false))) {
-        Node::destroy(n);  // never published
-        obs::sites::csl_cas_retry.add();
-        continue;
-      }
-      link_upper_levels(n, top, key, preds, succs);
-      return true;
-    }
+    return do_insert(key, value, /*only_if_absent=*/false);
   }
 
   bool put_if_absent(const K& key, const V& value) {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("csl.pinned");
-    Node* preds[kMaxLevel];
-    Node* succs[kMaxLevel];
-    while (true) {
-      if (find(key, preds, succs)) {
-        // [acquires: CSL_VSYNC]
-        if (succs[0]->vsync.load(std::memory_order_seq_cst) & kDead) {
-          // Found only the corpse of a concurrent removal: from our view
-          // the key is absent, so behave like the not-found path would.
-          help_mark(succs[0]);
-          continue;
-        }
-        return false;
-      }
-      const int top = random_level();
-      Node* n = Node::make(key, value, top);
-      for (int lev = 0; lev <= top; ++lev) {
-        n->next()[lev].store(pack(succs[lev], false),
-                             std::memory_order_relaxed);
-      }
-      std::uintptr_t expected = pack(succs[0], false);
-      testkit::chaos_point("csl.link_bottom");
-      if (!head_level_cas(preds[0], 0, expected, pack(n, false))) {
-        Node::destroy(n);
-        obs::sites::csl_cas_retry.add();
-        continue;
-      }
-      link_upper_levels(n, top, key, preds, succs);
-      return true;
-    }
+    return do_insert(key, value, /*only_if_absent=*/true);
   }
 
   std::optional<V> lookup(const K& key) const {
@@ -366,6 +302,52 @@ class ConcurrentSkipList {
   }
 
  private:
+  /// insert and put_if_absent. They differ only in what a live node found
+  /// for the key means: insert writes the value in place, put_if_absent
+  /// reports the key present.
+  bool do_insert(const K& key, const V& value, bool only_if_absent) {
+    [[maybe_unused]] auto guard = Reclaimer::pin();
+    // Fault site: victim parks inside the guard before touching the list —
+    // the stall-tolerant reclaimer's worst case (testkit/fault.hpp).
+    testkit::chaos_point("csl.pinned");
+    Node* preds[kMaxLevel];
+    Node* succs[kMaxLevel];
+    while (true) {
+      if (find(key, preds, succs)) {
+        Node* found = succs[0];
+        bool live;
+        if (only_if_absent) {
+          // [acquires: CSL_VSYNC]
+          live = (found->vsync.load(std::memory_order_seq_cst) & kDead) == 0;
+        } else {
+          live = write_in_place(found, value);
+        }
+        if (live) return false;
+        // Found only the corpse of a concurrent removal: the remover
+        // linearized before us, so the key is absent. Help the physical
+        // marks along so our retry's find() snips the corpse, then insert a
+        // fresh node.
+        help_mark(found);
+        continue;
+      }
+      const int top = random_level();
+      Node* n = Node::make(key, value, top);
+      for (int lev = 0; lev <= top; ++lev) {
+        n->next()[lev].store(pack(succs[lev], false),
+                             std::memory_order_relaxed);
+      }
+      std::uintptr_t expected = pack(succs[0], false);
+      testkit::chaos_point("csl.link_bottom");
+      if (!head_level_cas(preds[0], 0, expected, pack(n, false))) {
+        Node::destroy(n);  // never published
+        obs::sites::csl_cas_retry.add();
+        continue;
+      }
+      link_upper_levels(n, top, key, preds, succs);
+      return true;
+    }
+  }
+
   bool head_level_cas(Node* pred, int lev, std::uintptr_t& expected,
                       std::uintptr_t desired) {
     // [publishes: CSL_LINK]

@@ -4,11 +4,13 @@
 
 #include <barrier>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "chashmap/chashmap.hpp"
+#include "util/hashing.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -168,6 +170,114 @@ TEST(CHashMapConcurrent, ChurnWithOwnership) {
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
       ASSERT_EQ(map.contains(t * kPerThread + i), present[t][i]);
+    }
+  }
+}
+
+// --- conditional unlinks: remove_if_equals, remove_if_stale, evict_stale ----
+
+/// Each case runs on two bin shapes: a roomy table whose bins hold about one
+/// node each, and a DegradedHash<2> map whose four live bins hold dozens of
+/// nodes, so the splice runs at the head and in the middle of a chain.
+template <typename Map, std::size_t kInitialBins>
+struct BinShape {
+  using MapType = Map;
+  static constexpr std::size_t initial_bins = kInitialBins;
+};
+using SingleNodeBins =
+    BinShape<ConcurrentHashMap<std::uint64_t, std::uint64_t>, 1u << 14>;
+using CrowdedBins =
+    BinShape<ConcurrentHashMap<std::uint64_t, std::uint64_t,
+                               cachetrie::util::DegradedHash<2>>,
+             16>;
+
+template <typename Shape>
+class CHashMapUnlink : public ::testing::Test {
+ protected:
+  typename Shape::MapType map{Shape::initial_bins};
+};
+using BinShapes = ::testing::Types<SingleNodeBins, CrowdedBins>;
+TYPED_TEST_SUITE(CHashMapUnlink, BinShapes);
+
+constexpr std::uint64_t kUnlinkKeys = 64;
+constexpr std::uint64_t kFloor = 10;
+/// Odd keys carry a stale stamp (below kFloor), even keys a fresh one.
+constexpr std::uint64_t stamp_of(std::uint64_t k) { return k % 2 ? 5 : 20; }
+
+TYPED_TEST(CHashMapUnlink, RemoveIfEqualsChecksValue) {
+  auto& map = this->map;
+  for (std::uint64_t k = 0; k < kUnlinkKeys; ++k) {
+    ASSERT_TRUE(map.insert(k, k * 10));
+  }
+  for (std::uint64_t k = 1; k < kUnlinkKeys; k += 2) {
+    EXPECT_FALSE(map.remove_if_equals(k, k * 10 + 1)) << k;
+    EXPECT_EQ(map.lookup(k), std::optional<std::uint64_t>(k * 10)) << k;
+  }
+  EXPECT_EQ(map.size(), kUnlinkKeys);
+  for (std::uint64_t k = 1; k < kUnlinkKeys; k += 2) {
+    EXPECT_TRUE(map.remove_if_equals(k, k * 10)) << k;
+    EXPECT_FALSE(map.remove_if_equals(k, k * 10)) << k;
+  }
+  EXPECT_EQ(map.size(), kUnlinkKeys / 2);
+  for (std::uint64_t k = 0; k < kUnlinkKeys; ++k) {
+    EXPECT_EQ(map.contains(k), k % 2 == 0) << k;
+  }
+}
+
+TYPED_TEST(CHashMapUnlink, RemoveIfStaleChecksStamp) {
+  auto& map = this->map;
+  for (std::uint64_t k = 0; k < kUnlinkKeys; ++k) {
+    ASSERT_TRUE(map.insert(k, k, stamp_of(k)));
+  }
+  for (std::uint64_t k = 0; k < kUnlinkKeys; k += 2) {
+    EXPECT_FALSE(map.remove_if_stale(k, kFloor)) << k;
+  }
+  EXPECT_EQ(map.size(), kUnlinkKeys);
+  for (std::uint64_t k = 1; k < kUnlinkKeys; k += 2) {
+    EXPECT_TRUE(map.remove_if_stale(k, kFloor)) << k;
+    EXPECT_FALSE(map.remove_if_stale(k, kFloor)) << k;
+  }
+  EXPECT_EQ(map.size(), kUnlinkKeys / 2);
+  for (std::uint64_t k = 0; k < kUnlinkKeys; ++k) {
+    EXPECT_EQ(map.contains(k), k % 2 == 0) << k;
+  }
+}
+
+TYPED_TEST(CHashMapUnlink, LookupRefreshLeavesStaleStampAlone) {
+  auto& map = this->map;
+  for (std::uint64_t k = 0; k < kUnlinkKeys; ++k) {
+    ASSERT_TRUE(map.insert(k, k, stamp_of(k)));
+  }
+  constexpr std::uint64_t kNow = 100;
+  for (std::uint64_t k = 0; k < kUnlinkKeys; ++k) {
+    const auto hit = map.lookup_refresh(k, kNow, kFloor);
+    if (k % 2) {
+      EXPECT_FALSE(hit.has_value()) << k;
+    } else {
+      EXPECT_EQ(hit, std::optional<std::uint64_t>(k)) << k;
+    }
+  }
+  // A stale hit kept its stamp, so the same floor still unlinks it; a live
+  // hit was refreshed to kNow, so even a floor above its old stamp spares it.
+  for (std::uint64_t k = 0; k < kUnlinkKeys; ++k) {
+    EXPECT_EQ(map.remove_if_stale(k, kNow), k % 2 == 1) << k;
+  }
+  EXPECT_EQ(map.size(), kUnlinkKeys / 2);
+}
+
+TYPED_TEST(CHashMapUnlink, EvictStaleRemovesExactlyTheStale) {
+  auto& map = this->map;
+  constexpr std::uint64_t kKeys = 256;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(map.insert(k, k, stamp_of(k)));
+  }
+  EXPECT_EQ(map.evict_stale(kFloor, map.bin_count()), kKeys / 2);
+  EXPECT_EQ(map.size(), kKeys / 2);
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    if (k % 2) {
+      EXPECT_FALSE(map.contains(k)) << k;
+    } else {
+      EXPECT_EQ(map.lookup(k), std::optional<std::uint64_t>(k)) << k;
     }
   }
 }

@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -231,10 +232,18 @@ void run_forever_stall(const char* pinned_site, const char* deep_site) {
   dom.set_stall_lag_epochs(EpochDomain::kDefaultStallLagEpochs);
 }
 
-TEST(StallStorm, CacheTrie) { run_stall_storm<Trie>(kTrieSites, 9); }
-TEST(StallStorm, Ctrie) { run_stall_storm<Ctrie>(kCtrieSites, 4); }
-TEST(StallStorm, Chashmap) { run_stall_storm<Chm>(kChmSites, 7); }
-TEST(StallStorm, Skiplist) { run_stall_storm<Csl>(kCslSites, 6); }
+TEST(StallStorm, CacheTrie) {
+  run_stall_storm<Trie>(kTrieSites, std::size(kTrieSites));
+}
+TEST(StallStorm, Ctrie) {
+  run_stall_storm<Ctrie>(kCtrieSites, std::size(kCtrieSites));
+}
+TEST(StallStorm, Chashmap) {
+  run_stall_storm<Chm>(kChmSites, std::size(kChmSites));
+}
+TEST(StallStorm, Skiplist) {
+  run_stall_storm<Csl>(kCslSites, std::size(kCslSites));
+}
 
 TEST(LockFreedom, CacheTrieSurvivesForeverStalls) {
   run_forever_stall<Trie>("cachetrie.pinned", "cachetrie.txn_announce");
