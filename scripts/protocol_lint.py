@@ -41,6 +41,12 @@ families, documented in DESIGN.md section 2f:
                                [delete: unpublished] tag (protocol dirs only)
     smr.raw-new                raw `new` outside the designated make helpers
                                (protocol dirs only)
+    smr.lifecycle-bypass       in a cachetrie/ file, a direct `<Node>::make(`
+                               or `<Node>::destroy(` call, a `delete`, or a
+                               `Reclaimer::retire*` call outside the trie's
+                               lifecycle functions make, retire, discard and
+                               node_bytes -- the only places that book the
+                               bounded mode's byte ledger
 
   Read-path discipline (functions annotated [read-path])
     readpath.rmw               an atomic read-modify-write (.fetch_*,
@@ -118,6 +124,13 @@ PROTOCOL_NODE_DIRS = {"cachetrie", "ctrie", "chashmap", "skiplist", "net"}
 # Enclosing-function names allowed to use raw new/delete on protocol nodes.
 DESIGNATED_HELPER_RE = re.compile(
     r"^(~|make$|make_|destroy|free_|delete_|clone)")
+
+# The cache-trie makes, retires and frees every node through one lifecycle
+# function each, which also book its byte ledger; nothing else in these
+# directories may allocate, retire or free a node directly.
+LIFECYCLE_DIRS = {"cachetrie"}
+LIFECYCLE_FUNCS = {"make", "retire", "discard", "node_bytes"}
+NODE_TYPE_RE = re.compile(r"^(?:[A-Z]\w*Node\w*|CacheArray)$")
 
 CONTROL_KEYWORDS = {
     "if", "else", "for", "while", "do", "switch", "catch", "return",
@@ -769,6 +782,40 @@ class FileAnalysis:
                          "raw new in {}() -- protocol nodes are allocated "
                          "by their designated make helpers".format(fn.name))
 
+    def is_reclaimer_call(self, idx):
+        """True when the retire call at tokens[idx] is qualified by a
+        reclaimer type: `Reclaimer::retire*(` or
+        `Reclaimer::template retire<T>(`."""
+        j = idx - 1
+        if j >= 0 and self.tokens[j].text == "template":
+            j -= 1
+        return j >= 1 and self.tokens[j].text == "::" and \
+            self.tokens[j - 1].text.endswith("Reclaimer")
+
+    def check_lifecycle(self, dir_parts):
+        if not (LIFECYCLE_DIRS & dir_parts):
+            return
+        toks = self.tokens
+        for idx, tok in enumerate(toks):
+            prev = toks[idx - 1].text if idx > 0 else ""
+            if tok.text in ("make", "destroy") and prev == "::" and \
+                    NODE_TYPE_RE.match(toks[idx - 2].text) and \
+                    idx + 1 < len(toks) and toks[idx + 1].text == "(":
+                what = "{}::{}()".format(toks[idx - 2].text, tok.text)
+            elif tok.text == "delete" and prev not in ("=", "operator"):
+                what = "delete"
+            elif self.is_retire_call(idx) and self.is_reclaimer_call(idx):
+                what = "Reclaimer::{}()".format(tok.text)
+            else:
+                continue
+            chain = function_chain(self.scope_at[idx])
+            if not chain or any(f.name in LIFECYCLE_FUNCS for f in chain):
+                continue  # declaration context, or a lifecycle function
+            self.add("smr.lifecycle-bypass", tok.line,
+                     "{} in {}() -- cache-trie nodes are made, retired and "
+                     "freed only through make(), retire() and discard(), "
+                     "which book the byte ledger".format(what, chain[0].name))
+
     # --- rule family 4: read-path discipline ------------------------------
 
     def check_read_path(self):
@@ -928,6 +975,7 @@ def analyze_files(files, pooled=True):
         dir_parts = set(a.rel.replace("\\", "/").split("/"))
         a.bind_function_annotations()
         a.check_smr(dir_parts)
+        a.check_lifecycle(dir_parts)
         a.check_read_path()
 
     findings = []

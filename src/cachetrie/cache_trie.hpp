@@ -44,6 +44,8 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cachetrie/cache.hpp"
@@ -97,8 +99,7 @@ class CacheTrie {
         bounded_(config.ceiling_bytes != 0 || config.ttl_ticks != 0),
         policy_(config) {
     if (bounded_) evict::register_resident_gauge();
-    root_ = ANode::make(16);
-    account(static_cast<std::ptrdiff_t>(ANode::alloc_size(16)));
+    root_ = make<ANode>(16);
   }
 
   CacheTrie(const CacheTrie&) = delete;
@@ -109,16 +110,11 @@ class CacheTrie {
     CacheArray* c = cache_head_.load(std::memory_order_relaxed);
     while (c != nullptr) {
       CacheArray* parent = c->parent;
-      CacheArray::destroy(c);
+      discard(c);
       c = parent;
     }
-    // Whatever this trie still counted as resident leaves the process-wide
-    // gauge with it.
-    if (bounded_) {
-      evict::process_resident_bytes().fetch_sub(
-          resident_bytes_.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    }
+    // Teardown credited every node it freed, so the ledger closes at zero.
+    assert(resident_bytes_.load(std::memory_order_relaxed) == 0);
   }
 
   /// Inserts or replaces the pair. Returns true iff the key was new.
@@ -276,7 +272,7 @@ class CacheTrie {
     bytes += subtree_footprint(root_);
     for (CacheArray* c = cache_head_.load(std::memory_order_acquire);
          c != nullptr; c = c->parent) {
-      bytes += c->footprint_bytes();
+      bytes += node_bytes(c);
     }
     return bytes;
   }
@@ -318,13 +314,14 @@ class CacheTrie {
 
   // --- bounded-memory mode (DESIGN.md §3) -----------------------------------
 
-  /// Observed resident footprint: bytes published into the trie minus bytes
-  /// retired out of it — exact double-entry accounting at the protocol's
-  /// publish/retire choke points, excluding bytes parked in reclaimer limbo
-  /// (EpochDomain::retired_bytes() tracks those). Always 0 when unbounded.
+  /// Observed resident footprint: the bytes of every node this trie made and
+  /// has not retired or discarded — footprint_bytes() - sizeof(*this) at
+  /// quiescence, plus in-flight operations' unpublished copies. Excludes
+  /// bytes in reclaimer limbo (EpochDomain::retired_bytes()). Always 0 when
+  /// unbounded.
   std::size_t resident_bytes() const noexcept {
-    const std::int64_t b = resident_bytes_.load(std::memory_order_relaxed);
-    return b > 0 ? static_cast<std::size_t>(b) : 0;
+    return static_cast<std::size_t>(
+        resident_bytes_.load(std::memory_order_relaxed));
   }
 
   /// Bytes left under the ceiling; SIZE_MAX when there is none.
@@ -393,21 +390,60 @@ class CacheTrie {
     return policy_.horizon();
   }
 
-  /// Exact double-entry byte accounting: every publish-success adds the
-  /// bytes it made reachable, every retire subtracts exactly what it hands
-  /// the reclaimer. Like the stamp/tick/window words, this sum is advisory —
-  /// all accesses relaxed, no ordering contract (ordering_contracts.hpp
-  /// documents why).
+  /// Books `delta` bytes in this trie's ledger and in the process-wide
+  /// gauge; only make, retire and discard call it. Like the stamp/tick/window
+  /// words, the sum is advisory — all accesses relaxed, no ordering contract
+  /// (ordering_contracts.hpp documents why).
   void account(std::ptrdiff_t delta) const noexcept {
     if (!bounded_) return;
     resident_bytes_.fetch_add(delta, std::memory_order_relaxed);
     evict::process_resident_bytes().fetch_add(delta, std::memory_order_relaxed);
   }
 
+  // --- node lifecycle (DESIGN.md §3) -----------------------------------------
+  //
+  // Every node the trie owns is made, retired or discarded through one
+  // function each, and only these book the ledger: a node counts from the
+  // moment it is made until it is retired or discarded.
+
+  /// A node's bytes in the ledger: its allocation size.
+  template <typename N>
+  static std::size_t node_bytes(const N* n) noexcept {
+    if constexpr (std::is_same_v<N, ANode>) return ANode::alloc_size(n->length);
+    if constexpr (std::is_same_v<N, CacheArray>) return n->footprint_bytes();
+    return sizeof(N);
+  }
+
+  template <typename N, typename... Args>
+  N* make(Args&&... args) const {
+    N* n = N::make(std::forward<Args>(args)...);
+    account(static_cast<std::ptrdiff_t>(node_bytes(n)));
+    return n;
+  }
+
+  /// For a node this thread's CAS unlinked: readers may still hold it, so
+  /// the reclaimer frees it after a grace period.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  void retire_snode(SNodeT* sn) const {
-    account(-static_cast<std::ptrdiff_t>(sizeof(SNodeT)));
-    Reclaimer::template retire<SNodeT>(sn);
+  template <typename N>
+  void retire(N* n) const {
+    account(-static_cast<std::ptrdiff_t>(node_bytes(n)));
+    if constexpr (requires { N::destroy(n); }) {  // variable-length nodes
+      Reclaimer::retire_raw_sized(n, &N::destroy_erased, node_bytes(n));
+    } else {
+      Reclaimer::template retire<N>(n);
+    }
+  }
+
+  /// For a node no other thread can reach: a copy that lost its race, or
+  /// the trie's own nodes at teardown.
+  template <typename N>
+  void discard(N* n) const {
+    account(-static_cast<std::ptrdiff_t>(node_bytes(n)));
+    if constexpr (requires { N::destroy(n); }) {
+      N::destroy(n);
+    } else {
+      delete n;  // [delete: unpublished] -- or no longer reachable
+    }
   }
 
   void note_eviction(bool expiry, std::uint64_t h, std::uint32_t lev) const {
@@ -580,17 +616,13 @@ class CacheTrie {
   /// The two-CAS txn commit (§3.3, Fig. 3) every SNode change goes
   /// through: announce `nv` on osn->txn — a new SNode, a subtree, or
   /// nullptr for a removal — which invalidates osn's cache entries at once,
-  /// then commit it into the parent slot, clear those entries, book the
-  /// bytes and retire osn. Returns false when the announcement loses; `nv`
-  /// is then destroyed and nothing else changed. `h` is the operation's key
-  /// hash, for the commit event.
+  /// then commit it into the parent slot, clear those entries and retire
+  /// osn. Returns false when the announcement loses; `nv` is then discarded
+  /// and nothing else changed. `h` is the operation's key hash, for the
+  /// commit event.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   bool commit_txn(std::atomic<NodeBase*>& slot, SNodeT* osn, NodeBase* nv,
                   std::uint64_t h, std::uint32_t lev, const TxnSites& sites) {
-    // Footprint of the replacement, taken while it is still private; after
-    // the txn wins, helpers may commit it and make it concurrently mutable.
-    const std::ptrdiff_t nv_bytes =
-        bounded_ ? static_cast<std::ptrdiff_t>(subtree_footprint(nv)) : 0;
     testkit::chaos_point(sites.announce);
     NodeBase* expected = Sentinels::no_txn();
     // [publishes: CT_TXN]
@@ -610,8 +642,7 @@ class CacheTrie {
     // announced txn), so osn is out either way; we won the txn and are the
     // unique retirer.
     clear_cache_refs(osn, osn->hash, lev + 4);
-    account(nv_bytes);
-    retire_snode(osn);
+    retire(osn);
     return true;
   }
 
@@ -621,9 +652,9 @@ class CacheTrie {
   /// (key, *value) unless `value` is null, and swaps the copy in with one
   /// CAS. A chain holds at least 2 pairs: one pair collapses to an SNode
   /// and none empties the slot, which may let `cur` compress. The CAS
-  /// winner books the bytes, counts each dropped corpse as an expiry and
-  /// retires the old chain. Returns kRetryLevel when the CAS loses, else
-  /// kRemoved (no `value`), kReplaced (`key` had a live pair) or kNew.
+  /// winner counts each dropped corpse as an expiry and retires the old
+  /// chain. Returns kRetryLevel when the CAS loses, else kRemoved (no
+  /// `value`), kReplaced (`key` had a live pair) or kNew.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   Res rebuild_chain(std::atomic<NodeBase*>& slot, LNodeT* chain, const K& key,
                     const V* value, std::uint64_t h, std::uint32_t lev,
@@ -646,22 +677,19 @@ class CacheTrie {
     if (pairs == 1) {
       replacement =
           value != nullptr
-              ? SNodeT::make(h, key, *value, hz.now)
-              : SNodeT::make(kept->hash, kept->key, kept->value, kept->stamp);
+              ? make<SNodeT>(h, key, *value, hz.now)
+              : make<SNodeT>(kept->hash, kept->key, kept->value, kept->stamp);
     } else if (pairs > 1) {
       LNodeT* fresh = nullptr;
       for (const LNodeT* l = chain; l != nullptr; l = l->next) {
         if (l->key == key || (bounded_ && hz.expired(l->stamp))) continue;
-        fresh = LNodeT::make(l->hash, l->key, l->value, fresh, l->stamp);
+        fresh = make<LNodeT>(l->hash, l->key, l->value, fresh, l->stamp);
       }
       if (value != nullptr) {
-        fresh = LNodeT::make(h, key, *value, fresh, hz.now);
+        fresh = make<LNodeT>(h, key, *value, fresh, hz.now);
       }
       replacement = fresh;
     }
-    const std::ptrdiff_t bytes =
-        bounded_ ? static_cast<std::ptrdiff_t>(subtree_footprint(replacement))
-                 : 0;
     NodeBase* expected = chain;
     if (!slot.compare_exchange_strong(expected, replacement,
                                       std::memory_order_acq_rel,
@@ -670,7 +698,6 @@ class CacheTrie {
       obs::sites::cachetrie_txn_retry.add();
       return Res::kRetryLevel;
     }
-    account(bytes);
     for (std::size_t i = 0; i < corpses; ++i) {
       note_eviction(/*expiry=*/true, h, lev);
     }
@@ -694,17 +721,16 @@ class CacheTrie {
         if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
           return Res::kNotFound;
         }
-        SNodeT* sn = SNodeT::make(h, key, value, hz.now);
+        SNodeT* sn = make<SNodeT>(h, key, value, hz.now);
         NodeBase* expected = nullptr;
         // [publishes: CT_SLOT_COMMIT]
         if (slot.compare_exchange_strong(expected, sn,
                                          std::memory_order_acq_rel,
                                          std::memory_order_acquire)) {
-          account(static_cast<std::ptrdiff_t>(sizeof(SNodeT)));
           maybe_inhabit(sn, h, lev + 4);
           return Res::kNew;
         }
-        delete sn;  // [delete: unpublished]
+        discard(sn);
         continue;
       }
       if (old == Sentinels::fv()) return Res::kRestart;  // frozen empty slot
@@ -787,7 +813,7 @@ class CacheTrie {
           return Res::kExists;
         }
         // case (4): same key — two-CAS replacement.
-        if (!commit_txn(slot, osn, SNodeT::make(h, key, value, hz.now), h,
+        if (!commit_txn(slot, osn, make<SNodeT>(h, key, value, hz.now), h,
                         lev, kWriteTxn)) {
           return Res::kRetryLevel;
         }
@@ -811,13 +837,12 @@ class CacheTrie {
         if (prev == nullptr) return Res::kRestart;  // descent began mid-trie
         const std::uint32_t ppos = slot_index(h, lev - 4, prev->length);
         ENode* en =
-            ENode::make(prev, ppos, cur, h, lev, /*compress=*/false);
+            make<ENode>(prev, ppos, cur, h, lev, /*compress=*/false);
         testkit::chaos_point("cachetrie.expand_announce");
         NodeBase* expected = cur;
         if (prev->slots()[ppos].compare_exchange_strong(
                 expected, en, std::memory_order_acq_rel,
                 std::memory_order_acquire)) {
-          account(static_cast<std::ptrdiff_t>(sizeof(ENode)));
           complete_enode(en);
           // [acquires: CT_ENODE_RESULT]
           NodeBase* wide = en->result.load(std::memory_order_acquire);
@@ -825,7 +850,7 @@ class CacheTrie {
           return insert_rec(key, value, h, lev, static_cast<ANode*>(wide),
                             prev, mode, expected_value, hz);
         }
-        delete en;  // [delete: unpublished]
+        discard(en);
         // Someone got to prev[ppos] first; help if it is an announcement.
         NodeBase* now =
             prev->slots()[ppos].load(std::memory_order_acquire);
@@ -866,19 +891,12 @@ class CacheTrie {
       if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
         return Res::kNotFound;
       }
-      SNodeT* sn = SNodeT::make(h, key, value, hz.now);
+      SNodeT* sn = make<SNodeT>(h, key, value, hz.now);
       NodeBase* subtree = branch_apart(chain, chain->hash, sn, lev + 4);
-      // The reused chain is already accounted; only the fresh inner path
-      // and the new pair are new bytes.
-      const std::ptrdiff_t delta =
-          bounded_ ? static_cast<std::ptrdiff_t>(subtree_footprint(subtree)) -
-                         static_cast<std::ptrdiff_t>(subtree_footprint(chain))
-                   : 0;
       NodeBase* expected = chain;
       if (slot.compare_exchange_strong(expected, subtree,
                                        std::memory_order_acq_rel,
                                        std::memory_order_acquire)) {
-        account(delta);
         return Res::kNew;
       }
       destroy_subtree(subtree, chain);
@@ -1185,17 +1203,16 @@ class CacheTrie {
       if (n->kind != Kind::kSNode) hoistable_only = false;
     }
     if (live > 1 || !hoistable_only) return;
-    ENode* en = ENode::make(prev, slot_index(h, lev - 4, prev->length), cur,
+    ENode* en = make<ENode>(prev, slot_index(h, lev - 4, prev->length), cur,
                             h, lev, /*compress=*/true);
     testkit::chaos_point("cachetrie.compress_announce");
     NodeBase* expected = cur;
     if (prev->slots()[en->parentpos].compare_exchange_strong(
             expected, en, std::memory_order_acq_rel,
             std::memory_order_acquire)) {
-      account(static_cast<std::ptrdiff_t>(sizeof(ENode)));
       complete_enode(en);
     } else {
-      delete en;  // [delete: unpublished]
+      discard(en);
     }
   }
 
@@ -1254,14 +1271,12 @@ class CacheTrie {
         }
         case Kind::kANode:
         case Kind::kLNode: {
-          FNode* fn = FNode::make(node);
+          FNode* fn = make<FNode>(node);
           NodeBase* expected = node;
-          if (slot.compare_exchange_strong(expected, fn,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-            account(static_cast<std::ptrdiff_t>(sizeof(FNode)));
-          } else {
-            delete fn;  // [delete: unpublished]
+          if (!slot.compare_exchange_strong(expected, fn,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+            discard(fn);
           }
           continue;  // revisit: the kFNode case below recurses
         }
@@ -1296,7 +1311,7 @@ class CacheTrie {
     if (en->compress) {
       replacement = revive_copy(en->target);
     } else {
-      ANode* wide = ANode::make(16);
+      ANode* wide = make<ANode>(16);
       expand_copy(en->target, wide, en->level);
       replacement = wide;
     }
@@ -1309,19 +1324,11 @@ class CacheTrie {
       destroy_subtree(replacement);  // lost the build race
     }
     NodeBase* committed = en->result.load(std::memory_order_acquire);
-    // Footprint of the committed replacement, taken before the parent-slot
-    // CAS: until the unique winner of that CAS publishes it, the subtree is
-    // unreachable for mutation (helpers only return from here after the
-    // winner's CAS), so the walk is exact.
-    const std::ptrdiff_t committed_bytes =
-        bounded_ ? static_cast<std::ptrdiff_t>(subtree_footprint(committed))
-                 : 0;
     testkit::chaos_point("cachetrie.enode_commit");
     NodeBase* expected_en = en;
     if (en->parent->slots()[en->parentpos].compare_exchange_strong(
             expected_en, committed, std::memory_order_acq_rel,
             std::memory_order_acquire)) {
-      account(committed_bytes - static_cast<std::ptrdiff_t>(sizeof(ENode)));
       if (committed != nullptr && committed->kind == Kind::kANode) {
         maybe_inhabit(committed, en->hash, en->level);
       }
@@ -1331,7 +1338,7 @@ class CacheTrie {
         obs::sites::cachetrie_expand.record(en->hash, en->level);
       }
       retire_frozen(en->target, en->hash, en->level);
-      Reclaimer::template retire<ENode>(en);
+      retire(en);
     }
   }
 
@@ -1351,7 +1358,7 @@ class CacheTrie {
       auto& dst = wide->slots()[slot_index(sn->hash, lev, wide->length)];
       assert(dst.load(std::memory_order_relaxed) == nullptr);
       // The copy carries the source stamp: it is the same logical entry.
-      dst.store(SNodeT::make(sn->hash, sn->key, sn->value,
+      dst.store(make<SNodeT>(sn->hash, sn->key, sn->value,
                              sn->stamp.load(std::memory_order_relaxed)),
                 std::memory_order_relaxed);
     }
@@ -1363,7 +1370,7 @@ class CacheTrie {
   ///                          up; see maybe_compress);
   ///   * a fresh ANode      — otherwise, with children revived recursively.
   NodeBase* revive_copy(ANode* frozen) {
-    ANode* fresh = ANode::make(frozen->length);
+    ANode* fresh = make<ANode>(frozen->length);
     std::uint32_t live = 0;
     std::uint32_t last_pos = 0;
     for (std::uint32_t i = 0; i < frozen->length; ++i) {
@@ -1373,7 +1380,7 @@ class CacheTrie {
       NodeBase* copy = nullptr;
       if (node->kind == Kind::kSNode) {
         auto* sn = static_cast<SNodeT*>(node);
-        copy = SNodeT::make(sn->hash, sn->key, sn->value,
+        copy = make<SNodeT>(sn->hash, sn->key, sn->value,
                             sn->stamp.load(std::memory_order_relaxed));
       } else if (node->kind == Kind::kFNode) {
         NodeBase* wrapped = static_cast<FNode*>(node)->frozen;
@@ -1391,13 +1398,13 @@ class CacheTrie {
       last_pos = i;
     }
     if (live == 0) {
-      ANode::destroy(fresh);
+      discard(fresh);
       return nullptr;
     }
     if (live == 1) {
       NodeBase* only = fresh->slots()[last_pos].load(std::memory_order_relaxed);
       if (only->kind == Kind::kSNode) {
-        ANode::destroy(fresh);
+        discard(fresh);
         return only;
       }
     }
@@ -1407,7 +1414,7 @@ class CacheTrie {
   LNodeT* copy_chain(LNodeT* chain) {
     LNodeT* fresh = nullptr;
     for (LNodeT* l = chain; l != nullptr; l = l->next) {
-      fresh = LNodeT::make(l->hash, l->key, l->value, fresh, l->stamp);
+      fresh = make<LNodeT>(l->hash, l->key, l->value, fresh, l->stamp);
     }
     return fresh;
   }
@@ -1424,11 +1431,11 @@ class CacheTrie {
     const std::uint64_t ostamp = osn->stamp.load(std::memory_order_relaxed);
     if (osn->hash == h) {
       LNodeT* chain =
-          LNodeT::make(osn->hash, osn->key, osn->value, nullptr, ostamp);
-      return LNodeT::make(h, key, value, chain, new_stamp);
+          make<LNodeT>(osn->hash, osn->key, osn->value, nullptr, ostamp);
+      return make<LNodeT>(h, key, value, chain, new_stamp);
     }
-    SNodeT* copy = SNodeT::make(osn->hash, osn->key, osn->value, ostamp);
-    SNodeT* fresh = SNodeT::make(h, key, value, new_stamp);
+    SNodeT* copy = make<SNodeT>(osn->hash, osn->key, osn->value, ostamp);
+    SNodeT* fresh = make<SNodeT>(h, key, value, new_stamp);
     return branch_apart(copy, copy->hash, fresh, lev);
   }
 
@@ -1446,14 +1453,14 @@ class CacheTrie {
     if (a2 != b2 && a->kind == Kind::kSNode) {
       // Narrow nodes may hold only SNodes (see expand_copy), so an LNode
       // child always gets a wide parent.
-      ANode* an = ANode::make(4);
+      ANode* an = make<ANode>(4);
       an->slots()[a2].store(a, std::memory_order_relaxed);
       an->slots()[b2].store(b, std::memory_order_relaxed);
       return an;
     }
     const std::uint32_t a4 = slot_index(ah, lev, 16);
     const std::uint32_t b4 = slot_index(b->hash, lev, 16);
-    ANode* an = ANode::make(16);
+    ANode* an = make<ANode>(16);
     if (a4 != b4) {
       an->slots()[a4].store(a, std::memory_order_relaxed);
       an->slots()[b4].store(b, std::memory_order_relaxed);
@@ -1470,8 +1477,7 @@ class CacheTrie {
   void retire_chain(LNodeT* chain) {
     while (chain != nullptr) {
       LNodeT* next = chain->next;
-      account(-static_cast<std::ptrdiff_t>(sizeof(LNodeT)));
-      Reclaimer::template retire<LNodeT>(chain);
+      retire(chain);
       chain = next;
     }
   }
@@ -1491,7 +1497,7 @@ class CacheTrie {
       if (node->kind == Kind::kSNode) {
         auto* sn = static_cast<SNodeT*>(node);
         clear_cache_refs(sn, sn->hash, level + 4);
-        retire_snode(sn);
+        retire(sn);
       } else if (node->kind == Kind::kFNode) {
         auto* fn = static_cast<FNode*>(node);
         if (fn->frozen->kind == Kind::kANode) {
@@ -1505,40 +1511,37 @@ class CacheTrie {
         } else {
           retire_chain(static_cast<LNodeT*>(fn->frozen));
         }
-        account(-static_cast<std::ptrdiff_t>(sizeof(FNode)));
-        Reclaimer::template retire<FNode>(fn);
+        retire(fn);
       } else {
         assert(false && "unexpected node kind in frozen subtree");
       }
     }
     clear_cache_refs(frozen, prefix, level);
-    account(-static_cast<std::ptrdiff_t>(ANode::alloc_size(frozen->length)));
-    Reclaimer::retire_raw_sized(frozen, &ANode::destroy_erased,
-                                ANode::alloc_size(frozen->length));
+    retire(frozen);
   }
 
-  /// Deep-deletes a subtree that no other thread can reach: a replacement
-  /// that was never published (a lost CAS or ENode build race), or, from
-  /// the destructor, the whole trie, remnants of unfinished announcements
-  /// included. `keep` is spared: an existing chain that a lost subtree
-  /// linked instead of copying.
+  /// Discards every node of a subtree that no other thread can reach: a
+  /// replacement that was never published (a lost CAS or ENode build race),
+  /// or, from the destructor, the whole trie, remnants of unfinished
+  /// announcements included. `keep` is spared: an existing chain that a lost
+  /// subtree linked instead of copying.
   void destroy_subtree(NodeBase* node, const NodeBase* keep = nullptr) {
     if (node == nullptr || node == Sentinels::fv() || node == keep) return;
     switch (node->kind) {
       case Kind::kSNode:
-        delete static_cast<SNodeT*>(node);
+        discard(static_cast<SNodeT*>(node));
         return;
       case Kind::kLNode:
         for (auto* l = static_cast<LNodeT*>(node); l != nullptr;) {
           LNodeT* next = l->next;
-          delete l;
+          discard(l);
           l = next;
         }
         return;
       case Kind::kFNode: {
         auto* fn = static_cast<FNode*>(node);
         destroy_subtree(fn->frozen, keep);
-        delete fn;
+        discard(fn);
         return;
       }
       case Kind::kENode: {
@@ -1546,7 +1549,7 @@ class CacheTrie {
         destroy_subtree(en->target, keep);
         NodeBase* result = en->result.load(std::memory_order_relaxed);
         if (result != Sentinels::pending()) destroy_subtree(result, keep);
-        delete en;
+        discard(en);
         return;
       }
       case Kind::kANode: {
@@ -1555,7 +1558,7 @@ class CacheTrie {
           destroy_subtree(an->slots()[i].load(std::memory_order_relaxed),
                           keep);
         }
-        ANode::destroy(an);
+        discard(an);
         return;
       }
       default:
@@ -1575,17 +1578,16 @@ class CacheTrie {
     CacheArray* cache = cache_head_.load(std::memory_order_acquire);
     if (cache == nullptr) {
       if (node_level < kCacheInitTriggerLevel) return;
-      CacheArray* fresh = CacheArray::make(config_.cache_init_level, nullptr);
+      CacheArray* fresh = make<CacheArray>(config_.cache_init_level, nullptr);
       CacheArray* expected = nullptr;
       // [publishes: CT_CACHE_HEAD]
       if (cache_head_.compare_exchange_strong(expected, fresh,
                                               std::memory_order_acq_rel,
                                               std::memory_order_acquire)) {
-        account(static_cast<std::ptrdiff_t>(fresh->footprint_bytes()));
         obs::sites::cachetrie_cache_install.record(config_.cache_init_level,
                                                    node_level);
       } else {
-        CacheArray::destroy(fresh);
+        discard(fresh);
       }
       cache = cache_head_.load(std::memory_order_acquire);
     }
@@ -1752,15 +1754,14 @@ class CacheTrie {
   void adjust_cache_level(CacheArray* head, std::uint32_t desired) const {
     if (head->level == desired) return;
     if (desired > head->level) {
-      CacheArray* fresh = CacheArray::make(desired, head);
+      CacheArray* fresh = make<CacheArray>(desired, head);
       CacheArray* expected = head;
       if (cache_head_.compare_exchange_strong(expected, fresh,
                                               std::memory_order_acq_rel,
                                               std::memory_order_acquire)) {
-        account(static_cast<std::ptrdiff_t>(fresh->footprint_bytes()));
         obs::sites::cachetrie_cache_level_change.record(head->level, desired);
       } else {
-        CacheArray::destroy(fresh);
+        discard(fresh);
       }
       return;
     }
@@ -1768,26 +1769,21 @@ class CacheTrie {
     while (anc != nullptr && anc->level > desired) anc = anc->parent;
     CacheArray* fresh = (anc != nullptr && anc->level == desired)
                             ? anc
-                            : CacheArray::make(desired, anc);
+                            : make<CacheArray>(desired, anc);
     CacheArray* expected = head;
     if (cache_head_.compare_exchange_strong(expected, fresh,
                                             std::memory_order_acq_rel,
                                             std::memory_order_acquire)) {
-      if (fresh != anc) {
-        account(static_cast<std::ptrdiff_t>(fresh->footprint_bytes()));
-      }
       obs::sites::cachetrie_cache_level_change.record(head->level, desired);
       // Retire the unlinked prefix [head, anc); readers inside guards may
       // still be walking it.
       for (CacheArray* c = head; c != anc;) {
         CacheArray* parent = c->parent;
-        account(-static_cast<std::ptrdiff_t>(c->footprint_bytes()));
-        Reclaimer::retire_raw_sized(c, &CacheArray::destroy_erased,
-                                    c->footprint_bytes());
+        retire(c);
         c = parent;
       }
     } else if (fresh != anc) {
-      CacheArray::destroy(fresh);
+      discard(fresh);
     }
   }
 
@@ -1831,34 +1827,37 @@ class CacheTrie {
     }
   }
 
+  /// node_bytes summed over the subtree.
   std::size_t subtree_footprint(const NodeBase* node) const {
     if (node == nullptr || node == Sentinels::fv()) return 0;
     switch (node->kind) {
       case Kind::kSNode:
-        return sizeof(SNodeT);
+        return node_bytes(static_cast<const SNodeT*>(node));
       case Kind::kLNode: {
         std::size_t bytes = 0;
         for (const LNodeT* l = static_cast<const LNodeT*>(node); l != nullptr;
              l = l->next) {
-          bytes += sizeof(LNodeT);
+          bytes += node_bytes(l);
         }
         return bytes;
       }
       case Kind::kANode: {
         auto* an = static_cast<const ANode*>(node);
-        std::size_t bytes = ANode::alloc_size(an->length);
+        std::size_t bytes = node_bytes(an);
         for (std::uint32_t i = 0; i < an->length; ++i) {
           bytes += subtree_footprint(
               an->slots()[i].load(std::memory_order_acquire));
         }
         return bytes;
       }
-      case Kind::kENode:
-        return sizeof(ENode) +
-               subtree_footprint(static_cast<const ENode*>(node)->target);
-      case Kind::kFNode:
-        return sizeof(FNode) +
-               subtree_footprint(static_cast<const FNode*>(node)->frozen);
+      case Kind::kENode: {
+        auto* en = static_cast<const ENode*>(node);
+        return node_bytes(en) + subtree_footprint(en->target);
+      }
+      case Kind::kFNode: {
+        auto* fn = static_cast<const FNode*>(node);
+        return node_bytes(fn) + subtree_footprint(fn->frozen);
+      }
       default:
         return 0;
     }
@@ -1943,7 +1942,7 @@ class CacheTrie {
   bool bounded_ = false;
   /// Clock, horizons and idle window, shared in kind with evict::BoundedChm.
   evict::Policy policy_;
-  /// Signed so transient publish/retire interleavings can dip below zero.
+  /// Booked only by make, retire and discard; never negative.
   mutable std::atomic<std::int64_t> resident_bytes_{0};
   std::atomic<std::uint64_t> evict_cursor_{0};
 };

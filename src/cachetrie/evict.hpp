@@ -52,9 +52,7 @@ class BoundedChm {
   using Map = chm::ConcurrentHashMap<K, V, Hash, Reclaimer>;
 
   /// Reads `ceiling_bytes`, `ttl_ticks` and `tick_fn`.
-  explicit BoundedChm(const Config& cfg = {}) : policy_(cfg) {
-    register_resident_gauge();
-  }
+  explicit BoundedChm(const Config& cfg = {}) : policy_(cfg) {}
 
   bool insert(const K& key, const V& value) {
     const Horizon hz = write_horizon();

@@ -26,18 +26,19 @@
 
 namespace cachetrie::evict {
 
-/// Process-wide resident-bytes cell. Every bounded trie mirrors its exact
-/// per-trie ledger into this cell, so one registered callback gauge reports
-/// the process's total bounded footprint without per-trie gauge
-/// registrations (which could dangle: the registry has no unregister, but
-/// this cell outlives every trie).
+/// Process-wide resident-bytes cell: the sum of every live bounded
+/// CacheTrie's byte ledger (each trie books into it wherever it books its
+/// own), so one registered callback gauge reports the process's bounded-trie
+/// footprint without per-trie gauge registrations (which could dangle: the
+/// registry has no unregister, but this cell outlives every trie).
+/// BoundedChm's footprint is a derived estimate and is not in it.
 inline std::atomic<std::int64_t>& process_resident_bytes() {
   static std::atomic<std::int64_t> cell{0};
   return cell;
 }
 
 /// Registers the `cachetrie.bounded.resident_bytes` callback gauge once per
-/// process; every bounded map calls this on construction.
+/// process; every bounded CacheTrie calls this on construction.
 inline void register_resident_gauge() {
   static std::once_flag once;
   std::call_once(once, [] {

@@ -155,10 +155,9 @@ class EpochDomain {
   /// Schedule `deleter(p)` once all current readers have quiesced. Must be
   /// called from inside a Guard — the retiring operation is itself a reader
   /// (asserted in debug builds; see the policy contract in reclaimer.hpp).
-  /// `bytes` feeds the limbo accounting that backs the stall fallback; pass
-  /// the allocation size when known.
-  void retire(void* p, Deleter deleter,
-              std::size_t bytes = kUnknownRetiredBytes);
+  /// `bytes`, the allocation size, feeds the limbo accounting that backs
+  /// the stall fallback.
+  void retire(void* p, Deleter deleter, std::size_t bytes);
 
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   template <typename T>
@@ -357,10 +356,6 @@ struct EpochReclaimer {
   template <typename T>
   static void retire(T* p) {
     EpochDomain::instance().retire(p);
-  }
-  // [smr: caller-pinned] -- the guard is held by the public entry point.
-  static void retire_raw(void* p, Deleter d) {
-    EpochDomain::instance().retire(p, d);
   }
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   static void retire_raw_sized(void* p, Deleter d, std::size_t bytes) {

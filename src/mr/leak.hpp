@@ -22,9 +22,6 @@ struct LeakReclaimer {
   static void retire(T*) noexcept {
     leaked_.fetch_add(1, std::memory_order_relaxed);
   }
-  static void retire_raw(void*, Deleter) noexcept {
-    leaked_.fetch_add(1, std::memory_order_relaxed);
-  }
   static void retire_raw_sized(void*, Deleter, std::size_t) noexcept {
     leaked_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -18,14 +18,15 @@
 // A policy P provides:
 //   typename P::Guard          RAII critical-section token
 //   P::pin() -> Guard          enter a read-side critical section
-//   P::retire<T>(T* p)         schedule `delete p` after a grace period
-//   P::retire_raw(p, deleter)  same, with an explicit type-erased deleter
+//   P::retire<T>(T* p)         schedule `delete p` after a grace period,
+//                              reporting sizeof(T) as the retired bytes
 //   P::retire_raw_sized(p, deleter, bytes)
-//                              same, and report the allocation size so the
-//                              reclaimer's garbage accounting (limbo caps,
-//                              footprint reporting) is exact. retire<T> does
-//                              this automatically with sizeof(T); the _raw
-//                              form falls back to kUnknownRetiredBytes.
+//                              schedule `deleter(p)` instead, for nodes with
+//                              a variable-length tail; `bytes` is the
+//                              allocation size. Every retirement carries its
+//                              exact size, so the reclaimer's garbage
+//                              accounting (limbo caps, footprint reporting)
+//                              is exact.
 //
 // Contract — retire must be called inside a Guard. The retiring operation
 // is itself a reader of the structure it just unlinked from: the guard is
@@ -48,11 +49,6 @@ namespace cachetrie::mr {
 /// has elapsed. Must not touch any shared structure (it may run long after
 /// the owning container died).
 using Deleter = void (*)(void*);
-
-/// Byte size charged to the limbo accounting when the caller does not know
-/// the allocation size (plain retire_raw). One cache line is a deliberate
-/// under-estimate-resistant default for the node sizes in this repo.
-inline constexpr std::size_t kUnknownRetiredBytes = 64;
 
 /// Canonical deleter for objects allocated with plain `new`.
 template <typename T>

@@ -43,8 +43,10 @@
 #if defined(CACHETRIE_TESTKIT) && CACHETRIE_TESTKIT
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
 
 #include "mr/epoch.hpp"
 #include "obs/sites.hpp"
@@ -319,6 +321,38 @@ inline void reset_counters() noexcept {
   detail::g_stalls.store(0, std::memory_order_relaxed);
   detail::g_deaths.store(0, std::memory_order_relaxed);
   detail::g_parked_total.store(0, std::memory_order_relaxed);
+}
+
+/// Forces a lost race: parks `victim` (run on chaos thread 1) forever at
+/// its first crossing of `site`, runs `intruder` on the calling thread (as
+/// chaos thread 0) while it is parked, then releases and joins the victim.
+/// Threads already parked by an earlier plan stay parked until the clear()
+/// here releases them too. Returns false when the victim never reached
+/// `site` within 10 s; the intruder is then skipped.
+inline bool lose_race(std::uint64_t seed, const char* site,
+                      const std::function<void()>& victim,
+                      const std::function<void()>& intruder) {
+  const std::uint64_t parked0 = parked_now();
+  chaos::set_global_seed(seed);
+  install(Plan(seed).stall(site, kForever, 1));
+  chaos::enable(true);
+  std::thread t([&] {
+    chaos::bind_thread(1);
+    victim();
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (parked_now() != parked0 + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool parked = parked_now() == parked0 + 1;
+  chaos::bind_thread(0);
+  if (parked) intruder();
+  clear();
+  t.join();
+  chaos::enable(false);
+  return parked;
 }
 
 #else  // !CACHETRIE_TESTKIT

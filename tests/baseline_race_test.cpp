@@ -48,32 +48,11 @@ using Model = std::map<std::uint64_t, std::uint64_t>;
 
 constexpr std::uint64_t kSeed = 0xbace1157ULL;
 
-/// Parks `victim` (run on chaos thread 1) forever at its first crossing of
-/// `site`, runs `intruder` on thread 0 while it is parked, then releases and
-/// joins the victim. Threads already parked by an earlier plan stay parked
-/// until the clear() here releases them too.
+/// fault::lose_race at this file's seed; the victim must reach `site`.
 void lose_race(const char* site, const std::function<void()>& victim,
                const std::function<void()>& intruder) {
-  const std::uint64_t parked0 = fault::parked_now();
-  tk::chaos::set_global_seed(kSeed);
-  fault::install(fault::Plan(kSeed).stall(site, fault::kForever, 1));
-  tk::chaos::enable(true);
-  std::thread t([&] {
-    tk::chaos::bind_thread(1);
-    victim();
-  });
-  const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (fault::parked_now() != parked0 + 1 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  const bool parked = fault::parked_now() == parked0 + 1;
-  tk::chaos::bind_thread(0);
-  if (parked) intruder();
-  fault::clear();
-  t.join();
-  tk::chaos::enable(false);
-  EXPECT_TRUE(parked) << "victim never reached " << site;
+  EXPECT_TRUE(fault::lose_race(kSeed, site, victim, intruder))
+      << "victim never reached " << site;
 }
 
 /// Delta of a counter row across a scope; 0 in a metrics-off build.

@@ -10,6 +10,11 @@
 // storm over the new eviction chaos sites that must leave the structure
 // valid and the byte ledger exact.
 //
+// EvictionLedger.* force every lost race a node copy can lose (the txn
+// announcement, an ENode's build race, its parent-slot commit) and check
+// that the loser's copy leaves the byte ledger with it, and that the
+// process-wide gauge sums the live bounded tries.
+//
 // Labeled `fault` (RUN_SERIAL): the watchdog asserts per-tick survivor
 // progress, which sharing the machine would starve.
 
@@ -19,6 +24,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -30,6 +37,7 @@
 #include "testkit/chaos.hpp"
 #include "testkit/fault.hpp"
 #include "testkit/watchdog.hpp"
+#include "util/hashing.hpp"
 
 namespace {
 
@@ -312,6 +320,158 @@ TEST(EvictionFault, StallStormLeavesStructureValidAndLedgerExact) {
   if (kCounted) {
     EXPECT_GT(sites::cachetrie_evict_lru.total() - lru0, 0u);
   }
+}
+
+// --- the byte ledger on every forced lost race -----------------------------
+//
+// IdentityHash places keys exactly: a key's root slot is its low 4 bits and
+// its slot one level down the next 2 (narrow node) or 4 (wide node) bits.
+// Keys 1 and 17 share root slot 1 and split into a narrow node below it;
+// 65 collides with 1 in that narrow node (forcing its expansion) and 33
+// lands beside them.
+
+using Placed = cachetrie::CacheTrie<std::uint64_t, std::uint64_t,
+                                    cachetrie::util::IdentityHash>;
+using Model = std::map<std::uint64_t, std::uint64_t>;
+
+constexpr std::uint64_t kRaceSeed = 0x1ed9e7ULL;
+
+cachetrie::Config ledger_config() {
+  cachetrie::Config cfg;
+  cfg.ttl_ticks = 1ull << 40;  // bounded mode on, horizons inert
+  return cfg;
+}
+
+void lose_race(const char* site, const std::function<void()>& victim,
+               const std::function<void()>& intruder) {
+  EXPECT_TRUE(fault::lose_race(kRaceSeed, site, victim, intruder))
+      << "victim never reached " << site;
+}
+
+/// The ledger equals the footprint walk, and the trie holds exactly `model`.
+void expect_ledger_exact(const Placed& trie, const Model& model) {
+  EXPECT_EQ(trie.resident_bytes(), trie.footprint_bytes() - sizeof(Placed))
+      << "a lost copy left the byte ledger unbalanced";
+  EXPECT_EQ(trie.size(), model.size());
+  for (const auto& [k, v] : model) {
+    EXPECT_EQ(trie.lookup(k), std::optional<std::uint64_t>(v)) << "key " << k;
+  }
+  Model seen;
+  trie.for_each([&](const std::uint64_t& k, const std::uint64_t& v) {
+    seen.emplace(k, v);
+  });
+  EXPECT_EQ(seen, model);
+  const auto issues = trie.debug_validate();
+  EXPECT_TRUE(issues.empty()) << issues.front();
+}
+
+/// Counter deltas that prove an ENode race had a loser: at least two
+/// threads froze the target (each then built a copy), and exactly one
+/// replacement was committed.
+struct EnodeRace {
+  std::uint64_t freeze0 = sites::cachetrie_freeze.total();
+  std::uint64_t expand0 = sites::cachetrie_expand.total();
+  std::uint64_t compress0 = sites::cachetrie_compress.total();
+
+  void expect_one_commit(bool compress) const {
+    if (!kCounted) return;
+    EXPECT_GE(sites::cachetrie_freeze.total() - freeze0, 2u)
+        << "the intruder never helped";
+    EXPECT_EQ(sites::cachetrie_expand.total() - expand0, compress ? 0u : 1u);
+    EXPECT_EQ(sites::cachetrie_compress.total() - compress0,
+              compress ? 1u : 0u);
+  }
+};
+
+TEST(EvictionLedger, TxnAnnounceLoserDiscardsItsSubtree) {
+  // The victim's 17 collides with 1 in the wide root, so it builds a
+  // subtree (a narrow node over a copy of 1's pair and 17's) and parks
+  // before announcing it on 1's txn. The intruder replaces 1 and wins that
+  // txn word; the victim discards the subtree and retries.
+  Placed trie(ledger_config());
+  ASSERT_TRUE(trie.insert(1, 1));
+  const std::uint64_t retry0 = sites::cachetrie_txn_retry.total();
+  lose_race(
+      "cachetrie.txn_announce", [&] { EXPECT_TRUE(trie.insert(17, 17)); },
+      [&] { EXPECT_FALSE(trie.insert(1, 100)); });
+  if (kCounted) {
+    EXPECT_GT(sites::cachetrie_txn_retry.total() - retry0, 0u)
+        << "cachetrie.txn.retry did not count the lost announcement";
+  }
+  expect_ledger_exact(trie, {{1, 100}, {17, 17}});
+}
+
+TEST(EvictionLedger, ExpansionBuildLoserDiscardsItsCopy) {
+  // The victim's 65 collides with 1 in the narrow node, so it announces an
+  // expansion and parks with its wide copy built but not yet offered. The
+  // intruder's insert meets the ENode, helps, and wins the build race.
+  Placed trie(ledger_config());
+  ASSERT_TRUE(trie.insert(1, 1));
+  ASSERT_TRUE(trie.insert(17, 17));
+  const EnodeRace race;
+  lose_race(
+      "cachetrie.enode_publish", [&] { EXPECT_TRUE(trie.insert(65, 65)); },
+      [&] { EXPECT_TRUE(trie.insert(33, 33)); });
+  race.expect_one_commit(/*compress=*/false);
+  expect_ledger_exact(trie, {{1, 1}, {17, 17}, {33, 33}, {65, 65}});
+}
+
+TEST(EvictionLedger, CompressionBuildLoserDiscardsItsCopy) {
+  // Removing 17 leaves the narrow node one SNode, so the victim announces
+  // a compression and parks with its revived copy of 1 not yet offered.
+  // The intruder's insert helps and wins the build race.
+  Placed trie(ledger_config());
+  ASSERT_TRUE(trie.insert(1, 1));
+  ASSERT_TRUE(trie.insert(17, 17));
+  const EnodeRace race;
+  lose_race(
+      "cachetrie.enode_publish",
+      [&] { EXPECT_EQ(trie.remove(17), std::optional<std::uint64_t>(17)); },
+      [&] { EXPECT_TRUE(trie.insert(33, 33)); });
+  race.expect_one_commit(/*compress=*/true);
+  expect_ledger_exact(trie, {{1, 1}, {33, 33}});
+}
+
+TEST(EvictionLedger, EnodeCommitLoserLeavesLedgerExact) {
+  // The victim wins the build race and parks before its parent-slot CAS.
+  // The intruder helps: its own copy loses the build race, and its commit
+  // of the victim's copy wins, so the victim's CAS loses.
+  Placed trie(ledger_config());
+  ASSERT_TRUE(trie.insert(1, 1));
+  ASSERT_TRUE(trie.insert(17, 17));
+  const EnodeRace race;
+  lose_race(
+      "cachetrie.enode_commit", [&] { EXPECT_TRUE(trie.insert(65, 65)); },
+      [&] { EXPECT_TRUE(trie.insert(33, 33)); });
+  race.expect_one_commit(/*compress=*/false);
+  expect_ledger_exact(trie, {{1, 1}, {17, 17}, {33, 33}, {65, 65}});
+}
+
+TEST(EvictionLedger, ProcessGaugeSumsLiveBoundedTries) {
+  if (!kCounted) GTEST_SKIP() << "the gauge is compiled out";
+  const auto gauge = [] {
+    const auto snap = cachetrie::obs::registry().snapshot();
+    const auto* g = snap.find_gauge("cachetrie.bounded.resident_bytes");
+    return g == nullptr ? std::int64_t{0} : g->value;
+  };
+  const std::int64_t before = gauge();
+  {
+    Bounded pressured(ceiling_config(64u << 10));
+    cachetrie::Config ttl;
+    ttl.ttl_ticks = 1ull << 40;
+    Bounded churned(ttl);
+    for (std::uint64_t i = 0; i < 4000; ++i) {
+      pressured.insert(i, i);
+      churned.insert(i, i);
+      if (i % 2 == 0) churned.remove(i / 2);
+    }
+    EXPECT_GT(pressured.resident_bytes(), 0u);
+    EXPECT_GT(churned.resident_bytes(), 0u);
+    EXPECT_EQ(gauge(),
+              before + static_cast<std::int64_t>(pressured.resident_bytes() +
+                                                 churned.resident_bytes()));
+  }
+  EXPECT_EQ(gauge(), before) << "a destroyed trie left bytes in the gauge";
 }
 
 }  // namespace

@@ -30,7 +30,6 @@ struct AuditReclaimer {
   static void retire(T* p) {
     record(static_cast<void*>(p), &cachetrie::mr::delete_as<T>);
   }
-  static void retire_raw(void* p, cachetrie::mr::Deleter d) { record(p, d); }
   static void retire_raw_sized(void* p, cachetrie::mr::Deleter d,
                                std::size_t) {
     record(p, d);
