@@ -154,8 +154,7 @@ PassResult run_pass(std::uint16_t port, Phase phase,
                     const std::vector<Arrival>& schedule) {
   PassResult res;
   net::ClientConfig ccfg;
-  ccfg.op_timeout_us = 5'000'000;
-  ccfg.max_retries = 0;  // open loop: a shed is a data point, not a retry
+  ccfg.op_timeout_us = 5'000'000;  // send/poll/wait: a shed is not retried
 
   struct Conn {
     std::unique_ptr<net::Client> client;

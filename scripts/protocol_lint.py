@@ -5,7 +5,7 @@ reclamation contracts (stdlib only, like perf_gate.py / trace_summarize.py).
 The paper's correctness argument rests on a handful of ordering and
 reclamation invariants (freeze-before-copy publication, txn-word CAS edges,
 seq_cst fences around cache installs, unlinker-retires-exactly-once). This
-pass makes them machine-checked instead of comment-checked. Four rule
+pass makes them machine-checked instead of comment-checked. Five rule
 families, documented in DESIGN.md section 2f:
 
   Atomics discipline
@@ -57,6 +57,13 @@ families, documented in DESIGN.md section 2f:
                                full barrier on x86. The rule reads only the
                                marked body, not its callees, and cannot see
                                operator forms such as ++ on an atomic.
+
+  Chaos-site table (src/testkit/chaos.hpp, X-macro style)
+    chaos.dead-row             a CACHETRIE_CHAOS_SITES row that no
+                               chaos_point( crosses: no file that calls
+                               chaos_point( names the row as Site::<handle>
+                               (directly, or through a variable such as a
+                               site parameter or a constant that holds it)
 
   Suppression hygiene (warnings; never fail the run)
     suppression.undocumented   scripts/lint_suppressions.txt entry without a
@@ -151,7 +158,8 @@ DELETE_ANNOTATION_RE = re.compile(r"\[delete:\s*unpublished\s*\]")
 EXPECT_RE = re.compile(r"expect:\s*([a-z0-9.\-]+)")
 RETIRE_NAME_RE = re.compile(r"^retire(_[A-Za-z0-9_]+)?$")
 EDGE_MACRO_RE = re.compile(r"^\s*#\s*define\s+CACHETRIE_ORDERING_EDGES\b")
-EDGE_ENTRY_RE = re.compile(r"\bX\(\s*([A-Za-z0-9_]+)\s*,")
+CHAOS_MACRO_RE = re.compile(r"^\s*#\s*define\s+CACHETRIE_CHAOS_SITES\b")
+TABLE_ENTRY_RE = re.compile(r"\bX\(\s*([A-Za-z0-9_]+)\s*,")
 
 MAX_ANNOTATION_BIND_LINES = 3
 MAX_FUNC_ANNOTATION_BIND_LINES = 5
@@ -518,24 +526,36 @@ def collect_atomic_sites(tokens, lines):
     return sites
 
 
-def parse_edge_table(text):
-    """Extracts edge names from a CACHETRIE_ORDERING_EDGES X-macro block.
-    Returns {name: line}."""
-    edges = {}
+def parse_table(text, macro_re):
+    """Extracts the first column of every X(...) row of the X-macro block
+    whose #define matches `macro_re`. Returns {name: line}."""
+    rows = {}
     lines = text.split("\n")
     i = 0
     while i < len(lines):
-        if EDGE_MACRO_RE.search(lines[i]):
+        if macro_re.search(lines[i]):
             j = i
             while j < len(lines):
-                for m in EDGE_ENTRY_RE.finditer(lines[j]):
-                    edges.setdefault(m.group(1), j + 1)
+                for m in TABLE_ENTRY_RE.finditer(lines[j]):
+                    rows.setdefault(m.group(1), j + 1)
                 if not lines[j].rstrip().endswith("\\"):
                     break
                 j += 1
             i = j
         i += 1
-    return edges
+    return rows
+
+
+def named_chaos_rows(tokens):
+    """The rows a file names as Site::<handle>, if it calls chaos_point(;
+    the empty set otherwise. The table's own #define is not tokenized."""
+    texts = [t.text for t in tokens]
+    calls = any(texts[k] == "chaos_point" and texts[k + 1] == "("
+                for k in range(len(texts) - 1))
+    if not calls:
+        return set()
+    return {texts[k + 2] for k in range(len(texts) - 2)
+            if texts[k] == "Site" and texts[k + 1] == "::"}
 
 
 class FileAnalysis:
@@ -547,7 +567,9 @@ class FileAnalysis:
         self.tokens, self.comments = tokenize(text)
         self.scopes, self.scope_at = build_scopes(self.tokens)
         self.sites = collect_atomic_sites(self.tokens, self.lines)
-        self.edges = parse_edge_table(text)
+        self.edges = parse_table(text, EDGE_MACRO_RE)
+        self.chaos_rows = parse_table(text, CHAOS_MACRO_RE)
+        self.crossed_rows = named_chaos_rows(self.tokens)
         self.findings = []
         # edge name -> counts of bound annotations in this file
         self.publishes = {}
@@ -1007,6 +1029,18 @@ def analyze_files(files, pooled=True):
                     for name in sorted(declared)}
     else:
         coverage = {}
+
+    crossed = set()
+    for a in analyses:
+        crossed |= a.crossed_rows
+    for a in analyses:
+        for row, line in sorted(a.chaos_rows.items(), key=lambda r: r[1]):
+            if row not in crossed:
+                findings.append(Finding(
+                    "chaos.dead-row", a.rel, line,
+                    "chaos site {} is declared but no chaos_point( crosses "
+                    "it: no file that calls chaos_point( names "
+                    "Site::{}".format(row, row)))
     return analyses, findings, coverage
 
 

@@ -144,10 +144,6 @@ template class cachetrie::net::Shard<
     cachetrie::CacheTrie<std::uint64_t, std::uint64_t>>;
 template class cachetrie::net::Server<
     cachetrie::CacheTrie<std::uint64_t, std::uint64_t>>;
-template class cachetrie::net::Shard<
-    cachetrie::evict::BoundedChm<std::uint64_t, std::uint64_t>>;
-template class cachetrie::net::Server<
-    cachetrie::evict::BoundedChm<std::uint64_t, std::uint64_t>>;
 
 int cachetrie_all_headers_check() {
   int out = 0;

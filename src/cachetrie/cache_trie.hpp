@@ -148,7 +148,7 @@ class CacheTrie {
   // [read-path]
   std::optional<V> lookup(const K& key) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("cachetrie.pinned");
+    testkit::chaos_point(testkit::Site::cachetrie_pinned);
     const std::uint64_t h = hasher_(key);
     const Horizon hz = make_horizon();
     CacheArray* cache = config_.use_cache
@@ -309,8 +309,6 @@ class CacheTrie {
     }
     return nullptr;
   }
-
-  const Config& config() const noexcept { return config_; }
 
   // --- bounded-memory mode (DESIGN.md §3) -----------------------------------
 
@@ -483,7 +481,7 @@ class CacheTrie {
   /// fell past a horizon. Each probe is an O(1)-expected descent.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   std::size_t evict_scan(const Horizon& hz, std::uint32_t probes) {
-    testkit::chaos_point("cachetrie.evict_scan");
+    testkit::chaos_point(testkit::Site::cachetrie_evict_scan);
     std::size_t evicted = 0;
     for (std::uint32_t p = 0; p < probes; ++p) {
       const std::uint64_t h =
@@ -529,7 +527,7 @@ class CacheTrie {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     // Fault site: a victim parked (or killed) here stalls inside a guard
     // with the epoch pinned — the worst case for epoch reclamation.
-    testkit::chaos_point("cachetrie.pinned");
+    testkit::chaos_point(testkit::Site::cachetrie_pinned);
     Horizon hz = make_horizon();
     if (bounded_) maybe_backpressure(hz);  // may raise hz.lru_floor
     const std::uint64_t h = hasher_(key);
@@ -594,14 +592,16 @@ class CacheTrie {
   /// Chaos sites around commit_txn's two CASes. An eviction has its own
   /// pair and counts neither a txn commit nor a retry.
   struct TxnSites {
-    const char* announce;
-    const char* commit;
+    testkit::Site announce;
+    testkit::Site commit;
     bool counted;  // records cachetrie.txn_commit and cachetrie.txn.retry
   };
-  static constexpr TxnSites kWriteTxn{"cachetrie.txn_announce",
-                                      "cachetrie.txn_commit", true};
-  static constexpr TxnSites kEvictTxn{"cachetrie.evict_announce",
-                                      "cachetrie.evict_commit", false};
+  static constexpr TxnSites kWriteTxn{testkit::Site::cachetrie_txn_announce,
+                                      testkit::Site::cachetrie_txn_commit,
+                                      true};
+  static constexpr TxnSites kEvictTxn{testkit::Site::cachetrie_evict_announce,
+                                      testkit::Site::cachetrie_evict_commit,
+                                      false};
 
   /// The slot half of the txn protocol: commits the value announced on
   /// osn->txn (nullptr for a removal) into the parent slot. The announcer
@@ -838,7 +838,7 @@ class CacheTrie {
         const std::uint32_t ppos = slot_index(h, lev - 4, prev->length);
         ENode* en =
             make<ENode>(prev, ppos, cur, h, lev, /*compress=*/false);
-        testkit::chaos_point("cachetrie.expand_announce");
+        testkit::chaos_point(testkit::Site::cachetrie_expand_announce);
         NodeBase* expected = cur;
         if (prev->slots()[ppos].compare_exchange_strong(
                 expected, en, std::memory_order_acq_rel,
@@ -893,6 +893,7 @@ class CacheTrie {
       }
       SNodeT* sn = make<SNodeT>(h, key, value, hz.now);
       NodeBase* subtree = branch_apart(chain, chain->hash, sn, lev + 4);
+      testkit::chaos_point(testkit::Site::cachetrie_chain_grow);
       NodeBase* expected = chain;
       if (slot.compare_exchange_strong(expected, subtree,
                                        std::memory_order_acq_rel,
@@ -1093,7 +1094,7 @@ class CacheTrie {
   std::optional<V> do_remove(const K& key, const V* expected,
                              bool as_evict = false) {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("cachetrie.pinned");
+    testkit::chaos_point(testkit::Site::cachetrie_pinned);
     const std::uint64_t h = hasher_(key);
     const Horizon hz = make_horizon();
     Removed out;
@@ -1205,7 +1206,7 @@ class CacheTrie {
     if (live > 1 || !hoistable_only) return;
     ENode* en = make<ENode>(prev, slot_index(h, lev - 4, prev->length), cur,
                             h, lev, /*compress=*/true);
-    testkit::chaos_point("cachetrie.compress_announce");
+    testkit::chaos_point(testkit::Site::cachetrie_compress_announce);
     NodeBase* expected = cur;
     if (prev->slots()[en->parentpos].compare_exchange_strong(
             expected, en, std::memory_order_acq_rel,
@@ -1231,7 +1232,7 @@ class CacheTrie {
     while (i < cur->length) {
       // Freezing races other freezers slot-by-slot and pending txns get
       // committed mid-freeze; perturb every slot visit.
-      testkit::chaos_point("cachetrie.freeze_slot");
+      testkit::chaos_point(testkit::Site::cachetrie_freeze_slot);
       auto& slot = cur->slots()[i];
       NodeBase* node = slot.load(std::memory_order_acquire);
       if (node == nullptr) {
@@ -1305,7 +1306,7 @@ class CacheTrie {
   /// CAS retires the announcement and the frozen originals.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   void complete_enode(ENode* en) {
-    testkit::chaos_point("cachetrie.enode_complete");
+    testkit::chaos_point(testkit::Site::cachetrie_enode_complete);
     freeze(en->target);
     NodeBase* replacement;
     if (en->compress) {
@@ -1315,7 +1316,7 @@ class CacheTrie {
       expand_copy(en->target, wide, en->level);
       replacement = wide;
     }
-    testkit::chaos_point("cachetrie.enode_publish");
+    testkit::chaos_point(testkit::Site::cachetrie_enode_publish);
     NodeBase* expected = Sentinels::pending();
     // [publishes: CT_ENODE_RESULT]
     if (!en->result.compare_exchange_strong(expected, replacement,
@@ -1324,7 +1325,7 @@ class CacheTrie {
       destroy_subtree(replacement);  // lost the build race
     }
     NodeBase* committed = en->result.load(std::memory_order_acquire);
-    testkit::chaos_point("cachetrie.enode_commit");
+    testkit::chaos_point(testkit::Site::cachetrie_enode_commit);
     NodeBase* expected_en = en;
     if (en->parent->slots()[en->parentpos].compare_exchange_strong(
             expected_en, committed, std::memory_order_acq_rel,

@@ -71,8 +71,6 @@ class BoundedChm {
     return map_.lookup_refresh(key, hz.now, hz.ttl_floor);
   }
 
-  bool contains(const K& key) const { return lookup(key).has_value(); }
-
   std::optional<V> remove(const K& key) {
     // A corpse is semantically absent: evict it, report nothing removed.
     if (expire_target(key, write_horizon())) return std::nullopt;
@@ -86,9 +84,6 @@ class BoundedChm {
     return map_.remove_if_equals(key, expected);
   }
 
-  std::size_t size() const { return map_.size(); }
-  bool empty() const { return map_.empty(); }
-
   /// Derived footprint estimate (DESIGN.md §3): table bytes plus
   /// size() * node_bytes(), O(1) — write_horizon polls this on every
   /// write, so the exact traversal (footprint_bytes) is out of the
@@ -97,10 +92,6 @@ class BoundedChm {
   /// contrast the fig14 bench draws.
   std::size_t resident_bytes() const {
     return map_.footprint_estimate_bytes();
-  }
-
-  bool near_ceiling(double frac = 0.9) const {
-    return policy_.near_ceiling(resident_bytes(), frac);
   }
 
  private:

@@ -173,7 +173,7 @@ class ConcurrentHashMap {
 
   std::optional<V> lookup(const K& key) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("chm.pinned");
+    testkit::chaos_point(testkit::Site::chm_pinned);
     if (Node* n = find(key)) return n->value;
     return std::nullopt;
   }
@@ -186,7 +186,7 @@ class ConcurrentHashMap {
   std::optional<V> lookup_refresh(const K& key, std::uint64_t now,
                                   std::uint64_t ttl_floor) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("chm.pinned");
+    testkit::chaos_point(testkit::Site::chm_pinned);
     Node* n = find(key);
     if (n == nullptr || n->stamp.load(std::memory_order_relaxed) < ttl_floor) {
       return std::nullopt;
@@ -221,7 +221,7 @@ class ConcurrentHashMap {
   /// flight; the nodes will be seen again in the next table).
   std::size_t evict_stale(std::uint64_t floor, std::size_t max_bins) {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("chm.pinned");
+    testkit::chaos_point(testkit::Site::chm_pinned);
     Table* t = table_.load(std::memory_order_acquire);
     std::size_t removed = 0;
     for (std::size_t probe = 0; probe < max_bins; ++probe) {
@@ -267,8 +267,6 @@ class ConcurrentHashMap {
     }
     return sum < 0 ? 0 : static_cast<std::size_t>(sum);
   }
-
-  bool empty() const { return size() == 0; }
 
   template <typename F>
   void for_each(F&& fn) const {
@@ -335,7 +333,7 @@ class ConcurrentHashMap {
         : t(table), bi(bin),
           trace_span(obs::trace::EventId::kChmBinLockBegin,
                      obs::trace::EventId::kChmBinLockEnd, bin) {
-      testkit::chaos_point("chm.bin_lock");
+      testkit::chaos_point(testkit::Site::chm_bin_lock);
       util::Backoff backoff;
       auto& lk = t->locks()[bi];
       std::uint8_t expected = 0;
@@ -349,7 +347,7 @@ class ConcurrentHashMap {
       obs::sites::chm_bin_lock.add();
       // Holding the lock: stretch the critical section so lock-free
       // readers and empty-bin CASers overlap it.
-      testkit::chaos_point("chm.bin_locked");
+      testkit::chaos_point(testkit::Site::chm_bin_locked);
     }
     // [publishes: CHM_BIN_LOCK]
     ~BinLock() { t->locks()[bi].store(0, std::memory_order_release); }
@@ -397,7 +395,7 @@ class ConcurrentHashMap {
   template <typename Pred>
   std::optional<V> unlink_if(const K& key, Pred pred) {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("chm.pinned");
+    testkit::chaos_point(testkit::Site::chm_pinned);
     const std::uint64_t h = adjust_hash(hasher_(key));
     while (true) {
       Table* t = table_.load(std::memory_order_acquire);
@@ -436,7 +434,7 @@ class ConcurrentHashMap {
     // not target it — a victim parked while holding a bin lock blocks
     // writers for good (that is the baseline's documented weakness, see
     // DESIGN.md "Reclamation under faults").
-    testkit::chaos_point("chm.pinned");
+    testkit::chaos_point(testkit::Site::chm_pinned);
     const std::uint64_t h = adjust_hash(hasher_(key));
     while (true) {
       Table* t = table_.load(std::memory_order_acquire);
@@ -446,7 +444,7 @@ class ConcurrentHashMap {
       if (head == nullptr) {
         // Lock-free fast path: CAS into the empty bin.
         Node* fresh = Node::make(h, key, value, nullptr, stamp);
-        testkit::chaos_point("chm.bin_cas");
+        testkit::chaos_point(testkit::Site::chm_bin_cas);
         Node* expected = nullptr;
         // [publishes: CHM_BIN_LINK]
         if (bin.compare_exchange_strong(expected, fresh,
@@ -513,7 +511,7 @@ class ConcurrentHashMap {
 
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   void start_or_help_transfer(Table* t) {
-    testkit::chaos_point("chm.transfer_help");
+    testkit::chaos_point(testkit::Site::chm_transfer_help);
     if (table_.load(std::memory_order_acquire) != t) return;  // superseded
     obs::sites::chm_transfer_help.record(t->nbins);
     Table* next = t->next.load(std::memory_order_acquire);
@@ -555,7 +553,7 @@ class ConcurrentHashMap {
               (end - start) ==
           t->nbins) {
         // Last transferrer publishes the new table and retires the old.
-        testkit::chaos_point("chm.table_publish");
+        testkit::chaos_point(testkit::Site::chm_table_publish);
         Table* expected = t;
         // [publishes: CHM_TABLE_PUBLISH]
         if (table_.compare_exchange_strong(expected, next,
@@ -624,7 +622,7 @@ class ConcurrentHashMap {
       // Plant via CAS on the walked head: the bin lock excludes chain
       // writers, but an empty-bin insert CASes without the lock and could
       // slip in after the walk — a plain exchange would silently drop it.
-      testkit::chaos_point("chm.transfer_plant");
+      testkit::chaos_point(testkit::Site::chm_transfer_plant);
       Node* expected = head;
       if (t->bins()[bi].compare_exchange_strong(expected, &fwd->node,
                                                 std::memory_order_acq_rel,

@@ -247,8 +247,6 @@ class Ctrie {
     return n;
   }
 
-  bool empty() const { return size() == 0; }
-
   template <typename F>
   void for_each(F&& fn) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
@@ -288,7 +286,7 @@ class Ctrie {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     // Fault site: a victim parked here holds the guard with nothing else
     // done — the stall-tolerant reclaimer's worst case (see testkit/fault.hpp).
-    testkit::chaos_point("ctrie.pinned");
+    testkit::chaos_point(testkit::Site::ctrie_pinned);
     const std::uint64_t h = hasher_(key);
     while (true) {
       const Res r = step(h);
@@ -512,7 +510,7 @@ class Ctrie {
   /// chain is retired by the caller, which knows whether it moved down.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   static bool cas_main(INode* i, Base* expected, Base* desired,
-                       const char* site = "ctrie.gcas") {
+                       testkit::Site site = testkit::Site::ctrie_gcas) {
     [[maybe_unused]] auto span =
         obs::sites::ctrie_gcas.span(reinterpret_cast<std::uintptr_t>(i));
     testkit::chaos_point(site);
@@ -587,7 +585,7 @@ class Ctrie {
       CNode::destroy(ncn);  // nothing to compress or contract
       return;
     }
-    if (!cas_main(i, cn, desired, "ctrie.clean_commit")) {
+    if (!cas_main(i, cn, desired, testkit::Site::ctrie_clean_commit)) {
       discard_copy(desired);
       return;
     }
@@ -611,7 +609,8 @@ class Ctrie {
       if (imain->kind != Kind::kTNode) return;
       Base* contracted = to_contracted(
           cn->updated(pos, static_cast<TNodeT*>(imain)->sn), lev);
-      if (cas_main(parent, cn, contracted, "ctrie.clean_parent")) {
+      if (cas_main(parent, cn, contracted,
+                   testkit::Site::ctrie_clean_parent)) {
         retire_resurrected(i);
         obs::sites::ctrie_clean_parent.record(
             reinterpret_cast<std::uintptr_t>(parent), lev);

@@ -14,7 +14,7 @@
 //
 // Shed handling is where client and server cooperate on overload: a kShed
 // reply means "not executed, try later", and call() retries it under
-// jittered exponential backoff (retry_backoff_us) up to max_retries — the
+// jittered exponential backoff (retry_backoff_us) up to kMaxRetries — the
 // jitter half of the delay decorrelates colliding retries so a shed burst
 // does not resynchronize into the next burst.
 #pragma once
@@ -49,15 +49,16 @@ inline std::uint64_t retry_backoff_us(std::size_t attempt,
   return half + (half > 0 ? jitter_word % half : 0);
 }
 
-/// call()'s shed backoff: the first retry waits about kRetryBaseUs, and no
-/// retry waits more than kRetryCapUs.
+/// call()'s shed backoff: the first retry waits about kRetryBaseUs, no
+/// retry waits more than kRetryCapUs, and a request shed kMaxRetries + 1
+/// times returns kShed. kJitterSeed starts every client's jitter stream.
 inline constexpr std::uint64_t kRetryBaseUs = 200;
 inline constexpr std::uint64_t kRetryCapUs = 50'000;
+inline constexpr std::size_t kMaxRetries = 6;
+inline constexpr std::uint64_t kJitterSeed = 0x5eed;
 
 struct ClientConfig {
   std::uint64_t op_timeout_us = 2'000'000;  // client-side wait bound
-  std::size_t max_retries = 6;    // kShed retry attempts in call()
-  std::uint64_t seed = 0x5eed;    // jitter stream
 };
 
 class Client {
@@ -75,7 +76,7 @@ class Client {
   };
 
   explicit Client(std::uint16_t port, ClientConfig cfg = {})
-      : cfg_(cfg), rng_(cfg.seed | 1), slots_(kSlots) {
+      : cfg_(cfg), slots_(kSlots) {
     fd_ = connect_loopback(port);
     if (!fd_.valid()) return;
     receiver_ = std::thread([this] { receive_loop(); });
@@ -156,7 +157,7 @@ class Client {
         return Result{proto::Status::kSendFailed, 0, 0, 0};
       }
       const Result r = wait(id);
-      if (r.status != proto::Status::kShed || attempt >= cfg_.max_retries) {
+      if (r.status != proto::Status::kShed || attempt >= kMaxRetries) {
         if (payload != nullptr) {
           std::lock_guard<std::mutex> lk(stats_mu_);
           if (auto node = stats_payloads_.extract(id)) {
@@ -313,7 +314,7 @@ class Client {
 
   ClientConfig cfg_;
   Fd fd_;
-  std::uint64_t rng_;
+  std::uint64_t rng_ = kJitterSeed;  // xorshift state: never 0
   std::mutex send_mu_;
   std::uint64_t next_id_ = 1;
   std::vector<Slot> slots_;

@@ -189,7 +189,7 @@ class Server {
         const int fd = ::accept4(listener_.get(), nullptr, nullptr,
                                  SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) break;  // EAGAIN (burst drained) or transient error
-        testkit::chaos_point("net.accept");
+        testkit::chaos_point(testkit::Site::net_accept);
         set_nodelay(fd);
         set_buffer_sizes(fd, cfg_.conn_sndbuf, 0);
         const std::uint64_t id = next_conn_id++;

@@ -190,7 +190,6 @@ class Shard {
   Shard& operator=(const Shard&) = delete;
 
   bool ok() const noexcept { return ok_; }
-  std::size_t index() const noexcept { return index_; }
 
   /// Hands a freshly accepted connection to this shard. Called from the
   /// acceptor thread; the shard thread registers it at the next wakeup.
@@ -233,14 +232,14 @@ class Shard {
   /// stay owned by this object and close with it, and the maps stay valid
   /// because every map operation is lock-free.
   void run() {
-    testkit::chaos_point("net.shard_start");
+    testkit::chaos_point(testkit::Site::net_shard_start);
     std::uint64_t drain_start_us = 0;
     while (true) {
       const bool stopping =
           stop_.load(std::memory_order_acquire);  // [acquires: NET_DRAIN]
       if (stopping && drain_start_us == 0) {
         drain_start_us = proto::now_us();
-        testkit::chaos_point("net.drain");
+        testkit::chaos_point(testkit::Site::net_drain);
         obs::sites::net_drain.record(index_, conns_.size());
       }
       shed_this_iter_ = false;
@@ -324,7 +323,7 @@ class Shard {
         ::close(fd);
         continue;
       }
-      testkit::chaos_point("net.conn_adopt");
+      testkit::chaos_point(testkit::Site::net_conn_adopt);
       Conn c;
       c.fd = Fd{fd};
       c.id = id;
@@ -342,7 +341,7 @@ class Shard {
   void close_conn(std::uint64_t id, CloseReason reason) {
     auto it = conns_.find(id);
     if (it == conns_.end()) return;
-    testkit::chaos_point("net.conn_close");
+    testkit::chaos_point(testkit::Site::net_conn_close);
     obs::sites::net_conn_close.record(id, static_cast<std::uint64_t>(reason));
     obs::sites::net_conns_open.add(-1);
     stats_.conns_closed.fetch_add(1, std::memory_order_relaxed);
@@ -410,7 +409,7 @@ class Shard {
 
   void admit(std::uint64_t conn_id, const proto::RequestFrame& req,
              bool stopping) {
-    testkit::chaos_point("net.request_admit");
+    testkit::chaos_point(testkit::Site::net_request_admit);
     const std::uint64_t now = proto::now_us();
     Pending p;
     p.req = req;
@@ -420,7 +419,7 @@ class Shard {
     const bool head_stale =
         !queue_.empty() && now - queue_.front().admit_us > cfg_.max_queue_age_us;
     if (stopping || queue_full || head_stale) {
-      testkit::chaos_point("net.shed");
+      testkit::chaos_point(testkit::Site::net_shed);
       obs::sites::net_shed.record(conn_id, req.request_id);
       stats_.shed.fetch_add(1, std::memory_order_relaxed);
       shed_this_iter_ = true;
@@ -458,7 +457,7 @@ class Shard {
           obs::sites::net_request.span(p.conn_id, p.req.request_id);
       const std::uint64_t exec_begin = proto::now_us();
       if (p.expiry_us != 0 && exec_begin > p.expiry_us) {
-        testkit::chaos_point("net.deadline_expire");
+        testkit::chaos_point(testkit::Site::net_deadline_expire);
         obs::sites::net_deadline_expired.record(p.conn_id, p.req.request_id);
         stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
         reply(p, proto::Status::kDeadlineExceeded, 0, flags, exec_begin);
@@ -468,7 +467,7 @@ class Shard {
       const auto op = static_cast<proto::Op>(p.req.op);
       const bool introspection =
           op == proto::Op::kStats || op == proto::Op::kTraceCtl;
-      testkit::chaos_point("net.request_execute");
+      testkit::chaos_point(testkit::Site::net_request_execute);
       std::uint64_t value = 0;
       std::string_view payload;
       proto::Status st;
@@ -478,7 +477,7 @@ class Shard {
         st = introspection ? introspect(p, exec_begin, &value, &payload)
                            : execute(map_, p.req, &value);
       }
-      testkit::chaos_point("net.reply_enqueue");
+      testkit::chaos_point(testkit::Site::net_reply_enqueue);
       const std::uint64_t exec_end = proto::now_us();
       record_served(flags);
       reply(p, st, value, flags, exec_begin, exec_end, payload);
@@ -587,7 +586,7 @@ class Shard {
       stats_.wbuf_hwm_bytes.store(pending, std::memory_order_relaxed);
     }
     if (pending > cfg_.write_buf_cap) {
-      testkit::chaos_point("net.backpressure_kill");
+      testkit::chaos_point(testkit::Site::net_backpressure_kill);
       obs::sites::net_backpressure_kill.record(p.conn_id, pending);
       stats_.backpressure_kills.fetch_add(1, std::memory_order_relaxed);
       close_conn(p.conn_id, CloseReason::kBackpressure);
@@ -599,7 +598,7 @@ class Shard {
   /// errors are left for the EPOLLERR wakeup so callers keep a valid ref).
   void flush_conn(Conn& c) {
     if (c.pending_bytes() == 0) return;
-    testkit::chaos_point("net.reply_flush");
+    testkit::chaos_point(testkit::Site::net_reply_flush);
     while (c.pending_bytes() > 0) {
       const long w =
           write_some(c.fd.get(), c.wbuf.data() + c.woff, c.pending_bytes());
@@ -691,7 +690,7 @@ class Shard {
     for (const std::uint64_t id : ids) {
       close_conn(id, CloseReason::kShutdown);
     }
-    testkit::chaos_point("net.shutdown");
+    testkit::chaos_point(testkit::Site::net_shutdown);
     obs::sites::net_shutdown.record(
         index_, stats_.served.load(std::memory_order_relaxed));
     open_conns_.store(0, std::memory_order_relaxed);

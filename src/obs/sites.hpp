@@ -38,7 +38,9 @@
 // published. The mr/ epoch-domain and node-pool numbers are not rows: they
 // are callback gauges (mr.epoch.*, mr.pool.*) that EpochDomain and
 // NodePool register themselves, so snapshots fold them in without double
-// bookkeeping. Chaos-point names (testkit/chaos.hpp) stay inline strings.
+// bookkeeping. Chaos sites are rows of their own table, CACHETRIE_CHAOS_SITES
+// in testkit/chaos.hpp; a chaos-site name that matches a name here is not
+// the same row.
 #pragma once
 
 #include <cstddef>
@@ -160,8 +162,9 @@
     instant, kMrStallDeclare, "mr.epoch.stall_declare", "mr")                \
   X(mr_stalled_guard_exit, NoMetric, nullptr,                                \
     instant, kMrStalledGuardExit, "mr.epoch.stalled_guard_exit", "mr")       \
-  /* --- testkit. park: the fault engine parked a thread (a0 = site hash);  \
-     resume: it passed the resume fence; kill: it unwound as killed;         \
+  /* --- testkit. park: the fault engine parked a thread (a0 = the           \
+     testkit::Site row it crossed); resume: it passed the resume fence;      \
+     kill: it unwound as killed;                                             \
      watchdog.violation: a tick saw zero completed operations;               \
      lin_check.fail: the checker rejected a history. --- */                  \
   X(fault_park, NoMetric, nullptr,                                           \

@@ -150,7 +150,7 @@ class ConcurrentSkipList {
 
   std::optional<V> lookup(const K& key) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("csl.pinned");
+    testkit::chaos_point(testkit::Site::csl_pinned);
     // Wait-free traversal (Herlihy–Shavit contains): never snips, never
     // restarts, but also never trusts a marked node — corpses are skipped
     // via their (frozen) forward pointer and never become `pred`, because a
@@ -193,7 +193,7 @@ class ConcurrentSkipList {
 
   std::optional<V> remove(const K& key) {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point("csl.pinned");
+    testkit::chaos_point(testkit::Site::csl_pinned);
     Node* preds[kMaxLevel];
     Node* succs[kMaxLevel];
     if (!find(key, preds, succs)) return std::nullopt;
@@ -212,7 +212,7 @@ class ConcurrentSkipList {
         s = victim->vsync.load(std::memory_order_seq_cst);
         continue;
       }
-      testkit::chaos_point("csl.mark_bottom");
+      testkit::chaos_point(testkit::Site::csl_mark_bottom);
       // [publishes: CSL_VSYNC]
       if (victim->vsync.compare_exchange_weak(s, s | kDead,
                                               std::memory_order_seq_cst,
@@ -224,7 +224,7 @@ class ConcurrentSkipList {
     const V out = victim->value.load(std::memory_order_seq_cst);
     // Logically removed but not yet physically marked/unlinked — the window
     // every traversal and racing insert must tolerate.
-    testkit::chaos_point("csl.unlink");
+    testkit::chaos_point(testkit::Site::csl_unlink);
     help_mark(victim);
     // Physically unlink everywhere, then retire: after this find() the
     // node is unreachable (inserts that could have re-linked a marked
@@ -245,8 +245,6 @@ class ConcurrentSkipList {
     }
     return n;
   }
-
-  bool empty() const { return size() == 0; }
 
   template <typename F>
   void for_each(F&& fn) const {
@@ -309,7 +307,7 @@ class ConcurrentSkipList {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     // Fault site: victim parks inside the guard before touching the list —
     // the stall-tolerant reclaimer's worst case (testkit/fault.hpp).
-    testkit::chaos_point("csl.pinned");
+    testkit::chaos_point(testkit::Site::csl_pinned);
     Node* preds[kMaxLevel];
     Node* succs[kMaxLevel];
     while (true) {
@@ -337,7 +335,7 @@ class ConcurrentSkipList {
                              std::memory_order_relaxed);
       }
       std::uintptr_t expected = pack(succs[0], false);
-      testkit::chaos_point("csl.link_bottom");
+      testkit::chaos_point(testkit::Site::csl_link_bottom);
       if (!head_level_cas(preds[0], 0, expected, pack(n, false))) {
         Node::destroy(n);  // never published
         obs::sites::csl_cas_retry.add();
@@ -397,7 +395,7 @@ class ConcurrentSkipList {
     obs::sites::csl_help_mark.record(reinterpret_cast<std::uintptr_t>(n),
                                      n->top_level);
     for (int lev = n->top_level; lev >= 1; --lev) {
-      testkit::chaos_point("csl.mark_upper");
+      testkit::chaos_point(testkit::Site::csl_mark_upper);
       std::uintptr_t t = n->next()[lev].load(std::memory_order_seq_cst);
       while (!marked(t)) {
         // [publishes: CSL_MARK]
@@ -438,7 +436,7 @@ class ConcurrentSkipList {
           }
         }
         std::uintptr_t expected = pack(succs[lev], false);
-        testkit::chaos_point("csl.link_upper");
+        testkit::chaos_point(testkit::Site::csl_link_upper);
         if (preds[lev]->next()[lev].compare_exchange_strong(
                 expected, pack(n, false), std::memory_order_seq_cst,
                 std::memory_order_seq_cst)) {

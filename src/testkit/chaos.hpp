@@ -10,13 +10,18 @@
 // and the whole schedule-perturbation stream is reproducible from a single
 // seed.
 //
+// Every chaos site is one row of CACHETRIE_CHAOS_SITES below. chaos_point,
+// chaos::site_hits and fault::Plan take the row (a Site), not a string, so a
+// misspelled site does not compile, and each row has one exact hit counter.
+//
 // Build modes
 //   * CACHETRIE_TESTKIT off (default, all release/bench builds):
 //     chaos_point() is a constexpr no-op — zero code, zero data, zero cost.
+//     The table is defined in both modes.
 //   * CACHETRIE_TESTKIT on (test binaries opt in per-target, or configure
 //     with -DCACHETRIE_TESTKIT=ON): each call advances a thread-local
 //     xorshift stream exactly once and derives a decision (nothing / yield /
-//     bounded spin) from the stream value mixed with the site's name hash.
+//     bounded spin) from the stream value mixed with the row's mixing word.
 //
 // Determinism: the decision sequence of a thread is a pure function of
 // (global seed, bound thread index, call ordinal). It does not depend on
@@ -27,7 +32,10 @@
 // DESIGN.md "Testing the protocols").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <string_view>
 
 #if defined(CACHETRIE_TESTKIT) && CACHETRIE_TESTKIT
 #include <array>
@@ -37,11 +45,73 @@
 #include "util/thread_id.hpp"
 #endif
 
+// clang-format off
+// One row per chaos site: X(handle, "name", owner).
+//
+//   * handle — the Site enumerator that call sites and tests name.
+//   * name   — what plan descriptions and storm logs print.
+//   * owner  — the structure whose protocol the site sits in (Owner).
+//
+// Within an owner, rows are in the order the stall storms derive their
+// fault specs (Plan::randomized walks its rows in order), so a row appended
+// after an owner's last row leaves every earlier row's spec unchanged.
+#define CACHETRIE_CHAOS_SITES(X)                                             \
+  /* --- cachetrie: the post-pin site, the two-CAS txn (§3.3), and         \
+     expansion/compression through freeze and the ENode (§3.4-§3.5) --- */   \
+  X(cachetrie_pinned,            "cachetrie.pinned",            cachetrie)   \
+  X(cachetrie_txn_announce,      "cachetrie.txn_announce",      cachetrie)   \
+  X(cachetrie_txn_commit,        "cachetrie.txn_commit",        cachetrie)   \
+  X(cachetrie_expand_announce,   "cachetrie.expand_announce",   cachetrie)   \
+  X(cachetrie_compress_announce, "cachetrie.compress_announce", cachetrie)   \
+  X(cachetrie_freeze_slot,       "cachetrie.freeze_slot",       cachetrie)   \
+  X(cachetrie_enode_complete,    "cachetrie.enode_complete",    cachetrie)   \
+  X(cachetrie_enode_publish,     "cachetrie.enode_publish",     cachetrie)   \
+  X(cachetrie_enode_commit,      "cachetrie.enode_commit",      cachetrie)   \
+  /* bounded mode only: the backpressure scan and an eviction's txn pair */  \
+  X(cachetrie_evict_scan,        "cachetrie.evict_scan",        cachetrie)   \
+  X(cachetrie_evict_announce,    "cachetrie.evict_announce",    cachetrie)   \
+  X(cachetrie_evict_commit,      "cachetrie.evict_commit",      cachetrie)   \
+  /* a new hash grows an inner path below a collision chain: its slot CAS */ \
+  X(cachetrie_chain_grow,        "cachetrie.chain_grow",        cachetrie)   \
+  /* --- ctrie: the post-pin site and the three INode-main commits --- */    \
+  X(ctrie_pinned,                "ctrie.pinned",                ctrie)       \
+  X(ctrie_gcas,                  "ctrie.gcas",                  ctrie)       \
+  X(ctrie_clean_commit,          "ctrie.clean_commit",          ctrie)       \
+  X(ctrie_clean_parent,          "ctrie.clean_parent",          ctrie)       \
+  /* --- chashmap: bin locks, the empty-bin CAS and the transfer --- */      \
+  X(chm_pinned,                  "chm.pinned",                  chm)         \
+  X(chm_bin_lock,                "chm.bin_lock",                chm)         \
+  X(chm_bin_locked,              "chm.bin_locked",              chm)         \
+  X(chm_bin_cas,                 "chm.bin_cas",                 chm)         \
+  X(chm_transfer_help,           "chm.transfer_help",           chm)         \
+  X(chm_table_publish,           "chm.table_publish",           chm)         \
+  X(chm_transfer_plant,          "chm.transfer_plant",          chm)         \
+  /* --- skiplist: link and mark/unlink, bottom level then upper --- */      \
+  X(csl_pinned,                  "csl.pinned",                  csl)         \
+  X(csl_link_bottom,             "csl.link_bottom",             csl)         \
+  X(csl_mark_bottom,             "csl.mark_bottom",             csl)         \
+  X(csl_unlink,                  "csl.unlink",                  csl)         \
+  X(csl_mark_upper,              "csl.mark_upper",              csl)         \
+  X(csl_link_upper,              "csl.link_upper",              csl)         \
+  /* --- net: a connection's and a request's path (DESIGN.md §4) --- */      \
+  X(net_accept,                  "net.accept",                  net)         \
+  X(net_shard_start,             "net.shard_start",             net)         \
+  X(net_conn_adopt,              "net.conn_adopt",              net)         \
+  X(net_request_admit,           "net.request_admit",           net)         \
+  X(net_shed,                    "net.shed",                    net)         \
+  X(net_deadline_expire,         "net.deadline_expire",         net)         \
+  X(net_request_execute,         "net.request_execute",         net)         \
+  X(net_reply_enqueue,           "net.reply_enqueue",           net)         \
+  X(net_reply_flush,             "net.reply_flush",             net)         \
+  X(net_backpressure_kill,       "net.backpressure_kill",       net)         \
+  X(net_conn_close,              "net.conn_close",              net)         \
+  X(net_drain,                   "net.drain",                   net)         \
+  X(net_shutdown,                "net.shutdown",                net)
+// clang-format on
+
 namespace cachetrie::testkit {
 
-/// Compile-time FNV-1a of a site name. Folding the hash at compile time
-/// keeps instrumented builds cheap and gives each site a stable identity
-/// for the hit counters.
+/// Compile-time FNV-1a of a site name: a row's mixing word.
 constexpr std::uint64_t site_hash(const char* s) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   while (*s != '\0') {
@@ -49,6 +119,63 @@ constexpr std::uint64_t site_hash(const char* s) noexcept {
     h *= 0x00000100000001b3ULL;
   }
   return h;
+}
+
+/// The structure whose protocol a chaos site sits in.
+enum class Owner : std::uint8_t { cachetrie, ctrie, chm, csl, net };
+
+/// A chaos site: one row of CACHETRIE_CHAOS_SITES.
+enum class Site : std::uint8_t {
+#define CACHETRIE_CHAOS_ENUM(handle, name, owner) handle,
+  CACHETRIE_CHAOS_SITES(CACHETRIE_CHAOS_ENUM)
+#undef CACHETRIE_CHAOS_ENUM
+};
+
+namespace detail_chaos {
+
+struct SiteInfo {
+  const char* name;
+  Owner owner;
+  std::uint64_t mixing_word;
+};
+
+inline constexpr SiteInfo kSiteInfo[] = {
+#define CACHETRIE_CHAOS_INFO(handle, name, owner) \
+  {name, Owner::owner, site_hash(name)},
+    CACHETRIE_CHAOS_SITES(CACHETRIE_CHAOS_INFO)
+#undef CACHETRIE_CHAOS_INFO
+};
+
+constexpr bool names_unique() {
+  for (std::size_t i = 0; i < std::size(kSiteInfo); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (std::string_view{kSiteInfo[i].name} == kSiteInfo[j].name) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+static_assert(names_unique(), "two chaos-site rows share a name");
+
+}  // namespace detail_chaos
+
+inline constexpr std::size_t kSiteCount = std::size(detail_chaos::kSiteInfo);
+
+constexpr const char* name(Site s) noexcept {
+  return detail_chaos::kSiteInfo[static_cast<std::size_t>(s)].name;
+}
+
+constexpr Owner owner(Site s) noexcept {
+  return detail_chaos::kSiteInfo[static_cast<std::size_t>(s)].owner;
+}
+
+/// The word chaos::point mixes into the thread's stream value at this site:
+/// the FNV-1a hash of its name, so a seed replays the decisions it made
+/// when sites were named by string.
+constexpr std::uint64_t mixing_word(Site s) noexcept {
+  return detail_chaos::kSiteInfo[static_cast<std::size_t>(s)].mixing_word;
 }
 
 namespace chaos {
@@ -81,19 +208,17 @@ inline std::atomic<std::uint64_t> g_seed{0};
 
 /// Fault-verdict hook, installed by the fault-injection engine
 /// (testkit/fault.hpp). Consulted on every chaos crossing while chaos is
-/// enabled; receives the site name and its precomputed hash. May throw
-/// (fault::ThreadKilled simulates thread death by unwinding), which is why
-/// the instrumented point() is not noexcept.
-using FaultHook = void (*)(const char* site, std::uint64_t site_hash);
+/// enabled; receives the crossed row. May throw (fault::ThreadKilled
+/// simulates thread death by unwinding), which is why the instrumented
+/// point() is not noexcept.
+using FaultHook = void (*)(Site site);
 inline std::atomic<FaultHook> g_fault_hook{nullptr};
 
 struct Counters {
   std::atomic<std::uint64_t> points{0};
   std::atomic<std::uint64_t> yields{0};
   std::atomic<std::uint64_t> spins{0};
-  // Per-site hit table, indexed by site_hash & 63. Collisions merely merge
-  // counters; tests only assert "this site fired at all".
-  std::array<std::atomic<std::uint64_t>, 64> by_site{};
+  std::array<std::atomic<std::uint64_t>, kSiteCount> hits{};  // per row
 };
 
 inline Counters g_counters;
@@ -153,7 +278,7 @@ inline void reset_counters() noexcept {
   detail::g_counters.points.store(0, std::memory_order_relaxed);
   detail::g_counters.yields.store(0, std::memory_order_relaxed);
   detail::g_counters.spins.store(0, std::memory_order_relaxed);
-  for (auto& c : detail::g_counters.by_site) {
+  for (auto& c : detail::g_counters.hits) {
     c.store(0, std::memory_order_relaxed);
   }
 }
@@ -166,15 +291,16 @@ inline Totals totals() noexcept {
   };
 }
 
-inline std::uint64_t site_hits(const char* site) noexcept {
-  return detail::g_counters.by_site[site_hash(site) & 63].load(
+/// Crossings of `site` while enabled since the last reset_counters().
+inline std::uint64_t site_hits(Site site) noexcept {
+  return detail::g_counters.hits[static_cast<std::size_t>(site)].load(
       std::memory_order_relaxed);
 }
 
 /// The instrumented hook body. Always advances the stream exactly once so
 /// a thread's decision sequence is independent of which sites it visits.
 /// Not noexcept: the fault hook may simulate thread death by throwing.
-inline void point(const char* site) {
+inline void point(Site site) {
   if (!enabled()) return;
   auto& ts = detail::stream();
   if (!ts.bound) {
@@ -187,10 +313,10 @@ inline void point(const char* site) {
   x ^= x << 25;
   x ^= x >> 27;
   ts.state = x;
-  const std::uint64_t h = site_hash(site);
-  const std::uint64_t r = mix(x ^ h);
+  const std::uint64_t r = mix(x ^ mixing_word(site));
   detail::g_counters.points.fetch_add(1, std::memory_order_relaxed);
-  detail::g_counters.by_site[h & 63].fetch_add(1, std::memory_order_relaxed);
+  detail::g_counters.hits[static_cast<std::size_t>(site)].fetch_add(
+      1, std::memory_order_relaxed);
   switch (r & 15u) {
     case 0:
     case 1:  // 2/16: give the slice away — forces a full reschedule
@@ -212,13 +338,13 @@ inline void point(const char* site) {
       break;
   }
   if (auto* hook = detail::g_fault_hook.load(std::memory_order_acquire)) {
-    hook(site, h);
+    hook(site);
   }
 }
 
 }  // namespace chaos
 
-inline void chaos_point(const char* site) { chaos::point(site); }
+inline void chaos_point(Site site) { chaos::point(site); }
 
 #else  // !CACHETRIE_TESTKIT
 
@@ -234,13 +360,13 @@ inline void bind_thread(std::uint64_t) noexcept {}
 inline std::uint64_t bound_index() noexcept { return 0; }
 inline void reset_counters() noexcept {}
 inline Totals totals() noexcept { return {}; }
-inline std::uint64_t site_hits(const char*) noexcept { return 0; }
+inline std::uint64_t site_hits(Site) noexcept { return 0; }
 
 }  // namespace chaos
 
 /// Release builds: an empty constexpr inline the optimizer erases entirely
 /// (the acceptance bar: micro_ops throughput unchanged within noise).
-inline constexpr void chaos_point(const char*) noexcept {}
+inline constexpr void chaos_point(Site) noexcept {}
 
 #endif  // CACHETRIE_TESTKIT
 

@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,7 +71,7 @@ inline constexpr auto kForever = std::chrono::nanoseconds::max();
 /// thread's crossings of `site` and fires on crossings
 /// [fire_on_hit, fire_on_hit + max_fires).
 struct Spec {
-  std::uint64_t site = 0;  // site_hash(name)
+  Site site{};
   Kind kind = Kind::kStall;
   std::chrono::nanoseconds duration{0};
   std::uint64_t thread = kAnyThread;  // chaos::bind_thread index filter
@@ -87,30 +88,31 @@ class Plan {
  public:
   explicit Plan(std::uint64_t seed = 0) : seed_(seed) {}
 
-  Plan& stall(const char* site, std::chrono::nanoseconds duration,
+  Plan& stall(Site site, std::chrono::nanoseconds duration,
               std::uint64_t thread = kAnyThread, std::uint32_t fire_on_hit = 1,
               std::uint32_t max_fires = 1) {
     return add(site, Kind::kStall, duration, thread, fire_on_hit, max_fires);
   }
 
-  Plan& die(const char* site, std::uint64_t thread = kAnyThread,
+  Plan& die(Site site, std::uint64_t thread = kAnyThread,
             std::uint32_t fire_on_hit = 1) {
     return add(site, Kind::kDie, kForever, thread, fire_on_hit, 1);
   }
 
-  /// Derives one finite-stall spec per (site, victim) pair, with duration
-  /// in [min_stall, max_stall] and a small randomized crossing ordinal, all
-  /// as a pure function of `seed`. Victims are thread indices
-  /// 0..n_victims-1 (bind churn workers accordingly).
-  static Plan randomized(std::uint64_t seed, const char* const* sites,
-                         std::size_t n_sites, std::uint64_t n_victims,
+  /// Derives one finite-stall spec per (site, victim) pair, in order, with
+  /// duration in [min_stall, max_stall] and a small randomized crossing
+  /// ordinal, all as a pure function of `seed` and the site's position.
+  /// Victims are thread indices 0..n_victims-1 (bind churn workers
+  /// accordingly).
+  static Plan randomized(std::uint64_t seed, std::span<const Site> sites,
+                         std::uint64_t n_victims,
                          std::chrono::nanoseconds min_stall,
                          std::chrono::nanoseconds max_stall) {
     Plan plan(seed);
     std::uint64_t x = chaos::mix(seed ^ 0x9e3779b97f4a7c15ULL);
     const std::uint64_t span = static_cast<std::uint64_t>(
         (max_stall - min_stall).count() + 1);
-    for (std::size_t i = 0; i < n_sites; ++i) {
+    for (std::size_t i = 0; i < sites.size(); ++i) {
       for (std::uint64_t v = 0; v < n_victims; ++v) {
         x = chaos::mix(x + i * 131 + v * 31 + 1);
         const auto dur =
@@ -132,7 +134,7 @@ class Plan {
     std::string out = "fault plan seed=" + std::to_string(seed_) + "\n";
     for (std::size_t i = 0; i < specs_.size(); ++i) {
       const Spec& s = specs_[i];
-      out += "  [" + std::to_string(i) + "] " + names_[i];
+      out += "  [" + std::to_string(i) + "] " + name(s.site);
       out += s.kind == Kind::kDie ? " die" : " stall";
       if (s.kind == Kind::kStall) {
         out += s.duration == kForever
@@ -148,18 +150,16 @@ class Plan {
   }
 
  private:
-  Plan& add(const char* site, Kind kind, std::chrono::nanoseconds duration,
+  Plan& add(Site site, Kind kind, std::chrono::nanoseconds duration,
             std::uint64_t thread, std::uint32_t fire_on_hit,
             std::uint32_t max_fires) {
-    specs_.push_back(Spec{site_hash(site), kind, duration, thread,
-                          fire_on_hit, max_fires});
-    names_.emplace_back(site);
+    specs_.push_back(
+        Spec{site, kind, duration, thread, fire_on_hit, max_fires});
     return *this;
   }
 
   std::uint64_t seed_;
   std::vector<Spec> specs_;
-  std::vector<std::string> names_;
 };
 
 #if defined(CACHETRIE_TESTKIT) && CACHETRIE_TESTKIT
@@ -213,8 +213,8 @@ inline ThreadHits& thread_hits() {
 /// Park per the spec, then either resume or die. Throws ThreadKilled.
 inline void execute(const Spec& spec) {
   auto& pk = parking();
-  obs::sites::fault_park.record(spec.site,
-                                static_cast<std::uint64_t>(spec.kind));
+  const auto row = static_cast<std::uint64_t>(spec.site);
+  obs::sites::fault_park.record(row, static_cast<std::uint64_t>(spec.kind));
   bool deadline_elapsed = false;
   {
     std::unique_lock<std::mutex> lk(pk.m);
@@ -233,19 +233,19 @@ inline void execute(const Spec& spec) {
   }
   (void)deadline_elapsed;
   if (spec.kind == Kind::kDie) {
-    obs::sites::fault_kill.record(spec.site);
+    obs::sites::fault_kill.record(row);
     throw ThreadKilled{};
   }
   // Resume fence: a victim the reclaimer declared dead while it was parked
   // must not execute another instruction of structure code.
   if (mr::EpochDomain::instance().current_thread_declared_stalled()) {
-    obs::sites::fault_kill.record(spec.site, 1);
+    obs::sites::fault_kill.record(row, 1);
     throw ThreadKilled{};
   }
-  obs::sites::fault_resume.record(spec.site);
+  obs::sites::fault_resume.record(row);
 }
 
-inline void on_chaos_point(const char* /*site*/, std::uint64_t site_h) {
+inline void on_chaos_point(Site site) {
   // [acquires: TK_FAULT_PLAN]
   PlanState* plan = g_plan.load(std::memory_order_acquire);
   if (plan == nullptr) return;
@@ -256,7 +256,7 @@ inline void on_chaos_point(const char* /*site*/, std::uint64_t site_h) {
   }
   for (std::size_t i = 0; i < plan->specs.size(); ++i) {
     const Spec& spec = plan->specs[i];
-    if (spec.site != site_h) continue;
+    if (spec.site != site) continue;
     if (spec.thread != kAnyThread && spec.thread != chaos::bound_index()) {
       continue;
     }
@@ -329,7 +329,7 @@ inline void reset_counters() noexcept {
 /// Threads already parked by an earlier plan stay parked until the clear()
 /// here releases them too. Returns false when the victim never reached
 /// `site` within 10 s; the intruder is then skipped.
-inline bool lose_race(std::uint64_t seed, const char* site,
+inline bool lose_race(std::uint64_t seed, Site site,
                       const std::function<void()>& victim,
                       const std::function<void()>& intruder) {
   const std::uint64_t parked0 = parked_now();

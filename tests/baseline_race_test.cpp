@@ -38,6 +38,7 @@ namespace {
 
 namespace tk = cachetrie::testkit;
 namespace fault = cachetrie::testkit::fault;
+using tk::Site;
 namespace sites = cachetrie::obs::sites;
 using namespace std::chrono_literals;
 
@@ -49,10 +50,10 @@ using Model = std::map<std::uint64_t, std::uint64_t>;
 constexpr std::uint64_t kSeed = 0xbace1157ULL;
 
 /// fault::lose_race at this file's seed; the victim must reach `site`.
-void lose_race(const char* site, const std::function<void()>& victim,
+void lose_race(Site site, const std::function<void()>& victim,
                const std::function<void()>& intruder) {
   EXPECT_TRUE(fault::lose_race(kSeed, site, victim, intruder))
-      << "victim never reached " << site;
+      << "victim never reached " << tk::name(site);
 }
 
 /// Delta of a counter row across a scope; 0 in a metrics-off build.
@@ -145,7 +146,7 @@ const Keys& keys() {
 
 /// Runs one Ctrie case at `site`: `victim` loses to `intruder`, and the map
 /// must equal `model` afterwards.
-void ctrie_case(const char* site, Ctrie& map, const Model& model,
+void ctrie_case(Site site, Ctrie& map, const Model& model,
                 const std::function<void()>& victim,
                 const std::function<void()>& intruder) {
   CounterDelta retry{sites::ctrie_gcas_retry};
@@ -159,7 +160,7 @@ TEST(BaselineRace, CtrieEmptySlotInsertLosesAtGcas) {
   Ctrie map;
   Model model{{k.a, 1}, {k.other_root, 2}};
   ctrie_case(
-      "ctrie.gcas", map, model, [&] { EXPECT_TRUE(map.insert(k.a, 1)); },
+      Site::ctrie_gcas, map, model, [&] { EXPECT_TRUE(map.insert(k.a, 1)); },
       [&] { EXPECT_TRUE(map.insert(k.other_root, 2)); });
 }
 
@@ -169,7 +170,7 @@ TEST(BaselineRace, CtrieSameKeyReplaceLosesAtGcas) {
   ASSERT_TRUE(map.insert(k.a, 1));
   Model model{{k.a, 10}, {k.other_root, 2}};
   ctrie_case(
-      "ctrie.gcas", map, model, [&] { EXPECT_FALSE(map.insert(k.a, 10)); },
+      Site::ctrie_gcas, map, model, [&] { EXPECT_FALSE(map.insert(k.a, 10)); },
       [&] { EXPECT_TRUE(map.insert(k.other_root, 2)); });
 }
 
@@ -179,7 +180,7 @@ TEST(BaselineRace, CtrieGrowthUnderFreshINodeLosesAtGcas) {
   ASSERT_TRUE(map.insert(k.a, 1));
   Model model{{k.a, 1}, {k.same_root[0], 3}, {k.other_root, 2}};
   ctrie_case(
-      "ctrie.gcas", map, model,
+      Site::ctrie_gcas, map, model,
       [&] { EXPECT_TRUE(map.insert(k.same_root[0], 3)); },
       [&] { EXPECT_TRUE(map.insert(k.other_root, 2)); });
 }
@@ -190,7 +191,7 @@ TEST(BaselineRace, CtrieGrowthIntoChainLosesAtGcas) {
   ASSERT_TRUE(map.insert(k.a, 1));
   Model model{{k.a, 1}, {k.same_hash[0], 3}, {k.other_root, 2}};
   ctrie_case(
-      "ctrie.gcas", map, model,
+      Site::ctrie_gcas, map, model,
       [&] { EXPECT_TRUE(map.put_if_absent(k.same_hash[0], 3)); },
       [&] { EXPECT_TRUE(map.insert(k.other_root, 2)); });
 }
@@ -202,7 +203,7 @@ TEST(BaselineRace, CtrieChainUpsertLosesAtGcas) {
   ASSERT_TRUE(map.insert(k.same_hash[0], 2));
   Model model{{k.a, 10}, {k.same_hash[0], 2}, {k.same_hash[1], 3}};
   ctrie_case(
-      "ctrie.gcas", map, model, [&] { EXPECT_FALSE(map.insert(k.a, 10)); },
+      Site::ctrie_gcas, map, model, [&] { EXPECT_FALSE(map.insert(k.a, 10)); },
       [&] { EXPECT_TRUE(map.insert(k.same_hash[1], 3)); });
 }
 
@@ -218,7 +219,7 @@ TEST(BaselineRace, CtrieChainSplitLosesAtGcas) {
   // The victim's key shares only the chain's root slot: branch_lnode_apart
   // pushes the chain one level down. The intruder grows the chain first.
   ctrie_case(
-      "ctrie.gcas", map, model,
+      Site::ctrie_gcas, map, model,
       [&] { EXPECT_TRUE(map.insert(k.same_root[0], 4)); },
       [&] { EXPECT_TRUE(map.insert(k.same_hash[1], 3)); });
 }
@@ -230,7 +231,7 @@ TEST(BaselineRace, CtrieRemoveLosesAtGcas) {
   Model model{{k.other_root, 2}};
   // At the root a remove never entombs: the victim built a plain CNode.
   ctrie_case(
-      "ctrie.gcas", map, model,
+      Site::ctrie_gcas, map, model,
       [&] { EXPECT_EQ(map.remove(k.a), std::optional<std::uint64_t>(1)); },
       [&] { EXPECT_TRUE(map.insert(k.other_root, 2)); });
 }
@@ -244,7 +245,7 @@ TEST(BaselineRace, CtrieEntombingRemoveLosesAtGcas) {
   // Removing a from the two-SNode CNode below the root would entomb the
   // other SNode; the intruder adds a third branch to that CNode first.
   ctrie_case(
-      "ctrie.gcas", map, model,
+      Site::ctrie_gcas, map, model,
       [&] { EXPECT_EQ(map.remove(k.a), std::optional<std::uint64_t>(1)); },
       [&] { EXPECT_TRUE(map.insert(k.same_root[1], 3)); });
 }
@@ -257,7 +258,7 @@ TEST(BaselineRace, CtrieChainRemoveLosesAtGcas) {
   ASSERT_TRUE(map.insert(k.same_hash[1], 3));
   Model model{{k.same_hash[0], 2}, {k.same_hash[1], 3}, {k.same_hash[2], 4}};
   ctrie_case(
-      "ctrie.gcas", map, model,
+      Site::ctrie_gcas, map, model,
       [&] { EXPECT_EQ(map.remove(k.a), std::optional<std::uint64_t>(1)); },
       [&] { EXPECT_TRUE(map.insert(k.same_hash[2], 4)); });
 }
@@ -271,7 +272,7 @@ TEST(BaselineRace, CtrieChainRemoveToTombLosesAtGcas) {
   // Removing a from a two-pair chain would leave a TNode; the intruder
   // grows the chain first.
   ctrie_case(
-      "ctrie.gcas", map, model,
+      Site::ctrie_gcas, map, model,
       [&] { EXPECT_EQ(map.remove(k.a), std::optional<std::uint64_t>(1)); },
       [&] { EXPECT_TRUE(map.insert(k.same_hash[1], 3)); });
 }
@@ -285,7 +286,7 @@ TEST(BaselineRace, CtrieCleanParentLoses) {
   // The victim's remove entombs same_root[0] and parks before contracting
   // the tombstone into the root; the intruder changes the root first.
   ctrie_case(
-      "ctrie.clean_parent", map, model,
+      Site::ctrie_clean_parent, map, model,
       [&] { EXPECT_EQ(map.remove(k.a), std::optional<std::uint64_t>(1)); },
       [&] { EXPECT_TRUE(map.insert(k.other_root, 3)); });
 }
@@ -301,7 +302,7 @@ TEST(BaselineRace, CtrieEntombingCleanParentLoses) {
   // parent with one SNode and entomb it too. The intruder adds a second
   // branch to the level-1 CNode first.
   ctrie_case(
-      "ctrie.clean_parent", map, model,
+      Site::ctrie_clean_parent, map, model,
       [&] { EXPECT_EQ(map.remove(k.a), std::optional<std::uint64_t>(1)); },
       [&] { EXPECT_TRUE(map.insert(k.same_root[0], 3)); });
 }
@@ -316,7 +317,7 @@ void ctrie_clean_commit_case(Ctrie& map, const Model& model,
                              std::uint64_t intruder_key) {
   tk::chaos::set_global_seed(kSeed);
   fault::install(
-      fault::Plan(kSeed).stall("ctrie.clean_parent", fault::kForever, 2));
+      fault::Plan(kSeed).stall(Site::ctrie_clean_parent, fault::kForever, 2));
   tk::chaos::enable(true);
   const std::uint64_t parked0 = fault::parked_now();
   std::thread remover([&] {
@@ -331,7 +332,7 @@ void ctrie_clean_commit_case(Ctrie& map, const Model& model,
   EXPECT_EQ(fault::parked_now(), parked0 + 1) << "remover never parked";
 
   ctrie_case(
-      "ctrie.clean_commit", map, model,
+      Site::ctrie_clean_commit, map, model,
       [&] { EXPECT_EQ(map.lookup(lookup_key), model.at(lookup_key)); },
       [&] { EXPECT_TRUE(map.insert(intruder_key, model.at(intruder_key))); });
   remover.join();
@@ -366,7 +367,7 @@ TEST(BaselineRace, SkipListInsertLosesAtLinkBottom) {
   Model model{{5, 50}, {3, 30}};
   CounterDelta retry{sites::csl_cas_retry};
   lose_race(
-      "csl.link_bottom", [&] { EXPECT_TRUE(map.insert(5, 50)); },
+      Site::csl_link_bottom, [&] { EXPECT_TRUE(map.insert(5, 50)); },
       [&] { EXPECT_TRUE(map.insert(3, 30)); });
   expect_rose(retry.rose(), "csl.cas.retry");
   expect_matches(map, model);
@@ -378,7 +379,7 @@ TEST(BaselineRace, SkipListPutIfAbsentLosesAtLinkBottom) {
   Model model{{9, 90}, {5, 50}, {7, 70}};
   CounterDelta retry{sites::csl_cas_retry};
   lose_race(
-      "csl.link_bottom", [&] { EXPECT_TRUE(map.put_if_absent(5, 50)); },
+      Site::csl_link_bottom, [&] { EXPECT_TRUE(map.put_if_absent(5, 50)); },
       [&] { EXPECT_TRUE(map.insert(7, 70)); });
   expect_rose(retry.rose(), "csl.cas.retry");
   expect_matches(map, model);
@@ -395,7 +396,7 @@ void skiplist_corpse_case(const std::function<bool(Csl&)>& intruder) {
   Model model{{3, 30}, {5, 55}, {7, 70}};
   CounterDelta help{sites::csl_help_mark};
   lose_race(
-      "csl.unlink",
+      Site::csl_unlink,
       [&] { EXPECT_EQ(map.remove(5), std::optional<std::uint64_t>(50)); },
       [&] { EXPECT_TRUE(intruder(map)); });
   expect_rose(help.rose(), "csl.help_mark");

@@ -23,7 +23,9 @@ namespace {
 // This target builds without the testkit: the chaos hooks compiled into
 // the structures must be constexpr no-ops (the zero-overhead contract).
 static_assert(!cachetrie::testkit::kChaosCompiled);
-constexpr bool chaos_is_free = (cachetrie::testkit::chaos_point("x"), true);
+using cachetrie::testkit::Site;
+constexpr bool chaos_is_free =
+    (cachetrie::testkit::chaos_point(Site::cachetrie_pinned), true);
 static_assert(chaos_is_free);
 #endif
 

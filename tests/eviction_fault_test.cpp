@@ -11,9 +11,10 @@
 // valid and the byte ledger exact.
 //
 // EvictionLedger.* force every lost race a node copy can lose (the txn
-// announcement, an ENode's build race, its parent-slot commit) and check
-// that the loser's copy leaves the byte ledger with it, and that the
-// process-wide gauge sums the live bounded tries.
+// announcement, an ENode's build race, its parent-slot commit, a chain
+// growth's slot CAS), freeze and copy a collision chain during a
+// compression, and check that the loser's copy leaves the byte ledger with
+// it, and that the process-wide gauge sums the live bounded tries.
 //
 // Labeled `fault` (RUN_SERIAL): the watchdog asserts per-tick survivor
 // progress, which sharing the machine would starve.
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "cachetrie/cache_trie.hpp"
+#include "cachetrie/evict.hpp"
 #include "mr/epoch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sites.hpp"
@@ -43,6 +45,7 @@ namespace {
 
 namespace tk = cachetrie::testkit;
 namespace fault = cachetrie::testkit::fault;
+using tk::Site;
 namespace sites = cachetrie::obs::sites;
 using cachetrie::mr::EpochDomain;
 using namespace std::chrono_literals;
@@ -77,7 +80,7 @@ TEST(EvictionFault, DeadEvictorCeilingHolds) {
   // The first thread to run an over-ceiling backpressure scan dies inside
   // it. If enforcement were delegated to a dedicated evictor, this kill
   // would unbound the footprint.
-  fault::install(fault::Plan(21).die("cachetrie.evict_scan", /*thread=*/0));
+  fault::install(fault::Plan(21).die(Site::cachetrie_evict_scan, /*thread=*/0));
 
   Bounded trie(ceiling_config(kCeiling));
   const std::uint64_t lru0 = sites::cachetrie_evict_lru.total();
@@ -164,6 +167,45 @@ TEST(EvictionFault, DeadEvictorCeilingHolds) {
   dom.set_stall_lag_epochs(EpochDomain::kDefaultStallLagEpochs);
 }
 
+TEST(EvictionFault, BoundedChmCeilingHolds) {
+  // The baseline's counterpart of DeadEvictorCeilingHolds, with every
+  // writer alive: four threads insert fresh keys worth ~10x the ceiling,
+  // and each write's backpressure sweep keeps the derived footprint
+  // estimate near the ceiling.
+  using Chm = cachetrie::evict::BoundedChm<std::uint64_t, std::uint64_t>;
+  constexpr std::size_t kCeiling = 256u << 10;  // 256 KiB
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kPerThread =
+      10 * kCeiling / Chm::Map::kNodeBytes / kThreads;
+
+  Chm map(ceiling_config(kCeiling));
+  const std::uint64_t lru0 = sites::cachetrie_evict_lru.total();
+  std::atomic<std::uint64_t> running{kThreads};
+  std::vector<std::thread> churners;
+  for (std::uint64_t t = 1; t <= kThreads; ++t) {
+    churners.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        map.insert(t * 100000000ull + i, i);
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::size_t hwm = 0;
+  while (running.load(std::memory_order_acquire) != 0) {
+    hwm = std::max(hwm, map.resident_bytes());
+    std::this_thread::sleep_for(1ms);
+  }
+  for (auto& c : churners) c.join();
+  hwm = std::max(hwm, map.resident_bytes());
+
+  EXPECT_LT(hwm, kCeiling + kCeiling / 2)
+      << "the estimate escaped the ceiling (" << kPerThread
+      << " fresh keys per thread)";
+  if (kCounted) {
+    EXPECT_GT(sites::cachetrie_evict_lru.total() - lru0, 0u);
+  }
+}
+
 TEST(EvictionFault, RemoveIfEqualsRevalidatesAfterCompare) {
   // Regression for the value-compare window (satellite audit): the remover
   // compares the value, then parks *before* its txn announcement; a racer
@@ -175,7 +217,7 @@ TEST(EvictionFault, RemoveIfEqualsRevalidatesAfterCompare) {
   tk::chaos::set_global_seed(33);
   tk::chaos::enable(true);
   fault::install(
-      fault::Plan(33).stall("cachetrie.txn_announce", fault::kForever,
+      fault::Plan(33).stall(Site::cachetrie_txn_announce, fault::kForever,
                             /*thread=*/0));
 
   cachetrie::CacheTrie<std::uint64_t, std::uint64_t> trie;
@@ -220,7 +262,7 @@ TEST(EvictionFault, EvictRacingRemoveHasOneWinner) {
   {  // evict stalls, remove wins
     ASSERT_TRUE(trie.insert(99, 7));
     fault::install(
-        fault::Plan(34).stall("cachetrie.txn_announce", fault::kForever,
+        fault::Plan(34).stall(Site::cachetrie_txn_announce, fault::kForever,
                               /*thread=*/0));
     std::optional<std::uint64_t> evicted;
     std::thread victim([&] {
@@ -247,7 +289,7 @@ TEST(EvictionFault, EvictRacingRemoveHasOneWinner) {
   {  // remove stalls, evict wins
     ASSERT_TRUE(trie.insert(99, 8));
     fault::install(
-        fault::Plan(35).stall("cachetrie.txn_announce", fault::kForever,
+        fault::Plan(35).stall(Site::cachetrie_txn_announce, fault::kForever,
                               /*thread=*/0));
     std::optional<std::uint64_t> removed;
     std::thread victim([&] {
@@ -278,15 +320,15 @@ TEST(EvictionFault, StallStormLeavesStructureValidAndLedgerExact) {
   // the trie must pass the structural validator and the double-entry byte
   // ledger must equal a footprint walk — any publish/retire path that
   // miscounts under the perturbed schedules shows up here.
-  static const char* const kSites[] = {
-      "cachetrie.evict_announce", "cachetrie.evict_commit",
-      "cachetrie.evict_scan",     "cachetrie.txn_announce",
-      "cachetrie.txn_commit",
+  static constexpr Site kSites[] = {
+      Site::cachetrie_evict_announce, Site::cachetrie_evict_commit,
+      Site::cachetrie_evict_scan,     Site::cachetrie_txn_announce,
+      Site::cachetrie_txn_commit,
   };
   tk::chaos::set_global_seed(55);
   tk::chaos::enable(true);
-  fault::install(fault::Plan::randomized(55, kSites, std::size(kSites),
-                                         /*n_victims=*/4, 1us, 200us));
+  fault::install(
+      fault::Plan::randomized(55, kSites, /*n_victims=*/4, 1us, 200us));
 
   Bounded trie(ceiling_config(128u << 10));
   const std::uint64_t lru0 = sites::cachetrie_evict_lru.total();
@@ -342,15 +384,16 @@ cachetrie::Config ledger_config() {
   return cfg;
 }
 
-void lose_race(const char* site, const std::function<void()>& victim,
+void lose_race(Site site, const std::function<void()>& victim,
                const std::function<void()>& intruder) {
   EXPECT_TRUE(fault::lose_race(kRaceSeed, site, victim, intruder))
-      << "victim never reached " << site;
+      << "victim never reached " << tk::name(site);
 }
 
 /// The ledger equals the footprint walk, and the trie holds exactly `model`.
-void expect_ledger_exact(const Placed& trie, const Model& model) {
-  EXPECT_EQ(trie.resident_bytes(), trie.footprint_bytes() - sizeof(Placed))
+template <typename Trie>
+void expect_ledger_exact(const Trie& trie, const Model& model) {
+  EXPECT_EQ(trie.resident_bytes(), trie.footprint_bytes() - sizeof(Trie))
       << "a lost copy left the byte ledger unbalanced";
   EXPECT_EQ(trie.size(), model.size());
   for (const auto& [k, v] : model) {
@@ -392,7 +435,7 @@ TEST(EvictionLedger, TxnAnnounceLoserDiscardsItsSubtree) {
   ASSERT_TRUE(trie.insert(1, 1));
   const std::uint64_t retry0 = sites::cachetrie_txn_retry.total();
   lose_race(
-      "cachetrie.txn_announce", [&] { EXPECT_TRUE(trie.insert(17, 17)); },
+      Site::cachetrie_txn_announce, [&] { EXPECT_TRUE(trie.insert(17, 17)); },
       [&] { EXPECT_FALSE(trie.insert(1, 100)); });
   if (kCounted) {
     EXPECT_GT(sites::cachetrie_txn_retry.total() - retry0, 0u)
@@ -410,7 +453,7 @@ TEST(EvictionLedger, ExpansionBuildLoserDiscardsItsCopy) {
   ASSERT_TRUE(trie.insert(17, 17));
   const EnodeRace race;
   lose_race(
-      "cachetrie.enode_publish", [&] { EXPECT_TRUE(trie.insert(65, 65)); },
+      Site::cachetrie_enode_publish, [&] { EXPECT_TRUE(trie.insert(65, 65)); },
       [&] { EXPECT_TRUE(trie.insert(33, 33)); });
   race.expect_one_commit(/*compress=*/false);
   expect_ledger_exact(trie, {{1, 1}, {17, 17}, {33, 33}, {65, 65}});
@@ -425,7 +468,7 @@ TEST(EvictionLedger, CompressionBuildLoserDiscardsItsCopy) {
   ASSERT_TRUE(trie.insert(17, 17));
   const EnodeRace race;
   lose_race(
-      "cachetrie.enode_publish",
+      Site::cachetrie_enode_publish,
       [&] { EXPECT_EQ(trie.remove(17), std::optional<std::uint64_t>(17)); },
       [&] { EXPECT_TRUE(trie.insert(33, 33)); });
   race.expect_one_commit(/*compress=*/true);
@@ -441,10 +484,106 @@ TEST(EvictionLedger, EnodeCommitLoserLeavesLedgerExact) {
   ASSERT_TRUE(trie.insert(17, 17));
   const EnodeRace race;
   lose_race(
-      "cachetrie.enode_commit", [&] { EXPECT_TRUE(trie.insert(65, 65)); },
+      Site::cachetrie_enode_commit, [&] { EXPECT_TRUE(trie.insert(65, 65)); },
       [&] { EXPECT_TRUE(trie.insert(33, 33)); });
   race.expect_one_commit(/*compress=*/false);
   expect_ledger_exact(trie, {{1, 1}, {17, 17}, {33, 33}, {65, 65}});
+}
+
+// ChainHash keeps a key's low 16 bits: 1, 0x10001 and 0x20001 share one
+// full hash and chain together, while 17, 65 and 0x101 share only a prefix
+// with them: root slot 1, and for 0x101 also slot 0 one level down.
+struct ChainHash {
+  std::uint64_t operator()(const std::uint64_t& k) const noexcept {
+    return k & 0xffff;
+  }
+};
+
+using Chained =
+    cachetrie::CacheTrie<std::uint64_t, std::uint64_t, ChainHash>;
+
+TEST(EvictionLedger, ChainGrowthLoserKeepsTheChainItLinked) {
+  // 1 and 0x10001 chain in root slot 1. The victim's 17 shares only that
+  // slot with them, so it builds a wide node over the existing chain and
+  // its own pair, and parks before swapping it in. The intruder rebuilds
+  // the chain with 0x20001 and retires the old one; the victim's CAS
+  // loses, so it discards its wide node and pair but not the chain it
+  // linked, and retries over the new chain.
+  Chained trie(ledger_config());
+  ASSERT_TRUE(trie.insert(1, 1));
+  ASSERT_TRUE(trie.insert(0x10001, 2));
+  const std::uint64_t retry0 = sites::cachetrie_txn_retry.total();
+  lose_race(
+      Site::cachetrie_chain_grow, [&] { EXPECT_TRUE(trie.insert(17, 17)); },
+      [&] { EXPECT_TRUE(trie.insert(0x20001, 3)); });
+  if (kCounted) {
+    EXPECT_GT(sites::cachetrie_txn_retry.total() - retry0, 0u)
+        << "cachetrie.txn.retry did not count the lost slot CAS";
+  }
+  expect_ledger_exact(trie, {{1, 1}, {17, 17}, {0x10001, 2}, {0x20001, 3}});
+}
+
+TEST(EvictionLedger, CompressionFreezesAndCopiesChildrenBuiltMidAnnounce) {
+  // 1 and 65 split below root slot 1 into a wide node W. The victim
+  // removes 65, leaving W one SNode, and parks before announcing W's
+  // compression. The intruder's key collides with 1 in W: 0x10001 shares
+  // 1's full hash and turns W's slot into a collision chain, 0x101 differs
+  // two levels down and turns it into a narrow node. The announcement
+  // still wins: the victim freezes the new child inside an FNode, copies
+  // it into W's replacement, and parks again before offering the copy.
+  // Lookups meanwhile read both keys through the ENode and the FNode; once
+  // released, the victim commits and retires the frozen child.
+  for (const std::uint64_t intruder_key : {0x10001ull, 0x101ull}) {
+    SCOPED_TRACE(intruder_key);
+    Chained trie(ledger_config());
+    ASSERT_TRUE(trie.insert(1, 1));
+    ASSERT_TRUE(trie.insert(65, 65));
+    const std::uint64_t compress0 = sites::cachetrie_compress.total();
+    const std::uint64_t parked0 = fault::parked_now();
+    const std::uint64_t total0 = fault::parked_total();
+    // True once the victim has parked `n` times and is parked now.
+    const auto parked = [&](std::uint64_t n) {
+      const auto deadline = std::chrono::steady_clock::now() + 10s;
+      while (fault::parked_total() != total0 + n ||
+             fault::parked_now() != parked0 + 1) {
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::sleep_for(1ms);
+      }
+      return true;
+    };
+
+    tk::chaos::set_global_seed(kRaceSeed);
+    fault::install(
+        fault::Plan(kRaceSeed)
+            .stall(Site::cachetrie_compress_announce, fault::kForever, 1)
+            .stall(Site::cachetrie_enode_publish, fault::kForever, 1));
+    tk::chaos::enable(true);
+    std::thread victim([&] {
+      tk::chaos::bind_thread(1);
+      EXPECT_EQ(trie.remove(65), std::optional<std::uint64_t>(65));
+    });
+    tk::chaos::bind_thread(0);
+    const bool announced = parked(1);
+    EXPECT_TRUE(announced) << "victim never reached compress_announce";
+    if (announced) {
+      EXPECT_TRUE(trie.insert(intruder_key, 2));
+      fault::release_all();
+      const bool copied = parked(2);
+      EXPECT_TRUE(copied) << "victim never reached enode_publish";
+      if (copied) {
+        EXPECT_EQ(trie.lookup(1), std::optional<std::uint64_t>(1));
+        EXPECT_EQ(trie.lookup(intruder_key), std::optional<std::uint64_t>(2));
+      }
+    }
+    fault::clear();
+    victim.join();
+    tk::chaos::enable(false);
+
+    if (kCounted) {
+      EXPECT_EQ(sites::cachetrie_compress.total() - compress0, 1u);
+    }
+    expect_ledger_exact(trie, {{1, 1}, {intruder_key, 2}});
+  }
 }
 
 TEST(EvictionLedger, ProcessGaugeSumsLiveBoundedTries) {

@@ -39,6 +39,7 @@
 #include "testkit/driver.hpp"
 
 namespace tk = cachetrie::testkit;
+using tk::Site;
 namespace sites = cachetrie::obs::sites;
 
 static_assert(tk::kChaosCompiled,
@@ -161,7 +162,7 @@ TEST(EvictionLinSweep, EvictApiRacesUserOps) {
   if (kCounted) {
     EXPECT_GT(sites::cachetrie_evict_lru.total() - lru0, 0u);
   }
-  EXPECT_GT(tk::chaos::site_hits("cachetrie.txn_announce"), 0u);
+  EXPECT_GT(tk::chaos::site_hits(Site::cachetrie_txn_announce), 0u);
   EXPECT_GT(tk::chaos::totals().yields, 0u);
 }
 
@@ -180,7 +181,7 @@ TEST(EvictionLinSweep, CorpseEvictionUnderneathLiveKeys) {
       "bounded cache-trie (ballast corpses)");
   // The lazy-eviction CAS path (announce on the corpse's txn word) really
   // fired under perturbation, and corpses were counted as TTL expiries.
-  EXPECT_GT(tk::chaos::site_hits("cachetrie.evict_announce"), 0u);
+  EXPECT_GT(tk::chaos::site_hits(Site::cachetrie_evict_announce), 0u);
   if (kCounted) {
     EXPECT_GT(sites::cachetrie_evict_ttl.total() - ttl0, 0u);
   }
@@ -197,7 +198,7 @@ TEST(EvictionLinSweep, BoundedChmInertHorizons) {
   tk::chaos::reset_counters();
   sweep([cfg] { return std::make_unique<Map>(cfg); },
         "bounded chashmap (inert horizons)");
-  EXPECT_GT(tk::chaos::site_hits("chm.bin_locked"), 0u);
+  EXPECT_GT(tk::chaos::site_hits(Site::chm_bin_locked), 0u);
 }
 
 }  // namespace

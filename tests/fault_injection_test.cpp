@@ -1,8 +1,10 @@
 // fault_injection_test.cpp — unit tests for the fault-injection engine
 // itself (src/testkit/fault.hpp): verdict firing, thread filters, crossing
 // ordinals, die/release semantics, and seed reproducibility. The engine is
-// exercised through bare chaos points; the structure-level scenarios live
-// in stalled_reclaimer_test.cpp and watchdog_progress_test.cpp.
+// exercised through bare chaos points: no structure runs in this binary, so
+// each test crosses real rows of the chaos-site table by hand. The
+// structure-level scenarios live in stalled_reclaimer_test.cpp and
+// watchdog_progress_test.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,7 @@ namespace {
 
 namespace tk = cachetrie::testkit;
 namespace fault = cachetrie::testkit::fault;
+using tk::Site;
 using namespace std::chrono_literals;
 
 /// Per-test RAII: enables chaos (the hook only fires while enabled) and
@@ -34,36 +37,35 @@ struct FaultSession {
 TEST(FaultEngine, StallDelaysTheCrossingThread) {
   FaultSession session;
   fault::reset_counters();
-  fault::install(fault::Plan(1).stall("fi.stall_site", 30ms));
+  fault::install(fault::Plan(1).stall(Site::cachetrie_txn_commit, 30ms));
   tk::chaos::bind_thread(0);
 
   const auto t0 = std::chrono::steady_clock::now();
-  tk::chaos_point("fi.stall_site");
+  tk::chaos_point(Site::cachetrie_txn_commit);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_GE(elapsed, 30ms);
   EXPECT_EQ(fault::injected_stalls(), 1u);
 
   // max_fires = 1: further crossings pass through unharmed.
-  tk::chaos_point("fi.stall_site");
+  tk::chaos_point(Site::cachetrie_txn_commit);
   EXPECT_EQ(fault::injected_stalls(), 1u);
 }
 
 TEST(FaultEngine, SiteAndThreadFiltersSelectTheVictim) {
   FaultSession session;
   fault::reset_counters();
-  fault::install(
-      fault::Plan(2).stall("fi.victim_site", 1ms, /*thread=*/1));
+  fault::install(fault::Plan(2).stall(Site::ctrie_gcas, 1ms, /*thread=*/1));
 
   // Wrong site, right thread; right site, wrong thread: no verdicts.
   tk::chaos::bind_thread(1);
-  tk::chaos_point("fi.other_site");
+  tk::chaos_point(Site::ctrie_pinned);
   tk::chaos::bind_thread(0);
-  tk::chaos_point("fi.victim_site");
+  tk::chaos_point(Site::ctrie_gcas);
   EXPECT_EQ(fault::injected_stalls(), 0u);
 
   std::thread victim([] {
     tk::chaos::bind_thread(1);
-    tk::chaos_point("fi.victim_site");
+    tk::chaos_point(Site::ctrie_gcas);
   });
   victim.join();
   EXPECT_EQ(fault::injected_stalls(), 1u);
@@ -72,10 +74,11 @@ TEST(FaultEngine, SiteAndThreadFiltersSelectTheVictim) {
 TEST(FaultEngine, FireOnHitCountsCrossingsPerThread) {
   FaultSession session;
   fault::reset_counters();
-  fault::install(fault::Plan(3).stall("fi.nth", 1ms, fault::kAnyThread,
-                                      /*fire_on_hit=*/3, /*max_fires=*/2));
+  fault::install(fault::Plan(3).stall(Site::chm_bin_lock, 1ms,
+                                      fault::kAnyThread, /*fire_on_hit=*/3,
+                                      /*max_fires=*/2));
   tk::chaos::bind_thread(0);
-  for (int i = 0; i < 8; ++i) tk::chaos_point("fi.nth");
+  for (int i = 0; i < 8; ++i) tk::chaos_point(Site::chm_bin_lock);
   // Crossings 3 and 4 fire; 1-2 are before the window, 5+ after it.
   EXPECT_EQ(fault::injected_stalls(), 2u);
 }
@@ -83,14 +86,14 @@ TEST(FaultEngine, FireOnHitCountsCrossingsPerThread) {
 TEST(FaultEngine, DieParksUntilReleaseThenThrows) {
   FaultSession session;
   fault::reset_counters();
-  fault::install(fault::Plan(4).die("fi.die_site"));
+  fault::install(fault::Plan(4).die(Site::csl_unlink));
 
   std::atomic<bool> killed{false};
   std::atomic<bool> resumed{false};
   std::thread victim([&] {
     tk::chaos::bind_thread(0);
     try {
-      tk::chaos_point("fi.die_site");
+      tk::chaos_point(Site::csl_unlink);
       resumed.store(true);  // must be unreachable
     } catch (const fault::ThreadKilled&) {
       killed.store(true);
@@ -117,13 +120,14 @@ TEST(FaultEngine, DieParksUntilReleaseThenThrows) {
 TEST(FaultEngine, ForeverStallResumesOnRelease) {
   FaultSession session;
   fault::reset_counters();
-  fault::install(fault::Plan(5).stall("fi.forever", fault::kForever));
+  fault::install(
+      fault::Plan(5).stall(Site::net_request_execute, fault::kForever));
 
   std::atomic<bool> resumed{false};
   std::thread victim([&] {
     tk::chaos::bind_thread(0);
     try {
-      tk::chaos_point("fi.forever");
+      tk::chaos_point(Site::net_request_execute);
       resumed.store(true);
     } catch (const fault::ThreadKilled&) {
       // Only possible if a reclaimer sweep declared us stalled; this test
@@ -145,26 +149,28 @@ TEST(FaultEngine, ForeverStallResumesOnRelease) {
 TEST(FaultEngine, NoVerdictsWhileChaosDisabledOrPlanCleared) {
   FaultSession session;
   fault::reset_counters();
-  fault::install(fault::Plan(6).stall("fi.gated", 1ms));
+  fault::install(fault::Plan(6).stall(Site::net_shed, 1ms));
   tk::chaos::bind_thread(0);
 
   tk::chaos::enable(false);
-  tk::chaos_point("fi.gated");  // chaos off: the whole point is inert
+  tk::chaos_point(Site::net_shed);  // chaos off: the whole point is inert
   EXPECT_EQ(fault::injected_stalls(), 0u);
 
   tk::chaos::enable(true);
   fault::clear();
-  tk::chaos_point("fi.gated");  // plan gone: crossing passes through
+  tk::chaos_point(Site::net_shed);  // plan gone: crossing passes through
   EXPECT_EQ(fault::injected_stalls(), 0u);
 }
 
 TEST(FaultEngine, RandomizedPlanIsAPureFunctionOfTheSeed) {
-  const char* sites[] = {"fi.a", "fi.b", "fi.c"};
-  const auto a = fault::Plan::randomized(0xfeedULL, sites, 3, 2, 1ms, 10ms);
-  const auto b = fault::Plan::randomized(0xfeedULL, sites, 3, 2, 1ms, 10ms);
-  ASSERT_EQ(a.specs().size(), 6u);  // one spec per (site, victim)
+  const Site sites[] = {Site::cachetrie_pinned, Site::ctrie_pinned,
+                        Site::chm_pinned};
+  const auto a = fault::Plan::randomized(0xfeedULL, sites, 2, 1ms, 10ms);
+  const auto b = fault::Plan::randomized(0xfeedULL, sites, 2, 1ms, 10ms);
+  ASSERT_EQ(a.specs().size(), 6u);  // one spec per (site, victim), in order
   ASSERT_EQ(a.specs().size(), b.specs().size());
   for (std::size_t i = 0; i < a.specs().size(); ++i) {
+    EXPECT_EQ(a.specs()[i].site, sites[i / 2]);
     EXPECT_EQ(a.specs()[i].site, b.specs()[i].site);
     EXPECT_EQ(a.specs()[i].duration, b.specs()[i].duration);
     EXPECT_EQ(a.specs()[i].thread, b.specs()[i].thread);
@@ -177,6 +183,7 @@ TEST(FaultEngine, RandomizedPlanIsAPureFunctionOfTheSeed) {
     EXPECT_LT(s.thread, 2u);
   }
   EXPECT_NE(a.describe().find("seed=65261"), std::string::npos);
+  EXPECT_NE(a.describe().find("] ctrie.pinned stall"), std::string::npos);
 }
 
 }  // namespace

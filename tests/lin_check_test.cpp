@@ -23,6 +23,7 @@
 #include "testkit/driver.hpp"
 
 namespace tk = cachetrie::testkit;
+using tk::Site;
 
 static_assert(tk::kChaosCompiled,
               "lin_check_test must build with CACHETRIE_TESTKIT=1");
@@ -59,7 +60,7 @@ TEST(LinSweep, CacheTrie) {
   tk::chaos::reset_counters();
   sweep([] { return std::make_unique<Map>(); }, "cache-trie");
   // The perturbation actually reached the txn protocol's decision windows.
-  EXPECT_GT(tk::chaos::site_hits("cachetrie.txn_announce"), 0u);
+  EXPECT_GT(tk::chaos::site_hits(Site::cachetrie_txn_announce), 0u);
   EXPECT_GT(tk::chaos::totals().yields, 0u);
 }
 
@@ -85,15 +86,15 @@ TEST(LinSweep, CacheTrieDeepCollidingPrefix) {
   tk::chaos::reset_counters();
   sweep([] { return std::make_unique<Map>(); }, "cache-trie (deep prefix)",
         /*key_range=*/16);
-  EXPECT_GT(tk::chaos::site_hits("cachetrie.freeze_slot"), 0u);
-  EXPECT_GT(tk::chaos::site_hits("cachetrie.enode_complete"), 0u);
+  EXPECT_GT(tk::chaos::site_hits(Site::cachetrie_freeze_slot), 0u);
+  EXPECT_GT(tk::chaos::site_hits(Site::cachetrie_enode_complete), 0u);
 }
 
 TEST(LinSweep, Ctrie) {
   using Map = cachetrie::ctrie::Ctrie<std::uint64_t, std::uint64_t>;
   tk::chaos::reset_counters();
   sweep([] { return std::make_unique<Map>(); }, "ctrie");
-  EXPECT_GT(tk::chaos::site_hits("ctrie.gcas"), 0u);
+  EXPECT_GT(tk::chaos::site_hits(Site::ctrie_gcas), 0u);
 }
 
 TEST(LinSweep, Chashmap) {
@@ -102,14 +103,14 @@ TEST(LinSweep, Chashmap) {
   // 4 initial bins with 6 live keys: the incremental transfer (resize)
   // machinery runs in-history, not just at warm-up.
   sweep([] { return std::make_unique<Map>(4); }, "chashmap");
-  EXPECT_GT(tk::chaos::site_hits("chm.bin_locked"), 0u);
+  EXPECT_GT(tk::chaos::site_hits(Site::chm_bin_locked), 0u);
 }
 
 TEST(LinSweep, Skiplist) {
   using Map = cachetrie::csl::ConcurrentSkipList<std::uint64_t, std::uint64_t>;
   tk::chaos::reset_counters();
   sweep([] { return std::make_unique<Map>(); }, "skip list");
-  EXPECT_GT(tk::chaos::site_hits("csl.mark_bottom"), 0u);
+  EXPECT_GT(tk::chaos::site_hits(Site::csl_mark_bottom), 0u);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 //     their send-time budget when parsed, so every one draws
 //     kDeadlineExceeded — none executes;
 //   * shed: a post-stall flood exceeds max_inflight in one parse batch, so
-//     exactly max_inflight requests execute and the rest draw kShed;
+//     exactly max_inflight requests execute and the rest draw kShed; a
+//     sync call shed that way backs off and lands on its retry;
 //   * die-mid-request: the fault engine kills a shard between admission and
 //     map execution; the lock-free maps stay valid (debug_validate), the
 //     surviving shard keeps serving under a progress watchdog, and the
@@ -48,6 +49,7 @@ namespace {
 
 namespace tk = cachetrie::testkit;
 namespace fault = cachetrie::testkit::fault;
+using tk::Site;
 namespace net = cachetrie::net;
 namespace proto = cachetrie::net::proto;
 using cachetrie::mr::EpochDomain;
@@ -90,7 +92,7 @@ void wait_parked(std::uint64_t n) {
 // budget: the stall is charged to the requests, not hidden from them.
 TEST(NetFault, DeadlineExpiredDeterministicallyBehindStall) {
   ChaosSession chaos{41};
-  fault::install(fault::Plan(41).stall("net.request_execute", 700ms,
+  fault::install(fault::Plan(41).stall(Site::net_request_execute, 700ms,
                                        /*thread=*/kShard0));
 
   Trie map;
@@ -144,7 +146,7 @@ TEST(NetFault, DeadlineExpiredDeterministicallyBehindStall) {
 // past the cap no matter how much the kernel buffered.
 TEST(NetFault, ShedsDeterministicallyPastInflightCap) {
   ChaosSession chaos{42};
-  fault::install(fault::Plan(42).stall("net.request_execute", 500ms,
+  fault::install(fault::Plan(42).stall(Site::net_request_execute, 500ms,
                                        /*thread=*/kShard0));
 
   Trie map;
@@ -182,8 +184,7 @@ TEST(NetFault, ShedsDeterministicallyPastInflightCap) {
   EXPECT_EQ(ok, 4u);     // exactly max_inflight admitted
   EXPECT_EQ(shed, 8u);   // the rest refused, not queued
 
-  // The sync API retries sheds with jittered backoff; with the storm over
-  // it must land.
+  // With the storm over, a fresh call lands.
   EXPECT_TRUE(client.ping(3).ok());
 
   client.close();
@@ -196,13 +197,53 @@ TEST(NetFault, ShedsDeterministicallyPastInflightCap) {
   EXPECT_EQ(server.killed_shards(), 0u);
 }
 
+// The sync API retries a shed under jittered backoff. Behind a stalled
+// shard, a queued ping and the sync call's first attempt are parsed in one
+// batch: the ping fills the one-deep queue, so that attempt is shed, and
+// the retry, sent after the queue drained, executes.
+TEST(NetFault, SyncCallRetriesAShedAndLands) {
+  ChaosSession chaos{46};
+  fault::install(fault::Plan(46).stall(Site::net_request_execute, 300ms,
+                                       /*thread=*/kShard0));
+
+  Trie map;
+  auto scfg = one_shard_config();
+  scfg.shard.max_inflight = 1;
+  net::Server<Trie> server{map, scfg};
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.start());
+
+  net::ClientConfig ccfg;
+  ccfg.op_timeout_us = 15'000'000;
+  net::Client client{server.port(), ccfg};
+  ASSERT_TRUE(client.ok());
+
+  std::uint64_t trigger_id = 0;
+  ASSERT_TRUE(client.send(proto::Op::kPing, 0, 1, &trigger_id, 0));
+  wait_parked(1);
+  std::uint64_t queued_id = 0;
+  ASSERT_TRUE(client.send(proto::Op::kPing, 0, 2, &queued_id, 0));
+
+  const auto r = client.ping(3);
+  EXPECT_EQ(r.status, proto::Status::kOk);
+  EXPECT_EQ(r.value, 3u);
+  EXPECT_EQ(client.wait(trigger_id).status, proto::Status::kOk);
+  EXPECT_EQ(client.wait(queued_id).status, proto::Status::kOk);
+
+  client.close();
+  server.stop();
+  const auto totals = server.totals();
+  EXPECT_EQ(totals.shed, 1u) << "the sync call was never shed";
+  EXPECT_EQ(totals.served, 3u);
+}
+
 // The ISSUE's acceptance scenario: die mid-request. One shard is killed
 // between admission and execution; the other keeps serving under a
 // watchdog, the map validates clean, and the server drains around the
 // corpse.
 TEST(NetFault, DieMidRequestLeavesMapValidAndSurvivorsGreen) {
   ChaosSession chaos{43};
-  fault::install(fault::Plan(43).die("net.request_execute",
+  fault::install(fault::Plan(43).die(Site::net_request_execute,
                                      /*thread=*/kShard0));
 
   Trie map;
@@ -288,7 +329,7 @@ TEST(NetFault, KilledShardIsDeclaredStalledReader) {
   ChaosSession chaos{44};
   // Park-then-die at the trie's own pinned site, but only on the shard
   // thread: the shard is parked holding an EBR guard mid-request.
-  fault::install(fault::Plan(44).die("cachetrie.pinned",
+  fault::install(fault::Plan(44).die(Site::cachetrie_pinned,
                                      /*thread=*/kShard0));
 
   Trie map;
@@ -388,7 +429,7 @@ TEST(NetFault, BackpressureCapsAndKillsNonReadingClient) {
 // kShed|kFlagDraining — the shutdown handshake answers, then closes.
 TEST(NetFault, DrainShedsLateRequestsWithDrainingFlag) {
   ChaosSession chaos{45};
-  fault::install(fault::Plan(45).stall("net.drain", 400ms,
+  fault::install(fault::Plan(45).stall(Site::net_drain, 400ms,
                                        /*thread=*/kShard0));
 
   Trie map;
@@ -400,7 +441,6 @@ TEST(NetFault, DrainShedsLateRequestsWithDrainingFlag) {
 
   net::ClientConfig ccfg;
   ccfg.op_timeout_us = 10'000'000;
-  ccfg.max_retries = 0;  // a drain shed must surface, not retry
   net::Client client{server.port(), ccfg};
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client.ping(1).ok());  // connection is live pre-drain
@@ -409,7 +449,7 @@ TEST(NetFault, DrainShedsLateRequestsWithDrainingFlag) {
   wait_parked(1);  // shard parked at the net.drain chaos point
 
   // Lands in the kernel buffer while parked; parsed after resume, when the
-  // shard is draining.
+  // shard is draining. send() never retries, so the drain shed surfaces.
   std::uint64_t id = 0;
   ASSERT_TRUE(client.send(proto::Op::kPing, 0, 2, &id, 0));
   const auto r = client.wait(id);
@@ -481,7 +521,6 @@ TEST(NetFault, OverloadShedsRatherThanQueues) {
     normals.emplace_back([&, t] {
       net::ClientConfig ccfg;
       ccfg.op_timeout_us = 30'000'000;
-      ccfg.seed = static_cast<std::uint64_t>(t) + 1;
       net::Client client{server.port(), ccfg};
       if (!client.ok()) return;
       std::vector<std::uint64_t> local;

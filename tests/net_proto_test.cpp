@@ -293,9 +293,7 @@ TEST(NetClient, SeversConnectionOnCorruptReplyStream) {
   net::Fd lst = net::listen_loopback(0, &port);
   ASSERT_TRUE(lst.valid());
 
-  net::ClientConfig ccfg;
-  ccfg.max_retries = 0;
-  net::Client client{port, ccfg};
+  net::Client client{port};
   ASSERT_TRUE(client.ok());
 
   int sfd = -1;

@@ -24,6 +24,7 @@ namespace {
 
 namespace tk = cachetrie::testkit;
 namespace fault = cachetrie::testkit::fault;
+using tk::Site;
 using cachetrie::mr::EpochDomain;
 using namespace std::chrono_literals;
 
@@ -43,7 +44,7 @@ TEST(StalledReclaimer, DeadGuardHolderCannotUnboundLimbo) {
   tk::chaos::enable(true);
   // Thread 0 dies at its first pinned-site crossing: parked holding the
   // guard, then unwound via ThreadKilled when released at teardown.
-  fault::install(fault::Plan(7).die("cachetrie.pinned", /*thread=*/0));
+  fault::install(fault::Plan(7).die(Site::cachetrie_pinned, /*thread=*/0));
 
   Trie trie;
   std::atomic<bool> stop{false};
@@ -143,8 +144,8 @@ TEST(StalledReclaimer, UncappedLimboGrowsPastTheCapForContrast) {
 
   tk::chaos::set_global_seed(8);
   tk::chaos::enable(true);
-  fault::install(
-      fault::Plan(8).stall("cachetrie.pinned", fault::kForever, /*thread=*/0));
+  fault::install(fault::Plan(8).stall(Site::cachetrie_pinned, fault::kForever,
+                                      /*thread=*/0));
 
   Trie trie;
   std::atomic<bool> victim_done{false};

@@ -9,18 +9,22 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "testkit/chaos.hpp"
 #include "testkit/driver.hpp"
+#include "testkit/fault.hpp"
 #include "testkit/history.hpp"
 #include "testkit/lin_check.hpp"
 
 namespace tk = cachetrie::testkit;
+using tk::Site;
 
 static_assert(tk::kChaosCompiled,
               "testkit_test must build with CACHETRIE_TESTKIT=1");
@@ -186,7 +190,7 @@ TEST(HistoryRecorder, TicketsAreUniqueAndMergedIsSorted) {
 TEST(Chaos, DisabledPointsHaveNoEffect) {
   tk::chaos::enable(false);
   tk::chaos::reset_counters();
-  for (int i = 0; i < 100; ++i) tk::chaos_point("test.site");
+  for (int i = 0; i < 100; ++i) tk::chaos_point(Site::cachetrie_pinned);
   EXPECT_EQ(tk::chaos::totals().points, 0u);
 }
 
@@ -196,7 +200,7 @@ TEST(Chaos, DecisionStreamIsAPureFunctionOfSeedAndThread) {
     tk::chaos::enable(true);
     tk::chaos::reset_counters();
     tk::chaos::bind_thread(0);
-    for (int i = 0; i < 4096; ++i) tk::chaos_point("test.stream");
+    for (int i = 0; i < 4096; ++i) tk::chaos_point(Site::cachetrie_pinned);
     tk::chaos::enable(false);
     return tk::chaos::totals();
   };
@@ -216,19 +220,43 @@ TEST(Chaos, SiteHitsAttributeToTheRightSite) {
   tk::chaos::enable(true);
   tk::chaos::reset_counters();
   tk::chaos::bind_thread(0);
-  for (int i = 0; i < 10; ++i) tk::chaos_point("test.site_a");
-  tk::chaos_point("test.site_b");
+  // The FNV-1a hashes of these two names agree in their low 6 bits: a
+  // hashed hit table would merge them.
+  for (int i = 0; i < 10; ++i) tk::chaos_point(Site::ctrie_pinned);
+  tk::chaos_point(Site::ctrie_clean_parent);
   tk::chaos::enable(false);
-  EXPECT_GE(tk::chaos::site_hits("test.site_a"), 10u);
-  EXPECT_GE(tk::chaos::site_hits("test.site_b"), 1u);
+  EXPECT_EQ(tk::chaos::site_hits(Site::ctrie_pinned), 10u);
+  EXPECT_EQ(tk::chaos::site_hits(Site::ctrie_clean_parent), 1u);
 }
 
 TEST(Chaos, SiteHashIsCompileTimeAndStable) {
-  static_assert(tk::site_hash("cachetrie.txn_commit") !=
-                tk::site_hash("cachetrie.txn_announce"));
-  constexpr std::uint64_t h = tk::site_hash("x");
-  EXPECT_EQ(h, tk::site_hash("x"));
+  // A row's mixing word is the compile-time hash of its name, so a seed
+  // replays the stream it drove when sites were named by string.
+  static_assert(tk::mixing_word(Site::cachetrie_txn_commit) ==
+                tk::site_hash("cachetrie.txn_commit"));
+  static_assert(tk::mixing_word(Site::cachetrie_txn_commit) !=
+                tk::mixing_word(Site::cachetrie_txn_announce));
+  for (std::size_t i = 0; i < tk::kSiteCount; ++i) {
+    const auto s = static_cast<Site>(i);
+    EXPECT_EQ(tk::mixing_word(s), tk::site_hash(tk::name(s))) << tk::name(s);
+  }
 }
+
+// A string is not a row, so a misspelled site is a compile error.
+using tk::fault::Plan;
+template <typename S>
+constexpr bool kPointTakes = std::is_invocable_v<decltype(&tk::chaos_point), S>;
+template <typename S>
+constexpr bool kStallTakes =
+    std::is_invocable_v<decltype(&Plan::stall), Plan&, S,
+                        std::chrono::nanoseconds, std::uint64_t,
+                        std::uint32_t, std::uint32_t>;
+template <typename S>
+constexpr bool kDieTakes = std::is_invocable_v<decltype(&Plan::die), Plan&, S,
+                                               std::uint64_t, std::uint32_t>;
+static_assert(kPointTakes<Site> && !kPointTakes<const char*>);
+static_assert(kStallTakes<Site> && !kStallTakes<const char*>);
+static_assert(kDieTakes<Site> && !kDieTakes<const char*>);
 
 // --- mutation smoke: the checker must have teeth ---------------------------
 

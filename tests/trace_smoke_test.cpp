@@ -29,6 +29,7 @@ namespace {
 
 namespace tk = cachetrie::testkit;
 namespace fault = cachetrie::testkit::fault;
+using tk::Site;
 namespace trace = cachetrie::obs::trace;
 using cachetrie::mr::EpochDomain;
 using trace::EventId;
@@ -58,7 +59,7 @@ TEST(TraceSmoke, StalledReaderTimelineShowsDeclareThenEpochAdvance) {
 
   tk::chaos::set_global_seed(7);
   tk::chaos::enable(true);
-  fault::install(fault::Plan(7).die("cachetrie.pinned", /*thread=*/0));
+  fault::install(fault::Plan(7).die(Site::cachetrie_pinned, /*thread=*/0));
 
   Trie trie;
   std::atomic<bool> stop{false};

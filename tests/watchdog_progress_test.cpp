@@ -2,7 +2,7 @@
 // faults, on all four structures.
 //
 // Part A (StallStorm.*): a seed-randomized plan derives a finite stall for
-// every (registered protocol site x victim) pair; two victims and four
+// every (structure's chaos-site row x victim) pair; two victims and four
 // survivors churn a shared key range through grow/mixed/deplete phases so
 // expansion, compression, freeze/ENode, clean, transfer, and mark/unlink
 // paths all execute. The watchdog asserts survivor throughput never hits
@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -51,26 +50,19 @@ using Ctrie = cachetrie::ctrie::Ctrie<std::uint64_t, std::uint64_t>;
 using Chm = cachetrie::chm::ConcurrentHashMap<std::uint64_t, std::uint64_t>;
 using Csl = cachetrie::csl::ConcurrentSkipList<std::uint64_t, std::uint64_t>;
 
-// Every chaos site each structure registers (PR 1's decision points plus
-// this PR's post-pin site). Keep in sync with the chaos_point calls in the
-// structure headers; the *Storm tests print per-site hits so a drifted
-// list shows up in the log.
-constexpr const char* kTrieSites[] = {
-    "cachetrie.pinned",        "cachetrie.txn_announce",
-    "cachetrie.txn_commit",    "cachetrie.expand_announce",
-    "cachetrie.compress_announce", "cachetrie.freeze_slot",
-    "cachetrie.enode_complete",    "cachetrie.enode_publish",
-    "cachetrie.enode_commit"};
-constexpr const char* kCtrieSites[] = {"ctrie.pinned", "ctrie.gcas",
-                                       "ctrie.clean_commit",
-                                       "ctrie.clean_parent"};
-constexpr const char* kChmSites[] = {
-    "chm.pinned",        "chm.bin_lock",      "chm.bin_locked",
-    "chm.bin_cas",       "chm.transfer_help", "chm.table_publish",
-    "chm.transfer_plant"};
-constexpr const char* kCslSites[] = {"csl.pinned",     "csl.link_bottom",
-                                     "csl.mark_bottom", "csl.unlink",
-                                     "csl.mark_upper",  "csl.link_upper"};
+using tk::Owner;
+using tk::Site;
+
+/// Every row of the chaos-site table that `owner`'s protocols cross, in
+/// table order.
+std::vector<Site> sites_of(Owner owner) {
+  std::vector<Site> out;
+  for (std::size_t i = 0; i < tk::kSiteCount; ++i) {
+    const auto s = static_cast<Site>(i);
+    if (tk::owner(s) == owner) out.push_back(s);
+  }
+  return out;
+}
 
 std::uint64_t plan_seed() {
   if (const char* s = std::getenv("CACHETRIE_FAULT_SEED")) {
@@ -104,12 +96,13 @@ void churn_phases(Map& map, std::atomic<bool>& stop,
   }
 }
 
-/// Part A body: randomized finite stalls at every site, for both victims.
+/// Part A body: randomized finite stalls at every site of `owner`, for
+/// both victims.
 template <typename Map>
-void run_stall_storm(const char* const* sites, std::size_t n_sites) {
+void run_stall_storm(Owner owner) {
+  const std::vector<Site> sites = sites_of(owner);
   const std::uint64_t seed = plan_seed();
-  auto plan = fault::Plan::randomized(seed, sites, n_sites, /*n_victims=*/2,
-                                      1ms, 8ms);
+  auto plan = fault::Plan::randomized(seed, sites, /*n_victims=*/2, 1ms, 8ms);
   // Replay recipe: CACHETRIE_FAULT_SEED=<seed> re-derives this exact plan.
   std::fputs(plan.describe().c_str(), stdout);
 
@@ -147,9 +140,9 @@ void run_stall_storm(const char* const* sites, std::size_t n_sites) {
       << seed;
   EXPECT_GT(survivor_ops.load(), 0u);
   EXPECT_GT(fault::parked_total(), 0u) << "no stall ever fired";
-  for (std::size_t i = 0; i < n_sites; ++i) {
-    std::printf("  site %-28s hits=%llu\n", sites[i],
-                static_cast<unsigned long long>(tk::chaos::site_hits(sites[i])));
+  for (const Site s : sites) {
+    std::printf("  site %-28s hits=%llu\n", tk::name(s),
+                static_cast<unsigned long long>(tk::chaos::site_hits(s)));
   }
   // The post-pin site guards every operation, so it must always fire.
   EXPECT_GT(tk::chaos::site_hits(sites[0]), 0u);
@@ -159,7 +152,7 @@ void run_stall_storm(const char* const* sites, std::size_t n_sites) {
 /// at a deep protocol site — with the byte cap forcing their declaration so
 /// survivor garbage keeps draining.
 template <typename Map>
-void run_forever_stall(const char* pinned_site, const char* deep_site) {
+void run_forever_stall(Site pinned_site, Site deep_site) {
   auto& dom = EpochDomain::instance();
   dom.drain_for_testing();
   constexpr std::size_t kCap = 1u << 20;  // 1 MiB
@@ -197,8 +190,8 @@ void run_forever_stall(const char* pinned_site, const char* deep_site) {
     std::this_thread::yield();
   }
   ASSERT_EQ(fault::parked_now(), 2u)
-      << "victims never reached their sites (" << pinned_site << ", "
-      << deep_site << ")";
+      << "victims never reached their sites (" << tk::name(pinned_site)
+      << ", " << tk::name(deep_site) << ")";
 
   // Let the churn actually blow the cap before the measured window starts:
   // on a loaded box the survivors may need a while to retire 1 MiB, and the
@@ -220,7 +213,7 @@ void run_forever_stall(const char* pinned_site, const char* deep_site) {
   EXPECT_GE(watchdog.ticks(), 5u);
   EXPECT_EQ(watchdog.violations(), 0u)
       << "survivors stopped while victims were parked forever at "
-      << pinned_site << " / " << deep_site;
+      << tk::name(pinned_site) << " / " << tk::name(deep_site);
   EXPECT_GT(survivor_ops.load(), 0u);
 
   stop.store(true, std::memory_order_release);
@@ -232,27 +225,19 @@ void run_forever_stall(const char* pinned_site, const char* deep_site) {
   dom.set_stall_lag_epochs(EpochDomain::kDefaultStallLagEpochs);
 }
 
-TEST(StallStorm, CacheTrie) {
-  run_stall_storm<Trie>(kTrieSites, std::size(kTrieSites));
-}
-TEST(StallStorm, Ctrie) {
-  run_stall_storm<Ctrie>(kCtrieSites, std::size(kCtrieSites));
-}
-TEST(StallStorm, Chashmap) {
-  run_stall_storm<Chm>(kChmSites, std::size(kChmSites));
-}
-TEST(StallStorm, Skiplist) {
-  run_stall_storm<Csl>(kCslSites, std::size(kCslSites));
-}
+TEST(StallStorm, CacheTrie) { run_stall_storm<Trie>(Owner::cachetrie); }
+TEST(StallStorm, Ctrie) { run_stall_storm<Ctrie>(Owner::ctrie); }
+TEST(StallStorm, Chashmap) { run_stall_storm<Chm>(Owner::chm); }
+TEST(StallStorm, Skiplist) { run_stall_storm<Csl>(Owner::csl); }
 
 TEST(LockFreedom, CacheTrieSurvivesForeverStalls) {
-  run_forever_stall<Trie>("cachetrie.pinned", "cachetrie.txn_announce");
+  run_forever_stall<Trie>(Site::cachetrie_pinned, Site::cachetrie_txn_announce);
 }
 TEST(LockFreedom, CtrieSurvivesForeverStalls) {
-  run_forever_stall<Ctrie>("ctrie.pinned", "ctrie.gcas");
+  run_forever_stall<Ctrie>(Site::ctrie_pinned, Site::ctrie_gcas);
 }
 TEST(LockFreedom, SkiplistSurvivesForeverStalls) {
-  run_forever_stall<Csl>("csl.pinned", "csl.mark_bottom");
+  run_forever_stall<Csl>(Site::csl_pinned, Site::csl_mark_bottom);
 }
 
 }  // namespace
