@@ -86,9 +86,8 @@ inline cachetrie::harness::MeasureOptions bench_options() {
 
 inline void print_preamble(const char* figure, const char* description) {
   std::printf("=== %s ===\n%s\n", figure, description);
-  const char* scale = std::getenv("REPRO_SCALE");
   std::printf("scale profile: %s (set REPRO_SCALE=smoke|default|paper)\n",
-              scale ? scale : "default");
+              cachetrie::harness::scale_name());
   std::printf("hardware threads: %u\n\n",
               std::thread::hardware_concurrency());
 }

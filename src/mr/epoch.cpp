@@ -1,7 +1,6 @@
 #include "mr/epoch.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "mr/node_pool.hpp"
 #include "obs/metrics.hpp"
@@ -10,14 +9,6 @@
 namespace cachetrie::mr {
 
 namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  return (end == s) ? fallback : static_cast<std::uint64_t>(v);
-}
 
 // Single-writer counter updates: only the record's owner writes these
 // fields, so a relaxed load and store do what an RMW would, without locking
@@ -34,12 +25,6 @@ void owner_sub(std::atomic<T>& c, T n) noexcept {
 }  // namespace
 
 EpochDomain::EpochDomain() {
-  limbo_cap_bytes_.store(
-      static_cast<std::size_t>(
-          env_u64("CACHETRIE_LIMBO_CAP_BYTES", kNoLimboCap)),
-      std::memory_order_relaxed);
-  set_stall_lag_epochs(
-      env_u64("CACHETRIE_STALL_LAG_EPOCHS", kDefaultStallLagEpochs));
   // Fold this domain's own counters into obs snapshots as callback gauges:
   // the domain stays the single owner of the numbers (no double
   // bookkeeping), and registry.reset() cannot zero them out from under it.

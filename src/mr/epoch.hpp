@@ -24,10 +24,10 @@
 //      shared cache line; the domain's accessors sum the records plus the
 //      orphan list. The high-water mark is folded in just before limbo
 //      shrinks (a free), and its accessor also reports the current sum
-//      when that is larger. A configurable cap (`set_limbo_cap_bytes`, or
-//      the CACHETRIE_LIMBO_CAP_BYTES environment variable; default:
-//      unlimited, i.e. classic EBR behavior) is compared against the full
-//      sum on every retirement; with no cap the sum is never taken there.
+//      when that is larger. A configurable cap (`set_limbo_cap_bytes`;
+//      default: unlimited, i.e. classic EBR behavior) is compared against
+//      the full sum on every retirement; with no cap the sum is never taken
+//      there.
 //   2. *Epoch-lag detection.* While the cap is exceeded, `fallback_scan()`
 //      performs a hazard-pointer-style sweep of every pinned thread record
 //      (snapshot every published slot, with the published *epoch* playing
@@ -121,9 +121,8 @@ class EpochDomain {
   /// The process-wide domain all EpochReclaimer users share.
   static EpochDomain& instance();
 
-  /// Reads CACHETRIE_LIMBO_CAP_BYTES and CACHETRIE_STALL_LAG_EPOCHS from the
-  /// environment (when set) so deployments can tune the stall fallback
-  /// without a rebuild.
+  /// No limbo cap and a stall lag of kDefaultStallLagEpochs until
+  /// set_limbo_cap_bytes / set_stall_lag_epochs change them.
   EpochDomain();
   EpochDomain(const EpochDomain&) = delete;
   EpochDomain& operator=(const EpochDomain&) = delete;

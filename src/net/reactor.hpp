@@ -17,7 +17,7 @@
 // joiner's acquire load pairs with.
 //
 // Fault posture: shard and acceptor threads run under chaos stream ids
-// (chaos_thread_base + n) so fault plans can target "the shard" the same
+// (kChaosThreadBase + n) so fault plans can target "the shard" the same
 // way they target a victim worker; a fault-engine kill unwinds the thread
 // via ThreadKilled, the Server counts it, and the remaining shards keep
 // serving — connections of the dead shard are closed when the Server is
@@ -40,13 +40,15 @@
 
 namespace cachetrie::net {
 
+/// Chaos stream ids: acceptor = kChaosThreadBase, shard i =
+/// kChaosThreadBase + 1 + i. Kept far from a test's own victim indices
+/// (which start at 0).
+inline constexpr std::uint64_t kChaosThreadBase = 100;
+
 struct ServerConfig {
   std::uint16_t port = 0;  // 0 = kernel-assigned; see Server::port()
   std::size_t shards = 2;
   ShardConfig shard;
-  /// Chaos stream ids: acceptor = base, shard i = base + 1 + i. Kept far
-  /// from the test's own victim indices (which start at 0).
-  std::uint64_t chaos_thread_base = 100;
   bool least_loaded = true;  // false: round-robin (deterministic tests)
   /// When > 0, shrink accepted sockets' kernel send buffers — the
   /// backpressure tests use this to make "slow client" cheap to reproduce.
@@ -101,7 +103,7 @@ class Server {
     started_ = true;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       Shard<Map>* sh = shards_[i].get();
-      const std::uint64_t stream = cfg_.chaos_thread_base + 1 + i;
+      const std::uint64_t stream = kChaosThreadBase + 1 + i;
       threads_.emplace_back([sh, stream] {
         testkit::chaos::bind_thread(stream);
         try {
@@ -114,7 +116,7 @@ class Server {
       });
     }
     threads_.emplace_back([this] {
-      testkit::chaos::bind_thread(cfg_.chaos_thread_base);
+      testkit::chaos::bind_thread(kChaosThreadBase);
       try {
         accept_loop();
       } catch (const testkit::fault::ThreadKilled&) {

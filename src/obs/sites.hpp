@@ -166,6 +166,8 @@
      testkit::Site row it crossed); resume: it passed the resume fence;      \
      kill: it unwound as killed;                                             \
      watchdog.violation: a tick saw zero completed operations;               \
+     watchdog.ticks / last_tick_delta: every watchdog's completed ticks and  \
+     the last tick's completed-op delta (survivor throughput per tick);      \
      lin_check.fail: the checker rejected a history. --- */                  \
   X(fault_park, NoMetric, nullptr,                                           \
     instant, kFaultPark, "testkit.fault.park", "testkit")                    \
@@ -173,8 +175,11 @@
     instant, kFaultResume, "testkit.fault.resume", "testkit")                \
   X(fault_kill, NoMetric, nullptr,                                           \
     instant, kFaultKill, "testkit.fault.kill", "testkit")                    \
-  X(watchdog_violation, NoMetric, nullptr,                                   \
+  X(watchdog_violation, Counter, "testkit.watchdog.violations",              \
     instant, kWatchdogViolation, "testkit.watchdog.violation", "testkit")    \
+  X(watchdog_ticks, Counter, "testkit.watchdog.ticks", none, _, _, _)        \
+  X(watchdog_last_tick_delta, Gauge, "testkit.watchdog.last_tick_delta",     \
+    none, _, _, _)                                                           \
   X(lin_check_fail, NoMetric, nullptr,                                       \
     instant, kLinCheckFail, "testkit.lin_check.fail", "testkit")             \
   /* --- net: serving layer (DESIGN.md §4). Connection-scoped events carry  \

@@ -46,11 +46,20 @@
 #endif
 
 // clang-format off
-// One row per chaos site: X(handle, "name", owner).
+// One row per chaos site: X(handle, "name", owner, ops).
 //
 //   * handle — the Site enumerator that call sites and tests name.
 //   * name   — what plan descriptions and storm logs print.
 //   * owner  — the structure whose protocol the site sits in (Owner).
+//   * ops    — the lost-race matrix's column (tests/lost_race_matrix_test.cpp,
+//     DESIGN.md §2b): the map operations that, run as a victim on a small
+//     map, cross the row (row_ops below; `writes` is every write), plus two
+//     flags. `locked`: a victim parked here holds something other writers
+//     wait for (a bin lock, or a table whose publication they spin on), so
+//     the matrix never pairs it with an intruder that needs it. `bounded`:
+//     the row is crossed in bounded mode only. `none`: no op of a small map
+//     reaches the row. Net rows belong to no map, and the chm transfer rows
+//     need a resize, which a thread starts only on its 64th insert.
 //
 // Within an owner, rows are in the order the stall storms derive their
 // fault specs (Plan::randomized walks its rows in order), so a row appended
@@ -58,55 +67,61 @@
 #define CACHETRIE_CHAOS_SITES(X)                                             \
   /* --- cachetrie: the post-pin site, the two-CAS txn (§3.3), and         \
      expansion/compression through freeze and the ENode (§3.4-§3.5) --- */   \
-  X(cachetrie_pinned,            "cachetrie.pinned",            cachetrie)   \
-  X(cachetrie_txn_announce,      "cachetrie.txn_announce",      cachetrie)   \
-  X(cachetrie_txn_commit,        "cachetrie.txn_commit",        cachetrie)   \
-  X(cachetrie_expand_announce,   "cachetrie.expand_announce",   cachetrie)   \
-  X(cachetrie_compress_announce, "cachetrie.compress_announce", cachetrie)   \
-  X(cachetrie_freeze_slot,       "cachetrie.freeze_slot",       cachetrie)   \
-  X(cachetrie_enode_complete,    "cachetrie.enode_complete",    cachetrie)   \
-  X(cachetrie_enode_publish,     "cachetrie.enode_publish",     cachetrie)   \
-  X(cachetrie_enode_commit,      "cachetrie.enode_commit",      cachetrie)   \
+  X(cachetrie_pinned, "cachetrie.pinned", cachetrie, lkp | ins | rem)        \
+  X(cachetrie_txn_announce, "cachetrie.txn_announce", cachetrie, writes)     \
+  X(cachetrie_txn_commit, "cachetrie.txn_commit", cachetrie, ins | rem)      \
+  X(cachetrie_expand_announce, "cachetrie.expand_announce", cachetrie,       \
+    ins | pia)                                                               \
+  X(cachetrie_compress_announce, "cachetrie.compress_announce", cachetrie,   \
+    rem)                                                                     \
+  X(cachetrie_freeze_slot, "cachetrie.freeze_slot", cachetrie, ins | rem)    \
+  X(cachetrie_enode_complete, "cachetrie.enode_complete", cachetrie,         \
+    ins | rem)                                                               \
+  X(cachetrie_enode_publish, "cachetrie.enode_publish", cachetrie,           \
+    ins | rem)                                                               \
+  X(cachetrie_enode_commit, "cachetrie.enode_commit", cachetrie, ins | rem)  \
   /* bounded mode only: the backpressure scan and an eviction's txn pair */  \
-  X(cachetrie_evict_scan,        "cachetrie.evict_scan",        cachetrie)   \
-  X(cachetrie_evict_announce,    "cachetrie.evict_announce",    cachetrie)   \
-  X(cachetrie_evict_commit,      "cachetrie.evict_commit",      cachetrie)   \
+  X(cachetrie_evict_scan, "cachetrie.evict_scan", cachetrie, bounded | ins)  \
+  X(cachetrie_evict_announce, "cachetrie.evict_announce", cachetrie,         \
+    bounded | ins | rem)                                                     \
+  X(cachetrie_evict_commit, "cachetrie.evict_commit", cachetrie,             \
+    bounded | ins | rem)                                                     \
   /* a new hash grows an inner path below a collision chain: its slot CAS */ \
-  X(cachetrie_chain_grow,        "cachetrie.chain_grow",        cachetrie)   \
+  X(cachetrie_chain_grow, "cachetrie.chain_grow", cachetrie, ins | pia)      \
   /* --- ctrie: the post-pin site and the three INode-main commits --- */    \
-  X(ctrie_pinned,                "ctrie.pinned",                ctrie)       \
-  X(ctrie_gcas,                  "ctrie.gcas",                  ctrie)       \
-  X(ctrie_clean_commit,          "ctrie.clean_commit",          ctrie)       \
-  X(ctrie_clean_parent,          "ctrie.clean_parent",          ctrie)       \
+  X(ctrie_pinned, "ctrie.pinned", ctrie, lkp | ins | rem)                    \
+  X(ctrie_gcas, "ctrie.gcas", ctrie, ins | pia | rem)                        \
+  X(ctrie_clean_commit, "ctrie.clean_commit", ctrie, lkp | ins | rem)        \
+  X(ctrie_clean_parent, "ctrie.clean_parent", ctrie, rem)                    \
   /* --- chashmap: bin locks, the empty-bin CAS and the transfer --- */      \
-  X(chm_pinned,                  "chm.pinned",                  chm)         \
-  X(chm_bin_lock,                "chm.bin_lock",                chm)         \
-  X(chm_bin_locked,              "chm.bin_locked",              chm)         \
-  X(chm_bin_cas,                 "chm.bin_cas",                 chm)         \
-  X(chm_transfer_help,           "chm.transfer_help",           chm)         \
-  X(chm_table_publish,           "chm.table_publish",           chm)         \
-  X(chm_transfer_plant,          "chm.transfer_plant",          chm)         \
+  X(chm_pinned, "chm.pinned", chm, lkp | ins | rem)                          \
+  X(chm_bin_lock, "chm.bin_lock", chm, ins | rem)                            \
+  X(chm_bin_locked, "chm.bin_locked", chm, locked | ins | rem)               \
+  X(chm_bin_cas, "chm.bin_cas", chm, ins | pia)                              \
+  X(chm_transfer_help, "chm.transfer_help", chm, none)                       \
+  X(chm_table_publish, "chm.table_publish", chm, locked)                     \
+  X(chm_transfer_plant, "chm.transfer_plant", chm, locked)                   \
   /* --- skiplist: link and mark/unlink, bottom level then upper --- */      \
-  X(csl_pinned,                  "csl.pinned",                  csl)         \
-  X(csl_link_bottom,             "csl.link_bottom",             csl)         \
-  X(csl_mark_bottom,             "csl.mark_bottom",             csl)         \
-  X(csl_unlink,                  "csl.unlink",                  csl)         \
-  X(csl_mark_upper,              "csl.mark_upper",              csl)         \
-  X(csl_link_upper,              "csl.link_upper",              csl)         \
+  X(csl_pinned, "csl.pinned", csl, lkp | ins | rem)                          \
+  X(csl_link_bottom, "csl.link_bottom", csl, ins | pia)                      \
+  X(csl_mark_bottom, "csl.mark_bottom", csl, rem)                            \
+  X(csl_unlink, "csl.unlink", csl, rem)                                      \
+  X(csl_mark_upper, "csl.mark_upper", csl, rem)                              \
+  X(csl_link_upper, "csl.link_upper", csl, ins)                              \
   /* --- net: a connection's and a request's path (DESIGN.md §4) --- */      \
-  X(net_accept,                  "net.accept",                  net)         \
-  X(net_shard_start,             "net.shard_start",             net)         \
-  X(net_conn_adopt,              "net.conn_adopt",              net)         \
-  X(net_request_admit,           "net.request_admit",           net)         \
-  X(net_shed,                    "net.shed",                    net)         \
-  X(net_deadline_expire,         "net.deadline_expire",         net)         \
-  X(net_request_execute,         "net.request_execute",         net)         \
-  X(net_reply_enqueue,           "net.reply_enqueue",           net)         \
-  X(net_reply_flush,             "net.reply_flush",             net)         \
-  X(net_backpressure_kill,       "net.backpressure_kill",       net)         \
-  X(net_conn_close,              "net.conn_close",              net)         \
-  X(net_drain,                   "net.drain",                   net)         \
-  X(net_shutdown,                "net.shutdown",                net)
+  X(net_accept, "net.accept", net, none)                                     \
+  X(net_shard_start, "net.shard_start", net, none)                           \
+  X(net_conn_adopt, "net.conn_adopt", net, none)                             \
+  X(net_request_admit, "net.request_admit", net, none)                       \
+  X(net_shed, "net.shed", net, none)                                         \
+  X(net_deadline_expire, "net.deadline_expire", net, none)                   \
+  X(net_request_execute, "net.request_execute", net, none)                   \
+  X(net_reply_enqueue, "net.reply_enqueue", net, none)                       \
+  X(net_reply_flush, "net.reply_flush", net, none)                           \
+  X(net_backpressure_kill, "net.backpressure_kill", net, none)               \
+  X(net_conn_close, "net.conn_close", net, none)                             \
+  X(net_drain, "net.drain", net, none)                                       \
+  X(net_shutdown, "net.shutdown", net, none)
 // clang-format on
 
 namespace cachetrie::testkit {
@@ -126,10 +141,20 @@ enum class Owner : std::uint8_t { cachetrie, ctrie, chm, csl, net };
 
 /// A chaos site: one row of CACHETRIE_CHAOS_SITES.
 enum class Site : std::uint8_t {
-#define CACHETRIE_CHAOS_ENUM(handle, name, owner) handle,
+#define CACHETRIE_CHAOS_ENUM(handle, name, owner, ops) handle,
   CACHETRIE_CHAOS_SITES(CACHETRIE_CHAOS_ENUM)
 #undef CACHETRIE_CHAOS_ENUM
 };
+
+/// The words of the ops column. Op bits follow testkit::Op (history.hpp).
+namespace row_ops {
+inline constexpr std::uint16_t ins = 1u << 0, pia = 1u << 1, rpl = 1u << 2,
+                               rpe = 1u << 3, lkp = 1u << 4, rem = 1u << 5,
+                               rme = 1u << 6;
+inline constexpr std::uint16_t writes = ins | pia | rpl | rpe | rem | rme;
+inline constexpr std::uint16_t none = 0;
+inline constexpr std::uint16_t locked = 1u << 14, bounded = 1u << 15;
+}  // namespace row_ops
 
 namespace detail_chaos {
 
@@ -137,11 +162,15 @@ struct SiteInfo {
   const char* name;
   Owner owner;
   std::uint64_t mixing_word;
+  std::uint16_t ops;
 };
 
 inline constexpr SiteInfo kSiteInfo[] = {
-#define CACHETRIE_CHAOS_INFO(handle, name, owner) \
-  {name, Owner::owner, site_hash(name)},
+#define CACHETRIE_CHAOS_INFO(handle, name, owner, ops)               \
+  {name, Owner::owner, site_hash(name), [] {                        \
+     using namespace row_ops;                                       \
+     return static_cast<std::uint16_t>(ops);                        \
+   }()},
     CACHETRIE_CHAOS_SITES(CACHETRIE_CHAOS_INFO)
 #undef CACHETRIE_CHAOS_INFO
 };
@@ -169,6 +198,11 @@ constexpr const char* name(Site s) noexcept {
 
 constexpr Owner owner(Site s) noexcept {
   return detail_chaos::kSiteInfo[static_cast<std::size_t>(s)].owner;
+}
+
+/// The row's ops column: row_ops bits.
+constexpr std::uint16_t crossing_ops(Site s) noexcept {
+  return detail_chaos::kSiteInfo[static_cast<std::size_t>(s)].ops;
 }
 
 /// The word chaos::point mixes into the thread's stream value at this site:

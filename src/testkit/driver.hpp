@@ -58,6 +58,51 @@ struct DriverResult {
   std::string trace;  // formatted interleaving dump (empty when clean)
 };
 
+/// Runs `ev.op` with its key and arguments on `map` and stores the outcome
+/// in `ev` (ok, or has_result/result). The history driver and the lost-race
+/// matrix share this one op switch; a conditional op the map lacks leaves
+/// `ev` untouched (callers emit only the ops the map has).
+template <util::KvMap Map>
+void apply(Map& map, Event& ev) {
+  switch (ev.op) {
+    case Op::kInsert:
+      ev.ok = map.insert(ev.key, ev.arg);
+      break;
+    case Op::kPutIfAbsent:
+      if constexpr (util::HasPutIfAbsent<Map>) {
+        ev.ok = map.put_if_absent(ev.key, ev.arg);
+      }
+      break;
+    case Op::kReplace:
+      if constexpr (util::HasReplace<Map>) {
+        ev.ok = map.replace(ev.key, ev.arg);
+      }
+      break;
+    case Op::kReplaceIfEquals:
+      if constexpr (util::HasReplaceIfEquals<Map>) {
+        ev.ok = map.replace_if_equals(ev.key, ev.expected, ev.arg);
+      }
+      break;
+    case Op::kLookup: {
+      const auto r = map.lookup(ev.key);
+      ev.has_result = r.has_value();
+      if (r) ev.result = *r;
+      break;
+    }
+    case Op::kRemove: {
+      const auto r = map.remove(ev.key);
+      ev.has_result = r.has_value();
+      if (r) ev.result = *r;
+      break;
+    }
+    case Op::kRemoveIfEquals:
+      if constexpr (util::HasRemoveIfEquals<Map>) {
+        ev.ok = map.remove_if_equals(ev.key, ev.expected);
+      }
+      break;
+  }
+}
+
 namespace driver_detail {
 
 constexpr std::uint64_t mix(std::uint64_t x) noexcept {
@@ -96,43 +141,7 @@ void run_thread_ops(Map& map, HistoryRecorder& rec, const DriverConfig& cfg,
                                             : Op::kInsert;
     }
     ev.invoke = rec.ticket();
-    switch (ev.op) {
-      case Op::kInsert:
-        ev.ok = map.insert(ev.key, ev.arg);
-        break;
-      case Op::kPutIfAbsent:
-        if constexpr (util::HasPutIfAbsent<Map>) {
-          ev.ok = map.put_if_absent(ev.key, ev.arg);
-        }
-        break;
-      case Op::kReplace:
-        if constexpr (util::HasReplace<Map>) {
-          ev.ok = map.replace(ev.key, ev.arg);
-        }
-        break;
-      case Op::kReplaceIfEquals:
-        if constexpr (util::HasReplaceIfEquals<Map>) {
-          ev.ok = map.replace_if_equals(ev.key, ev.expected, ev.arg);
-        }
-        break;
-      case Op::kLookup: {
-        const auto r = map.lookup(ev.key);
-        ev.has_result = r.has_value();
-        if (r) ev.result = *r;
-        break;
-      }
-      case Op::kRemove: {
-        const auto r = map.remove(ev.key);
-        ev.has_result = r.has_value();
-        if (r) ev.result = *r;
-        break;
-      }
-      case Op::kRemoveIfEquals:
-        if constexpr (util::HasRemoveIfEquals<Map>) {
-          ev.ok = map.remove_if_equals(ev.key, ev.expected);
-        }
-        break;
-    }
+    apply(map, ev);
     ev.response = rec.ticket();
     rec.append(tid, ev);
   }

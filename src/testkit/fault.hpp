@@ -323,36 +323,50 @@ inline void reset_counters() noexcept {
   detail::g_parked_total.store(0, std::memory_order_relaxed);
 }
 
-/// Forces a lost race: parks `victim` (run on chaos thread 1) forever at
-/// its first crossing of `site`, runs `intruder` on the calling thread (as
-/// chaos thread 0) while it is parked, then releases and joins the victim.
-/// Threads already parked by an earlier plan stay parked until the clear()
-/// here releases them too. Returns false when the victim never reached
-/// `site` within 10 s; the intruder is then skipped.
-inline bool lose_race(std::uint64_t seed, Site site,
-                      const std::function<void()>& victim,
-                      const std::function<void()>& intruder) {
-  const std::uint64_t parked0 = parked_now();
+/// Forces lost races: runs `victim` on chaos thread 1 and parks it forever
+/// at its first crossing of each row of `rows` in turn; while it is parked
+/// at rows[i], runs `intruder(i)` on the calling thread (as chaos thread 0),
+/// then releases it. Returns how many rows the victim parked at: fewer than
+/// rows.size() when it finished first, or did not reach the next row within
+/// 10 s. Joins the victim before returning. A thread parked by an earlier
+/// plan (say, an outer lose_race whose intruder this call runs in) stays
+/// parked until the first release; nest only one-row calls, since a
+/// released outer victim is chaos thread 1 too and could park again here.
+inline std::size_t lose_race(std::uint64_t seed, std::span<const Site> rows,
+                             const std::function<void()>& victim,
+                             const std::function<void(std::size_t)>& intruder) {
+  const std::uint64_t total0 = parked_total();
+  Plan plan(seed);
+  for (const Site row : rows) plan.stall(row, kForever, 1);
   chaos::set_global_seed(seed);
-  install(Plan(seed).stall(site, kForever, 1));
+  install(plan);
   chaos::enable(true);
+  std::atomic<bool> done{false};
   std::thread t([&] {
     chaos::bind_thread(1);
     victim();
+    done.store(true, std::memory_order_release);
   });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (parked_now() != parked0 + 1 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const bool parked = parked_now() == parked0 + 1;
   chaos::bind_thread(0);
-  if (parked) intruder();
+  std::size_t parks = 0;
+  // Only the victim parks under this plan, and it stays parked until
+  // released, so its n-th park is the n-th rise of parked_total().
+  const auto parked = [&] { return parked_total() > total0 + parks; };
+  for (; parks < rows.size(); ++parks) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!parked() && !done.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    if (!parked()) break;
+    intruder(parks);
+    release_all();
+  }
   clear();
   t.join();
   chaos::enable(false);
-  return parked;
+  return parks;
 }
 
 #else  // !CACHETRIE_TESTKIT

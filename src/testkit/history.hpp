@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "testkit/chaos.hpp"
 #include "util/padded.hpp"
 
 namespace cachetrie::testkit {
@@ -40,6 +41,18 @@ enum class Op : std::uint8_t {
   kRemove,           // has_result/result
   kRemoveIfEquals,   // ok == present && value == expected
 };
+
+/// An op's bit in the chaos-site table's ops column (chaos.hpp row_ops).
+constexpr std::uint16_t op_bit(Op op) noexcept {
+  return static_cast<std::uint16_t>(1u << static_cast<unsigned>(op));
+}
+static_assert(op_bit(Op::kInsert) == row_ops::ins &&
+              op_bit(Op::kPutIfAbsent) == row_ops::pia &&
+              op_bit(Op::kReplace) == row_ops::rpl &&
+              op_bit(Op::kReplaceIfEquals) == row_ops::rpe &&
+              op_bit(Op::kLookup) == row_ops::lkp &&
+              op_bit(Op::kRemove) == row_ops::rem &&
+              op_bit(Op::kRemoveIfEquals) == row_ops::rme);
 
 constexpr const char* op_name(Op op) noexcept {
   switch (op) {

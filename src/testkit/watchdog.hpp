@@ -15,58 +15,19 @@
 // anything shorter measures the kernel scheduler, not the structure.
 // The monitor itself is a plain std::thread sampling with relaxed loads —
 // it never touches structure memory, so it cannot mask or cause races.
+// Every watchdog's ticks, violations and last tick delta are also rows of
+// obs/sites.hpp (testkit.watchdog.*), so a snapshot reads them.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <thread>
 
-#include "obs/metrics.hpp"
+#include "obs/sites.hpp"
 #include "obs/trace_export.hpp"
 
 namespace cachetrie::testkit {
-
-/// Process-wide watchdog cells mirrored into the metrics snapshot. Any
-/// watchdog instance (tests run several, sequentially) updates the same
-/// cells, and one registered callback gauge per cell reports them — same
-/// pattern as evict::process_resident_bytes: the registry has no
-/// unregister, so the gauges must reference storage that outlives every
-/// watchdog. A server soak run reads testkit.watchdog.last_tick_delta as
-/// "survivor throughput per tick" straight from the snapshot.
-namespace watchdog_cells {
-inline std::atomic<std::uint64_t>& last_tick_delta() {
-  static std::atomic<std::uint64_t> cell{0};
-  return cell;
-}
-inline std::atomic<std::uint64_t>& total_ticks() {
-  static std::atomic<std::uint64_t> cell{0};
-  return cell;
-}
-inline std::atomic<std::uint64_t>& total_violations() {
-  static std::atomic<std::uint64_t> cell{0};
-  return cell;
-}
-inline void register_gauges() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    auto& reg = obs::Registry::instance();
-    reg.register_gauge_fn("testkit.watchdog.last_tick_delta", [] {
-      return static_cast<std::int64_t>(
-          last_tick_delta().load(std::memory_order_relaxed));
-    });
-    reg.register_gauge_fn("testkit.watchdog.ticks", [] {
-      return static_cast<std::int64_t>(
-          total_ticks().load(std::memory_order_relaxed));
-    });
-    reg.register_gauge_fn("testkit.watchdog.violations", [] {
-      return static_cast<std::int64_t>(
-          total_violations().load(std::memory_order_relaxed));
-    });
-  });
-}
-}  // namespace watchdog_cells
 
 class ProgressWatchdog {
  public:
@@ -74,9 +35,7 @@ class ProgressWatchdog {
   /// threads increment it once per completed operation).
   ProgressWatchdog(const std::atomic<std::uint64_t>& counter,
                    std::chrono::milliseconds tick)
-      : counter_(counter), tick_(tick) {
-    watchdog_cells::register_gauges();
-  }
+      : counter_(counter), tick_(tick) {}
 
   ProgressWatchdog(const ProgressWatchdog&) = delete;
   ProgressWatchdog& operator=(const ProgressWatchdog&) = delete;
@@ -123,14 +82,12 @@ class ProgressWatchdog {
       const std::uint64_t delta = now - last;
       last = now;
       ticks_.fetch_add(1, std::memory_order_relaxed);
-      watchdog_cells::last_tick_delta().store(delta,
-                                              std::memory_order_relaxed);
-      watchdog_cells::total_ticks().fetch_add(1, std::memory_order_relaxed);
+      obs::sites::watchdog_ticks.add();
+      obs::sites::watchdog_last_tick_delta.set(
+          static_cast<std::int64_t>(delta));
       if (delta == 0) {
         violations_.fetch_add(1, std::memory_order_relaxed);
-        watchdog_cells::total_violations().fetch_add(
-            1, std::memory_order_relaxed);
-        // A violation is the moment the timeline matters: record it, then
+        // A violation is the moment the timeline matters: count it, then
         // preserve the first one's flight-recorder window (no-op unless
         // tracing is enabled; later violations cannot overwrite it).
         obs::sites::watchdog_violation.record(

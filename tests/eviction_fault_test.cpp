@@ -10,11 +10,9 @@
 // storm over the new eviction chaos sites that must leave the structure
 // valid and the byte ledger exact.
 //
-// EvictionLedger.* force every lost race a node copy can lose (the txn
-// announcement, an ENode's build race, its parent-slot commit, a chain
-// growth's slot CAS), freeze and copy a collision chain during a
-// compression, and check that the loser's copy leaves the byte ledger with
-// it, and that the process-wide gauge sums the live bounded tries.
+// EvictionLedger.ProcessGaugeSumsLiveBoundedTries checks that the
+// process-wide gauge sums the live bounded tries. The byte ledger on every
+// forced lost race is a column of tests/lost_race_matrix_test.cpp.
 //
 // Labeled `fault` (RUN_SERIAL): the watchdog asserts per-tick survivor
 // progress, which sharing the machine would starve.
@@ -25,8 +23,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -39,7 +35,6 @@
 #include "testkit/chaos.hpp"
 #include "testkit/fault.hpp"
 #include "testkit/watchdog.hpp"
-#include "util/hashing.hpp"
 
 namespace {
 
@@ -361,228 +356,6 @@ TEST(EvictionFault, StallStormLeavesStructureValidAndLedgerExact) {
       << "byte ledger diverged from the live structure";
   if (kCounted) {
     EXPECT_GT(sites::cachetrie_evict_lru.total() - lru0, 0u);
-  }
-}
-
-// --- the byte ledger on every forced lost race -----------------------------
-//
-// IdentityHash places keys exactly: a key's root slot is its low 4 bits and
-// its slot one level down the next 2 (narrow node) or 4 (wide node) bits.
-// Keys 1 and 17 share root slot 1 and split into a narrow node below it;
-// 65 collides with 1 in that narrow node (forcing its expansion) and 33
-// lands beside them.
-
-using Placed = cachetrie::CacheTrie<std::uint64_t, std::uint64_t,
-                                    cachetrie::util::IdentityHash>;
-using Model = std::map<std::uint64_t, std::uint64_t>;
-
-constexpr std::uint64_t kRaceSeed = 0x1ed9e7ULL;
-
-cachetrie::Config ledger_config() {
-  cachetrie::Config cfg;
-  cfg.ttl_ticks = 1ull << 40;  // bounded mode on, horizons inert
-  return cfg;
-}
-
-void lose_race(Site site, const std::function<void()>& victim,
-               const std::function<void()>& intruder) {
-  EXPECT_TRUE(fault::lose_race(kRaceSeed, site, victim, intruder))
-      << "victim never reached " << tk::name(site);
-}
-
-/// The ledger equals the footprint walk, and the trie holds exactly `model`.
-template <typename Trie>
-void expect_ledger_exact(const Trie& trie, const Model& model) {
-  EXPECT_EQ(trie.resident_bytes(), trie.footprint_bytes() - sizeof(Trie))
-      << "a lost copy left the byte ledger unbalanced";
-  EXPECT_EQ(trie.size(), model.size());
-  for (const auto& [k, v] : model) {
-    EXPECT_EQ(trie.lookup(k), std::optional<std::uint64_t>(v)) << "key " << k;
-  }
-  Model seen;
-  trie.for_each([&](const std::uint64_t& k, const std::uint64_t& v) {
-    seen.emplace(k, v);
-  });
-  EXPECT_EQ(seen, model);
-  const auto issues = trie.debug_validate();
-  EXPECT_TRUE(issues.empty()) << issues.front();
-}
-
-/// Counter deltas that prove an ENode race had a loser: at least two
-/// threads froze the target (each then built a copy), and exactly one
-/// replacement was committed.
-struct EnodeRace {
-  std::uint64_t freeze0 = sites::cachetrie_freeze.total();
-  std::uint64_t expand0 = sites::cachetrie_expand.total();
-  std::uint64_t compress0 = sites::cachetrie_compress.total();
-
-  void expect_one_commit(bool compress) const {
-    if (!kCounted) return;
-    EXPECT_GE(sites::cachetrie_freeze.total() - freeze0, 2u)
-        << "the intruder never helped";
-    EXPECT_EQ(sites::cachetrie_expand.total() - expand0, compress ? 0u : 1u);
-    EXPECT_EQ(sites::cachetrie_compress.total() - compress0,
-              compress ? 1u : 0u);
-  }
-};
-
-TEST(EvictionLedger, TxnAnnounceLoserDiscardsItsSubtree) {
-  // The victim's 17 collides with 1 in the wide root, so it builds a
-  // subtree (a narrow node over a copy of 1's pair and 17's) and parks
-  // before announcing it on 1's txn. The intruder replaces 1 and wins that
-  // txn word; the victim discards the subtree and retries.
-  Placed trie(ledger_config());
-  ASSERT_TRUE(trie.insert(1, 1));
-  const std::uint64_t retry0 = sites::cachetrie_txn_retry.total();
-  lose_race(
-      Site::cachetrie_txn_announce, [&] { EXPECT_TRUE(trie.insert(17, 17)); },
-      [&] { EXPECT_FALSE(trie.insert(1, 100)); });
-  if (kCounted) {
-    EXPECT_GT(sites::cachetrie_txn_retry.total() - retry0, 0u)
-        << "cachetrie.txn.retry did not count the lost announcement";
-  }
-  expect_ledger_exact(trie, {{1, 100}, {17, 17}});
-}
-
-TEST(EvictionLedger, ExpansionBuildLoserDiscardsItsCopy) {
-  // The victim's 65 collides with 1 in the narrow node, so it announces an
-  // expansion and parks with its wide copy built but not yet offered. The
-  // intruder's insert meets the ENode, helps, and wins the build race.
-  Placed trie(ledger_config());
-  ASSERT_TRUE(trie.insert(1, 1));
-  ASSERT_TRUE(trie.insert(17, 17));
-  const EnodeRace race;
-  lose_race(
-      Site::cachetrie_enode_publish, [&] { EXPECT_TRUE(trie.insert(65, 65)); },
-      [&] { EXPECT_TRUE(trie.insert(33, 33)); });
-  race.expect_one_commit(/*compress=*/false);
-  expect_ledger_exact(trie, {{1, 1}, {17, 17}, {33, 33}, {65, 65}});
-}
-
-TEST(EvictionLedger, CompressionBuildLoserDiscardsItsCopy) {
-  // Removing 17 leaves the narrow node one SNode, so the victim announces
-  // a compression and parks with its revived copy of 1 not yet offered.
-  // The intruder's insert helps and wins the build race.
-  Placed trie(ledger_config());
-  ASSERT_TRUE(trie.insert(1, 1));
-  ASSERT_TRUE(trie.insert(17, 17));
-  const EnodeRace race;
-  lose_race(
-      Site::cachetrie_enode_publish,
-      [&] { EXPECT_EQ(trie.remove(17), std::optional<std::uint64_t>(17)); },
-      [&] { EXPECT_TRUE(trie.insert(33, 33)); });
-  race.expect_one_commit(/*compress=*/true);
-  expect_ledger_exact(trie, {{1, 1}, {33, 33}});
-}
-
-TEST(EvictionLedger, EnodeCommitLoserLeavesLedgerExact) {
-  // The victim wins the build race and parks before its parent-slot CAS.
-  // The intruder helps: its own copy loses the build race, and its commit
-  // of the victim's copy wins, so the victim's CAS loses.
-  Placed trie(ledger_config());
-  ASSERT_TRUE(trie.insert(1, 1));
-  ASSERT_TRUE(trie.insert(17, 17));
-  const EnodeRace race;
-  lose_race(
-      Site::cachetrie_enode_commit, [&] { EXPECT_TRUE(trie.insert(65, 65)); },
-      [&] { EXPECT_TRUE(trie.insert(33, 33)); });
-  race.expect_one_commit(/*compress=*/false);
-  expect_ledger_exact(trie, {{1, 1}, {17, 17}, {33, 33}, {65, 65}});
-}
-
-// ChainHash keeps a key's low 16 bits: 1, 0x10001 and 0x20001 share one
-// full hash and chain together, while 17, 65 and 0x101 share only a prefix
-// with them: root slot 1, and for 0x101 also slot 0 one level down.
-struct ChainHash {
-  std::uint64_t operator()(const std::uint64_t& k) const noexcept {
-    return k & 0xffff;
-  }
-};
-
-using Chained =
-    cachetrie::CacheTrie<std::uint64_t, std::uint64_t, ChainHash>;
-
-TEST(EvictionLedger, ChainGrowthLoserKeepsTheChainItLinked) {
-  // 1 and 0x10001 chain in root slot 1. The victim's 17 shares only that
-  // slot with them, so it builds a wide node over the existing chain and
-  // its own pair, and parks before swapping it in. The intruder rebuilds
-  // the chain with 0x20001 and retires the old one; the victim's CAS
-  // loses, so it discards its wide node and pair but not the chain it
-  // linked, and retries over the new chain.
-  Chained trie(ledger_config());
-  ASSERT_TRUE(trie.insert(1, 1));
-  ASSERT_TRUE(trie.insert(0x10001, 2));
-  const std::uint64_t retry0 = sites::cachetrie_txn_retry.total();
-  lose_race(
-      Site::cachetrie_chain_grow, [&] { EXPECT_TRUE(trie.insert(17, 17)); },
-      [&] { EXPECT_TRUE(trie.insert(0x20001, 3)); });
-  if (kCounted) {
-    EXPECT_GT(sites::cachetrie_txn_retry.total() - retry0, 0u)
-        << "cachetrie.txn.retry did not count the lost slot CAS";
-  }
-  expect_ledger_exact(trie, {{1, 1}, {17, 17}, {0x10001, 2}, {0x20001, 3}});
-}
-
-TEST(EvictionLedger, CompressionFreezesAndCopiesChildrenBuiltMidAnnounce) {
-  // 1 and 65 split below root slot 1 into a wide node W. The victim
-  // removes 65, leaving W one SNode, and parks before announcing W's
-  // compression. The intruder's key collides with 1 in W: 0x10001 shares
-  // 1's full hash and turns W's slot into a collision chain, 0x101 differs
-  // two levels down and turns it into a narrow node. The announcement
-  // still wins: the victim freezes the new child inside an FNode, copies
-  // it into W's replacement, and parks again before offering the copy.
-  // Lookups meanwhile read both keys through the ENode and the FNode; once
-  // released, the victim commits and retires the frozen child.
-  for (const std::uint64_t intruder_key : {0x10001ull, 0x101ull}) {
-    SCOPED_TRACE(intruder_key);
-    Chained trie(ledger_config());
-    ASSERT_TRUE(trie.insert(1, 1));
-    ASSERT_TRUE(trie.insert(65, 65));
-    const std::uint64_t compress0 = sites::cachetrie_compress.total();
-    const std::uint64_t parked0 = fault::parked_now();
-    const std::uint64_t total0 = fault::parked_total();
-    // True once the victim has parked `n` times and is parked now.
-    const auto parked = [&](std::uint64_t n) {
-      const auto deadline = std::chrono::steady_clock::now() + 10s;
-      while (fault::parked_total() != total0 + n ||
-             fault::parked_now() != parked0 + 1) {
-        if (std::chrono::steady_clock::now() > deadline) return false;
-        std::this_thread::sleep_for(1ms);
-      }
-      return true;
-    };
-
-    tk::chaos::set_global_seed(kRaceSeed);
-    fault::install(
-        fault::Plan(kRaceSeed)
-            .stall(Site::cachetrie_compress_announce, fault::kForever, 1)
-            .stall(Site::cachetrie_enode_publish, fault::kForever, 1));
-    tk::chaos::enable(true);
-    std::thread victim([&] {
-      tk::chaos::bind_thread(1);
-      EXPECT_EQ(trie.remove(65), std::optional<std::uint64_t>(65));
-    });
-    tk::chaos::bind_thread(0);
-    const bool announced = parked(1);
-    EXPECT_TRUE(announced) << "victim never reached compress_announce";
-    if (announced) {
-      EXPECT_TRUE(trie.insert(intruder_key, 2));
-      fault::release_all();
-      const bool copied = parked(2);
-      EXPECT_TRUE(copied) << "victim never reached enode_publish";
-      if (copied) {
-        EXPECT_EQ(trie.lookup(1), std::optional<std::uint64_t>(1));
-        EXPECT_EQ(trie.lookup(intruder_key), std::optional<std::uint64_t>(2));
-      }
-    }
-    fault::clear();
-    victim.join();
-    tk::chaos::enable(false);
-
-    if (kCounted) {
-      EXPECT_EQ(sites::cachetrie_compress.total() - compress0, 1u);
-    }
-    expect_ledger_exact(trie, {{1, 1}, {intruder_key, 2}});
   }
 }
 

@@ -57,14 +57,12 @@ using namespace std::chrono_literals;
 
 using Trie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
 
-// Chaos stream ids (reactor.hpp): acceptor = kChaosBase, shard i = base+1+i.
-constexpr std::uint64_t kChaosBase = 100;
-constexpr std::uint64_t kShard0 = kChaosBase + 1;
+// Chaos stream id of shard 0 (reactor.hpp).
+constexpr std::uint64_t kShard0 = net::kChaosThreadBase + 1;
 
 net::ServerConfig one_shard_config() {
   net::ServerConfig cfg;
   cfg.shards = 1;
-  cfg.chaos_thread_base = kChaosBase;
   return cfg;
 }
 
@@ -249,7 +247,6 @@ TEST(NetFault, DieMidRequestLeavesMapValidAndSurvivorsGreen) {
   Trie map;
   net::ServerConfig scfg;
   scfg.shards = 2;
-  scfg.chaos_thread_base = kChaosBase;
   scfg.least_loaded = false;  // round-robin: conn 1 -> shard 0, conn 2 -> 1
   net::Server<Trie> server{map, scfg};
   ASSERT_TRUE(server.ok());

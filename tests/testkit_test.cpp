@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -240,6 +241,20 @@ TEST(Chaos, SiteHashIsCompileTimeAndStable) {
     const auto s = static_cast<Site>(i);
     EXPECT_EQ(tk::mixing_word(s), tk::site_hash(tk::name(s))) << tk::name(s);
   }
+}
+
+TEST(LoseRace, VictimThatNeverParksReturnsAtOnce) {
+  // The victim crosses no chaos point, so it finishes without parking;
+  // lose_race must notice that instead of waiting out its 10 s deadline.
+  bool intruded = false;
+  const Site row = Site::csl_unlink;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(tk::fault::lose_race(
+                11, std::span<const Site>(&row, 1), [] {},
+                [&](std::size_t) { intruded = true; }),
+            0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_FALSE(intruded);
 }
 
 // A string is not a row, so a misspelled site is a compile error.
