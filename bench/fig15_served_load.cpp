@@ -24,6 +24,11 @@
 //   * zipf_tenants— four tenants, each a zipf(1.0) keyspace, interleaved on
 //                   the schedule — the multi-tenant cache shape.
 //
+// Each phase also prints its context switches per accepted request (every
+// thread of this process — generator, client I/O threads, shards —
+// from getrusage deltas): the per-request wakeup count the batching in
+// client.hpp and shard.hpp exists to cut. It is printed, never gated.
+//
 // Sizes and rates are fixed — REPRO_SCALE is ignored so the artifact stays
 // comparable across runs and scripts/perf_gate.py can diff the p50–p999
 // cells against the committed baseline (only `stat` cells are emitted:
@@ -31,6 +36,8 @@
 // the table but never become gated cells). The bench HARD-FAILS (exit 1)
 // if a shard dies, a protocol error appears, or buffered reply bytes
 // escape write_buf_cap + one frame — the backpressure invariant.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -245,6 +252,15 @@ LatencyQuantile pack(const RunningStats& rs) {
   return LatencyQuantile{rs.mean(), rs.stddev(), rs.min(), rs.max()};
 }
 
+/// Voluntary + involuntary context switches of every thread in the process
+/// so far.
+std::uint64_t context_switches() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_nvcsw) +
+         static_cast<std::uint64_t>(ru.ru_nivcsw);
+}
+
 double percentile(std::vector<double>& v, double p) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
@@ -284,7 +300,7 @@ int main() {
   cachetrie::harness::BenchReport report{"fig15_served_load"};
   const auto reclaim0 = bench::ReclaimSnapshot::take();
   Table table{{"phase", "rate (rps)", "accepted", "shed", "lost",
-               "p50 (us)", "p99 (us)", "p999 (us)", "notes"}};
+               "p50 (us)", "p99 (us)", "p999 (us)", "csw/acc", "notes"}};
 
   constexpr Phase kPhases[] = {Phase::kSteady, Phase::kOverload,
                                Phase::kConnChurn, Phase::kHotkey,
@@ -293,6 +309,8 @@ int main() {
     RunningStats q50, q90, q99, q999;
     PassResult last;
     std::uint64_t reconnects = 0;
+    std::uint64_t accepted = 0;
+    const std::uint64_t csw0 = context_switches();
     for (std::size_t pass = 0; pass < kPasses; ++pass) {
       // The overload phase's slow reader: floods requests, reads nothing,
       // gets backpressure-killed by the server mid-phase.
@@ -323,8 +341,13 @@ int main() {
       q99.add(percentile(res.accepted_ns, 0.99));
       q999.add(percentile(res.accepted_ns, 0.999));
       reconnects += res.reconnects;
+      accepted += res.accepted;
       last = std::move(res);
     }
+    const double csw_per_accepted =
+        accepted == 0 ? 0.0
+                      : static_cast<double>(context_switches() - csw0) /
+                            static_cast<double>(accepted);
 
     LatencySummary ls;
     ls.p50 = pack(q50);
@@ -356,7 +379,8 @@ int main() {
                    std::to_string(last.lost),
                    Table::fmt(ls.p50.mean_ns / 1e3),
                    Table::fmt(ls.p99.mean_ns / 1e3),
-                   Table::fmt(ls.p999.mean_ns / 1e3), notes});
+                   Table::fmt(ls.p999.mean_ns / 1e3),
+                   Table::fmt(csw_per_accepted), notes});
   }
 
   server.stop();

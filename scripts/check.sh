@@ -19,7 +19,9 @@
 # The net label (serving-layer connection-fault battery,
 # tests/net_fault_test.cpp) runs in the same two stages for the same
 # reasons: killed shard threads leak by design, and its latency/liveness
-# assertions need the machine to themselves.
+# assertions need the machine to themselves. Those stages then repeat the
+# write-path tests (the backpressure cap and the client I/O thread) 50
+# times each.
 #
 # The trace label (flight recorder: tests/trace_test.cpp and the
 # chaos-perturbed tests/trace_smoke_test.cpp, which replays the stalled-
@@ -204,6 +206,22 @@ run_stage() {
         exit 1
       fi
     fi
+    echo "=== [$stage] net write-path repeats ==="
+    # The write cap and the client's I/O thread depend on how the kernel
+    # splits and refuses writes, which varies run to run, so the client
+    # I/O tests and the backpressure cap test run 50 times each. The
+    # timeout turns a wedged connection into a failure instead of a hang.
+    # The cap test's raw client can wedge its own TCP connection (ROADMAP,
+    # flake list), so this step runs last and masks no other check.
+    local quiet_passes='!/^(\[==========\]|\[  PASSED  \]|Repeating all|$)/'
+    echo "NetClient I/O tests x50"
+    "${env_prefix[@]}" timeout 120 "$dir/tests/net_proto_test" \
+      --gtest_filter='NetClient.PipelinedBurst*:NetClient.BurstPast*:NetClient.CloseWith*:NetClient.SendAfter*' \
+      --gtest_repeat=50 --gtest_brief=1 | awk "$quiet_passes"
+    echo "NetFault.BackpressureCapsAndKillsNonReadingClient x50"
+    "${env_prefix[@]}" timeout 120 "$dir/tests/net_fault_test" \
+      --gtest_filter='NetFault.BackpressureCapsAndKillsNonReadingClient' \
+      --gtest_repeat=50 --gtest_brief=1 | awk "$quiet_passes"
   fi
 }
 

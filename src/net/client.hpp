@@ -1,16 +1,25 @@
 // client.hpp — the serving layer's client library: a pipelined loopback
 // connection with deadline stamping and shed-aware retry.
 //
-// One Client = one TCP connection + one receiver thread. Senders (any
-// thread) serialize requests under a small mutex and stamp send_ts_us /
-// deadline_us (proto.hpp's deadline time base); the receiver thread parses
-// replies and publishes each into a slot table indexed by request id. The
-// publication is the NET_REPLY_PUBLISH edge: payload fields are relaxed
-// atomic stores sequenced before a release store of the request id into the
-// slot's done-word; a waiter's acquire load of the done-word makes the
-// payload visible. Slots recycle every kSlots requests — callers keep at
-// most kSlots requests in flight (the sync API trivially does; the
-// pipelined bench enforces its own window).
+// One Client = one nonblocking TCP connection + one I/O thread, the only
+// writer and the only reader of the socket. Senders (any thread) stamp
+// send_ts_us / deadline_us (proto.hpp's deadline time base) and frame each
+// request into an out-buffer under a small mutex; no sender makes a
+// syscall except the eventfd kick that wakes the I/O thread, and only the
+// send that finds the out-buffer empty kicks. The I/O thread writes
+// everything queued in one send(), keeps whatever the kernel refused for
+// its next POLLOUT, and parses replies into a slot table indexed by
+// request id. The in-flight window (callers keep at most kSlots requests
+// outstanding; the sync API trivially does, the pipelined bench enforces
+// its own window) bounds the out-buffer, so it, not the kernel send
+// buffer, is the client's flow control. A write or read error, EOF, or a
+// corrupt reply stream closes the connection: the I/O thread exits,
+// send() returns false from then on, and waiters see kClosed.
+//
+// Reply publication is the NET_REPLY_PUBLISH edge: payload fields are
+// relaxed atomic stores sequenced before a release store of the request id
+// into the slot's done-word; a waiter's acquire load of the done-word makes
+// the payload visible. Slots recycle every kSlots requests.
 //
 // Shed handling is where client and server cooperate on overload: a kShed
 // reply means "not executed, try later", and call() retries it under
@@ -19,7 +28,12 @@
 // does not resynchronize into the next burst.
 #pragma once
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -78,8 +92,13 @@ class Client {
   explicit Client(std::uint16_t port, ClientConfig cfg = {})
       : cfg_(cfg), slots_(kSlots) {
     fd_ = connect_loopback(port);
-    if (!fd_.valid()) return;
-    receiver_ = std::thread([this] { receive_loop(); });
+    wake_ = Fd{::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)};
+    if (!fd_.valid() || !wake_.valid() || !set_nonblocking(fd_.get())) {
+      fd_.reset();
+      closed_.store(true, std::memory_order_release);
+      return;
+    }
+    io_ = std::thread([this] { io_loop(); });
   }
 
   Client(const Client&) = delete;
@@ -89,13 +108,13 @@ class Client {
 
   bool ok() const noexcept { return fd_.valid(); }
 
-  /// Severs the connection and joins the receiver. Waiters unblock with
-  /// kClosed.
+  /// Severs the connection and joins the I/O thread; requests still in the
+  /// out-buffer are dropped. Waiters unblock with kClosed.
   void close() {
     if (fd_.valid()) {
       ::shutdown(fd_.get(), SHUT_RDWR);
     }
-    if (receiver_.joinable()) receiver_.join();
+    if (io_.joinable()) io_.join();
     fd_.reset();
   }
 
@@ -176,8 +195,10 @@ class Client {
 
   // --- pipelined API (the bench's open-loop sender) -------------------------
 
-  /// Fire one request without waiting. The caller must keep fewer than
-  /// kSlots requests outstanding and eventually wait()/poll() each id.
+  /// Queue one request for the I/O thread without waiting. The caller must
+  /// keep fewer than kSlots requests outstanding and eventually
+  /// wait()/poll() each id. False once the connection is known closed; a
+  /// request queued just before it closed is answered kClosed by wait().
   bool send(proto::Op op, std::uint64_t key, std::uint64_t value,
             std::uint64_t* id_out, std::uint32_t deadline_us) {
     proto::RequestFrame req;
@@ -186,13 +207,20 @@ class Client {
     req.value = value;
     req.send_ts_us = proto::now_us();
     req.deadline_us = deadline_us;
-    std::vector<unsigned char> wire;
-    wire.reserve(proto::kRequestWire);
-    std::lock_guard<std::mutex> lk(send_mu_);
-    req.request_id = next_id_++;
-    proto::append_frame(wire, req);
-    if (!fd_.valid() || !write_all(fd_.get(), wire.data(), wire.size())) {
-      return false;
+    bool kick = false;
+    {
+      std::lock_guard<std::mutex> lk(send_mu_);
+      if (closed_.load(std::memory_order_acquire)) return false;
+      req.request_id = next_id_++;
+      kick = out_.empty();
+      proto::append_frame(out_, req);
+    }
+    // An empty out-buffer means the I/O thread took everything before this
+    // send, so it may be asleep in poll(); a non-empty one was kicked by
+    // whichever send filled it first.
+    if (kick) {
+      const std::uint64_t one = 1;
+      (void)!::write(wake_.get(), &one, sizeof(one));
     }
     *id_out = req.request_id;
     return true;
@@ -230,7 +258,8 @@ class Client {
     return r;
   }
 
-  /// True once the server (or close()) severed the connection.
+  /// True once the server, an I/O error or close() severed the connection,
+  /// or if it never connected.
   bool closed() const noexcept {
     return closed_.load(std::memory_order_acquire);
   }
@@ -257,14 +286,72 @@ class Client {
     return x;
   }
 
-  void receive_loop() {
-    std::vector<unsigned char> buf;
+  /// The connection's one writer and one reader. Each round takes the
+  /// whole out-buffer, writes everything the kernel accepts in one send()
+  /// (the rest waits for POLLOUT), then reads and publishes every complete
+  /// reply. Any socket error, EOF or corrupt reply stream ends the loop,
+  /// which closes the connection for senders and waiters alike.
+  void io_loop() {
+    std::vector<unsigned char> rbuf;
+    std::vector<unsigned char> wbuf;  // the batch being written
+    std::size_t woff = 0;             // written prefix of wbuf
     unsigned char chunk[16 * 1024];
-    bool proto_error = false;
-    while (!proto_error) {
-      const long r = read_some(fd_.get(), chunk, sizeof(chunk));
-      if (r == -1) continue;  // blocking socket: only under SO_RCVTIMEO
-      if (r <= 0) break;      // EOF or hard error
+    while (true) {
+      pollfd fds[2] = {};
+      fds[0].fd = fd_.get();
+      fds[0].events = POLLIN | (woff < wbuf.size() ? POLLOUT : 0);
+      fds[1].fd = wake_.get();
+      fds[1].events = POLLIN;
+      if (::poll(fds, 2, -1) < 0) {
+        if (errno == EINTR) continue;
+        break;
+      }
+      if ((fds[1].revents & POLLIN) != 0) {
+        std::uint64_t kicks = 0;
+        (void)!::read(wake_.get(), &kicks, sizeof(kicks));
+      }
+      if (!write_queued(wbuf, woff) || !read_replies(rbuf, chunk,
+                                                     sizeof(chunk))) {
+        break;
+      }
+    }
+    ::shutdown(fd_.get(), SHUT_RDWR);
+    closed_.store(true, std::memory_order_release);
+  }
+
+  /// Appends the out-buffer to the batch and writes as much as the kernel
+  /// accepts. False on a hard write error.
+  bool write_queued(std::vector<unsigned char>& wbuf, std::size_t& woff) {
+    {
+      std::lock_guard<std::mutex> lk(send_mu_);
+      if (woff == wbuf.size()) {
+        wbuf.swap(out_);  // the common case: the last batch left whole
+        woff = 0;
+      } else {
+        wbuf.insert(wbuf.end(), out_.begin(), out_.end());
+      }
+      out_.clear();
+    }
+    while (woff < wbuf.size()) {
+      const long w = write_some(fd_.get(), wbuf.data() + woff,
+                                wbuf.size() - woff);
+      if (w == -1) return true;  // kernel full: resume on POLLOUT
+      if (w < 0) return false;
+      woff += static_cast<std::size_t>(w);
+    }
+    wbuf.clear();
+    woff = 0;
+    return true;
+  }
+
+  /// Reads until the socket is drained and publishes every complete reply.
+  /// False on EOF, a hard read error, or a corrupt reply stream.
+  bool read_replies(std::vector<unsigned char>& buf, unsigned char* chunk,
+                    std::size_t chunk_size) {
+    while (true) {
+      const long r = read_some(fd_.get(), chunk, chunk_size);
+      if (r == -1) return true;  // drained
+      if (r <= 0) return false;  // EOF or hard error
       buf.insert(buf.end(), chunk, chunk + r);
       std::size_t off = 0;
       while (true) {
@@ -277,14 +364,10 @@ class Client {
             buf.data() + off, buf.size() - off, &rep, &stats, &payload,
             &is_stats, &consumed);
         if (pr == proto::ParseResult::kNeedMore) break;
-        if (pr == proto::ParseResult::kProtocolError) {
-          // Framing is lost — no later byte can be trusted. Sever the
-          // connection (waiters unblock with kClosed) instead of scanning
-          // a corrupt stream forever.
-          ::shutdown(fd_.get(), SHUT_RDWR);
-          proto_error = true;
-          break;
-        }
+        // Framing is lost — no later byte can be trusted. Sever the
+        // connection (waiters unblock with kClosed) instead of scanning a
+        // corrupt stream forever.
+        if (pr == proto::ParseResult::kProtocolError) return false;
         off += consumed;
         if (is_stats) {
           // Payload lands in the side table before the done-word release
@@ -309,16 +392,16 @@ class Client {
       }
       buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(off));
     }
-    closed_.store(true, std::memory_order_release);
   }
 
   ClientConfig cfg_;
   Fd fd_;
   std::uint64_t rng_ = kJitterSeed;  // xorshift state: never 0
+  Fd wake_;  // eventfd: a send() that fills the empty out-buffer kicks it
   std::mutex send_mu_;
-  std::uint64_t next_id_ = 1;
+  std::uint64_t next_id_ = 1;               // guarded by send_mu_
+  std::vector<unsigned char> out_;          // guarded by send_mu_
   std::vector<Slot> slots_;
-  std::thread receiver_;
   std::atomic<bool> closed_{false};
   // Variable-length stats payloads, keyed by request id: the Slot table
   // carries only fixed fields, so the JSON rides on the side. call()
@@ -327,6 +410,7 @@ class Client {
   // sync API keeps at zero.
   std::mutex stats_mu_;
   std::unordered_map<std::uint64_t, std::string> stats_payloads_;
+  std::thread io_;  // last: it uses every member above
 };
 
 }  // namespace cachetrie::net

@@ -20,10 +20,12 @@
 //     spent in kernel socket buffers behind a stalled shard counts against
 //     the budget (proto.hpp), so a post-stall flood expires instead of
 //     executing work nobody is waiting for;
-//   * write backpressure: replies buffer in a per-connection wbuf flushed
-//     on EPOLLOUT; a client that stops reading accumulates bytes until
-//     write_buf_cap and is then disconnected — memory stays bounded and the
-//     pathology is *that* client's, not the shard's;
+//   * write backpressure: replies buffer in a per-connection wbuf that is
+//     flushed once per loop pass (one write for every reply the pass
+//     produced) and again on EPOLLOUT; a client that stops reading
+//     accumulates bytes until write_buf_cap and is then disconnected —
+//     memory stays bounded and the pathology is *that* client's, not the
+//     shard's;
 //   * graceful degradation: when the bounded map is near its resident
 //     ceiling, replies carry kFlagDegraded while the map's own lazy
 //     eviction works the footprint down — load keeps being served;
@@ -256,6 +258,7 @@ class Shard {
       }
       drain_inbox(stopping);
       process_queue();
+      flush_dirty();
       publish_pressure();
 
       if (stopping && queue_.empty() &&
@@ -289,6 +292,7 @@ class Shard {
     std::vector<unsigned char> wbuf;
     std::size_t woff = 0;  // flushed prefix of wbuf
     bool want_write = false;
+    bool dirty = false;    // on dirty_: replies appended since the last flush
     // Absolute positions in the connection's reply stream — monotone even
     // as wbuf itself is cleared/compacted, so ReplyMark offsets stay valid.
     std::uint64_t enqueued_bytes = 0;
@@ -537,16 +541,21 @@ class Shard {
   // --- write side: replies, flushing, backpressure --------------------------
 
   /// The one reply writer: every reply — served, shed, or expired — is
-  /// framed, buffered, flushed and capped here. A non-empty `payload` is a
-  /// kStats reply and goes out as the "CDP2" frame (an over-cap payload
-  /// downgrades to a fixed kBadRequest reply rather than emitting a frame
-  /// the parser is contracted to reject); every other reply is a fixed
-  /// "CDP1" frame whose queue_us is exec_begin_us - admit_us. A served
-  /// reply passes its exec-end stamp and pushes a ReplyMark, whose
-  /// flush/total phases complete when the kernel accepts its last byte;
-  /// shed and deadline replies pass none — they were refused, not served,
-  /// so they advance the stream counters without entering the phase
-  /// histograms. May erase the connection (the backpressure kill).
+  /// framed, buffered and capped here, then flushed with the rest of its
+  /// connection's replies at the end of the pass (flush_dirty). A
+  /// non-empty `payload` is a kStats reply and goes out as the "CDP2"
+  /// frame (an over-cap payload downgrades to a fixed kBadRequest reply
+  /// rather than emitting a frame the parser is contracted to reject);
+  /// every other reply is a fixed "CDP1" frame whose queue_us is
+  /// exec_begin_us - admit_us. A served reply passes its exec-end stamp
+  /// and pushes a ReplyMark, whose flush/total phases complete when the
+  /// kernel accepts its last byte; shed and deadline replies pass none —
+  /// they were refused, not served, so they advance the stream counters
+  /// without entering the phase histograms. An append that takes the
+  /// unflushed bytes past write_buf_cap flushes at once, and kills the
+  /// connection if the kernel still leaves more than the cap — so the
+  /// backlog never exceeds cap + one frame. May erase the connection (the
+  /// backpressure kill).
   void reply(const Pending& p, proto::Status st, std::uint64_t value,
              std::uint16_t flags, std::uint64_t exec_begin_us,
              std::uint64_t exec_end_us = 0, std::string_view payload = {}) {
@@ -579,12 +588,16 @@ class Shard {
       c.marks.push_back({c.enqueued_bytes, p.req.request_id, p.admit_us,
                          exec_begin_us, exec_end_us});
     }
+    if (c.pending_bytes() <= cfg_.write_buf_cap) {
+      if (!c.dirty) {
+        c.dirty = true;
+        dirty_.push_back(c.id);
+      }
+      return;
+    }
     flush_conn(c);
     // flush_conn never erases, so `c` is still valid here.
     const auto pending = static_cast<std::uint64_t>(c.pending_bytes());
-    if (pending > stats_.wbuf_hwm_bytes.load(std::memory_order_relaxed)) {
-      stats_.wbuf_hwm_bytes.store(pending, std::memory_order_relaxed);
-    }
     if (pending > cfg_.write_buf_cap) {
       testkit::chaos_point(testkit::Site::net_backpressure_kill);
       obs::sites::net_backpressure_kill.record(p.conn_id, pending);
@@ -593,8 +606,21 @@ class Shard {
     }
   }
 
+  /// One write per connection per pass: flushes every connection that
+  /// reply() appended to since the last pass.
+  void flush_dirty() {
+    for (const std::uint64_t id : dirty_) {
+      auto it = conns_.find(id);
+      if (it == conns_.end()) continue;  // closed since it was marked
+      it->second.dirty = false;
+      flush_conn(it->second);
+    }
+    dirty_.clear();
+  }
+
   /// Writes as much of the pending wbuf as the kernel accepts; arms or
-  /// disarms EPOLLOUT to match. Never erases the connection (hard write
+  /// disarms EPOLLOUT to match, and records what the kernel refused as the
+  /// write-buffer high-water mark. Never erases the connection (hard write
   /// errors are left for the EPOLLERR wakeup so callers keep a valid ref).
   void flush_conn(Conn& c) {
     if (c.pending_bytes() == 0) return;
@@ -610,6 +636,10 @@ class Shard {
       break;  // -1: kernel full (arm EPOLLOUT); -2: EPOLLERR will fire
     }
     stamp_flushed(c);
+    const auto pending = static_cast<std::uint64_t>(c.pending_bytes());
+    if (pending > stats_.wbuf_hwm_bytes.load(std::memory_order_relaxed)) {
+      stats_.wbuf_hwm_bytes.store(pending, std::memory_order_relaxed);
+    }
     if (c.pending_bytes() == 0) {
       c.wbuf.clear();
       c.woff = 0;
@@ -712,6 +742,7 @@ class Shard {
 
   std::unordered_map<std::uint64_t, Conn> conns_;
   std::deque<Pending> queue_;
+  std::vector<std::uint64_t> dirty_;  // conns with unflushed replies
   bool shed_this_iter_ = false;
 
   ShardStats stats_;

@@ -102,10 +102,11 @@ inline Fd listen_loopback(std::uint16_t port, std::uint16_t* bound_port,
 }
 
 /// Blocking connect to 127.0.0.1:`port`. The caller decides whether to flip
-/// the socket nonblocking afterwards (the pipelined client keeps it
-/// blocking: the kernel send buffer IS its flow control). Buffer sizes must
-/// be applied before connect to take effect on the window, hence the
-/// parameters here (0 = kernel default).
+/// the socket nonblocking afterwards (the client does: its I/O thread polls
+/// both directions, and its in-flight window, not the kernel send buffer,
+/// bounds what it queues). Buffer sizes must be applied before connect to
+/// take effect on the window, hence the parameters here (0 = kernel
+/// default).
 inline Fd connect_loopback(std::uint16_t port, int snd_bytes = 0,
                            int rcv_bytes = 0) noexcept {
   Fd fd{::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)};

@@ -92,10 +92,10 @@
   X(TK_WATCHDOG_STOP, "stop store publishes the shutdown request to the "    \
                       "watchdog thread")                                     \
   /* --- net (serving layer, DESIGN.md §4) --- */                            \
-  X(NET_REPLY_PUBLISH,"client slot: receiver's done-word store(release) "    \
-                      "publishes the reply payload (status/value/flags, "    \
-                      "relaxed stores sequenced before it) to the waiter's " \
-                      "done-word load(acquire)")                             \
+  X(NET_REPLY_PUBLISH,"client slot: the client I/O thread's done-word "     \
+                      "store(release) publishes the reply payload "          \
+                      "(status/value/flags, relaxed stores sequenced "       \
+                      "before it) to the waiter's done-word load(acquire)")  \
   X(NET_SHED_FLAG,    "shard overload flag store(release) publishes the "    \
                       "relaxed pressure counters behind it to the "          \
                       "acceptor's load(acquire) for least-loaded routing")   \

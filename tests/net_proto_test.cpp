@@ -1,12 +1,16 @@
-// net_proto_test.cpp — serving-layer unit coverage that needs no fault
-// engine: wire-format round trips and stream discipline (proto.hpp), the
-// retry backoff curve (client.hpp), the op dispatch of the free execute()
-// (shard.hpp), and one end-to-end loopback serve pass. The end-to-end
-// test lives here, in the fast label, deliberately: check.sh runs `fast`
-// under ASan while the `net` fault label is plain+tsan only (killed-victim
-// tests leak by design), so this is the pass that sweeps the reactor,
-// shard, and client under ASan.
+// net_proto_test.cpp — serving-layer unit coverage that kills no thread:
+// wire-format round trips and stream discipline (proto.hpp), the retry
+// backoff curve and the client's I/O thread (client.hpp), the op dispatch
+// of the free execute() (shard.hpp), and end-to-end loopback serve passes.
+// The end-to-end tests live here, in the fast label, deliberately: check.sh
+// runs `fast` under ASan while the `net` fault label is plain+tsan only
+// (killed-victim tests leak by design), so this is the pass that sweeps
+// the reactor, shard, and client under ASan. The client tests park the
+// shard with a fault-plan stall (never a death), so nothing here leaks.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <cstdint>
@@ -23,12 +27,77 @@
 #include "net/reactor.hpp"
 #include "net/shard.hpp"
 #include "net/socket.hpp"
+#include "testkit/chaos.hpp"
+#include "testkit/fault.hpp"
 
 namespace {
 
 namespace net = cachetrie::net;
 namespace proto = cachetrie::net::proto;
+namespace tk = cachetrie::testkit;
+namespace fault = cachetrie::testkit::fault;
 using Trie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
+using namespace std::chrono_literals;
+
+// Chaos stream id of shard 0 (reactor.hpp).
+constexpr std::uint64_t kShard0 = net::kChaosThreadBase + 1;
+
+/// Arms a fault plan that parks shard 0 at its first request execution
+/// for `stall`, and lifts it (releasing any parked thread) on scope exit.
+struct ParkedShard {
+  ParkedShard(std::uint64_t seed, std::chrono::nanoseconds stall) {
+    tk::chaos::set_global_seed(seed);
+    tk::chaos::enable(true);
+    fault::install(fault::Plan(seed).stall(tk::Site::net_request_execute,
+                                           stall, kShard0));
+  }
+  ~ParkedShard() {
+    fault::clear();
+    tk::chaos::enable(false);
+  }
+
+  /// Blocks until the shard is parked at the stall (bounded).
+  static bool wait_parked() {
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (fault::parked_now() == 0) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  }
+};
+
+/// Shrinks the send buffer of this process's socket connected to
+/// 127.0.0.1:`port` — the Client's, which it does not expose — and returns
+/// the size the kernel settled on (0 if no such socket). Loopback sockets
+/// otherwise autotune their send buffer to megabytes, far past any burst
+/// the kSlots window allows.
+int shrink_client_sndbuf(std::uint16_t port) {
+  for (int fd = 3; fd < 4096; ++fd) {
+    sockaddr_in peer{};
+    socklen_t len = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) != 0 ||
+        peer.sin_family != AF_INET || ntohs(peer.sin_port) != port) {
+      continue;
+    }
+    net::set_buffer_sizes(fd, 4096, 0);
+    int sndbuf = 0;
+    len = sizeof(sndbuf);
+    ::getsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, &len);
+    return sndbuf;
+  }
+  return 0;
+}
+
+/// A one-shard server that admits a whole pipelined burst: no shed, no
+/// stale-head shed behind the stall.
+net::ServerConfig burst_server_config() {
+  net::ServerConfig cfg;
+  cfg.shards = 1;
+  cfg.shard.max_inflight = 4 * net::Client::kSlots;
+  cfg.shard.max_queue_age_us = 30'000'000;
+  return cfg;
+}
 
 TEST(NetProto, RequestRoundTrip) {
   proto::RequestFrame req;
@@ -586,6 +655,191 @@ TEST(NetServe, ConcurrentClients) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(map.size(), kThreads * kOps);
   EXPECT_TRUE(map.debug_validate().empty());
+}
+
+// While the shard is parked, one client pipelines a burst bigger than its
+// kernel send buffer: send() only queues, and the I/O thread writes the
+// batches. After the stall lifts, every reply lands on its own request id
+// with its own value.
+TEST(NetClient, PipelinedBurstPastKernelSendBufferLandsAfterStall) {
+  ParkedShard parked{61, 500ms};
+  Trie map;
+  net::Server<Trie> server{map, burst_server_config()};
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.start());
+
+  net::ClientConfig ccfg;
+  ccfg.op_timeout_us = 15'000'000;
+  net::Client client{server.port(), ccfg};
+  ASSERT_TRUE(client.ok());
+
+  constexpr std::size_t kBurst = net::Client::kSlots - 2;
+  const int sndbuf = shrink_client_sndbuf(server.port());
+  ASSERT_GT(sndbuf, 0);
+  ASSERT_GT(kBurst * proto::kRequestWire, static_cast<std::size_t>(sndbuf));
+
+  std::uint64_t trigger = 0;
+  ASSERT_TRUE(client.send(proto::Op::kPing, 0, 1, &trigger, 0));
+  ASSERT_TRUE(ParkedShard::wait_parked()) << "shard never parked";
+  std::vector<std::uint64_t> ids(kBurst);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    ASSERT_TRUE(client.send(proto::Op::kPut, i, i * 7 + 3, &ids[i], 0));
+  }
+
+  EXPECT_EQ(client.wait(trigger).status, proto::Status::kOk);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    const auto r = client.wait(ids[i]);
+    ASSERT_EQ(r.status, proto::Status::kOk)
+        << "request " << i << ": " << proto::status_name(r.status);
+    EXPECT_EQ(r.value, i * 7 + 3) << "request " << i;
+  }
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(map.lookup(i).value_or(0), i * 7 + 3) << "key " << i;
+  }
+  server.stop();
+  EXPECT_EQ(server.totals().shed, 0u);
+  EXPECT_EQ(server.totals().proto_errors, 0u);
+}
+
+// The same burst against a peer whose receive buffer is as small as the
+// client's send buffer and which reads nothing until the burst is queued:
+// the kernel refuses most of it, so the I/O thread must keep the refused
+// tail and finish it on POLLOUT while it also reads the replies that start
+// coming back.
+TEST(NetClient, BurstPastBothKernelBuffersFinishesOnPollout) {
+  std::uint16_t port = 0;
+  net::Fd lst = net::listen_loopback(0, &port);
+  ASSERT_TRUE(lst.valid());
+  net::set_buffer_sizes(lst.get(), 0, 4096);  // inherited by the accepted fd
+
+  net::ClientConfig ccfg;
+  ccfg.op_timeout_us = 15'000'000;
+  net::Client client{port, ccfg};
+  ASSERT_TRUE(client.ok());
+  int sfd = -1;
+  for (int i = 0; i < 2000 && sfd < 0; ++i) {
+    sfd = ::accept(lst.get(), nullptr, nullptr);
+    if (sfd < 0) std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_GE(sfd, 0);
+  net::Fd peer{sfd};
+  const timeval read_bound{5, 0};  // a lost request fails, not hangs
+  ::setsockopt(sfd, SOL_SOCKET, SO_RCVTIMEO, &read_bound, sizeof(read_bound));
+  ASSERT_GT(shrink_client_sndbuf(port), 0);
+
+  constexpr std::size_t kBurst = net::Client::kSlots - 2;
+  std::vector<std::uint64_t> ids(kBurst);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    ASSERT_TRUE(client.send(proto::Op::kPing, 0, i + 11, &ids[i], 0));
+  }
+
+  // A minimal echo server: parse every request, answer each with its own
+  // id and value, one reply write per read.
+  std::vector<unsigned char> in;
+  std::vector<unsigned char> out;
+  unsigned char chunk[4096];
+  std::size_t answered = 0;
+  while (answered < kBurst) {
+    const long r = net::read_some(peer.get(), chunk, sizeof(chunk));
+    ASSERT_GT(r, 0) << "requests lost after " << answered << " replies";
+    in.insert(in.end(), chunk, chunk + r);
+    std::size_t off = 0;
+    proto::RequestFrame req;
+    std::size_t consumed = 0;
+    out.clear();
+    while (proto::parse_request(in.data() + off, in.size() - off, &req,
+                                &consumed) == proto::ParseResult::kFrame) {
+      off += consumed;
+      proto::ReplyFrame rep;
+      rep.op = req.op;
+      rep.request_id = req.request_id;
+      rep.value = req.value;
+      proto::append_frame(out, rep);
+      ++answered;
+    }
+    in.erase(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(off));
+    ASSERT_TRUE(net::write_all(peer.get(), out.data(), out.size()));
+  }
+
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    const auto r = client.wait(ids[i]);
+    ASSERT_EQ(r.status, proto::Status::kOk)
+        << "request " << i << ": " << proto::status_name(r.status);
+    EXPECT_EQ(r.value, i + 11) << "request " << i;
+  }
+}
+
+// close() drops whatever is still queued for the I/O thread and returns
+// without waiting on the (parked) server; every outstanding waiter, and
+// every later send, sees the connection closed.
+TEST(NetClient, CloseWithQueuedRequestsReturnsPromptlyAndFailsWaiters) {
+  ParkedShard parked{62, 2s};
+  Trie map;
+  net::Server<Trie> server{map, burst_server_config()};
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.start());
+
+  net::ClientConfig ccfg;
+  ccfg.op_timeout_us = 15'000'000;
+  net::Client client{server.port(), ccfg};
+  ASSERT_TRUE(client.ok());
+
+  std::vector<std::uint64_t> ids(1);
+  ASSERT_TRUE(client.send(proto::Op::kPing, 0, 1, &ids[0], 0));
+  ASSERT_TRUE(ParkedShard::wait_parked()) << "shard never parked";
+  for (std::size_t i = 0; i < net::Client::kSlots - 2; ++i) {
+    std::uint64_t id = 0;
+    ASSERT_TRUE(client.send(proto::Op::kPut, i, i, &id, 0));
+    ids.push_back(id);
+  }
+
+  const auto t0 = std::chrono::steady_clock::now();
+  client.close();
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took, 500ms) << "close() waited on the parked server";
+  EXPECT_TRUE(client.closed());
+
+  for (const std::uint64_t id : ids) {
+    EXPECT_EQ(client.wait(id).status, proto::Status::kClosed) << "id " << id;
+  }
+  std::uint64_t late = 0;
+  EXPECT_FALSE(client.send(proto::Op::kPing, 0, 2, &late, 0));
+
+  fault::release_all();
+  server.stop();
+}
+
+// Once the server has severed the connection, a send either fails outright
+// or its wait() reports kClosed — it never hangs until the op timeout —
+// and once closed() is observed, send() refuses.
+TEST(NetClient, SendAfterServerSeveredFailsOrReportsClosed) {
+  Trie map;
+  net::ServerConfig scfg;
+  scfg.shards = 1;
+  net::Server<Trie> server{map, scfg};
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.start());
+
+  net::ClientConfig ccfg;
+  ccfg.op_timeout_us = 10'000'000;
+  net::Client client{server.port(), ccfg};
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.ping(1).ok());
+
+  server.stop();  // the drain closes every connection
+  const auto t0 = std::chrono::steady_clock::now();
+  std::uint64_t id = 0;
+  if (client.send(proto::Op::kPing, 0, 2, &id, 0)) {
+    EXPECT_EQ(client.wait(id).status, proto::Status::kClosed);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s);
+
+  for (int i = 0; i < 5000 && !client.closed(); ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(client.closed());
+  EXPECT_FALSE(client.send(proto::Op::kPing, 0, 3, &id, 0));
+  EXPECT_EQ(client.ping(4).status, proto::Status::kSendFailed);
 }
 
 }  // namespace
