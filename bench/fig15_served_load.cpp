@@ -27,7 +27,9 @@
 // Each phase also prints its context switches per accepted request (every
 // thread of this process — generator, client I/O threads, shards —
 // from getrusage deltas): the per-request wakeup count the batching in
-// client.hpp and shard.hpp exists to cut. It is printed, never gated.
+// client.hpp and shard.hpp exists to cut. Next to it, the eventfd kicks
+// per accepted request (net.client.kicks): how often a send found its
+// client's I/O thread parked. Both are printed, never gated.
 //
 // Sizes and rates are fixed — REPRO_SCALE is ignored so the artifact stays
 // comparable across runs and scripts/perf_gate.py can diff the p50–p999
@@ -54,6 +56,7 @@
 #include "net/proto.hpp"
 #include "net/reactor.hpp"
 #include "obs/latency.hpp"
+#include "obs/sites.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 
@@ -300,7 +303,8 @@ int main() {
   cachetrie::harness::BenchReport report{"fig15_served_load"};
   const auto reclaim0 = bench::ReclaimSnapshot::take();
   Table table{{"phase", "rate (rps)", "accepted", "shed", "lost",
-               "p50 (us)", "p99 (us)", "p999 (us)", "csw/acc", "notes"}};
+               "p50 (us)", "p99 (us)", "p999 (us)", "csw/acc", "kicks/acc",
+               "notes"}};
 
   constexpr Phase kPhases[] = {Phase::kSteady, Phase::kOverload,
                                Phase::kConnChurn, Phase::kHotkey,
@@ -311,6 +315,8 @@ int main() {
     std::uint64_t reconnects = 0;
     std::uint64_t accepted = 0;
     const std::uint64_t csw0 = context_switches();
+    const std::uint64_t kicks0 =
+        cachetrie::obs::sites::net_client_kicks.total();
     for (std::size_t pass = 0; pass < kPasses; ++pass) {
       // The overload phase's slow reader: floods requests, reads nothing,
       // gets backpressure-killed by the server mid-phase.
@@ -344,10 +350,14 @@ int main() {
       accepted += res.accepted;
       last = std::move(res);
     }
-    const double csw_per_accepted =
-        accepted == 0 ? 0.0
-                      : static_cast<double>(context_switches() - csw0) /
-                            static_cast<double>(accepted);
+    const auto per_accepted = [accepted](std::uint64_t n) {
+      return accepted == 0
+                 ? 0.0
+                 : static_cast<double>(n) / static_cast<double>(accepted);
+    };
+    const double csw_per_accepted = per_accepted(context_switches() - csw0);
+    const double kicks_per_accepted = per_accepted(
+        cachetrie::obs::sites::net_client_kicks.total() - kicks0);
 
     LatencySummary ls;
     ls.p50 = pack(q50);
@@ -380,7 +390,8 @@ int main() {
                    Table::fmt(ls.p50.mean_ns / 1e3),
                    Table::fmt(ls.p99.mean_ns / 1e3),
                    Table::fmt(ls.p999.mean_ns / 1e3),
-                   Table::fmt(csw_per_accepted), notes});
+                   Table::fmt(csw_per_accepted),
+                   Table::fmt(kicks_per_accepted), notes});
   }
 
   server.stop();

@@ -20,8 +20,8 @@
 # tests/net_fault_test.cpp) runs in the same two stages for the same
 # reasons: killed shard threads leak by design, and its latency/liveness
 # assertions need the machine to themselves. Those stages then repeat the
-# write-path tests (the backpressure cap and the client I/O thread) 50
-# times each.
+# write-path tests (the backpressure cap, the client I/O thread, its park
+# against racing sends, and the shard's short reads) 50 times each.
 #
 # The trace label (flight recorder: tests/trace_test.cpp and the
 # chaos-perturbed tests/trace_smoke_test.cpp, which replays the stalled-
@@ -214,9 +214,9 @@ run_stage() {
     # The cap test's raw client can wedge its own TCP connection (ROADMAP,
     # flake list), so this step runs last and masks no other check.
     local quiet_passes='!/^(\[==========\]|\[  PASSED  \]|Repeating all|$)/'
-    echo "NetClient I/O tests x50"
+    echo "NetClient I/O and shard short-read tests x50"
     "${env_prefix[@]}" timeout 120 "$dir/tests/net_proto_test" \
-      --gtest_filter='NetClient.PipelinedBurst*:NetClient.BurstPast*:NetClient.CloseWith*:NetClient.SendAfter*' \
+      --gtest_filter='NetClient.PipelinedBurst*:NetClient.BurstPast*:NetClient.CloseWith*:NetClient.SendAfter*:NetClient.SendRacingPark*:NetServe.ShortRead*' \
       --gtest_repeat=50 --gtest_brief=1 | awk "$quiet_passes"
     echo "NetFault.BackpressureCapsAndKillsNonReadingClient x50"
     "${env_prefix[@]}" timeout 120 "$dir/tests/net_fault_test" \

@@ -5,16 +5,34 @@
 // writer and the only reader of the socket. Senders (any thread) stamp
 // send_ts_us / deadline_us (proto.hpp's deadline time base) and frame each
 // request into an out-buffer under a small mutex; no sender makes a
-// syscall except the eventfd kick that wakes the I/O thread, and only the
-// send that finds the out-buffer empty kicks. The I/O thread writes
-// everything queued in one send(), keeps whatever the kernel refused for
-// its next POLLOUT, and parses replies into a slot table indexed by
-// request id. The in-flight window (callers keep at most kSlots requests
-// outstanding; the sync API trivially does, the pipelined bench enforces
-// its own window) bounds the out-buffer, so it, not the kernel send
-// buffer, is the client's flow control. A write or read error, EOF, or a
-// corrupt reply stream closes the connection: the I/O thread exits,
-// send() returns false from then on, and waiters see kClosed.
+// syscall except the eventfd kick, and only a send that finds the
+// out-buffer empty while the I/O thread is parked kicks.
+//
+// The I/O thread blocks in exactly one place, poll(), and makes at most
+// one send and one read per wake (more reads only while each fills its
+// 16 KiB chunk). It reads the socket only when poll() reported it
+// readable, and stops at a short read (poll is level-triggered, so bytes
+// that arrive later are reported again). After publishing N replies it
+// lingers: it spins until its caller has re-queued N requests or
+// kResendLingerUs passed, then writes everything queued in one send()
+// without going back through poll(). A closed-loop caller answers each
+// reply within microseconds, so the linger turns a park, a kick and a
+// second wake into one spin. Only then does it park: it sets parked_,
+// rechecks the out-buffer under the send mutex and polls. Whatever the
+// kernel refused waits for POLLOUT. The in-flight window (callers keep at
+// most kSlots requests outstanding; the sync API trivially does, the
+// pipelined bench enforces its own window) bounds the out-buffer, so it,
+// not the kernel send buffer, is the client's flow control. A write or
+// read error, EOF, or a corrupt reply stream closes the connection: the
+// I/O thread exits, send() returns false from then on, and waiters see
+// kClosed.
+//
+// Parking is the NET_CLIENT_PARK edge, a store-buffering pair that
+// send_mu_ closes: the I/O thread stores parked_ before it rechecks the
+// queued count under the mutex, and send() stores the queued count under
+// the mutex before it loads parked_. Whichever critical section runs
+// second sees the other side's store, so either the I/O thread finds the
+// request and does not block, or the sender sees parked_ and kicks.
 //
 // Reply publication is the NET_REPLY_PUBLISH edge: payload fields are
 // relaxed atomic stores sequenced before a release store of the request id
@@ -44,6 +62,9 @@
 
 #include "net/proto.hpp"
 #include "net/socket.hpp"
+#include "obs/sites.hpp"
+#include "testkit/chaos.hpp"
+#include "util/spinwait.hpp"
 
 namespace cachetrie::net {
 
@@ -70,6 +91,12 @@ inline constexpr std::uint64_t kRetryBaseUs = 200;
 inline constexpr std::uint64_t kRetryCapUs = 50'000;
 inline constexpr std::size_t kMaxRetries = 6;
 inline constexpr std::uint64_t kJitterSeed = 0x5eed;
+
+/// How long the I/O thread spins for its caller's re-sends after
+/// publishing replies before it parks in poll(). The spin ends as soon as
+/// they are queued, so the full bound is spent only when none come
+/// (EXPERIMENTS.md "One wake per hop" has the sweep).
+inline constexpr std::uint64_t kResendLingerUs = 20;
 
 struct ClientConfig {
   std::uint64_t op_timeout_us = 2'000'000;  // client-side wait bound
@@ -195,7 +222,9 @@ class Client {
 
   // --- pipelined API (the bench's open-loop sender) -------------------------
 
-  /// Queue one request for the I/O thread without waiting. The caller must
+  /// Queue one request for the I/O thread without waiting. No syscall,
+  /// unless the I/O thread is parked in poll() and this request is the
+  /// first it will find: then one eventfd write wakes it. The caller must
   /// keep fewer than kSlots requests outstanding and eventually
   /// wait()/poll() each id. False once the connection is known closed; a
   /// request queued just before it closed is answered kClosed by wait().
@@ -212,15 +241,20 @@ class Client {
       std::lock_guard<std::mutex> lk(send_mu_);
       if (closed_.load(std::memory_order_acquire)) return false;
       req.request_id = next_id_++;
-      kick = out_.empty();
       proto::append_frame(out_, req);
+      const std::size_t queued = queued_.load(std::memory_order_relaxed) + 1;
+      // [publishes: NET_CLIENT_PARK]
+      queued_.store(queued, std::memory_order_release);
+      // Only the send that fills the empty out-buffer of a parked I/O
+      // thread kicks: an awake one takes this request before it parks, and
+      // a later send rides the first one's kick.
+      // [acquires: NET_CLIENT_PARK]
+      kick = queued == 1 && parked_.load(std::memory_order_acquire);
     }
-    // An empty out-buffer means the I/O thread took everything before this
-    // send, so it may be asleep in poll(); a non-empty one was kicked by
-    // whichever send filled it first.
     if (kick) {
       const std::uint64_t one = 1;
       (void)!::write(wake_.get(), &one, sizeof(one));
+      obs::sites::net_client_kicks.add();
     }
     *id_out = req.request_id;
     return true;
@@ -286,23 +320,31 @@ class Client {
     return x;
   }
 
-  /// The connection's one writer and one reader. Each round takes the
-  /// whole out-buffer, writes everything the kernel accepts in one send()
-  /// (the rest waits for POLLOUT), then reads and publishes every complete
-  /// reply. Any socket error, EOF or corrupt reply stream ends the loop,
-  /// which closes the connection for senders and waiters alike.
+  /// The connection's one writer and one reader. Each round lingers for
+  /// the re-sends the last read's replies will bring, writes everything
+  /// queued in one send() (the rest waits for POLLOUT), parks, and blocks
+  /// in poll(); a readable socket is read once and its replies published.
+  /// Any socket error, EOF or corrupt reply stream ends the loop, which
+  /// closes the connection for senders and waiters alike.
   void io_loop() {
     std::vector<unsigned char> rbuf;
     std::vector<unsigned char> wbuf;  // the batch being written
     std::size_t woff = 0;             // written prefix of wbuf
-    unsigned char chunk[16 * 1024];
+    std::size_t published = 0;        // replies the last read published
     while (true) {
+      linger(published);
+      if (!write_queued(wbuf, woff)) break;
       pollfd fds[2] = {};
       fds[0].fd = fd_.get();
       fds[0].events = POLLIN | (woff < wbuf.size() ? POLLOUT : 0);
       fds[1].fd = wake_.get();
       fds[1].events = POLLIN;
-      if (::poll(fds, 2, -1) < 0) {
+      // Between the last write and the park: where a send must not be lost.
+      testkit::chaos_point(testkit::Site::net_client_park);
+      const int n = ::poll(fds, 2, park() ? -1 : 0);
+      parked_.store(false, std::memory_order_relaxed);
+      published = 0;
+      if (n < 0) {
         if (errno == EINTR) continue;
         break;
       }
@@ -310,13 +352,38 @@ class Client {
         std::uint64_t kicks = 0;
         (void)!::read(wake_.get(), &kicks, sizeof(kicks));
       }
-      if (!write_queued(wbuf, woff) || !read_replies(rbuf, chunk,
-                                                     sizeof(chunk))) {
+      if ((fds[0].revents & (POLLIN | POLLERR | POLLHUP)) != 0 &&
+          !read_replies(rbuf, &published)) {
         break;
       }
     }
     ::shutdown(fd_.get(), SHUT_RDWR);
     closed_.store(true, std::memory_order_release);
+  }
+
+  /// Spins until the caller has re-queued `replies` requests or
+  /// kResendLingerUs passed. A closed-loop caller answers each reply with
+  /// its next request within microseconds; catching those here costs one
+  /// send(), where parking first would cost a kick and a second wake.
+  void linger(std::size_t replies) const noexcept {
+    if (replies == 0) return;
+    const std::uint64_t until = proto::now_us() + kResendLingerUs;
+    while (queued_.load(std::memory_order_relaxed) < replies &&
+           proto::now_us() < until) {
+      util::cpu_relax();
+    }
+  }
+
+  /// Announces the coming poll() to senders and rechecks the out-buffer
+  /// under send_mu_: true when it is empty, so the I/O thread may block
+  /// until a kick; false when a send slipped in after write_queued, which
+  /// the next round writes without blocking.
+  bool park() {
+    // [publishes: NET_CLIENT_PARK]
+    parked_.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lk(send_mu_);
+    // [acquires: NET_CLIENT_PARK]
+    return queued_.load(std::memory_order_acquire) == 0;
   }
 
   /// Appends the out-buffer to the batch and writes as much as the kernel
@@ -331,6 +398,7 @@ class Client {
         wbuf.insert(wbuf.end(), out_.begin(), out_.end());
       }
       out_.clear();
+      queued_.store(0, std::memory_order_relaxed);
     }
     while (woff < wbuf.size()) {
       const long w = write_some(fd_.get(), wbuf.data() + woff,
@@ -344,12 +412,14 @@ class Client {
     return true;
   }
 
-  /// Reads until the socket is drained and publishes every complete reply.
-  /// False on EOF, a hard read error, or a corrupt reply stream.
-  bool read_replies(std::vector<unsigned char>& buf, unsigned char* chunk,
-                    std::size_t chunk_size) {
+  /// Reads what the socket holds, stopping at a short read (poll() is
+  /// level-triggered, so bytes that arrive later re-report), and publishes
+  /// every complete reply, counting them into *published. False on EOF, a
+  /// hard read error, or a corrupt reply stream.
+  bool read_replies(std::vector<unsigned char>& buf, std::size_t* published) {
+    unsigned char chunk[16 * 1024];
     while (true) {
-      const long r = read_some(fd_.get(), chunk, chunk_size);
+      const long r = read_some(fd_.get(), chunk, sizeof(chunk));
       if (r == -1) return true;  // drained
       if (r <= 0) return false;  // EOF or hard error
       buf.insert(buf.end(), chunk, chunk + r);
@@ -389,18 +459,24 @@ class Client {
         // Publishes the relaxed payload stores above to poll()'s acquire.
         // [publishes: NET_REPLY_PUBLISH]
         s.done.store(req_id, std::memory_order_release);
+        ++*published;
       }
       buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(off));
+      if (static_cast<std::size_t>(r) < sizeof(chunk)) return true;
     }
   }
 
   ClientConfig cfg_;
   Fd fd_;
   std::uint64_t rng_ = kJitterSeed;  // xorshift state: never 0
-  Fd wake_;  // eventfd: a send() that fills the empty out-buffer kicks it
+  Fd wake_;  // eventfd: send() kicks it to wake a parked I/O thread
   std::mutex send_mu_;
   std::uint64_t next_id_ = 1;               // guarded by send_mu_
   std::vector<unsigned char> out_;          // guarded by send_mu_
+  // Frames in out_. Written under send_mu_; the linger reads it unlocked.
+  std::atomic<std::size_t> queued_{0};
+  // True from the I/O thread's park() until its poll() returns.
+  std::atomic<bool> parked_{false};
   std::vector<Slot> slots_;
   std::atomic<bool> closed_{false};
   // Variable-length stats payloads, keyed by request id: the Slot table

@@ -377,6 +377,10 @@ class Shard {
       const long r = read_some(c.fd.get(), buf, sizeof(buf));
       if (r > 0) {
         c.rbuf.insert(c.rbuf.end(), buf, buf + r);
+        // A short read emptied the socket; bytes that arrive later are
+        // re-reported by the level-triggered epoll, so reading on until
+        // EAGAIN would only cost a syscall.
+        if (static_cast<std::size_t>(r) < sizeof(buf)) break;
         continue;
       }
       if (r == -1) break;  // drained

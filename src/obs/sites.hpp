@@ -192,7 +192,9 @@
      overload-audit surface: a soak run where net.shed stays zero while      \
      latency grows means admission control is mis-tuned. degraded_replies:  \
      replies stamped kFlagDegraded (map near its resident ceiling);          \
-     conns_open: currently open connections across all shards. --- */       \
+     conns_open: currently open connections across all shards;               \
+     client.kicks: eventfd writes by net::Client::send() that woke a parked  \
+     I/O thread. --- */                                                      \
   X(net_accept, Counter, "net.accept", instant, kNetAccept, "net.accept",    \
     "net")                                                                   \
   X(net_conn_close, Counter, "net.conn.close",                               \
@@ -210,6 +212,7 @@
   X(net_proto_error, Counter, "net.proto_error", none, _, _, _)              \
   X(net_degraded_replies, Counter, "net.degraded_replies", none, _, _, _)    \
   X(net_conns_open, Gauge, "net.conns_open", none, _, _, _)                  \
+  X(net_client_kicks, Counter, "net.client.kicks", none, _, _, _)            \
   /* --- net: request-phase attribution (DESIGN.md §4). Every stamp is      \
      keyed (a0 = conn id, a1 = request id) so trace_summarize.py can join    \
      them per request. The three phase histograms partition a served         \

@@ -121,7 +121,8 @@
   X(net_backpressure_kill, "net.backpressure_kill", net, none)               \
   X(net_conn_close, "net.conn_close", net, none)                             \
   X(net_drain, "net.drain", net, none)                                       \
-  X(net_shutdown, "net.shutdown", net, none)
+  X(net_shutdown, "net.shutdown", net, none)                                 \
+  X(net_client_park, "net.client_park", net, none)
 // clang-format on
 
 namespace cachetrie::testkit {

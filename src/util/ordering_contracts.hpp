@@ -96,6 +96,11 @@
                       "store(release) publishes the reply payload "          \
                       "(status/value/flags, relaxed stores sequenced "       \
                       "before it) to the waiter's done-word load(acquire)")  \
+  X(NET_CLIENT_PARK,  "client park: the I/O thread's parked_ store "         \
+                      "before its queued-count recheck under send_mu_, vs "  \
+                      "send()'s queued-count store under send_mu_ before "   \
+                      "its parked_ load; the second critical section sees "  \
+                      "the first's store, so no request waits unkicked")     \
   X(NET_SHED_FLAG,    "shard overload flag store(release) publishes the "    \
                       "relaxed pressure counters behind it to the "          \
                       "acceptor's load(acquire) for least-loaded routing")   \

@@ -842,4 +842,150 @@ TEST(NetClient, SendAfterServerSeveredFailsOrReportsClosed) {
   EXPECT_EQ(client.ping(4).status, proto::Status::kSendFailed);
 }
 
+// A send can land before the I/O thread's linger, inside it, or after it,
+// when the thread is on its way into poll(). Whatever the timing, the
+// request must go out: a lost wakeup would leave it queued behind a parked
+// I/O thread until op_timeout_us. The second half arms a stall at
+// net.client_park, between the I/O thread's last write and its park, so
+// that most sends land in exactly that window.
+TEST(NetClient, SendRacingParkNeverLosesWakeup) {
+  Trie map;
+  net::ServerConfig scfg;
+  scfg.shards = 1;
+  net::Server<Trie> server{map, scfg};
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.start());
+  net::Client client{server.port()};  // default op_timeout_us: 2 s
+  ASSERT_TRUE(client.ok());
+
+  constexpr std::size_t kRounds = 2000;
+  constexpr std::size_t kStalledRounds = 500;
+  constexpr std::uint64_t kMaxGapNs = 3 * net::kResendLingerUs * 1000;
+  constexpr auto kReplyBound = 250ms;  // far inside op_timeout_us
+  const auto one_round = [&](std::size_t i, std::uint64_t gap_ns) {
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::nanoseconds(gap_ns);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    std::uint64_t id = 0;
+    ASSERT_TRUE(client.send(proto::Op::kPing, 0, i, &id, 0));
+    // Spin on poll() so the next gap starts when the reply lands.
+    const auto deadline = std::chrono::steady_clock::now() + kReplyBound;
+    net::Client::Result r;
+    while (!client.poll(id, &r)) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "round " << i << ": no reply after a " << gap_ns
+          << " ns gap (lost wakeup)";
+    }
+    ASSERT_EQ(r.status, proto::Status::kOk) << "round " << i;
+    ASSERT_EQ(r.value, i) << "round " << i;
+  };
+
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  const auto next_gap = [&] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x % (kMaxGapNs + 1);
+  };
+  for (std::size_t i = 0; i < kRounds; ++i) {
+    one_round(i, next_gap());
+    if (HasFatalFailure()) return;
+  }
+
+  tk::chaos::set_global_seed(63);
+  tk::chaos::reset_counters();
+  tk::chaos::enable(true);
+  fault::install(fault::Plan(63).stall(
+      tk::Site::net_client_park,
+      std::chrono::microseconds(2 * net::kResendLingerUs), fault::kAnyThread,
+      1, UINT32_MAX));
+  for (std::size_t i = kRounds; i < kRounds + kStalledRounds; ++i) {
+    one_round(i, next_gap());
+    if (HasFatalFailure()) break;
+  }
+  fault::clear();
+  tk::chaos::enable(false);
+  EXPECT_GE(tk::chaos::site_hits(tk::Site::net_client_park), kStalledRounds);
+}
+
+// The shard reads a connection once per readiness report and stops at a
+// short read, trusting the level-triggered epoll to report whatever
+// arrives later. A frame written in two parts 5 ms apart must still be
+// answered, and a pipelined run whose bytes straddle the shard's 16 KiB
+// read chunk must get exactly one reply per request.
+TEST(NetServe, ShortReadStrandsNoRequest) {
+  Trie map;
+  net::Server<Trie> server{map, burst_server_config()};
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.start());
+  net::Fd raw = net::connect_loopback(server.port());
+  ASSERT_TRUE(raw.valid());
+  const timeval read_bound{5, 0};  // a stranded request fails, not hangs
+  ::setsockopt(raw.get(), SOL_SOCKET, SO_RCVTIMEO, &read_bound,
+               sizeof(read_bound));
+
+  constexpr std::size_t kChunk = 16 * 1024;  // Shard::handle_readable's
+  constexpr std::size_t kRun = 2 * kChunk / proto::kRequestWire + 7;
+  static_assert(kChunk % proto::kRequestWire != 0,
+                "the run must split a frame at the chunk boundary");
+  std::vector<unsigned char> wire;
+  const auto frame = [&](std::uint64_t id) {
+    proto::RequestFrame req;
+    req.op = static_cast<std::uint8_t>(proto::Op::kPing);
+    req.request_id = id;
+    req.value = id * 3 + 1;
+    proto::append_frame(wire, req);
+  };
+  frame(1);
+  ASSERT_TRUE(net::write_all(raw.get(), wire.data(), 20));
+  std::this_thread::sleep_for(5ms);
+  ASSERT_TRUE(net::write_all(raw.get(), wire.data() + 20, wire.size() - 20));
+  wire.clear();
+  for (std::uint64_t id = 2; id <= kRun + 1; ++id) frame(id);
+  ASSERT_GT(wire.size(), 2 * kChunk);
+  ASSERT_TRUE(net::write_all(raw.get(), wire.data(), wire.size()));
+
+  std::vector<int> replies(kRun + 2, 0);
+  std::vector<unsigned char> in;
+  unsigned char chunk[4096];
+  std::size_t got = 0;
+  while (got < kRun + 1) {
+    const long r = net::read_some(raw.get(), chunk, sizeof(chunk));
+    ASSERT_GT(r, 0) << "requests stranded after " << got << " replies";
+    in.insert(in.end(), chunk, chunk + r);
+    std::size_t off = 0;
+    while (true) {
+      proto::ReplyFrame rep;
+      proto::StatsReplyHeader stats;
+      const unsigned char* payload = nullptr;
+      bool is_stats = false;
+      std::size_t consumed = 0;
+      const auto pr = proto::parse_reply_stream(in.data() + off,
+                                                in.size() - off, &rep, &stats,
+                                                &payload, &is_stats, &consumed);
+      if (pr == proto::ParseResult::kNeedMore) break;
+      ASSERT_EQ(pr, proto::ParseResult::kFrame);
+      ASSERT_FALSE(is_stats);
+      off += consumed;
+      ASSERT_GE(rep.request_id, 1u);
+      ASSERT_LE(rep.request_id, kRun + 1);
+      EXPECT_EQ(rep.status, static_cast<std::uint8_t>(proto::Status::kOk));
+      EXPECT_EQ(rep.value, rep.request_id * 3 + 1);
+      ++replies[rep.request_id];
+      ++got;
+    }
+    in.erase(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(off));
+  }
+  for (std::uint64_t id = 1; id <= kRun + 1; ++id) {
+    EXPECT_EQ(replies[id], 1) << "request " << id;
+  }
+  EXPECT_TRUE(in.empty());
+  const timeval quiet{0, 20'000};  // nothing more may follow
+  ::setsockopt(raw.get(), SOL_SOCKET, SO_RCVTIMEO, &quiet, sizeof(quiet));
+  EXPECT_EQ(net::read_some(raw.get(), chunk, sizeof(chunk)), -1);
+  server.stop();
+  EXPECT_EQ(server.totals().shed, 0u);
+}
+
 }  // namespace
