@@ -45,6 +45,7 @@
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -159,10 +160,25 @@ class CacheTrie {
                          : static_cast<std::int32_t>(cache->level);
     // Fast path (paper Fig. 6): probe cache levels, deepest first.
     for (CacheArray* c = cache; c != nullptr; c = c->parent) {
-      NodeBase* cachee =
-          c->entries()[c->index_of(h)].load(std::memory_order_acquire);
-      if (cachee == nullptr) continue;
-      if (cachee->kind == Kind::kSNode) {
+      const auto [cachee, anode_length] = CacheArray::decode(
+          c->entry(c->index_of(h)).load(std::memory_order_acquire));
+      if (anode_length != 0) {
+        // The word's tag gave the ANode's slot count, so the slot is
+        // addressed without loading the node's header.
+        auto* an = static_cast<ANode*>(cachee);
+        // If the relevant entry is frozen the ANode may already be detached;
+        // fall back.
+        if (entry_frozen</*SeqCst=*/false>(an, anode_length, h, c->level)) {
+          continue;
+        }
+        // Same counter as the SNode fast path, so its pre-add value keeps
+        // sampling one in 64 hits regardless of which hit kind fires.
+        const bool sample_depth =
+            (obs::sites::cachetrie_cache_hit.add() & 63u) == 0u;
+        return lookup_rec(key, h, c->level, an, anode_length, cache_level,
+                          c->level, sample_depth, hz);
+      }
+      if (cachee != nullptr && cachee->kind == Kind::kSNode) {
         auto* sn = static_cast<SNodeT*>(cachee);
         if (sn->txn.load(std::memory_order_acquire) == Sentinels::no_txn()) {
           // Live SNode on this key's path: it either is the key, or proves
@@ -178,23 +194,12 @@ class CacheTrie {
         }
         continue;  // stale entry; try a shallower cache level
       }
-      if (cachee->kind == Kind::kANode) {
-        auto* an = static_cast<ANode*>(cachee);
-        // If the relevant entry is frozen the ANode may already be detached;
-        // fall back.
-        if (entry_frozen</*SeqCst=*/false>(an, h, c->level)) continue;
-        // Same counter as the SNode fast path, so its pre-add value keeps
-        // sampling one in 64 hits regardless of which hit kind fires.
-        const bool sample_depth =
-            (obs::sites::cachetrie_cache_hit.add() & 63u) == 0u;
-        return lookup_rec(key, h, c->level, an, cache_level, c->level,
-                          sample_depth, hz);
-      }
-      // Anything else cached is stale; fall through to shallower levels.
+      // Empty, or anything else cached is stale; try shallower levels.
     }
     const bool sample_depth =
         (obs::sites::cachetrie_lookup_slow.add() & 63u) == 0u;
-    return lookup_rec(key, h, 0, root_, cache_level, 0, sample_depth, hz);
+    return lookup_rec(key, h, 0, root_, root_->length, cache_level, 0,
+                      sample_depth, hz);
   }
 
   bool contains(const K& key) const { return lookup(key).has_value(); }
@@ -295,16 +300,19 @@ class CacheTrie {
     return c == nullptr ? -1 : static_cast<std::int32_t>(c->level);
   }
 
-  /// What the cache array at `level` holds for `key`'s hash: nullptr when
-  /// the entry is empty or no array in the chain covers `level`. For tests;
-  /// the node may be retired as soon as another operation runs.
+  /// The node the cache array at `level` holds for `key`'s hash: nullptr
+  /// when the entry is empty or no array in the chain covers `level`. For
+  /// tests; the node may be retired as soon as another operation runs.
+  // [read-path]
   const detail::NodeBase* debug_cache_entry(const K& key,
                                             std::uint32_t level) const {
     const std::uint64_t h = hasher_(key);
     for (CacheArray* c = cache_head_.load(std::memory_order_acquire);
          c != nullptr; c = c->parent) {
       if (c->level == level) {
-        return c->entries()[c->index_of(h)].load(std::memory_order_acquire);
+        return CacheArray::decode(
+                   c->entry(c->index_of(h)).load(std::memory_order_acquire))
+            .node;
       }
     }
     return nullptr;
@@ -342,10 +350,13 @@ class CacheTrie {
   }
 
   /// Quiescent structural invariant check, used by the test suite. Returns
-  /// human-readable descriptions of violations (empty = consistent).
+  /// human-readable descriptions of violations (empty = consistent): first
+  /// the trie's, then the cache's (validate_cache).
   std::vector<std::string> debug_validate() const {
     std::vector<std::string> issues;
-    validate_node(root_, 0, 0, issues);
+    Reached reached;
+    validate_node(root_, 0, 0, 0, reached, issues);
+    validate_cache(reached, issues);
     return issues;
   }
 
@@ -573,15 +584,18 @@ class CacheTrie {
   /// Finds a cached ANode to begin a write-path descent. Only ANode cachees
   /// are usable (writes may need the node's parent, which the cache cannot
   /// supply for SNodes). Uses the fast lookup's validity check.
+  // [read-path]
   CacheStart cache_start(std::uint64_t h) const {
     if (!config_.use_cache) return {};
     for (CacheArray* c = cache_head_.load(std::memory_order_acquire);
          c != nullptr; c = c->parent) {
-      NodeBase* cachee =
-          c->entries()[c->index_of(h)].load(std::memory_order_acquire);
-      if (cachee == nullptr || cachee->kind != Kind::kANode) continue;
+      const auto [cachee, anode_length] = CacheArray::decode(
+          c->entry(c->index_of(h)).load(std::memory_order_acquire));
+      if (anode_length == 0) continue;  // empty, or not an ANode
       auto* an = static_cast<ANode*>(cachee);
-      if (entry_frozen</*SeqCst=*/false>(an, h, c->level)) continue;
+      if (entry_frozen</*SeqCst=*/false>(an, anode_length, h, c->level)) {
+        continue;
+      }
       return {an, c->level};
     }
     return {};
@@ -927,13 +941,15 @@ class CacheTrie {
   /// True when `an`'s entry for `h` is frozen: FVNode, an FNode, or an SNode
   /// whose txn is FSNode. A detached ANode has every entry frozen, so a
   /// cached ANode whose entry is not frozen is still reachable from the
-  /// root (§3.4). The lookup and write-path cache probes load with acquire;
-  /// the inhabit re-check (`SeqCst`) loads with seq_cst for its Dekker pair.
+  /// root (§3.4). `length` is `an`'s slot count, which the cache probes take
+  /// from the cache word's tag. The lookup and write-path cache probes load
+  /// with acquire; the inhabit re-check (`SeqCst`) loads with seq_cst for
+  /// its Dekker pair.
   // [read-path]
   template <bool SeqCst>
-  static bool entry_frozen(const ANode* an, std::uint64_t h,
-                           std::uint32_t lev) noexcept {
-    NodeBase* e = an->slots()[slot_index(h, lev, an->length)].load(
+  static bool entry_frozen(const ANode* an, std::uint32_t length,
+                           std::uint64_t h, std::uint32_t lev) noexcept {
+    NodeBase* e = an->slots()[slot_index(h, lev, length)].load(
         SeqCst ? std::memory_order_seq_cst : std::memory_order_acquire);
     if (e == Sentinels::fv()) return true;
     if (e == nullptr) return false;
@@ -979,10 +995,13 @@ class CacheTrie {
     return nullptr;
   }
 
+  /// The lookup's walk from `cur`, an ANode of `length` slots at `lev`: the
+  /// cache fast path passes the length its word's tag gave, every deeper
+  /// hop the length it reads from the node.
   // [read-path]
   std::optional<V> lookup_rec(const K& key, std::uint64_t h,
                               std::uint32_t lev, const ANode* cur,
-                              std::int32_t cache_level,
+                              std::uint32_t length, std::int32_t cache_level,
                               std::uint32_t start_lev, bool sample_depth,
                               const Horizon& hz) const {
     // Fig. 6 line 3: passing the cache level on the way down lets the slow
@@ -994,13 +1013,15 @@ class CacheTrie {
         (lev != start_lev || cur == root_)) {
       maybe_inhabit(const_cast<ANode*>(cur), h, lev);
     }
-    const auto& slot = cur->slots()[slot_index(h, lev, cur->length)];
+    const auto& slot = cur->slots()[slot_index(h, lev, length)];
     NodeBase* old = slot.load(std::memory_order_acquire);
     if (old == nullptr || old == Sentinels::fv()) return std::nullopt;
     switch (old->kind) {
-      case Kind::kANode:
-        return lookup_rec(key, h, lev + 4, static_cast<const ANode*>(old),
-                          cache_level, start_lev, sample_depth, hz);
+      case Kind::kANode: {
+        auto* child = static_cast<const ANode*>(old);
+        return lookup_rec(key, h, lev + 4, child, child->length, cache_level,
+                          start_lev, sample_depth, hz);
+      }
       case Kind::kSNode: {
         auto* sn = static_cast<SNodeT*>(old);
         note_leaf_level(sn, lev + 4, cache_level, start_lev, sample_depth);
@@ -1017,15 +1038,15 @@ class CacheTrie {
         // A pending expansion/compression: continue read-only through the
         // still-intact target (linearizes before the replacement commits).
         auto* en = static_cast<ENode*>(old);
-        return lookup_rec(key, h, lev + 4, en->target, cache_level,
-                          start_lev, sample_depth, hz);
+        return lookup_rec(key, h, lev + 4, en->target, en->target->length,
+                          cache_level, start_lev, sample_depth, hz);
       }
       case Kind::kFNode: {
         NodeBase* frozen = static_cast<FNode*>(old)->frozen;
         if (frozen->kind == Kind::kANode) {
-          return lookup_rec(key, h, lev + 4,
-                            static_cast<const ANode*>(frozen), cache_level,
-                            start_lev, sample_depth, hz);
+          auto* child = static_cast<const ANode*>(frozen);
+          return lookup_rec(key, h, lev + 4, child, child->length,
+                            cache_level, start_lev, sample_depth, hz);
         }
         const LNodeT* l =
             chain_find(static_cast<const LNodeT*>(frozen), key, h, hz);
@@ -1603,14 +1624,18 @@ class CacheTrie {
       // fences make this a store-buffering (Dekker) pair: either the
       // inhabiter sees the mark, or the clearer sees the store — so no
       // resurrection survives the node's grace period.
-      auto& entry = cache->entries()[cache->index_of(h)];
+      // The word carries nv's shape tag in the same store as the pointer,
+      // and the undo expects that same word.
+      auto& entry = cache->entry(cache->index_of(h));
+      const CacheArray::Word word = CacheArray::encode(nv);
       obs::sites::cachetrie_cache_inhabit.add();
       // [publishes: CT_CACHE_INSTALL]
-      entry.store(nv, std::memory_order_release);
+      entry.store(word, std::memory_order_release);
+      testkit::chaos_point(testkit::Site::cachetrie_cache_inhabit);
       std::atomic_thread_fence(std::memory_order_seq_cst);
       if (!cachee_live(nv, h, node_level)) {
-        NodeBase* expected = nv;
-        entry.compare_exchange_strong(expected, nullptr,
+        CacheArray::Word expected = word;
+        entry.compare_exchange_strong(expected, CacheArray::encode(nullptr),
                                       std::memory_order_acq_rel,
                                       std::memory_order_relaxed);
       }
@@ -1627,8 +1652,8 @@ class CacheTrie {
              Sentinels::no_txn();
     }
     if (nv->kind == Kind::kANode) {
-      return !entry_frozen</*SeqCst=*/true>(
-          static_cast<ANode*>(nv), h, node_level);
+      auto* an = static_cast<ANode*>(nv);
+      return !entry_frozen</*SeqCst=*/true>(an, an->length, h, node_level);
     }
     return false;
   }
@@ -1645,10 +1670,10 @@ class CacheTrie {
     for (CacheArray* c = cache_head_.load(std::memory_order_acquire);
          c != nullptr; c = c->parent) {
       if (c->level != level) continue;
-      auto& entry = c->entries()[c->index_of(path_hash)];
-      NodeBase* cur = entry.load(std::memory_order_seq_cst);
-      if (cur == node) {
-        entry.compare_exchange_strong(cur, nullptr,
+      auto& entry = c->entry(c->index_of(path_hash));
+      CacheArray::Word cur = entry.load(std::memory_order_seq_cst);
+      if (CacheArray::decode(cur).node == node) {
+        entry.compare_exchange_strong(cur, CacheArray::encode(nullptr),
                                       std::memory_order_acq_rel,
                                       std::memory_order_relaxed);
       }
@@ -1864,8 +1889,20 @@ class CacheTrie {
     }
   }
 
+  /// The cacheable nodes debug_validate's walk reached: each SNode and
+  /// ANode with its level and the hash that names its canonical cache
+  /// index (an SNode's own hash, an ANode's path prefix).
+  struct Placed {
+    std::uint32_t level;
+    std::uint64_t path_hash;
+  };
+  using Reached = std::unordered_map<const NodeBase*, Placed>;
+
+  /// Checks `node`, which sits at trie level `lev` on a path that pins the
+  /// low `pinned` bits of `prefix` (a narrow parent pins only 2 of its 4).
   void validate_node(const NodeBase* node, std::uint64_t prefix,
-                     std::uint32_t lev,
+                     std::uint32_t pinned, std::uint32_t lev,
+                     Reached& reached,
                      std::vector<std::string>& issues) const {
     if (node == nullptr) return;
     if (node == Sentinels::fv()) {
@@ -1876,7 +1913,8 @@ class CacheTrie {
     switch (node->kind) {
       case Kind::kSNode: {
         auto* sn = static_cast<const SNodeT*>(node);
-        const std::uint64_t mask = lev == 0 ? 0 : ((1ULL << lev) - 1);
+        reached[sn] = {lev, sn->hash};
+        const std::uint64_t mask = pinned == 0 ? 0 : ((1ULL << pinned) - 1);
         if ((sn->hash & mask) != (prefix & mask)) {
           issues.push_back("SNode hash prefix mismatch at level " +
                            std::to_string(lev));
@@ -1899,7 +1937,7 @@ class CacheTrie {
         if (pairs < 2) {
           issues.push_back("LNode chain with fewer than 2 pairs");
         }
-        const std::uint64_t mask = lev == 0 ? 0 : ((1ULL << lev) - 1);
+        const std::uint64_t mask = pinned == 0 ? 0 : ((1ULL << pinned) - 1);
         if ((hash & mask) != (prefix & mask)) {
           issues.push_back("LNode hash prefix mismatch at level " +
                            std::to_string(lev));
@@ -1908,6 +1946,7 @@ class CacheTrie {
       }
       case Kind::kANode: {
         auto* an = static_cast<const ANode*>(node);
+        reached[an] = {lev, prefix};
         if (lev > 0 && an->length != 4 && an->length != 16) {
           issues.push_back("ANode with invalid length");
         }
@@ -1921,7 +1960,8 @@ class CacheTrie {
           // Extend the known prefix with this slot's bits. For narrow nodes
           // only 2 bits are pinned by the slot index.
           const std::uint64_t bits = static_cast<std::uint64_t>(i) << lev;
-          validate_node(child, prefix | bits, lev + (an->length == 4 ? 2 : 4),
+          validate_node(child, prefix | bits,
+                        pinned + (an->length == 4 ? 2 : 4), lev + 4, reached,
                         issues);
         }
         return;
@@ -1929,6 +1969,48 @@ class CacheTrie {
       default:
         issues.push_back("special node present in a quiescent trie");
         return;
+    }
+  }
+
+  /// The cache invariant at quiescence: every non-null word decodes to a
+  /// node the trie walk reached at the array's level, sits at that node's
+  /// canonical index, and carries the node's shape tag. Reports the first
+  /// few offenders and their count. Reads a node only once the walk has
+  /// vouched for it, so a dangling word is reported, not dereferenced.
+  void validate_cache(const Reached& reached,
+                      std::vector<std::string>& issues) const {
+    constexpr std::size_t kShown = 3;
+    std::size_t bad = 0;
+    for (const CacheArray* c = cache_head_.load(std::memory_order_acquire);
+         c != nullptr; c = c->parent) {
+      for (std::size_t i = 0; i < c->entry_count(); ++i) {
+        const auto [node, anode_length] =
+            CacheArray::decode(c->entry(i).load(std::memory_order_acquire));
+        if (node == nullptr) continue;
+        const auto it = reached.find(node);
+        const char* why = nullptr;
+        if (it == reached.end()) {
+          why = "points to a node the trie walk did not reach";
+        } else if (it->second.level != c->level) {
+          why = "points to a node at another level";
+        } else if (c->index_of(it->second.path_hash) != i) {
+          why = "is not at its node's canonical index";
+        } else if (anode_length !=
+                   (node->kind == Kind::kANode
+                        ? static_cast<const ANode*>(node)->length
+                        : 0)) {
+          why = "carries a shape tag that does not match its node";
+        }
+        if (why == nullptr) continue;
+        if (++bad <= kShown) {
+          issues.push_back("cache level " + std::to_string(c->level) +
+                           " entry " + std::to_string(i) + " " + why);
+        }
+      }
+    }
+    if (bad != 0) {
+      issues.push_back(std::to_string(bad) + " cache entries in all break " +
+                       "the cache invariant");
     }
   }
 

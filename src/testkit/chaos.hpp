@@ -88,6 +88,10 @@
     bounded | ins | rem)                                                     \
   /* a new hash grows an inner path below a collision chain: its slot CAS */ \
   X(cachetrie_chain_grow, "cachetrie.chain_grow", cachetrie, ins | pia)      \
+  /* an inhabit stored its cache word and has not re-checked liveness; a     \
+     remove never inhabits, only an expansion it helps commit does */        \
+  X(cachetrie_cache_inhabit, "cachetrie.cache_inhabit", cachetrie,           \
+    lkp | ins | pia | rpl | rpe)                                             \
   /* --- ctrie: the post-pin site and the three INode-main commits --- */    \
   X(ctrie_pinned, "ctrie.pinned", ctrie, lkp | ins | rem)                    \
   X(ctrie_gcas, "ctrie.gcas", ctrie, ins | pia | rem)                        \

@@ -1,15 +1,20 @@
 // cache_behavior_test.cpp — targeted tests of the cache subsystem
 // (paper §3.4-3.6): creation trigger, inhabitation, fast hits, automatic
-// eviction of stale entries, miss counting, depth sampling, and level
-// adaptation in both directions.
+// eviction of stale entries, miss counting, depth sampling, level
+// adaptation in both directions, and the shape tags cache words carry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <span>
 
 #include "cachetrie/cache_trie.hpp"
 #include "harness/workload.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sites.hpp"
+#include "testkit/chaos.hpp"
+#include "testkit/fault.hpp"
+#include "util/hashing.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -410,6 +415,147 @@ TEST(CacheBehavior, DescentFromShallowerArrayInhabitsDeepestLevel) {
   // a leaf at level 12, which note_leaf_level caches instead).
   EXPECT_GT(descents, 1000u);
   EXPECT_GT(filled, descents * 3 / 4);
+}
+
+// --- shape-tagged cache words ----------------------------------------------
+//
+// Under the identity hash a key is its own path. 0x001 and 0x101 split at
+// level 8 into a narrow ANode (two bits tell them apart), 0x002 and 0x402
+// into a wide one (four bits do), and 0x003 and 0x013 split at level 4, so
+// 0x013 is a leaf at level 8. The cache is pinned at level 8, where it holds
+// all three shapes.
+
+using PlacedTrie =
+    CacheTrie<std::uint64_t, std::uint64_t, cachetrie::util::IdentityHash>;
+using cachetrie::detail::ANode;
+using cachetrie::detail::Kind;
+using cachetrie::detail::NodeBase;
+using SNodeT = cachetrie::detail::SNode<std::uint64_t, std::uint64_t>;
+
+constexpr std::uint64_t kPlacedKeys[] = {0x001, 0x101, 0x002,
+                                         0x402, 0x003, 0x013};
+
+Config level8_config() {
+  Config cfg;
+  cfg.min_cache_level = 8;
+  cfg.max_cache_level = 8;
+  return cfg;
+}
+
+/// Inserts `keys` (value = key) and looks each up twice: the first lookup
+/// reaching a level-12 leaf builds the level-8 array, the rest inhabit it.
+void fill_and_warm(PlacedTrie& trie, std::span<const std::uint64_t> keys) {
+  for (const auto k : keys) trie.insert(k, k);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto k : keys) ASSERT_EQ(trie.lookup(k), k);
+  }
+  ASSERT_EQ(trie.cache_level(), 8);
+}
+
+/// The key SNode `n` holds, or nullopt when `n` is not an SNode.
+std::optional<std::uint64_t> snode_key(const NodeBase* n) {
+  if (n == nullptr || n->kind != Kind::kSNode) return std::nullopt;
+  return static_cast<const SNodeT*>(n)->key;
+}
+
+/// The key of the SNode in slot `i` of ANode `n`.
+std::optional<std::uint64_t> slot_key(const NodeBase* n, std::uint32_t i) {
+  return snode_key(static_cast<const ANode*>(n)->slots()[i].load());
+}
+
+/// Looks `key` up and checks the lookup was a cache hit with `want`.
+void expect_hit(PlacedTrie& trie, std::uint64_t key,
+                std::optional<std::uint64_t> want) {
+  const std::uint64_t hits0 = sites::cachetrie_cache_hit.total();
+  EXPECT_EQ(trie.lookup(key), want) << std::hex << key;
+  if (kCounted) {
+    EXPECT_EQ(sites::cachetrie_cache_hit.total(), hits0 + 1)
+        << std::hex << key << " did not hit the cache";
+  }
+}
+
+TEST(CacheWords, EachShapeDecodesToItsNodeAndServesLookups) {
+  PlacedTrie trie{level8_config()};
+  fill_and_warm(trie, kPlacedKeys);
+
+  const NodeBase* narrow = trie.debug_cache_entry(0x001, 8);
+  ASSERT_NE(narrow, nullptr);
+  ASSERT_EQ(narrow->kind, Kind::kANode);
+  EXPECT_EQ(static_cast<const ANode*>(narrow)->length, 4u);
+  EXPECT_EQ(slot_key(narrow, 0), 0x001u);
+  EXPECT_EQ(slot_key(narrow, 1), 0x101u);
+
+  const NodeBase* wide = trie.debug_cache_entry(0x002, 8);
+  ASSERT_NE(wide, nullptr);
+  ASSERT_EQ(wide->kind, Kind::kANode);
+  EXPECT_EQ(static_cast<const ANode*>(wide)->length, 16u);
+  EXPECT_EQ(slot_key(wide, 0), 0x002u);
+  EXPECT_EQ(slot_key(wide, 4), 0x402u);
+
+  EXPECT_EQ(snode_key(trie.debug_cache_entry(0x013, 8)), 0x013u);
+  EXPECT_TRUE(trie.debug_validate().empty());
+
+  // Every key is a hit through its word; so are absent keys, which end in
+  // an empty slot of the narrow (0x201) or wide (0x802) node, or at the
+  // cached leaf whose hash differs (0x113).
+  for (const auto k : kPlacedKeys) expect_hit(trie, k, k);
+  expect_hit(trie, 0x201, std::nullopt);
+  expect_hit(trie, 0x802, std::nullopt);
+  expect_hit(trie, 0x113, std::nullopt);
+}
+
+TEST(CacheWords, ExpandedCachedNodeLeavesNoWordBehind) {
+  PlacedTrie trie{level8_config()};
+  const std::uint64_t keys[] = {0x001, 0x101};
+  fill_and_warm(trie, keys);
+  const NodeBase* narrow = trie.debug_cache_entry(0x001, 8);
+  ASSERT_NE(narrow, nullptr);
+  ASSERT_EQ(narrow->kind, Kind::kANode);
+
+  // 0x401 collides with 0x001 in the narrow node's slot 0: the node is
+  // expanded, and the expansion caches its wide copy in the same entry.
+  ASSERT_TRUE(trie.insert(0x401, 0x401));
+  const auto after_expand = trie.debug_validate();
+  EXPECT_TRUE(after_expand.empty()) << after_expand.front();
+  const NodeBase* wide = trie.debug_cache_entry(0x001, 8);
+  ASSERT_NE(wide, nullptr);
+  EXPECT_NE(wide, narrow);
+  ASSERT_EQ(wide->kind, Kind::kANode);
+  EXPECT_EQ(static_cast<const ANode*>(wide)->length, 16u);
+  for (const std::uint64_t k : {0x001, 0x101, 0x401}) expect_hit(trie, k, k);
+  expect_hit(trie, 0x201, std::nullopt);
+}
+
+TEST(CacheWords, InhabitingAFrozenNodeUndoesItsOwnWord) {
+  // An expansion of the cached narrow node parks after freezing it, before
+  // its copy is committed and the old node's word cleared. A lookup meanwhile
+  // walks through the frozen node at the cache level: it stores the node's
+  // word, sees the freeze on its re-check, and must take that word back.
+  namespace tk = cachetrie::testkit;
+  static_assert(tk::kChaosCompiled,
+                "cache_behavior_test must build with CACHETRIE_TESTKIT=1");
+  PlacedTrie trie{level8_config()};
+  const std::uint64_t keys[] = {0x001, 0x101};
+  fill_and_warm(trie, keys);
+  const tk::Site row = tk::Site::cachetrie_enode_publish;
+  const std::uint64_t inhabits0 = sites::cachetrie_cache_inhabit.total();
+  const std::size_t parks = tk::fault::lose_race(
+      7, std::span<const tk::Site>(&row, 1),
+      [&] { EXPECT_TRUE(trie.insert(0x401, 0x401)); },
+      [&](std::size_t) {
+        EXPECT_EQ(trie.lookup(0x101), 0x101u);
+        if (kCounted) {
+          EXPECT_GT(sites::cachetrie_cache_inhabit.total(), inhabits0);
+        }
+        EXPECT_EQ(trie.debug_cache_entry(0x101, 8), nullptr)
+            << "the frozen node's word outlived the inhabit's re-check";
+      });
+  ASSERT_EQ(parks, 1u);
+  const auto issues = trie.debug_validate();
+  EXPECT_TRUE(issues.empty()) << issues.front();
+  for (const std::uint64_t k : {0x001, 0x101, 0x401}) {
+    EXPECT_EQ(trie.lookup(k), k);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // forced on five maps and checked as one small history each.
 //
 // A cell is (map, state, row, victim op, intruder op). The state prefills a
-// few placed keys; fault::lose_race parks the victim (chaos thread 1) at its
+// few placed keys (and may look some up, which can build the cache-trie's
+// cache); fault::lose_race parks the victim (chaos thread 1) at its
 // first crossing of the row, runs the intruder (thread 0) to completion and
 // releases the victim, which must lose whatever CAS the intruder changed:
 // discard its copy, retry and finish. The prefill, the racing pair and a
@@ -93,13 +94,15 @@ using Csl = cachetrie::csl::ConcurrentSkipList<Key, std::uint64_t>;
 
 /// A map's state before the race: prefilled keys (value = key), expired
 /// ballast (bounded trie only; never in the history, so absent to the
-/// checker, as TTL makes it), and optionally a bystander: a Ctrie remove of
-/// `bystander_remove` parked at ctrie.clean_parent for the whole cell.
+/// checker, as TTL makes it), optionally a bystander: a Ctrie remove of
+/// `bystander_remove` parked at ctrie.clean_parent for the whole cell, and
+/// keys looked up after the prefill (in the history too).
 struct State {
   const char* name;
   std::vector<Key> keys;
   std::vector<Key> ballast = {};
   Key bystander_remove = 0;
+  std::vector<Key> looked_up = {};
 };
 
 template <typename Map>
@@ -183,6 +186,7 @@ std::size_t run_cell(const Subject<Map>& sub, const State& state,
     }
   };
   for (const Key k : state.keys) run(op_event(Op::kInsert, k, k), 0);
+  for (const Key k : state.looked_up) run(op_event(Op::kLookup, k, 0), 0);
   std::size_t parks = 0;
   const auto race = [&] {
     report.at_race = EnodeCounts{};
@@ -353,11 +357,16 @@ void run_matrix(const Subject<Map>& sub) {
 const std::vector<Key> kTrieKeys = {1, 2, 17, 33, 65, 0x101, 0x10001, 0x20001};
 
 std::vector<State> trie_states() {
+  // In "cached", 1 and 0x101 split at level 8 into a narrow node; looking
+  // up 1 reaches its leaf at level 12, which builds an empty cache array
+  // at level 8 for the racing ops to inhabit with that node (or, for 17,
+  // 33 and 65, with their new leaf), and 0x10001 or 0x20001 expands it.
   return {{"empty", {}},
           {"one", {1}},
           {"narrow", {1, 17}},
           {"wide", {1, 65}},
-          {"chain", {1, 0x10001}}};
+          {"chain", {1, 0x10001}},
+          {"cached", {1, 0x101}, {}, 0, {1}}};
 }
 
 const std::vector<std::array<Site, 2>> kTrieReparks = {

@@ -116,7 +116,7 @@ TEST(CacheLayout, MissCountersOnDistinctCacheLines) {
   // The entries start after the last of the kMissSlots counters.
   const auto last = reinterpret_cast<std::uintptr_t>(
       &c->misses()[cachetrie::kMissSlots - 1]);
-  EXPECT_GE(reinterpret_cast<std::uintptr_t>(c->entries()) - last,
+  EXPECT_GE(reinterpret_cast<std::uintptr_t>(&c->entry(0)) - last,
             cachetrie::util::kCacheLineSize);
   CacheArray::destroy(c);
 }
@@ -124,9 +124,32 @@ TEST(CacheLayout, MissCountersOnDistinctCacheLines) {
 TEST(CacheLayout, EntriesZeroInitialized) {
   CacheArray* c = CacheArray::make(12, nullptr);
   for (std::size_t i = 0; i < c->entry_count(); i += 97) {
-    EXPECT_EQ(c->entries()[i].load(), nullptr);
+    EXPECT_EQ(c->entry(i).load(), CacheArray::encode(nullptr));
+    EXPECT_EQ(CacheArray::decode(c->entry(i).load()).node, nullptr);
   }
   CacheArray::destroy(c);
+}
+
+TEST(CacheLayout, WordsRoundTripEachShape) {
+  // A word decodes to the node it encodes, with an ANode's slot count from
+  // the tag and 0 for any other node.
+  ANode* narrow = ANode::make(4);
+  ANode* wide = ANode::make(16);
+  auto* leaf = SNode<int, int>::make(0x1ull, 1, 10);
+  const auto narrow_word = CacheArray::decode(CacheArray::encode(narrow));
+  const auto wide_word = CacheArray::decode(CacheArray::encode(wide));
+  const auto leaf_word = CacheArray::decode(CacheArray::encode(leaf));
+  EXPECT_EQ(narrow_word.node, narrow);
+  EXPECT_EQ(narrow_word.anode_length, 4u);
+  EXPECT_EQ(wide_word.node, wide);
+  EXPECT_EQ(wide_word.anode_length, 16u);
+  EXPECT_EQ(leaf_word.node, leaf);
+  EXPECT_EQ(leaf_word.anode_length, 0u);
+  EXPECT_EQ(CacheArray::encode(leaf), reinterpret_cast<std::uintptr_t>(leaf));
+  EXPECT_EQ(CacheArray::decode(CacheArray::encode(nullptr)).node, nullptr);
+  delete leaf;
+  ANode::destroy(wide);
+  ANode::destroy(narrow);
 }
 
 TEST(CacheLayout, ParentChainAndFootprint) {
