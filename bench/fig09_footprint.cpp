@@ -7,8 +7,54 @@
 //   * the cache adds typically <10% over the cache-less variant.
 //
 // Footprints are exact traversal-based byte counts of live structure
-// (malloc overhead excluded — it shifts every structure equally).
+// (malloc overhead excluded — it shifts every structure equally). A second
+// table sets the cache-trie's exact bytes per key beside what its nodes
+// really take from the node pool (mr/node_pool.hpp): class rounding,
+// alignment gaps and free-list slack included.
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "common.hpp"
+#include "mr/node_pool.hpp"
+
+namespace {
+
+/// NodePool::mapped_bytes() that a fresh cache-trie of `n` keys (filled,
+/// then looked up once so its cache exists) adds, or -1 when the pool is
+/// off (sanitizer builds). The pool never unmaps and reuses whatever was
+/// freed before, so each size is measured in a forked child whose pool has
+/// served nothing else; call it before building any structure. Resolution
+/// is one 2 MiB chunk.
+double pooled_bytes(std::size_t n) {
+  if (!cachetrie::mr::NodePool::kEnabled) return -1.0;
+  int fds[2];
+  if (::pipe(fds) != 0) return -1.0;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(fds[0]);
+    const auto keys = cachetrie::harness::random_keys(n);
+    const std::size_t m0 = cachetrie::mr::NodePool::mapped_bytes();
+    auto trie = bench::make_cachetrie();
+    for (auto k : keys) trie.insert(k, k);
+    for (auto k : keys) (void)trie.lookup(k);
+    const double delta = static_cast<double>(
+        cachetrie::mr::NodePool::mapped_bytes() - m0);
+    const bool ok = ::write(fds[1], &delta, sizeof(delta)) ==
+                    static_cast<ssize_t>(sizeof(delta));
+    ::_exit(ok ? 0 : 1);
+  }
+  ::close(fds[1]);
+  double delta = -1.0;
+  if (pid < 0 || ::read(fds[0], &delta, sizeof(delta)) !=
+                     static_cast<ssize_t>(sizeof(delta))) {
+    delta = -1.0;
+  }
+  ::close(fds[0]);
+  if (pid > 0) ::waitpid(pid, nullptr, 0);
+  return delta;
+}
+
+}  // namespace
 
 int main() {
   bench::print_preamble(
@@ -37,10 +83,16 @@ int main() {
     return s;
   };
 
+  std::vector<double> pooled;
+  for (const std::size_t n : sizes) pooled.push_back(pooled_bytes(n));
+
   Table table{{"size", "skiplist", "chm", "ctrie", "cachetrie w/o cache",
                "cachetrie"}};
+  Table pool_table{{"size", "cachetrie exact", "cachetrie pooled",
+                    "pooled / exact"}};
   const auto reclaim0 = bench::ReclaimSnapshot::take();
-  for (const std::size_t n : sizes) {
+  for (std::size_t row = 0; row < sizes.size(); ++row) {
+    const std::size_t n = sizes[row];
     const auto keys = cachetrie::harness::random_keys(n);
     auto fill = [&](auto& map) {
       for (auto k : keys) map.insert(k, k);
@@ -73,8 +125,24 @@ int main() {
     };
     table.add_row({std::to_string(n), cell(sl), cell(hm), cell(ct),
                    cell(tnc), cell(tc)});
+
+    // Exact node bytes: the cache-less trie holds the same nodes (same
+    // keys, same order, one thread). Cache arrays are not pool nodes.
+    const double nodes =
+        tnc - static_cast<double>(sizeof(bench::CacheTrieMap));
+    auto per_key = [&](double bytes) {
+      return Table::fmt(bytes / static_cast<double>(n)) + " B/key";
+    };
+    const double pb = pooled[row];
+    pool_table.add_row({std::to_string(n), per_key(nodes),
+                        pb < 0 ? std::string("n/a") : per_key(pb),
+                        pb < 0 ? std::string("n/a")
+                               : Table::fmt_ratio(pb, nodes)});
   }
   table.print();
+  std::printf("\ncache-trie node bytes: exact vs taken from the node pool "
+              "(2 MiB chunk resolution)\n");
+  pool_table.print();
 
   // Footprints above count live structure only; this line makes the EBR
   // limbo overhead visible (the high-water mark bounds how far retired

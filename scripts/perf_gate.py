@@ -78,6 +78,13 @@ def has_noise(cell):
     return params.get("unit") is None or params.get("stat") is not None
 
 
+def unit_of(cell):
+    """The unit a cell's values are in: its "unit" param (ns, bytes,
+    percent, ...), else milliseconds, the unit of a wall-clock timing. The
+    values sit in the mean_ms/stddev_ms fields whatever their unit."""
+    return cell.get("params", {}).get("unit", "ms")
+
+
 def main():
     ap = argparse.ArgumentParser(
         description="Gate on perf regressions between two bench JSON files.")
@@ -123,9 +130,9 @@ def main():
         budget = m0 * (1.0 + args.tolerance) + noise
         ratio = m1 / m0 if m0 > 0 else float("inf")
         if m1 > budget:
-            regressions.append((key, m0, m1, ratio, budget))
+            regressions.append((key, m0, m1, ratio, budget, unit_of(old)))
         elif m0 > 0 and m1 < m0 / (1.0 + args.tolerance):
-            improvements.append((key, m0, m1, ratio))
+            improvements.append((key, m0, m1, ratio, unit_of(old)))
 
     only_old = sorted(old_cells.keys() - new_cells.keys())
     only_new = sorted(new_cells.keys() - old_cells.keys())
@@ -137,12 +144,12 @@ def main():
         print(f"  note: dropped cell {fmt_key(key)}")
     for key in only_new:
         print(f"  note: new cell {fmt_key(key)}")
-    for key, m0, m1, ratio in improvements:
-        print(f"  improved: {fmt_key(key)}: {m0:.3f} -> {m1:.3f} ms "
+    for key, m0, m1, ratio, unit in improvements:
+        print(f"  improved: {fmt_key(key)}: {m0:.3f} -> {m1:.3f} {unit} "
               f"({ratio:.2f}x)")
-    for key, m0, m1, ratio, budget in regressions:
-        print(f"  REGRESSION: {fmt_key(key)}: {m0:.3f} -> {m1:.3f} ms "
-              f"({ratio:.2f}x; budget was {budget:.3f} ms)")
+    for key, m0, m1, ratio, budget, unit in regressions:
+        print(f"  REGRESSION: {fmt_key(key)}: {m0:.3f} -> {m1:.3f} {unit} "
+              f"({ratio:.2f}x; budget was {budget:.3f} {unit})")
 
     if regressions:
         print(f"perf_gate: FAIL ({len(regressions)} regression(s))")

@@ -115,6 +115,8 @@ static_assert(fits_pool_class<ct::SNode<U64, U64>>() &&
               fits_pool_class<ct::ENode>() && fits_pool_class<ct::FNode>() &&
               fits_pool_class<ct::ANode>());
 static_assert(ct::ANode::alloc_size(16) <= cachetrie::mr::NodePool::kMaxBytes);
+static_assert(ct::SNode<U64, U64>::alloc_size(/*stamped=*/true) <=
+              cachetrie::mr::NodePool::kMaxBytes);
 static_assert(fits_pool_class<ctr::SNode<U64, U64>>() &&
               fits_pool_class<ctr::LNode<U64, U64>>() &&
               fits_pool_class<ctr::TNode<U64, U64>>() &&

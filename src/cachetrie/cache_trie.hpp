@@ -419,6 +419,9 @@ class CacheTrie {
   template <typename N>
   static std::size_t node_bytes(const N* n) noexcept {
     if constexpr (std::is_same_v<N, ANode>) return ANode::alloc_size(n->length);
+    if constexpr (std::is_same_v<N, SNodeT>) {
+      return SNodeT::alloc_size(n->stamped);
+    }
     if constexpr (std::is_same_v<N, CacheArray>) return n->footprint_bytes();
     return sizeof(N);
   }
@@ -428,6 +431,47 @@ class CacheTrie {
     N* n = N::make(std::forward<Args>(args)...);
     account(static_cast<std::ptrdiff_t>(node_bytes(n)));
     return n;
+  }
+
+  /// A fresh leaf, with a stamp word exactly when the trie is bounded.
+  SNodeT* make_leaf(std::uint64_t h, const K& key, const V& value,
+                    std::uint64_t stamp) const {
+    return make<SNodeT>(bounded_, h, key, value, stamp);
+  }
+
+  /// A fresh copy of a resident leaf: the same logical entry, stamp included.
+  SNodeT* copy_leaf(const SNodeT* sn) const {
+    return make_leaf(hash_of(sn), sn->key, sn->value, stamp_of(sn));
+  }
+
+  /// The hash of a resident leaf's key: its stored field, or the key
+  /// rehashed when leaves store none (detail::kLeafStoresHash).
+  // [read-path]
+  std::uint64_t hash_of(const SNodeT* sn) const {
+    if constexpr (detail::kLeafStoresHash<K>) {
+      return sn->hash;
+    } else {
+      return hasher_(sn->key);
+    }
+  }
+
+  /// True when leaf `sn` holds `key`, whose hash is `h`. Equal keys have
+  /// equal hashes, so a stored hash is only a cheap first filter.
+  // [read-path]
+  static bool holds(const SNodeT* sn, const K& key, std::uint64_t h) {
+    if constexpr (detail::kLeafStoresHash<K>) {
+      if (sn->hash != h) return false;
+    } else {
+      (void)h;
+    }
+    return sn->key == key;
+  }
+
+  /// A leaf's last-use tick; 0 in an unbounded trie, whose leaves have no
+  /// stamp word.
+  // [read-path]
+  std::uint64_t stamp_of(const SNodeT* sn) const {
+    return bounded_ ? sn->stamp().load(std::memory_order_relaxed) : 0;
   }
 
   /// For a node this thread's CAS unlinked: readers may still hold it, so
@@ -470,7 +514,7 @@ class CacheTrie {
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   bool try_evict_snode(std::atomic<NodeBase*>& slot, SNodeT* osn, ANode* cur,
                        ANode* prev, std::uint32_t lev, bool expiry) {
-    const std::uint64_t h = osn->hash;
+    const std::uint64_t h = hash_of(osn);
     if (!commit_txn(slot, osn, nullptr, h, lev, kEvictTxn)) return false;
     note_eviction(expiry, h, lev);
     maybe_compress(cur, prev, h, lev);
@@ -516,7 +560,7 @@ class CacheTrie {
               Sentinels::no_txn()) {
             break;
           }
-          const std::uint64_t st = sn->stamp.load(std::memory_order_relaxed);
+          const std::uint64_t st = sn->stamp().load(std::memory_order_relaxed);
           if (hz.evictable(st) &&
               try_evict_snode(slot, sn, cur, prev, lev, hz.expired(st))) {
             ++evicted;
@@ -655,7 +699,7 @@ class CacheTrie {
     // The only possible slot transition was osn -> nv (helpers commit the
     // announced txn), so osn is out either way; we won the txn and are the
     // unique retirer.
-    clear_cache_refs(osn, osn->hash, lev + 4);
+    clear_cache_refs(osn, hash_of(osn), lev + 4);
     retire(osn);
     return true;
   }
@@ -691,8 +735,8 @@ class CacheTrie {
     if (pairs == 1) {
       replacement =
           value != nullptr
-              ? make<SNodeT>(h, key, *value, hz.now)
-              : make<SNodeT>(kept->hash, kept->key, kept->value, kept->stamp);
+              ? make_leaf(h, key, *value, hz.now)
+              : make_leaf(kept->hash, kept->key, kept->value, kept->stamp);
     } else if (pairs > 1) {
       LNodeT* fresh = nullptr;
       for (const LNodeT* l = chain; l != nullptr; l = l->next) {
@@ -735,7 +779,7 @@ class CacheTrie {
         if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
           return Res::kNotFound;
         }
-        SNodeT* sn = make<SNodeT>(h, key, value, hz.now);
+        SNodeT* sn = make_leaf(h, key, value, hz.now);
         NodeBase* expected = nullptr;
         // [publishes: CT_SLOT_COMMIT]
         if (slot.compare_exchange_strong(expected, sn,
@@ -806,9 +850,8 @@ class CacheTrie {
     // [acquires: CT_TXN]
     NodeBase* txn = osn->txn.load(std::memory_order_acquire);
     if (txn == Sentinels::no_txn()) {
-      const std::uint64_t ostamp =
-          bounded_ ? osn->stamp.load(std::memory_order_relaxed) : 0;
-      if (osn->hash == h && osn->key == key) {
+      const std::uint64_t ostamp = stamp_of(osn);
+      if (holds(osn, key, h)) {
         // A TTL-expired pair is semantically absent (DESIGN.md §3): upsert
         // and put_if_absent replace the corpse through the same txn path —
         // the replacement doubles as the lazy eviction — while the replace
@@ -827,8 +870,8 @@ class CacheTrie {
           return Res::kExists;
         }
         // case (4): same key — two-CAS replacement.
-        if (!commit_txn(slot, osn, make<SNodeT>(h, key, value, hz.now), h,
-                        lev, kWriteTxn)) {
+        if (!commit_txn(slot, osn, make_leaf(h, key, value, hz.now), h, lev,
+                        kWriteTxn)) {
           return Res::kRetryLevel;
         }
         if (corpse) {
@@ -905,8 +948,8 @@ class CacheTrie {
       if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
         return Res::kNotFound;
       }
-      SNodeT* sn = make<SNodeT>(h, key, value, hz.now);
-      NodeBase* subtree = branch_apart(chain, chain->hash, sn, lev + 4);
+      SNodeT* sn = make_leaf(h, key, value, hz.now);
+      NodeBase* subtree = branch_apart(chain, chain->hash, sn, h, lev + 4);
       testkit::chaos_point(testkit::Site::cachetrie_chain_grow);
       NodeBase* expected = chain;
       if (slot.compare_exchange_strong(expected, subtree,
@@ -966,8 +1009,8 @@ class CacheTrie {
   // [read-path]
   std::optional<V> snode_hit(SNodeT* sn, const K& key, std::uint64_t h,
                              const Horizon& hz) const {
-    if (sn->hash != h || !(sn->key == key)) return std::nullopt;
-    if (bounded_ && hz.expired(sn->stamp.load(std::memory_order_relaxed))) {
+    if (!holds(sn, key, h)) return std::nullopt;
+    if (bounded_ && hz.expired(sn->stamp().load(std::memory_order_relaxed))) {
       return std::nullopt;
     }
     touch(sn, hz);
@@ -979,7 +1022,7 @@ class CacheTrie {
   /// LRU/TTL clock. Relaxed: the stamp is advisory.
   // [read-path]
   void touch(SNodeT* sn, const Horizon& hz) const {
-    if (bounded_) sn->stamp.store(hz.now, std::memory_order_relaxed);
+    if (bounded_) sn->stamp().store(hz.now, std::memory_order_relaxed);
   }
 
   /// `key`'s live pair in a collision chain, or nullptr when the chain does
@@ -1089,13 +1132,13 @@ class CacheTrie {
     if (cache_level == kNoCacheLevel) {
       // No cache yet: a sufficiently deep leaf triggers creation (Fig. 7).
       if (sn != nullptr && leaf_lev >= kCacheInitTriggerLevel) {
-        maybe_inhabit(sn, sn->hash, leaf_lev);
+        maybe_inhabit(sn, hash_of(sn), leaf_lev);
       }
       return;
     }
     if (sn != nullptr &&
         static_cast<std::int32_t>(leaf_lev) == cache_level) {
-      maybe_inhabit(sn, sn->hash, leaf_lev);
+      maybe_inhabit(sn, hash_of(sn), leaf_lev);
     }
     const auto ll = static_cast<std::int32_t>(leaf_lev);
     if (ll < cache_level || ll > cache_level + 4) record_cache_miss();
@@ -1148,9 +1191,8 @@ class CacheTrie {
           auto* osn = static_cast<SNodeT*>(old);
           NodeBase* txn = osn->txn.load(std::memory_order_acquire);
           if (txn == Sentinels::no_txn()) {
-            const std::uint64_t ostamp =
-                bounded_ ? osn->stamp.load(std::memory_order_relaxed) : 0;
-            const bool mine = osn->hash == h && osn->key == key;
+            const std::uint64_t ostamp = stamp_of(osn);
+            const bool mine = holds(osn, key, h);
             // Hygiene: a stale pair crossing a remover's path is evicted
             // even though it is not the remover's key. The remover's own
             // pair, when a corpse, is semantically absent: evict it and
@@ -1377,12 +1419,9 @@ class CacheTrie {
       assert(node != nullptr && node->kind == Kind::kSNode &&
              "narrow nodes hold only SNodes");
       auto* sn = static_cast<SNodeT*>(node);
-      auto& dst = wide->slots()[slot_index(sn->hash, lev, wide->length)];
+      auto& dst = wide->slots()[slot_index(hash_of(sn), lev, wide->length)];
       assert(dst.load(std::memory_order_relaxed) == nullptr);
-      // The copy carries the source stamp: it is the same logical entry.
-      dst.store(make<SNodeT>(sn->hash, sn->key, sn->value,
-                             sn->stamp.load(std::memory_order_relaxed)),
-                std::memory_order_relaxed);
+      dst.store(copy_leaf(sn), std::memory_order_relaxed);
     }
   }
 
@@ -1401,9 +1440,7 @@ class CacheTrie {
       assert(node != nullptr);
       NodeBase* copy = nullptr;
       if (node->kind == Kind::kSNode) {
-        auto* sn = static_cast<SNodeT*>(node);
-        copy = make<SNodeT>(sn->hash, sn->key, sn->value,
-                            sn->stamp.load(std::memory_order_relaxed));
+        copy = copy_leaf(static_cast<SNodeT*>(node));
       } else if (node->kind == Kind::kFNode) {
         NodeBase* wrapped = static_cast<FNode*>(node)->frozen;
         if (wrapped->kind == Kind::kANode) {
@@ -1450,28 +1487,28 @@ class CacheTrie {
   NodeBase* create_subtree(SNodeT* osn, std::uint64_t h, const K& key,
                            const V& value, std::uint32_t lev,
                            std::uint64_t new_stamp) {
-    const std::uint64_t ostamp = osn->stamp.load(std::memory_order_relaxed);
-    if (osn->hash == h) {
+    const std::uint64_t oh = hash_of(osn);
+    if (oh == h) {
       LNodeT* chain =
-          make<LNodeT>(osn->hash, osn->key, osn->value, nullptr, ostamp);
+          make<LNodeT>(oh, osn->key, osn->value, nullptr, stamp_of(osn));
       return make<LNodeT>(h, key, value, chain, new_stamp);
     }
-    SNodeT* copy = make<SNodeT>(osn->hash, osn->key, osn->value, ostamp);
-    SNodeT* fresh = make<SNodeT>(h, key, value, new_stamp);
-    return branch_apart(copy, copy->hash, fresh, lev);
+    SNodeT* copy = copy_leaf(osn);
+    SNodeT* fresh = make_leaf(h, key, value, new_stamp);
+    return branch_apart(copy, oh, fresh, h, lev);
   }
 
-  /// Hangs two nodes with distinct hashes (`a` at hash `ah`, SNode `b`)
-  /// under a minimal chain of inner nodes starting at level `lev`. Prefers
-  /// a narrow node when 2 bits separate them (the paper's space-saving
-  /// trick), a wide node when 4 bits do, and recurses otherwise. `a` may be
-  /// an SNode or an existing LNode chain (hash-collision chains being pushed
-  /// deeper).
+  /// Hangs two nodes with distinct hashes (`a` at hash `ah`, SNode `b` at
+  /// hash `bh`) under a minimal chain of inner nodes starting at level
+  /// `lev`. Prefers a narrow node when 2 bits separate them (the paper's
+  /// space-saving trick), a wide node when 4 bits do, and recurses
+  /// otherwise. `a` may be an SNode or an existing LNode chain
+  /// (hash-collision chains being pushed deeper).
   NodeBase* branch_apart(NodeBase* a, std::uint64_t ah, SNodeT* b,
-                         std::uint32_t lev) {
+                         std::uint64_t bh, std::uint32_t lev) {
     assert(lev <= 60 && "distinct 64-bit hashes must separate by level 60");
     const std::uint32_t a2 = slot_index(ah, lev, 4);
-    const std::uint32_t b2 = slot_index(b->hash, lev, 4);
+    const std::uint32_t b2 = slot_index(bh, lev, 4);
     if (a2 != b2 && a->kind == Kind::kSNode) {
       // Narrow nodes may hold only SNodes (see expand_copy), so an LNode
       // child always gets a wide parent.
@@ -1481,13 +1518,13 @@ class CacheTrie {
       return an;
     }
     const std::uint32_t a4 = slot_index(ah, lev, 16);
-    const std::uint32_t b4 = slot_index(b->hash, lev, 16);
+    const std::uint32_t b4 = slot_index(bh, lev, 16);
     ANode* an = make<ANode>(16);
     if (a4 != b4) {
       an->slots()[a4].store(a, std::memory_order_relaxed);
       an->slots()[b4].store(b, std::memory_order_relaxed);
     } else {
-      an->slots()[a4].store(branch_apart(a, ah, b, lev + 4),
+      an->slots()[a4].store(branch_apart(a, ah, b, bh, lev + 4),
                             std::memory_order_relaxed);
     }
     return an;
@@ -1518,7 +1555,7 @@ class CacheTrie {
       assert(node != nullptr);
       if (node->kind == Kind::kSNode) {
         auto* sn = static_cast<SNodeT*>(node);
-        clear_cache_refs(sn, sn->hash, level + 4);
+        clear_cache_refs(sn, hash_of(sn), level + 4);
         retire(sn);
       } else if (node->kind == Kind::kFNode) {
         auto* fn = static_cast<FNode*>(node);
@@ -1825,7 +1862,7 @@ class CacheTrie {
     switch (node->kind) {
       case Kind::kSNode: {
         auto* sn = static_cast<const SNodeT*>(node);
-        fn(sn->key, sn->value, sn->stamp.load(std::memory_order_relaxed), lev);
+        fn(sn->key, sn->value, stamp_of(sn), lev);
         return;
       }
       case Kind::kLNode:
@@ -1913,9 +1950,10 @@ class CacheTrie {
     switch (node->kind) {
       case Kind::kSNode: {
         auto* sn = static_cast<const SNodeT*>(node);
-        reached[sn] = {lev, sn->hash};
+        const std::uint64_t h = hash_of(sn);
+        reached[sn] = {lev, h};
         const std::uint64_t mask = pinned == 0 ? 0 : ((1ULL << pinned) - 1);
-        if ((sn->hash & mask) != (prefix & mask)) {
+        if ((h & mask) != (prefix & mask)) {
           issues.push_back("SNode hash prefix mismatch at level " +
                            std::to_string(lev));
         }

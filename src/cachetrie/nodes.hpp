@@ -16,6 +16,17 @@
 // every node starts with a one-byte `Kind` tag. Only SNode and LNode carry
 // the key/value types, so the structural nodes (ANode, ENode, FNode and all
 // sentinels) are untemplated and shared across instantiations.
+//
+// Two node types have a variable size, fixed when the node is made and
+// recorded in its header, so the trie's lifecycle code sizes, retires and
+// frees every instance through one `alloc_size`/`destroy` pair:
+//   * an ANode's slot array trails its header (`length`);
+//   * an SNode's stamp word trails its pair (`stamped`), and only a bounded
+//     trie allocates it.
+// An SNode also stores its key's hash only when rehashing the key would cost
+// more than the word (kLeafStoresHash), so an unbounded SNode<u64, u64> is
+// `kind`, `key`, `value` and `txn`: 32 B, half a cache line, in a pool class
+// whose blocks never straddle a line.
 #pragma once
 
 #include <atomic>
@@ -23,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 
 #include "mr/node_pool.hpp"
 
@@ -145,6 +157,30 @@ struct ENode : NodeBase {
   }
 };
 
+/// True when an SNode stores its key's hash. A key that is trivially
+/// copyable and fits a word is rehashed wherever a resident leaf's hash is
+/// needed (the trie's `hash_of`), which costs less than carrying 8 B per
+/// pair; lookups and writers compare such keys directly, since equal keys
+/// have equal hashes. Costlier keys (`std::string`, wide structs) keep the
+/// field as a cheap first filter and to avoid rehashing them.
+template <typename K>
+inline constexpr bool kLeafStoresHash =
+    !(std::is_trivially_copyable_v<K> && sizeof(K) <= sizeof(std::uint64_t));
+
+/// The SNode header: the kind tag, the leaf's shape, and the hash when
+/// kLeafStoresHash says so. A hash-free leaf has no `hash` member at all, so
+/// code that reads one does not compile. `stamped` sits in the padding after
+/// `kind`, so it costs no space.
+template <bool StoresHash>
+struct LeafHead : NodeBase {
+  bool stamped;  // a stamp word trails the node
+};
+template <>
+struct LeafHead<true> : NodeBase {
+  bool stamped;
+  std::uint64_t hash;
+};
+
 /// Leaf node: one key-value pair plus the txn field that coordinates every
 /// modification of the pair (paper Fig. 1). txn states:
 ///   NoTxn    — live, no operation in progress
@@ -153,27 +189,66 @@ struct ENode : NodeBase {
 ///   other    — replacement node announced (SNode, ANode or LNode); helpers
 ///              commit it into the parent slot
 ///
-/// `stamp` is the bounded-memory mode's last-use tick (DESIGN.md §3): set at
-/// creation, refreshed with a relaxed store on every hit, read with a relaxed
-/// load by eviction horizons. It is advisory — no protocol decision creates a
-/// happens-before edge through it, so all its accesses stay relaxed. Unbounded
-/// tries leave it 0. Copies made by the freeze/expand protocol carry the
-/// source stamp so the copy remains the same logical entry.
+/// A bounded trie (DESIGN.md §3) makes every leaf `stamped`: one word after
+/// the node holds the pair's last-use tick, set at creation, refreshed with a
+/// relaxed store on every hit and read with a relaxed load by eviction
+/// horizons. It is advisory — no protocol decision creates a happens-before
+/// edge through it, so all its accesses stay relaxed. An unbounded trie
+/// allocates no stamp word and never calls stamp(). Copies made by the
+/// freeze/expand protocol carry the source stamp so the copy remains the
+/// same logical entry.
 template <typename K, typename V>
-struct SNode : NodeBase {
-  std::uint64_t hash;
+struct SNode : LeafHead<kLeafStoresHash<K>> {
   K key;
   V value;
   std::atomic<NodeBase*> txn;
-  std::atomic<std::uint64_t> stamp;
 
-  static SNode* make(std::uint64_t hash, const K& key, const V& value,
-                     std::uint64_t stamp = 0) {
-    auto* s = new SNode{{Kind::kSNode}, hash, key, value, {}, {}};
-    s->txn.store(Sentinels::no_txn(), std::memory_order_relaxed);
-    s->stamp.store(stamp, std::memory_order_relaxed);
+  /// Bytes of a leaf with (`stamped`) or without its trailing stamp word.
+  static constexpr std::size_t alloc_size(bool stamped) noexcept {
+    return sizeof(SNode) + (stamped ? sizeof(std::atomic<std::uint64_t>) : 0);
+  }
+
+  /// The trailing stamp word; only a stamped leaf has one.
+  std::atomic<std::uint64_t>& stamp() noexcept {
+    assert(this->stamped);
+    return *reinterpret_cast<std::atomic<std::uint64_t>*>(this + 1);
+  }
+  const std::atomic<std::uint64_t>& stamp() const noexcept {
+    assert(this->stamped);
+    return *reinterpret_cast<const std::atomic<std::uint64_t>*>(this + 1);
+  }
+
+  /// A live leaf (txn NoTxn). `hash` is dropped when the leaf stores none;
+  /// `stamp` is written only into a stamped leaf.
+  static SNode* make(bool stamped, std::uint64_t hash, const K& key,
+                     const V& value, std::uint64_t stamp) {
+    static_assert(alignof(SNode) >= alignof(std::atomic<std::uint64_t>),
+                  "the stamp word must start aligned right after the SNode");
+    void* raw = mr::NodePool::allocate(alloc_size(stamped), alignof(SNode));
+    auto* s = new (raw) SNode(key, value);
+    s->kind = Kind::kSNode;
+    s->stamped = stamped;
+    if constexpr (kLeafStoresHash<K>) s->hash = hash;
+    if (stamped) {
+      std::construct_at(reinterpret_cast<std::atomic<std::uint64_t>*>(s + 1),
+                        stamp);
+    }
     return s;
   }
+
+  static void destroy(SNode* s) noexcept {
+    const std::size_t bytes = alloc_size(s->stamped);
+    s->~SNode();
+    mr::NodePool::deallocate(s, bytes, alignof(SNode));
+  }
+  /// Type-erased deleter for reclaimer retirement.
+  static void destroy_erased(void* s) noexcept {
+    destroy(static_cast<SNode*>(s));
+  }
+
+ private:
+  SNode(const K& k, const V& v)
+      : key(k), value(v), txn(Sentinels::no_txn()) {}
 };
 
 /// Collision list node for keys whose 64-bit hashes are fully equal

@@ -7,6 +7,8 @@
 #include <new>
 #include <vector>
 
+#include "util/padded.hpp"
+
 namespace cachetrie::mr {
 
 namespace {
@@ -22,7 +24,7 @@ struct FreeList {
   std::uint32_t count = 0;
 };
 
-/// An unused tail of a chunk: [cur, end).
+/// The unused middle of a chunk: [cur, end).
 struct Span {
   char* cur;
   char* end;
@@ -30,6 +32,9 @@ struct Span {
 
 /// A span shorter than this is dropped instead of donated at thread exit.
 constexpr std::size_t kSpareSpanMin = 4096;
+
+/// Two granules. A span's bottom is kept aligned to it (see refill).
+constexpr std::size_t kPair = 2 * NodePool::kGranule;
 
 constexpr std::size_t round_to_chunk(std::size_t bytes) noexcept {
   return (bytes + NodePool::kChunkBytes - 1) & ~(NodePool::kChunkBytes - 1);
@@ -67,8 +72,8 @@ struct PoolInternals {
   /// this thread's exit after its lists were donated.
   struct ThreadCache {
     FreeList lists[kClasses] = {};
-    char* cur = nullptr;  // bump span in the current chunk
-    char* end = nullptr;
+    char* cur = nullptr;  // bump span in the current chunk: even-granule
+    char* end = nullptr;  // blocks carve up from cur, odd ones down from end
     bool armed = false;   // the exit-time donor is registered
     bool exited = false;  // lists donated; route through the shared cache
 
@@ -112,7 +117,23 @@ struct PoolInternals {
         }
       }
       const std::size_t size = (cls + 1) * NodePool::kGranule;
-      if (static_cast<std::size_t>(end - cur) < size) next_span();
+      if (size % kPair != 0) {
+        if (static_cast<std::size_t>(end - cur) < size) next_span();
+        end -= size;
+        return end;
+      }
+      // Even-granule blocks go up from the span's bottom, which thus stays
+      // kPair-aligned: a 32 B block never straddles a line. A 64 B block
+      // that finds the bottom half a line off gives that half to the 32 B
+      // list.
+      const std::size_t align = util::kCacheLineSize % size == 0 ? size : kPair;
+      if (static_cast<std::size_t>(end - cur) < size + align - kPair) {
+        next_span();
+      }
+      if (reinterpret_cast<std::uintptr_t>(cur) % align != 0) {
+        deallocate(cur, NodePool::class_of(kPair));
+        cur += kPair;
+      }
       void* p = cur;
       cur += size;
       return p;

@@ -1,11 +1,12 @@
 // lin_check_test — the testkit pointed at the real structures.
 //
-// For every map in the repo (cache-trie, its no-cache ablation, ctrie,
-// chashmap, skip list) this runs >= 10k short multi-threaded histories
-// spread over >= 8 chaos seeds, each history perturbed at the structures'
-// CAS decision points, and feeds every recorded history through the
-// Wing–Gong checker. Any non-linearizable interleaving fails the test and
-// prints a reproducible trace (seed + history ordinal + per-key events).
+// For every map in the repo (cache-trie, its no-cache ablation and two
+// degraded-hash variants, ctrie, chashmap, skip list) this runs >= 10k
+// short multi-threaded histories spread over >= 8 chaos seeds, each
+// history perturbed at the structures' CAS decision points, and feeds
+// every recorded history through the Wing–Gong checker. Any
+// non-linearizable interleaving fails the test and prints a reproducible
+// trace (seed + history ordinal + per-key events).
 //
 // Compiled with CACHETRIE_TESTKIT=1 and labeled `slow` (run `ctest -L fast`
 // to skip it during edit-compile loops).
@@ -88,6 +89,27 @@ TEST(LinSweep, CacheTrieDeepCollidingPrefix) {
         /*key_range=*/16);
   EXPECT_GT(tk::chaos::site_hits(Site::cachetrie_freeze_slot), 0u);
   EXPECT_GT(tk::chaos::site_hits(Site::cachetrie_enode_complete), 0u);
+}
+
+TEST(LinSweep, CacheTrieHashFreeCollisions) {
+  // u64 keys keep no hash in their leaves. This degraded hash gives the 12
+  // keys six hashes, two keys each, that share the path to level 8 and
+  // part there (three 2-bit classes) and at level 12: a narrow node at
+  // level 8 expands, equal hashes form chains built from rehashed leaves,
+  // a chain is pushed deeper when a key of its class but not its hash
+  // arrives, and removals collapse chains to leaves and compress nodes.
+  struct SixHashes {
+    std::uint64_t operator()(const std::uint64_t& k) const noexcept {
+      return ((k % 3) << 8) | (((k / 3) % 2) << 12);
+    }
+  };
+  static_assert(!cachetrie::detail::kLeafStoresHash<std::uint64_t>);
+  using Map = cachetrie::CacheTrie<std::uint64_t, std::uint64_t, SixHashes>;
+  tk::chaos::reset_counters();
+  sweep([] { return std::make_unique<Map>(); }, "cache-trie (hash-free chains)",
+        /*key_range=*/12);
+  EXPECT_GT(tk::chaos::site_hits(Site::cachetrie_enode_complete), 0u);
+  EXPECT_GT(tk::chaos::site_hits(Site::cachetrie_chain_grow), 0u);
 }
 
 TEST(LinSweep, Ctrie) {

@@ -28,6 +28,7 @@
 //     sheds rather than queues — accepted-request p99 stays within 5x the
 //     unloaded p99 (floored against scheduler noise on the 1-core CI box).
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <algorithm>
 #include <atomic>
@@ -76,6 +77,43 @@ struct ChaosSession {
     tk::chaos::enable(false);
   }
 };
+
+/// A client that sends `frames` pings and never reads a reply. The whole
+/// request stream is built first and pushed from a nonblocking socket in as
+/// few sends as the kernel takes. The writer stops once everything is
+/// written, once the server has closed the connection (a hard send error),
+/// or at `budget` with the socket still refusing bytes: a connection that
+/// TCP has wedged (its peer's segments dropped unread, both ends in
+/// retransmit backoff) then ends the writer instead of blocking it in
+/// send(). Returns the bytes written.
+std::size_t write_pings_never_reading(int fd, std::uint64_t frames,
+                                      std::chrono::milliseconds budget) {
+  std::vector<unsigned char> wire;
+  wire.reserve(frames * proto::kRequestWire);
+  proto::RequestFrame req;
+  req.op = static_cast<std::uint8_t>(proto::Op::kPing);
+  for (std::uint64_t i = 0; i < frames; ++i) {
+    req.request_id = i + 1;
+    proto::append_frame(wire, req);
+  }
+  if (!net::set_nonblocking(fd)) return 0;
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  std::size_t off = 0;
+  while (off < wire.size()) {
+    const long n = net::write_some(fd, wire.data() + off, wire.size() - off);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n != -1) break;  // the server closed the connection
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) break;  // wedged: give up the rest
+    pollfd p{fd, POLLOUT, 0};
+    ::poll(&p, 1, static_cast<int>(std::min<std::int64_t>(left.count(), 50)));
+  }
+  return off;
+}
 
 void wait_parked(std::uint64_t n) {
   const auto deadline = std::chrono::steady_clock::now() + 10s;
@@ -394,17 +432,8 @@ TEST(NetFault, BackpressureCapsAndKillsNonReadingClient) {
   net::Fd conn = net::connect_loopback(server.port(), 4096, 4096);
   ASSERT_TRUE(conn.valid());
 
-  std::vector<unsigned char> wire;
-  proto::RequestFrame req;
-  req.op = static_cast<std::uint8_t>(proto::Op::kPing);
-  for (std::uint64_t i = 0; i < 2000; ++i) {
-    req.request_id = i + 1;
-    wire.clear();
-    proto::append_frame(wire, req);
-    if (!net::write_all(conn.get(), wire.data(), wire.size())) {
-      break;  // server killed the connection mid-flood — expected
-    }
-  }
+  // The server killing the connection mid-flood is the expected end.
+  (void)write_pings_never_reading(conn.get(), 2000, 10s);
 
   const auto deadline = std::chrono::steady_clock::now() + 10s;
   while (server.totals().backpressure_kills == 0 &&
@@ -497,17 +526,8 @@ TEST(NetFault, OverloadShedsRatherThanQueues) {
   // reads; 3 normal clients fire pipelined bursts of 2x the admission cap.
   net::Fd slow = net::connect_loopback(server.port(), 4096, 4096);
   ASSERT_TRUE(slow.valid());
-  std::thread slow_writer([&] {
-    std::vector<unsigned char> wire;
-    proto::RequestFrame req;
-    req.op = static_cast<std::uint8_t>(proto::Op::kPing);
-    for (std::uint64_t i = 0; i < 3000; ++i) {
-      req.request_id = i + 1;
-      wire.clear();
-      proto::append_frame(wire, req);
-      if (!net::write_all(slow.get(), wire.data(), wire.size())) break;
-    }
-  });
+  std::thread slow_writer(
+      [&] { (void)write_pings_never_reading(slow.get(), 3000, 10s); });
 
   const std::size_t kBurst = 2 * scfg.shard.max_inflight;  // the "2x"
   std::atomic<std::uint64_t> accepted{0}, shed{0}, other{0};

@@ -20,8 +20,10 @@ namespace {
 
 using cachetrie::mr::NodePool;
 
+// An unbounded trie's leaf: no trailing stamp word.
 constexpr std::size_t kSNodeBytes =
-    sizeof(cachetrie::detail::SNode<std::uint64_t, std::uint64_t>);
+    cachetrie::detail::SNode<std::uint64_t, std::uint64_t>::alloc_size(
+        /*stamped=*/false);
 
 bool aligned_to(const void* p, std::size_t align) {
   return reinterpret_cast<std::uintptr_t>(p) % align == 0;

@@ -1,13 +1,20 @@
 // nodes_layout_test.cpp — whitebox tests of the node and cache-array
 // memory layouts: exact allocation sizes (the footprint benches depend on
-// them), slot alignment, sentinel identity, and construction/destruction of
-// the flexible-array nodes.
+// them), the half-line hash-free leaf and its trailing stamp word, slot
+// alignment, sentinel identity, and construction/destruction of the
+// variable-size nodes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "cachetrie/cache.hpp"
 #include "cachetrie/nodes.hpp"
+#include "mr/node_pool.hpp"
+#include "util/padded.hpp"
 
 namespace {
 
@@ -47,29 +54,105 @@ TEST(NodeLayout, ANodeSlotsZeroInitializedAndAligned) {
 }
 
 TEST(NodeLayout, SNodeCarriesPairAndIdleTxn) {
-  auto* s = SNode<int, int>::make(0xABCDull, 7, 70);
+  auto* s = SNode<int, int>::make(/*stamped=*/false, 0xABCDull, 7, 70,
+                                  /*stamp=*/0);
   EXPECT_EQ(s->kind, Kind::kSNode);
-  EXPECT_EQ(s->hash, 0xABCDull);
+  EXPECT_FALSE(s->stamped);
   EXPECT_EQ(s->key, 7);
   EXPECT_EQ(s->value, 70);
   EXPECT_EQ(s->txn.load(), Sentinels::no_txn());
-  // Unbounded tries never write the stamp; it must default to 0 so the
-  // bounded-mode horizon checks are vacuous for them.
-  EXPECT_EQ(s->stamp.load(), 0u);
-  delete s;
+  // Unbounded tries allocate no stamp word at all.
+  using Leaf = SNode<int, int>;
+  EXPECT_EQ(Leaf::alloc_size(s->stamped), sizeof(Leaf));
+  SNode<int, int>::destroy(s);
 }
 
 TEST(NodeLayout, StampWordCarriedByBothLeafKinds) {
-  // The bounded mode (DESIGN.md §3) stores the last-use tick inline in the
-  // leaf: one extra word per pair, atomic on SNodes (hits refresh it
-  // concurrently), plain on LNodes (chains are immutable — a rebuild copies
-  // the stamp forward instead).
-  auto* s = SNode<int, int>::make(0x1ull, 1, 10, /*stamp=*/42);
-  EXPECT_EQ(s->stamp.load(), 42u);
+  // The bounded mode (DESIGN.md §3) stores the last-use tick with the leaf:
+  // one trailing word per SNode, atomic (hits refresh it concurrently), and
+  // a plain field on LNodes (chains are immutable — a rebuild copies the
+  // stamp forward instead).
+  auto* s = SNode<int, int>::make(/*stamped=*/true, 0x1ull, 1, 10,
+                                  /*stamp=*/42);
+  EXPECT_TRUE(s->stamped);
+  EXPECT_EQ(s->stamp().load(), 42u);
+  // The word trails the node, as an ANode's slots trail its header.
+  using Leaf = SNode<int, int>;
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&s->stamp()),
+            reinterpret_cast<std::uintptr_t>(s) + sizeof(Leaf));
+  EXPECT_EQ(Leaf::alloc_size(true), sizeof(Leaf) + sizeof(std::uint64_t));
   auto* l = LNode<int, int>::make(0x2ull, 2, 20, nullptr, /*stamp=*/43);
   EXPECT_EQ(l->stamp, 43u);
   delete l;
-  delete s;
+  SNode<int, int>::destroy(s);
+}
+
+// A word-sized key is rehashed instead of stored: the leaf has no `hash`
+// member for code to read.
+template <typename Leaf>
+concept HasHashField = requires(Leaf& l) { l.hash; };
+
+TEST(NodeLayout, HashFreeLeafIsHalfALine) {
+  using Leaf = SNode<std::uint64_t, std::uint64_t>;
+  static_assert(!kLeafStoresHash<std::uint64_t>);
+  static_assert(!HasHashField<Leaf>);
+  // kind (+ stamped in its padding), key, value, txn.
+  EXPECT_EQ(sizeof(Leaf), 32u);
+  EXPECT_EQ(Leaf::alloc_size(/*stamped=*/false), 32u);
+  // A bounded leaf adds its 8 B stamp word: 40 B exact, booked as such,
+  // served from the pool's 48 B class.
+  EXPECT_EQ(Leaf::alloc_size(/*stamped=*/true), 40u);
+  EXPECT_EQ(cachetrie::mr::NodePool::class_of(Leaf::alloc_size(true)),
+            cachetrie::mr::NodePool::class_of(48));
+  EXPECT_LT(cachetrie::mr::NodePool::class_of(Leaf::alloc_size(false)),
+            cachetrie::mr::NodePool::class_of(Leaf::alloc_size(true)));
+}
+
+TEST(NodeLayout, CostlyKeysKeepTheirHash) {
+  using Leaf = SNode<std::string, int>;
+  static_assert(kLeafStoresHash<std::string>);
+  static_assert(HasHashField<Leaf>);
+  auto* s = Leaf::make(/*stamped=*/false, 0x5555ull, std::string(40, 'k'), 1,
+                       /*stamp=*/0);
+  EXPECT_EQ(s->hash, 0x5555ull);
+  EXPECT_EQ(s->key, std::string(40, 'k'));
+  Leaf::destroy(s);
+  auto* b = Leaf::make(/*stamped=*/true, 0x6666ull, "b", 2, /*stamp=*/9);
+  EXPECT_EQ(b->hash, 0x6666ull);
+  EXPECT_EQ(b->stamp().load(), 9u);
+  Leaf::destroy(b);
+}
+
+TEST(NodeLayout, PooledHalfLineLeavesNeverStraddleALine) {
+  // Leaves carved next to inner nodes of odd granule counts (a wide ANode
+  // is 9 granules) would land 16 B or 48 B into a line if the pool carved
+  // every class from the same end of its span. The class allocator is
+  // called directly, so this also runs under the sanitizers, where
+  // allocate() bypasses it.
+  using cachetrie::mr::NodePool;
+  const std::size_t leaf = SNode<std::uint64_t, std::uint64_t>::alloc_size(
+      /*stamped=*/false);
+  std::thread([leaf] {
+    std::vector<std::pair<void*, std::size_t>> blocks;
+    for (int i = 0; i < 4000; ++i) {
+      for (const std::size_t bytes :
+           {leaf, ANode::alloc_size(16), leaf, ANode::alloc_size(4), leaf,
+            std::size_t{16}, leaf}) {
+        void* p = NodePool::allocate_class(NodePool::class_of(bytes));
+        blocks.emplace_back(p, bytes);
+        if (bytes == leaf) {
+          const auto at = reinterpret_cast<std::uintptr_t>(p);
+          ASSERT_LE(at % cachetrie::util::kCacheLineSize + leaf,
+                    cachetrie::util::kCacheLineSize)
+              << "a 32 B leaf crosses a cache line at offset "
+              << at % cachetrie::util::kCacheLineSize;
+        }
+      }
+    }
+    for (const auto& [p, bytes] : blocks) {
+      NodePool::deallocate_class(p, NodePool::class_of(bytes));
+    }
+  }).join();
 }
 
 TEST(NodeLayout, ENodeStartsPending) {
@@ -135,7 +218,8 @@ TEST(CacheLayout, WordsRoundTripEachShape) {
   // the tag and 0 for any other node.
   ANode* narrow = ANode::make(4);
   ANode* wide = ANode::make(16);
-  auto* leaf = SNode<int, int>::make(0x1ull, 1, 10);
+  auto* leaf = SNode<int, int>::make(/*stamped=*/false, 0x1ull, 1, 10,
+                                     /*stamp=*/0);
   const auto narrow_word = CacheArray::decode(CacheArray::encode(narrow));
   const auto wide_word = CacheArray::decode(CacheArray::encode(wide));
   const auto leaf_word = CacheArray::decode(CacheArray::encode(leaf));
@@ -147,7 +231,7 @@ TEST(CacheLayout, WordsRoundTripEachShape) {
   EXPECT_EQ(leaf_word.anode_length, 0u);
   EXPECT_EQ(CacheArray::encode(leaf), reinterpret_cast<std::uintptr_t>(leaf));
   EXPECT_EQ(CacheArray::decode(CacheArray::encode(nullptr)).node, nullptr);
-  delete leaf;
+  SNode<int, int>::destroy(leaf);
   ANode::destroy(wide);
   ANode::destroy(narrow);
 }

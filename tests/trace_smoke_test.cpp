@@ -8,6 +8,7 @@
 // load into Perfetto) round-trips with those events in it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -118,7 +119,11 @@ TEST(TraceSmoke, StalledReaderTimelineShowsDeclareThenEpochAdvance) {
   tk::chaos::enable(false);
 
   // --- timeline assertions on the drained events ---------------------------
-  const auto events = trace::registry().drain();
+  // drain() returns the rings one after another; the flip that follows the
+  // declaration is often recorded by another thread, on an earlier ring.
+  auto events = trace::registry().drain();
+  std::sort(events.begin(), events.end(),
+            [](const auto& a, const auto& b) { return a.ts < b.ts; });
   std::uint64_t park_ts = 0, declare_ts = 0, kill_ts = 0;
   bool flip_after_declare = false;
   std::uint64_t scan_begins = 0;

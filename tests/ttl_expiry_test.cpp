@@ -27,6 +27,7 @@
 #include "cachetrie/evict.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sites.hpp"
+#include "util/hashing.hpp"
 
 namespace {
 
@@ -242,6 +243,64 @@ TEST(TtlExpiry, ResidentBytesMatchFootprintAtQuiescence) {
   // which the walk includes but the ledger does not track).
   EXPECT_EQ(t.resident_bytes(),
             t.footprint_bytes() - sizeof(BoundedTrie));
+  EXPECT_TRUE(t.debug_validate().empty());
+}
+
+// --- hash-free leaves: u64 keys store no hash, bounded leaves a stamp ----
+
+TEST(TtlExpiry, HashFreeLeafBooksItsStampWord) {
+  // An unbounded leaf is the 32 B pair; a bounded one adds its trailing
+  // 8 B stamp word, and the ledger books exactly those 40 B.
+  using Leaf = cachetrie::detail::SNode<std::uint64_t, std::uint64_t>;
+  static_assert(!cachetrie::detail::kLeafStoresHash<std::uint64_t>);
+  g_clock.store(1, std::memory_order_relaxed);
+  BoundedTrie bounded(ttl_config());
+  const std::size_t before = bounded.resident_bytes();
+  ASSERT_TRUE(bounded.insert(5, 50));
+  EXPECT_EQ(bounded.resident_bytes() - before, Leaf::alloc_size(true));
+  EXPECT_EQ(Leaf::alloc_size(true), 40u);
+  BoundedTrie unbounded;
+  const std::size_t empty = unbounded.footprint_bytes();
+  ASSERT_TRUE(unbounded.insert(5, 50));
+  EXPECT_EQ(unbounded.footprint_bytes() - empty, Leaf::alloc_size(false));
+  EXPECT_EQ(unbounded.resident_bytes(), 0u);
+}
+
+TEST(TtlExpiry, CopiedHashFreeLeavesKeepTheirStamps) {
+  // IdentityHash: keys i << 12 share a path down to level 12, where a
+  // narrow node holds the first four and expands on the fifth, then wide
+  // nodes grow subtrees. The odd keys go in at tick 1 and the even keys at
+  // tick 60, so the expansions and subtree builds that the even inserts
+  // trigger copy odd leaves, placed by their recomputed hashes. A copy
+  // keeps its source's stamp, so at 2 + kTtl exactly the odd keys expire.
+  using IdentityTrie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t,
+                                            cachetrie::util::IdentityHash>;
+  g_clock.store(1, std::memory_order_relaxed);
+  IdentityTrie t(ttl_config());
+  const EvictionDelta evicted;
+  for (std::uint64_t i = 1; i <= 31; i += 2) ASSERT_TRUE(t.insert(i << 12, i));
+  g_clock.store(60, std::memory_order_relaxed);
+  for (std::uint64_t i = 2; i <= 32; i += 2) ASSERT_TRUE(t.insert(i << 12, i));
+  EXPECT_EQ(t.size(), 32u);
+  EXPECT_TRUE(t.debug_validate().empty());
+  g_clock.store(2 + kTtl, std::memory_order_relaxed);
+  EXPECT_EQ(t.size(), 16u);
+  for (std::uint64_t i = 1; i <= 32; ++i) {
+    EXPECT_EQ(t.lookup(i << 12).has_value(), i % 2 == 0) << "key " << i;
+  }
+  // Writers treat the corpses as absent: a remove finds nothing (and
+  // evicts the corpse), an insert is new.
+  for (std::uint64_t i = 1; i <= 15; i += 2) {
+    EXPECT_EQ(t.remove(i << 12), std::nullopt) << "key " << i;
+  }
+  for (std::uint64_t i = 17; i <= 31; i += 2) {
+    EXPECT_TRUE(t.insert(i << 12, i)) << "key " << i;
+  }
+  EXPECT_EQ(t.size(), 24u);
+  if (kCounted) {
+    EXPECT_EQ(evicted.ttl(), 16u);
+  }
+  EXPECT_EQ(t.resident_bytes(), t.footprint_bytes() - sizeof(IdentityTrie));
   EXPECT_TRUE(t.debug_validate().empty());
 }
 
