@@ -142,24 +142,38 @@ inline void add_roster_row(
 /// Adds per-op lookup tail-latency rows (p50/p90/p99/p999 cells, unit=ns)
 /// for all five structures to the report. Each structure gets a fresh map
 /// pre-filled with n keys, one warm pass over every key, then `passes`
-/// measured passes on the TSC clock (see harness::measure_latency). Runs
+/// measured passes on the TSC clock (see harness::measure_latency), all in
+/// the shuffled key order the throughput cells use. The two fenced clock
+/// reads around each lookup cost time of their own: an empty-op pass
+/// measures that pair, and its p50 comes off every cell. Runs
 /// single-threaded on purpose: the cells gate the *structure's* lookup tail
 /// (cache-depth effects, pathological probe chains), not scheduler jitter.
 inline void add_latency_rows(cachetrie::harness::BenchReport& report,
                              std::size_t n, std::size_t passes = 3) {
-  const auto stats = run_roster([&](auto make) {
+  const auto keys = cachetrie::harness::shuffled_sequential_keys(n);
+  const double clock_pair_ns =
+      cachetrie::harness::measure_latency([](std::uint64_t) {}, n, passes)
+          .p50.mean_ns;
+  auto stats = run_roster([&](auto make) {
     auto map = make();
-    for (std::size_t i = 0; i < n; ++i) map.insert(i, i);
+    for (const Key k : keys) map.insert(k, k);
     volatile std::uint64_t sink = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (auto v = map.lookup(i)) sink = sink + *v;
+    for (const Key k : keys) {
+      if (auto v = map.lookup(k)) sink = sink + *v;
     }
     return cachetrie::harness::measure_latency(
         [&](std::uint64_t i) {
-          if (auto v = map.lookup(i % n)) sink = sink + *v;
+          if (auto v = map.lookup(keys[i])) sink = sink + *v;
         },
         n, passes);
   });
+  for (auto& s : stats) {
+    for (auto* q : {&s.p50, &s.p90, &s.p99, &s.p999}) {
+      q->mean_ns = std::max(0.0, q->mean_ns - clock_pair_ns);
+      q->min_ns = std::max(0.0, q->min_ns - clock_pair_ns);
+      q->max_ns = std::max(0.0, q->max_ns - clock_pair_ns);
+    }
+  }
   const cachetrie::harness::BenchParams params{
       {"op", "lookup_latency"}, {"n", std::to_string(n)}};
   for (std::size_t i = 0; i < stats.size(); ++i) {

@@ -6,6 +6,8 @@
 //           of ctrie (up to 7.5x slower than CHM) and skip lists (up to 36x);
 //   insert: cache-trie within +-20% of CHM; w/o-cache close behind;
 //           ctrie ~1.5x; skip list ~6x slower.
+#include <map>
+
 #include "common.hpp"
 
 namespace {
@@ -29,14 +31,33 @@ Summary bench_lookup(Make&& make, const std::vector<bench::Key>& keys) {
       bench::bench_options());
 }
 
+/// Where the last timed fill of N keys left the cache-trie's cache, and how
+/// many depth-sampling passes that fill ran (inserts feed the miss rule).
+struct FillCache {
+  std::int32_t level = -1;
+  std::uint64_t sampling_passes = 0;
+};
+
 template <typename Make>
-Summary bench_insert(Make&& make, const std::vector<bench::Key>& keys) {
+Summary bench_insert(Make&& make, const std::vector<bench::Key>& keys,
+                     std::map<std::size_t, FillCache>& fills) {
   return bench::measure_structure(
       make,
       [&](auto& map) {
-        return cachetrie::harness::time_ms([&] {
+        const std::uint64_t passes0 =
+            cachetrie::obs::sites::cachetrie_sampling_pass.total();
+        const double ms = cachetrie::harness::time_ms([&] {
           for (auto k : keys) map.insert(k, k);
         });
+        if constexpr (requires { map.cache_level(); }) {
+          if (map.cache_level() >= 0) {
+            fills[keys.size()] = {
+                map.cache_level(),
+                cachetrie::obs::sites::cachetrie_sampling_pass.total() -
+                    passes0};
+          }
+        }
+        return ms;
       },
       bench::bench_options());
 }
@@ -74,9 +95,16 @@ int main() {
   print_figure("lookup", sizes, report, [](auto make, const auto& keys) {
     return bench_lookup(make, keys);
   });
-  print_figure("insert", sizes, report, [](auto make, const auto& keys) {
-    return bench_insert(make, keys);
+  std::map<std::size_t, FillCache> fills;
+  print_figure("insert", sizes, report, [&](auto make, const auto& keys) {
+    return bench_insert(make, keys, fills);
   });
+  for (const auto& [n, fill] : fills) {
+    std::printf("cachetrie insert of %zu keys from empty: cache level %d, "
+                "%llu sampling passes\n",
+                n, fill.level,
+                static_cast<unsigned long long>(fill.sampling_passes));
+  }
 
   std::printf(
       "expected shape (paper): lookup CHM < cachetrie (1.6-2.1x) << ctrie\n"

@@ -786,6 +786,7 @@ class CacheTrie {
                                          std::memory_order_acq_rel,
                                          std::memory_order_acquire)) {
           maybe_inhabit(sn, h, lev + 4);
+          note_insert_leaf(lev + 4);
           return Res::kNew;
         }
         discard(sn);
@@ -1140,8 +1141,31 @@ class CacheTrie {
         static_cast<std::int32_t>(leaf_lev) == cache_level) {
       maybe_inhabit(sn, hash_of(sn), leaf_lev);
     }
+    note_reach(leaf_lev, cache_level);
+  }
+
+  /// The miss rule lookups and inserts share: the cache at level L serves
+  /// leaves at L (direct) and L+4 (one hop through a cached ANode), and a
+  /// leaf outside that reach counts a miss.
+  // [read-path]
+  void note_reach(std::uint32_t leaf_lev, std::int32_t cache_level) const {
     const auto ll = static_cast<std::int32_t>(leaf_lev);
     if (ll < cache_level || ll > cache_level + 4) record_cache_miss();
+  }
+
+  /// An insert stored a fresh leaf into an empty slot, at `leaf_lev`: the
+  /// same miss rule, against the cache as it stands now. Without it a trie
+  /// built by inserts alone would keep its first cache level however deep
+  /// its leaves sink, since only misses start the depth sampling (§3.6).
+  /// A collision that pushes a resident leaf down (create_subtree, a chain
+  /// growing a path) does not count: counted too, it moved a small fill's
+  /// cache a level deeper before the fill ended, and the new array's
+  /// inhabits slowed that fill for a level its first lookups pick anyway
+  /// (EXPERIMENTS.md, "Writes steer the cache").
+  void note_insert_leaf(std::uint32_t leaf_lev) const {
+    if (!config_.use_cache) return;
+    const std::int32_t level = cache_level();
+    if (level != kNoCacheLevel) note_reach(leaf_lev, level);
   }
 
   // --- remove (paper §3.7) ---------------------------------------------------
@@ -1629,7 +1653,12 @@ class CacheTrie {
 
   /// Writes `nv` into the cache if the cache covers `node_level`, creating
   /// the cache at cache_init_level the first time a node at or below
-  /// kCacheInitTriggerLevel shows up (Fig. 7).
+  /// kCacheInitTriggerLevel shows up (Fig. 7). The head array takes nodes
+  /// at its own level L. When the head's parent array covers L - 4, that
+  /// array takes ANodes at L - 4, so a write to a key whose leaf the head
+  /// caches (cache_start skips SNode words) starts one hop above the leaf.
+  /// Only writes pass an ANode at L - 4: lookups inhabit at the level they
+  /// read from the head, which is L unless the cache moved meanwhile.
   void maybe_inhabit(NodeBase* nv, std::uint64_t h,
                      std::uint32_t node_level) const {
     if (!config_.use_cache) return;
@@ -1650,32 +1679,41 @@ class CacheTrie {
       }
       cache = cache_head_.load(std::memory_order_acquire);
     }
-    if (cache->level == node_level) {
-      // Store, then re-validate (§3.5's plain WRITE is safe on the JVM
-      // because a stale entry pins the dead node in memory and the dead node
-      // is recognizably frozen; with manual reclamation a stale entry would
-      // dangle once the node is freed). The protocol here pairs with
-      // clear_cache_refs(): an unlinker marks the node (txn/freeze), then
-      // clears matching cache entries; an inhabiter stores, then re-checks
-      // liveness and undoes its own store if the node died. The seq_cst
-      // fences make this a store-buffering (Dekker) pair: either the
-      // inhabiter sees the mark, or the clearer sees the store — so no
-      // resurrection survives the node's grace period.
-      // The word carries nv's shape tag in the same store as the pointer,
-      // and the undo expects that same word.
-      auto& entry = cache->entry(cache->index_of(h));
-      const CacheArray::Word word = CacheArray::encode(nv);
-      obs::sites::cachetrie_cache_inhabit.add();
-      // [publishes: CT_CACHE_INSTALL]
-      entry.store(word, std::memory_order_release);
-      testkit::chaos_point(testkit::Site::cachetrie_cache_inhabit);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (!cachee_live(nv, h, node_level)) {
-        CacheArray::Word expected = word;
-        entry.compare_exchange_strong(expected, CacheArray::encode(nullptr),
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_relaxed);
+    if (cache->level != node_level) {
+      CacheArray* parent = cache->parent;
+      if (parent == nullptr || parent->level != node_level ||
+          node_level + 4 != cache->level || nv->kind != Kind::kANode) {
+        return;
       }
+      testkit::chaos_point(testkit::Site::cachetrie_cache_inhabit_parent);
+      cache = parent;
+    }
+    // Store, then re-validate (§3.5's plain WRITE is safe on the JVM
+    // because a stale entry pins the dead node in memory and the dead node
+    // is recognizably frozen; with manual reclamation a stale entry would
+    // dangle once the node is freed). The protocol here pairs with
+    // clear_cache_refs(): an unlinker marks the node (txn/freeze), then
+    // clears matching cache entries; an inhabiter stores, then re-checks
+    // liveness and undoes its own store if the node died. The seq_cst
+    // fences make this a store-buffering (Dekker) pair: either the
+    // inhabiter sees the mark, or the clearer sees the store — so no
+    // resurrection survives the node's grace period.
+    // The word carries nv's shape tag in the same store as the pointer,
+    // and the undo expects that same word. A store into the parent array
+    // is the same pair with the same undo: clear_cache_refs() walks every
+    // array in the chain.
+    auto& entry = cache->entry(cache->index_of(h));
+    const CacheArray::Word word = CacheArray::encode(nv);
+    obs::sites::cachetrie_cache_inhabit.add();
+    // [publishes: CT_CACHE_INSTALL]
+    entry.store(word, std::memory_order_release);
+    testkit::chaos_point(testkit::Site::cachetrie_cache_inhabit);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (!cachee_live(nv, h, node_level)) {
+      CacheArray::Word expected = word;
+      entry.compare_exchange_strong(expected, CacheArray::encode(nullptr),
+                                    std::memory_order_acq_rel,
+                                    std::memory_order_relaxed);
     }
   }
 

@@ -20,6 +20,10 @@
 //     depot before carving new memory. Without the depot a thread that only
 //     inserts and one that only removes would grow memory without bound:
 //     the inserter keeps carving while the remover's list only grows.
+//   * A pop from a free list prefetches the new list head for write. The
+//     class's next allocation reads that block's link, and a block that has
+//     sat freed for a while (say, one a map's teardown released) is cold:
+//     the prefetch overlaps its miss with the caller's work.
 //   * An exiting thread donates its lists and the rest of its span. Frees
 //     that run later on the same thread (EBR limbo drained during thread
 //     exit) go through a shared, mutex-guarded cache, so they land safely.

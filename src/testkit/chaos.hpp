@@ -92,6 +92,10 @@
      remove never inhabits, only an expansion it helps commit does */        \
   X(cachetrie_cache_inhabit, "cachetrie.cache_inhabit", cachetrie,           \
     lkp | ins | pia | rpl | rpe)                                             \
+  /* a write read an ANode one level above the cache head and has not yet    \
+     stored its word in the head's parent array */                           \
+  X(cachetrie_cache_inhabit_parent, "cachetrie.cache_inhabit_parent",        \
+    cachetrie, ins | pia | rpl | rpe)                                        \
   /* --- ctrie: the post-pin site and the three INode-main commits --- */    \
   X(ctrie_pinned, "ctrie.pinned", ctrie, lkp | ins | rem)                    \
   X(ctrie_gcas, "ctrie.gcas", ctrie, ins | pia | rem)                        \

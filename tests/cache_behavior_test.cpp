@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "cachetrie/cache_trie.hpp"
 #include "harness/workload.hpp"
@@ -24,6 +25,9 @@ using cachetrie::Config;
 namespace sites = cachetrie::obs::sites;
 
 using Trie = CacheTrie<std::uint64_t, std::uint64_t>;
+/// Under the identity hash a key is its own path.
+using PlacedTrie =
+    CacheTrie<std::uint64_t, std::uint64_t, cachetrie::util::IdentityHash>;
 
 // Cache-path counts are registry counter deltas, read through the site
 // handles. With metrics compiled out every counter reads 0, so those
@@ -373,21 +377,33 @@ TEST(CacheBehavior, OneHopLookupLeavesItsEntryAlone) {
 }
 
 TEST(CacheBehavior, DescentFromShallowerArrayInhabitsDeepestLevel) {
-  // Inserts fill the level-8 array; the first lookups miss (the leaves sit
-  // deeper) until sampling grows the cache to 12, so the chain becomes
-  // [12 -> 8]. A key whose level-12 entry is empty but whose level-8 entry
-  // holds an ANode starts its descent one array up; passing level 12 on the
-  // way down must fill the deepest entry (Fig. 6).
+  // Under the identity hash, keys 0..4095 put one leaf at level 12 in each
+  // slot of 256 level-8 ANodes, within reach of the first cache array
+  // (level 8), which the inserts fill with those ANodes. Each key + 4096
+  // then splits its twin's leaf into a narrow node at 12 with two leaves at
+  // 16; a split counts no miss. Keys + 8192 then land in the narrow nodes'
+  // empty slots, leaves at 16 out of the level-8 array's reach: those
+  // inserts miss until sampling grows the cache to 12, and the last of
+  // them is the one that moves it. So the chain becomes [12 -> 8] with the
+  // level-12 array empty. A key whose level-12 entry is empty but whose
+  // level-8 entry holds an ANode starts its descent one array up; passing
+  // level 12 on the way down must fill the deepest entry (Fig. 6).
   Config cfg = sampling_config();
   cfg.cache_init_level = 8;
   cfg.min_cache_level = 8;
   cfg.max_cache_level = 12;
-  Trie trie{cfg};
-  const auto keys = cachetrie::harness::random_keys(20000);
-  for (auto k : keys) trie.insert(k, k);
+  PlacedTrie trie{cfg};
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t twin = 0; twin < 2; ++twin) {
+    for (std::uint64_t i = 0; i < 4096; ++i) {
+      keys.push_back(i + 4096 * twin);
+      trie.insert(keys.back(), keys.back());
+    }
+  }
   ASSERT_EQ(trie.cache_level(), 8);
-  for (std::size_t i = 0; i < keys.size() && trie.cache_level() != 12; ++i) {
-    (void)trie.lookup(keys[i]);
+  for (std::uint64_t i = 0; i < 4096 && trie.cache_level() != 12; ++i) {
+    keys.push_back(i + 8192);
+    trie.insert(keys.back(), keys.back());
   }
   ASSERT_EQ(trie.cache_level(), 12);
 
@@ -417,6 +433,25 @@ TEST(CacheBehavior, DescentFromShallowerArrayInhabitsDeepestLevel) {
   EXPECT_GT(filled, descents * 3 / 4);
 }
 
+TEST(CacheBehavior, InsertOnlyFillFindsTheLevelLookupsPick) {
+  // Inserts alone feed the miss rule: a fill whose leaves sink past the
+  // first array's reach samples and moves the cache to where its leaves
+  // are, the level a pass of lookups over the same keys then keeps.
+  const std::uint64_t misses0 = sites::cachetrie_cache_miss.total();
+  Trie trie;
+  const auto keys = cachetrie::harness::random_keys(std::size_t{1} << 16);
+  for (auto k : keys) trie.insert(k, k);
+  const std::int32_t filled = trie.cache_level();
+  EXPECT_GT(filled, 8);
+  if (kCounted) {
+    EXPECT_GT(sites::cachetrie_cache_miss.total(), misses0);
+  }
+  const auto issues = trie.debug_validate();
+  EXPECT_TRUE(issues.empty()) << issues.front();
+  for (auto k : keys) ASSERT_EQ(trie.lookup(k), k);
+  EXPECT_EQ(trie.cache_level(), filled);
+}
+
 // --- shape-tagged cache words ----------------------------------------------
 //
 // Under the identity hash a key is its own path. 0x001 and 0x101 split at
@@ -425,8 +460,6 @@ TEST(CacheBehavior, DescentFromShallowerArrayInhabitsDeepestLevel) {
 // 0x013 is a leaf at level 8. The cache is pinned at level 8, where it holds
 // all three shapes.
 
-using PlacedTrie =
-    CacheTrie<std::uint64_t, std::uint64_t, cachetrie::util::IdentityHash>;
 using cachetrie::detail::ANode;
 using cachetrie::detail::Kind;
 using cachetrie::detail::NodeBase;
@@ -556,6 +589,102 @@ TEST(CacheWords, InhabitingAFrozenNodeUndoesItsOwnWord) {
   for (const std::uint64_t k : {0x001, 0x101, 0x401}) {
     EXPECT_EQ(trie.lookup(k), k);
   }
+}
+
+// --- the head's parent array ------------------------------------------------
+//
+// With the cache head at level L and its parent array at L - 4, a write that
+// passes an ANode at L - 4 caches it in the parent array. Here L is 12: the
+// narrow node that 0x001 and 0x101 split into sits at level 8.
+
+/// Grows a level-8 cache to 12 on its first miss, keeping the level-8
+/// array as the head's parent.
+Config two_array_config() {
+  Config cfg;
+  cfg.max_misses = 0;
+  cfg.cache_init_level = 8;
+  cfg.min_cache_level = 12;
+  cfg.max_cache_level = 12;
+  return cfg;
+}
+
+/// Inserts 0x001 and 0x101; the lookup of 0x001 reaches its leaf at level
+/// 12 and builds the level-8 array, and the insert of 0x002 puts a leaf at
+/// level 4, whose miss grows the chain to [12 -> 8]. Both arrays are empty.
+void grow_to_two_arrays(PlacedTrie& trie) {
+  ASSERT_TRUE(trie.insert(0x001, 0x001));
+  ASSERT_TRUE(trie.insert(0x101, 0x101));
+  ASSERT_EQ(trie.lookup(0x001), 0x001u);
+  ASSERT_EQ(trie.cache_level(), 8);
+  ASSERT_TRUE(trie.insert(0x002, 0x002));
+  ASSERT_EQ(trie.cache_level(), 12);
+  ASSERT_EQ(trie.debug_cache_entry(0x001, 8), nullptr);
+}
+
+TEST(CacheWords, WriteCachesItsParentLevelANodeAndCompressionClearsIt) {
+  // A remove of 0x101 descends from the root (no array holds a node on its
+  // path yet) and parks before announcing. Meanwhile an upsert of 0x001
+  // passes the narrow node at level 8 and caches it in the parent array.
+  // The remove then leaves that node one leaf, so it compresses it, and
+  // the compression must clear the word.
+  namespace tk = cachetrie::testkit;
+  PlacedTrie trie{two_array_config()};
+  grow_to_two_arrays(trie);
+  const NodeBase* narrow = nullptr;
+  const tk::Site row = tk::Site::cachetrie_txn_announce;
+  const std::size_t parks = tk::fault::lose_race(
+      11, std::span<const tk::Site>(&row, 1),
+      [&] { EXPECT_EQ(trie.remove(0x101), 0x101u); },
+      [&](std::size_t) {
+        EXPECT_FALSE(trie.insert(0x001, 0x1001));
+        narrow = trie.debug_cache_entry(0x001, 8);
+        ASSERT_NE(narrow, nullptr);
+        ASSERT_EQ(narrow->kind, Kind::kANode);
+        EXPECT_EQ(static_cast<const ANode*>(narrow)->length, 4u);
+        EXPECT_EQ(slot_key(narrow, 1), 0x101u);
+        // The word sits at the node's canonical index with its shape tag.
+        const auto issues = trie.debug_validate();
+        EXPECT_TRUE(issues.empty()) << issues.front();
+      });
+  ASSERT_EQ(parks, 1u);
+  EXPECT_EQ(trie.debug_cache_entry(0x001, 8), nullptr)
+      << "the compressed node's word outlived its retirement";
+  const auto issues = trie.debug_validate();
+  EXPECT_TRUE(issues.empty()) << issues.front();
+  EXPECT_EQ(trie.lookup(0x001), 0x1001u);
+  EXPECT_EQ(trie.lookup(0x101), std::nullopt);
+}
+
+TEST(CacheWords, InhabitingAFrozenParentLevelNodeUndoesItsOwnWord) {
+  // An insert of 0x201 reads the narrow node at level 8 and parks before
+  // storing its word in the parent array. A remove of 0x101 meanwhile
+  // compresses the node and clears its words, finding none. The insert then
+  // stores the dead node's word, sees the freeze on its re-check, and must
+  // take that word back.
+  namespace tk = cachetrie::testkit;
+  PlacedTrie trie{two_array_config()};
+  grow_to_two_arrays(trie);
+  const tk::Site row = tk::Site::cachetrie_cache_inhabit_parent;
+  const std::uint64_t inhabits0 = sites::cachetrie_cache_inhabit.total();
+  const std::size_t parks = tk::fault::lose_race(
+      13, std::span<const tk::Site>(&row, 1),
+      [&] { EXPECT_TRUE(trie.insert(0x201, 0x201)); },
+      [&](std::size_t) {
+        EXPECT_EQ(trie.remove(0x101), 0x101u);
+        EXPECT_EQ(trie.debug_cache_entry(0x001, 8), nullptr);
+      });
+  ASSERT_EQ(parks, 1u);
+  if (kCounted) {
+    EXPECT_GT(sites::cachetrie_cache_inhabit.total(), inhabits0);
+  }
+  EXPECT_EQ(trie.debug_cache_entry(0x201, 8), nullptr)
+      << "the frozen node's word outlived the inhabit's re-check";
+  const auto issues = trie.debug_validate();
+  EXPECT_TRUE(issues.empty()) << issues.front();
+  for (const std::uint64_t k : {0x001, 0x002, 0x201}) {
+    EXPECT_EQ(trie.lookup(k), k);
+  }
+  EXPECT_EQ(trie.lookup(0x101), std::nullopt);
 }
 
 }  // namespace

@@ -96,13 +96,16 @@ using Csl = cachetrie::csl::ConcurrentSkipList<Key, std::uint64_t>;
 /// ballast (bounded trie only; never in the history, so absent to the
 /// checker, as TTL makes it), optionally a bystander: a Ctrie remove of
 /// `bystander_remove` parked at ctrie.clean_parent for the whole cell, and
-/// keys looked up after the prefill (in the history too).
+/// keys looked up after the prefill (in the history too). `parent_array`:
+/// the cache-trie's first miss grows its cache from level 8 to 12, keeping
+/// the level-8 array as the head's parent (trie_config).
 struct State {
   const char* name;
   std::vector<Key> keys;
   std::vector<Key> ballast = {};
   Key bystander_remove = 0;
   std::vector<Key> looked_up = {};
+  bool parent_array = false;
 };
 
 template <typename Map>
@@ -361,12 +364,29 @@ std::vector<State> trie_states() {
   // up 1 reaches its leaf at level 12, which builds an empty cache array
   // at level 8 for the racing ops to inhabit with that node (or, for 17,
   // 33 and 65, with their new leaf), and 0x10001 or 0x20001 expands it.
+  // "cached_parent" then looks up 2, a leaf at level 4: its miss grows the
+  // cache to 12, so a write that passes the narrow node stores its word in
+  // the level-8 array, the head's parent, while removing 1 or 0x101
+  // compresses that node and inserting 0x10001 or 0x20001 expands it.
   return {{"empty", {}},
           {"one", {1}},
           {"narrow", {1, 17}},
           {"wide", {1, 65}},
           {"chain", {1, 0x10001}},
-          {"cached", {1, 0x101}, {}, 0, {1}}};
+          {"cached", {1, 0x101}, {}, 0, {1}},
+          {"cached_parent", {1, 0x101, 2}, {}, 0, {1, 2}, true}};
+}
+
+/// A fresh trie's config for state `s`: by default the paper's; with
+/// `parent_array`, one miss moves the cache from level 8 to 12 for good.
+cachetrie::Config trie_config(const State& s) {
+  cachetrie::Config cfg;
+  if (s.parent_array) {
+    cfg.max_misses = 0;
+    cfg.min_cache_level = 12;
+    cfg.max_cache_level = 12;
+  }
+  return cfg;
 }
 
 const std::vector<std::array<Site, 2>> kTrieReparks = {
@@ -382,7 +402,7 @@ constexpr std::uint64_t kNow = 1u << 20;
 constexpr std::uint64_t kTtl = 1000;
 
 std::unique_ptr<Trie> make_bounded(const State& s) {
-  cachetrie::Config cfg;
+  cachetrie::Config cfg = trie_config(s);
   cfg.ttl_ticks = 1ull << 40;  // bounded mode on, horizons inert
   if (s.ballast.empty()) return std::make_unique<Trie>(cfg);
   // Over a 1-byte ceiling every insert runs a backpressure scan.
@@ -398,7 +418,9 @@ std::unique_ptr<Trie> make_bounded(const State& s) {
 
 Subject<Trie> cachetrie_subject() {
   return {"cachetrie", Owner::cachetrie, false, kTrieKeys, trie_states(),
-          kTrieReparks, [](const State&) { return std::make_unique<Trie>(); }};
+          kTrieReparks, [](const State& s) {
+            return std::make_unique<Trie>(trie_config(s));
+          }};
 }
 
 Subject<Trie> bounded_subject() {
