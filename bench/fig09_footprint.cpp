@@ -21,7 +21,7 @@ namespace {
 
 /// NodePool::mapped_bytes() that a fresh cache-trie of `n` keys (filled,
 /// then looked up once so its cache exists) adds, or -1 when the pool is
-/// off (sanitizer builds). The pool never unmaps and reuses whatever was
+/// off (ASan builds). The pool never unmaps and reuses whatever was
 /// freed before, so each size is measured in a forked child whose pool has
 /// served nothing else; call it before building any structure. Resolution
 /// is one 2 MiB chunk.

@@ -10,7 +10,7 @@
 #   scripts/check.sh            # all stages (lint, plain, asan, tsan, off, perf)
 #   scripts/check.sh lint       # one stage (lint|plain|asan|tsan|off|perf)
 #
-# The fault label (fault-injection + stall-tolerant reclamation + progress
+# The fault label (fault-injection + reclamation under stalls + progress
 # watchdog, see tests/*fault*, tests/watchdog_progress_test.cpp) runs in the
 # plain and tsan stages. It is skipped under ASan because killed victim
 # threads intentionally leak their in-flight allocations (simulated thread
@@ -24,11 +24,11 @@
 # against racing sends, and the shard's short reads) 50 times each.
 #
 # The trace label (flight recorder: tests/trace_test.cpp and the
-# chaos-perturbed tests/trace_smoke_test.cpp, which replays the stalled-
-# reader fault seed) runs in the same two stages for the same reason, with
-# $CACHETRIE_TRACE_OUT pointed into the build tree; the plain stage then
-# smoke-runs scripts/trace_summarize.py over whatever TRACE_*.json the
-# tests dumped.
+# chaos-perturbed tests/trace_smoke_test.cpp, which parks a reader in its
+# epoch guard and checks the park/flip/resume timeline) runs in the same
+# two stages for the same reason, with $CACHETRIE_TRACE_OUT pointed into
+# the build tree; the plain stage then smoke-runs scripts/trace_summarize.py
+# over whatever TRACE_*.json the tests dumped.
 #
 # The plain stage also builds benchmark/ as its own project
 # (build-check-benchmark), runs all three of its workloads for 1 s each, and

@@ -10,7 +10,7 @@
 // follows, which keeps indexing branch-free without changing semantics.
 //
 // Shape tags: an entry is a word, not a bare pointer. Every node comes from
-// the node pool (or, under a sanitizer, from malloc) 16 B-aligned, so the
+// the node pool (or, under ASan, from malloc) 16 B-aligned, so the
 // two low bits of a node's address are free; the word keeps the node's
 // shape there: 00 for anything but an ANode, 01 for a narrow ANode (4
 // slots), 11 for a wide one (16 slots). A lookup that loads an ANode word

@@ -285,7 +285,7 @@ class Ctrie {
   Res pinned(const K& key, Step step) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     // Fault site: a victim parked here holds the guard with nothing else
-    // done — the stall-tolerant reclaimer's worst case (see testkit/fault.hpp).
+    // done — the worst case for epoch reclamation (see testkit/fault.hpp).
     testkit::chaos_point(testkit::Site::ctrie_pinned);
     const std::uint64_t h = hasher_(key);
     while (true) {

@@ -43,12 +43,6 @@ EpochDomain::EpochDomain() {
                         g(&EpochDomain::retired_bytes));
   reg.register_gauge_fn("mr.epoch.limbo_bytes_hwm",
                         g(&EpochDomain::retired_bytes_high_water));
-  reg.register_gauge_fn("mr.epoch.stalled_records",
-                        g(&EpochDomain::stalled_records));
-  reg.register_gauge_fn("mr.epoch.fallback_scans",
-                        g(&EpochDomain::fallback_scans));
-  reg.register_gauge_fn("mr.epoch.stalled_guard_exits",
-                        g(&EpochDomain::stalled_guard_exits));
   // Node memory the pool holds, live or free: it is never returned to the
   // OS, so this explains RSS that footprint_bytes() does not count.
   reg.register_gauge_fn("mr.pool.mapped_bytes", [] {
@@ -129,73 +123,8 @@ void EpochDomain::exit(ThreadRecord& rec) {
   if (--rec.nesting != 0) return;
   // Opportunistically recycle limbo segments that became safe while pinned.
   collect_local(rec, global_epoch_.load(std::memory_order_acquire));
-  // A plain store: if a sweep declared this reader stalled, the sweeps count
-  // the exit once they see the word change (reconcile()).
   // [publishes: EPOCH_UNPIN]
   rec.state.store(0, std::memory_order_release);
-}
-
-void EpochDomain::count_stalled_exit(ThreadRecord& rec) const noexcept {
-  // A fallback sweep declared this reader dead, yet it exited its guard.
-  // Benign when the exit is the testkit's death-unwind (it touches no
-  // shared memory on the way out); otherwise a crash-stop model violation —
-  // see the header comment.
-  stalled_records_.fetch_sub(1, std::memory_order_relaxed);
-  stalled_guard_exits_.fetch_add(1, std::memory_order_relaxed);
-  obs::sites::mr_stalled_guard_exit.record(
-      reinterpret_cast<std::uintptr_t>(&rec));
-}
-
-void EpochDomain::reconcile(ThreadRecord& rec) const noexcept {
-  std::uint64_t d = rec.declared.load(std::memory_order_acquire);
-  if (d != 0 && rec.state.load(std::memory_order_acquire) != d &&
-      rec.declared.compare_exchange_strong(d, 0, std::memory_order_acq_rel,
-                                           std::memory_order_relaxed)) {
-    count_stalled_exit(rec);
-  }
-}
-
-void EpochDomain::reconcile_all() const noexcept {
-  for (ThreadRecord* rec = records_.load(std::memory_order_acquire);
-       rec != nullptr; rec = rec->next) {
-    reconcile(*rec);
-  }
-}
-
-void EpochDomain::record_declared(ThreadRecord& rec,
-                                  std::uint64_t word) const noexcept {
-  std::uint64_t d = 0;
-  while (!rec.declared.compare_exchange_strong(d, word,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-    // An earlier declaration `d` is still pending. The state word holds at
-    // most one of `d` and `word`, and the owner has left the other one.
-    if (rec.state.load(std::memory_order_acquire) == d) {
-      // `d` is live (or equal to `word`): the exit to count is this one's.
-      count_stalled_exit(rec);
-      return;
-    }
-    if (rec.declared.compare_exchange_strong(d, 0, std::memory_order_acq_rel,
-                                             std::memory_order_relaxed)) {
-      count_stalled_exit(rec);
-    }
-    d = 0;
-  }
-}
-
-std::uint64_t EpochDomain::stalled_records() const noexcept {
-  reconcile_all();
-  return stalled_records_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t EpochDomain::stalled_guard_exits() const noexcept {
-  reconcile_all();
-  return stalled_guard_exits_.load(std::memory_order_relaxed);
-}
-
-bool EpochDomain::current_thread_declared_stalled() {
-  return (local_record()->state.load(std::memory_order_acquire) &
-          kStalledBit) != 0;
 }
 
 template <typename T>
@@ -258,21 +187,6 @@ void EpochDomain::retire(void* p, Deleter deleter, std::size_t bytes) {
     try_advance();
     collect_local(*rec, global_epoch_.load(std::memory_order_acquire));
   }
-  // With no cap (the default) the sum over the records is never taken, so a
-  // retirement writes nothing shared.
-  const std::size_t cap = limbo_cap_bytes_.load(std::memory_order_relaxed);
-  if (cap != kNoLimboCap && retired_bytes() > cap) {
-    // Over the cap: push the epoch and collect eagerly; when that frees
-    // nothing and limbo stays over the cap, a straggler is blocking
-    // advancement — run the stall fallback.
-    try_advance();
-    const std::size_t freed =
-        collect_local(*rec, global_epoch_.load(std::memory_order_acquire));
-    if (freed == 0 && retired_bytes() >
-                          limbo_cap_bytes_.load(std::memory_order_relaxed)) {
-      fallback_scan();
-    }
-  }
 }
 
 bool EpochDomain::try_advance() {
@@ -281,9 +195,8 @@ bool EpochDomain::try_advance() {
        rec != nullptr; rec = rec->next) {
     // [acquires: EPOCH_PIN, EPOCH_UNPIN]
     const std::uint64_t s = rec->state.load(std::memory_order_seq_cst);
-    if ((s & kPinnedBit) != 0 && (s & kStalledBit) == 0 &&
-        (s >> kEpochShift) != e) {
-      return false;  // straggler reader not (yet) declared stalled
+    if ((s & kPinnedBit) != 0 && (s >> kEpochShift) != e) {
+      return false;  // a reader still pinned at an older epoch
     }
   }
   // [publishes: EPOCH_FLIP]
@@ -294,54 +207,6 @@ bool EpochDomain::try_advance() {
     collect_orphans(e + 1);
   }
   return advanced;
-}
-
-std::size_t EpochDomain::fallback_scan() {
-  fallback_scans_.fetch_add(1, std::memory_order_relaxed);
-  [[maybe_unused]] auto span =
-      obs::sites::mr_fallback_scan.span(retired_bytes());
-  // Hazard-pointer-style sweep (the published epoch plays the role of the
-  // hazard pointer). A record
-  // pinned at an epoch other than the current one is what is blocking
-  // advancement (the advance rule caps absolute lag at one epoch), so the
-  // sweep measures *persistence*: tick such a record once per sweep, and
-  // declare it stalled after `stall_lag_epochs` consecutive ticks. The
-  // owner's whole-word publish on enter/exit resets the tick field, so a
-  // slow-but-live reader that keeps completing guards never accumulates
-  // ticks — only one stuck inside a single guard does.
-  const std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
-  const std::uint64_t lag = stall_lag_epochs();
-  for (ThreadRecord* rec = records_.load(std::memory_order_acquire);
-       rec != nullptr; rec = rec->next) {
-    reconcile(*rec);
-    std::uint64_t s = rec->state.load(std::memory_order_seq_cst);
-    if ((s & kPinnedBit) != 0 && (s & kStalledBit) == 0 &&
-        (s >> kEpochShift) != e) {
-      const std::uint64_t ticks = (s >> kTickShift) & kTickMask;
-      const std::uint64_t desired = (ticks + 1 >= lag)
-                                        ? (s | kStalledBit)
-                                        : s + (std::uint64_t{1} << kTickShift);
-      // Losing the CAS means the owner exited (tick reset — correct) or a
-      // concurrent sweep ticked first (skip one tick — harmless).
-      if (rec->state.compare_exchange_strong(s, desired,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_relaxed) &&
-          (desired & kStalledBit) != 0) {
-        stalled_records_.fetch_add(1, std::memory_order_relaxed);
-        obs::sites::mr_stall_declare.record(
-            reinterpret_cast<std::uintptr_t>(rec), ticks + 1);
-        record_declared(*rec, desired);
-      }
-    }
-  }
-  // One full grace period: two advances. Each can still fail if a live
-  // (non-stalled) reader is mid-operation; that only delays collection by
-  // one bounded op, not forever.
-  try_advance();
-  try_advance();
-  ThreadRecord* self = local_record();
-  return collect_local(*self,
-                       global_epoch_.load(std::memory_order_acquire));
 }
 
 std::size_t EpochDomain::free_segment(ThreadRecord& rec, Segment& seg) {
@@ -355,9 +220,7 @@ std::size_t EpochDomain::free_segment(ThreadRecord& rec, Segment& seg) {
   return n;
 }
 
-std::size_t EpochDomain::collect_local(ThreadRecord& rec,
-                                       std::uint64_t current) {
-  std::size_t freed = 0;
+void EpochDomain::collect_local(ThreadRecord& rec, std::uint64_t current) {
   std::size_t keep_from = 0;
   // Segments are in increasing-epoch order; free the safe prefix, folding
   // the high-water mark in first.
@@ -366,14 +229,13 @@ std::size_t EpochDomain::collect_local(ThreadRecord& rec,
   }
   while (keep_from < rec.limbo.size() &&
          rec.limbo[keep_from].epoch + 2 <= current) {
-    freed += free_segment(rec, rec.limbo[keep_from]);
+    free_segment(rec, rec.limbo[keep_from]);
     ++keep_from;
   }
   if (keep_from != 0) {
     rec.limbo.erase(rec.limbo.begin(),
                     rec.limbo.begin() + static_cast<std::ptrdiff_t>(keep_from));
   }
-  return freed;
 }
 
 void EpochDomain::orphan_all(ThreadRecord& rec) {

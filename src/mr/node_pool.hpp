@@ -37,13 +37,12 @@
 // MADV_HUGEPAGE region and deallocate_array() unmaps it; below that they
 // use ::operator new.
 //
-// Under AddressSanitizer and ThreadSanitizer allocate()/deallocate() forward
-// every request to ::operator new/delete; the class allocator stays
-// callable. ASan keeps its quarantine and use-after-free reports. TSan
-// cannot see a recycled block as new memory: once the stall-tolerant
-// reclaimer frees what a declared-dead reader last read (DESIGN.md §2c),
-// that old read would race with the block's next owner, a report that with
-// malloc lands in the suppressed free path instead.
+// Under AddressSanitizer allocate()/deallocate() forward every request to
+// ::operator new/delete, so ASan keeps its quarantine and use-after-free
+// reports; the class allocator stays callable. ThreadSanitizer runs map
+// nodes on the pool: EBR frees a block only after every reader that could
+// hold it left its guard, and the EPOCH_UNPIN and EPOCH_FLIP edges order
+// those reads before the free and the block's reuse.
 #pragma once
 
 #include <atomic>
@@ -55,16 +54,16 @@ namespace cachetrie::mr {
 
 namespace detail {
 // Compiler-defined only: no build switch turns the pool off.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-inline constexpr bool kSanitized = true;
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kAddressSanitized = true;
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-inline constexpr bool kSanitized = true;
+#if __has_feature(address_sanitizer)
+inline constexpr bool kAddressSanitized = true;
 #else
-inline constexpr bool kSanitized = false;
+inline constexpr bool kAddressSanitized = false;
 #endif
 #else
-inline constexpr bool kSanitized = false;
+inline constexpr bool kAddressSanitized = false;
 #endif
 }  // namespace detail
 
@@ -76,9 +75,9 @@ class NodePool {
   static constexpr std::size_t kChunkBytes = std::size_t{2} << 20;
   /// Blocks per depot hand-off; a thread list holds at most 2 * kBatch.
   static constexpr std::uint32_t kBatch = 64;
-  /// False under ASan and TSan: allocate() then sends every request to
+  /// False under ASan: allocate() then sends every request to
   /// ::operator new. The class allocator below works either way.
-  static constexpr bool kEnabled = !detail::kSanitized;
+  static constexpr bool kEnabled = !detail::kAddressSanitized;
 
   /// True when a request of `bytes` aligned to `align` is served from a class.
   static constexpr bool pooled(std::size_t bytes,

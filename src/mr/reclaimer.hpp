@@ -8,10 +8,11 @@
 //   * mr::EpochReclaimer  — epoch-based reclamation (EBR); the default for
 //                           every data structure in this repo. Readers pin a
 //                           global epoch for the duration of one operation;
-//                           retired nodes are freed two epochs later. Has a
-//                           stall-tolerant degraded mode (byte-capped limbo
-//                           + hazard-style fallback sweep; see epoch.hpp and
-//                           DESIGN.md "Reclamation under faults").
+//                           retired nodes are freed two epochs later. A
+//                           reader stalled inside its guard holds every
+//                           later retirement in limbo until it leaves (see
+//                           epoch.hpp and DESIGN.md "Reclamation under
+//                           faults").
 //   * mr::LeakReclaimer   — never frees; isolates reclamation overhead in
 //                           the ablation benches and simplifies some tests.
 //
@@ -25,7 +26,7 @@
 //                              a variable-length tail; `bytes` is the
 //                              allocation size. Every retirement carries its
 //                              exact size, so the reclaimer's garbage
-//                              accounting (limbo caps, footprint reporting)
+//                              accounting (limbo bytes, footprint reporting)
 //                              is exact.
 //
 // Contract — retire must be called inside a Guard. The retiring operation

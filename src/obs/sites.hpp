@@ -150,21 +150,12 @@
   X(csl_help_mark, Counter, "csl.help_mark",                                 \
     instant, kCslHelpMark, "csl.help_mark", "csl")                           \
   X(csl_cas_retry, Counter, "csl.cas.retry", none, _, _, _)                  \
-  /* --- mr: epoch domain. flip: a0 = new epoch; fallback_scan: span over   \
-     the over-cap stall sweep (a0 = limbo bytes); stall_declare: a sweep     \
-     declared a reader stalled (a0 = record); stalled_guard_exit: a sweep    \
-     saw a declared-stalled reader exit. --- */                              \
+  /* --- mr: epoch domain. flip: a0 = new epoch. --- */                      \
   X(mr_epoch_flip, NoMetric, nullptr,                                        \
     instant, kMrEpochFlip, "mr.epoch.flip", "mr")                            \
-  X(mr_fallback_scan, NoMetric, nullptr,                                     \
-    span, kMrFallbackScan, "mr.epoch.fallback_scan", "mr")                   \
-  X(mr_stall_declare, NoMetric, nullptr,                                     \
-    instant, kMrStallDeclare, "mr.epoch.stall_declare", "mr")                \
-  X(mr_stalled_guard_exit, NoMetric, nullptr,                                \
-    instant, kMrStalledGuardExit, "mr.epoch.stalled_guard_exit", "mr")       \
   /* --- testkit. park: the fault engine parked a thread (a0 = the           \
-     testkit::Site row it crossed); resume: it passed the resume fence;      \
-     kill: it unwound as killed;                                             \
+     testkit::Site row it crossed); resume: a stalled thread woke and        \
+     resumed; kill: a die() victim unwound as killed;                        \
      watchdog.violation: a tick saw zero completed operations;               \
      watchdog.ticks / last_tick_delta: every watchdog's completed ticks and  \
      the last tick's completed-op delta (survivor throughput per tick);      \

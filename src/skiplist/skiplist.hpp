@@ -76,6 +76,12 @@ class ConcurrentSkipList {
     std::atomic<std::uint64_t> vsync;
     int top_level;  // highest level this node is linked at (0-based)
     bool is_head;
+    /// Passes still to finish before the node may be retired: the
+    /// inserter's upper-level linking and the dead-bit winner's unlinking.
+    /// An upper link can land after the remover's unlinking find, so
+    /// neither pass alone knows the node is unreachable; the last to
+    /// finish retires it (end_pass).
+    std::atomic<std::uint8_t> passes{2};
 
     std::atomic<std::uintptr_t>* next() noexcept {
       return reinterpret_cast<std::atomic<std::uintptr_t>*>(this + 1);
@@ -226,12 +232,10 @@ class ConcurrentSkipList {
     // every traversal and racing insert must tolerate.
     testkit::chaos_point(testkit::Site::csl_unlink);
     help_mark(victim);
-    // Physically unlink everywhere, then retire: after this find() the
-    // node is unreachable (inserts that could have re-linked a marked
-    // successor re-run find themselves — see link_upper_levels).
+    // Physically unlink everywhere the node is linked now; an inserter
+    // still linking its upper levels unlinks what it links later.
     find(key, preds, succs);
-    Reclaimer::retire_raw_sized(victim, &Node::destroy_erased,
-                                Node::alloc_size(victim->top_level));
+    end_pass(victim);
     return out;
   }
 
@@ -306,7 +310,7 @@ class ConcurrentSkipList {
   bool do_insert(const K& key, const V& value, bool only_if_absent) {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     // Fault site: victim parks inside the guard before touching the list —
-    // the stall-tolerant reclaimer's worst case (testkit/fault.hpp).
+    // the worst case for epoch reclamation (testkit/fault.hpp).
     testkit::chaos_point(testkit::Site::csl_pinned);
     Node* preds[kMaxLevel];
     Node* succs[kMaxLevel];
@@ -342,7 +346,26 @@ class ConcurrentSkipList {
         continue;
       }
       link_upper_levels(n, top, key, preds, succs);
+      // A remover that marked n may have run its unlinking find before our
+      // last upper link; the bottom mark lands after every upper one, so
+      // unlink n again if it is up.
+      if (marked(n->next()[0].load(std::memory_order_seq_cst))) {
+        find(key, preds, succs);
+      }
+      end_pass(n);
       return true;
+    }
+  }
+
+  /// Ends one of n's two passes (Node::passes); the last one retires n,
+  /// which both passes have by then unlinked from every level.
+  // [smr: caller-pinned] -- the guard is held by the public entry point.
+  static void end_pass(Node* n) {
+    // [publishes: CSL_PASS]
+    // [acquires: CSL_PASS]
+    if (n->passes.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Reclaimer::retire_raw_sized(n, &Node::destroy_erased,
+                                  Node::alloc_size(n->top_level));
     }
   }
 
@@ -422,7 +445,6 @@ class ConcurrentSkipList {
   /// unlinks whatever was already linked).
   void link_upper_levels(Node* n, int top, const K& key, Node** preds,
                          Node** succs) {
-    bool resnip = false;
     for (int lev = 1; lev <= top; ++lev) {
       while (true) {
         std::uintptr_t own = n->next()[lev].load(std::memory_order_seq_cst);
@@ -440,13 +462,6 @@ class ConcurrentSkipList {
         if (preds[lev]->next()[lev].compare_exchange_strong(
                 expected, pack(n, false), std::memory_order_seq_cst,
                 std::memory_order_seq_cst)) {
-          // Re-check for the resurrection race: if the successor we just
-          // published was marked meanwhile, a remover may already have
-          // finished its unlink pass — snip it ourselves via find().
-          if (succs[lev] != nullptr &&
-              marked(succs[lev]->next()[lev].load(std::memory_order_seq_cst))) {
-            resnip = true;
-          }
           break;
         }
         // Predecessor changed: recompute the neighborhood.
@@ -457,9 +472,6 @@ class ConcurrentSkipList {
           return;  // removed entirely
         }
       }
-    }
-    if (resnip) {
-      find(key, preds, succs);
     }
   }
 

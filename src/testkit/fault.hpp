@@ -1,9 +1,9 @@
 // fault.hpp — seeded fault-injection engine for the testkit.
 //
-// PR 1's chaos engine perturbs schedules (yields/spins at protocol decision
-// points). This layer upgrades those same sites to real fault verdicts so
-// tests can prove — not assume — lock-freedom and bounded-garbage
-// reclamation under the schedules lock-freedom is supposed to survive:
+// The chaos engine (chaos.hpp) perturbs schedules (yields/spins at protocol
+// decision points). This layer upgrades those same sites to real fault
+// verdicts so tests can prove — not assume — lock-freedom under the
+// schedules lock-freedom is supposed to survive:
 //
 //   * stall(site, duration)  — the crossing thread parks for `duration`
 //     (or until release_all(), whichever is first), then resumes. Models a
@@ -13,15 +13,12 @@
 //   * die(site)              — parks until release_all(), then throws
 //     fault::ThreadKilled. Models thread death: the victim executes no
 //     further structure code (the unwind only runs Guard destructors, which
-//     touch no shared nodes), so the reclaimer's crash-stop assumption
-//     holds by construction. Victim thread functions catch ThreadKilled.
+//     touch no shared nodes). Victim thread functions catch ThreadKilled.
 //
-// Resume fence: every stall wake-up first asks the epoch domain whether a
-// fallback sweep declared this thread stalled while it was parked
-// (EpochDomain::current_thread_declared_stalled). If so, the victim is NOT
-// allowed to resume — memory it may reference has been recycled under the
-// crash-stop model — and the stall is converted into a death-unwind. A
-// declared victim stays dead.
+// A parked victim that holds an epoch guard holds reclamation back with it
+// (plain EBR): survivors' garbage stays in limbo until the victim resumes
+// or unwinds. A stalled victim always resumes; ThreadKilled comes only
+// from a die() spec.
 //
 // Plans are replayable: Plan::randomized(seed, ...) derives every spec
 // (durations, ordinals, victim assignment) deterministically from the seed
@@ -49,15 +46,14 @@
 #include <mutex>
 #include <thread>
 
-#include "mr/epoch.hpp"
 #include "obs/sites.hpp"
 #endif
 
 namespace cachetrie::testkit::fault {
 
-/// Thrown by the engine to simulate thread death (and to enforce the
-/// crash-stop model on declared-stalled victims). Victim thread functions
-/// catch it at top level; the unwind runs only RAII destructors.
+/// Thrown by the engine to simulate thread death at a die() spec. Victim
+/// thread functions catch it at top level; the unwind runs only RAII
+/// destructors.
 struct ThreadKilled {};
 
 enum class Kind : std::uint8_t { kStall, kDie };
@@ -236,12 +232,6 @@ inline void execute(const Spec& spec) {
     obs::sites::fault_kill.record(row);
     throw ThreadKilled{};
   }
-  // Resume fence: a victim the reclaimer declared dead while it was parked
-  // must not execute another instruction of structure code.
-  if (mr::EpochDomain::instance().current_thread_declared_stalled()) {
-    obs::sites::fault_kill.record(row, 1);
-    throw ThreadKilled{};
-  }
   obs::sites::fault_resume.record(row);
 }
 
@@ -287,8 +277,8 @@ inline void install(const Plan& plan) {
   chaos::set_fault_hook(&detail::on_chaos_point);
 }
 
-/// Wakes every parked victim: finite/forever stalls resume (subject to the
-/// resume fence); die() victims throw ThreadKilled and become joinable.
+/// Wakes every parked victim: finite/forever stalls resume; die() victims
+/// throw ThreadKilled and become joinable.
 inline void release_all() {
   auto& pk = detail::parking();
   {

@@ -67,6 +67,8 @@
                       "find()/lookup() use to skip corpses")                 \
   X(CSL_VSYNC,        "vsync dead-bit CAS serializes in-place value "        \
                       "updates against logical removal")                     \
+  X(CSL_PASS,         "passes fetch_sub orders the inserter's and the "      \
+                      "remover's unlinking before the last one's retire")    \
   /* --- mr (epoch reclamation) --- */                                      \
   X(EPOCH_PIN,        "seq_cst pin store vs try_advance's seq_cst state "    \
                       "read: the Dekker pair behind grace periods")          \

@@ -280,124 +280,6 @@ TEST(Epoch, HighWaterSurvivesFreeingOwnLimbo) {
   dom.drain_for_testing();
 }
 
-TEST(Epoch, StalledReaderFallbackKeepsGarbageBounded) {
-  // One reader parks forever inside a guard — classic EBR would pin the
-  // epoch and let limbo grow for as long as the churn lasts. With a byte
-  // cap and the stall fallback, the reader must get declared stalled, the
-  // epoch must move past it, and limbo bytes must stay near the cap.
-  auto& dom = EpochDomain::instance();
-  dom.drain_for_testing();
-  Tracked::live.store(0);
-
-  std::atomic<bool> pinned{false};
-  std::atomic<bool> release{false};
-  std::thread victim([&] {
-    auto g = dom.pin();
-    pinned.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    // Benign model violation: the "stalled" reader wakes and exits its
-    // guard without touching shared memory. Counted, not crashed.
-  });
-  while (!pinned.load(std::memory_order_acquire)) std::this_thread::yield();
-
-  constexpr std::size_t kCap = 64 * 1024;
-  constexpr std::size_t kEach = 64;
-  dom.set_limbo_cap_bytes(kCap);
-  dom.set_stall_lag_epochs(4);
-  const std::uint64_t scans0 = dom.fallback_scans();
-  const std::uint64_t stalled0 = dom.stalled_records();
-  const std::uint64_t exits0 = dom.stalled_guard_exits();
-  const std::uint64_t epoch0 = dom.epoch();
-
-  std::size_t max_seen = 0;
-  for (int i = 0; i < 5000; ++i) {
-    auto g = dom.pin();
-    dom.retire(static_cast<void*>(new Tracked()),
-               &cachetrie::mr::delete_as<Tracked>, kEach);
-    max_seen = std::max(max_seen, dom.retired_bytes());
-  }
-
-  // The fallback ran, declared the victim, and the epoch moved past it.
-  EXPECT_GT(dom.fallback_scans(), scans0);
-  EXPECT_EQ(dom.stalled_records(), stalled0 + 1);
-  EXPECT_GE(dom.epoch(), epoch0 + 2);
-  // Bounded garbage: the brief overshoot is the handful of retirements it
-  // takes the fallback to declare the victim, not the whole churn.
-  EXPECT_LT(max_seen, kCap + 8 * 1024);
-
-  release.store(true, std::memory_order_release);
-  victim.join();
-  // The benign resume above is the one permitted declared-reader exit.
-  EXPECT_EQ(dom.stalled_guard_exits(), exits0 + 1);
-  EXPECT_EQ(dom.stalled_records(), stalled0);
-
-  dom.set_limbo_cap_bytes(EpochDomain::kNoLimboCap);
-  dom.set_stall_lag_epochs(EpochDomain::kDefaultStallLagEpochs);
-  dom.drain_for_testing();
-  EXPECT_EQ(Tracked::live.load(), 0);
-}
-
-TEST(Epoch, DeclaredReaderThatRepinsCountsOneStalledExit) {
-  // A declared reader exits (a plain store; nothing is counted yet) and
-  // pins again before any sweep or accessor runs. The next accessor must
-  // count exactly one stalled exit, and the new pin is an ordinary one:
-  // not declared, and it holds the epoch back once it lags.
-  auto& dom = EpochDomain::instance();
-  dom.drain_for_testing();
-  dom.set_stall_lag_epochs(2);
-
-  std::atomic<int> phase{0};
-  std::atomic<bool> repin_declared{true};
-  std::thread victim([&] {
-    {
-      auto g = dom.pin();
-      phase.store(1, std::memory_order_release);
-      while (phase.load(std::memory_order_acquire) != 2) {
-        std::this_thread::yield();
-      }
-    }
-    auto g = dom.pin();
-    repin_declared.store(dom.current_thread_declared_stalled());
-    phase.store(3, std::memory_order_release);
-    while (phase.load(std::memory_order_acquire) != 4) {
-      std::this_thread::yield();
-    }
-  });
-  while (phase.load(std::memory_order_acquire) != 1) {
-    std::this_thread::yield();
-  }
-
-  // Sweep until the parked victim is declared (it lags after one advance).
-  const std::uint64_t stalled0 = dom.stalled_records();
-  const std::uint64_t exits0 = dom.stalled_guard_exits();
-  for (int i = 0; i < 64 && dom.stalled_records() == stalled0; ++i) {
-    dom.fallback_scan();
-  }
-  ASSERT_EQ(dom.stalled_records(), stalled0 + 1);
-
-  phase.store(2, std::memory_order_release);
-  while (phase.load(std::memory_order_acquire) != 3) {
-    std::this_thread::yield();
-  }
-  EXPECT_FALSE(repin_declared.load());
-  EXPECT_EQ(dom.stalled_guard_exits(), exits0 + 1);
-  EXPECT_EQ(dom.stalled_records(), stalled0);
-  // Later sweeps and reads do not count the same exit again.
-  dom.fallback_scan();
-  EXPECT_EQ(dom.stalled_guard_exits(), exits0 + 1);
-  EXPECT_EQ(dom.stalled_records(), stalled0);
-  // The new pin blocks the second advance like any live reader's.
-  dom.try_advance();
-  EXPECT_FALSE(dom.try_advance());
-
-  phase.store(4, std::memory_order_release);
-  victim.join();
-  dom.set_stall_lag_epochs(EpochDomain::kDefaultStallLagEpochs);
-  dom.drain_for_testing();
-}
-
 TEST(LeakReclaimer, CountsButNeverFrees) {
   using cachetrie::mr::LeakReclaimer;
   Tracked::live.store(0);

@@ -130,9 +130,7 @@ TEST(FaultEngine, ForeverStallResumesOnRelease) {
       tk::chaos_point(Site::net_request_execute);
       resumed.store(true);
     } catch (const fault::ThreadKilled&) {
-      // Only possible if a reclaimer sweep declared us stalled; this test
-      // retires nothing, so it must not happen.
-      ADD_FAILURE() << "undeclared victim was killed on resume";
+      ADD_FAILURE() << "a stalled victim was killed on resume";
     }
   });
   const auto deadline = std::chrono::steady_clock::now() + 5s;

@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <optional>
 #include <memory>
 #include <span>
 #include <string>
@@ -48,6 +49,7 @@
 #include "cachetrie/cache_trie.hpp"
 #include "chashmap/chashmap.hpp"
 #include "ctrie/ctrie.hpp"
+#include "mr/epoch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sites.hpp"
 #include "skiplist/skiplist.hpp"
@@ -624,5 +626,45 @@ const bool kNamedRegistered = [] {
   }
   return true;
 }();
+
+// --- an upper link after the remove -----------------------------------------
+//
+// An insert parks at csl.link_upper, after its bottom link, while a remove
+// of the same key runs to completion; released, the insert links the
+// removed node at an upper level. That node must not be freed while it is
+// linked: the drain below frees every retired node at once, and under ASan
+// a lookup through a freed one reports the use-after-free.
+TEST(SkipListRace, UpperLinkAfterRemoveFreesNoLinkedNode) {
+  auto& dom = cachetrie::mr::EpochDomain::instance();
+  Csl list;
+  std::map<Key, std::uint64_t> expected;
+  for (Key k = 0; k < 64; k += 2) {
+    list.insert(k, k);
+    expected[k] = k;
+  }
+  const Site row = Site::csl_link_upper;
+  std::size_t raced = 0;
+  for (Key k = 1; k < 128; k += 2) {
+    // Only a node with an upper level crosses the row; otherwise the insert
+    // completes and the remove never runs.
+    if (fault::lose_race(
+            kSeed + k, std::span<const Site>(&row, 1),
+            [&] { list.insert(k, k); },
+            [&](std::size_t) { EXPECT_EQ(list.remove(k), k); }) == 1) {
+      ++raced;
+    } else {
+      expected[k] = k;
+    }
+    dom.drain_for_testing();
+    for (Key j = 0; j < 128; ++j) {
+      const auto it = expected.find(j);
+      EXPECT_EQ(list.lookup(j), it == expected.end()
+                                    ? std::nullopt
+                                    : std::optional<std::uint64_t>(it->second))
+          << "key " << j << " after racing key " << k;
+    }
+  }
+  EXPECT_GT(raced, 0u) << "no insert parked at csl.link_upper";
+}
 
 }  // namespace

@@ -15,9 +15,6 @@
 //     surviving shard keeps serving under a progress watchdog, and the
 //     server drains cleanly around the corpse — the ISSUE's acceptance
 //     scenario;
-//   * stalled reader: a shard killed while pinned inside a map operation is
-//     declared stalled by the PR-2 epoch fallback once limbo crosses the
-//     cap, instead of unbounding memory;
 //   * backpressure: a client that never reads accumulates replies to the
 //     write-buffer cap and is disconnected; resident reply bytes never
 //     exceed cap + one frame;
@@ -38,7 +35,6 @@
 #include <vector>
 
 #include "cachetrie/cache_trie.hpp"
-#include "mr/epoch.hpp"
 #include "net/client.hpp"
 #include "net/proto.hpp"
 #include "net/reactor.hpp"
@@ -53,7 +49,6 @@ namespace fault = cachetrie::testkit::fault;
 using tk::Site;
 namespace net = cachetrie::net;
 namespace proto = cachetrie::net::proto;
-using cachetrie::mr::EpochDomain;
 using namespace std::chrono_literals;
 
 using Trie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
@@ -347,70 +342,6 @@ TEST(NetFault, DieMidRequestLeavesMapValidAndSurvivorsGreen) {
   EXPECT_TRUE(map.debug_validate().empty());
   EXPECT_TRUE(map.insert(0xbeef, 2));
   EXPECT_EQ(map.lookup(0xbeef).value_or(0), 2u);
-}
-
-// A shard killed while pinned inside a map operation is a stalled reader to
-// the epoch domain: once limbo crosses the cap, the fallback scan declares
-// it and reclamation proceeds — the PR-2 contract holds for connection-
-// driven work, not just raw threads.
-TEST(NetFault, KilledShardIsDeclaredStalledReader) {
-  auto& dom = EpochDomain::instance();
-  dom.drain_for_testing();
-  dom.set_limbo_cap_bytes(2u << 20);
-  dom.set_stall_lag_epochs(8);
-  const std::uint64_t scans0 = dom.fallback_scans();
-  const std::uint64_t stalled0 = dom.stalled_records();
-
-  ChaosSession chaos{44};
-  // Park-then-die at the trie's own pinned site, but only on the shard
-  // thread: the shard is parked holding an EBR guard mid-request.
-  fault::install(fault::Plan(44).die(Site::cachetrie_pinned,
-                                     /*thread=*/kShard0));
-
-  Trie map;
-  net::Server<Trie> server{map, one_shard_config()};
-  ASSERT_TRUE(server.ok());
-  ASSERT_TRUE(server.start());
-
-  net::ClientConfig ccfg;
-  ccfg.op_timeout_us = 200'000;
-  net::Client client{server.port(), ccfg};
-  ASSERT_TRUE(client.ok());
-  (void)client.put(1, 1);  // shard parks inside this op, guard pinned
-  wait_parked(1);
-
-  // Direct churn (not via net — the only shard is parked) drives limbo
-  // over the cap and keeps the global epoch advancing past the parked
-  // shard's pin. Declaration needs both: the first fallback scan engages
-  // at the cap, and the stall verdict lands once the shard lags by
-  // stall_lag_epochs — so churn continues until the record appears.
-  std::uint64_t k = 1 << 20;
-  const auto scan_deadline = std::chrono::steady_clock::now() + 30s;
-  while (dom.fallback_scans() == scans0 &&
-         std::chrono::steady_clock::now() < scan_deadline) {
-    map.insert(k, k);
-    map.remove(k);
-    ++k;
-  }
-  ASSERT_GT(dom.fallback_scans(), scans0) << "limbo never crossed the cap";
-  const auto stall_deadline = std::chrono::steady_clock::now() + 30s;
-  while (dom.stalled_records() == stalled0 &&
-         std::chrono::steady_clock::now() < stall_deadline) {
-    map.insert(k, k);
-    map.remove(k);
-    ++k;
-  }
-  EXPECT_GE(dom.stalled_records(), stalled0 + 1)
-      << "parked shard was not declared a stalled reader";
-
-  fault::clear();  // releases the parked shard; it unwinds as killed
-  client.close();
-  server.stop();
-  EXPECT_EQ(server.killed_shards(), 1u);
-  EXPECT_TRUE(map.debug_validate().empty());
-
-  dom.set_limbo_cap_bytes(EpochDomain::kNoLimboCap);
-  dom.set_stall_lag_epochs(EpochDomain::kDefaultStallLagEpochs);
 }
 
 // A client that writes requests but never reads replies hits the

@@ -242,7 +242,7 @@ TEST(NodePool, ChunksAre2MiBAligned) {
     for (void* p : blocks) give(p, NodePool::kMaxBytes);
   }).join();
 
-  // Under sanitizers arrays come from ::operator new, aligned as asked.
+  // Under ASan arrays come from ::operator new, aligned as asked.
   const std::size_t array_align = NodePool::kEnabled ? NodePool::kChunkBytes : 64;
   for (std::size_t bytes :
        {NodePool::kChunkBytes, 3 * NodePool::kChunkBytes + 1}) {

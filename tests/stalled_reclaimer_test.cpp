@@ -1,24 +1,23 @@
-// stalled_reclaimer_test.cpp — the PR's acceptance scenario: one thread is
-// killed by the fault engine while it holds an EBR guard inside a CacheTrie
-// operation, four churners keep inserting/removing for two seconds, and the
-// stall-tolerant epoch domain must (a) keep limbo bytes bounded near the
-// configured cap and (b) never stop survivor throughput. A companion test
-// shows the same stall with the cap left unlimited: classic EBR, limbo
-// grows with the churn — that contrast is what the cap buys.
+// stalled_reclaimer_test.cpp — plain EBR under a stalled reader: one thread
+// parks forever while it holds an EBR guard inside a CacheTrie operation,
+// and another churns inserts and removes. Nothing retired after the
+// victim's pin can be freed, so limbo grows with the churn; once the
+// victim is released and leaves its guard, the same churn drains it.
+// Survivor progress under forever-stalls is LockFreedom.* in
+// watchdog_progress_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <thread>
-#include <vector>
 
 #include "cachetrie/cache_trie.hpp"
 #include "mr/epoch.hpp"
 #include "testkit/chaos.hpp"
 #include "testkit/fault.hpp"
-#include "testkit/watchdog.hpp"
 
 namespace {
 
@@ -30,117 +29,11 @@ using namespace std::chrono_literals;
 
 using Trie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
 
-TEST(StalledReclaimer, DeadGuardHolderCannotUnboundLimbo) {
+TEST(StalledReclaimer, StalledReaderHoldsLimboUntilItExits) {
+  // Count-based churn so the garbage volume is deterministic regardless of
+  // machine speed.
   auto& dom = EpochDomain::instance();
   dom.drain_for_testing();
-
-  constexpr std::size_t kCap = 2u << 20;  // 2 MiB
-  dom.set_limbo_cap_bytes(kCap);
-  dom.set_stall_lag_epochs(8);
-  const std::uint64_t scans0 = dom.fallback_scans();
-  const std::uint64_t stalled0 = dom.stalled_records();
-
-  tk::chaos::set_global_seed(7);
-  tk::chaos::enable(true);
-  // Thread 0 dies at its first pinned-site crossing: parked holding the
-  // guard, then unwound via ThreadKilled when released at teardown.
-  fault::install(fault::Plan(7).die(Site::cachetrie_pinned, /*thread=*/0));
-
-  Trie trie;
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> survivor_ops{0};
-  std::atomic<bool> victim_killed{false};
-
-  std::thread victim([&] {
-    tk::chaos::bind_thread(0);
-    try {
-      trie.insert(0xdead0001, 1);
-      ADD_FAILURE() << "victim completed its op instead of dying";
-    } catch (const fault::ThreadKilled&) {
-      victim_killed.store(true, std::memory_order_release);
-    }
-  });
-
-  std::vector<std::thread> churners;
-  for (std::uint64_t t = 1; t <= 4; ++t) {
-    churners.emplace_back([&, t] {
-      tk::chaos::bind_thread(t);
-      std::uint64_t k = t * 100000;
-      while (!stop.load(std::memory_order_acquire)) {
-        trie.insert(k, k);
-        trie.remove(k);
-        k = t * 100000 + (k + 1) % 4096;
-        survivor_ops.fetch_add(2, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  // Wait until the victim is parked inside its guard before measuring.
-  const auto park_deadline = std::chrono::steady_clock::now() + 10s;
-  while (fault::parked_now() == 0 &&
-         std::chrono::steady_clock::now() < park_deadline) {
-    std::this_thread::yield();
-  }
-  ASSERT_EQ(fault::parked_now(), 1u) << "victim never reached the site";
-
-  // Don't start the measured window until the churn has actually exceeded
-  // the cap once — on a loaded box the survivors may take a while to retire
-  // 2 MiB, and the criterion is about behaviour *after* the fallback path
-  // engages, not about how fast this machine churns.
-  const auto scan_deadline = std::chrono::steady_clock::now() + 30s;
-  while (dom.fallback_scans() == scans0 &&
-         std::chrono::steady_clock::now() < scan_deadline) {
-    std::this_thread::sleep_for(10ms);
-  }
-  ASSERT_GT(dom.fallback_scans(), scans0)
-      << "limbo never exceeded the cap; churn too slow for the window";
-
-  tk::ProgressWatchdog watchdog(survivor_ops, 250ms);
-  watchdog.start();
-
-  // The measurement window the acceptance criterion names: >= 2 s of churn
-  // against a dead guard holder, sampling limbo bytes throughout.
-  std::size_t max_bytes = 0;
-  const auto end = std::chrono::steady_clock::now() + 2100ms;
-  while (std::chrono::steady_clock::now() < end) {
-    max_bytes = std::max(max_bytes, dom.retired_bytes());
-    std::this_thread::sleep_for(2ms);
-  }
-
-  watchdog.stop();
-  stop.store(true, std::memory_order_release);
-  for (auto& c : churners) c.join();
-
-  // (a) Bounded garbage: the fallback declared the dead reader and kept
-  // limbo near the cap. The slack is the declaration window — the handful
-  // of over-cap retirements it takes the sweep to reach the threshold.
-  EXPECT_GE(dom.stalled_records(), stalled0 + 1);
-  EXPECT_LT(max_bytes, kCap + (512u << 10))
-      << "limbo bytes escaped the cap despite the stall fallback";
-
-  // (b) Lock-freedom held: survivors completed work in every watchdog tick.
-  EXPECT_GE(watchdog.ticks(), 7u);
-  EXPECT_EQ(watchdog.violations(), 0u)
-      << "a watchdog tick saw zero completed survivor ops";
-  EXPECT_GT(survivor_ops.load(), 0u);
-
-  fault::clear();  // releases the victim; its guard unwinds via ThreadKilled
-  victim.join();
-  EXPECT_TRUE(victim_killed.load(std::memory_order_acquire));
-  tk::chaos::enable(false);
-
-  dom.set_limbo_cap_bytes(EpochDomain::kNoLimboCap);
-  dom.set_stall_lag_epochs(EpochDomain::kDefaultStallLagEpochs);
-}
-
-TEST(StalledReclaimer, UncappedLimboGrowsPastTheCapForContrast) {
-  // Same stall, cap left at the default (unlimited): classic EBR. The limbo
-  // provably exceeds the bound the capped test enforced, which is what
-  // makes the previous test's ceiling meaningful. Count-based churn so the
-  // garbage volume is deterministic regardless of machine speed.
-  auto& dom = EpochDomain::instance();
-  dom.drain_for_testing();
-  ASSERT_EQ(dom.limbo_cap_bytes(), EpochDomain::kNoLimboCap);
 
   tk::chaos::set_global_seed(8);
   tk::chaos::enable(true);
@@ -154,7 +47,7 @@ TEST(StalledReclaimer, UncappedLimboGrowsPastTheCapForContrast) {
     try {
       trie.insert(0xdead0002, 1);
     } catch (const fault::ThreadKilled&) {
-      // Tolerated: a sweep from a concurrent test could have declared us.
+      ADD_FAILURE() << "a stalled victim was killed on resume";
     }
     victim_done.store(true, std::memory_order_release);
   });
@@ -176,12 +69,23 @@ TEST(StalledReclaimer, UncappedLimboGrowsPastTheCapForContrast) {
     max_bytes = std::max(max_bytes, dom.retired_bytes());
   }
   EXPECT_GT(max_bytes, 1u << 20)
-      << "uncapped EBR should have accumulated limbo behind the stall";
+      << "EBR should have accumulated limbo behind the stall";
 
   fault::clear();
   victim.join();
   EXPECT_TRUE(victim_done.load(std::memory_order_acquire));
   tk::chaos::enable(false);
+
+  // Recovery: with the reader gone, the epoch advances again and the
+  // stalled backlog is freed within a few grace periods of ordinary churn.
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    trie.insert(i, i);
+    trie.remove(i);
+  }
+  std::printf("  limbo: %zu B behind the stall, %zu B after recovery\n",
+              max_bytes, dom.retired_bytes());
+  EXPECT_LT(dom.retired_bytes(), max_bytes / 100)
+      << "limbo stayed high after the stalled reader left its guard";
 }
 
 }  // namespace

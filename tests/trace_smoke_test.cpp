@@ -1,11 +1,11 @@
-// trace_smoke_test.cpp — the PR's acceptance scenario for the flight
-// recorder: replay the stalled-reader fault seed from
-// stalled_reclaimer_test (seed 7, victim killed while pinned inside a
-// CacheTrie insert, churners driving limbo over a 2 MiB cap) with tracing
-// enabled, then assert the drained timeline shows the protocol story —
-// fault park, stall-declare, and an epoch advance *after* the declaration —
-// and that the exported Chrome-trace JSON (the file EXPERIMENTS.md says to
-// load into Perfetto) round-trips with those events in it.
+// trace_smoke_test.cpp — the flight recorder's acceptance scenario: park a
+// reader forever at the CacheTrie's pinned site (seed 7) while churners
+// retire nodes, with tracing enabled, then release it. The drained
+// timeline must tell plain EBR's story — testkit.fault.park, at most one
+// mr.epoch.flip while the reader holds its guard, testkit.fault.resume,
+// then flips again — and the exported Chrome-trace JSON (the file
+// EXPERIMENTS.md says to load into Perfetto) must round-trip with those
+// events in it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,43 +38,44 @@ using namespace std::chrono_literals;
 
 using Trie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
 
-TEST(TraceSmoke, StalledReaderTimelineShowsDeclareThenEpochAdvance) {
+TEST(TraceSmoke, ParkedReaderHoldsEpochUntilResume) {
   if (!trace::kTraceCompiled) {
     GTEST_SKIP() << "tracing compiled out (CACHETRIE_TRACE=0)";
   }
   auto& dom = EpochDomain::instance();
   dom.drain_for_testing();
 
-  // Churners emit ~one event per operation (txn commits), so the window
-  // between the stall declaration and the stop flag must fit in the ring
-  // or the declare event scrolls away. 128k slots per ring plus a tight
-  // post-declare window keeps it with a wide margin.
+  // Churners emit ~one event per operation (txn commits). 128k slots per
+  // ring hold the whole run, so no flip scrolls out of its ring.
   trace::registry().set_ring_capacity_for_testing(1u << 17);
   trace::registry().reset_for_testing();
   trace::enable(true);
 
-  constexpr std::size_t kCap = 2u << 20;  // 2 MiB, as in stalled_reclaimer
-  dom.set_limbo_cap_bytes(kCap);
-  dom.set_stall_lag_epochs(8);
-  const std::uint64_t stalled0 = dom.stalled_records();
-
   tk::chaos::set_global_seed(7);
   tk::chaos::enable(true);
-  fault::install(fault::Plan(7).die(Site::cachetrie_pinned, /*thread=*/0));
+  fault::install(fault::Plan(7).stall(Site::cachetrie_pinned, fault::kForever,
+                                      /*thread=*/0));
 
   Trie trie;
   std::atomic<bool> stop{false};
-  std::atomic<bool> victim_killed{false};
+  std::atomic<bool> victim_done{false};
 
   std::thread victim([&] {
     tk::chaos::bind_thread(0);
     try {
       trie.insert(0xdead0001, 1);
-      ADD_FAILURE() << "victim completed its op instead of dying";
     } catch (const fault::ThreadKilled&) {
-      victim_killed.store(true, std::memory_order_release);
+      ADD_FAILURE() << "a stalled victim was killed on resume";
     }
+    victim_done.store(true, std::memory_order_release);
   });
+
+  const auto park_deadline = std::chrono::steady_clock::now() + 10s;
+  while (fault::parked_now() == 0 &&
+         std::chrono::steady_clock::now() < park_deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(fault::parked_now(), 1u) << "victim never reached the site";
 
   std::vector<std::thread> churners;
   for (std::uint64_t t = 1; t <= 2; ++t) {
@@ -89,76 +90,66 @@ TEST(TraceSmoke, StalledReaderTimelineShowsDeclareThenEpochAdvance) {
     });
   }
 
-  const auto park_deadline = std::chrono::steady_clock::now() + 10s;
-  while (fault::parked_now() == 0 &&
-         std::chrono::steady_clock::now() < park_deadline) {
-    std::this_thread::yield();
-  }
-  ASSERT_EQ(fault::parked_now(), 1u) << "victim never reached the site";
-
-  // Churn until the over-cap sweep actually declares the dead reader
-  // stalled — the event the timeline is about.
-  const auto stall_deadline = std::chrono::steady_clock::now() + 60s;
-  while (dom.stalled_records() == stalled0 &&
-         std::chrono::steady_clock::now() < stall_deadline) {
+  // Churn until limbo shows the stall: every retirement's advance attempt
+  // fails against the parked pin, so garbage only grows.
+  const auto limbo_deadline = std::chrono::steady_clock::now() + 60s;
+  while (dom.retired_bytes() < (256u << 10) &&
+         std::chrono::steady_clock::now() < limbo_deadline) {
     std::this_thread::sleep_for(2ms);
   }
-  ASSERT_GT(dom.stalled_records(), stalled0)
-      << "the fallback sweep never declared the victim stalled";
+  ASSERT_GE(dom.retired_bytes(), 256u << 10) << "churn never retired 256 KiB";
 
-  // Keep churning just long enough that epoch flips *after* the
-  // declaration land in the rings (that advance past a dead reader is the
-  // protocol's payoff) — but short enough that the flood of txn-commit
-  // events cannot scroll the declaration itself out of its ring.
-  std::this_thread::sleep_for(10ms);
+  // Release the reader; once it leaves its guard the epoch moves again.
+  // At most one of the three flips awaited below can precede the resume.
+  const std::uint64_t epoch_at_release = dom.epoch();
+  fault::clear();
+  victim.join();
+  EXPECT_TRUE(victim_done.load(std::memory_order_acquire));
+  const auto flip_deadline = std::chrono::steady_clock::now() + 30s;
+  while (dom.epoch() < epoch_at_release + 3 &&
+         std::chrono::steady_clock::now() < flip_deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
   stop.store(true, std::memory_order_release);
   for (auto& c : churners) c.join();
-  fault::clear();  // releases the victim; it unwinds via ThreadKilled
-  victim.join();
-  EXPECT_TRUE(victim_killed.load(std::memory_order_acquire));
   tk::chaos::enable(false);
 
   // --- timeline assertions on the drained events ---------------------------
-  // drain() returns the rings one after another; the flip that follows the
-  // declaration is often recorded by another thread, on an earlier ring.
+  // drain() returns the rings one after another; sort them into one
+  // timeline, since the flips are recorded on the churners' rings.
   auto events = trace::registry().drain();
   std::sort(events.begin(), events.end(),
             [](const auto& a, const auto& b) { return a.ts < b.ts; });
-  std::uint64_t park_ts = 0, declare_ts = 0, kill_ts = 0;
-  bool flip_after_declare = false;
-  std::uint64_t scan_begins = 0;
+  std::uint64_t park_ts = 0, resume_ts = 0;
+  std::uint64_t flips_parked = 0, flips_after = 0, kills = 0;
   for (const auto& ev : events) {
     switch (ev.id) {
       case EventId::kFaultPark:
         if (park_ts == 0) park_ts = ev.ts;
         break;
-      case EventId::kMrStallDeclare:
-        if (declare_ts == 0) declare_ts = ev.ts;
-        break;
-      case EventId::kMrFallbackScanBegin:
-        ++scan_begins;
+      case EventId::kFaultResume:
+        if (resume_ts == 0) resume_ts = ev.ts;
         break;
       case EventId::kMrEpochFlip:
-        if (declare_ts != 0 && ev.ts >= declare_ts) {
-          flip_after_declare = true;
-        }
+        if (park_ts != 0 && resume_ts == 0) ++flips_parked;
+        if (resume_ts != 0) ++flips_after;
         break;
       case EventId::kFaultKill:
-        kill_ts = ev.ts;
+        ++kills;
         break;
       default:
         break;
     }
   }
-  ASSERT_NE(declare_ts, 0u) << "no mr.epoch.stall_declare event recorded";
-  EXPECT_GT(scan_begins, 0u) << "no fallback scan span recorded";
-  EXPECT_TRUE(flip_after_declare)
-      << "no epoch flip after the stall declaration — the domain never "
-         "advanced past the dead reader";
-  if (park_ts != 0) {  // park may scroll out of a busy ring; order if kept
-    EXPECT_LE(park_ts, declare_ts);
-  }
-  EXPECT_NE(kill_ts, 0u) << "victim unwind left no testkit.fault.kill";
+  ASSERT_NE(park_ts, 0u) << "no testkit.fault.park event recorded";
+  ASSERT_NE(resume_ts, 0u) << "no testkit.fault.resume event recorded";
+  EXPECT_LT(park_ts, resume_ts);
+  // The reader pinned epoch e: one advance to e + 1 may still pass it, the
+  // next needs it gone.
+  EXPECT_LE(flips_parked, 1u)
+      << "the epoch advanced past a reader that still held its guard";
+  EXPECT_GE(flips_after, 2u) << "the epoch did not advance after the resume";
+  EXPECT_EQ(kills, 0u) << "a stalled victim left a testkit.fault.kill";
 
   // --- exported artifact (the Perfetto-loadable file) ----------------------
   // Honor an externally-set CACHETRIE_TRACE_OUT (check.sh points it into
@@ -185,17 +176,14 @@ TEST(TraceSmoke, StalledReaderTimelineShowsDeclareThenEpochAdvance) {
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
   EXPECT_NE(out.find("\"schema\":\"cachetrie-trace-v1\""), std::string::npos);
-  EXPECT_NE(out.find("mr.epoch.stall_declare"), std::string::npos);
+  EXPECT_NE(out.find("testkit.fault.park"), std::string::npos);
   EXPECT_NE(out.find("mr.epoch.flip"), std::string::npos);
-  EXPECT_NE(out.find("mr.epoch.fallback_scan"), std::string::npos);
-  EXPECT_NE(out.find("testkit.fault.kill"), std::string::npos);
+  EXPECT_NE(out.find("testkit.fault.resume"), std::string::npos);
 
   // --- restore ------------------------------------------------------------
   trace::enable(false);
   trace::registry().set_ring_capacity_for_testing(4096);
   trace::registry().reset_for_testing();
-  dom.set_limbo_cap_bytes(EpochDomain::kNoLimboCap);
-  dom.set_stall_lag_epochs(EpochDomain::kDefaultStallLagEpochs);
 }
 
 }  // namespace

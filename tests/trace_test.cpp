@@ -375,7 +375,7 @@ TEST_F(TraceTest, DumpToFileWritesLoadableJsonUnderTraceOut) {
     ASSERT_EQ(setenv("CACHETRIE_TRACE_OUT", dir.c_str(), 1), 0);
   }
   trace::emit(EventId::kMrEpochFlip, 1);
-  trace::emit(EventId::kMrStallDeclare, 2);
+  trace::emit(EventId::kFaultPark, 2);
 
   const std::string path = trace::dump_to_file("trace_unit");
   if (preset == nullptr) unsetenv("CACHETRIE_TRACE_OUT");
@@ -390,7 +390,7 @@ TEST_F(TraceTest, DumpToFileWritesLoadableJsonUnderTraceOut) {
   const std::string out = ss.str();
   expect_balanced(out);
   EXPECT_NE(out.find("mr.epoch.flip"), std::string::npos);
-  EXPECT_NE(out.find("mr.epoch.stall_declare"), std::string::npos);
+  EXPECT_NE(out.find("testkit.fault.park"), std::string::npos);
 }
 
 TEST_F(TraceTest, PostMortemDumpIsOncePerProcess) {

@@ -12,8 +12,9 @@
 // Part B (LockFreedom.*): the strong claim — victims stall FOREVER at
 // protocol decision points, one right after pinning its guard and one deep
 // inside the protocol, and survivors must still make progress for the
-// whole window while the stall-tolerant reclaimer keeps their garbage
-// draining (byte cap + declared-stall fallback). Run only on the
+// whole window. The parked guards hold the epoch, so survivor garbage
+// piles up in limbo for the whole window (plain EBR); the test prints the
+// limbo it reached. Run only on the
 // lock-free structures: the chashmap is the repo's lock-BASED baseline
 // (JDK-style bin locks), where a thread parked forever inside a bin lock
 // blocks that bin's writers by design — it gets Part A's finite stalls
@@ -149,16 +150,11 @@ void run_stall_storm(Owner owner) {
 }
 
 /// Part B body: two victims stalled forever — one at the post-pin site, one
-/// at a deep protocol site — with the byte cap forcing their declaration so
-/// survivor garbage keeps draining.
+/// at a deep protocol site.
 template <typename Map>
 void run_forever_stall(Site pinned_site, Site deep_site) {
   auto& dom = EpochDomain::instance();
   dom.drain_for_testing();
-  constexpr std::size_t kCap = 1u << 20;  // 1 MiB
-  dom.set_limbo_cap_bytes(kCap);
-  dom.set_stall_lag_epochs(8);
-  const std::uint64_t scans0 = dom.fallback_scans();
 
   tk::chaos::set_global_seed(11);
   tk::chaos::enable(true);
@@ -177,8 +173,7 @@ void run_forever_stall(Site pinned_site, Site deep_site) {
       try {
         churn_phases(map, stop, t >= 2 ? &survivor_ops : nullptr);
       } catch (const fault::ThreadKilled&) {
-        // Released victim that a fallback sweep had declared stalled: the
-        // resume fence converts its resumption into a death-unwind.
+        ADD_FAILURE() << "thread " << t << " was killed; the plan only stalls";
       }
     });
   }
@@ -193,22 +188,12 @@ void run_forever_stall(Site pinned_site, Site deep_site) {
       << "victims never reached their sites (" << tk::name(pinned_site)
       << ", " << tk::name(deep_site) << ")";
 
-  // Let the churn actually blow the cap before the measured window starts:
-  // on a loaded box the survivors may need a while to retire 1 MiB, and the
-  // whole point of the window is survivor progress *after* the fallback
-  // sweep has had to declare the parked victims.
-  const auto scan_deadline = std::chrono::steady_clock::now() + 30s;
-  while (dom.fallback_scans() == scans0 &&
-         std::chrono::steady_clock::now() < scan_deadline) {
-    std::this_thread::sleep_for(10ms);
-  }
-  ASSERT_GT(dom.fallback_scans(), scans0)
-      << "limbo never exceeded the cap; churn too slow for the window";
-
   tk::ProgressWatchdog watchdog(survivor_ops, 250ms);
   watchdog.start();
   std::this_thread::sleep_for(1500ms);
   watchdog.stop();
+  std::printf("  limbo behind the parked victims: %.1f MiB\n",
+              static_cast<double>(dom.retired_bytes()) / (1 << 20));
 
   EXPECT_GE(watchdog.ticks(), 5u);
   EXPECT_EQ(watchdog.violations(), 0u)
@@ -217,12 +202,9 @@ void run_forever_stall(Site pinned_site, Site deep_site) {
   EXPECT_GT(survivor_ops.load(), 0u);
 
   stop.store(true, std::memory_order_release);
-  fault::clear();  // wakes the victims: resume or die, then exit
+  fault::clear();  // wakes the victims: they resume, then exit
   for (auto& w : workers) w.join();
   tk::chaos::enable(false);
-
-  dom.set_limbo_cap_bytes(EpochDomain::kNoLimboCap);
-  dom.set_stall_lag_epochs(EpochDomain::kDefaultStallLagEpochs);
 }
 
 TEST(StallStorm, CacheTrie) { run_stall_storm<Trie>(Owner::cachetrie); }
