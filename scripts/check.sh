@@ -21,7 +21,8 @@
 # reasons: killed shard threads leak by design, and its latency/liveness
 # assertions need the machine to themselves. Those stages then repeat the
 # write-path tests (the backpressure cap, the client I/O thread, its park
-# against racing sends, and the shard's short reads) 50 times each.
+# against racing sends, and the shard's short reads) 50 times each, after
+# 50 runs of the epoch tests for an exited thread's limbo and its adoption.
 #
 # The trace label (flight recorder: tests/trace_test.cpp and the
 # chaos-perturbed tests/trace_smoke_test.cpp, which parks a reader in its
@@ -206,6 +207,16 @@ run_stage() {
         exit 1
       fi
     fi
+    local quiet_passes='!/^(\[==========\]|\[  PASSED  \]|Repeating all|$)/'
+    echo "=== [$stage] epoch exit-path repeats ==="
+    # An exited thread's limbo stays on its released record. The
+    # collect_released sweep's claim races both the next thread's claim of
+    # that record and its release, a window one run rarely hits, so the
+    # exit and adoption tests run 50 times each.
+    echo "Epoch exited-thread and adoption tests x50"
+    "${env_prefix[@]}" timeout 120 "$dir/tests/epoch_test" \
+      --gtest_filter='Epoch.*Exited*:Epoch.*Adopt*' \
+      --gtest_repeat=50 --gtest_brief=1 | awk "$quiet_passes"
     echo "=== [$stage] net write-path repeats ==="
     # The write cap and the client's I/O thread depend on how the kernel
     # splits and refuses writes, which varies run to run, so the client
@@ -213,7 +224,6 @@ run_stage() {
     # timeout turns a wedged connection into a failure instead of a hang.
     # The cap test's raw client can wedge its own TCP connection (ROADMAP,
     # flake list), so this step runs last and masks no other check.
-    local quiet_passes='!/^(\[==========\]|\[  PASSED  \]|Repeating all|$)/'
     echo "NetClient I/O and shard short-read tests x50"
     "${env_prefix[@]}" timeout 120 "$dir/tests/net_proto_test" \
       --gtest_filter='NetClient.PipelinedBurst*:NetClient.BurstPast*:NetClient.CloseWith*:NetClient.SendAfter*:NetClient.SendRacingPark*:NetServe.ShortRead*' \

@@ -45,6 +45,7 @@
 #include "util/kv_map.hpp"
 #include "util/ordering_contracts.hpp"
 #include "util/padded.hpp"
+#include "util/record_list.hpp"
 #include "util/rng.hpp"
 #include "util/spinwait.hpp"
 #include "util/thread_id.hpp"

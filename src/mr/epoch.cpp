@@ -55,50 +55,20 @@ EpochDomain& EpochDomain::instance() {
   return domain;
 }
 
-EpochDomain::ThreadRecord* EpochDomain::acquire_record() {
-  // First try to recycle a record left behind by an exited thread.
-  // [acquires: MR_RECORD_LINK]
-  for (ThreadRecord* rec = records_.load(std::memory_order_acquire);
-       rec != nullptr; rec = rec->next) {
-    bool expected = false;
-    if (!rec->in_use.load(std::memory_order_relaxed) &&
-        rec->in_use.compare_exchange_strong(expected, true,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed)) {
-      return rec;
-    }
-  }
-  // Otherwise push a fresh one. Records are immortal, so traversal by
-  // try_advance never races with deallocation.
-  auto* rec = new ThreadRecord();
-  rec->in_use.store(true, std::memory_order_relaxed);
-  ThreadRecord* head = records_.load(std::memory_order_acquire);
-  do {
-    rec->next = head;
-    // [publishes: MR_RECORD_LINK]
-  } while (!records_.compare_exchange_weak(head, rec,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire));
-  return rec;
-}
-
 EpochDomain::ThreadRecord* EpochDomain::local_record() {
   thread_local Handle handle;
   if (handle.record == nullptr) {
-    handle.domain = this;
-    handle.record = acquire_record();
+    handle.record = records_.acquire([] { return new ThreadRecord(); });
   }
-  // A single process-wide domain means one handle per thread suffices.
-  assert(handle.domain == this &&
-         "EpochDomain: multiple domains per thread are not supported");
   return handle.record;
 }
 
 EpochDomain::Handle::~Handle() {
   if (record == nullptr) return;
   assert(record->nesting == 0 && "thread exited while holding an EBR guard");
-  domain->orphan_all(*record);
-  record->in_use.store(false, std::memory_order_release);
+  // Limbo stays on the record: its next claimer, or a survivor's
+  // collect_released, frees it once it is two epochs old.
+  Records::release(*record);
 }
 
 EpochDomain::ThreadRecord* EpochDomain::enter() {
@@ -131,8 +101,7 @@ template <typename T>
 T EpochDomain::sum_records(
     std::atomic<T> ThreadRecord::* field) const noexcept {
   T n = 0;
-  for (ThreadRecord* rec = records_.load(std::memory_order_acquire);
-       rec != nullptr; rec = rec->next) {
+  for (ThreadRecord* rec = records_.head(); rec != nullptr; rec = rec->next) {
     n += (rec->*field).load(std::memory_order_relaxed);
   }
   return n;
@@ -143,13 +112,11 @@ std::uint64_t EpochDomain::retired_count() const noexcept {
 }
 
 std::uint64_t EpochDomain::freed_count() const noexcept {
-  return orphans_freed_.load(std::memory_order_relaxed) +
-         sum_records(&ThreadRecord::freed);
+  return sum_records(&ThreadRecord::freed);
 }
 
 std::size_t EpochDomain::retired_bytes() const noexcept {
-  return orphan_bytes_.load(std::memory_order_relaxed) +
-         sum_records(&ThreadRecord::limbo_bytes);
+  return sum_records(&ThreadRecord::limbo_bytes);
 }
 
 std::size_t EpochDomain::retired_bytes_high_water() const noexcept {
@@ -191,8 +158,7 @@ void EpochDomain::retire(void* p, Deleter deleter, std::size_t bytes) {
 
 bool EpochDomain::try_advance() {
   std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
-  for (ThreadRecord* rec = records_.load(std::memory_order_acquire);
-       rec != nullptr; rec = rec->next) {
+  for (ThreadRecord* rec = records_.head(); rec != nullptr; rec = rec->next) {
     // [acquires: EPOCH_PIN, EPOCH_UNPIN]
     const std::uint64_t s = rec->state.load(std::memory_order_seq_cst);
     if ((s & kPinnedBit) != 0 && (s >> kEpochShift) != e) {
@@ -204,7 +170,7 @@ bool EpochDomain::try_advance() {
       e, e + 1, std::memory_order_acq_rel, std::memory_order_acquire);
   if (advanced) {
     obs::sites::mr_epoch_flip.record(e + 1);
-    collect_orphans(e + 1);
+    collect_released(e + 1);
   }
   return advanced;
 }
@@ -238,100 +204,40 @@ void EpochDomain::collect_local(ThreadRecord& rec, std::uint64_t current) {
   }
 }
 
-void EpochDomain::orphan_all(ThreadRecord& rec) {
-  // Count the bytes on the orphan list before taking them off the record:
-  // a concurrent retired_bytes() may see them twice, never zero times.
-  const std::size_t bytes = rec.limbo_bytes.load(std::memory_order_relaxed);
-  orphan_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  for (Segment& seg : rec.limbo) {
-    for (const Retired& r : seg.items) {
-      auto* orphan = new Orphan{r, seg.epoch, nullptr};
-      Orphan* head = orphans_.load(std::memory_order_acquire);
-      do {
-        orphan->next = head;
-        // [publishes: MR_ORPHANS]
-      } while (!orphans_.compare_exchange_weak(head, orphan,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire));
+void EpochDomain::collect_released(std::uint64_t current) {
+  // A released record's limbo belongs to whoever claims the record, so a
+  // survivor claims it just long enough to free what is two epochs old.
+  // The counts are a hint read without the claim; a stale one leaves the
+  // limbo for the next flip or the record's next owner.
+  for (ThreadRecord* rec = records_.head(); rec != nullptr; rec = rec->next) {
+    if (rec->retired.load(std::memory_order_relaxed) ==
+            rec->freed.load(std::memory_order_relaxed) ||
+        !Records::try_claim(*rec)) {
+      continue;
     }
-  }
-  rec.limbo.clear();
-  owner_sub(rec.limbo_bytes, bytes);
-}
-
-void EpochDomain::collect_orphans(std::uint64_t current) {
-  // Detach the whole list, free what is safe, push the rest back.
-  Orphan* head = orphans_.exchange(nullptr, std::memory_order_acq_rel);
-  Orphan* keep = nullptr;
-  std::uint64_t freed = 0;
-  std::size_t freed_bytes = 0;
-  while (head != nullptr) {
-    Orphan* next = head->next;
-    if (head->epoch + 2 <= current) {
-      head->item.deleter(head->item.ptr);
-      freed_bytes += head->item.bytes;
-      delete head;
-      ++freed;
-    } else {
-      head->next = keep;
-      keep = head;
-    }
-    head = next;
-  }
-  if (freed != 0) {
-    fold_high_water();
-    orphans_freed_.fetch_add(freed, std::memory_order_relaxed);
-    orphan_bytes_.fetch_sub(freed_bytes, std::memory_order_relaxed);
-  }
-  while (keep != nullptr) {
-    Orphan* next = keep->next;
-    // [acquires: MR_ORPHANS]
-    Orphan* cur_head = orphans_.load(std::memory_order_acquire);
-    do {
-      keep->next = cur_head;
-    } while (!orphans_.compare_exchange_weak(cur_head, keep,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire));
-    keep = next;
+    collect_local(*rec, current);
+    Records::release(*rec);
   }
 }
 
 std::size_t EpochDomain::drain_for_testing() {
   std::size_t freed = 0;
-  // All threads must be quiescent; free every limbo segment of every record
-  // that is not claimed by the calling thread, then the caller's own, then
-  // all orphans.
+  // All threads must be quiescent; free every limbo segment of the
+  // caller's record and of every released record, claiming each released
+  // one first, as collect_released does. Records claimed by live threads
+  // are skipped: draining them would race with their owners.
   ThreadRecord* self = local_record();
   assert(self->nesting == 0 && "drain_for_testing() under an active guard");
   fold_high_water();
-  for (ThreadRecord* rec = records_.load(std::memory_order_acquire);
-       rec != nullptr; rec = rec->next) {
-    // Only safe because the caller asserts global quiescence: exited threads
-    // already orphaned their items, and `self` is the only live record that
-    // may still hold limbo entries. Draining other in-use records would race
-    // with their owners, so skip them.
-    if (rec != self && rec->in_use.load(std::memory_order_acquire)) continue;
+  for (ThreadRecord* rec = records_.head(); rec != nullptr; rec = rec->next) {
+    if (rec != self && !Records::try_claim(*rec)) continue;
     for (Segment& seg : rec->limbo) {
       freed += free_segment(*rec, seg);  // free_segment updates the counters
     }
     rec->limbo.clear();
+    if (rec != self) Records::release(*rec);
   }
-  Orphan* head = orphans_.exchange(nullptr, std::memory_order_acq_rel);
-  std::uint64_t orphan_freed = 0;
-  std::size_t orphan_bytes = 0;
-  while (head != nullptr) {
-    Orphan* next = head->next;
-    head->item.deleter(head->item.ptr);
-    orphan_bytes += head->item.bytes;
-    delete head;
-    ++orphan_freed;
-    head = next;
-  }
-  if (orphan_freed != 0) {
-    orphans_freed_.fetch_add(orphan_freed, std::memory_order_relaxed);
-    orphan_bytes_.fetch_sub(orphan_bytes, std::memory_order_relaxed);
-  }
-  return freed + orphan_freed;
+  return freed;
 }
 
 }  // namespace cachetrie::mr

@@ -22,10 +22,10 @@
 //
 // Byte accounting. Every retirement carries a byte size. Each thread record
 // counts its own retired and freed objects and the bytes in its limbo,
-// written only by its owner, so a retirement writes no shared cache line;
-// the domain's accessors sum the records plus the orphan list. The
-// high-water mark is folded in just before limbo shrinks (a free), and its
-// accessor also reports the current sum when that is larger.
+// written only by its owner (whichever thread has claimed the record), so a
+// retirement writes no shared cache line; the domain's accessors sum the
+// records. The high-water mark is folded in just before limbo shrinks (a
+// free), and its accessor also reports the current sum when that is larger.
 //
 // Guard cost. A lookup pins and unpins once, so the guard is on every
 // read's fast path, and it holds the read path's only locked instruction:
@@ -49,10 +49,13 @@
 // The domain is a process-wide singleton: thread records are registered
 // lazily on first use via a thread-local handle and recycled (never freed)
 // when a thread exits, so registration is wait-free after the first pin.
-// A thread that exits with non-empty limbo orphans its items; survivors
-// free them on later advances. Guards are reentrant — nested pins on one
-// thread are counted, and only the outermost pin publishes/retracts the
-// epoch.
+// A thread exits by releasing its record with its limbo still attached,
+// allocating and freeing nothing. That limbo is freed under the same
+// `e + 2` rule by the next thread to claim the record, or by a survivor:
+// after each successful advance, `try_advance` briefly claims every
+// released record that still holds limbo (`collect_released`). Guards are
+// reentrant — nested pins on one thread are counted, and only the
+// outermost pin publishes/retracts the epoch.
 #pragma once
 
 #include <atomic>
@@ -63,6 +66,7 @@
 
 #include "mr/reclaimer.hpp"
 #include "util/padded.hpp"
+#include "util/record_list.hpp"
 
 namespace cachetrie::mr {
 
@@ -73,7 +77,6 @@ class EpochDomain {
   /// The process-wide domain all EpochReclaimer users share.
   static EpochDomain& instance();
 
-  EpochDomain();
   EpochDomain(const EpochDomain&) = delete;
   EpochDomain& operator=(const EpochDomain&) = delete;
 
@@ -128,9 +131,9 @@ class EpochDomain {
   }
   /// Objects ever retired (sum over the thread records).
   std::uint64_t retired_count() const noexcept;
-  /// Objects ever freed (sum over the thread records, plus orphans).
+  /// Objects ever freed (sum over the thread records).
   std::uint64_t freed_count() const noexcept;
-  /// Bytes currently sitting in limbo (all threads + orphans).
+  /// Bytes currently sitting in limbo (sum over the thread records).
   std::size_t retired_bytes() const noexcept;
   /// Highest value retired_bytes() has ever reached: the mark folded in
   /// before each free, or the current sum when that is larger.
@@ -164,40 +167,33 @@ class EpochDomain {
     std::uint32_t retire_pulse = 0;
     /// Cumulative objects retired/freed and the bytes now in this record's
     /// limbo. Only the owner writes them (a relaxed load and store, no RMW);
-    /// the domain's accessors sum them. They survive recycling: a released
-    /// record's limbo is orphaned, so its limbo_bytes is zero.
+    /// the domain's accessors sum them. They survive recycling along with
+    /// the limbo they count.
     std::atomic<std::uint64_t> retired{0};
     std::atomic<std::uint64_t> freed{0};
     std::atomic<std::size_t> limbo_bytes{0};
     /// Limbo segments in increasing-epoch order; owner-only.
     std::vector<Segment> limbo;
-    /// Claimed by a live thread?
+    /// Claimed by a live thread (or, briefly, by a collect_released sweep)?
     std::atomic<bool> in_use{false};
     ThreadRecord* next = nullptr;
   };
+  using Records = util::RecordList<ThreadRecord>;
 
-  /// Thread-local handle: claims a record on construction, orphans leftover
-  /// limbo items and releases the record on thread exit.
+  /// Thread-local handle: claims a record on first use and releases it,
+  /// limbo and all, on thread exit.
   struct Handle {
-    EpochDomain* domain = nullptr;
     ThreadRecord* record = nullptr;
     ~Handle();
   };
 
-  struct Orphan {
-    Retired item;
-    std::uint64_t epoch;
-    Orphan* next;
-  };
-
+  EpochDomain();
   ThreadRecord* enter();
   void exit(ThreadRecord& rec);
   ThreadRecord* local_record();
-  ThreadRecord* acquire_record();
   std::size_t free_segment(ThreadRecord& rec, Segment& seg);
   void collect_local(ThreadRecord& rec, std::uint64_t current);
-  void collect_orphans(std::uint64_t current);
-  void orphan_all(ThreadRecord& rec);
+  void collect_released(std::uint64_t current);
   void fold_high_water() noexcept;
   /// Sum of one owner-written counter over every record.
   template <typename T>
@@ -208,19 +204,10 @@ class EpochDomain {
   // Layout: every enter() reads global_epoch_ twice, so it sits alone on
   // its line and nothing written per retire() shares it. The fields below
   // are read-mostly or written only off the per-operation path (thread
-  // registration, orphaning, freeing).
+  // registration, freeing).
   alignas(util::kCacheLineSize) std::atomic<std::uint64_t> global_epoch_{1};
-  alignas(util::kCacheLineSize) std::atomic<ThreadRecord*> records_{nullptr};
-  std::atomic<Orphan*> orphans_{nullptr};
-  /// Objects freed from, and bytes still on, the orphan list. orphan_all()
-  /// adds bytes here before taking them off the record, so a concurrent
-  /// retired_bytes() may count them twice but never misses them.
-  std::atomic<std::uint64_t> orphans_freed_{0};
-  std::atomic<std::size_t> orphan_bytes_{0};
-
+  alignas(util::kCacheLineSize) Records records_;
   std::atomic<std::size_t> limbo_bytes_hwm_{0};
-
-  friend struct Handle;
 };
 
 /// Policy adapter used as a template argument by the data structures.

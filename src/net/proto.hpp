@@ -262,17 +262,4 @@ inline const char* status_name(Status s) noexcept {
   return "unknown";
 }
 
-inline const char* op_name(Op op) noexcept {
-  switch (op) {
-    case Op::kGet: return "get";
-    case Op::kPut: return "put";
-    case Op::kRemove: return "remove";
-    case Op::kRemoveIfEquals: return "remove_if_equals";
-    case Op::kPing: return "ping";
-    case Op::kStats: return "stats";
-    case Op::kTraceCtl: return "trace_ctl";
-  }
-  return "unknown";
-}
-
 }  // namespace cachetrie::net::proto

@@ -108,10 +108,9 @@ struct Snapshot {
     return nullptr;
   }
 
-  // Emitters are defined in json.hpp-free form here to keep this header
+  // The emitter is defined in json.hpp-free form here to keep this header
   // self-contained; the JSON shape is documented in DESIGN.md §2d.
   void write_json(std::ostream& os) const;
-  void print_table(std::ostream& os) const;
 };
 
 // --- zero-cost handles (unconditional; the OFF configuration) --------------
@@ -547,30 +546,6 @@ inline void Snapshot::write_json(std::ostream& os) const {
     os << "]}";
   }
   os << "}}";
-}
-
-/// Human form, aligned like harness::Table's output.
-inline void Snapshot::print_table(std::ostream& os) const {
-  std::size_t width = 0;
-  for (const auto& c : counters) width = std::max(width, c.name.size());
-  for (const auto& g : gauges) width = std::max(width, g.name.size());
-  for (const auto& h : histograms) width = std::max(width, h.name.size());
-  auto pad = [&](const std::string& name) {
-    os << "  " << name << std::string(width - name.size() + 2, ' ');
-  };
-  for (const auto& c : counters) {
-    pad(c.name);
-    os << c.value << "\n";
-  }
-  for (const auto& g : gauges) {
-    pad(g.name);
-    os << g.value << "\n";
-  }
-  for (const auto& h : histograms) {
-    pad(h.name);
-    os << "count " << h.count << "  mean " << h.mean() << "  p50~"
-       << h.quantile(0.5) << "  p99~" << h.quantile(0.99) << "\n";
-  }
 }
 
 }  // namespace cachetrie::obs

@@ -19,12 +19,11 @@
 // detected and dropped, never surfaced. Every field is an atomic accessed
 // relaxed, which keeps TSan clean — there is no data race to annotate away.
 //
-// Rings are registered on an immortal lock-free list with in_use recycling,
-// the same lifecycle as mr::EpochDomain::ThreadRecord: a thread's first
-// event adopts (or allocates) a ring, thread exit releases it for reuse,
-// and drains never race deallocation because nothing is ever deallocated.
-// The thread id is stored per event, so recycling cannot misattribute old
-// events to the ring's next owner.
+// Rings live on a util::RecordList, the list mr::EpochDomain keeps its
+// thread records on: a thread's first event claims (or allocates) a ring,
+// thread exit releases it for reuse, and drains never race deallocation
+// because nothing is ever deallocated. The thread id is stored per event,
+// so recycling cannot misattribute old events to the ring's next owner.
 //
 // Build modes mirror obs/metrics.hpp:
 //   * CACHETRIE_TRACE on (default via CMake option): the above, behind one
@@ -50,6 +49,7 @@
 #include <cstdlib>
 
 #include "util/padded.hpp"
+#include "util/record_list.hpp"
 #include "util/thread_id.hpp"
 #endif
 
@@ -134,29 +134,12 @@ class Registry {
   /// Adopts a recycled ring or allocates a fresh one (the only allocation
   /// in the layer, once per thread lifetime, outside any protocol step).
   detail::ThreadRing* acquire_ring() {
-    // [acquires: TRACE_RING_PUBLISH]
-    for (detail::ThreadRing* r = rings_.load(std::memory_order_acquire);
-         r != nullptr; r = r->next) {
-      bool expected = false;
-      if (!r->in_use.load(std::memory_order_relaxed) &&
-          r->in_use.compare_exchange_strong(expected, true,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed)) {
-        return r;
-      }
-    }
-    auto* r = new detail::ThreadRing();
-    r->capacity = capacity_.load(std::memory_order_relaxed);
-    r->slots = new detail::Slot[r->capacity];
-    r->in_use.store(true, std::memory_order_relaxed);
-    detail::ThreadRing* head = rings_.load(std::memory_order_acquire);
-    do {
-      r->next = head;
-    // [publishes: TRACE_RING_PUBLISH]
-    } while (!rings_.compare_exchange_weak(head, r,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire));
-    return r;
+    return rings_.acquire([this] {
+      auto* r = new detail::ThreadRing();
+      r->capacity = capacity_.load(std::memory_order_relaxed);
+      r->slots = new detail::Slot[r->capacity];
+      return r;
+    });
   }
 
   /// Copies every still-valid event out of every ring. Safe concurrently
@@ -164,8 +147,7 @@ class Registry {
   /// Events arrive ring-by-ring; sort by ts for a global timeline.
   std::vector<Event> drain() const {
     std::vector<Event> out;
-    for (detail::ThreadRing* r = rings_.load(std::memory_order_acquire);
-         r != nullptr; r = r->next) {
+    for (detail::ThreadRing* r = rings_.head(); r != nullptr; r = r->next) {
       const std::uint64_t head = r->head.load(std::memory_order_acquire);
       const std::uint64_t lo = head > r->capacity ? head - r->capacity : 0;
       for (std::uint64_t i = lo; i < head; ++i) {
@@ -190,8 +172,7 @@ class Registry {
   /// Events ever emitted across all rings (monotone while rings are live).
   std::uint64_t total_emitted() const noexcept {
     std::uint64_t n = 0;
-    for (detail::ThreadRing* r = rings_.load(std::memory_order_acquire);
-         r != nullptr; r = r->next) {
+    for (detail::ThreadRing* r = rings_.head(); r != nullptr; r = r->next) {
       n += r->head.load(std::memory_order_relaxed);
     }
     return n;
@@ -200,8 +181,7 @@ class Registry {
   /// Lower bound on events lost to overwrite (per-ring overflow).
   std::uint64_t total_overwritten() const noexcept {
     std::uint64_t n = 0;
-    for (detail::ThreadRing* r = rings_.load(std::memory_order_acquire);
-         r != nullptr; r = r->next) {
+    for (detail::ThreadRing* r = rings_.head(); r != nullptr; r = r->next) {
       const std::uint64_t head = r->head.load(std::memory_order_relaxed);
       if (head > r->capacity) n += head - r->capacity;
     }
@@ -219,8 +199,7 @@ class Registry {
   /// must guarantee quiescence: no thread may emit or drain concurrently.
   void reset_for_testing() {
     const std::uint64_t cap = capacity_.load(std::memory_order_relaxed);
-    for (detail::ThreadRing* r = rings_.load(std::memory_order_acquire);
-         r != nullptr; r = r->next) {
+    for (detail::ThreadRing* r = rings_.head(); r != nullptr; r = r->next) {
       if (r->capacity != cap) {
         delete[] r->slots;
         r->slots = new detail::Slot[cap];
@@ -246,7 +225,7 @@ class Registry {
                     std::memory_order_relaxed);
   }
 
-  std::atomic<detail::ThreadRing*> rings_{nullptr};
+  util::RecordList<detail::ThreadRing> rings_;
   std::atomic<std::uint64_t> capacity_{4096};
 };
 
@@ -257,7 +236,7 @@ struct TlsRef {
   std::uint32_t tid = 0;
 
   ~TlsRef() {
-    if (ring != nullptr) ring->in_use.store(false, std::memory_order_release);
+    if (ring != nullptr) util::RecordList<ThreadRing>::release(*ring);
   }
 };
 

@@ -65,11 +65,6 @@ class ProgressWatchdog {
   std::uint64_t violations() const noexcept {
     return violations_.load(std::memory_order_relaxed);
   }
-  /// Smallest per-tick counter delta seen (how close progress came to
-  /// stopping); ~0 until the first tick completes.
-  std::uint64_t min_delta() const noexcept {
-    return min_delta_.load(std::memory_order_relaxed);
-  }
 
  private:
   void run() {
@@ -94,11 +89,6 @@ class ProgressWatchdog {
             now, ticks_.load(std::memory_order_relaxed));
         obs::trace::post_mortem_dump("watchdog_violation");
       }
-      std::uint64_t prev = min_delta_.load(std::memory_order_relaxed);
-      while (delta < prev && !min_delta_.compare_exchange_weak(
-                                 prev, delta, std::memory_order_relaxed,
-                                 std::memory_order_relaxed)) {
-      }
     }
   }
 
@@ -109,7 +99,6 @@ class ProgressWatchdog {
   std::atomic<bool> stop_requested_{false};
   std::atomic<std::uint64_t> ticks_{0};
   std::atomic<std::uint64_t> violations_{0};
-  std::atomic<std::uint64_t> min_delta_{~0ull};
 };
 
 }  // namespace cachetrie::testkit

@@ -15,9 +15,10 @@
 // evidence. See DESIGN.md §2f.
 //
 // Naming: CT_* cachetrie, CTRIE_* ctrie, CHM_* chashmap, CSL_* skiplist,
-// EPOCH_*/MR_* memory reclamation, TRACE_* flight recorder, TK_*
-// testkit. The second argument is prose: what data the edge publishes and
-// which paper/DESIGN section owns the argument.
+// EPOCH_* memory reclamation, RECORD_LINK the per-thread record list,
+// TRACE_* flight recorder, TK_* testkit, NET_* serving layer. The second
+// argument is prose: what data the edge publishes and which paper/DESIGN
+// section owns the argument.
 //
 // The bounded-memory mode (DESIGN.md §3) adds NO edges to this table, by
 // design: its eviction CASes are ordinary txn announce/commit steps and
@@ -77,13 +78,12 @@
                       "advance that lets their nodes be freed")              \
   X(EPOCH_FLIP,       "global epoch CAS publishes the flip; pins and "       \
                       "retires stamp themselves against it")                 \
-  X(MR_RECORD_LINK,   "thread-record push CAS publishes the immortal "       \
-                      "record for scanners traversing the registry")         \
-  X(MR_ORPHANS,       "orphan-batch CAS publishes limbo lists abandoned "    \
-                      "by exited threads to the adopting thread")            \
+  /* --- util (per-thread record list: epoch records, trace rings) --- */    \
+  X(RECORD_LINK,      "RecordList push CAS publishes an immortal record to " \
+                      "every list walker; the owner's release store hands "  \
+                      "what it left in the record (limbo, ring) to the "     \
+                      "next try_claim CAS")                                  \
   /* --- obs (flight recorder) --- */                                        \
-  X(TRACE_RING_PUBLISH, "ring-registry push CAS publishes a thread's ring "  \
-                      "to snapshot/clear/post-mortem iteration")             \
   X(TRACE_SEQLOCK,    "per-slot seqlock: odd/even seq store(release) vs "    \
                       "reader's seq load(acquire) + acquire fence")          \
   /* --- testkit --- */                                                      \
@@ -141,9 +141,5 @@ inline constexpr std::size_t kOrderingEdgeCount =
 static_assert(kOrderingEdgeCount ==
                   static_cast<std::size_t>(OrderingEdge::kCount),
               "edge table and enum drifted apart");
-
-constexpr const OrderingEdgeInfo& ordering_edge_info(OrderingEdge e) {
-  return kOrderingEdges[static_cast<unsigned>(e)];
-}
 
 }  // namespace cachetrie::util

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -178,10 +179,10 @@ TEST(Epoch, ThreadRecordsAreRecycled) {
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
-TEST(Epoch, OrphanedLimboFreedBySurvivors) {
-  // A thread that exits with a non-empty limbo orphans its items; surviving
-  // threads must free them through ordinary advances — no drain_for_testing,
-  // which a real deployment never calls.
+TEST(Epoch, ExitedThreadLimboFreedBySurvivors) {
+  // A thread that exits with a non-empty limbo leaves it on its released
+  // record; surviving threads must free it through ordinary advances — no
+  // drain_for_testing, which a real deployment never calls.
   auto& dom = EpochDomain::instance();
   dom.drain_for_testing();  // start from an empty limbo
   Tracked::live.store(0);
@@ -189,12 +190,117 @@ TEST(Epoch, OrphanedLimboFreedBySurvivors) {
     auto g = dom.pin();
     for (int i = 0; i < 100; ++i) dom.retire(new Tracked());
   });
-  t.join();  // records orphaned on thread exit
+  t.join();  // the record is released with its limbo on thread exit
   for (int i = 0; i < 10 && Tracked::live.load() != 0; ++i) {
     auto g = dom.pin();
-    dom.try_advance();  // successful advances collect orphans
+    dom.try_advance();  // successful advances sweep released records
   }
   EXPECT_EQ(Tracked::live.load(), 0);
+}
+
+TEST(Epoch, ExitedThreadLimboWaitsForPinnedReader) {
+  // The sweep that frees an exited thread's limbo obeys the same epoch + 2
+  // rule as its owner would have: while a reader that pinned before the
+  // retirements stays pinned, nothing is freed and the byte and object
+  // counts stand still; once it unpins, ordinary advances free it all.
+  auto& dom = EpochDomain::instance();
+  dom.drain_for_testing();
+  Tracked::live.store(0);
+  constexpr int kCount = 100;
+  constexpr std::size_t kBytes = 48;
+  const std::size_t bytes0 = dom.retired_bytes();
+  const std::uint64_t pending0 = dom.retired_count() - dom.freed_count();
+
+  // Main's lagging pin holds the epoch at e + 1 while the reader pins and
+  // the retirer retires, so all 100 are retired in e + 1 and the advance
+  // main makes after the exit, to e + 2, runs a sweep over unsafe limbo.
+  std::optional<EpochDomain::Guard> lagging(dom.pin());
+  const std::uint64_t e = dom.epoch();
+  ASSERT_TRUE(dom.try_advance());
+
+  std::atomic<bool> pinned{false};
+  std::atomic<bool> unpin{false};
+  std::thread reader([&] {
+    auto g = dom.pin();
+    pinned.store(true);
+    while (!unpin.load()) std::this_thread::yield();
+  });
+  while (!pinned.load()) std::this_thread::yield();
+
+  std::atomic<bool> retired{false};
+  std::atomic<bool> leave{false};
+  std::thread retirer([&] {
+    {
+      auto g = dom.pin();
+      for (int i = 0; i < kCount; ++i) {
+        dom.retire(static_cast<void*>(new Tracked()),
+                   &cachetrie::mr::delete_as<Tracked>, kBytes);
+      }
+    }
+    retired.store(true);
+    while (!leave.load()) std::this_thread::yield();
+  });
+  while (!retired.load()) std::this_thread::yield();
+  const std::size_t bytes_before_exit = dom.retired_bytes();
+  const std::uint64_t pending_before_exit =
+      dom.retired_count() - dom.freed_count();
+  EXPECT_EQ(bytes_before_exit, bytes0 + kCount * kBytes);
+  EXPECT_EQ(pending_before_exit, pending0 + kCount);
+  leave.store(true);
+  retirer.join();
+  lagging.reset();
+
+  for (int i = 0; i < 10; ++i) {
+    auto g = dom.pin();
+    dom.try_advance();
+  }
+  EXPECT_EQ(dom.epoch(), e + 2);  // one sweep ran; the reader blocks more
+  EXPECT_EQ(Tracked::live.load(), kCount);
+  EXPECT_EQ(dom.retired_bytes(), bytes_before_exit);
+  EXPECT_EQ(dom.retired_count() - dom.freed_count(), pending_before_exit);
+
+  unpin.store(true);
+  reader.join();
+  for (int i = 0; i < 10 && Tracked::live.load() != 0; ++i) {
+    auto g = dom.pin();
+    dom.try_advance();
+  }
+  EXPECT_EQ(Tracked::live.load(), 0);
+  EXPECT_EQ(dom.retired_bytes(), bytes0);
+  EXPECT_EQ(dom.retired_count() - dom.freed_count(), pending0);
+}
+
+TEST(Epoch, SequentialThreadsAdoptRecordsWithLimbo) {
+  // Main holds a guard, so no limbo can be freed. Each thread in turn
+  // claims the record its predecessor released, limbo and all, retires
+  // more onto it and releases it again. Adoption must neither free nor
+  // lose anything: the live objects always equal the unfreed retirements.
+  auto& dom = EpochDomain::instance();
+  dom.drain_for_testing();
+  Tracked::live.store(0);
+  constexpr int kThreads = 64;
+  constexpr int kEach = 50;
+  const std::uint64_t pending0 = dom.retired_count() - dom.freed_count();
+  {
+    auto g = dom.pin();
+    for (int t = 0; t < kThreads; ++t) {
+      std::thread th([&] {
+        auto tg = dom.pin();
+        for (int i = 0; i < kEach; ++i) dom.retire(new Tracked());
+      });
+      th.join();
+      ASSERT_EQ(static_cast<std::uint64_t>(Tracked::live.load()),
+                dom.retired_count() - dom.freed_count() - pending0)
+          << "after thread " << t;
+    }
+    EXPECT_EQ(Tracked::live.load(), kThreads * kEach);
+  }
+  for (int i = 0; i < 10 && Tracked::live.load() != 0; ++i) {
+    auto g = dom.pin();
+    dom.try_advance();
+  }
+  EXPECT_EQ(Tracked::live.load(), 0);
+  EXPECT_EQ(dom.retired_count() - dom.freed_count(), pending0);
 }
 
 TEST(Epoch, ByteAccountingTracksLimbo) {

@@ -511,4 +511,33 @@ TEST_F(MetricsTest, IntervalDeltaJsonIsBalancedAndEscaped) {
   EXPECT_NE(out.find("\"count_delta\":1"), std::string::npos);
 }
 
+TEST_F(MetricsTest, IntervalDeltaTableListsWhatMoved) {
+  // The example server's --stats-interval prints this table: a line per
+  // counter and histogram that moved and per gauge off zero, none for a
+  // gauge that sits at zero.
+  obs::Counter c{"test.iv.table.counter"};
+  obs::Gauge moved{"test.iv.table.gauge"};
+  obs::Gauge zero{"test.iv.table.zero"};
+  obs::Histogram h{"test.iv.table.hist"};
+  obs::IntervalDiffer differ;
+  (void)differ.advance(obs::registry().snapshot(), 1'000'000);
+  c.add(6);
+  moved.set(-3);
+  h.record(300);
+  const auto d = differ.advance(obs::registry().snapshot(), 3'000'000);
+
+  std::ostringstream os;
+  d.print_table(os);
+  const std::string out = os.str();
+  EXPECT_EQ(out.rfind("interval 2s\n", 0), 0u) << out;
+  EXPECT_NE(out.find("  test.iv.table.counter  +6  (3/s)\n"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("  test.iv.table.gauge  -3  (-3)\n"), std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("test.iv.table.zero"), std::string::npos) << out;
+  EXPECT_NE(out.find("  test.iv.table.hist  +1  p50~"), std::string::npos)
+      << out;
+}
+
 }  // namespace

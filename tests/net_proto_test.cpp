@@ -12,6 +12,7 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -123,6 +124,24 @@ TEST(NetProto, RequestRoundTrip) {
   EXPECT_EQ(out.value, 99u);
   EXPECT_EQ(out.send_ts_us, 123456u);
   EXPECT_EQ(out.deadline_us, 5000u);
+}
+
+TEST(NetProto, StatusNamesAreDistinct) {
+  // Failure messages and the example server print these; two statuses
+  // that printed alike, or as "unknown", would mislead whoever reads them.
+  using proto::Status;
+  const Status all[] = {Status::kOk,         Status::kNotFound,
+                        Status::kShed,       Status::kDeadlineExceeded,
+                        Status::kBadRequest, Status::kTimeout,
+                        Status::kClosed,     Status::kSendFailed};
+  std::vector<std::string> names;
+  for (Status s : all) {
+    names.emplace_back(proto::status_name(s));
+    EXPECT_NE(names.back(), "unknown");
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+  EXPECT_STREQ(proto::status_name(static_cast<Status>(99)), "unknown");
 }
 
 TEST(NetProto, ReplyRoundTrip) {
