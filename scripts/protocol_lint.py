@@ -58,6 +58,19 @@ families, documented in DESIGN.md section 2f:
                                marked body, not its callees, and cannot see
                                operator forms such as ++ on an atomic.
 
+  Trie-word codec (cachetrie/ paths only)
+    codec.raw-word             outside a scope annotated [codec], a
+                               std::atomic<T> or a reinterpret_cast<T> whose
+                               T is a raw trie word: `Word`, `uintptr_t`, a
+                               node pointer (`...Node...*`) or an atomic of
+                               one. Slot, txn, result and cache words are
+                               AtomicRefs (nodes.hpp); loading, storing or
+                               CASing one around that codec would drop the
+                               tag that travels with the pointer. Inside
+                               [codec], an atomic call that forwards its
+                               caller's order parameters is not a defaulted
+                               order: the callers' own sites are checked.
+
   Chaos-site table (src/testkit/chaos.hpp, X-macro style)
     chaos.dead-row             a CACHETRIE_CHAOS_SITES row that no
                                chaos_point( crosses: no file that calls
@@ -86,6 +99,10 @@ Annotation grammar (inside any C++ comment):
                                   seq_cst store or fence (same binding rule)
     [delete: unpublished]         this `delete` destroys a node that was
                                   never published, so no grace period applies
+    [codec]                       this class or function is the trie-word
+                                  codec (binds to the enclosing scope, or to
+                                  a class or function starting within 5
+                                  lines below)
 
 Usage:
     protocol_lint.py [PATHS...]           lint (default: src/ next to repo)
@@ -138,6 +155,17 @@ DESIGNATED_HELPER_RE = re.compile(
 LIFECYCLE_DIRS = {"cachetrie"}
 LIFECYCLE_FUNCS = {"make", "retire", "discard", "node_bytes"}
 NODE_TYPE_RE = re.compile(r"^(?:[A-Z]\w*Node\w*|CacheArray)$")
+
+# A template argument that is a raw trie word: the word type itself, an
+# integer wide enough to hold one, or a pointer to a node type.
+CODEC_DIRS = {"cachetrie"}
+CODEC_ANNOTATION_RE = re.compile(r"\[codec\]")
+RAW_WORD_RE = re.compile(
+    r"^(?:(?:std::)?uintptr_t|(?:\w+::)*Word|(?:const\s*)?(?:\w+::)*\w*Node\w*"
+    r"(?:<.*>)?\s*\*|(?:std::)?atomic<.*>\s*\*?)$")
+# Order arguments an atomic call takes when none is defaulted.
+FULL_ORDER_ARGS = {"load": 1, "store": 2, "exchange": 2,
+                   "compare_exchange_weak": 4, "compare_exchange_strong": 4}
 
 CONTROL_KEYWORDS = {
     "if", "else", "for", "while", "do", "switch", "catch", "return",
@@ -346,7 +374,7 @@ class Scope:
     """One {...} region. kind: 'function' | 'type' | 'control' | 'other'."""
     __slots__ = ("kind", "name", "open_index", "close_index", "parent",
                  "open_line", "header_line", "caller_pinned", "no_retire",
-                 "read_path")
+                 "read_path", "codec")
 
     def __init__(self, kind, name, open_index, open_line, header_line,
                  parent):
@@ -360,6 +388,7 @@ class Scope:
         self.caller_pinned = False
         self.no_retire = False
         self.read_path = False
+        self.codec = False
 
 
 def classify_scope(tokens, open_idx, boundary_idx):
@@ -581,10 +610,21 @@ class FileAnalysis:
 
     # --- rule family 1: atomics discipline -------------------------------
 
+    def in_codec(self, idx):
+        scope = self.scope_at[idx]
+        while scope is not None:
+            if scope.codec:
+                return True
+            scope = scope.parent
+        return False
+
     def check_atomics(self):
         for s in self.sites:
             if s.is_fence:
                 continue  # the fence's order argument is not defaultable
+            if self.in_codec(s.index) and \
+                    s.n_args >= FULL_ORDER_ARGS.get(s.method, 99):
+                continue  # the codec forwards its caller's explicit orders
             if s.method in CAS_METHODS:
                 if len(s.order_args) == 0:
                     self.add("atomics.default-order", s.line,
@@ -838,6 +878,94 @@ class FileAnalysis:
                      "freed only through make(), retire() and discard(), "
                      "which book the byte ledger".format(what, chain[0].name))
 
+    # --- trie-word codec ---------------------------------------------------
+
+    def bind_codec_annotations(self):
+        # Like the function annotations, but a class may be the codec too.
+        scopes = [s for s in self.scopes if s.kind in ("function", "type")]
+        for c in self.comments:
+            if not CODEC_ANNOTATION_RE.search(c.text):
+                continue
+            target = None
+            for s in scopes:
+                if c.line <= s.header_line <= \
+                        c.line + MAX_FUNC_ANNOTATION_BIND_LINES:
+                    if target is None or s.header_line < target.header_line:
+                        target = s
+            if target is None:
+                scope = self.scope_at_line(c.line)
+                while scope is not None and \
+                        scope.kind not in ("function", "type"):
+                    scope = scope.parent
+                target = scope
+            if target is None:
+                self.add("contract.orphan-annotation", c.line,
+                         "[codec] does not bind to any class or function")
+                continue
+            target.codec = True
+
+    def scope_at_line(self, line):
+        for idx, tok in enumerate(self.tokens):
+            if tok.line >= line:
+                return self.scope_at[idx]
+        return None
+
+    def template_arg(self, lt_idx):
+        """The text of the template argument list opened by tokens[lt_idx]
+        == '<', and the index of its closing '>' (None when unbalanced)."""
+        depth = 0
+        parts = []
+        for j in range(lt_idx, min(len(self.tokens), lt_idx + 40)):
+            t = self.tokens[j].text
+            if t == "<":
+                depth += 1
+                if depth == 1:
+                    continue
+            elif t == ">":
+                depth -= 1
+                if depth == 0:
+                    return "".join(parts), j
+            elif t == ">>":
+                depth -= 2
+                if depth <= 0:
+                    parts.append(">")
+                    return "".join(parts), j
+            elif t in (";", "{", "}"):
+                return None, None
+            parts.append(t + (" " if t == "const" else ""))
+        return None, None
+
+    def check_codec(self, dir_parts):
+        if not (CODEC_DIRS & dir_parts):
+            return
+        toks = self.tokens
+        for idx, tok in enumerate(toks):
+            if tok.text not in ("atomic", "reinterpret_cast"):
+                continue
+            if idx + 1 >= len(toks) or toks[idx + 1].text != "<":
+                continue
+            arg, _ = self.template_arg(idx + 1)
+            if arg is None or not RAW_WORD_RE.match(arg):
+                continue
+            if tok.text == "reinterpret_cast" and arg.startswith(
+                    ("atomic", "std::atomic")) and not RAW_WORD_RE.match(
+                        arg[arg.index("<") + 1:arg.rindex(">")]):
+                continue  # an atomic of something else (a stamp word)
+            if tok.text == "atomic" and arg.startswith(
+                    ("atomic", "std::atomic")):
+                continue  # the inner atomic<...> is checked on its own
+            back = [t.text for t in toks[max(0, idx - 4):idx]]
+            if tok.text == "atomic" and (back[-2:] == ["reinterpret_cast", "<"]
+                                         or back == ["reinterpret_cast", "<",
+                                                     "std", "::"]):
+                continue  # reported once, at its reinterpret_cast
+            if self.in_codec(idx):
+                continue
+            self.add("codec.raw-word", tok.line,
+                     "{}<{}> outside the codec -- trie words are AtomicRefs, "
+                     "loaded, stored and CASed only through it, so the tag "
+                     "travels with the pointer".format(tok.text, arg))
+
     # --- rule family 4: read-path discipline ------------------------------
 
     def check_read_path(self):
@@ -992,12 +1120,14 @@ def analyze_files(files, pooled=True):
                 table_lines[name] = (a.rel, line)
                 table_rel = a.rel
     for a in analyses:
+        a.bind_codec_annotations()
         a.check_atomics()
         a.check_contracts(declared)
         dir_parts = set(a.rel.replace("\\", "/").split("/"))
         a.bind_function_annotations()
         a.check_smr(dir_parts)
         a.check_lifecycle(dir_parts)
+        a.check_codec(dir_parts)
         a.check_read_path()
 
     findings = []

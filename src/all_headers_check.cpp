@@ -113,8 +113,7 @@ namespace ct = cachetrie::detail;
 namespace ctr = cachetrie::ctrie::detail;
 static_assert(fits_pool_class<ct::SNode<U64, U64>>() &&
               fits_pool_class<ct::LNode<U64, U64>>() &&
-              fits_pool_class<ct::ENode>() && fits_pool_class<ct::FNode>() &&
-              fits_pool_class<ct::ANode>());
+              fits_pool_class<ct::ENode>());
 static_assert(ct::ANode::alloc_size(16) <= cachetrie::mr::NodePool::kMaxBytes);
 static_assert(ct::SNode<U64, U64>::alloc_size(/*stamped=*/true) <=
               cachetrie::mr::NodePool::kMaxBytes);

@@ -20,7 +20,12 @@
 //     non-writable — then a fresh copy is built and committed into the
 //     parent with a single CAS, coordinated through an ENode announcement so
 //     that any thread can finish the job (§3.3).
-//   * The cache (§3.4-3.6) is a list of per-level pointer arrays, deepest
+//   * Every reference to a node is a tagged word (detail::Ref): the node's
+//     kind, an ANode's width and a frozen bit ride in the pointer's low
+//     bits, so ANodes are bare slot arrays, a hop addresses its slot from
+//     the word it followed, and freezing an entry is one CAS that sets the
+//     word's frozen bit (nodes.hpp).
+//   * The cache (§3.4-3.6) is a list of per-level word arrays, deepest
 //     first. Lookups probe the deepest level first and fall back level by
 //     level, then to the root. Slow operations lazily inhabit the cache and
 //     count misses; after max_misses misses a thread samples random trie
@@ -84,12 +89,11 @@ struct LevelHistogram {
 template <typename K, typename V, typename Hash = util::DefaultHash<K>,
           typename Reclaimer = mr::EpochReclaimer>
 class CacheTrie {
-  using NodeBase = detail::NodeBase;
-  using Kind = detail::Kind;
-  using Sentinels = detail::Sentinels;
+  using Ref = detail::Ref;
+  using AtomicRef = detail::AtomicRef;
+  using Tag = detail::Tag;
   using ANode = detail::ANode;
   using ENode = detail::ENode;
-  using FNode = detail::FNode;
   using SNodeT = detail::SNode<K, V>;
   using LNodeT = detail::LNode<K, V>;
   using CacheArray = detail::CacheArray;
@@ -160,27 +164,24 @@ class CacheTrie {
                          : static_cast<std::int32_t>(cache->level);
     // Fast path (paper Fig. 6): probe cache levels, deepest first.
     for (CacheArray* c = cache; c != nullptr; c = c->parent) {
-      const auto [cachee, anode_length] = CacheArray::decode(
-          c->entry(c->index_of(h)).load(std::memory_order_acquire));
-      if (anode_length != 0) {
-        // The word's tag gave the ANode's slot count, so the slot is
-        // addressed without loading the node's header.
-        auto* an = static_cast<ANode*>(cachee);
+      const Ref cachee =
+          c->entry(c->index_of(h)).load(std::memory_order_acquire);
+      if (cachee.is_anode()) {
+        // The word's tag gives the ANode's slot count, so the slot is
+        // addressed without touching anything else in the node.
         // If the relevant entry is frozen the ANode may already be detached;
         // fall back.
-        if (entry_frozen</*SeqCst=*/false>(an, anode_length, h, c->level)) {
-          continue;
-        }
+        if (entry_frozen</*SeqCst=*/false>(cachee, h, c->level)) continue;
         // Same counter as the SNode fast path, so its pre-add value keeps
         // sampling one in 64 hits regardless of which hit kind fires.
         const bool sample_depth =
             (obs::sites::cachetrie_cache_hit.add() & 63u) == 0u;
-        return lookup_rec(key, h, c->level, an, anode_length, cache_level,
-                          c->level, sample_depth, hz);
+        return lookup_rec(key, h, c->level, cachee, cache_level, c->level,
+                          sample_depth, hz);
       }
-      if (cachee != nullptr && cachee->kind == Kind::kSNode) {
-        auto* sn = static_cast<SNodeT*>(cachee);
-        if (sn->txn.load(std::memory_order_acquire) == Sentinels::no_txn()) {
+      if (cachee.tag() == Tag::kSNode) {
+        auto* sn = cachee.as<SNodeT>();
+        if (sn->txn.load(std::memory_order_acquire) == Ref::no_txn()) {
           // Live SNode on this key's path: it either is the key, or proves
           // the key absent (no other key shares this hash prefix, else an
           // ANode would occupy the position).
@@ -198,8 +199,7 @@ class CacheTrie {
     }
     const bool sample_depth =
         (obs::sites::cachetrie_lookup_slow.add() & 63u) == 0u;
-    return lookup_rec(key, h, 0, root_, root_->length, cache_level, 0,
-                      sample_depth, hz);
+    return lookup_rec(key, h, 0, root_, cache_level, 0, sample_depth, hz);
   }
 
   bool contains(const K& key) const { return lookup(key).has_value(); }
@@ -300,22 +300,19 @@ class CacheTrie {
     return c == nullptr ? -1 : static_cast<std::int32_t>(c->level);
   }
 
-  /// The node the cache array at `level` holds for `key`'s hash: nullptr
-  /// when the entry is empty or no array in the chain covers `level`. For
-  /// tests; the node may be retired as soon as another operation runs.
+  /// The word the cache array at `level` holds for `key`'s hash: empty when
+  /// the entry is empty or no array in the chain covers `level`. For tests;
+  /// the node may be retired as soon as another operation runs.
   // [read-path]
-  const detail::NodeBase* debug_cache_entry(const K& key,
-                                            std::uint32_t level) const {
+  detail::Ref debug_cache_entry(const K& key, std::uint32_t level) const {
     const std::uint64_t h = hasher_(key);
     for (CacheArray* c = cache_head_.load(std::memory_order_acquire);
          c != nullptr; c = c->parent) {
       if (c->level == level) {
-        return CacheArray::decode(
-                   c->entry(c->index_of(h)).load(std::memory_order_acquire))
-            .node;
+        return c->entry(c->index_of(h)).load(std::memory_order_acquire);
       }
     }
-    return nullptr;
+    return {};
   }
 
   // --- bounded-memory mode (DESIGN.md §3) -----------------------------------
@@ -380,7 +377,6 @@ class CacheTrie {
 
   static constexpr std::int32_t kNoCacheLevel = -1;
 
-  // [read-path]
   static std::uint32_t slot_index(std::uint64_t h, std::uint32_t lev,
                                   std::uint32_t len) noexcept {
     return static_cast<std::uint32_t>((h >> lev) & (len - 1));
@@ -415,20 +411,24 @@ class CacheTrie {
   // function each, and only these book the ledger: a node counts from the
   // moment it is made until it is retired or discarded.
 
-  /// A node's bytes in the ledger: its allocation size.
+  /// A node's bytes in the ledger: its allocation size. An ANode is named by
+  /// its word, whose tag holds its length.
   template <typename N>
   static std::size_t node_bytes(const N* n) noexcept {
-    if constexpr (std::is_same_v<N, ANode>) return ANode::alloc_size(n->length);
     if constexpr (std::is_same_v<N, SNodeT>) {
       return SNodeT::alloc_size(n->stamped);
     }
     if constexpr (std::is_same_v<N, CacheArray>) return n->footprint_bytes();
     return sizeof(N);
   }
+  static std::size_t node_bytes(Ref an) noexcept {
+    return ANode::alloc_size(an.length());
+  }
 
+  /// A fresh node: a pointer, or for an ANode the word that refers to it.
   template <typename N, typename... Args>
-  N* make(Args&&... args) const {
-    N* n = N::make(std::forward<Args>(args)...);
+  auto make(Args&&... args) const {
+    auto n = N::make(std::forward<Args>(args)...);
     account(static_cast<std::ptrdiff_t>(node_bytes(n)));
     return n;
   }
@@ -486,6 +486,14 @@ class CacheTrie {
       Reclaimer::template retire<N>(n);
     }
   }
+  // [smr: caller-pinned] -- the guard is held by the public entry point.
+  void retire(Ref an) const {
+    account(-static_cast<std::ptrdiff_t>(node_bytes(an)));
+    Reclaimer::retire_raw_sized(an.anode(),
+                                an.length() == 4 ? &ANode::destroy_erased<4>
+                                                 : &ANode::destroy_erased<16>,
+                                node_bytes(an));
+  }
 
   /// For a node no other thread can reach: a copy that lost its race, or
   /// the trie's own nodes at teardown.
@@ -497,6 +505,10 @@ class CacheTrie {
     } else {
       delete n;  // [delete: unpublished] -- or no longer reachable
     }
+  }
+  void discard(Ref an) const {
+    account(-static_cast<std::ptrdiff_t>(node_bytes(an)));
+    ANode::destroy(an);
   }
 
   void note_eviction(bool expiry, std::uint64_t h, std::uint32_t lev) const {
@@ -512,10 +524,10 @@ class CacheTrie {
   /// key. Returns true iff this thread won the announcement (and is
   /// therefore the unique retirer).
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  bool try_evict_snode(std::atomic<NodeBase*>& slot, SNodeT* osn, ANode* cur,
-                       ANode* prev, std::uint32_t lev, bool expiry) {
+  bool try_evict_snode(AtomicRef& slot, SNodeT* osn, Ref cur, Ref prev,
+                       std::uint32_t lev, bool expiry) {
     const std::uint64_t h = hash_of(osn);
-    if (!commit_txn(slot, osn, nullptr, h, lev, kEvictTxn)) return false;
+    if (!commit_txn(slot, osn, Ref{}, h, lev, kEvictTxn)) return false;
     note_eviction(expiry, h, lev);
     maybe_compress(cur, prev, h, lev);
     return true;
@@ -541,23 +553,22 @@ class CacheTrie {
     for (std::uint32_t p = 0; p < probes; ++p) {
       const std::uint64_t h =
           util::mix64(evict_cursor_.fetch_add(1, std::memory_order_relaxed));
-      ANode* cur = root_;
-      ANode* prev = nullptr;
+      Ref cur = root_;
+      Ref prev;
       std::uint32_t lev = 0;
       while (true) {
-        auto& slot = cur->slots()[slot_index(h, lev, cur->length)];
-        NodeBase* n = slot.load(std::memory_order_acquire);
-        if (n == nullptr || n == Sentinels::fv()) break;
-        if (n->kind == Kind::kANode) {
+        AtomicRef& slot = cur.slot(h, lev);
+        const Ref n = slot.load(std::memory_order_acquire);
+        if (n.is_frozen()) break;
+        if (n.is_anode()) {
           prev = cur;
-          cur = static_cast<ANode*>(n);
+          cur = n;
           lev += 4;
           continue;
         }
-        if (n->kind == Kind::kSNode) {
-          auto* sn = static_cast<SNodeT*>(n);
-          if (sn->txn.load(std::memory_order_acquire) !=
-              Sentinels::no_txn()) {
+        if (n.tag() == Tag::kSNode) {
+          auto* sn = n.as<SNodeT>();
+          if (sn->txn.load(std::memory_order_acquire) != Ref::no_txn()) {
             break;
           }
           const std::uint64_t st = sn->stamp().load(std::memory_order_relaxed);
@@ -567,8 +578,8 @@ class CacheTrie {
           }
           break;
         }
-        // Chains and in-flight announcements: skip this probe; chain
-        // corpses are pruned by the traversal rebuilds instead.
+        // Empty slots, chains and in-flight announcements: skip this probe;
+        // chain corpses are pruned by the traversal rebuilds instead.
         break;
       }
     }
@@ -587,9 +598,9 @@ class CacheTrie {
     if (bounded_) maybe_backpressure(hz);  // may raise hz.lru_floor
     const std::uint64_t h = hasher_(key);
     return note_mutate_result(
-        descend(h, [&](std::uint32_t lev, ANode* start) {
-          return insert_rec(key, value, h, lev, start, nullptr, mode,
-                            expected, hz);
+        descend(h, [&](std::uint32_t lev, Ref start) {
+          return insert_rec(key, value, h, lev, start, Ref{}, mode, expected,
+                            hz);
         }));
   }
 
@@ -597,7 +608,7 @@ class CacheTrie {
   /// cache_start finds one, then from the root until it does not restart.
   template <typename From>
   Res descend(std::uint64_t h, From&& from) {
-    if (auto start = cache_start(h); start.node != nullptr) {
+    if (auto start = cache_start(h); !start.node.null()) {
       const Res r = from(start.level, start.node);
       if (r != Res::kRestart) return r;
     }
@@ -621,7 +632,7 @@ class CacheTrie {
   }
 
   struct CacheStart {
-    ANode* node = nullptr;
+    Ref node;  // an ANode, or empty
     std::uint32_t level = 0;
   };
 
@@ -633,14 +644,11 @@ class CacheTrie {
     if (!config_.use_cache) return {};
     for (CacheArray* c = cache_head_.load(std::memory_order_acquire);
          c != nullptr; c = c->parent) {
-      const auto [cachee, anode_length] = CacheArray::decode(
-          c->entry(c->index_of(h)).load(std::memory_order_acquire));
-      if (anode_length == 0) continue;  // empty, or not an ANode
-      auto* an = static_cast<ANode*>(cachee);
-      if (entry_frozen</*SeqCst=*/false>(an, anode_length, h, c->level)) {
-        continue;
-      }
-      return {an, c->level};
+      const Ref cachee =
+          c->entry(c->index_of(h)).load(std::memory_order_acquire);
+      if (!cachee.is_anode()) continue;  // empty, or not an ANode
+      if (entry_frozen</*SeqCst=*/false>(cachee, h, c->level)) continue;
+      return {cachee, c->level};
     }
     return {};
   }
@@ -662,27 +670,26 @@ class CacheTrie {
                                       false};
 
   /// The slot half of the txn protocol: commits the value announced on
-  /// osn->txn (nullptr for a removal) into the parent slot. The announcer
+  /// osn->txn (null for a removal) into the parent slot. The announcer
   /// and any number of helpers run it; only the first CAS takes effect.
-  static void commit_announced(std::atomic<NodeBase*>& slot, SNodeT* osn,
-                               NodeBase* txn) {
-    NodeBase* expected = osn;
+  static void commit_announced(AtomicRef& slot, SNodeT* osn, Ref txn) {
+    Ref expected = Ref::to(osn);
     slot.compare_exchange_strong(expected, txn, std::memory_order_acq_rel,
                                  std::memory_order_acquire);
   }
 
   /// The two-CAS txn commit (§3.3, Fig. 3) every SNode change goes
   /// through: announce `nv` on osn->txn — a new SNode, a subtree, or
-  /// nullptr for a removal — which invalidates osn's cache entries at once,
+  /// null for a removal — which invalidates osn's cache entries at once,
   /// then commit it into the parent slot, clear those entries and retire
   /// osn. Returns false when the announcement loses; `nv` is then discarded
   /// and nothing else changed. `h` is the operation's key hash, for the
   /// commit event.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  bool commit_txn(std::atomic<NodeBase*>& slot, SNodeT* osn, NodeBase* nv,
-                  std::uint64_t h, std::uint32_t lev, const TxnSites& sites) {
+  bool commit_txn(AtomicRef& slot, SNodeT* osn, Ref nv, std::uint64_t h,
+                  std::uint32_t lev, const TxnSites& sites) {
     testkit::chaos_point(sites.announce);
-    NodeBase* expected = Sentinels::no_txn();
+    Ref expected = Ref::no_txn();
     // [publishes: CT_TXN]
     if (!osn->txn.compare_exchange_strong(expected, nv,
                                           std::memory_order_acq_rel,
@@ -714,9 +721,9 @@ class CacheTrie {
   /// chain. Returns kRetryLevel when the CAS loses, else kRemoved (no
   /// `value`), kReplaced (`key` had a live pair) or kNew.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  Res rebuild_chain(std::atomic<NodeBase*>& slot, LNodeT* chain, const K& key,
+  Res rebuild_chain(AtomicRef& slot, LNodeT* chain, const K& key,
                     const V* value, std::uint64_t h, std::uint32_t lev,
-                    ANode* cur, ANode* prev, const Horizon& hz) {
+                    Ref cur, Ref prev, const Horizon& hz) {
     bool had_key = false;
     std::size_t corpses = 0;
     std::size_t pairs = value != nullptr ? 1 : 0;
@@ -731,12 +738,12 @@ class CacheTrie {
         kept = l;
       }
     }
-    NodeBase* replacement = nullptr;
+    Ref replacement;
     if (pairs == 1) {
-      replacement =
+      replacement = Ref::to(
           value != nullptr
               ? make_leaf(h, key, *value, hz.now)
-              : make_leaf(kept->hash, kept->key, kept->value, kept->stamp);
+              : make_leaf(kept->hash, kept->key, kept->value, kept->stamp));
     } else if (pairs > 1) {
       LNodeT* fresh = nullptr;
       for (const LNodeT* l = chain; l != nullptr; l = l->next) {
@@ -746,9 +753,9 @@ class CacheTrie {
       if (value != nullptr) {
         fresh = make<LNodeT>(h, key, *value, fresh, hz.now);
       }
-      replacement = fresh;
+      replacement = Ref::to(fresh);
     }
-    NodeBase* expected = chain;
+    Ref expected = Ref::to(chain);
     if (!slot.compare_exchange_strong(expected, replacement,
                                       std::memory_order_acq_rel,
                                       std::memory_order_acquire)) {
@@ -761,66 +768,63 @@ class CacheTrie {
     }
     retire_chain(chain);
     if (value != nullptr) return had_key ? Res::kReplaced : Res::kNew;
-    if (replacement == nullptr) maybe_compress(cur, prev, h, lev);
+    if (replacement.null()) maybe_compress(cur, prev, h, lev);
     return Res::kRemoved;
   }
 
   // --- insert (paper Fig. 3) -----------------------------------------------
 
   Res insert_rec(const K& key, const V& value, std::uint64_t h,
-                 std::uint32_t lev, ANode* cur, ANode* prev, Mode mode,
+                 std::uint32_t lev, Ref cur, Ref prev, Mode mode,
                  const V* expected_value, const Horizon& hz) {
     while (true) {
-      auto& slot = cur->slots()[slot_index(h, lev, cur->length)];
+      AtomicRef& slot = cur.slot(h, lev);
       // [acquires: CT_SLOT_COMMIT]
-      NodeBase* old = slot.load(std::memory_order_acquire);
+      const Ref old = slot.load(std::memory_order_acquire);
+      // A frozen empty slot, ANode or chain: cur is being replaced.
+      if (old.is_frozen()) return Res::kRestart;
 
-      if (old == nullptr) {  // case (1): empty slot
-        if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
-          return Res::kNotFound;
+      switch (old.tag()) {
+        case Tag::kEmpty: {  // case (1): empty slot
+          if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
+            return Res::kNotFound;
+          }
+          const Ref sn = Ref::to(make_leaf(h, key, value, hz.now));
+          Ref expected;
+          // [publishes: CT_SLOT_COMMIT]
+          if (slot.compare_exchange_strong(expected, sn,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+            maybe_inhabit(sn, h, lev + 4);
+            note_insert_leaf(lev + 4);
+            return Res::kNew;
+          }
+          discard(sn.as<SNodeT>());
+          continue;
         }
-        SNodeT* sn = make_leaf(h, key, value, hz.now);
-        NodeBase* expected = nullptr;
-        // [publishes: CT_SLOT_COMMIT]
-        if (slot.compare_exchange_strong(expected, sn,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-          maybe_inhabit(sn, h, lev + 4);
-          note_insert_leaf(lev + 4);
-          return Res::kNew;
-        }
-        discard(sn);
-        continue;
-      }
-      if (old == Sentinels::fv()) return Res::kRestart;  // frozen empty slot
-
-      switch (old->kind) {
-        case Kind::kANode: {
-          auto* child = static_cast<ANode*>(old);
-          maybe_inhabit(child, h, lev + 4);
-          return insert_rec(key, value, h, lev + 4, child, cur, mode,
+        case Tag::kNarrow:
+        case Tag::kWide:
+          maybe_inhabit(old, h, lev + 4);
+          return insert_rec(key, value, h, lev + 4, old, cur, mode,
                             expected_value, hz);
-        }
-        case Kind::kSNode: {
+        case Tag::kSNode: {
           const Res r = insert_at_snode(key, value, h, lev, cur, prev, slot,
-                                        static_cast<SNodeT*>(old), mode,
+                                        old.as<SNodeT>(), mode,
                                         expected_value, hz);
           if (r != Res::kRetryLevel) return r;
           continue;
         }
-        case Kind::kLNode: {
+        case Tag::kLNode: {
           const Res r = insert_at_lnode(key, value, h, lev, cur, prev, slot,
-                                        static_cast<LNodeT*>(old), mode,
+                                        old.as<LNodeT>(), mode,
                                         expected_value, hz);
           if (r != Res::kRetryLevel) return r;
           continue;
         }
-        case Kind::kENode:
+        case Tag::kENode:
           // Help the pending expansion/compression, then re-read the slot.
-          complete_enode(static_cast<ENode*>(old));
+          complete_enode(old.as<ENode>());
           continue;
-        case Kind::kFNode:
-          return Res::kRestart;
         default:
           assert(false && "unexpected node kind in ANode slot");
           return Res::kRestart;
@@ -845,12 +849,12 @@ class CacheTrie {
   /// wide node). Paper Fig. 3, lines 11-38.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   Res insert_at_snode(const K& key, const V& value, std::uint64_t h,
-                      std::uint32_t lev, ANode* cur, ANode* prev,
-                      std::atomic<NodeBase*>& slot, SNodeT* osn, Mode mode,
-                      const V* expected_value, const Horizon& hz) {
+                      std::uint32_t lev, Ref cur, Ref prev, AtomicRef& slot,
+                      SNodeT* osn, Mode mode, const V* expected_value,
+                      const Horizon& hz) {
     // [acquires: CT_TXN]
-    NodeBase* txn = osn->txn.load(std::memory_order_acquire);
-    if (txn == Sentinels::no_txn()) {
+    const Ref txn = osn->txn.load(std::memory_order_acquire);
+    if (txn == Ref::no_txn()) {
       const std::uint64_t ostamp = stamp_of(osn);
       if (holds(osn, key, h)) {
         // A TTL-expired pair is semantically absent (DESIGN.md §3): upsert
@@ -871,8 +875,8 @@ class CacheTrie {
           return Res::kExists;
         }
         // case (4): same key — two-CAS replacement.
-        if (!commit_txn(slot, osn, make_leaf(h, key, value, hz.now), h, lev,
-                        kWriteTxn)) {
+        if (!commit_txn(slot, osn, Ref::to(make_leaf(h, key, value, hz.now)),
+                        h, lev, kWriteTxn)) {
           return Res::kRetryLevel;
         }
         if (corpse) {
@@ -890,31 +894,28 @@ class CacheTrie {
       if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
         return Res::kNotFound;
       }
-      if (cur->length == 4) {
+      if (cur.length() == 4) {
         // case (3): collision in a narrow node — expand it to a wide one.
-        if (prev == nullptr) return Res::kRestart;  // descent began mid-trie
-        const std::uint32_t ppos = slot_index(h, lev - 4, prev->length);
-        ENode* en =
-            make<ENode>(prev, ppos, cur, h, lev, /*compress=*/false);
+        if (prev.null()) return Res::kRestart;  // descent began mid-trie
+        const std::uint32_t ppos = slot_index(h, lev - 4, prev.length());
+        ENode* en = make<ENode>(prev.anode(), ppos, cur, h, lev,
+                                /*compress=*/false);
         testkit::chaos_point(testkit::Site::cachetrie_expand_announce);
-        NodeBase* expected = cur;
-        if (prev->slots()[ppos].compare_exchange_strong(
-                expected, en, std::memory_order_acq_rel,
+        Ref expected = cur;
+        if (prev.slot_at(ppos).compare_exchange_strong(
+                expected, Ref::to(en), std::memory_order_acq_rel,
                 std::memory_order_acquire)) {
           complete_enode(en);
           // [acquires: CT_ENODE_RESULT]
-          NodeBase* wide = en->result.load(std::memory_order_acquire);
-          assert(wide != nullptr && wide->kind == Kind::kANode);
-          return insert_rec(key, value, h, lev, static_cast<ANode*>(wide),
-                            prev, mode, expected_value, hz);
+          const Ref wide = en->result.load(std::memory_order_acquire);
+          assert(wide.tag() == Tag::kWide);
+          return insert_rec(key, value, h, lev, wide, prev, mode,
+                            expected_value, hz);
         }
         discard(en);
         // Someone got to prev[ppos] first; help if it is an announcement.
-        NodeBase* now =
-            prev->slots()[ppos].load(std::memory_order_acquire);
-        if (now != nullptr && now->kind == Kind::kENode) {
-          complete_enode(static_cast<ENode*>(now));
-        }
+        const Ref now = prev.slot_at(ppos).load(std::memory_order_acquire);
+        if (now.tag() == Tag::kENode) complete_enode(now.as<ENode>());
         return Res::kRestart;
       }
       // case (2): collision in a wide node — build a deeper subtree that
@@ -926,7 +927,7 @@ class CacheTrie {
                  ? Res::kNew
                  : Res::kRetryLevel;
     }
-    if (txn == Sentinels::fs()) return Res::kRestart;  // frozen leaf
+    if (txn == Ref::frozen_txn()) return Res::kRestart;  // frozen leaf
     // A transaction is pending on this SNode: help commit it and retry.
     commit_announced(slot, osn, txn);
     obs::sites::cachetrie_txn_retry.add();
@@ -938,9 +939,9 @@ class CacheTrie {
   /// new pair under a fresh inner path; either swaps in with one CAS.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   Res insert_at_lnode(const K& key, const V& value, std::uint64_t h,
-                      std::uint32_t lev, ANode* cur, ANode* prev,
-                      std::atomic<NodeBase*>& slot, LNodeT* chain, Mode mode,
-                      const V* expected_value, const Horizon& hz) {
+                      std::uint32_t lev, Ref cur, Ref prev, AtomicRef& slot,
+                      LNodeT* chain, Mode mode, const V* expected_value,
+                      const Horizon& hz) {
     if (chain->hash != h) {
       // The new key only shares a prefix with the chain's hash: grow an
       // inner path below this slot that separates them. The existing chain
@@ -950,15 +951,16 @@ class CacheTrie {
         return Res::kNotFound;
       }
       SNodeT* sn = make_leaf(h, key, value, hz.now);
-      NodeBase* subtree = branch_apart(chain, chain->hash, sn, h, lev + 4);
+      const Ref subtree =
+          branch_apart(Ref::to(chain), chain->hash, sn, h, lev + 4);
       testkit::chaos_point(testkit::Site::cachetrie_chain_grow);
-      NodeBase* expected = chain;
+      Ref expected = Ref::to(chain);
       if (slot.compare_exchange_strong(expected, subtree,
                                        std::memory_order_acq_rel,
                                        std::memory_order_acquire)) {
         return Res::kNew;
       }
-      destroy_subtree(subtree, chain);
+      destroy_subtree(subtree, Ref::to(chain));
       obs::sites::cachetrie_txn_retry.add();
       return Res::kRetryLevel;
     }
@@ -982,26 +984,23 @@ class CacheTrie {
 
   // --- lookup (paper Fig. 2, with the Fig. 6 cache hooks) -------------------
 
-  /// True when `an`'s entry for `h` is frozen: FVNode, an FNode, or an SNode
-  /// whose txn is FSNode. A detached ANode has every entry frozen, so a
-  /// cached ANode whose entry is not frozen is still reachable from the
-  /// root (§3.4). `length` is `an`'s slot count, which the cache probes take
-  /// from the cache word's tag. The lookup and write-path cache probes load
-  /// with acquire; the inhabit re-check (`SeqCst`) loads with seq_cst for
-  /// its Dekker pair.
+  /// True when ANode `an`'s entry for `h` is frozen: a word with its frozen
+  /// bit set (an empty slot, an ANode or a chain), or an SNode whose txn is
+  /// frozen. A detached ANode has every entry frozen, so a cached ANode
+  /// whose entry is not frozen is still reachable from the root (§3.4). The
+  /// lookup and write-path cache probes load with acquire; the inhabit
+  /// re-check (`SeqCst`) loads with seq_cst for its Dekker pair.
   // [read-path]
   template <bool SeqCst>
-  static bool entry_frozen(const ANode* an, std::uint32_t length,
-                           std::uint64_t h, std::uint32_t lev) noexcept {
-    NodeBase* e = an->slots()[slot_index(h, lev, length)].load(
-        SeqCst ? std::memory_order_seq_cst : std::memory_order_acquire);
-    if (e == Sentinels::fv()) return true;
-    if (e == nullptr) return false;
-    return e->kind == Kind::kFNode ||
-           (e->kind == Kind::kSNode &&
-            static_cast<SNodeT*>(e)->txn.load(
-                SeqCst ? std::memory_order_seq_cst
-                       : std::memory_order_acquire) == Sentinels::fs());
+  static bool entry_frozen(Ref an, std::uint64_t h,
+                           std::uint32_t lev) noexcept {
+    const Ref e = an.slot(h, lev).load(SeqCst ? std::memory_order_seq_cst
+                                               : std::memory_order_acquire);
+    if (e.is_frozen()) return true;
+    return e.tag() == Tag::kSNode &&
+           e.as<SNodeT>()->txn.load(SeqCst ? std::memory_order_seq_cst
+                                           : std::memory_order_acquire) ==
+               Ref::frozen_txn();
   }
 
   /// A lookup that reached SNode `sn` on `key`'s path: its value when it
@@ -1039,13 +1038,13 @@ class CacheTrie {
     return nullptr;
   }
 
-  /// The lookup's walk from `cur`, an ANode of `length` slots at `lev`: the
-  /// cache fast path passes the length its word's tag gave, every deeper
-  /// hop the length it reads from the node.
+  /// The lookup's walk from `cur`, the word of an ANode at `lev`. Each hop
+  /// addresses its slot from the word it followed, so it loads nothing from
+  /// an ANode but that slot.
   // [read-path]
   std::optional<V> lookup_rec(const K& key, std::uint64_t h,
-                              std::uint32_t lev, const ANode* cur,
-                              std::uint32_t length, std::int32_t cache_level,
+                              std::uint32_t lev, Ref cur,
+                              std::int32_t cache_level,
                               std::uint32_t start_lev, bool sample_depth,
                               const Horizon& hz) const {
     // Fig. 6 line 3: passing the cache level on the way down lets the slow
@@ -1055,49 +1054,37 @@ class CacheTrie {
     // pay the inhabit's seq_cst fence for nothing.
     if (static_cast<std::int32_t>(lev) == cache_level &&
         (lev != start_lev || cur == root_)) {
-      maybe_inhabit(const_cast<ANode*>(cur), h, lev);
+      maybe_inhabit(cur, h, lev);
     }
-    const auto& slot = cur->slots()[slot_index(h, lev, length)];
-    NodeBase* old = slot.load(std::memory_order_acquire);
-    if (old == nullptr || old == Sentinels::fv()) return std::nullopt;
-    switch (old->kind) {
-      case Kind::kANode: {
-        auto* child = static_cast<const ANode*>(old);
-        return lookup_rec(key, h, lev + 4, child, child->length, cache_level,
+    // A frozen word reads like the node it freezes: a frozen ANode or chain
+    // stays intact until its replacement commits, so the walk goes on
+    // read-only through it (and linearizes before that commit).
+    const Ref old = cur.slot(h, lev).load(std::memory_order_acquire);
+    switch (old.tag()) {
+      case Tag::kNarrow:
+      case Tag::kWide:
+        return lookup_rec(key, h, lev + 4, old.thawed(), cache_level,
                           start_lev, sample_depth, hz);
-      }
-      case Kind::kSNode: {
-        auto* sn = static_cast<SNodeT*>(old);
+      case Tag::kSNode: {
+        auto* sn = old.as<SNodeT>();
         note_leaf_level(sn, lev + 4, cache_level, start_lev, sample_depth);
         return snode_hit(sn, key, h, hz);
       }
-      case Kind::kLNode: {
+      case Tag::kLNode: {
         note_leaf_level(nullptr, lev + 4, cache_level, start_lev,
                         sample_depth);
-        const LNodeT* l =
-            chain_find(static_cast<const LNodeT*>(old), key, h, hz);
+        const LNodeT* l = chain_find(old.as<LNodeT>(), key, h, hz);
         return l != nullptr ? std::optional<V>(l->value) : std::nullopt;
       }
-      case Kind::kENode: {
+      case Tag::kENode:
         // A pending expansion/compression: continue read-only through the
         // still-intact target (linearizes before the replacement commits).
-        auto* en = static_cast<ENode*>(old);
-        return lookup_rec(key, h, lev + 4, en->target, en->target->length,
+        return lookup_rec(key, h, lev + 4, old.as<ENode>()->target,
                           cache_level, start_lev, sample_depth, hz);
-      }
-      case Kind::kFNode: {
-        NodeBase* frozen = static_cast<FNode*>(old)->frozen;
-        if (frozen->kind == Kind::kANode) {
-          auto* child = static_cast<const ANode*>(frozen);
-          return lookup_rec(key, h, lev + 4, child, child->length,
-                            cache_level, start_lev, sample_depth, hz);
-        }
-        const LNodeT* l =
-            chain_find(static_cast<const LNodeT*>(frozen), key, h, hz);
-        return l != nullptr ? std::optional<V>(l->value) : std::nullopt;
-      }
+      case Tag::kEmpty:
+        return std::nullopt;
       default:
-        assert(false && "unexpected node kind in ANode slot");
+        assert(false && "a sentinel in an ANode slot");
         return std::nullopt;
     }
   }
@@ -1133,13 +1120,13 @@ class CacheTrie {
     if (cache_level == kNoCacheLevel) {
       // No cache yet: a sufficiently deep leaf triggers creation (Fig. 7).
       if (sn != nullptr && leaf_lev >= kCacheInitTriggerLevel) {
-        maybe_inhabit(sn, hash_of(sn), leaf_lev);
+        maybe_inhabit(Ref::to(sn), hash_of(sn), leaf_lev);
       }
       return;
     }
     if (sn != nullptr &&
         static_cast<std::int32_t>(leaf_lev) == cache_level) {
-      maybe_inhabit(sn, hash_of(sn), leaf_lev);
+      maybe_inhabit(Ref::to(sn), hash_of(sn), leaf_lev);
     }
     note_reach(leaf_lev, cache_level);
   }
@@ -1186,8 +1173,8 @@ class CacheTrie {
     const std::uint64_t h = hasher_(key);
     const Horizon hz = make_horizon();
     Removed out;
-    const Res r = descend(h, [&](std::uint32_t lev, ANode* start) {
-      return remove_rec(key, h, lev, start, nullptr, &out, expected, hz);
+    const Res r = descend(h, [&](std::uint32_t lev, Ref start) {
+      return remove_rec(key, h, lev, start, Ref{}, &out, expected, hz);
     });
     if (r != Res::kRemoved) return std::nullopt;
     if (as_evict) {
@@ -1199,22 +1186,23 @@ class CacheTrie {
   }
 
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  Res remove_rec(const K& key, std::uint64_t h, std::uint32_t lev, ANode* cur,
-                 ANode* prev, Removed* out, const V* expected,
+  Res remove_rec(const K& key, std::uint64_t h, std::uint32_t lev, Ref cur,
+                 Ref prev, Removed* out, const V* expected,
                  const Horizon& hz) {
     while (true) {
-      auto& slot = cur->slots()[slot_index(h, lev, cur->length)];
-      NodeBase* old = slot.load(std::memory_order_acquire);
-      if (old == nullptr) return Res::kNotFound;
-      if (old == Sentinels::fv()) return Res::kRestart;
-      switch (old->kind) {
-        case Kind::kANode:
-          return remove_rec(key, h, lev + 4, static_cast<ANode*>(old), cur,
-                            out, expected, hz);
-        case Kind::kSNode: {
-          auto* osn = static_cast<SNodeT*>(old);
-          NodeBase* txn = osn->txn.load(std::memory_order_acquire);
-          if (txn == Sentinels::no_txn()) {
+      AtomicRef& slot = cur.slot(h, lev);
+      const Ref old = slot.load(std::memory_order_acquire);
+      if (old.is_frozen()) return Res::kRestart;
+      switch (old.tag()) {
+        case Tag::kEmpty:
+          return Res::kNotFound;
+        case Tag::kNarrow:
+        case Tag::kWide:
+          return remove_rec(key, h, lev + 4, old, cur, out, expected, hz);
+        case Tag::kSNode: {
+          auto* osn = old.as<SNodeT>();
+          const Ref txn = osn->txn.load(std::memory_order_acquire);
+          if (txn == Ref::no_txn()) {
             const std::uint64_t ostamp = stamp_of(osn);
             const bool mine = holds(osn, key, h);
             // Hygiene: a stale pair crossing a remover's path is evicted
@@ -1233,18 +1221,18 @@ class CacheTrie {
             // Announce removal by publishing nullptr in txn, then commit
             // null into the slot.
             *out = {osn->value, lev};
-            if (!commit_txn(slot, osn, nullptr, h, lev, kWriteTxn)) continue;
+            if (!commit_txn(slot, osn, Ref{}, h, lev, kWriteTxn)) continue;
             maybe_compress(cur, prev, h, lev);
             return Res::kRemoved;
           }
-          if (txn == Sentinels::fs()) return Res::kRestart;
+          if (txn == Ref::frozen_txn()) return Res::kRestart;
           // Help commit the pending transaction and retry.
           commit_announced(slot, osn, txn);
           obs::sites::cachetrie_txn_retry.add();
           continue;
         }
-        case Kind::kLNode: {
-          auto* chain = static_cast<LNodeT*>(old);
+        case Tag::kLNode: {
+          auto* chain = old.as<LNodeT>();
           // A corpse is semantically absent: nothing to remove. It stays
           // until a mutating rebuild of this chain drops it.
           const LNodeT* live = chain_find(chain, key, h, hz);
@@ -1258,13 +1246,11 @@ class CacheTrie {
           if (r != Res::kRetryLevel) return r;
           continue;
         }
-        case Kind::kENode:
-          complete_enode(static_cast<ENode*>(old));
+        case Tag::kENode:
+          complete_enode(old.as<ENode>());
           continue;
-        case Kind::kFNode:
-          return Res::kRestart;
         default:
-          assert(false && "unexpected node kind in ANode slot");
+          assert(false && "a sentinel in an ANode slot");
           return Res::kRestart;
       }
     }
@@ -1275,29 +1261,28 @@ class CacheTrie {
   /// a collapsed copy if it was repopulated concurrently — the
   /// freeze-then-copy protocol makes this race benign). Off unless
   /// Config::compress.
-  void maybe_compress(ANode* cur, ANode* prev, std::uint64_t h,
-                      std::uint32_t lev) {
-    if (!config_.compress || prev == nullptr) return;
+  void maybe_compress(Ref cur, Ref prev, std::uint64_t h, std::uint32_t lev) {
+    if (!config_.compress || prev.null()) return;
     std::uint32_t live = 0;
     bool hoistable_only = true;
-    for (std::uint32_t i = 0; i < cur->length; ++i) {
-      NodeBase* n = cur->slots()[i].load(std::memory_order_acquire);
-      if (n == nullptr) continue;
-      if (n == Sentinels::fv() || n->kind == Kind::kFNode ||
-          n->kind == Kind::kENode) {
+    for (std::uint32_t i = 0; i < cur.length(); ++i) {
+      const Ref n = cur.slot_at(i).load(std::memory_order_acquire);
+      if (n.null()) continue;
+      if (n.is_frozen() || n.tag() == Tag::kENode) {
         return;  // another structural operation owns this node
       }
       ++live;
-      if (n->kind != Kind::kSNode) hoistable_only = false;
+      if (n.tag() != Tag::kSNode) hoistable_only = false;
     }
     if (live > 1 || !hoistable_only) return;
-    ENode* en = make<ENode>(prev, slot_index(h, lev - 4, prev->length), cur,
-                            h, lev, /*compress=*/true);
+    ENode* en = make<ENode>(prev.anode(), slot_index(h, lev - 4, prev.length()),
+                            cur, h, lev, /*compress=*/true);
     testkit::chaos_point(testkit::Site::cachetrie_compress_announce);
-    NodeBase* expected = cur;
-    if (prev->slots()[en->parentpos].compare_exchange_strong(
-            expected, en, std::memory_order_acq_rel,
-            std::memory_order_acquire)) {
+    Ref expected = cur;
+    if (prev.slot_at(en->parentpos)
+            .compare_exchange_strong(expected, Ref::to(en),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
       complete_enode(en);
     } else {
       discard(en);
@@ -1306,50 +1291,54 @@ class CacheTrie {
 
   // --- freezing and node replacement (paper Fig. 4) --------------------------
 
-  /// Makes every slot of `cur` permanently non-writable: null -> FVNode,
-  /// SNode.txn -> FSNode, child ANode/LNode -> FNode wrapper (children are
-  /// frozen recursively). Pending txns and nested announcements are
-  /// completed along the way. Idempotent; any number of threads may help.
-  void freeze(ANode* cur) {
+  /// Makes every slot of ANode `cur` permanently non-writable: an empty
+  /// slot, a child ANode or a chain gets its word's frozen bit, an SNode's
+  /// txn becomes frozen_txn(), and frozen child ANodes are frozen
+  /// recursively. Pending txns and nested announcements are completed along
+  /// the way. Allocates nothing. Idempotent; any number of threads may help.
+  void freeze(Ref cur) {
     // Counts freeze passes, helpers included — the helping rate under
     // contention is itself the signal of interest.
-    obs::sites::cachetrie_freeze.record(reinterpret_cast<std::uintptr_t>(cur),
-                                        cur->length);
+    obs::sites::cachetrie_freeze.record(cur.word(), cur.length());
     std::uint32_t i = 0;
-    while (i < cur->length) {
+    while (i < cur.length()) {
       // Freezing races other freezers slot-by-slot and pending txns get
       // committed mid-freeze; perturb every slot visit.
       testkit::chaos_point(testkit::Site::cachetrie_freeze_slot);
-      auto& slot = cur->slots()[i];
-      NodeBase* node = slot.load(std::memory_order_acquire);
-      if (node == nullptr) {
-        NodeBase* expected = nullptr;
-        if (slot.compare_exchange_strong(expected, Sentinels::fv(),
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-          ++i;
-        }
-        continue;
-      }
-      if (node == Sentinels::fv()) {
+      AtomicRef& slot = cur.slot_at(i);
+      const Ref node = slot.load(std::memory_order_acquire);
+      if (node.is_frozen()) {
+        // Whoever set the bit, every freezer finishes the child's freeze.
+        if (node.is_anode()) freeze(node.thawed());
         ++i;
         continue;
       }
-      switch (node->kind) {
-        case Kind::kSNode: {
-          auto* sn = static_cast<SNodeT*>(node);
-          NodeBase* txn = sn->txn.load(std::memory_order_acquire);
-          if (txn == Sentinels::no_txn()) {
-            NodeBase* expected = Sentinels::no_txn();
+      switch (node.tag()) {
+        case Tag::kEmpty:
+        case Tag::kNarrow:
+        case Tag::kWide:
+        case Tag::kLNode: {
+          Ref expected = node;
+          // [publishes: CT_FREEZE]
+          slot.compare_exchange_strong(expected, node.as_frozen(),
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire);
+          continue;  // revisit: the frozen branch above moves on
+        }
+        case Tag::kSNode: {
+          auto* sn = node.as<SNodeT>();
+          const Ref txn = sn->txn.load(std::memory_order_acquire);
+          if (txn == Ref::no_txn()) {
+            Ref expected = Ref::no_txn();
             // [publishes: CT_FREEZE]
-            if (sn->txn.compare_exchange_strong(expected, Sentinels::fs(),
+            if (sn->txn.compare_exchange_strong(expected, Ref::frozen_txn(),
                                                 std::memory_order_acq_rel,
                                                 std::memory_order_acquire)) {
               ++i;
             }
             continue;
           }
-          if (txn == Sentinels::fs()) {
+          if (txn == Ref::frozen_txn()) {
             ++i;
             continue;
           }
@@ -1357,30 +1346,11 @@ class CacheTrie {
           commit_announced(slot, sn, txn);
           continue;
         }
-        case Kind::kANode:
-        case Kind::kLNode: {
-          FNode* fn = make<FNode>(node);
-          NodeBase* expected = node;
-          if (!slot.compare_exchange_strong(expected, fn,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-            discard(fn);
-          }
-          continue;  // revisit: the kFNode case below recurses
-        }
-        case Kind::kFNode: {
-          NodeBase* frozen = static_cast<FNode*>(node)->frozen;
-          if (frozen->kind == Kind::kANode) {
-            freeze(static_cast<ANode*>(frozen));
-          }
-          ++i;
-          continue;
-        }
-        case Kind::kENode:
-          complete_enode(static_cast<ENode*>(node));
+        case Tag::kENode:
+          complete_enode(node.as<ENode>());
           continue;
         default:
-          assert(false && "unexpected node kind while freezing");
+          assert(false && "a sentinel in an ANode slot");
           ++i;
           continue;
       }
@@ -1395,31 +1365,28 @@ class CacheTrie {
   void complete_enode(ENode* en) {
     testkit::chaos_point(testkit::Site::cachetrie_enode_complete);
     freeze(en->target);
-    NodeBase* replacement;
+    Ref replacement;
     if (en->compress) {
       replacement = revive_copy(en->target);
     } else {
-      ANode* wide = make<ANode>(16);
-      expand_copy(en->target, wide, en->level);
-      replacement = wide;
+      replacement = make<ANode>(16);
+      expand_copy(en->target, replacement, en->level);
     }
     testkit::chaos_point(testkit::Site::cachetrie_enode_publish);
-    NodeBase* expected = Sentinels::pending();
+    Ref expected = Ref::pending();
     // [publishes: CT_ENODE_RESULT]
     if (!en->result.compare_exchange_strong(expected, replacement,
                                             std::memory_order_acq_rel,
                                             std::memory_order_acquire)) {
       destroy_subtree(replacement);  // lost the build race
     }
-    NodeBase* committed = en->result.load(std::memory_order_acquire);
+    const Ref committed = en->result.load(std::memory_order_acquire);
     testkit::chaos_point(testkit::Site::cachetrie_enode_commit);
-    NodeBase* expected_en = en;
+    Ref expected_en = Ref::to(en);
     if (en->parent->slots()[en->parentpos].compare_exchange_strong(
             expected_en, committed, std::memory_order_acq_rel,
             std::memory_order_acquire)) {
-      if (committed != nullptr && committed->kind == Kind::kANode) {
-        maybe_inhabit(committed, en->hash, en->level);
-      }
+      if (committed.is_anode()) maybe_inhabit(committed, en->hash, en->level);
       if (en->compress) {
         obs::sites::cachetrie_compress.record(en->hash, en->level);
       } else {
@@ -1435,58 +1402,58 @@ class CacheTrie {
   /// SNodes (collisions in a narrow node expand it before going deeper), and
   /// distinct 2-bit positions imply distinct 4-bit positions, so the copy is
   /// collision-free.
-  void expand_copy(ANode* narrow, ANode* wide, std::uint32_t lev) {
-    for (std::uint32_t i = 0; i < narrow->length; ++i) {
+  void expand_copy(Ref narrow, Ref wide, std::uint32_t lev) {
+    for (std::uint32_t i = 0; i < narrow.length(); ++i) {
       // [acquires: CT_FREEZE]
-      NodeBase* node = narrow->slots()[i].load(std::memory_order_acquire);
-      if (node == Sentinels::fv()) continue;
-      assert(node != nullptr && node->kind == Kind::kSNode &&
-             "narrow nodes hold only SNodes");
-      auto* sn = static_cast<SNodeT*>(node);
-      auto& dst = wide->slots()[slot_index(hash_of(sn), lev, wide->length)];
-      assert(dst.load(std::memory_order_relaxed) == nullptr);
-      dst.store(copy_leaf(sn), std::memory_order_relaxed);
+      const Ref node = narrow.slot_at(i).load(std::memory_order_acquire);
+      if (node.empty()) continue;
+      assert(node.tag() == Tag::kSNode && "narrow nodes hold only SNodes");
+      auto* sn = node.as<SNodeT>();
+      AtomicRef& dst = wide.slot(hash_of(sn), lev);
+      assert(dst.load(std::memory_order_relaxed).null());
+      dst.store(Ref::to(copy_leaf(sn)), std::memory_order_relaxed);
     }
   }
 
   /// Deep-copies a fully frozen subtree back to life (compression). Returns
-  ///   * nullptr            — no live pairs remained (the paper's case);
+  ///   * empty              — no live pairs remained (the paper's case);
   ///   * a fresh SNode      — exactly one pair remained (hoists it one level
   ///                          up; see maybe_compress);
   ///   * a fresh ANode      — otherwise, with children revived recursively.
-  NodeBase* revive_copy(ANode* frozen) {
-    ANode* fresh = make<ANode>(frozen->length);
+  Ref revive_copy(Ref frozen) {
+    const Ref fresh = make<ANode>(frozen.length());
     std::uint32_t live = 0;
     std::uint32_t last_pos = 0;
-    for (std::uint32_t i = 0; i < frozen->length; ++i) {
-      NodeBase* node = frozen->slots()[i].load(std::memory_order_acquire);
-      if (node == Sentinels::fv()) continue;
-      assert(node != nullptr);
-      NodeBase* copy = nullptr;
-      if (node->kind == Kind::kSNode) {
-        copy = copy_leaf(static_cast<SNodeT*>(node));
-      } else if (node->kind == Kind::kFNode) {
-        NodeBase* wrapped = static_cast<FNode*>(node)->frozen;
-        if (wrapped->kind == Kind::kANode) {
-          copy = revive_copy(static_cast<ANode*>(wrapped));
-        } else {
-          copy = copy_chain(static_cast<LNodeT*>(wrapped));
-        }
-      } else {
-        assert(false && "unexpected node kind in frozen subtree");
+    for (std::uint32_t i = 0; i < frozen.length(); ++i) {
+      const Ref node = frozen.slot_at(i).load(std::memory_order_acquire);
+      if (node.empty()) continue;
+      Ref copy;
+      switch (node.tag()) {
+        case Tag::kSNode:
+          copy = Ref::to(copy_leaf(node.as<SNodeT>()));
+          break;
+        case Tag::kNarrow:
+        case Tag::kWide:
+          copy = revive_copy(node.thawed());
+          break;
+        case Tag::kLNode:
+          copy = Ref::to(copy_chain(node.as<LNodeT>()));
+          break;
+        default:
+          assert(false && "unexpected word in a frozen subtree");
       }
-      if (copy == nullptr) continue;  // child compressed away entirely
-      fresh->slots()[i].store(copy, std::memory_order_relaxed);
+      if (copy.null()) continue;  // child compressed away entirely
+      fresh.slot_at(i).store(copy, std::memory_order_relaxed);
       ++live;
       last_pos = i;
     }
     if (live == 0) {
       discard(fresh);
-      return nullptr;
+      return {};
     }
     if (live == 1) {
-      NodeBase* only = fresh->slots()[last_pos].load(std::memory_order_relaxed);
-      if (only->kind == Kind::kSNode) {
+      const Ref only = fresh.slot_at(last_pos).load(std::memory_order_relaxed);
+      if (only.tag() == Tag::kSNode) {
         discard(fresh);
         return only;
       }
@@ -1508,18 +1475,18 @@ class CacheTrie {
   /// a wide node (paper's createANode): a fresh copy of the old pair plus
   /// the new pair, pushed as many levels down as their hashes stay equal.
   /// Equal full hashes produce an LNode chain.
-  NodeBase* create_subtree(SNodeT* osn, std::uint64_t h, const K& key,
-                           const V& value, std::uint32_t lev,
-                           std::uint64_t new_stamp) {
+  Ref create_subtree(SNodeT* osn, std::uint64_t h, const K& key,
+                     const V& value, std::uint32_t lev,
+                     std::uint64_t new_stamp) {
     const std::uint64_t oh = hash_of(osn);
     if (oh == h) {
       LNodeT* chain =
           make<LNodeT>(oh, osn->key, osn->value, nullptr, stamp_of(osn));
-      return make<LNodeT>(h, key, value, chain, new_stamp);
+      return Ref::to(make<LNodeT>(h, key, value, chain, new_stamp));
     }
     SNodeT* copy = copy_leaf(osn);
     SNodeT* fresh = make_leaf(h, key, value, new_stamp);
-    return branch_apart(copy, oh, fresh, h, lev);
+    return branch_apart(Ref::to(copy), oh, fresh, h, lev);
   }
 
   /// Hangs two nodes with distinct hashes (`a` at hash `ah`, SNode `b` at
@@ -1528,28 +1495,28 @@ class CacheTrie {
   /// space-saving trick), a wide node when 4 bits do, and recurses
   /// otherwise. `a` may be an SNode or an existing LNode chain
   /// (hash-collision chains being pushed deeper).
-  NodeBase* branch_apart(NodeBase* a, std::uint64_t ah, SNodeT* b,
-                         std::uint64_t bh, std::uint32_t lev) {
+  Ref branch_apart(Ref a, std::uint64_t ah, SNodeT* b, std::uint64_t bh,
+                   std::uint32_t lev) {
     assert(lev <= 60 && "distinct 64-bit hashes must separate by level 60");
     const std::uint32_t a2 = slot_index(ah, lev, 4);
     const std::uint32_t b2 = slot_index(bh, lev, 4);
-    if (a2 != b2 && a->kind == Kind::kSNode) {
+    if (a2 != b2 && a.tag() == Tag::kSNode) {
       // Narrow nodes may hold only SNodes (see expand_copy), so an LNode
       // child always gets a wide parent.
-      ANode* an = make<ANode>(4);
-      an->slots()[a2].store(a, std::memory_order_relaxed);
-      an->slots()[b2].store(b, std::memory_order_relaxed);
+      const Ref an = make<ANode>(4);
+      an.slot_at(a2).store(a, std::memory_order_relaxed);
+      an.slot_at(b2).store(Ref::to(b), std::memory_order_relaxed);
       return an;
     }
     const std::uint32_t a4 = slot_index(ah, lev, 16);
     const std::uint32_t b4 = slot_index(bh, lev, 16);
-    ANode* an = make<ANode>(16);
+    const Ref an = make<ANode>(16);
     if (a4 != b4) {
-      an->slots()[a4].store(a, std::memory_order_relaxed);
-      an->slots()[b4].store(b, std::memory_order_relaxed);
+      an.slot_at(a4).store(a, std::memory_order_relaxed);
+      an.slot_at(b4).store(Ref::to(b), std::memory_order_relaxed);
     } else {
-      an->slots()[a4].store(branch_apart(a, ah, b, bh, lev + 4),
-                            std::memory_order_relaxed);
+      an.slot_at(a4).store(branch_apart(a, ah, b, bh, lev + 4),
+                           std::memory_order_relaxed);
     }
     return an;
   }
@@ -1565,41 +1532,42 @@ class CacheTrie {
     }
   }
 
-  /// Retires a fully frozen, just-unlinked subtree: the ANodes, their FNode
-  /// wrappers, frozen SNodes and LNode chains. Called exactly once, by the
-  /// winner of the parent-slot CAS in complete_enode. `prefix` is the
-  /// subtree root's path (low `level` bits are significant) — needed to
-  /// clear cache entries that may still reference nodes of the subtree.
+  /// Retires a fully frozen, just-unlinked subtree: the ANodes, frozen
+  /// SNodes and LNode chains. Called exactly once, by the winner of the
+  /// parent-slot CAS in complete_enode. `prefix` is the subtree root's path
+  /// (low `level` bits are significant) — needed to clear cache entries
+  /// that may still reference nodes of the subtree.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  void retire_frozen(ANode* frozen, std::uint64_t prefix,
-                     std::uint32_t level) {
-    for (std::uint32_t i = 0; i < frozen->length; ++i) {
-      NodeBase* node = frozen->slots()[i].load(std::memory_order_acquire);
-      if (node == Sentinels::fv()) continue;
-      assert(node != nullptr);
-      if (node->kind == Kind::kSNode) {
-        auto* sn = static_cast<SNodeT*>(node);
-        clear_cache_refs(sn, hash_of(sn), level + 4);
-        retire(sn);
-      } else if (node->kind == Kind::kFNode) {
-        auto* fn = static_cast<FNode*>(node);
-        if (fn->frozen->kind == Kind::kANode) {
+  void retire_frozen(Ref frozen, std::uint64_t prefix, std::uint32_t level) {
+    for (std::uint32_t i = 0; i < frozen.length(); ++i) {
+      const Ref node = frozen.slot_at(i).load(std::memory_order_acquire);
+      switch (node.tag()) {
+        case Tag::kEmpty:
+          continue;
+        case Tag::kSNode: {
+          auto* sn = node.as<SNodeT>();
+          clear_cache_refs(sn, hash_of(sn), level + 4);
+          retire(sn);
+          continue;
+        }
+        case Tag::kNarrow:
+        case Tag::kWide: {
           // Children of a wide node pin 4 more prefix bits (narrow nodes
           // have no ANode children).
           const std::uint64_t child_prefix =
               (prefix & ((std::uint64_t{1} << level) - 1)) |
               (static_cast<std::uint64_t>(i) << level);
-          retire_frozen(static_cast<ANode*>(fn->frozen), child_prefix,
-                        level + 4);
-        } else {
-          retire_chain(static_cast<LNodeT*>(fn->frozen));
+          retire_frozen(node.thawed(), child_prefix, level + 4);
+          continue;
         }
-        retire(fn);
-      } else {
-        assert(false && "unexpected node kind in frozen subtree");
+        case Tag::kLNode:
+          retire_chain(node.as<LNodeT>());
+          continue;
+        default:
+          assert(false && "unexpected word in a frozen subtree");
       }
     }
-    clear_cache_refs(frozen, prefix, level);
+    clear_cache_refs(frozen.node(), prefix, level);
     retire(frozen);
   }
 
@@ -1608,44 +1576,40 @@ class CacheTrie {
   /// or, from the destructor, the whole trie, remnants of unfinished
   /// announcements included. `keep` is spared: an existing chain that a lost
   /// subtree linked instead of copying.
-  void destroy_subtree(NodeBase* node, const NodeBase* keep = nullptr) {
-    if (node == nullptr || node == Sentinels::fv() || node == keep) return;
-    switch (node->kind) {
-      case Kind::kSNode:
-        discard(static_cast<SNodeT*>(node));
+  void destroy_subtree(Ref node, Ref keep = {}) {
+    node = node.thawed();
+    if (node == keep) return;
+    switch (node.tag()) {
+      case Tag::kEmpty:
         return;
-      case Kind::kLNode:
-        for (auto* l = static_cast<LNodeT*>(node); l != nullptr;) {
+      case Tag::kSNode:
+        discard(node.as<SNodeT>());
+        return;
+      case Tag::kLNode:
+        for (auto* l = node.as<LNodeT>(); l != nullptr;) {
           LNodeT* next = l->next;
           discard(l);
           l = next;
         }
         return;
-      case Kind::kFNode: {
-        auto* fn = static_cast<FNode*>(node);
-        destroy_subtree(fn->frozen, keep);
-        discard(fn);
-        return;
-      }
-      case Kind::kENode: {
-        auto* en = static_cast<ENode*>(node);
+      case Tag::kENode: {
+        auto* en = node.as<ENode>();
         destroy_subtree(en->target, keep);
-        NodeBase* result = en->result.load(std::memory_order_relaxed);
-        if (result != Sentinels::pending()) destroy_subtree(result, keep);
+        const Ref result = en->result.load(std::memory_order_relaxed);
+        if (result != Ref::pending()) destroy_subtree(result, keep);
         discard(en);
         return;
       }
-      case Kind::kANode: {
-        auto* an = static_cast<ANode*>(node);
-        for (std::uint32_t i = 0; i < an->length; ++i) {
-          destroy_subtree(an->slots()[i].load(std::memory_order_relaxed),
+      case Tag::kNarrow:
+      case Tag::kWide:
+        for (std::uint32_t i = 0; i < node.length(); ++i) {
+          destroy_subtree(node.slot_at(i).load(std::memory_order_relaxed),
                           keep);
         }
-        discard(an);
+        discard(node);
         return;
-      }
       default:
-        assert(false && "unexpected node kind in an unreachable subtree");
+        assert(false && "unexpected word in an unreachable subtree");
     }
   }
 
@@ -1659,9 +1623,10 @@ class CacheTrie {
   /// caches (cache_start skips SNode words) starts one hop above the leaf.
   /// Only writes pass an ANode at L - 4: lookups inhabit at the level they
   /// read from the head, which is L unless the cache moved meanwhile.
-  void maybe_inhabit(NodeBase* nv, std::uint64_t h,
+  void maybe_inhabit(Ref nv, std::uint64_t h,
                      std::uint32_t node_level) const {
     if (!config_.use_cache) return;
+    assert(!nv.is_frozen() && "the cache holds live nodes' words");
     // [acquires: CT_CACHE_HEAD]
     CacheArray* cache = cache_head_.load(std::memory_order_acquire);
     if (cache == nullptr) {
@@ -1682,7 +1647,7 @@ class CacheTrie {
     if (cache->level != node_level) {
       CacheArray* parent = cache->parent;
       if (parent == nullptr || parent->level != node_level ||
-          node_level + 4 != cache->level || nv->kind != Kind::kANode) {
+          node_level + 4 != cache->level || !nv.is_anode()) {
         return;
       }
       testkit::chaos_point(testkit::Site::cachetrie_cache_inhabit_parent);
@@ -1698,21 +1663,19 @@ class CacheTrie {
     // fences make this a store-buffering (Dekker) pair: either the
     // inhabiter sees the mark, or the clearer sees the store — so no
     // resurrection survives the node's grace period.
-    // The word carries nv's shape tag in the same store as the pointer,
-    // and the undo expects that same word. A store into the parent array
-    // is the same pair with the same undo: clear_cache_refs() walks every
-    // array in the chain.
-    auto& entry = cache->entry(cache->index_of(h));
-    const CacheArray::Word word = CacheArray::encode(nv);
+    // The word carries nv's tag in the same store as the pointer, and the
+    // undo expects that same word. A store into the parent array is the
+    // same pair with the same undo: clear_cache_refs() walks every array in
+    // the chain.
+    AtomicRef& entry = cache->entry(cache->index_of(h));
     obs::sites::cachetrie_cache_inhabit.add();
     // [publishes: CT_CACHE_INSTALL]
-    entry.store(word, std::memory_order_release);
+    entry.store(nv, std::memory_order_release);
     testkit::chaos_point(testkit::Site::cachetrie_cache_inhabit);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (!cachee_live(nv, h, node_level)) {
-      CacheArray::Word expected = word;
-      entry.compare_exchange_strong(expected, CacheArray::encode(nullptr),
-                                    std::memory_order_acq_rel,
+      Ref expected = nv;
+      entry.compare_exchange_strong(expected, Ref{}, std::memory_order_acq_rel,
                                     std::memory_order_relaxed);
     }
   }
@@ -1720,15 +1683,13 @@ class CacheTrie {
   /// True while the node may still be linked in the trie: a live SNode has
   /// an idle txn, and a live ANode has at least its relevant entry
   /// unfrozen (once an ANode is detached, every entry is frozen).
-  bool cachee_live(NodeBase* nv, std::uint64_t h,
-                   std::uint32_t node_level) const {
-    if (nv->kind == Kind::kSNode) {
-      return static_cast<SNodeT*>(nv)->txn.load(std::memory_order_seq_cst) ==
-             Sentinels::no_txn();
+  bool cachee_live(Ref nv, std::uint64_t h, std::uint32_t node_level) const {
+    if (nv.tag() == Tag::kSNode) {
+      return nv.as<SNodeT>()->txn.load(std::memory_order_seq_cst) ==
+             Ref::no_txn();
     }
-    if (nv->kind == Kind::kANode) {
-      auto* an = static_cast<ANode*>(nv);
-      return !entry_frozen</*SeqCst=*/true>(an, an->length, h, node_level);
+    if (nv.is_anode()) {
+      return !entry_frozen</*SeqCst=*/true>(nv, h, node_level);
     }
     return false;
   }
@@ -1737,7 +1698,7 @@ class CacheTrie {
   /// retire site of a cacheable node (SNodes and ANodes) must call this with
   /// the node's path hash (any key hash whose low `level` bits equal the
   /// node's prefix) so that no cache entry outlives the node's grace period.
-  void clear_cache_refs(NodeBase* node, std::uint64_t path_hash,
+  void clear_cache_refs(const void* node, std::uint64_t path_hash,
                         std::uint32_t level) const {
     if (!config_.use_cache) return;
     // [acquires: CT_CACHE_INSTALL]
@@ -1745,11 +1706,10 @@ class CacheTrie {
     for (CacheArray* c = cache_head_.load(std::memory_order_acquire);
          c != nullptr; c = c->parent) {
       if (c->level != level) continue;
-      auto& entry = c->entry(c->index_of(path_hash));
-      CacheArray::Word cur = entry.load(std::memory_order_seq_cst);
-      if (CacheArray::decode(cur).node == node) {
-        entry.compare_exchange_strong(cur, CacheArray::encode(nullptr),
-                                      std::memory_order_acq_rel,
+      AtomicRef& entry = c->entry(c->index_of(path_hash));
+      Ref cur = entry.load(std::memory_order_seq_cst);
+      if (cur.node() == node) {
+        entry.compare_exchange_strong(cur, Ref{}, std::memory_order_acq_rel,
                                       std::memory_order_relaxed);
       }
     }
@@ -1815,33 +1775,23 @@ class CacheTrie {
   /// Follows one random hash path; returns the level of the leaf found, or
   /// -1 if the path ends in an empty slot.
   int sample_path_leaf_level(std::uint64_t h) const {
-    const ANode* cur = root_;
+    Ref cur = root_;
     std::uint32_t lev = 0;
     while (true) {
-      NodeBase* n = cur->slots()[slot_index(h, lev, cur->length)].load(
-          std::memory_order_acquire);
-      if (n == nullptr || n == Sentinels::fv()) return -1;
-      switch (n->kind) {
-        case Kind::kANode:
-          cur = static_cast<const ANode*>(n);
+      const Ref n = cur.slot(h, lev).load(std::memory_order_acquire);
+      switch (n.tag()) {
+        case Tag::kNarrow:
+        case Tag::kWide:
+          cur = n.thawed();
           lev += 4;
           continue;
-        case Kind::kSNode:
-        case Kind::kLNode:
+        case Tag::kSNode:
+        case Tag::kLNode:
           return static_cast<int>(lev) + 4;
-        case Kind::kENode:
-          cur = static_cast<const ENode*>(n)->target;
+        case Tag::kENode:
+          cur = n.as<ENode>()->target;
           lev += 4;
           continue;
-        case Kind::kFNode: {
-          NodeBase* frozen = static_cast<const FNode*>(n)->frozen;
-          if (frozen->kind == Kind::kANode) {
-            cur = static_cast<const ANode*>(frozen);
-            lev += 4;
-            continue;
-          }
-          return static_cast<int>(lev) + 4;
-        }
         default:
           return -1;
       }
@@ -1895,69 +1845,59 @@ class CacheTrie {
   /// below it (the public wrappers adapt the arity and filter corpses in
   /// bounded mode).
   template <typename F>
-  void for_each_node(const NodeBase* node, std::uint32_t lev, F& fn) const {
-    if (node == nullptr || node == Sentinels::fv()) return;
-    switch (node->kind) {
-      case Kind::kSNode: {
-        auto* sn = static_cast<const SNodeT*>(node);
+  void for_each_node(Ref node, std::uint32_t lev, F& fn) const {
+    switch (node.tag()) {
+      case Tag::kSNode: {
+        auto* sn = node.as<const SNodeT>();
         fn(sn->key, sn->value, stamp_of(sn), lev);
         return;
       }
-      case Kind::kLNode:
-        for (const LNodeT* l = static_cast<const LNodeT*>(node); l != nullptr;
+      case Tag::kLNode:
+        for (const LNodeT* l = node.as<const LNodeT>(); l != nullptr;
              l = l->next) {
           fn(l->key, l->value, l->stamp, lev);
         }
         return;
-      case Kind::kANode: {
-        auto* an = static_cast<const ANode*>(node);
-        for (std::uint32_t i = 0; i < an->length; ++i) {
-          for_each_node(an->slots()[i].load(std::memory_order_acquire),
+      case Tag::kNarrow:
+      case Tag::kWide:
+        for (std::uint32_t i = 0; i < node.length(); ++i) {
+          for_each_node(node.slot_at(i).load(std::memory_order_acquire),
                         lev + 4, fn);
         }
         return;
-      }
-      case Kind::kENode:
-        for_each_node(static_cast<const ENode*>(node)->target, lev, fn);
+      case Tag::kENode:
+        for_each_node(node.as<const ENode>()->target, lev, fn);
         return;
-      case Kind::kFNode:
-        for_each_node(static_cast<const FNode*>(node)->frozen, lev, fn);
-        return;
-      default:
+      default:  // empty, frozen or not
         return;
     }
   }
 
   /// node_bytes summed over the subtree.
-  std::size_t subtree_footprint(const NodeBase* node) const {
-    if (node == nullptr || node == Sentinels::fv()) return 0;
-    switch (node->kind) {
-      case Kind::kSNode:
-        return node_bytes(static_cast<const SNodeT*>(node));
-      case Kind::kLNode: {
+  std::size_t subtree_footprint(Ref node) const {
+    switch (node.tag()) {
+      case Tag::kSNode:
+        return node_bytes(node.as<const SNodeT>());
+      case Tag::kLNode: {
         std::size_t bytes = 0;
-        for (const LNodeT* l = static_cast<const LNodeT*>(node); l != nullptr;
+        for (const LNodeT* l = node.as<const LNodeT>(); l != nullptr;
              l = l->next) {
           bytes += node_bytes(l);
         }
         return bytes;
       }
-      case Kind::kANode: {
-        auto* an = static_cast<const ANode*>(node);
-        std::size_t bytes = node_bytes(an);
-        for (std::uint32_t i = 0; i < an->length; ++i) {
+      case Tag::kNarrow:
+      case Tag::kWide: {
+        std::size_t bytes = node_bytes(node);
+        for (std::uint32_t i = 0; i < node.length(); ++i) {
           bytes += subtree_footprint(
-              an->slots()[i].load(std::memory_order_acquire));
+              node.slot_at(i).load(std::memory_order_acquire));
         }
         return bytes;
       }
-      case Kind::kENode: {
-        auto* en = static_cast<const ENode*>(node);
+      case Tag::kENode: {
+        auto* en = node.as<const ENode>();
         return node_bytes(en) + subtree_footprint(en->target);
-      }
-      case Kind::kFNode: {
-        auto* fn = static_cast<const FNode*>(node);
-        return node_bytes(fn) + subtree_footprint(fn->frozen);
       }
       default:
         return 0;
@@ -1965,45 +1905,46 @@ class CacheTrie {
   }
 
   /// The cacheable nodes debug_validate's walk reached: each SNode and
-  /// ANode with its level and the hash that names its canonical cache
-  /// index (an SNode's own hash, an ANode's path prefix).
+  /// ANode with its level, the hash that names its canonical cache index
+  /// (an SNode's own hash, an ANode's path prefix), and the word its slot
+  /// holds, which a cache word for it must equal.
   struct Placed {
     std::uint32_t level;
     std::uint64_t path_hash;
+    Ref word;
   };
-  using Reached = std::unordered_map<const NodeBase*, Placed>;
+  using Reached = std::unordered_map<const void*, Placed>;
 
   /// Checks `node`, which sits at trie level `lev` on a path that pins the
   /// low `pinned` bits of `prefix` (a narrow parent pins only 2 of its 4).
-  void validate_node(const NodeBase* node, std::uint64_t prefix,
-                     std::uint32_t pinned, std::uint32_t lev,
-                     Reached& reached,
+  void validate_node(Ref node, std::uint64_t prefix, std::uint32_t pinned,
+                     std::uint32_t lev, Reached& reached,
                      std::vector<std::string>& issues) const {
-    if (node == nullptr) return;
-    if (node == Sentinels::fv()) {
-      issues.push_back("FVNode present in a quiescent trie at level " +
+    if (node.null()) return;
+    if (node.is_frozen()) {
+      issues.push_back("frozen entry present in a quiescent trie at level " +
                        std::to_string(lev));
       return;
     }
-    switch (node->kind) {
-      case Kind::kSNode: {
-        auto* sn = static_cast<const SNodeT*>(node);
+    switch (node.tag()) {
+      case Tag::kSNode: {
+        auto* sn = node.as<const SNodeT>();
         const std::uint64_t h = hash_of(sn);
-        reached[sn] = {lev, h};
+        reached[sn] = {lev, h, node};
         const std::uint64_t mask = pinned == 0 ? 0 : ((1ULL << pinned) - 1);
         if ((h & mask) != (prefix & mask)) {
           issues.push_back("SNode hash prefix mismatch at level " +
                            std::to_string(lev));
         }
-        if (sn->txn.load(std::memory_order_acquire) != Sentinels::no_txn()) {
+        if (sn->txn.load(std::memory_order_acquire) != Ref::no_txn()) {
           issues.push_back("SNode with non-idle txn in a quiescent trie");
         }
         return;
       }
-      case Kind::kLNode: {
+      case Tag::kLNode: {
         std::size_t pairs = 0;
-        const std::uint64_t hash = static_cast<const LNodeT*>(node)->hash;
-        for (const LNodeT* l = static_cast<const LNodeT*>(node); l != nullptr;
+        const std::uint64_t hash = node.as<const LNodeT>()->hash;
+        for (const LNodeT* l = node.as<const LNodeT>(); l != nullptr;
              l = l->next) {
           ++pairs;
           if (l->hash != hash) {
@@ -2020,25 +1961,20 @@ class CacheTrie {
         }
         return;
       }
-      case Kind::kANode: {
-        auto* an = static_cast<const ANode*>(node);
-        reached[an] = {lev, prefix};
-        if (lev > 0 && an->length != 4 && an->length != 16) {
-          issues.push_back("ANode with invalid length");
-        }
-        for (std::uint32_t i = 0; i < an->length; ++i) {
-          const NodeBase* child =
-              an->slots()[i].load(std::memory_order_acquire);
-          if (child != nullptr && an->length == 4 &&
-              child->kind != Kind::kSNode) {
+      case Tag::kNarrow:
+      case Tag::kWide: {
+        reached[node.node()] = {lev, prefix, node};
+        const bool narrow = node.tag() == Tag::kNarrow;
+        for (std::uint32_t i = 0; i < node.length(); ++i) {
+          const Ref child = node.slot_at(i).load(std::memory_order_acquire);
+          if (!child.null() && narrow && child.tag() != Tag::kSNode) {
             issues.push_back("narrow ANode holding a non-SNode child");
           }
           // Extend the known prefix with this slot's bits. For narrow nodes
           // only 2 bits are pinned by the slot index.
           const std::uint64_t bits = static_cast<std::uint64_t>(i) << lev;
-          validate_node(child, prefix | bits,
-                        pinned + (an->length == 4 ? 2 : 4), lev + 4, reached,
-                        issues);
+          validate_node(child, prefix | bits, pinned + (narrow ? 2 : 4),
+                        lev + 4, reached, issues);
         }
         return;
       }
@@ -2048,9 +1984,10 @@ class CacheTrie {
     }
   }
 
-  /// The cache invariant at quiescence: every non-null word decodes to a
+  /// The cache invariant at quiescence: every non-null word refers to a
   /// node the trie walk reached at the array's level, sits at that node's
-  /// canonical index, and carries the node's shape tag. Reports the first
+  /// canonical index, and equals the word the trie holds for it (so it
+  /// carries the node's tag and no frozen bit). Reports the first
   /// few offenders and their count. Reads a node only once the walk has
   /// vouched for it, so a dangling word is reported, not dereferenced.
   void validate_cache(const Reached& reached,
@@ -2060,10 +1997,9 @@ class CacheTrie {
     for (const CacheArray* c = cache_head_.load(std::memory_order_acquire);
          c != nullptr; c = c->parent) {
       for (std::size_t i = 0; i < c->entry_count(); ++i) {
-        const auto [node, anode_length] =
-            CacheArray::decode(c->entry(i).load(std::memory_order_acquire));
-        if (node == nullptr) continue;
-        const auto it = reached.find(node);
+        const Ref word = c->entry(i).load(std::memory_order_acquire);
+        if (word.null()) continue;
+        const auto it = reached.find(word.node());
         const char* why = nullptr;
         if (it == reached.end()) {
           why = "points to a node the trie walk did not reach";
@@ -2071,11 +2007,8 @@ class CacheTrie {
           why = "points to a node at another level";
         } else if (c->index_of(it->second.path_hash) != i) {
           why = "is not at its node's canonical index";
-        } else if (anode_length !=
-                   (node->kind == Kind::kANode
-                        ? static_cast<const ANode*>(node)->length
-                        : 0)) {
-          why = "carries a shape tag that does not match its node";
+        } else if (word != it->second.word) {
+          why = "carries a tag that does not match its node";
         }
         if (why == nullptr) continue;
         if (++bad <= kShown) {
@@ -2092,7 +2025,7 @@ class CacheTrie {
 
   Config config_;
   Hash hasher_{};
-  ANode* root_;
+  Ref root_;  // a wide ANode, made once and never replaced
   mutable std::atomic<CacheArray*> cache_head_{nullptr};
 
   // --- bounded-memory mode state (DESIGN.md §3). All words are advisory:

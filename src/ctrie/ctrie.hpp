@@ -280,9 +280,13 @@ class Ctrie {
 
   /// The pin-and-restart loop of every public op: pins the guard, crosses
   /// ctrie.pinned once, then reruns `step` from the root until it stops
-  /// asking for a restart.
+  /// asking for a restart. Always inlined: as the out-of-line clone GCC
+  /// otherwise makes for lookup's step, which takes the step's captures
+  /// through the stack and hands the result back through memory, it ran
+  /// perf_smoke's 100k-key lookup pass at twice the time of the inlined
+  /// loop (EXPERIMENTS.md, "The Ctrie lookup regression").
   template <typename Step>
-  Res pinned(const K& key, Step step) const {
+  [[gnu::always_inline]] Res pinned(const K& key, Step step) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     // Fault site: a victim parked here holds the guard with nothing else
     // done — the worst case for epoch reclamation (see testkit/fault.hpp).

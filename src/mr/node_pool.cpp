@@ -127,10 +127,12 @@ struct PoolInternals {
         return end;
       }
       // Even-granule blocks go up from the span's bottom, which thus stays
-      // kPair-aligned: a 32 B block never straddles a line. A 64 B block
-      // that finds the bottom half a line off gives that half to the 32 B
-      // list.
-      const std::size_t align = util::kCacheLineSize % size == 0 ? size : kPair;
+      // kPair-aligned: a 32 B block never straddles a line. A block of one
+      // or more whole lines (64, 128, 192, 256 B) starts on a line, so it
+      // spans exactly size / 64 lines; one that finds the bottom half a line
+      // off gives that half to the 32 B list.
+      constexpr std::size_t kLine = util::kCacheLineSize;
+      const std::size_t align = size % kLine == 0 ? kLine : kPair;
       if (static_cast<std::size_t>(end - cur) < size + align - kPair) {
         next_span();
       }

@@ -12,8 +12,9 @@
 //     alignof, so the choice folds away at compile time for fixed-size nodes.
 //   * Blocks of an even number of granules are carved up from the bottom of
 //     a span, the others down from its top. The bottom stays 32 B aligned,
-//     so a 32 B block (an unbounded cache-trie leaf) never straddles a line
-//     and no granule is skipped to get there; a 64 B block starts on a line.
+//     so a 32 B block (an unbounded cache-trie leaf or narrow ANode) never
+//     straddles a line and no granule is skipped to get there; a block of
+//     whole lines starts on a line, so a 128 B wide ANode spans exactly two.
 //   * Each thread keeps one free list per class plus a bump span carved from
 //     its current chunk. A list that grows past 2 * kBatch hands kBatch
 //     blocks to the class's depot; an empty list takes a batch from the

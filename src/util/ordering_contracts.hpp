@@ -40,8 +40,10 @@
                       "and freezers read it to commit exactly that value")   \
   X(CT_SLOT_COMMIT,   "parent-slot CAS publishes a fully initialized node "  \
                       "(SNode/ANode/LNode/ENode) into the trie")             \
-  X(CT_FREEZE,        "freeze CAS publishes fv/fs/FNode markers; copiers "   \
-                      "read the frozen array knowing it is immutable")       \
+  X(CT_FREEZE,        "freeze CAS sets a slot word's frozen bit (empty, "    \
+                      "ANode, chain) or an SNode's txn to frozen_txn; no "   \
+                      "wrapper is allocated, and copiers read the frozen "   \
+                      "array knowing it is immutable")                       \
   X(CT_ENODE_RESULT,  "en->result CAS publishes the replacement array "      \
                       "built by the expansion/compression winner")           \
   X(CT_CACHE_HEAD,    "cache_head_ CAS publishes a freshly built "           \

@@ -361,10 +361,8 @@ TEST(CacheBehavior, OneHopLookupLeavesItsEntryAlone) {
   const std::uint64_t hits0 = sites::cachetrie_cache_hit.total();
   std::size_t one_hop = 0;
   for (auto k : keys) {
-    const auto* entry = trie.debug_cache_entry(k, 8);
-    if (entry == nullptr || entry->kind != cachetrie::detail::Kind::kANode) {
-      continue;
-    }
+    const auto entry = trie.debug_cache_entry(k, 8);
+    if (!entry.is_anode()) continue;
     ++one_hop;
     ASSERT_EQ(trie.lookup(k).value(), k);
     ASSERT_EQ(trie.debug_cache_entry(k, 8), entry);
@@ -407,20 +405,17 @@ TEST(CacheBehavior, DescentFromShallowerArrayInhabitsDeepestLevel) {
   }
   ASSERT_EQ(trie.cache_level(), 12);
 
-  using cachetrie::detail::Kind;
   std::size_t descents = 0;
   std::size_t filled = 0;
   for (auto k : keys) {
-    const auto* shallow = trie.debug_cache_entry(k, 8);
-    if (trie.debug_cache_entry(k, 12) != nullptr || shallow == nullptr ||
-        shallow->kind != Kind::kANode) {
+    if (!trie.debug_cache_entry(k, 12).null() ||
+        !trie.debug_cache_entry(k, 8).is_anode()) {
       continue;
     }
     ++descents;
     const std::uint64_t inhabits0 = sites::cachetrie_cache_inhabit.total();
     ASSERT_EQ(trie.lookup(k).value(), k);
-    const auto* deep = trie.debug_cache_entry(k, 12);
-    if (deep != nullptr && deep->kind == Kind::kANode) {
+    if (trie.debug_cache_entry(k, 12).is_anode()) {
       ++filled;
       if (kCounted) {
         EXPECT_GT(sites::cachetrie_cache_inhabit.total(), inhabits0);
@@ -452,7 +447,7 @@ TEST(CacheBehavior, InsertOnlyFillFindsTheLevelLookupsPick) {
   EXPECT_EQ(trie.cache_level(), filled);
 }
 
-// --- shape-tagged cache words ----------------------------------------------
+// --- tagged cache words ----------------------------------------------------
 //
 // Under the identity hash a key is its own path. 0x001 and 0x101 split at
 // level 8 into a narrow ANode (two bits tell them apart), 0x002 and 0x402
@@ -460,9 +455,8 @@ TEST(CacheBehavior, InsertOnlyFillFindsTheLevelLookupsPick) {
 // 0x013 is a leaf at level 8. The cache is pinned at level 8, where it holds
 // all three shapes.
 
-using cachetrie::detail::ANode;
-using cachetrie::detail::Kind;
-using cachetrie::detail::NodeBase;
+using cachetrie::detail::Ref;
+using cachetrie::detail::Tag;
 using SNodeT = cachetrie::detail::SNode<std::uint64_t, std::uint64_t>;
 
 constexpr std::uint64_t kPlacedKeys[] = {0x001, 0x101, 0x002,
@@ -485,15 +479,15 @@ void fill_and_warm(PlacedTrie& trie, std::span<const std::uint64_t> keys) {
   ASSERT_EQ(trie.cache_level(), 8);
 }
 
-/// The key SNode `n` holds, or nullopt when `n` is not an SNode.
-std::optional<std::uint64_t> snode_key(const NodeBase* n) {
-  if (n == nullptr || n->kind != Kind::kSNode) return std::nullopt;
-  return static_cast<const SNodeT*>(n)->key;
+/// The key SNode word `n` refers to, or nullopt when `n` is not an SNode's.
+std::optional<std::uint64_t> snode_key(Ref n) {
+  if (n.tag() != Tag::kSNode) return std::nullopt;
+  return n.as<const SNodeT>()->key;
 }
 
-/// The key of the SNode in slot `i` of ANode `n`.
-std::optional<std::uint64_t> slot_key(const NodeBase* n, std::uint32_t i) {
-  return snode_key(static_cast<const ANode*>(n)->slots()[i].load());
+/// The key of the SNode in slot `i` of ANode word `n`.
+std::optional<std::uint64_t> slot_key(Ref n, std::uint32_t i) {
+  return snode_key(n.slot_at(i).load(std::memory_order_acquire));
 }
 
 /// Looks `key` up and checks the lookup was a cache hit with `want`.
@@ -511,17 +505,15 @@ TEST(CacheWords, EachShapeDecodesToItsNodeAndServesLookups) {
   PlacedTrie trie{level8_config()};
   fill_and_warm(trie, kPlacedKeys);
 
-  const NodeBase* narrow = trie.debug_cache_entry(0x001, 8);
-  ASSERT_NE(narrow, nullptr);
-  ASSERT_EQ(narrow->kind, Kind::kANode);
-  EXPECT_EQ(static_cast<const ANode*>(narrow)->length, 4u);
+  const Ref narrow = trie.debug_cache_entry(0x001, 8);
+  ASSERT_EQ(narrow.tag(), Tag::kNarrow);
+  EXPECT_EQ(narrow.length(), 4u);
   EXPECT_EQ(slot_key(narrow, 0), 0x001u);
   EXPECT_EQ(slot_key(narrow, 1), 0x101u);
 
-  const NodeBase* wide = trie.debug_cache_entry(0x002, 8);
-  ASSERT_NE(wide, nullptr);
-  ASSERT_EQ(wide->kind, Kind::kANode);
-  EXPECT_EQ(static_cast<const ANode*>(wide)->length, 16u);
+  const Ref wide = trie.debug_cache_entry(0x002, 8);
+  ASSERT_EQ(wide.tag(), Tag::kWide);
+  EXPECT_EQ(wide.length(), 16u);
   EXPECT_EQ(slot_key(wide, 0), 0x002u);
   EXPECT_EQ(slot_key(wide, 4), 0x402u);
 
@@ -541,20 +533,18 @@ TEST(CacheWords, ExpandedCachedNodeLeavesNoWordBehind) {
   PlacedTrie trie{level8_config()};
   const std::uint64_t keys[] = {0x001, 0x101};
   fill_and_warm(trie, keys);
-  const NodeBase* narrow = trie.debug_cache_entry(0x001, 8);
-  ASSERT_NE(narrow, nullptr);
-  ASSERT_EQ(narrow->kind, Kind::kANode);
+  const Ref narrow = trie.debug_cache_entry(0x001, 8);
+  ASSERT_EQ(narrow.tag(), Tag::kNarrow);
 
   // 0x401 collides with 0x001 in the narrow node's slot 0: the node is
   // expanded, and the expansion caches its wide copy in the same entry.
   ASSERT_TRUE(trie.insert(0x401, 0x401));
   const auto after_expand = trie.debug_validate();
   EXPECT_TRUE(after_expand.empty()) << after_expand.front();
-  const NodeBase* wide = trie.debug_cache_entry(0x001, 8);
-  ASSERT_NE(wide, nullptr);
-  EXPECT_NE(wide, narrow);
-  ASSERT_EQ(wide->kind, Kind::kANode);
-  EXPECT_EQ(static_cast<const ANode*>(wide)->length, 16u);
+  const Ref wide = trie.debug_cache_entry(0x001, 8);
+  EXPECT_NE(wide.node(), narrow.node());
+  ASSERT_EQ(wide.tag(), Tag::kWide);
+  EXPECT_EQ(wide.length(), 16u);
   for (const std::uint64_t k : {0x001, 0x101, 0x401}) expect_hit(trie, k, k);
   expect_hit(trie, 0x201, std::nullopt);
 }
@@ -580,7 +570,7 @@ TEST(CacheWords, InhabitingAFrozenNodeUndoesItsOwnWord) {
         if (kCounted) {
           EXPECT_GT(sites::cachetrie_cache_inhabit.total(), inhabits0);
         }
-        EXPECT_EQ(trie.debug_cache_entry(0x101, 8), nullptr)
+        EXPECT_TRUE(trie.debug_cache_entry(0x101, 8).null())
             << "the frozen node's word outlived the inhabit's re-check";
       });
   ASSERT_EQ(parks, 1u);
@@ -589,6 +579,45 @@ TEST(CacheWords, InhabitingAFrozenNodeUndoesItsOwnWord) {
   for (const std::uint64_t k : {0x001, 0x101, 0x401}) {
     EXPECT_EQ(trie.lookup(k), k);
   }
+}
+
+TEST(CacheWords, RemoveStartingAtACachedNodeDoesNotCompressIt) {
+  // Pins the compression rule under the cache (DESIGN.md §1): a remove whose
+  // descent starts at a cached ANode has no parent slot to compress that
+  // node into, so the node keeps its one remaining leaf. The same remove
+  // descending from the root compresses the node away. Changing the rule
+  // (say, finding the parent by a root re-descent) trades footprint for
+  // throughput; EXPERIMENTS.md "Compression under the cache" has the
+  // measurements, so a change here should come with new ones.
+  const std::uint64_t keys[] = {0x001, 0x101};
+  PlacedTrie cached{level8_config()};
+  fill_and_warm(cached, keys);
+  const Ref narrow = cached.debug_cache_entry(0x001, 8);
+  ASSERT_EQ(narrow.tag(), Tag::kNarrow);
+  const std::uint64_t compress0 = sites::cachetrie_compress.total();
+  ASSERT_EQ(cached.remove(0x101), 0x101u);
+  if (kCounted) {
+    EXPECT_EQ(sites::cachetrie_compress.total(), compress0);
+  }
+  EXPECT_EQ(cached.debug_cache_entry(0x001, 8), narrow);
+  EXPECT_EQ(slot_key(narrow, 0), 0x001u);
+  EXPECT_TRUE(narrow.slot_at(1).load(std::memory_order_acquire).null());
+  auto issues = cached.debug_validate();
+  EXPECT_TRUE(issues.empty()) << issues.front();
+  expect_hit(cached, 0x001, 0x001);
+
+  Config uncached = level8_config();
+  uncached.use_cache = false;
+  PlacedTrie walked{uncached};
+  for (const auto k : keys) ASSERT_TRUE(walked.insert(k, k));
+  const std::uint64_t compress1 = sites::cachetrie_compress.total();
+  ASSERT_EQ(walked.remove(0x101), 0x101u);
+  if (kCounted) {
+    EXPECT_EQ(sites::cachetrie_compress.total(), compress1 + 1);
+  }
+  issues = walked.debug_validate();
+  EXPECT_TRUE(issues.empty()) << issues.front();
+  EXPECT_EQ(walked.lookup(0x001), 0x001u);
 }
 
 // --- the head's parent array ------------------------------------------------
@@ -618,7 +647,7 @@ void grow_to_two_arrays(PlacedTrie& trie) {
   ASSERT_EQ(trie.cache_level(), 8);
   ASSERT_TRUE(trie.insert(0x002, 0x002));
   ASSERT_EQ(trie.cache_level(), 12);
-  ASSERT_EQ(trie.debug_cache_entry(0x001, 8), nullptr);
+  ASSERT_TRUE(trie.debug_cache_entry(0x001, 8).null());
 }
 
 TEST(CacheWords, WriteCachesItsParentLevelANodeAndCompressionClearsIt) {
@@ -630,24 +659,22 @@ TEST(CacheWords, WriteCachesItsParentLevelANodeAndCompressionClearsIt) {
   namespace tk = cachetrie::testkit;
   PlacedTrie trie{two_array_config()};
   grow_to_two_arrays(trie);
-  const NodeBase* narrow = nullptr;
   const tk::Site row = tk::Site::cachetrie_txn_announce;
   const std::size_t parks = tk::fault::lose_race(
       11, std::span<const tk::Site>(&row, 1),
       [&] { EXPECT_EQ(trie.remove(0x101), 0x101u); },
       [&](std::size_t) {
         EXPECT_FALSE(trie.insert(0x001, 0x1001));
-        narrow = trie.debug_cache_entry(0x001, 8);
-        ASSERT_NE(narrow, nullptr);
-        ASSERT_EQ(narrow->kind, Kind::kANode);
-        EXPECT_EQ(static_cast<const ANode*>(narrow)->length, 4u);
+        const Ref narrow = trie.debug_cache_entry(0x001, 8);
+        ASSERT_EQ(narrow.tag(), Tag::kNarrow);
+        EXPECT_EQ(narrow.length(), 4u);
         EXPECT_EQ(slot_key(narrow, 1), 0x101u);
         // The word sits at the node's canonical index with its shape tag.
         const auto issues = trie.debug_validate();
         EXPECT_TRUE(issues.empty()) << issues.front();
       });
   ASSERT_EQ(parks, 1u);
-  EXPECT_EQ(trie.debug_cache_entry(0x001, 8), nullptr)
+  EXPECT_TRUE(trie.debug_cache_entry(0x001, 8).null())
       << "the compressed node's word outlived its retirement";
   const auto issues = trie.debug_validate();
   EXPECT_TRUE(issues.empty()) << issues.front();
@@ -671,13 +698,13 @@ TEST(CacheWords, InhabitingAFrozenParentLevelNodeUndoesItsOwnWord) {
       [&] { EXPECT_TRUE(trie.insert(0x201, 0x201)); },
       [&](std::size_t) {
         EXPECT_EQ(trie.remove(0x101), 0x101u);
-        EXPECT_EQ(trie.debug_cache_entry(0x001, 8), nullptr);
+        EXPECT_TRUE(trie.debug_cache_entry(0x001, 8).null());
       });
   ASSERT_EQ(parks, 1u);
   if (kCounted) {
     EXPECT_GT(sites::cachetrie_cache_inhabit.total(), inhabits0);
   }
-  EXPECT_EQ(trie.debug_cache_entry(0x201, 8), nullptr)
+  EXPECT_TRUE(trie.debug_cache_entry(0x201, 8).null())
       << "the frozen node's word outlived the inhabit's re-check";
   const auto issues = trie.debug_validate();
   EXPECT_TRUE(issues.empty()) << issues.front();

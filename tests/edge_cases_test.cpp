@@ -4,6 +4,7 @@
 // concurrent mutation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <set>
@@ -157,30 +158,60 @@ TEST(EdgeCases, SkipListSingleKeyInsertRemoveStorm) {
 }
 
 TEST(EdgeCases, ForEachDuringConcurrentWritesIsSafe) {
+  constexpr int kKeys = 30000;
   cachetrie::CacheTrie<int, int> trie;
-  for (int k = 0; k < 30000; ++k) trie.insert(k, k);
+  for (int k = 0; k < kKeys; ++k) trie.insert(k, k);
+  // A key's version is odd from just before its removal until its
+  // re-insert has returned; a key whose version is the same even value
+  // before and after a traversal was present for all of it.
+  std::vector<std::atomic<unsigned>> version(kKeys);
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     cachetrie::util::XorShift64Star rng{5};
     while (!stop.load(std::memory_order_acquire)) {
-      const int k = static_cast<int>(rng.next_below(30000));
+      const int k = static_cast<int>(rng.next_below(kKeys));
+      version[k].fetch_add(1, std::memory_order_seq_cst);
       trie.remove(k);
       trie.insert(k, k);
+      version[k].fetch_add(1, std::memory_order_seq_cst);
     }
   });
+  // Stops and joins the writer on every exit, a failed ASSERT's included,
+  // so a failure is reported instead of aborting the binary.
+  struct Joiner {
+    std::atomic<bool>& stop;
+    std::thread& writer;
+    ~Joiner() {
+      stop.store(true, std::memory_order_release);
+      writer.join();
+    }
+  } joiner{stop, writer};
+  std::vector<unsigned> before(kKeys);
+  std::vector<char> visited(kKeys);
   for (int round = 0; round < 20; ++round) {
+    for (int k = 0; k < kKeys; ++k) {
+      before[k] = version[k].load(std::memory_order_seq_cst);
+    }
+    std::fill(visited.begin(), visited.end(), 0);
     std::size_t seen = 0;
     trie.for_each([&](const int& k, const int& v) {
       // Values are always key-consistent, even mid-churn.
       ASSERT_EQ(k, v);
+      ASSERT_EQ(visited[k]++, 0) << "key " << k << " visited twice";
       ++seen;
     });
+    // The traversal may miss a key the writer churned while it ran, never
+    // one that was present throughout.
+    for (int k = 0; k < kKeys; ++k) {
+      const unsigned after = version[k].load(std::memory_order_seq_cst);
+      if (after == before[k] && after % 2 == 0) {
+        ASSERT_TRUE(visited[k]) << "key " << k << " present throughout";
+      }
+    }
     // At most one key is mid-flight at any time.
     ASSERT_GE(seen, 30000u - 4);
     ASSERT_LE(seen, 30000u);
   }
-  stop.store(true, std::memory_order_release);
-  writer.join();
 }
 
 TEST(EdgeCases, MoveOnlyCallsAreNotRequired) {

@@ -146,9 +146,9 @@ TEST(Integration, FootprintOrderingMatchesFigure9) {
 }
 
 TEST(Integration, MultipleTriesAreIndependent) {
-  // Sentinel nodes (FVNode/FSNode/NoTxn) are process-wide singletons shared
-  // by every CacheTrie instantiation; instances must still be fully
-  // independent.
+  // The sentinels (frozen empty, NoTxn, frozen NoTxn, Pending) are word
+  // values that every CacheTrie instantiation shares; instances must still
+  // be fully independent.
   cachetrie::CacheTrie<int, int> a;
   cachetrie::CacheTrie<int, int> b;
   cachetrie::CacheTrie<int, std::string> c;  // different instantiation

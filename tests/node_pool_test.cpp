@@ -9,6 +9,7 @@
 #include <deque>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cachetrie/nodes.hpp"
@@ -55,6 +56,33 @@ TEST(NodePool, RoundTripPerClassAndReuse) {
       EXPECT_EQ(q, p) << "class of " << bytes << " B did not reuse its block";
       give(q, bytes - 1);
     }
+  }).join();
+}
+
+// (a') A block of whole cache lines starts on a line, so a 128 B wide
+// ANode spans exactly two lines, and a 32 B block (a leaf or a narrow ANode)
+// never straddles one, however the classes interleave in a span. Carved
+// from a fresh thread, so the span's bottom starts wherever the
+// interleaving leaves it.
+TEST(NodePool, WholeLineBlocksStartOnALine) {
+  std::thread([] {
+    constexpr std::size_t kLine = 64;
+    std::vector<std::pair<void*, std::size_t>> blocks;
+    for (int i = 0; i < 3000; ++i) {
+      for (const std::size_t bytes : {32, 128, 48, 32, 64, 32, 128, 96, 192,
+                                      32, 256, 16, 128}) {
+        void* p = take(bytes);
+        blocks.emplace_back(p, bytes);
+        const auto at = reinterpret_cast<std::uintptr_t>(p);
+        if (bytes % kLine == 0) {
+          ASSERT_EQ(at % kLine, 0u) << bytes << " B block off a line";
+        }
+        if (bytes == 32) {
+          ASSERT_LE(at % kLine + bytes, kLine) << "32 B block straddles";
+        }
+      }
+    }
+    for (const auto& [p, bytes] : blocks) give(p, bytes);
   }).join();
 }
 

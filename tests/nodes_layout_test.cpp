@@ -1,11 +1,12 @@
 // nodes_layout_test.cpp — whitebox tests of the node and cache-array
 // memory layouts: exact allocation sizes (the footprint benches depend on
-// them), the half-line hash-free leaf and its trailing stamp word, slot
-// alignment, sentinel identity, and construction/destruction of the
-// variable-size nodes.
+// them), the half-line hash-free leaf and its trailing stamp word, the
+// headerless ANode, the tagged words that refer to nodes, and
+// construction/destruction of the variable-size nodes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,47 +21,87 @@ namespace {
 
 using namespace cachetrie::detail;
 
-TEST(NodeLayout, SentinelsAreDistinctSingletons) {
-  EXPECT_EQ(Sentinels::fv(), Sentinels::fv());
-  EXPECT_EQ(Sentinels::fs(), Sentinels::fs());
-  EXPECT_NE(Sentinels::fv(), Sentinels::fs());
-  EXPECT_NE(Sentinels::no_txn(), Sentinels::pending());
-  EXPECT_EQ(Sentinels::fv()->kind, Kind::kFVNode);
-  EXPECT_EQ(Sentinels::fs()->kind, Kind::kFSNode);
-  EXPECT_EQ(Sentinels::no_txn()->kind, Kind::kNoTxn);
-  EXPECT_EQ(Sentinels::pending()->kind, Kind::kPending);
+TEST(NodeLayout, SentinelTagsAreDistinct) {
+  // The paper's FVNode, FSNode, NoTxn and Pending are word values, not
+  // objects: none points anywhere, and no two are equal.
+  const Ref words[] = {Ref{}, Ref{}.as_frozen(), Ref::no_txn(),
+                       Ref::frozen_txn(), Ref::pending()};
+  for (std::size_t i = 0; i < std::size(words); ++i) {
+    EXPECT_EQ(words[i].node(), nullptr);
+    EXPECT_FALSE(words[i].is_anode());
+    for (std::size_t j = i + 1; j < std::size(words); ++j) {
+      EXPECT_NE(words[i], words[j]) << i << " vs " << j;
+    }
+  }
+  EXPECT_TRUE(Ref{}.null());
+  EXPECT_TRUE(Ref{}.as_frozen().empty());
+  EXPECT_FALSE(Ref{}.as_frozen().null());
+  EXPECT_TRUE(Ref::frozen_txn().is_frozen());
+  EXPECT_EQ(Ref::frozen_txn().thawed(), Ref::no_txn());
 }
 
 TEST(NodeLayout, ANodeExactSizes) {
-  // Narrow node: header + 4 slots; wide: header + 16 slots.
-  EXPECT_EQ(ANode::alloc_size(4), sizeof(ANode) + 4 * sizeof(void*));
-  EXPECT_EQ(ANode::alloc_size(16), sizeof(ANode) + 16 * sizeof(void*));
-  // The header must stay lean — the paper's footprint story depends on it.
-  EXPECT_LE(sizeof(ANode), 8u);
+  // A bare slot array: narrow is half a line, wide two lines.
+  static_assert(ANode::alloc_size(4) == 32);
+  static_assert(ANode::alloc_size(16) == 128);
+  EXPECT_EQ(ANode::alloc_size(4), 4 * sizeof(void*));
+  EXPECT_EQ(ANode::alloc_size(16), 16 * sizeof(void*));
 }
 
 TEST(NodeLayout, ANodeSlotsZeroInitializedAndAligned) {
-  ANode* a = ANode::make(16);
-  EXPECT_EQ(a->kind, Kind::kANode);
-  EXPECT_EQ(a->length, 16u);
+  const Ref a = ANode::make(16);
+  EXPECT_EQ(a.tag(), Tag::kWide);
+  EXPECT_EQ(a.length(), 16u);
   for (std::uint32_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(a->slots()[i].load(), nullptr);
+    EXPECT_TRUE(a.slot_at(i).load(std::memory_order_relaxed).null());
   }
-  const auto addr = reinterpret_cast<std::uintptr_t>(a->slots());
-  EXPECT_EQ(addr % alignof(std::atomic<NodeBase*>), 0u);
-  // Slots start immediately after the header (no padding holes).
-  EXPECT_EQ(addr, reinterpret_cast<std::uintptr_t>(a) + sizeof(ANode));
+  // The slots are the node: the first one sits at its address.
+  const auto addr = reinterpret_cast<std::uintptr_t>(&a.slot_at(0));
+  EXPECT_EQ(addr, reinterpret_cast<std::uintptr_t>(a.node()));
+  EXPECT_EQ(addr % 16, 0u);
   ANode::destroy(a);
+}
+
+TEST(NodeLayout, WordsCarryKindWidthAndFrozenBit) {
+  const Ref narrow = ANode::make(4);
+  const Ref wide = ANode::make(16);
+  auto* leaf = SNode<int, int>::make(/*stamped=*/false, 0x1ull, 1, 10,
+                                     /*stamp=*/0);
+  auto* chain = LNode<int, int>::make(0x2ull, 2, 20, nullptr);
+  EXPECT_EQ(narrow.tag(), Tag::kNarrow);
+  EXPECT_EQ(narrow.length(), 4u);
+  EXPECT_TRUE(narrow.is_anode());
+  EXPECT_EQ(wide.tag(), Tag::kWide);
+  EXPECT_TRUE(wide.is_anode());
+  const Ref leaf_word = Ref::to(leaf);
+  EXPECT_EQ(leaf_word.tag(), Tag::kSNode);
+  EXPECT_FALSE(leaf_word.is_anode());
+  EXPECT_EQ((leaf_word.as<SNode<int, int>>()), leaf);
+  EXPECT_EQ(Ref::to(chain).tag(), Tag::kLNode);
+  // Freezing keeps the node, the kind and the width.
+  for (const Ref w : {narrow, wide, Ref::to(chain)}) {
+    const Ref frozen = w.as_frozen();
+    EXPECT_TRUE(frozen.is_frozen());
+    EXPECT_NE(frozen, w);
+    EXPECT_EQ(frozen.node(), w.node());
+    EXPECT_EQ(frozen.tag(), w.tag());
+    EXPECT_EQ(frozen.is_anode(), w.is_anode());
+    EXPECT_EQ(frozen.thawed(), w);
+  }
+  EXPECT_EQ(wide.as_frozen().length(), 16u);
+  delete chain;
+  SNode<int, int>::destroy(leaf);
+  ANode::destroy(wide);
+  ANode::destroy(narrow);
 }
 
 TEST(NodeLayout, SNodeCarriesPairAndIdleTxn) {
   auto* s = SNode<int, int>::make(/*stamped=*/false, 0xABCDull, 7, 70,
                                   /*stamp=*/0);
-  EXPECT_EQ(s->kind, Kind::kSNode);
   EXPECT_FALSE(s->stamped);
   EXPECT_EQ(s->key, 7);
   EXPECT_EQ(s->value, 70);
-  EXPECT_EQ(s->txn.load(), Sentinels::no_txn());
+  EXPECT_EQ(s->txn.load(std::memory_order_relaxed), Ref::no_txn());
   // Unbounded tries allocate no stamp word at all.
   using Leaf = SNode<int, int>;
   EXPECT_EQ(Leaf::alloc_size(s->stamped), sizeof(Leaf));
@@ -96,7 +137,7 @@ TEST(NodeLayout, HashFreeLeafIsHalfALine) {
   using Leaf = SNode<std::uint64_t, std::uint64_t>;
   static_assert(!kLeafStoresHash<std::uint64_t>);
   static_assert(!HasHashField<Leaf>);
-  // kind (+ stamped in its padding), key, value, txn.
+  // stamped (padded to a word), key, value, txn.
   EXPECT_EQ(sizeof(Leaf), 32u);
   EXPECT_EQ(Leaf::alloc_size(/*stamped=*/false), 32u);
   // A bounded leaf adds its 8 B stamp word: 40 B exact, booked as such,
@@ -124,8 +165,8 @@ TEST(NodeLayout, CostlyKeysKeepTheirHash) {
 }
 
 TEST(NodeLayout, PooledHalfLineLeavesNeverStraddleALine) {
-  // Leaves carved next to inner nodes of odd granule counts (a wide ANode
-  // is 9 granules) would land 16 B or 48 B into a line if the pool carved
+  // Leaves carved next to blocks of odd granule counts (a bounded leaf is
+  // 3 granules) would land 16 B or 48 B into a line if the pool carved
   // every class from the same end of its span. The class allocator is
   // called directly, so this also runs under the sanitizers, where
   // allocate() bypasses it.
@@ -136,8 +177,8 @@ TEST(NodeLayout, PooledHalfLineLeavesNeverStraddleALine) {
     std::vector<std::pair<void*, std::size_t>> blocks;
     for (int i = 0; i < 4000; ++i) {
       for (const std::size_t bytes :
-           {leaf, ANode::alloc_size(16), leaf, ANode::alloc_size(4), leaf,
-            std::size_t{16}, leaf}) {
+           {leaf, ANode::alloc_size(16), leaf, std::size_t{48}, leaf,
+            ANode::alloc_size(4), leaf, std::size_t{16}, leaf}) {
         void* p = NodePool::allocate_class(NodePool::class_of(bytes));
         blocks.emplace_back(p, bytes);
         if (bytes == leaf) {
@@ -156,16 +197,16 @@ TEST(NodeLayout, PooledHalfLineLeavesNeverStraddleALine) {
 }
 
 TEST(NodeLayout, ENodeStartsPending) {
-  ANode* parent = ANode::make(16);
-  ANode* target = ANode::make(4);
-  ENode* e = ENode::make(parent, 3, target, 0x123ull, 8, false);
-  EXPECT_EQ(e->kind, Kind::kENode);
-  EXPECT_EQ(e->parent, parent);
+  const Ref parent = ANode::make(16);
+  const Ref target = ANode::make(4);
+  ENode* e = ENode::make(parent.anode(), 3, target, 0x123ull, 8, false);
+  EXPECT_EQ(Ref::to(e).tag(), Tag::kENode);
+  EXPECT_EQ(e->parent, parent.anode());
   EXPECT_EQ(e->parentpos, 3u);
   EXPECT_EQ(e->target, target);
   EXPECT_EQ(e->level, 8u);
   EXPECT_FALSE(e->compress);
-  EXPECT_EQ(e->result.load(), Sentinels::pending());
+  EXPECT_EQ(e->result.load(std::memory_order_relaxed), Ref::pending());
   delete e;
   ANode::destroy(target);
   ANode::destroy(parent);
@@ -207,33 +248,35 @@ TEST(CacheLayout, MissCountersOnDistinctCacheLines) {
 TEST(CacheLayout, EntriesZeroInitialized) {
   CacheArray* c = CacheArray::make(12, nullptr);
   for (std::size_t i = 0; i < c->entry_count(); i += 97) {
-    EXPECT_EQ(c->entry(i).load(), CacheArray::encode(nullptr));
-    EXPECT_EQ(CacheArray::decode(c->entry(i).load()).node, nullptr);
+    EXPECT_TRUE(c->entry(i).load(std::memory_order_relaxed).null());
   }
   CacheArray::destroy(c);
 }
 
 TEST(CacheLayout, WordsRoundTripEachShape) {
-  // A word decodes to the node it encodes, with an ANode's slot count from
-  // the tag and 0 for any other node.
-  ANode* narrow = ANode::make(4);
-  ANode* wide = ANode::make(16);
+  // An entry stores and returns the whole word: the node, and for an ANode
+  // the slot count its tag gives.
+  CacheArray* c = CacheArray::make(8, nullptr);
+  const Ref narrow = ANode::make(4);
+  const Ref wide = ANode::make(16);
   auto* leaf = SNode<int, int>::make(/*stamped=*/false, 0x1ull, 1, 10,
                                      /*stamp=*/0);
-  const auto narrow_word = CacheArray::decode(CacheArray::encode(narrow));
-  const auto wide_word = CacheArray::decode(CacheArray::encode(wide));
-  const auto leaf_word = CacheArray::decode(CacheArray::encode(leaf));
-  EXPECT_EQ(narrow_word.node, narrow);
-  EXPECT_EQ(narrow_word.anode_length, 4u);
-  EXPECT_EQ(wide_word.node, wide);
-  EXPECT_EQ(wide_word.anode_length, 16u);
-  EXPECT_EQ(leaf_word.node, leaf);
-  EXPECT_EQ(leaf_word.anode_length, 0u);
-  EXPECT_EQ(CacheArray::encode(leaf), reinterpret_cast<std::uintptr_t>(leaf));
-  EXPECT_EQ(CacheArray::decode(CacheArray::encode(nullptr)).node, nullptr);
+  for (const Ref w : {narrow, wide, Ref::to(leaf)}) {
+    c->entry(1).store(w, std::memory_order_relaxed);
+    const Ref back = c->entry(1).load(std::memory_order_relaxed);
+    EXPECT_EQ(back, w);
+    EXPECT_EQ(back.node(), w.node());
+  }
+  using Leaf = SNode<int, int>;
+  EXPECT_EQ(c->entry(1).load(std::memory_order_relaxed).as<Leaf>(), leaf);
+  c->entry(2).store(wide, std::memory_order_relaxed);
+  EXPECT_EQ(c->entry(2).load(std::memory_order_relaxed).length(), 16u);
+  c->entry(3).store(narrow, std::memory_order_relaxed);
+  EXPECT_EQ(c->entry(3).load(std::memory_order_relaxed).length(), 4u);
   SNode<int, int>::destroy(leaf);
   ANode::destroy(wide);
   ANode::destroy(narrow);
+  CacheArray::destroy(c);
 }
 
 TEST(CacheLayout, ParentChainAndFootprint) {
