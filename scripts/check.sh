@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # check.sh — protocol lint, then build + run the fast test label under
 # three toolchains (plain, AddressSanitizer+UBSan, ThreadSanitizer) and in
-# the compiled-out configuration (off: CACHETRIE_METRICS and CACHETRIE_TRACE
-# both OFF, so every site handle is a zero-size Null* type), then a
+# the compiled-out configuration (off: CACHETRIE_METRICS OFF, so every site
+# handle is a zero-size Null* type and no trace point records), then a
 # perf-smoke regression gate (scripts/perf_gate.py vs the committed
 # baseline). Each configuration gets its own build tree so they never
 # fight over the CMake cache.
@@ -307,14 +307,14 @@ case "$want" in
   plain) run_stage plain ;;
   asan) run_stage asan -DCACHETRIE_SANITIZE=ON ;;
   tsan) run_stage tsan -DCACHETRIE_TSAN=ON ;;
-  off) run_stage off -DCACHETRIE_METRICS=OFF -DCACHETRIE_TRACE=OFF ;;
+  off) run_stage off -DCACHETRIE_METRICS=OFF ;;
   perf) run_perf ;;
   all)
     run_lint
     run_stage plain
     run_stage asan -DCACHETRIE_SANITIZE=ON
     run_stage tsan -DCACHETRIE_TSAN=ON
-    run_stage off -DCACHETRIE_METRICS=OFF -DCACHETRIE_TRACE=OFF
+    run_stage off -DCACHETRIE_METRICS=OFF
     run_perf
     ;;
   *)

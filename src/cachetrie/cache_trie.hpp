@@ -365,7 +365,16 @@ class CacheTrie {
     kNotFound,  // key absent (replace/remove)
     kRemoved,    // pair removed
     kRestart,    // frozen/stale path; retry from the root
-    kRetryLevel, // internal: CAS lost locally; re-read the same slot
+    kRetryLevel, // internal: re-read the slot at the write walk's position
+  };
+
+  /// Where a write walk stands: ANode `cur` at level `lev`, and its parent
+  /// `prev` — empty when the walk began at a cached ANode, whose parent the
+  /// cache cannot supply.
+  struct WritePos {
+    Ref cur;
+    Ref prev;
+    std::uint32_t lev = 0;
   };
 
   enum class Mode : std::uint8_t {
@@ -524,12 +533,12 @@ class CacheTrie {
   /// key. Returns true iff this thread won the announcement (and is
   /// therefore the unique retirer).
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  bool try_evict_snode(AtomicRef& slot, SNodeT* osn, Ref cur, Ref prev,
-                       std::uint32_t lev, bool expiry) {
+  bool try_evict_snode(AtomicRef& slot, SNodeT* osn, const WritePos& at,
+                       bool expiry) {
     const std::uint64_t h = hash_of(osn);
-    if (!commit_txn(slot, osn, Ref{}, h, lev, kEvictTxn)) return false;
-    note_eviction(expiry, h, lev);
-    maybe_compress(cur, prev, h, lev);
+    if (!commit_txn(slot, osn, Ref{}, h, at.lev, kEvictTxn)) return false;
+    note_eviction(expiry, h, at.lev);
+    maybe_compress(at, h);
     return true;
   }
 
@@ -545,7 +554,10 @@ class CacheTrie {
   /// The lazy clock hand (after the fwoodruff Lock-Free-Cache design: no
   /// doubly-linked list, no dedicated thread): descend a few pseudo-random
   /// hash paths from a roving cursor and evict any live leaf whose stamp
-  /// fell past a horizon. Each probe is an O(1)-expected descent.
+  /// fell past a horizon. Each probe is one O(1)-expected write walk from
+  /// the root, so it helps an announcement it meets like any write; a walk
+  /// that would restart skips the probe. An empty slot or a chain ends it:
+  /// chain corpses are pruned by the chain rebuilds instead.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   std::size_t evict_scan(const Horizon& hz, std::uint32_t probes) {
     testkit::chaos_point(testkit::Site::cachetrie_evict_scan);
@@ -553,35 +565,17 @@ class CacheTrie {
     for (std::uint32_t p = 0; p < probes; ++p) {
       const std::uint64_t h =
           util::mix64(evict_cursor_.fetch_add(1, std::memory_order_relaxed));
-      Ref cur = root_;
-      Ref prev;
-      std::uint32_t lev = 0;
-      while (true) {
-        AtomicRef& slot = cur.slot(h, lev);
-        const Ref n = slot.load(std::memory_order_acquire);
-        if (n.is_frozen()) break;
-        if (n.is_anode()) {
-          prev = cur;
-          cur = n;
-          lev += 4;
-          continue;
-        }
-        if (n.tag() == Tag::kSNode) {
-          auto* sn = n.as<SNodeT>();
-          if (sn->txn.load(std::memory_order_acquire) != Ref::no_txn()) {
-            break;
-          }
-          const std::uint64_t st = sn->stamp().load(std::memory_order_relaxed);
-          if (hz.evictable(st) &&
-              try_evict_snode(slot, sn, cur, prev, lev, hz.expired(st))) {
-            ++evicted;
-          }
-          break;
-        }
-        // Empty slots, chains and in-flight announcements: skip this probe;
-        // chain corpses are pruned by the traversal rebuilds instead.
-        break;
-      }
+      const Res r = write_walk(
+          h, 0, root_, /*inhabit=*/false,
+          [&](WritePos& at, AtomicRef& slot, Ref old) {
+            if (old.tag() != Tag::kSNode) return Res::kNotFound;
+            auto* sn = old.as<SNodeT>();
+            const std::uint64_t st = stamp_of(sn);
+            const bool won = hz.evictable(st) &&
+                             try_evict_snode(slot, sn, at, hz.expired(st));
+            return won ? Res::kRemoved : Res::kNotFound;
+          });
+      if (r == Res::kRemoved) ++evicted;
     }
     return evicted;
   }
@@ -599,8 +593,11 @@ class CacheTrie {
     const std::uint64_t h = hasher_(key);
     return note_mutate_result(
         descend(h, [&](std::uint32_t lev, Ref start) {
-          return insert_rec(key, value, h, lev, start, Ref{}, mode, expected,
-                            hz);
+          return write_walk(h, lev, start, /*inhabit=*/true,
+                            [&](WritePos& at, AtomicRef& slot, Ref old) {
+                              return insert_at(key, value, h, at, slot, old,
+                                               mode, expected, hz);
+                            });
         }));
   }
 
@@ -651,6 +648,62 @@ class CacheTrie {
       return {cachee, c->level};
     }
     return {};
+  }
+
+  /// The one write-path walk (paper Fig. 3 and §3.7) down `h`'s path from
+  /// `cur`, the word of an ANode at `lev`. It handles every word that does
+  /// not depend on the operation: a frozen word restarts from the root (its
+  /// node is being replaced), an ANode is stepped into (and inhabited into
+  /// the cache when `inhabit`), an ENode is helped to completion, and an
+  /// SNode's pending txn is committed (a frozen txn restarts). It hands
+  /// `leaf(at, slot, old)` only an empty slot, an idle SNode or a chain.
+  /// `leaf` returns kRetryLevel to have the slot at `at` re-read — after a
+  /// lost CAS, or after moving `at.cur` to the node that replaced it — and
+  /// anything else ends the walk.
+  // [smr: caller-pinned] -- the guard is held by the public entry point.
+  template <typename Leaf>
+  Res write_walk(std::uint64_t h, std::uint32_t lev, Ref cur, bool inhabit,
+                 Leaf&& leaf) {
+    WritePos at{cur, Ref{}, lev};
+    while (true) {
+      AtomicRef& slot = at.cur.slot(h, at.lev);
+      // [acquires: CT_SLOT_COMMIT]
+      const Ref old = slot.load(std::memory_order_acquire);
+      // A frozen empty slot, ANode or chain: at.cur is being replaced.
+      if (old.is_frozen()) return Res::kRestart;
+      switch (old.tag()) {
+        case Tag::kNarrow:
+        case Tag::kWide:
+          if (inhabit) maybe_inhabit(old, h, at.lev + 4);
+          at = {old, at.cur, at.lev + 4};
+          continue;
+        case Tag::kENode:
+          // Help the pending expansion/compression, then re-read the slot.
+          complete_enode(old.as<ENode>());
+          continue;
+        case Tag::kSNode: {
+          auto* sn = old.as<SNodeT>();
+          // [acquires: CT_TXN]
+          const Ref txn = sn->txn.load(std::memory_order_acquire);
+          if (txn == Ref::frozen_txn()) return Res::kRestart;  // frozen leaf
+          if (txn != Ref::no_txn()) {
+            // A transaction is pending on this SNode: help commit it.
+            commit_announced(slot, sn, txn);
+            obs::sites::cachetrie_txn_retry.add();
+            continue;
+          }
+          break;
+        }
+        case Tag::kEmpty:
+        case Tag::kLNode:
+          break;
+        default:
+          assert(false && "a sentinel in an ANode slot");
+          return Res::kRestart;
+      }
+      const Res r = leaf(at, slot, old);
+      if (r != Res::kRetryLevel) return r;
+    }
   }
 
   // --- leaf commits: the txn protocol and the chain rebuild ------------------
@@ -716,14 +769,14 @@ class CacheTrie {
   /// chain without `key`'s old pair and without TTL corpses, adds
   /// (key, *value) unless `value` is null, and swaps the copy in with one
   /// CAS. A chain holds at least 2 pairs: one pair collapses to an SNode
-  /// and none empties the slot, which may let `cur` compress. The CAS
+  /// and none empties the slot, which may let `at.cur` compress. The CAS
   /// winner counts each dropped corpse as an expiry and retires the old
   /// chain. Returns kRetryLevel when the CAS loses, else kRemoved (no
   /// `value`), kReplaced (`key` had a live pair) or kNew.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   Res rebuild_chain(AtomicRef& slot, LNodeT* chain, const K& key,
-                    const V* value, std::uint64_t h, std::uint32_t lev,
-                    Ref cur, Ref prev, const Horizon& hz) {
+                    const V* value, std::uint64_t h, const WritePos& at,
+                    const Horizon& hz) {
     bool had_key = false;
     std::size_t corpses = 0;
     std::size_t pairs = value != nullptr ? 1 : 0;
@@ -764,72 +817,44 @@ class CacheTrie {
       return Res::kRetryLevel;
     }
     for (std::size_t i = 0; i < corpses; ++i) {
-      note_eviction(/*expiry=*/true, h, lev);
+      note_eviction(/*expiry=*/true, h, at.lev);
     }
     retire_chain(chain);
     if (value != nullptr) return had_key ? Res::kReplaced : Res::kNew;
-    if (replacement.null()) maybe_compress(cur, prev, h, lev);
+    if (replacement.null()) maybe_compress(at, h);
     return Res::kRemoved;
   }
 
   // --- insert (paper Fig. 3) -----------------------------------------------
 
-  Res insert_rec(const K& key, const V& value, std::uint64_t h,
-                 std::uint32_t lev, Ref cur, Ref prev, Mode mode,
-                 const V* expected_value, const Horizon& hz) {
-    while (true) {
-      AtomicRef& slot = cur.slot(h, lev);
-      // [acquires: CT_SLOT_COMMIT]
-      const Ref old = slot.load(std::memory_order_acquire);
-      // A frozen empty slot, ANode or chain: cur is being replaced.
-      if (old.is_frozen()) return Res::kRestart;
-
-      switch (old.tag()) {
-        case Tag::kEmpty: {  // case (1): empty slot
-          if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
-            return Res::kNotFound;
-          }
-          const Ref sn = Ref::to(make_leaf(h, key, value, hz.now));
-          Ref expected;
-          // [publishes: CT_SLOT_COMMIT]
-          if (slot.compare_exchange_strong(expected, sn,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-            maybe_inhabit(sn, h, lev + 4);
-            note_insert_leaf(lev + 4);
-            return Res::kNew;
-          }
-          discard(sn.as<SNodeT>());
-          continue;
-        }
-        case Tag::kNarrow:
-        case Tag::kWide:
-          maybe_inhabit(old, h, lev + 4);
-          return insert_rec(key, value, h, lev + 4, old, cur, mode,
-                            expected_value, hz);
-        case Tag::kSNode: {
-          const Res r = insert_at_snode(key, value, h, lev, cur, prev, slot,
-                                        old.as<SNodeT>(), mode,
-                                        expected_value, hz);
-          if (r != Res::kRetryLevel) return r;
-          continue;
-        }
-        case Tag::kLNode: {
-          const Res r = insert_at_lnode(key, value, h, lev, cur, prev, slot,
-                                        old.as<LNodeT>(), mode,
-                                        expected_value, hz);
-          if (r != Res::kRetryLevel) return r;
-          continue;
-        }
-        case Tag::kENode:
-          // Help the pending expansion/compression, then re-read the slot.
-          complete_enode(old.as<ENode>());
-          continue;
-        default:
-          assert(false && "unexpected node kind in ANode slot");
-          return Res::kRestart;
-      }
+  /// Insert's step where its write walk ends: `old` is an empty slot, an
+  /// idle SNode or a chain.
+  Res insert_at(const K& key, const V& value, std::uint64_t h, WritePos& at,
+                AtomicRef& slot, Ref old, Mode mode, const V* expected_value,
+                const Horizon& hz) {
+    if (old.tag() == Tag::kSNode) {
+      return insert_at_snode(key, value, h, at, slot, old.as<SNodeT>(), mode,
+                             expected_value, hz);
     }
+    if (old.tag() == Tag::kLNode) {
+      return insert_at_lnode(key, value, h, at, slot, old.as<LNodeT>(), mode,
+                             expected_value, hz);
+    }
+    // case (1): empty slot
+    if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
+      return Res::kNotFound;
+    }
+    const Ref sn = Ref::to(make_leaf(h, key, value, hz.now));
+    Ref expected;
+    // [publishes: CT_SLOT_COMMIT]
+    if (slot.compare_exchange_strong(expected, sn, std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      maybe_inhabit(sn, h, at.lev + 4);
+      note_insert_leaf(at.lev + 4);
+      return Res::kNew;
+    }
+    discard(sn.as<SNodeT>());
+    return Res::kRetryLevel;
   }
 
   /// Value comparison for the compare-and-replace mode; instantiable even
@@ -844,94 +869,84 @@ class CacheTrie {
     }
   }
 
-  /// Slot holds an SNode: replace in place (same key), expand a narrow node
-  /// (collision in a 4-slot node), or hang a fresh subtree (collision in a
-  /// wide node). Paper Fig. 3, lines 11-38.
+  /// Slot holds an idle SNode: replace in place (same key), expand a narrow
+  /// node (collision in a 4-slot node), or hang a fresh subtree (collision
+  /// in a wide node). Paper Fig. 3, lines 11-38.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   Res insert_at_snode(const K& key, const V& value, std::uint64_t h,
-                      std::uint32_t lev, Ref cur, Ref prev, AtomicRef& slot,
-                      SNodeT* osn, Mode mode, const V* expected_value,
-                      const Horizon& hz) {
-    // [acquires: CT_TXN]
-    const Ref txn = osn->txn.load(std::memory_order_acquire);
-    if (txn == Ref::no_txn()) {
-      const std::uint64_t ostamp = stamp_of(osn);
-      if (holds(osn, key, h)) {
-        // A TTL-expired pair is semantically absent (DESIGN.md §3): upsert
-        // and put_if_absent replace the corpse through the same txn path —
-        // the replacement doubles as the lazy eviction — while the replace
-        // modes evict it and report the key absent.
-        const bool corpse = hz.expired(ostamp);
-        if (corpse &&
-            (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals)) {
-          try_evict_snode(slot, osn, cur, prev, lev, /*expiry=*/true);
-          return Res::kNotFound;
-        }
-        if (!corpse &&
-            (mode == Mode::kIfAbsent ||
-             (mode == Mode::kReplaceIfEquals &&
-              !value_equals(osn->value, *expected_value)))) {
-          touch(osn, hz);  // the pair stays, and the write is a use of it
-          return Res::kExists;
-        }
-        // case (4): same key — two-CAS replacement.
-        if (!commit_txn(slot, osn, Ref::to(make_leaf(h, key, value, hz.now)),
-                        h, lev, kWriteTxn)) {
-          return Res::kRetryLevel;
-        }
-        if (corpse) {
-          note_eviction(/*expiry=*/true, h, lev);
-          return Res::kNew;  // the replaced pair was semantically absent
-        }
-        return Res::kReplaced;
-      }
-      // A stale colliding pair is lazily evicted instead of growing a
-      // subtree under a corpse; the caller re-reads the emptied slot.
-      if (bounded_ && hz.evictable(ostamp)) {
-        try_evict_snode(slot, osn, cur, prev, lev, hz.expired(ostamp));
-        return Res::kRetryLevel;
-      }
-      if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
+                      WritePos& at, AtomicRef& slot, SNodeT* osn, Mode mode,
+                      const V* expected_value, const Horizon& hz) {
+    const std::uint64_t ostamp = stamp_of(osn);
+    if (holds(osn, key, h)) {
+      // A TTL-expired pair is semantically absent (DESIGN.md §3): upsert
+      // and put_if_absent replace the corpse through the same txn path —
+      // the replacement doubles as the lazy eviction — while the replace
+      // modes evict it and report the key absent.
+      const bool corpse = hz.expired(ostamp);
+      if (corpse &&
+          (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals)) {
+        try_evict_snode(slot, osn, at, /*expiry=*/true);
         return Res::kNotFound;
       }
-      if (cur.length() == 4) {
-        // case (3): collision in a narrow node — expand it to a wide one.
-        if (prev.null()) return Res::kRestart;  // descent began mid-trie
-        const std::uint32_t ppos = slot_index(h, lev - 4, prev.length());
-        ENode* en = make<ENode>(prev.anode(), ppos, cur, h, lev,
-                                /*compress=*/false);
-        testkit::chaos_point(testkit::Site::cachetrie_expand_announce);
-        Ref expected = cur;
-        if (prev.slot_at(ppos).compare_exchange_strong(
-                expected, Ref::to(en), std::memory_order_acq_rel,
-                std::memory_order_acquire)) {
-          complete_enode(en);
-          // [acquires: CT_ENODE_RESULT]
-          const Ref wide = en->result.load(std::memory_order_acquire);
-          assert(wide.tag() == Tag::kWide);
-          return insert_rec(key, value, h, lev, wide, prev, mode,
-                            expected_value, hz);
-        }
-        discard(en);
-        // Someone got to prev[ppos] first; help if it is an announcement.
-        const Ref now = prev.slot_at(ppos).load(std::memory_order_acquire);
-        if (now.tag() == Tag::kENode) complete_enode(now.as<ENode>());
-        return Res::kRestart;
+      if (!corpse &&
+          (mode == Mode::kIfAbsent ||
+           (mode == Mode::kReplaceIfEquals &&
+            !value_equals(osn->value, *expected_value)))) {
+        touch(osn, hz);  // the pair stays, and the write is a use of it
+        return Res::kExists;
       }
-      // case (2): collision in a wide node — build a deeper subtree that
-      // holds a fresh copy of osn's pair plus the new pair, and commit it
-      // through osn's txn.
-      return commit_txn(slot, osn,
-                        create_subtree(osn, h, key, value, lev + 4, hz.now),
-                        h, lev, kWriteTxn)
-                 ? Res::kNew
-                 : Res::kRetryLevel;
+      // case (4): same key — two-CAS replacement.
+      if (!commit_txn(slot, osn, Ref::to(make_leaf(h, key, value, hz.now)),
+                      h, at.lev, kWriteTxn)) {
+        return Res::kRetryLevel;
+      }
+      if (corpse) {
+        note_eviction(/*expiry=*/true, h, at.lev);
+        return Res::kNew;  // the replaced pair was semantically absent
+      }
+      return Res::kReplaced;
     }
-    if (txn == Ref::frozen_txn()) return Res::kRestart;  // frozen leaf
-    // A transaction is pending on this SNode: help commit it and retry.
-    commit_announced(slot, osn, txn);
-    obs::sites::cachetrie_txn_retry.add();
-    return Res::kRetryLevel;
+    // A stale colliding pair is lazily evicted instead of growing a
+    // subtree under a corpse; the caller re-reads the emptied slot.
+    if (bounded_ && hz.evictable(ostamp)) {
+      try_evict_snode(slot, osn, at, hz.expired(ostamp));
+      return Res::kRetryLevel;
+    }
+    if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
+      return Res::kNotFound;
+    }
+    if (at.cur.length() == 4) {
+      // case (3): collision in a narrow node — expand it to a wide one.
+      if (at.prev.null()) return Res::kRestart;  // walk began mid-trie
+      const std::uint32_t ppos = slot_index(h, at.lev - 4, at.prev.length());
+      ENode* en = make<ENode>(at.prev.anode(), ppos, at.cur, h, at.lev,
+                              /*compress=*/false);
+      testkit::chaos_point(testkit::Site::cachetrie_expand_announce);
+      Ref expected = at.cur;
+      if (at.prev.slot_at(ppos).compare_exchange_strong(
+              expected, Ref::to(en), std::memory_order_acq_rel,
+              std::memory_order_acquire)) {
+        complete_enode(en);
+        // Go on at the wide copy, which took at.cur's place under at.prev.
+        // [acquires: CT_ENODE_RESULT]
+        at.cur = en->result.load(std::memory_order_acquire);
+        assert(at.cur.tag() == Tag::kWide);
+        return Res::kRetryLevel;
+      }
+      discard(en);
+      // Someone got to prev[ppos] first; help if it is an announcement.
+      const Ref now = at.prev.slot_at(ppos).load(std::memory_order_acquire);
+      if (now.tag() == Tag::kENode) complete_enode(now.as<ENode>());
+      return Res::kRestart;
+    }
+    // case (2): collision in a wide node — build a deeper subtree that
+    // holds a fresh copy of osn's pair plus the new pair, and commit it
+    // through osn's txn.
+    return commit_txn(slot, osn,
+                      create_subtree(osn, h, key, value, at.lev + 4, hz.now),
+                      h, at.lev, kWriteTxn)
+               ? Res::kNew
+               : Res::kRetryLevel;
   }
 
   /// Slot holds a collision chain. Chains are immutable: rebuild it with the
@@ -939,9 +954,8 @@ class CacheTrie {
   /// new pair under a fresh inner path; either swaps in with one CAS.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   Res insert_at_lnode(const K& key, const V& value, std::uint64_t h,
-                      std::uint32_t lev, Ref cur, Ref prev, AtomicRef& slot,
-                      LNodeT* chain, Mode mode, const V* expected_value,
-                      const Horizon& hz) {
+                      const WritePos& at, AtomicRef& slot, LNodeT* chain,
+                      Mode mode, const V* expected_value, const Horizon& hz) {
     if (chain->hash != h) {
       // The new key only shares a prefix with the chain's hash: grow an
       // inner path below this slot that separates them. The existing chain
@@ -952,7 +966,7 @@ class CacheTrie {
       }
       SNodeT* sn = make_leaf(h, key, value, hz.now);
       const Ref subtree =
-          branch_apart(Ref::to(chain), chain->hash, sn, h, lev + 4);
+          branch_apart(Ref::to(chain), chain->hash, sn, h, at.lev + 4);
       testkit::chaos_point(testkit::Site::cachetrie_chain_grow);
       Ref expected = Ref::to(chain);
       if (slot.compare_exchange_strong(expected, subtree,
@@ -979,7 +993,7 @@ class CacheTrie {
       // chain; it is already unobservable, so reporting absent is correct.
       return Res::kNotFound;
     }
-    return rebuild_chain(slot, chain, key, &value, h, lev, cur, prev, hz);
+    return rebuild_chain(slot, chain, key, &value, h, at, hz);
   }
 
   // --- lookup (paper Fig. 2, with the Fig. 6 cache hooks) -------------------
@@ -1157,7 +1171,7 @@ class CacheTrie {
 
   // --- remove (paper §3.7) ---------------------------------------------------
 
-  /// What a successful remove_rec hands back: the removed value and the
+  /// What a successful remove_at hands back: the removed value and the
   /// level of the slot its commit emptied or rebuilt.
   struct Removed {
     std::optional<V> value;
@@ -1174,7 +1188,11 @@ class CacheTrie {
     const Horizon hz = make_horizon();
     Removed out;
     const Res r = descend(h, [&](std::uint32_t lev, Ref start) {
-      return remove_rec(key, h, lev, start, Ref{}, &out, expected, hz);
+      return write_walk(h, lev, start, /*inhabit=*/false,
+                        [&](WritePos& at, AtomicRef& slot, Ref old) {
+                          return remove_at(key, h, at, slot, old, &out,
+                                           expected, hz);
+                        });
     });
     if (r != Res::kRemoved) return std::nullopt;
     if (as_evict) {
@@ -1185,83 +1203,57 @@ class CacheTrie {
     return std::move(out.value);
   }
 
+  /// Remove's step where its write walk ends: `old` is an empty slot, an
+  /// idle SNode or a chain. A removal fills `out` (paper §3.7).
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  Res remove_rec(const K& key, std::uint64_t h, std::uint32_t lev, Ref cur,
-                 Ref prev, Removed* out, const V* expected,
-                 const Horizon& hz) {
-    while (true) {
-      AtomicRef& slot = cur.slot(h, lev);
-      const Ref old = slot.load(std::memory_order_acquire);
-      if (old.is_frozen()) return Res::kRestart;
-      switch (old.tag()) {
-        case Tag::kEmpty:
-          return Res::kNotFound;
-        case Tag::kNarrow:
-        case Tag::kWide:
-          return remove_rec(key, h, lev + 4, old, cur, out, expected, hz);
-        case Tag::kSNode: {
-          auto* osn = old.as<SNodeT>();
-          const Ref txn = osn->txn.load(std::memory_order_acquire);
-          if (txn == Ref::no_txn()) {
-            const std::uint64_t ostamp = stamp_of(osn);
-            const bool mine = holds(osn, key, h);
-            // Hygiene: a stale pair crossing a remover's path is evicted
-            // even though it is not the remover's key. The remover's own
-            // pair, when a corpse, is semantically absent: evict it and
-            // report NotFound (even for a plain remove).
-            if (bounded_ &&
-                (mine ? hz.expired(ostamp) : hz.evictable(ostamp))) {
-              try_evict_snode(slot, osn, cur, prev, lev, hz.expired(ostamp));
-              return Res::kNotFound;
-            }
-            if (!mine) return Res::kNotFound;
-            if (expected != nullptr && !value_equals(osn->value, *expected)) {
-              return Res::kNotFound;
-            }
-            // Announce removal by publishing nullptr in txn, then commit
-            // null into the slot.
-            *out = {osn->value, lev};
-            if (!commit_txn(slot, osn, Ref{}, h, lev, kWriteTxn)) continue;
-            maybe_compress(cur, prev, h, lev);
-            return Res::kRemoved;
-          }
-          if (txn == Ref::frozen_txn()) return Res::kRestart;
-          // Help commit the pending transaction and retry.
-          commit_announced(slot, osn, txn);
-          obs::sites::cachetrie_txn_retry.add();
-          continue;
-        }
-        case Tag::kLNode: {
-          auto* chain = old.as<LNodeT>();
-          // A corpse is semantically absent: nothing to remove. It stays
-          // until a mutating rebuild of this chain drops it.
-          const LNodeT* live = chain_find(chain, key, h, hz);
-          if (live == nullptr ||
-              (expected != nullptr && !value_equals(live->value, *expected))) {
-            return Res::kNotFound;
-          }
-          *out = {live->value, lev};
-          const Res r =
-              rebuild_chain(slot, chain, key, nullptr, h, lev, cur, prev, hz);
-          if (r != Res::kRetryLevel) return r;
-          continue;
-        }
-        case Tag::kENode:
-          complete_enode(old.as<ENode>());
-          continue;
-        default:
-          assert(false && "a sentinel in an ANode slot");
-          return Res::kRestart;
+  Res remove_at(const K& key, std::uint64_t h, const WritePos& at,
+                AtomicRef& slot, Ref old, Removed* out, const V* expected,
+                const Horizon& hz) {
+    if (old.tag() == Tag::kLNode) {
+      auto* chain = old.as<LNodeT>();
+      // A corpse is semantically absent: nothing to remove. It stays until a
+      // mutating rebuild of this chain drops it.
+      const LNodeT* live = chain_find(chain, key, h, hz);
+      if (live == nullptr ||
+          (expected != nullptr && !value_equals(live->value, *expected))) {
+        return Res::kNotFound;
       }
+      *out = {live->value, at.lev};
+      return rebuild_chain(slot, chain, key, nullptr, h, at, hz);
     }
+    if (old.tag() != Tag::kSNode) return Res::kNotFound;  // empty slot
+    auto* osn = old.as<SNodeT>();
+    const std::uint64_t ostamp = stamp_of(osn);
+    const bool mine = holds(osn, key, h);
+    // Hygiene: a stale pair crossing a remover's path is evicted even though
+    // it is not the remover's key. The remover's own pair, when a corpse, is
+    // semantically absent: evict it and report NotFound (even for a plain
+    // remove).
+    if (bounded_ && (mine ? hz.expired(ostamp) : hz.evictable(ostamp))) {
+      try_evict_snode(slot, osn, at, hz.expired(ostamp));
+      return Res::kNotFound;
+    }
+    if (!mine) return Res::kNotFound;
+    if (expected != nullptr && !value_equals(osn->value, *expected)) {
+      return Res::kNotFound;
+    }
+    // Announce removal by publishing null in txn, then commit null into the
+    // slot.
+    *out = {osn->value, at.lev};
+    if (!commit_txn(slot, osn, Ref{}, h, at.lev, kWriteTxn)) {
+      return Res::kRetryLevel;
+    }
+    maybe_compress(at, h);
+    return Res::kRemoved;
   }
 
-  /// After a removal emptied `cur`, or left it a single SNode, announce a
-  /// compression that replaces it in `prev` with null or that SNode (or with
-  /// a collapsed copy if it was repopulated concurrently — the
+  /// After a removal emptied `at.cur`, or left it a single SNode, announce a
+  /// compression that replaces it in `at.prev` with null or that SNode (or
+  /// with a collapsed copy if it was repopulated concurrently — the
   /// freeze-then-copy protocol makes this race benign). Off unless
   /// Config::compress.
-  void maybe_compress(Ref cur, Ref prev, std::uint64_t h, std::uint32_t lev) {
+  void maybe_compress(const WritePos& at, std::uint64_t h) {
+    const auto [cur, prev, lev] = at;
     if (!config_.compress || prev.null()) return;
     std::uint32_t live = 0;
     bool hoistable_only = true;

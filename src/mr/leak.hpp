@@ -1,7 +1,7 @@
 // leak.hpp — the "do nothing" reclamation policy.
 //
 // Never frees retired nodes. Two uses:
-//   * ablation benches isolate the cost of EBR/HP by comparing against this
+//   * ablation benches isolate the cost of EBR by comparing against this
 //     policy (paper substitution note: the JVM's GC amortizes reclamation
 //     outside the measured operation, so LeakReclaimer is the closest
 //     analogue to what the paper's numbers actually measured);

@@ -27,11 +27,11 @@
 //     calling `.add()`.
 //   * Span handles add `.span(a0, a1)`: an RAII trace::Span.
 //
-// When CACHETRIE_METRICS is off every handle is empty (the Null* types);
-// when CACHETRIE_TRACE is off record() only counts and span() returns the
-// zero-size NullSpan. Handles are namespace-scope `inline` variables:
-// constructed during static initialization (before any structure runs an
-// operation), shared across translation units, and one pointer each.
+// When CACHETRIE_METRICS is off every handle is empty (the Null* types),
+// record() does nothing and span() returns the zero-size NullSpan. Handles
+// are namespace-scope `inline` variables: constructed during static
+// initialization (before any structure runs an operation), shared across
+// translation units, and one pointer each.
 //
 // Naming: <layer>.<subsystem>.<event>, all lowercase. Where a site's
 // metric and event names differ, both are kept as they were first

@@ -25,11 +25,11 @@
 // because nothing is ever deallocated. The thread id is stored per event,
 // so recycling cannot misattribute old events to the ring's next owner.
 //
-// Build modes mirror obs/metrics.hpp:
-//   * CACHETRIE_TRACE on (default via CMake option): the above, behind one
+// Build modes follow obs/metrics.hpp's switch, the one observability switch:
+//   * CACHETRIE_METRICS on (default via CMake option): the above, behind one
 //     relaxed atomic-bool load per trace point (runtime-disabled tracing is
 //     a compare + branch; nothing touches TLS or the ring).
-//   * CACHETRIE_TRACE off: emit()/Span compile to nothing, Span is the
+//   * CACHETRIE_METRICS off: emit()/Span compile to nothing, Span is the
 //     zero-size NullSpan (static_assert-enforced, mirroring NullCounter).
 //
 // Runtime enablement: trace::enable(true), or CACHETRIE_TRACE_ENABLE=1 in
@@ -42,7 +42,7 @@
 
 #include "obs/tsc.hpp"
 
-#if defined(CACHETRIE_TRACE) && CACHETRIE_TRACE
+#if defined(CACHETRIE_METRICS) && CACHETRIE_METRICS
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -70,17 +70,15 @@ struct Event {
   std::uint64_t a1 = 0;
 };
 
-/// Zero-size stand-in for Span in trace-OFF builds; unconditional so the
-/// guarantee is static_assert-checkable even in trace-on test builds.
+/// Zero-size stand-in for Span in metrics-OFF builds; unconditional so the
+/// guarantee is static_assert-checkable even in metrics-on test builds.
 struct NullSpan {
   constexpr NullSpan(EventId, EventId, std::uint64_t = 0,
                      std::uint64_t = 0) noexcept {}
 };
 static_assert(sizeof(NullSpan) == 1 && alignof(NullSpan) == 1);
 
-#if defined(CACHETRIE_TRACE) && CACHETRIE_TRACE
-
-inline constexpr bool kTraceCompiled = true;
+#if defined(CACHETRIE_METRICS) && CACHETRIE_METRICS
 
 namespace detail {
 
@@ -309,9 +307,7 @@ class Span {
 
 inline Registry& registry() { return Registry::instance(); }
 
-#else  // !CACHETRIE_TRACE
-
-inline constexpr bool kTraceCompiled = false;
+#else  // !CACHETRIE_METRICS
 
 constexpr void enable(bool) noexcept {}
 constexpr bool enabled() noexcept { return false; }
@@ -335,6 +331,6 @@ class Registry {
 
 inline Registry& registry() { return Registry::instance(); }
 
-#endif  // CACHETRIE_TRACE
+#endif  // CACHETRIE_METRICS
 
 }  // namespace cachetrie::obs::trace

@@ -112,9 +112,9 @@ inline std::string dump_path(const char* reason) {
 }
 
 /// Drains every ring and writes the timeline. Returns the path written,
-/// or "" on trace-OFF builds / I/O failure. Safe while recording continues.
+/// or "" on metrics-OFF builds / I/O failure. Safe while recording continues.
 inline std::string dump_to_file(const char* reason) {
-  if (!kTraceCompiled) return {};
+  if (!kMetricsCompiled) return {};
   const std::string file = dump_path(reason);
   std::ofstream os{file};
   if (!os) {
@@ -135,7 +135,7 @@ inline std::string dump_to_file(const char* reason) {
 /// no-ops). No-op when tracing is compiled out or not runtime-enabled, so
 /// ordinary fault tests don't spray files.
 inline std::string post_mortem_dump(const char* reason) {
-  if (!kTraceCompiled || !enabled()) return {};
+  if (!kMetricsCompiled || !enabled()) return {};
   static std::atomic<bool> done{false};
   if (done.exchange(true, std::memory_order_acq_rel)) return {};
   return dump_to_file(reason);

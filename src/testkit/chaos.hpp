@@ -18,8 +18,8 @@
 //   * CACHETRIE_TESTKIT off (default, all release/bench builds):
 //     chaos_point() is a constexpr no-op — zero code, zero data, zero cost.
 //     The table is defined in both modes.
-//   * CACHETRIE_TESTKIT on (test binaries opt in per-target, or configure
-//     with -DCACHETRIE_TESTKIT=ON): each call advances a thread-local
+//   * CACHETRIE_TESTKIT on (test binaries opt in per target, through
+//     tests/CMakeLists.txt's TESTKIT flag): each call advances a thread-local
 //     xorshift stream exactly once and derives a decision (nothing / yield /
 //     bounded spin) from the stream value mixed with the row's mixing word.
 //

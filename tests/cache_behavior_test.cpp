@@ -171,6 +171,35 @@ TEST(CacheBehavior, SteadyChurnKeepsItsCacheLevel) {
   }
 }
 
+TEST(CacheBehavior, UncontendedChurnNeverRestartsFromTheRoot) {
+  // Alone, a write finishes every expansion and compression it starts, so
+  // its walk never meets a frozen word and never goes back to the root. In
+  // particular an insert that expands a narrow node goes on at the wide
+  // copy. The trie stays unbounded: a bounded one's hygiene eviction can
+  // compress the node a writer stands in, which restarts it legitimately.
+  if (!kCounted) GTEST_SKIP() << "metrics compiled out (CACHETRIE_METRICS=0)";
+  Trie trie;
+  const auto keys = cachetrie::harness::random_keys(1u << 14, 7);
+  const std::uint64_t restarts0 = sites::cachetrie_root_restart.total();
+  const std::uint64_t expands0 = sites::cachetrie_expand.total();
+  const std::uint64_t compresses0 = sites::cachetrie_compress.total();
+  cachetrie::util::XorShift64Star rng{7};
+  for (int i = 0; i < 400000; ++i) {
+    const std::uint64_t r = rng.next();
+    const std::uint64_t k = keys[r & (keys.size() - 1)];
+    switch ((r >> 32) % 4) {
+      case 0: trie.insert(k, r); break;
+      case 1: (void)trie.remove(k); break;
+      default: (void)trie.lookup(k);
+    }
+  }
+  EXPECT_EQ(sites::cachetrie_root_restart.total(), restarts0);
+  EXPECT_GT(sites::cachetrie_expand.total(), expands0);
+  EXPECT_GT(sites::cachetrie_compress.total(), compresses0);
+  const auto issues = trie.debug_validate();
+  EXPECT_TRUE(issues.empty()) << issues.front();
+}
+
 TEST(CacheBehavior, RemovedKeysInvisibleThroughWarmCache) {
   // The automatic-eviction property (§3.4): after a removal, a lookup that
   // goes through a stale cache entry must still answer "absent".

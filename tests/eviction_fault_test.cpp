@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -35,6 +36,7 @@
 #include "testkit/chaos.hpp"
 #include "testkit/fault.hpp"
 #include "testkit/watchdog.hpp"
+#include "util/hashing.hpp"
 
 namespace {
 
@@ -350,6 +352,58 @@ TEST(EvictionFault, StallStormLeavesStructureValidAndLedgerExact) {
       << "byte ledger diverged from the live structure";
   if (kCounted) {
     EXPECT_GT(sites::cachetrie_evict_lru.total() - lru0, 0u);
+  }
+}
+
+TEST(EvictionFault, ProbeHelpsTheExpansionItMeets) {
+  // The eviction probe is a write walk, so it helps an announcement it
+  // meets like any write. Under the identity hash 0x01 and 0x11 share the
+  // narrow node at level 4 under root slot 1, and inserting 0x41 expands
+  // it. That victim parks as it starts completing its expansion, with the
+  // ENode already in root slot 1. The intruder's replaces stay in root slot
+  // 2, so only their backpressure probes can cross slot 1. The clock never
+  // moves, so nothing is ever evictable and every over-ceiling write only
+  // probes.
+  using Placed = cachetrie::CacheTrie<std::uint64_t, std::uint64_t,
+                                      cachetrie::util::IdentityHash>;
+  cachetrie::Config cfg = ceiling_config(64);
+  cfg.tick_fn = +[]() -> std::uint64_t { return 1; };
+  Placed trie(cfg);
+  for (const std::uint64_t k : {0x01, 0x11, 0x02}) {
+    ASSERT_TRUE(trie.insert(k, k));
+  }
+  ASSERT_GT(trie.resident_bytes(), 64u);
+
+  const std::uint64_t expands0 = sites::cachetrie_expand.total();
+  std::size_t writes = 0;
+  const Site row = Site::cachetrie_enode_complete;
+  const std::size_t parks = fault::lose_race(
+      36, std::span<const Site>(&row, 1),
+      [&] { EXPECT_TRUE(trie.insert(0x41, 0x41)); },
+      [&](std::size_t) {
+        // The victim's own crossing is already counted.
+        const std::uint64_t hits0 = tk::chaos::site_hits(row);
+        while (tk::chaos::site_hits(row) == hits0 && writes < 10000) {
+          ASSERT_TRUE(trie.replace(0x02, writes++));
+        }
+        EXPECT_GT(tk::chaos::site_hits(row), hits0)
+            << "no probe crossed root slot 1 in " << writes << " writes";
+        if (kCounted) {
+          EXPECT_EQ(sites::cachetrie_expand.total(), expands0 + 1)
+              << "the probe did not commit the parked expansion";
+        }
+      });
+  ASSERT_EQ(parks, 1u);
+  const auto issues = trie.debug_validate();
+  EXPECT_TRUE(issues.empty()) << issues.front();
+  EXPECT_EQ(trie.resident_bytes(), trie.footprint_bytes() - sizeof(Placed))
+      << "byte ledger diverged from the live structure";
+  for (const std::uint64_t k : {0x01, 0x11, 0x41}) {
+    EXPECT_EQ(trie.lookup(k), k);
+  }
+  EXPECT_EQ(trie.lookup(0x02), writes - 1);
+  if (kCounted) {
+    EXPECT_EQ(sites::cachetrie_expand.total(), expands0 + 1);
   }
 }
 

@@ -229,7 +229,7 @@ TEST(NetIntrospect, StatsParseValidUnderConcurrentLoad) {
 // points and the reply echoes 1; disable → recorder off, echo 0. An
 // out-of-range action draws kBadRequest without disturbing the state.
 TEST(NetIntrospect, TraceCtlRoundTrip) {
-  if (!cachetrie::obs::trace::kTraceCompiled) {
+  if (!cachetrie::obs::kMetricsCompiled) {
     GTEST_SKIP() << "flight recorder compiled out";
   }
   const std::string out_dir =

@@ -21,6 +21,7 @@
 
 #include "cachetrie/cache_trie.hpp"
 #include "mr/epoch.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 #include "testkit/chaos.hpp"
@@ -39,8 +40,8 @@ using namespace std::chrono_literals;
 using Trie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
 
 TEST(TraceSmoke, ParkedReaderHoldsEpochUntilResume) {
-  if (!trace::kTraceCompiled) {
-    GTEST_SKIP() << "tracing compiled out (CACHETRIE_TRACE=0)";
+  if (!cachetrie::obs::kMetricsCompiled) {
+    GTEST_SKIP() << "tracing compiled out (CACHETRIE_METRICS=0)";
   }
   auto& dom = EpochDomain::instance();
   dom.drain_for_testing();

@@ -34,8 +34,8 @@ namespace {
 
 // --- OFF configuration: zero-size, constexpr no-op trace points ------------
 
-// A trace point in a trace-off build must cost literally nothing; NullSpan
-// is unconditional, so a trace-ON test run still guards the OFF contract.
+// A trace point in a metrics-off build must cost literally nothing; NullSpan
+// is unconditional, so a metrics-ON test run still guards the OFF contract.
 static_assert(std::is_empty_v<trace::NullSpan>);
 static_assert(std::is_trivially_destructible_v<trace::NullSpan>);
 
@@ -46,8 +46,8 @@ constexpr bool null_span_probe() {
 }
 static_assert(null_span_probe());
 
-#if !CACHETRIE_TRACE
-static_assert(!trace::kTraceCompiled);
+#if !CACHETRIE_METRICS
+static_assert(!cachetrie::obs::kMetricsCompiled);
 static_assert(std::is_same_v<trace::Span, trace::NullSpan>);
 // emit/enable must be usable in constant expressions when compiled out.
 constexpr bool off_emit_probe() {
@@ -57,7 +57,7 @@ constexpr bool off_emit_probe() {
 }
 static_assert(off_emit_probe());
 #else
-static_assert(trace::kTraceCompiled);
+static_assert(cachetrie::obs::kMetricsCompiled);
 #endif
 
 // The event-info table is total: every id below kCount has a name and a
@@ -88,13 +88,13 @@ TEST(TraceEvents, InfoTableIsTotal) {
   EXPECT_NE(os.str().find(table), std::string::npos) << os.str();
 }
 
-// --- live recorder (trace-on builds only) ----------------------------------
+// --- live recorder (metrics-on builds only) --------------------------------
 
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!trace::kTraceCompiled) {
-      GTEST_SKIP() << "tracing compiled out (CACHETRIE_TRACE=0)";
+    if (!cachetrie::obs::kMetricsCompiled) {
+      GTEST_SKIP() << "tracing compiled out (CACHETRIE_METRICS=0)";
     }
     trace::registry().set_ring_capacity_for_testing(4096);
     trace::registry().reset_for_testing();
@@ -102,7 +102,7 @@ class TraceTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    if (!trace::kTraceCompiled) return;
+    if (!cachetrie::obs::kMetricsCompiled) return;
     trace::enable(false);
     trace::registry().set_ring_capacity_for_testing(4096);
     trace::registry().reset_for_testing();
