@@ -86,9 +86,22 @@ struct LevelHistogram {
   }
 };
 
+namespace detail {
+
+/// A node's word and its trie level: where a descent starts (cache_start),
+/// or the leaf a read walk reached (read_walk; an empty word when the path
+/// ends in an empty slot).
+struct NodeAt {
+  Ref node;
+  std::uint32_t level = 0;
+};
+
+}  // namespace detail
+
 template <typename K, typename V, typename Hash = util::DefaultHash<K>,
           typename Reclaimer = mr::EpochReclaimer>
 class CacheTrie {
+  using NodeAt = detail::NodeAt;
   using Ref = detail::Ref;
   using AtomicRef = detail::AtomicRef;
   using Tag = detail::Tag;
@@ -162,44 +175,43 @@ class CacheTrie {
     const std::int32_t cache_level =
         cache == nullptr ? kNoCacheLevel
                          : static_cast<std::int32_t>(cache->level);
-    // Fast path (paper Fig. 6): probe cache levels, deepest first.
-    for (CacheArray* c = cache; c != nullptr; c = c->parent) {
-      const Ref cachee =
-          c->entry(c->index_of(h)).load(std::memory_order_acquire);
-      if (cachee.is_anode()) {
-        // The word's tag gives the ANode's slot count, so the slot is
-        // addressed without touching anything else in the node.
-        // If the relevant entry is frozen the ANode may already be detached;
-        // fall back.
-        if (entry_frozen</*SeqCst=*/false>(cachee, h, c->level)) continue;
-        // Same counter as the SNode fast path, so its pre-add value keeps
-        // sampling one in 64 hits regardless of which hit kind fires.
-        const bool sample_depth =
-            (obs::sites::cachetrie_cache_hit.add() & 63u) == 0u;
-        return lookup_rec(key, h, c->level, cachee, cache_level, c->level,
-                          sample_depth, hz);
+    // Fast path (paper Fig. 6): the deepest live cache word on h's path.
+    const NodeAt start = cache_start(cache, h, /*snodes=*/true);
+    if (start.node.tag() == Tag::kSNode) {
+      // Live SNode on this key's path: it either is the key, or proves the
+      // key absent (no other key shares this hash prefix, else an ANode
+      // would occupy the position).
+      // One plain add to this thread's stripe; its return value doubles as
+      // a ~1/64 sampler for the depth histogram (depth 1: the cached SNode
+      // was the only dereference).
+      if ((obs::sites::cachetrie_cache_hit.add() & 63u) == 0u) {
+        obs::sites::cachetrie_lookup_depth.record(1);
       }
-      if (cachee.tag() == Tag::kSNode) {
-        auto* sn = cachee.as<SNodeT>();
-        if (sn->txn.load(std::memory_order_acquire) == Ref::no_txn()) {
-          // Live SNode on this key's path: it either is the key, or proves
-          // the key absent (no other key shares this hash prefix, else an
-          // ANode would occupy the position).
-          // One plain add to this thread's stripe; its return value doubles
-          // as a ~1/64 sampler for the depth histogram (depth 1: the
-          // cached SNode was the only dereference).
-          if ((obs::sites::cachetrie_cache_hit.add() & 63u) == 0u) {
-            obs::sites::cachetrie_lookup_depth.record(1);
-          }
-          return snode_hit(sn, key, h, hz);
-        }
-        continue;  // stale entry; try a shallower cache level
-      }
-      // Empty, or anything else cached is stale; try shallower levels.
+      return snode_hit(start.node.as<SNodeT>(), key, h, hz);
     }
-    const bool sample_depth =
-        (obs::sites::cachetrie_lookup_slow.add() & 63u) == 0u;
-    return lookup_rec(key, h, 0, root_, cache_level, 0, sample_depth, hz);
+    // A cached ANode counts a hit on the SNode path's counter, so its
+    // pre-add value keeps sampling one in 64 hits whichever hit kind fires;
+    // a walk from the root counts on its own. The sample is the
+    // dereferences this descent performed: the nodes walked from the level
+    // it entered at down to and including the leaf. Every entry derives it
+    // the same way, so the histogram is a uniform ~1/64 sample of the
+    // per-lookup depth distribution — unbiased across fast, one-hop and
+    // root-walk descents.
+    auto& counter = start.node == root_ ? obs::sites::cachetrie_lookup_slow
+                                        : obs::sites::cachetrie_cache_hit;
+    const bool sample_depth = (counter.add() & 63u) == 0u;
+    const NodeAt leaf = read_walk(h, start.level, start.node, cache_level);
+    if (leaf.node.null()) return std::nullopt;
+    if (sample_depth) {
+      obs::sites::cachetrie_lookup_depth.record(
+          (leaf.level - start.level) / 4 + 1);
+    }
+    auto* sn = leaf.node.tag() == Tag::kSNode ? leaf.node.as<SNodeT>()
+                                              : nullptr;
+    note_leaf_level(sn, leaf.level, cache_level);
+    if (sn != nullptr) return snode_hit(sn, key, h, hz);
+    const LNodeT* l = chain_find(leaf.node.as<LNodeT>(), key, h, hz);
+    return l != nullptr ? std::optional<V>(l->value) : std::nullopt;
   }
 
   bool contains(const K& key) const { return lookup(key).has_value(); }
@@ -273,8 +285,8 @@ class CacheTrie {
   /// mr.pool.mapped_bytes gauge cover it, for all structures alike).
   std::size_t footprint_bytes() const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    std::size_t bytes = sizeof(*this);
-    bytes += subtree_footprint(root_);
+    auto none = [](const K&, const V&, std::uint64_t, std::uint32_t) {};
+    std::size_t bytes = sizeof(*this) + for_each_node(root_, 0, none);
     for (CacheArray* c = cache_head_.load(std::memory_order_acquire);
          c != nullptr; c = c->parent) {
       bytes += node_bytes(c);
@@ -605,7 +617,11 @@ class CacheTrie {
   /// cache_start finds one, then from the root until it does not restart.
   template <typename From>
   Res descend(std::uint64_t h, From&& from) {
-    if (auto start = cache_start(h); !start.node.null()) {
+    CacheArray* cache = config_.use_cache
+                            ? cache_head_.load(std::memory_order_acquire)
+                            : nullptr;
+    if (auto start = cache_start(cache, h, /*snodes=*/false);
+        start.node != root_) {
       const Res r = from(start.level, start.node);
       if (r != Res::kRestart) return r;
     }
@@ -628,26 +644,30 @@ class CacheTrie {
     return r;
   }
 
-  struct CacheStart {
-    Ref node;  // an ANode, or empty
-    std::uint32_t level = 0;
-  };
-
-  /// Finds a cached ANode to begin a write-path descent. Only ANode cachees
-  /// are usable (writes may need the node's parent, which the cache cannot
-  /// supply for SNodes). Uses the fast lookup's validity check.
+  /// The one cache probe (paper Fig. 6): the first live word on `h`'s path
+  /// in the chain from `cache`, deepest array first, with its array's
+  /// level; the root at level 0 when no array holds one. A cached ANode is
+  /// live while its entry for `h` is not frozen (§3.4), a cached SNode while
+  /// its txn is idle. Writes pass over SNode words (`snodes` false): they
+  /// may need the node's parent, which the cache cannot supply.
   // [read-path]
-  CacheStart cache_start(std::uint64_t h) const {
-    if (!config_.use_cache) return {};
-    for (CacheArray* c = cache_head_.load(std::memory_order_acquire);
-         c != nullptr; c = c->parent) {
+  NodeAt cache_start(CacheArray* cache, std::uint64_t h,
+                     bool snodes) const {
+    for (CacheArray* c = cache; c != nullptr; c = c->parent) {
       const Ref cachee =
           c->entry(c->index_of(h)).load(std::memory_order_acquire);
-      if (!cachee.is_anode()) continue;  // empty, or not an ANode
-      if (entry_frozen</*SeqCst=*/false>(cachee, h, c->level)) continue;
-      return {cachee, c->level};
+      // The word's tag gives the ANode's slot count, so the slot is
+      // addressed without touching anything else in the node.
+      const bool live =
+          cachee.is_anode()
+              ? !entry_frozen</*SeqCst=*/false>(cachee, h, c->level)
+              : snodes && cachee.tag() == Tag::kSNode &&
+                    cachee.as<SNodeT>()->txn.load(
+                        std::memory_order_acquire) == Ref::no_txn();
+      // Empty, or anything else cached is stale; try shallower levels.
+      if (live) return {cachee, c->level};
     }
-    return {};
+    return {root_, 0};
   }
 
   /// The one write-path walk (paper Fig. 3 and §3.7) down `h`'s path from
@@ -1052,58 +1072,43 @@ class CacheTrie {
     return nullptr;
   }
 
-  /// The lookup's walk from `cur`, the word of an ANode at `lev`. Each hop
-  /// addresses its slot from the word it followed, so it loads nothing from
-  /// an ANode but that slot.
+  /// The one read-only walk (paper Fig. 2) down `h`'s path from `cur`, the
+  /// word of an ANode at `lev`, shared by lookup and the sampling pass
+  /// (§3.6). Each hop addresses its slot from the word it followed, so it
+  /// loads nothing from an ANode but that slot. A frozen word reads like
+  /// the node it freezes, and an ENode like its still-intact target: both
+  /// stay intact until their replacement commits, so the walk goes on
+  /// through them and linearizes before that commit. A step into a node at
+  /// `inhabit_level` inhabits the cache with it (Fig. 6 line 3); a walk
+  /// that starts at a cached ANode never re-stores that ANode, since the
+  /// first step is below it.
   // [read-path]
-  std::optional<V> lookup_rec(const K& key, std::uint64_t h,
-                              std::uint32_t lev, Ref cur,
-                              std::int32_t cache_level,
-                              std::uint32_t start_lev, bool sample_depth,
-                              const Horizon& hz) const {
-    // Fig. 6 line 3: passing the cache level on the way down lets the slow
-    // path repopulate the cache. A one-hop descent starts at the ANode it
-    // just read from the deepest cache entry (lev == start_lev, not the
-    // root); re-storing it would write back the pointer already there, and
-    // pay the inhabit's seq_cst fence for nothing.
-    if (static_cast<std::int32_t>(lev) == cache_level &&
-        (lev != start_lev || cur == root_)) {
-      maybe_inhabit(cur, h, lev);
-    }
-    // A frozen word reads like the node it freezes: a frozen ANode or chain
-    // stays intact until its replacement commits, so the walk goes on
-    // read-only through it (and linearizes before that commit).
-    const Ref old = cur.slot(h, lev).load(std::memory_order_acquire);
-    switch (old.tag()) {
-      case Tag::kNarrow:
-      case Tag::kWide:
-        return lookup_rec(key, h, lev + 4, old.thawed(), cache_level,
-                          start_lev, sample_depth, hz);
-      case Tag::kSNode: {
-        auto* sn = old.as<SNodeT>();
-        note_leaf_level(sn, lev + 4, cache_level, start_lev, sample_depth);
-        return snode_hit(sn, key, h, hz);
+  NodeAt read_walk(std::uint64_t h, std::uint32_t lev, Ref cur,
+                   std::int32_t inhabit_level) const {
+    while (true) {
+      const Ref old = cur.slot(h, lev).load(std::memory_order_acquire);
+      switch (old.tag()) {
+        case Tag::kNarrow:
+        case Tag::kWide:
+          cur = old.thawed();
+          break;
+        case Tag::kENode:
+          cur = old.as<ENode>()->target;
+          break;
+        case Tag::kSNode:
+        case Tag::kLNode:
+          return {old, lev + 4};
+        default:  // an empty slot, frozen or not
+          return {};
       }
-      case Tag::kLNode: {
-        note_leaf_level(nullptr, lev + 4, cache_level, start_lev,
-                        sample_depth);
-        const LNodeT* l = chain_find(old.as<LNodeT>(), key, h, hz);
-        return l != nullptr ? std::optional<V>(l->value) : std::nullopt;
+      lev += 4;
+      if (static_cast<std::int32_t>(lev) == inhabit_level) {
+        maybe_inhabit(cur, h, lev);
       }
-      case Tag::kENode:
-        // A pending expansion/compression: continue read-only through the
-        // still-intact target (linearizes before the replacement commits).
-        return lookup_rec(key, h, lev + 4, old.as<ENode>()->target,
-                          cache_level, start_lev, sample_depth, hz);
-      case Tag::kEmpty:
-        return std::nullopt;
-      default:
-        assert(false && "a sentinel in an ANode slot");
-        return std::nullopt;
     }
   }
 
-  /// Cache bookkeeping when the slow path reaches a leaf at `leaf_lev`
+  /// Cache bookkeeping when a lookup's walk reaches a leaf at `leaf_lev`
   /// (Fig. 6 lines 9-13): inhabit the cache when the leaf is exactly at the
   /// cache level (or when a deep leaf justifies creating the cache), and
   /// record a miss when the leaf lies outside the cache's reach — the cache
@@ -1112,19 +1117,7 @@ class CacheTrie {
   /// the miss count it may call are slow-path work with their own barriers.
   // [read-path]
   void note_leaf_level(SNodeT* sn, std::uint32_t leaf_lev,
-                       std::int32_t cache_level,
-                       std::uint32_t start_lev, bool sample_depth) const {
-    // Dereferences this descent performed: the nodes walked from the level
-    // the descent entered at (cached ANode, or the root) down to and
-    // including the leaf. Every lookup entry point derives `sample_depth`
-    // from its counter's pre-add value the same way the fast SNode path
-    // does, so the histogram is a uniform ~1/64 sample of the per-lookup
-    // depth distribution — unbiased across fast, one-hop and root-walk
-    // descents, and free on the 63-in-64 unsampled hot iterations.
-    if (sample_depth) {
-      obs::sites::cachetrie_lookup_depth.record((leaf_lev - start_lev) / 4 +
-                                                1);
-    }
+                       std::int32_t cache_level) const {
     if (!config_.use_cache) return;
     // SNodes are always inhabited under their *own* hash, not the probing
     // hash: under a narrow parent two bits of the slot index are unpinned,
@@ -1250,11 +1243,14 @@ class CacheTrie {
   /// After a removal emptied `at.cur`, or left it a single SNode, announce a
   /// compression that replaces it in `at.prev` with null or that SNode (or
   /// with a collapsed copy if it was repopulated concurrently — the
-  /// freeze-then-copy protocol makes this race benign). Off unless
-  /// Config::compress.
+  /// freeze-then-copy protocol makes this race benign). The paper compresses
+  /// empty nodes (§3.7); hoisting a single SNode one level up is ours, and
+  /// keeps the reachability invariant ("the slot path is a prefix of the
+  /// hash") because a shorter path is still a prefix. A walk that began at
+  /// a cached ANode has no `at.prev`, so that node is not compressed.
   void maybe_compress(const WritePos& at, std::uint64_t h) {
     const auto [cur, prev, lev] = at;
-    if (!config_.compress || prev.null()) return;
+    if (prev.null()) return;
     std::uint32_t live = 0;
     bool hoistable_only = true;
     for (std::uint32_t i = 0; i < cur.length(); ++i) {
@@ -1735,12 +1731,10 @@ class CacheTrie {
     std::array<std::uint32_t, 17> hist{};
     auto& rng = util::thread_rng();
     for (std::uint32_t s = 0; s < kSampleSize; ++s) {
-      const int lev = sample_path_leaf_level(rng.next());
-      if (lev >= 0) {
-        ++hist[static_cast<std::size_t>(lev) / 4];
-        obs::sites::cachetrie_sample_leaf_level.record(
-            static_cast<std::uint64_t>(lev) / 4);
-      }
+      const NodeAt leaf = read_walk(rng.next(), 0, root_, kNoCacheLevel);
+      if (leaf.node.null()) continue;
+      ++hist[leaf.level / 4];
+      obs::sites::cachetrie_sample_leaf_level.record(leaf.level / 4);
     }
     std::size_t best_d = 0;
     std::uint64_t best_count = 0;
@@ -1762,32 +1756,6 @@ class CacheTrie {
     desired = std::max(desired, config_.min_cache_level);
     desired = std::min(desired, config_.max_cache_level);
     adjust_cache_level(head, desired);
-  }
-
-  /// Follows one random hash path; returns the level of the leaf found, or
-  /// -1 if the path ends in an empty slot.
-  int sample_path_leaf_level(std::uint64_t h) const {
-    Ref cur = root_;
-    std::uint32_t lev = 0;
-    while (true) {
-      const Ref n = cur.slot(h, lev).load(std::memory_order_acquire);
-      switch (n.tag()) {
-        case Tag::kNarrow:
-        case Tag::kWide:
-          cur = n.thawed();
-          lev += 4;
-          continue;
-        case Tag::kSNode:
-        case Tag::kLNode:
-          return static_cast<int>(lev) + 4;
-        case Tag::kENode:
-          cur = n.as<ENode>()->target;
-          lev += 4;
-          continue;
-        default:
-          return -1;
-      }
-    }
   }
 
   /// Installs a cache array at `desired`, reusing the ancestor chain. The
@@ -1832,48 +1800,24 @@ class CacheTrie {
 
   // --- traversals --------------------------------------------------------------
 
-  /// Invokes fn(key, value, stamp, lev) for every pair in the subtree, where
-  /// `lev` is the pair's leaf level: `node`'s level `lev` plus 4 per ANode
-  /// below it (the public wrappers adapt the arity and filter corpses in
-  /// bounded mode).
+  /// The one subtree visitor: invokes fn(key, value, stamp, lev) for every
+  /// pair in the subtree, where `lev` is the pair's leaf level — `node`'s
+  /// level `lev` plus 4 per ANode below it (the public wrappers adapt the
+  /// arity and filter corpses in bounded mode) — and returns node_bytes
+  /// summed over the subtree's nodes.
   template <typename F>
-  void for_each_node(Ref node, std::uint32_t lev, F& fn) const {
+  std::size_t for_each_node(Ref node, std::uint32_t lev, F& fn) const {
     switch (node.tag()) {
       case Tag::kSNode: {
         auto* sn = node.as<const SNodeT>();
         fn(sn->key, sn->value, stamp_of(sn), lev);
-        return;
+        return node_bytes(sn);
       }
-      case Tag::kLNode:
-        for (const LNodeT* l = node.as<const LNodeT>(); l != nullptr;
-             l = l->next) {
-          fn(l->key, l->value, l->stamp, lev);
-        }
-        return;
-      case Tag::kNarrow:
-      case Tag::kWide:
-        for (std::uint32_t i = 0; i < node.length(); ++i) {
-          for_each_node(node.slot_at(i).load(std::memory_order_acquire),
-                        lev + 4, fn);
-        }
-        return;
-      case Tag::kENode:
-        for_each_node(node.as<const ENode>()->target, lev, fn);
-        return;
-      default:  // empty, frozen or not
-        return;
-    }
-  }
-
-  /// node_bytes summed over the subtree.
-  std::size_t subtree_footprint(Ref node) const {
-    switch (node.tag()) {
-      case Tag::kSNode:
-        return node_bytes(node.as<const SNodeT>());
       case Tag::kLNode: {
         std::size_t bytes = 0;
         for (const LNodeT* l = node.as<const LNodeT>(); l != nullptr;
              l = l->next) {
+          fn(l->key, l->value, l->stamp, lev);
           bytes += node_bytes(l);
         }
         return bytes;
@@ -1882,16 +1826,16 @@ class CacheTrie {
       case Tag::kWide: {
         std::size_t bytes = node_bytes(node);
         for (std::uint32_t i = 0; i < node.length(); ++i) {
-          bytes += subtree_footprint(
-              node.slot_at(i).load(std::memory_order_acquire));
+          bytes += for_each_node(
+              node.slot_at(i).load(std::memory_order_acquire), lev + 4, fn);
         }
         return bytes;
       }
       case Tag::kENode: {
         auto* en = node.as<const ENode>();
-        return node_bytes(en) + subtree_footprint(en->target);
+        return node_bytes(en) + for_each_node(en->target, lev, fn);
       }
-      default:
+      default:  // empty, frozen or not
         return 0;
     }
   }

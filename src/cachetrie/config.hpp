@@ -59,12 +59,6 @@ struct Config {
   /// paper's "w/o cache" variant used throughout the evaluation.
   bool use_cache = true;
 
-  /// remove() compresses ANodes that became empty (§3.7) and, beyond the
-  /// paper, ANodes left with a single SNode, which is hoisted one level up.
-  /// The reachability invariant ("the slot path is a prefix of the hash")
-  /// holds because a shorter path is still a prefix.
-  bool compress = true;
-
   /// Cache misses a thread accumulates before triggering a depth-sampling
   /// pass (§3.6; "experimentally set to 2048" in the paper).
   std::uint32_t max_misses = 2048;

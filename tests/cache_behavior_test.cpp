@@ -610,6 +610,66 @@ TEST(CacheWords, InhabitingAFrozenNodeUndoesItsOwnWord) {
   }
 }
 
+TEST(CacheBehavior, SamplingAndLookupsReadThroughAPendingExpansion) {
+  // Under the identity hash, 0x01, 0x11, 0x21 and 0x31 fill a narrow node
+  // at level 4 in root slot 1, with their leaves at 8. 0x41 collides with
+  // 0x01 in it, so inserting it expands that node: the inserter parks with
+  // its ENode in root slot 1 over the frozen narrow node. 0x002 and 0x102
+  // put leaves at 12 (the first lookup of one builds the level-8 array),
+  // and 0x03 is a leaf at 4, outside that array's reach. With
+  // max_misses = 0, each lookup of 0x03 misses and runs a sampling pass:
+  // a random path takes root slot 1 one time in 16, and every such path
+  // must read through the ENode to a leaf at level 8, the only level-8
+  // leaves in the trie.
+  namespace tk = cachetrie::testkit;
+  if (!cachetrie::obs::kMetricsCompiled) {
+    GTEST_SKIP() << "metrics compiled out (CACHETRIE_METRICS=0)";
+  }
+  Config cfg = level8_config();
+  cfg.max_misses = 0;
+  PlacedTrie trie{cfg};
+  const std::uint64_t narrow_keys[] = {0x01, 0x11, 0x21, 0x31};
+  const std::uint64_t other_keys[] = {0x002, 0x102, 0x03};
+  fill_and_warm(trie, other_keys);
+  fill_and_warm(trie, narrow_keys);
+  ASSERT_EQ(trie.debug_cache_entry(0x01, 8).tag(), Tag::kSNode);
+
+  auto& reg = cachetrie::obs::registry();
+  const std::size_t level8 = cachetrie::obs::LatencyHistogram::index_of(2);
+  constexpr int kPasses = 8;
+  const tk::Site row = tk::Site::cachetrie_enode_publish;
+  const std::size_t parks = tk::fault::lose_race(
+      7, std::span<const tk::Site>(&row, 1),
+      [&] { EXPECT_TRUE(trie.insert(0x41, 0x41)); },
+      [&](std::size_t) {
+        // 0x01's cached leaf is frozen now: the probe must pass over it.
+        ASSERT_EQ(trie.debug_cache_entry(0x01, 8).tag(), Tag::kSNode);
+        for (const auto k : narrow_keys) EXPECT_EQ(trie.lookup(k), k);
+        for (const auto k : other_keys) EXPECT_EQ(trie.lookup(k), k);
+        EXPECT_EQ(trie.lookup(0x41), std::nullopt);
+
+        const auto before = reg.snapshot();
+        const std::uint64_t passes0 = sites::cachetrie_sampling_pass.total();
+        for (int i = 0; i < kPasses; ++i) EXPECT_EQ(trie.lookup(0x03), 0x03u);
+        const auto after = reg.snapshot();
+        ASSERT_EQ(sites::cachetrie_sampling_pass.total(), passes0 + kPasses);
+        const auto* h0 = before.find_histogram("cachetrie.sample.leaf_level");
+        const auto* h1 = after.find_histogram("cachetrie.sample.leaf_level");
+        ASSERT_NE(h0, nullptr);
+        ASSERT_NE(h1, nullptr);
+        // 192 paths a pass, 1 in 16 through the ENode: about 96 in all.
+        // Half of that is more than five standard deviations below.
+        EXPECT_GE(h1->buckets[level8] - h0->buckets[level8],
+                  kPasses * cachetrie::kSampleSize / 16 / 2)
+            << "paths through the ENode were not read to their leaves";
+      });
+  ASSERT_EQ(parks, 1u);
+  const auto issues = trie.debug_validate();
+  EXPECT_TRUE(issues.empty()) << issues.front();
+  for (const auto k : narrow_keys) EXPECT_EQ(trie.lookup(k), k);
+  EXPECT_EQ(trie.lookup(0x41), 0x41u);
+}
+
 TEST(CacheWords, RemoveStartingAtACachedNodeDoesNotCompressIt) {
   // Pins the compression rule under the cache (DESIGN.md §1): a remove whose
   // descent starts at a cached ANode has no parent slot to compress that

@@ -247,9 +247,7 @@ TEST(CacheTrieConcurrent, ExpansionStormUnderNarrowHash) {
 }
 
 TEST(CacheTrieConcurrent, CompressionStormInsertRemoveWaves) {
-  Config cfg;
-  cfg.compress = true;
-  CacheTrie<int, int, cachetrie::util::DegradedHash<20>> trie(cfg);
+  CacheTrie<int, int, cachetrie::util::DegradedHash<20>> trie;
   constexpr int kPerThread = 2000;
   run_threads(kThreads, [&](int t) {
     for (int wave = 0; wave < 5; ++wave) {

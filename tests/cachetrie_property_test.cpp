@@ -1,8 +1,7 @@
-// cachetrie_property_test.cpp — parameterized property tests: for every
-// point of the configuration matrix (cache on/off × compression on/off) and
-// several hash-entropy regimes, a random operation sequence must behave
-// exactly like a reference std::map, and the final structure must satisfy
-// all quiescent invariants.
+// cachetrie_property_test.cpp — parameterized property tests: with the
+// cache on and off, and in several hash-entropy regimes, a random operation
+// sequence must behave exactly like a reference std::map, and the final
+// structure must satisfy all quiescent invariants.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -19,7 +18,6 @@ using cachetrie::Config;
 
 struct MatrixParam {
   bool use_cache;
-  bool compress;
   int hash_bits;  // 0 = full-entropy DefaultHash
   std::uint64_t seed;
 };
@@ -28,9 +26,9 @@ std::string param_name(const ::testing::TestParamInfo<MatrixParam>& info) {
   const auto& p = info.param;
   std::string s;
   s += p.use_cache ? "cache_" : "nocache_";
-  // Compression always hoists singletons; the hoist token follows it so
-  // that instance names stay stable.
-  s += p.compress ? "compress_hoist_" : "nocompress_nohoist_";
+  // Compression is always on and always hoists singletons; the token keeps
+  // instance names stable.
+  s += "compress_hoist_";
   s += p.hash_bits == 0 ? "fullhash" : ("hash" + std::to_string(p.hash_bits));
   s += "_seed" + std::to_string(p.seed);
   return s;
@@ -99,7 +97,6 @@ TEST_P(ConfigMatrix, OracleSequence) {
   const auto& p = GetParam();
   Config cfg;
   cfg.use_cache = p.use_cache;
-  cfg.compress = p.compress;
   cfg.max_misses = 32;  // exercise sampling/adjustment aggressively
   constexpr int kSteps = 60000;
   constexpr std::uint64_t kKeySpace = 2500;
@@ -132,15 +129,13 @@ TEST_P(ConfigMatrix, OracleSequence) {
 std::vector<MatrixParam> matrix_points() {
   std::vector<MatrixParam> points;
   for (bool cache : {false, true}) {
-    for (bool compress : {false, true}) {
-      for (int bits : {0, 8, 16}) {
-        points.push_back(MatrixParam{cache, compress, bits, 11});
-      }
+    for (int bits : {0, 8, 16}) {
+      points.push_back(MatrixParam{cache, bits, 11});
     }
   }
   // A couple of extra seeds on the full configuration.
-  points.push_back(MatrixParam{true, true, 0, 22});
-  points.push_back(MatrixParam{true, true, 8, 33});
+  points.push_back(MatrixParam{true, 0, 22});
+  points.push_back(MatrixParam{true, 8, 33});
   return points;
 }
 

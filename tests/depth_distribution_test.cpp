@@ -16,6 +16,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "cachetrie/cache_trie.hpp"
 #include "harness/workload.hpp"
@@ -88,6 +90,34 @@ TEST_P(DepthDistribution, Theorem43ExpectedDepthIsLog16N) {
 INSTANTIATE_TEST_SUITE_P(Sizes, DepthDistribution,
                          ::testing::Values(1000, 10000, 100000, 400000,
                                            800000));
+
+// A trie that concurrent writers built: 4 threads insert disjoint slices of
+// the same keys. A leaf's level depends only on the set of keys (its
+// longest hash prefix shared with another key), not on the insert order,
+// so the histogram equals a single-threaded fill's, and Theorem 4.2 holds
+// for it as above.
+TEST(DepthDistributionConcurrent, FourWriterFillMatchesSequentialFill) {
+  constexpr std::size_t kThreads = 4;
+  const auto keys = cachetrie::harness::random_keys(1u << 18, /*seed=*/4242);
+  CacheTrie<std::uint64_t, std::uint64_t> sequential;
+  for (auto k : keys) sequential.insert(k, k);
+  CacheTrie<std::uint64_t, std::uint64_t> concurrent;
+  std::vector<std::thread> writers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      const std::size_t slice = keys.size() / kThreads;
+      for (std::size_t i = t * slice; i < (t + 1) * slice; ++i) {
+        concurrent.insert(keys[i], keys[i]);
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  const LevelHistogram want = sequential.level_histogram();
+  const LevelHistogram got = concurrent.level_histogram();
+  ASSERT_EQ(got.total, keys.size());
+  EXPECT_EQ(got.counts, want.counts);
+  EXPECT_GE(got.top_pair_share(), 0.85);
+}
 
 // The flip side of Theorem 4.1's assumption: a non-universal hash can make
 // the trie deep (the paper's introduction notes depth can reach O(n)

@@ -101,7 +101,8 @@ TEST(Soak, RandomizedRounds) {
     const std::uint64_t per_thread = 200 + meta.next_below(1800);
     Config cfg;
     cfg.use_cache = meta.next_below(4) != 0;  // mostly on
-    cfg.compress = meta.next_below(4) != 0;
+    // Compression is always on; the draw keeps later rounds' parameters.
+    (void)meta.next_below(4);
     cfg.max_misses = 16u << meta.next_below(8);
     SCOPED_TRACE("round " + std::to_string(r) + " threads " +
                  std::to_string(threads) + " per_thread " +
