@@ -6,11 +6,11 @@
 //   * cache-tries and Ctries are roughly equal, ~50% above CHM;
 //   * the cache adds typically <10% over the cache-less variant.
 //
-// Footprints are exact traversal-based byte counts of live structure
-// (malloc overhead excluded — it shifts every structure equally). A second
-// table sets the cache-trie's exact bytes per key beside what its nodes
-// really take from the node pool (mr/node_pool.hpp): class rounding,
-// alignment gaps and free-list slack included.
+// Footprints are traversal-based byte counts of live structure, each node
+// at the node pool's class size (NodePool::class_bytes), the same rule for
+// every structure. A second table sets the cache-trie's charged bytes per
+// key beside what its nodes really take from the node pool
+// (mr/node_pool.hpp): alignment gaps and free-list slack included.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -88,8 +88,8 @@ int main() {
 
   Table table{{"size", "skiplist", "chm", "ctrie", "cachetrie w/o cache",
                "cachetrie"}};
-  Table pool_table{{"size", "cachetrie exact", "cachetrie pooled",
-                    "pooled / exact"}};
+  Table pool_table{{"size", "cachetrie charged", "cachetrie pooled",
+                    "pooled / charged"}};
   const auto reclaim0 = bench::ReclaimSnapshot::take();
   for (std::size_t row = 0; row < sizes.size(); ++row) {
     const std::size_t n = sizes[row];
@@ -126,7 +126,7 @@ int main() {
     table.add_row({std::to_string(n), cell(sl), cell(hm), cell(ct),
                    cell(tnc), cell(tc)});
 
-    // Exact node bytes: the cache-less trie holds the same nodes (same
+    // Charged node bytes: the cache-less trie holds the same nodes (same
     // keys, same order, one thread). Cache arrays are not pool nodes.
     const double nodes =
         tnc - static_cast<double>(sizeof(bench::CacheTrieMap));
@@ -140,7 +140,7 @@ int main() {
                                : Table::fmt_ratio(pb, nodes)});
   }
   table.print();
-  std::printf("\ncache-trie node bytes: exact vs taken from the node pool "
+  std::printf("\ncache-trie node bytes: charged vs taken from the node pool "
               "(2 MiB chunk resolution)\n");
   pool_table.print();
 

@@ -115,14 +115,35 @@ static_assert(fits_pool_class<ct::SNode<U64, U64>>() &&
               fits_pool_class<ct::LNode<U64, U64>>() &&
               fits_pool_class<ct::ENode>());
 static_assert(ct::ANode::alloc_size(16) <= cachetrie::mr::NodePool::kMaxBytes);
-static_assert(ct::SNode<U64, U64>::alloc_size(/*stamped=*/true) <=
-              cachetrie::mr::NodePool::kMaxBytes);
+
+// A bounded trie's leaf is exactly the pool's 32 B class (key, value, txn
+// and the trailing stamp word) and an unbounded one fits it too, so a word
+// added to the leaf fails this build in every configuration. The ledger
+// books NodePool::class_bytes of each, which must be the block allocate()
+// serves it: a block of class_of(bytes), (class_of(bytes) + 1) granules.
+using LeafU64 = ct::SNode<U64, U64>;
+using cachetrie::mr::NodePool;
+constexpr std::size_t served_block(std::size_t bytes) {
+  return (NodePool::class_of(bytes) + 1) * NodePool::kGranule;
+}
+constexpr std::size_t kBoundedLeaf = LeafU64::alloc_size(/*stamped=*/true);
+constexpr std::size_t kUnboundedLeaf = LeafU64::alloc_size(/*stamped=*/false);
+static_assert(kBoundedLeaf == 32 && kUnboundedLeaf <= 32);
+static_assert(NodePool::class_bytes(kBoundedLeaf, alignof(LeafU64)) ==
+                  served_block(kBoundedLeaf) &&
+              NodePool::class_bytes(kUnboundedLeaf, alignof(LeafU64)) ==
+                  served_block(kUnboundedLeaf) &&
+              served_block(kBoundedLeaf) == 32 &&
+              served_block(kUnboundedLeaf) == 32);
 static_assert(fits_pool_class<ctr::SNode<U64, U64>>() &&
               fits_pool_class<ctr::LNode<U64, U64>>() &&
               fits_pool_class<ctr::TNode<U64, U64>>() &&
               fits_pool_class<ctr::INode>() && fits_pool_class<ctr::CNode>());
 static_assert(ctr::CNode::alloc_size(30) <= cachetrie::mr::NodePool::kMaxBytes);
 static_assert(ChmU64::kNodeBytes <= cachetrie::mr::NodePool::kMaxBytes);
+// The hash map's node is the JDK's hash, key, value and next; only the
+// bounded wrapper's map adds the stamp word.
+static_assert(ChmU64::kNodeBytes == 32 && BoundedChmU64::Map::kNodeBytes == 40);
 static_assert(SkipListU64::kMaxNodeBytes <=
               cachetrie::mr::NodePool::kMaxBytes);
 

@@ -278,11 +278,12 @@ class CacheTrie {
     for_each_node(root_, 0, visit);
   }
 
-  /// Bytes of heap owned by the trie: nodes, plus the cache arrays when the
-  /// cache is enabled, each at its exact size. The node pool rounds every
-  /// node up to a 16 B class (mr/node_pool.hpp) and keeps freed blocks for
-  /// reuse; neither is counted here (NodePool::mapped_bytes() and the
-  /// mr.pool.mapped_bytes gauge cover it, for all structures alike).
+  /// Bytes of heap owned by the trie: nodes, each at its pool class size
+  /// (NodePool::class_bytes: the block the pool serves it from), plus the
+  /// cache arrays when the cache is enabled, at their mapped size. Freed
+  /// blocks the pool keeps for reuse are not counted here
+  /// (NodePool::mapped_bytes() and the mr.pool.mapped_bytes gauge cover
+  /// them, for all structures alike).
   std::size_t footprint_bytes() const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     auto none = [](const K&, const V&, std::uint64_t, std::uint32_t) {};
@@ -330,10 +331,10 @@ class CacheTrie {
   // --- bounded-memory mode (DESIGN.md §3) -----------------------------------
 
   /// Observed resident footprint: the bytes of every node this trie made and
-  /// has not retired or discarded — footprint_bytes() - sizeof(*this) at
-  /// quiescence, plus in-flight operations' unpublished copies. Excludes
-  /// bytes in reclaimer limbo (EpochDomain::retired_bytes()). Always 0 when
-  /// unbounded.
+  /// has not retired or discarded, each at its pool class size —
+  /// footprint_bytes() - sizeof(*this) at quiescence, plus in-flight
+  /// operations' unpublished copies. Excludes bytes in reclaimer limbo
+  /// (EpochDomain::retired_bytes()). Always 0 when unbounded.
   std::size_t resident_bytes() const noexcept {
     return static_cast<std::size_t>(
         resident_bytes_.load(std::memory_order_relaxed));
@@ -432,18 +433,23 @@ class CacheTrie {
   // function each, and only these book the ledger: a node counts from the
   // moment it is made until it is retired or discarded.
 
-  /// A node's bytes in the ledger: its allocation size. An ANode is named by
-  /// its word, whose tag holds its length.
+  /// A node's bytes in the ledger: the pool class its allocation takes
+  /// (NodePool::class_bytes), so the ledger books what the pool hands out.
+  /// A leaf's size depends on whether the trie stamps its leaves; an ANode
+  /// is named by its word, whose tag holds its length.
   template <typename N>
-  static std::size_t node_bytes(const N* n) noexcept {
-    if constexpr (std::is_same_v<N, SNodeT>) {
-      return SNodeT::alloc_size(n->stamped);
+  std::size_t node_bytes(const N* n) const noexcept {
+    if constexpr (std::is_same_v<N, CacheArray>) {
+      return n->footprint_bytes();
+    } else if constexpr (std::is_same_v<N, SNodeT>) {
+      return mr::NodePool::class_bytes(SNodeT::alloc_size(bounded_),
+                                       alignof(SNodeT));
+    } else {
+      return mr::NodePool::class_bytes(sizeof(N), alignof(N));
     }
-    if constexpr (std::is_same_v<N, CacheArray>) return n->footprint_bytes();
-    return sizeof(N);
   }
   static std::size_t node_bytes(Ref an) noexcept {
-    return ANode::alloc_size(an.length());
+    return mr::NodePool::class_bytes(ANode::alloc_size(an.length()));
   }
 
   /// A fresh node: a pointer, or for an ANode the word that refers to it.
@@ -501,7 +507,11 @@ class CacheTrie {
   template <typename N>
   void retire(N* n) const {
     account(-static_cast<std::ptrdiff_t>(node_bytes(n)));
-    if constexpr (requires { N::destroy(n); }) {  // variable-length nodes
+    if constexpr (std::is_same_v<N, SNodeT>) {  // sized by bounded_
+      auto* del = bounded_ ? &SNodeT::template destroy_erased<true>
+                           : &SNodeT::template destroy_erased<false>;
+      Reclaimer::retire_raw_sized(n, del, node_bytes(n));
+    } else if constexpr (requires { N::destroy(n); }) {  // CacheArray
       Reclaimer::retire_raw_sized(n, &N::destroy_erased, node_bytes(n));
     } else {
       Reclaimer::template retire<N>(n);
@@ -521,7 +531,9 @@ class CacheTrie {
   template <typename N>
   void discard(N* n) const {
     account(-static_cast<std::ptrdiff_t>(node_bytes(n)));
-    if constexpr (requires { N::destroy(n); }) {
+    if constexpr (std::is_same_v<N, SNodeT>) {
+      SNodeT::destroy(n, bounded_);
+    } else if constexpr (requires { N::destroy(n); }) {
       N::destroy(n);
     } else {
       delete n;  // [delete: unpublished] -- or no longer reachable

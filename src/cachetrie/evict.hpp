@@ -9,9 +9,12 @@
 // for the trie and for BoundedChm below alike.
 //
 // BoundedChm is the baseline counterpart: the same stamp/TTL/pressure
-// surface over chm::ConcurrentHashMap, with a *derived* byte estimate
-// (size() * node_bytes() + table bytes) — the trie's exact accounting is
-// the headline, the baseline shows what a conventional design can offer.
+// surface over a stamped chm::ConcurrentHashMap, with a *derived* byte
+// estimate (size() * node_bytes() + table bytes) — the trie's double-entry
+// ledger is the headline, the baseline shows what a conventional design can
+// offer. Both charge a node its pool class (NodePool::class_bytes), the
+// block the pool hands out for it: the trie's 32 B bounded leaf books 32 B,
+// the hash map's 40 B stamped node 48 B.
 #pragma once
 
 #include <optional>
@@ -49,7 +52,7 @@ template <typename K, typename V, typename Hash = util::DefaultHash<K>,
           typename Reclaimer = mr::EpochReclaimer>
 class BoundedChm {
  public:
-  using Map = chm::ConcurrentHashMap<K, V, Hash, Reclaimer>;
+  using Map = chm::ConcurrentHashMap<K, V, Hash, Reclaimer, /*Stamped=*/true>;
 
   /// Reads `ceiling_bytes`, `ttl_ticks` and `tick_fn`.
   explicit BoundedChm(const Config& cfg = {}) : policy_(cfg) {}
@@ -85,11 +88,11 @@ class BoundedChm {
   }
 
   /// Derived footprint estimate (DESIGN.md §3): table bytes plus
-  /// size() * node_bytes(), O(1) — write_horizon polls this on every
-  /// write, so the exact traversal (footprint_bytes) is out of the
-  /// question. The striped size counter makes this approximate under
-  /// concurrency — the trie's exact double-entry accounting is the
-  /// contrast the fig14 bench draws.
+  /// size() * node_bytes() (each node at its pool class size), O(1) —
+  /// write_horizon polls this on every write, so the exact traversal
+  /// (footprint_bytes) is out of the question. The striped size counter
+  /// makes this approximate under concurrency — the trie's exact
+  /// double-entry accounting is the contrast the fig14 bench draws.
   std::size_t resident_bytes() const {
     return map_.footprint_estimate_bytes();
   }

@@ -37,15 +37,17 @@
 // 128 B, and a walk addresses the slot it needs from the word it followed,
 // without loading anything from the node first.
 //
-// Two node types still have a variable size, fixed when the node is made:
+// Two node types still have a variable size, and neither keeps it in the
+// node:
 //   * an ANode's length lives in the words that point to it, so make,
 //     destroy and alloc_size take it from there;
-//   * an SNode's stamp word trails its pair (`stamped`), and only a bounded
-//     trie allocates it.
+//   * an SNode's stamp word trails its pair, and only a bounded trie
+//     allocates it. Whether leaves carry one is the trie's property, not the
+//     leaf's, so make, destroy and alloc_size take it from the trie.
 // An SNode also stores its key's hash only when rehashing the key would cost
-// more than the word (kLeafStoresHash), so an unbounded SNode<u64, u64> is
-// `stamped`, `key`, `value` and `txn`: 32 B, half a cache line, in a pool
-// class whose blocks never straddle a line.
+// more than the word (kLeafStoresHash), so an SNode<u64, u64> is `key`,
+// `value` and `txn`: 24 B unbounded, 32 B bounded with its stamp. Both take
+// the pool's 32 B class, half a cache line, whose blocks never straddle one.
 #pragma once
 
 #include <atomic>
@@ -278,16 +280,13 @@ template <typename K>
 inline constexpr bool kLeafStoresHash =
     !(std::is_trivially_copyable_v<K> && sizeof(K) <= sizeof(std::uint64_t));
 
-/// The SNode header: the leaf's shape, and the hash when kLeafStoresHash
-/// says so. A hash-free leaf has no `hash` member at all, so code that reads
-/// one does not compile.
+/// The SNode header: the hash when kLeafStoresHash says so, else nothing. A
+/// hash-free leaf has no `hash` member at all, so code that reads one does
+/// not compile.
 template <bool StoresHash>
-struct LeafHead : mr::PoolAllocated {
-  bool stamped;  // a stamp word trails the node
-};
+struct LeafHead : mr::PoolAllocated {};
 template <>
 struct LeafHead<true> : mr::PoolAllocated {
-  bool stamped;
   std::uint64_t hash;
 };
 
@@ -299,13 +298,14 @@ struct LeafHead<true> : mr::PoolAllocated {
 ///   other        — replacement announced (an SNode, ANode or LNode word);
 ///                  helpers commit that word into the parent slot
 ///
-/// A bounded trie (DESIGN.md §3) makes every leaf `stamped`: one word after
+/// In a bounded trie (DESIGN.md §3) every leaf is stamped: one word after
 /// the node holds the pair's last-use tick, set at creation, refreshed with a
 /// relaxed store on every hit and read with a relaxed load by eviction
 /// horizons. It is advisory — no protocol decision creates a happens-before
-/// edge through it, so all its accesses stay relaxed. An unbounded trie
-/// allocates no stamp word and never calls stamp(). Copies made by the
-/// freeze/expand protocol carry the source stamp so the copy remains the
+/// edge through it, so all its accesses stay relaxed. The leaf does not know
+/// whether it has the word: the trie passes its own flag to make, destroy
+/// and alloc_size, and calls stamp() only when it is bounded. Copies made by
+/// the freeze/expand protocol carry the source stamp so the copy remains the
 /// same logical entry.
 template <typename K, typename V>
 struct SNode : LeafHead<kLeafStoresHash<K>> {
@@ -320,11 +320,9 @@ struct SNode : LeafHead<kLeafStoresHash<K>> {
 
   /// The trailing stamp word; only a stamped leaf has one.
   std::atomic<std::uint64_t>& stamp() noexcept {
-    assert(this->stamped);
     return *reinterpret_cast<std::atomic<std::uint64_t>*>(this + 1);
   }
   const std::atomic<std::uint64_t>& stamp() const noexcept {
-    assert(this->stamped);
     return *reinterpret_cast<const std::atomic<std::uint64_t>*>(this + 1);
   }
 
@@ -336,7 +334,6 @@ struct SNode : LeafHead<kLeafStoresHash<K>> {
                   "the stamp word must start aligned right after the SNode");
     void* raw = mr::NodePool::allocate(alloc_size(stamped), alignof(SNode));
     auto* s = new (raw) SNode(key, value);
-    s->stamped = stamped;
     if constexpr (kLeafStoresHash<K>) s->hash = hash;
     if (stamped) {
       std::construct_at(reinterpret_cast<std::atomic<std::uint64_t>*>(s + 1),
@@ -345,14 +342,15 @@ struct SNode : LeafHead<kLeafStoresHash<K>> {
     return s;
   }
 
-  static void destroy(SNode* s) noexcept {
-    const std::size_t bytes = alloc_size(s->stamped);
+  /// `stamped` must be the flag the leaf was made with.
+  static void destroy(SNode* s, bool stamped) noexcept {
     s->~SNode();
-    mr::NodePool::deallocate(s, bytes, alignof(SNode));
+    mr::NodePool::deallocate(s, alloc_size(stamped), alignof(SNode));
   }
-  /// Type-erased deleter for reclaimer retirement.
+  /// Type-erased deleter for reclaimer retirement of a leaf made `Stamped`.
+  template <bool Stamped>
   static void destroy_erased(void* s) noexcept {
-    destroy(static_cast<SNode*>(s));
+    destroy(static_cast<SNode*>(s), Stamped);
   }
 
  private:

@@ -29,6 +29,7 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "mr/epoch.hpp"
@@ -42,8 +43,18 @@
 
 namespace cachetrie::chm {
 
+namespace detail {
+/// The stamp an unstamped map's node does not have: empty, and
+/// [[no_unique_address]] makes it take no bytes.
+struct NoStamp {};
+}  // namespace detail
+
+/// `Stamped`: every node carries a last-use tick for the bounded-memory
+/// wrapper (evict::BoundedChm, the only map that sets it), and the stamp
+/// operations (lookup_refresh, remove_if_stale, evict_stale) exist. A plain
+/// map's node is the JDK's hash, key, value and next.
 template <typename K, typename V, typename Hash = util::DefaultHash<K>,
-          typename Reclaimer = mr::EpochReclaimer>
+          typename Reclaimer = mr::EpochReclaimer, bool Stamped = false>
 class ConcurrentHashMap {
   struct Node;
 
@@ -58,17 +69,24 @@ class ConcurrentHashMap {
     K key;
     V value;
     std::atomic<Node*> next;
-    /// Last-use tick for the bounded-memory wrapper (evict.hpp); advisory,
-    /// all accesses relaxed, 0 when the map is used unbounded. Transfer
-    /// clones carry the source stamp (same logical entry).
-    std::atomic<std::uint64_t> stamp;
+    /// Last-use tick, in a stamped map only (evict.hpp); advisory, all
+    /// accesses relaxed. Transfer clones carry the source stamp (same
+    /// logical entry).
+    [[no_unique_address]] std::conditional_t<
+        Stamped, std::atomic<std::uint64_t>, detail::NoStamp> stamp;
 
+    /// `stamp` is dropped unless the map is stamped.
     static Node* make(std::uint64_t h, const K& k, const V& v, Node* nxt,
-                      std::uint64_t stamp = 0) {
+                      [[maybe_unused]] std::uint64_t stamp = 0) {
       auto* n = new Node{{}, h, k, v, {}, {}};
       n->next.store(nxt, std::memory_order_relaxed);
-      n->stamp.store(stamp, std::memory_order_relaxed);
+      if constexpr (Stamped) n->stamp.store(stamp, std::memory_order_relaxed);
       return n;
+    }
+    /// The node's tick; 0 in an unstamped map.
+    std::uint64_t stamp_value() const noexcept {
+      if constexpr (Stamped) return stamp.load(std::memory_order_relaxed);
+      return 0;
     }
   };
 
@@ -162,7 +180,7 @@ class ConcurrentHashMap {
   }
 
   /// Inserts or replaces; true iff the key was new. `stamp` seeds the new
-  /// node's last-use tick (bounded wrapper only; 0 otherwise).
+  /// node's last-use tick (a stamped map only; ignored otherwise).
   bool insert(const K& key, const V& value, std::uint64_t stamp = 0) {
     return do_insert(key, value, /*only_if_absent=*/false, stamp);
   }
@@ -184,7 +202,9 @@ class ConcurrentHashMap {
   /// reported absent (the corpse stays until an eviction pass unlinks it);
   /// a live hit refreshes the stamp to `now`. Wait-free, like lookup().
   std::optional<V> lookup_refresh(const K& key, std::uint64_t now,
-                                  std::uint64_t ttl_floor) const {
+                                  std::uint64_t ttl_floor) const
+    requires Stamped
+  {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     testkit::chaos_point(testkit::Site::chm_pinned);
     Node* n = find(key);
@@ -208,7 +228,9 @@ class ConcurrentHashMap {
   /// Bounded-wrapper TTL unlink: removes the key's node only if its stamp
   /// is older than `floor` (the lazy eviction of an expired entry observed
   /// by a traversal). Returns true iff it unlinked.
-  bool remove_if_stale(const K& key, std::uint64_t floor) {
+  bool remove_if_stale(const K& key, std::uint64_t floor)
+    requires Stamped
+  {
     return unlink_if(key, [&](const Node& n) {
              return n.stamp.load(std::memory_order_relaxed) < floor;
            })
@@ -219,7 +241,9 @@ class ConcurrentHashMap {
   /// roving cursor, unlinking every node whose stamp is older than `floor`.
   /// Returns the number of nodes removed. Skips forwarded bins (a resize in
   /// flight; the nodes will be seen again in the next table).
-  std::size_t evict_stale(std::uint64_t floor, std::size_t max_bins) {
+  std::size_t evict_stale(std::uint64_t floor, std::size_t max_bins)
+    requires Stamped
+  {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     testkit::chaos_point(testkit::Site::chm_pinned);
     Table* t = table_.load(std::memory_order_acquire);
@@ -250,10 +274,13 @@ class ConcurrentHashMap {
     return removed;
   }
 
-  /// Per-entry heap cost (evict.hpp derives the wrapper's byte estimate as
-  /// size() * node_bytes() + table footprint; exact accounting is the
-  /// cache-trie's game — the baseline reports an estimate, DESIGN.md §3).
-  static constexpr std::size_t node_bytes() noexcept { return sizeof(Node); }
+  /// Per-entry heap cost: the pool class a node takes (evict.hpp derives the
+  /// wrapper's byte estimate as size() * node_bytes() + table footprint;
+  /// exact accounting is the cache-trie's game — the baseline reports an
+  /// estimate, DESIGN.md §3).
+  static constexpr std::size_t node_bytes() noexcept {
+    return mr::NodePool::class_bytes(sizeof(Node), alignof(Node));
+  }
 
   std::optional<V> remove(const K& key) {
     return unlink_if(key, [](const Node&) { return true; });
@@ -281,6 +308,8 @@ class ConcurrentHashMap {
     }
   }
 
+  /// Heap bytes: the map, its table, and each node at its pool class size
+  /// (NodePool::class_bytes).
   std::size_t footprint_bytes() const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     Table* t = table_.load(std::memory_order_acquire);
@@ -289,7 +318,7 @@ class ConcurrentHashMap {
       for (Node* n = t->bins()[i].load(std::memory_order_acquire);
            n != nullptr; n = n->next.load(std::memory_order_acquire)) {
         if (n->hash == kForwardHash) break;
-        bytes += sizeof(Node);
+        bytes += node_bytes();
       }
     }
     return bytes;
@@ -602,7 +631,7 @@ class ConcurrentHashMap {
         (run_bit ? hi : lo) = last_run;
         for (Node* n = head; n != last_run;
              n = n->next.load(std::memory_order_relaxed)) {
-          const std::uint64_t st = n->stamp.load(std::memory_order_relaxed);
+          const std::uint64_t st = n->stamp_value();
           if ((n->hash & t->nbins) == 0) {
             lo = Node::make(n->hash, n->key, n->value, lo, st);
           } else {

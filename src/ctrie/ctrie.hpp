@@ -253,6 +253,8 @@ class Ctrie {
     for_each_branch(root_, fn);
   }
 
+  /// Heap bytes: the map and each node at its pool class size
+  /// (NodePool::class_bytes).
   std::size_t footprint_bytes() const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     return sizeof(*this) + branch_footprint(root_);
@@ -785,12 +787,19 @@ class Ctrie {
     }
   }
 
+  /// A node's bytes at its pool class size (NodePool::class_bytes).
+  template <typename N>
+  static constexpr std::size_t charged(
+      std::size_t bytes = sizeof(N)) noexcept {
+    return mr::NodePool::class_bytes(bytes, alignof(N));
+  }
+
   std::size_t branch_footprint(const Base* branch) const {
     switch (branch->kind) {
       case Kind::kSNode:
-        return sizeof(SNodeT);
+        return charged<SNodeT>();
       case Kind::kINode:
-        return sizeof(INode) +
+        return charged<INode>() +
                main_footprint(static_cast<const INode*>(branch)->main.load(
                    std::memory_order_acquire));
       default:
@@ -802,19 +811,19 @@ class Ctrie {
     switch (main->kind) {
       case Kind::kCNode: {
         auto* cn = static_cast<const CNode*>(main);
-        std::size_t bytes = CNode::alloc_size(cn->len);
+        std::size_t bytes = charged<CNode>(CNode::alloc_size(cn->len));
         for (std::uint32_t i = 0; i < cn->len; ++i) {
           bytes += branch_footprint(cn->array()[i]);
         }
         return bytes;
       }
       case Kind::kTNode:
-        return sizeof(TNodeT) + sizeof(SNodeT);
+        return charged<TNodeT>() + charged<SNodeT>();
       case Kind::kLNode: {
         std::size_t bytes = 0;
         for (auto* l = static_cast<const LNodeT*>(main); l != nullptr;
              l = l->next) {
-          bytes += sizeof(LNodeT);
+          bytes += charged<LNodeT>();
         }
         return bytes;
       }

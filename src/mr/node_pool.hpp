@@ -83,7 +83,16 @@ class NodePool {
   /// True when a request of `bytes` aligned to `align` is served from a class.
   static constexpr bool pooled(std::size_t bytes,
                                std::size_t align = kGranule) noexcept {
-    return kEnabled && bytes != 0 && bytes <= kMaxBytes && align <= kGranule;
+    return kEnabled && fits_class(bytes, align);
+  }
+
+  /// The bytes a request occupies: the block allocate() serves for a pooled
+  /// request, the request itself otherwise. It ignores kEnabled, so a
+  /// sanitized build books the same bytes as a plain one. Every map's
+  /// footprint charges its nodes through this.
+  static constexpr std::size_t class_bytes(
+      std::size_t bytes, std::size_t align = kGranule) noexcept {
+    return fits_class(bytes, align) ? (class_of(bytes) + 1) * kGranule : bytes;
   }
 
   static void* allocate(std::size_t bytes, std::size_t align = kGranule) {
@@ -134,6 +143,11 @@ class NodePool {
     } else {
       ::operator delete(p, bytes, std::align_val_t{align});
     }
+  }
+
+  static constexpr bool fits_class(std::size_t bytes,
+                                   std::size_t align) noexcept {
+    return bytes != 0 && bytes <= kMaxBytes && align <= kGranule;
   }
 
   friend struct PoolInternals;

@@ -262,13 +262,19 @@ class ConcurrentSkipList {
     }
   }
 
+  /// Heap bytes: the list and each node at its pool class size
+  /// (NodePool::class_bytes), the head included.
   std::size_t footprint_bytes() const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    std::size_t bytes = sizeof(*this) + Node::alloc_size(kMaxLevel - 1);
+    auto charged = [](const Node* n) {
+      return mr::NodePool::class_bytes(Node::alloc_size(n->top_level),
+                                       alignof(Node));
+    };
+    std::size_t bytes = sizeof(*this) + charged(head_);
     for (Node* curr = ptr_of(head_->next()[0].load(std::memory_order_acquire));
          curr != nullptr;
          curr = ptr_of(curr->next()[0].load(std::memory_order_acquire))) {
-      bytes += Node::alloc_size(curr->top_level);
+      bytes += charged(curr);
     }
     return bytes;
   }

@@ -184,12 +184,16 @@ struct BinShape {
   using MapType = Map;
   static constexpr std::size_t initial_bins = kInitialBins;
 };
+/// The stamp operations exist only in a stamped map (the one the bounded
+/// wrapper uses).
+template <typename Hash>
+using StampedMap =
+    ConcurrentHashMap<std::uint64_t, std::uint64_t, Hash,
+                      cachetrie::mr::EpochReclaimer, /*Stamped=*/true>;
 using SingleNodeBins =
-    BinShape<ConcurrentHashMap<std::uint64_t, std::uint64_t>, 1u << 14>;
-using CrowdedBins =
-    BinShape<ConcurrentHashMap<std::uint64_t, std::uint64_t,
-                               cachetrie::util::DegradedHash<2>>,
-             16>;
+    BinShape<StampedMap<cachetrie::util::DefaultHash<std::uint64_t>>,
+             1u << 14>;
+using CrowdedBins = BinShape<StampedMap<cachetrie::util::DegradedHash<2>>, 16>;
 
 template <typename Shape>
 class CHashMapUnlink : public ::testing::Test {

@@ -1,8 +1,9 @@
 // nodes_layout_test.cpp — whitebox tests of the node and cache-array
-// memory layouts: exact allocation sizes (the footprint benches depend on
-// them), the half-line hash-free leaf and its trailing stamp word, the
-// headerless ANode, the tagged words that refer to nodes, and
-// construction/destruction of the variable-size nodes.
+// memory layouts: exact allocation sizes and the pool classes the ledger
+// books (the footprint benches depend on them), the half-line hash-free
+// leaf with or without its trailing stamp word, the headerless ANode, the
+// tagged words that refer to nodes, and construction/destruction of the
+// variable-size nodes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -90,7 +91,7 @@ TEST(NodeLayout, WordsCarryKindWidthAndFrozenBit) {
   }
   EXPECT_EQ(wide.as_frozen().length(), 16u);
   delete chain;
-  SNode<int, int>::destroy(leaf);
+  SNode<int, int>::destroy(leaf, /*stamped=*/false);
   ANode::destroy(wide);
   ANode::destroy(narrow);
 }
@@ -98,14 +99,15 @@ TEST(NodeLayout, WordsCarryKindWidthAndFrozenBit) {
 TEST(NodeLayout, SNodeCarriesPairAndIdleTxn) {
   auto* s = SNode<int, int>::make(/*stamped=*/false, 0xABCDull, 7, 70,
                                   /*stamp=*/0);
-  EXPECT_FALSE(s->stamped);
   EXPECT_EQ(s->key, 7);
   EXPECT_EQ(s->value, 70);
   EXPECT_EQ(s->txn.load(std::memory_order_relaxed), Ref::no_txn());
-  // Unbounded tries allocate no stamp word at all.
+  // Unbounded tries allocate no stamp word at all, and a hash-free leaf
+  // has no header: the node is the pair and its txn.
   using Leaf = SNode<int, int>;
-  EXPECT_EQ(Leaf::alloc_size(s->stamped), sizeof(Leaf));
-  SNode<int, int>::destroy(s);
+  EXPECT_EQ(Leaf::alloc_size(false), sizeof(Leaf));
+  EXPECT_EQ(sizeof(Leaf), 2 * sizeof(int) + sizeof(AtomicRef));
+  SNode<int, int>::destroy(s, /*stamped=*/false);
 }
 
 TEST(NodeLayout, StampWordCarriedByBothLeafKinds) {
@@ -115,7 +117,6 @@ TEST(NodeLayout, StampWordCarriedByBothLeafKinds) {
   // stamp forward instead).
   auto* s = SNode<int, int>::make(/*stamped=*/true, 0x1ull, 1, 10,
                                   /*stamp=*/42);
-  EXPECT_TRUE(s->stamped);
   EXPECT_EQ(s->stamp().load(), 42u);
   // The word trails the node, as an ANode's slots trail its header.
   using Leaf = SNode<int, int>;
@@ -125,7 +126,7 @@ TEST(NodeLayout, StampWordCarriedByBothLeafKinds) {
   auto* l = LNode<int, int>::make(0x2ull, 2, 20, nullptr, /*stamp=*/43);
   EXPECT_EQ(l->stamp, 43u);
   delete l;
-  SNode<int, int>::destroy(s);
+  SNode<int, int>::destroy(s, /*stamped=*/true);
 }
 
 // A word-sized key is rehashed instead of stored: the leaf has no `hash`
@@ -133,20 +134,27 @@ TEST(NodeLayout, StampWordCarriedByBothLeafKinds) {
 template <typename Leaf>
 concept HasHashField = requires(Leaf& l) { l.hash; };
 
+// Whether a leaf has a stamp word is its trie's business: the leaf keeps
+// no flag for it.
+template <typename Leaf>
+concept HasShapeField = requires(Leaf& l) { l.stamped; };
+
 TEST(NodeLayout, HashFreeLeafIsHalfALine) {
+  using cachetrie::mr::NodePool;
   using Leaf = SNode<std::uint64_t, std::uint64_t>;
   static_assert(!kLeafStoresHash<std::uint64_t>);
   static_assert(!HasHashField<Leaf>);
-  // stamped (padded to a word), key, value, txn.
-  EXPECT_EQ(sizeof(Leaf), 32u);
-  EXPECT_EQ(Leaf::alloc_size(/*stamped=*/false), 32u);
-  // A bounded leaf adds its 8 B stamp word: 40 B exact, booked as such,
-  // served from the pool's 48 B class.
-  EXPECT_EQ(Leaf::alloc_size(/*stamped=*/true), 40u);
-  EXPECT_EQ(cachetrie::mr::NodePool::class_of(Leaf::alloc_size(true)),
-            cachetrie::mr::NodePool::class_of(48));
-  EXPECT_LT(cachetrie::mr::NodePool::class_of(Leaf::alloc_size(false)),
-            cachetrie::mr::NodePool::class_of(Leaf::alloc_size(true)));
+  static_assert(!HasShapeField<Leaf> && !HasShapeField<SNode<int, int>>);
+  // key, value, txn: 24 B.
+  EXPECT_EQ(sizeof(Leaf), 24u);
+  EXPECT_EQ(Leaf::alloc_size(/*stamped=*/false), 24u);
+  // A bounded leaf adds its 8 B stamp word: 32 B, half a line.
+  EXPECT_EQ(Leaf::alloc_size(/*stamped=*/true), 32u);
+  // Both are served from, and booked at, the pool's 32 B class.
+  EXPECT_EQ(NodePool::class_bytes(Leaf::alloc_size(false), alignof(Leaf)),
+            32u);
+  EXPECT_EQ(NodePool::class_bytes(Leaf::alloc_size(true), alignof(Leaf)),
+            32u);
 }
 
 TEST(NodeLayout, CostlyKeysKeepTheirHash) {
@@ -157,22 +165,22 @@ TEST(NodeLayout, CostlyKeysKeepTheirHash) {
                        /*stamp=*/0);
   EXPECT_EQ(s->hash, 0x5555ull);
   EXPECT_EQ(s->key, std::string(40, 'k'));
-  Leaf::destroy(s);
+  Leaf::destroy(s, /*stamped=*/false);
   auto* b = Leaf::make(/*stamped=*/true, 0x6666ull, "b", 2, /*stamp=*/9);
   EXPECT_EQ(b->hash, 0x6666ull);
   EXPECT_EQ(b->stamp().load(), 9u);
-  Leaf::destroy(b);
+  Leaf::destroy(b, /*stamped=*/true);
 }
 
 TEST(NodeLayout, PooledHalfLineLeavesNeverStraddleALine) {
-  // Leaves carved next to blocks of odd granule counts (a bounded leaf is
-  // 3 granules) would land 16 B or 48 B into a line if the pool carved
-  // every class from the same end of its span. The class allocator is
-  // called directly, so this also runs under the sanitizers, where
-  // allocate() bypasses it.
+  // Leaves carved next to blocks of odd granule counts (a chain link or
+  // an ENode is 3 granules) would land 16 B or 48 B into a line if the pool
+  // carved every class from the same end of its span. The class allocator
+  // is called directly, so this also runs under ASan, where allocate()
+  // bypasses it.
   using cachetrie::mr::NodePool;
-  const std::size_t leaf = SNode<std::uint64_t, std::uint64_t>::alloc_size(
-      /*stamped=*/false);
+  const std::size_t leaf = NodePool::class_bytes(
+      SNode<std::uint64_t, std::uint64_t>::alloc_size(/*stamped=*/true));
   std::thread([leaf] {
     std::vector<std::pair<void*, std::size_t>> blocks;
     for (int i = 0; i < 4000; ++i) {
@@ -192,6 +200,37 @@ TEST(NodeLayout, PooledHalfLineLeavesNeverStraddleALine) {
     }
     for (const auto& [p, bytes] : blocks) {
       NodePool::deallocate_class(p, NodePool::class_of(bytes));
+    }
+  }).join();
+}
+
+TEST(NodeLayout, BoundedLeavesFromThePoolNeverStraddleALine) {
+  // 1,000 bounded SNode<u64, u64> blocks, as make() gets them from the
+  // pool. Where allocate() bypasses the pool (ASan), the same class is
+  // taken from the class allocator directly.
+  using cachetrie::mr::NodePool;
+  using Leaf = SNode<std::uint64_t, std::uint64_t>;
+  static_assert(Leaf::alloc_size(/*stamped=*/true) == 32);
+  std::thread([] {
+    const std::size_t kLine = cachetrie::util::kCacheLineSize;
+    std::vector<void*> blocks;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      void* p = NodePool::kEnabled
+                    ? static_cast<void*>(
+                          Leaf::make(/*stamped=*/true, i, i, i, /*stamp=*/i))
+                    : NodePool::allocate_class(NodePool::class_of(32));
+      const auto at = reinterpret_cast<std::uintptr_t>(p);
+      ASSERT_LE(at % kLine + 32, kLine)
+          << "bounded leaf " << i << " crosses a cache line at offset "
+          << at % kLine;
+      blocks.push_back(p);
+    }
+    for (void* p : blocks) {
+      if (NodePool::kEnabled) {
+        Leaf::destroy(static_cast<Leaf*>(p), /*stamped=*/true);
+      } else {
+        NodePool::deallocate_class(p, NodePool::class_of(32));
+      }
     }
   }).join();
 }
@@ -273,7 +312,7 @@ TEST(CacheLayout, WordsRoundTripEachShape) {
   EXPECT_EQ(c->entry(2).load(std::memory_order_relaxed).length(), 16u);
   c->entry(3).store(narrow, std::memory_order_relaxed);
   EXPECT_EQ(c->entry(3).load(std::memory_order_relaxed).length(), 4u);
-  SNode<int, int>::destroy(leaf);
+  SNode<int, int>::destroy(leaf, /*stamped=*/false);
   ANode::destroy(wide);
   ANode::destroy(narrow);
   CacheArray::destroy(c);

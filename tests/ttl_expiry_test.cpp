@@ -249,8 +249,9 @@ TEST(TtlExpiry, ResidentBytesMatchFootprintAtQuiescence) {
 // --- hash-free leaves: u64 keys store no hash, bounded leaves a stamp ----
 
 TEST(TtlExpiry, HashFreeLeafBooksItsStampWord) {
-  // An unbounded leaf is the 32 B pair; a bounded one adds its trailing
-  // 8 B stamp word, and the ledger books exactly those 40 B.
+  // An unbounded leaf is the 24 B pair and txn; a bounded one adds its
+  // trailing 8 B stamp word. Both take the pool's 32 B class, and both
+  // ledgers book that block.
   using Leaf = cachetrie::detail::SNode<std::uint64_t, std::uint64_t>;
   static_assert(!cachetrie::detail::kLeafStoresHash<std::uint64_t>);
   g_clock.store(1, std::memory_order_relaxed);
@@ -258,11 +259,12 @@ TEST(TtlExpiry, HashFreeLeafBooksItsStampWord) {
   const std::size_t before = bounded.resident_bytes();
   ASSERT_TRUE(bounded.insert(5, 50));
   EXPECT_EQ(bounded.resident_bytes() - before, Leaf::alloc_size(true));
-  EXPECT_EQ(Leaf::alloc_size(true), 40u);
+  EXPECT_EQ(Leaf::alloc_size(true), 32u);
   BoundedTrie unbounded;
   const std::size_t empty = unbounded.footprint_bytes();
   ASSERT_TRUE(unbounded.insert(5, 50));
-  EXPECT_EQ(unbounded.footprint_bytes() - empty, Leaf::alloc_size(false));
+  EXPECT_EQ(Leaf::alloc_size(false), 24u);
+  EXPECT_EQ(unbounded.footprint_bytes() - empty, 32u);
   EXPECT_EQ(unbounded.resident_bytes(), 0u);
 }
 
@@ -416,6 +418,44 @@ TEST(TtlExpiryChain, ResidentBytesMatchAfterChainChurn) {
     EXPECT_EQ(t.resident_bytes(), t.footprint_bytes() - sizeof(FewBitTrie));
     EXPECT_TRUE(t.debug_validate().empty());
   }
+}
+
+// A 12 B value: a bounded leaf of it is key, value (+4 B padding), txn and
+// stamp, 40 B.
+struct Rgb {
+  std::uint32_t r, g, b;
+  bool operator==(const Rgb&) const = default;
+};
+
+TEST(TtlExpiry, LedgerBooksThePoolClassOfOddSizedNodes) {
+  // Two nodes whose exact size is not a multiple of the pool's 16 B
+  // granule: that bounded leaf, and a chain link (hash, next, key, value,
+  // stamp), both 40 B. The pool serves each from its 48 B class, and the
+  // ledger books that block, also in builds where allocate() bypasses the
+  // pool (NodePool::kEnabled false), so every build books the same bytes.
+  using Leaf = cachetrie::detail::SNode<std::uint64_t, Rgb>;
+  using Link = cachetrie::detail::LNode<std::uint64_t, std::uint64_t>;
+  static_assert(Leaf::alloc_size(true) == 40 && sizeof(Link) == 40);
+  g_clock.store(1, std::memory_order_relaxed);
+
+  using RgbTrie = cachetrie::CacheTrie<std::uint64_t, Rgb>;
+  RgbTrie leaves(ttl_config());
+  const std::size_t empty = leaves.resident_bytes();
+  ASSERT_TRUE(leaves.insert(5, Rgb{1, 2, 3}));
+  EXPECT_EQ(leaves.resident_bytes() - empty, 48u);
+  EXPECT_EQ(leaves.resident_bytes(),
+            leaves.footprint_bytes() - sizeof(RgbTrie));
+
+  ChainTrie chain(ttl_config());
+  const std::size_t root = chain.resident_bytes();
+  ASSERT_TRUE(chain.insert(1, 10));
+  EXPECT_EQ(chain.resident_bytes() - root, 32u);  // one bounded u64 leaf
+  ASSERT_TRUE(chain.insert(2, 20));  // the leaf becomes a two-link chain
+  EXPECT_EQ(chain.level_histogram().counts[1], 2u);
+  EXPECT_EQ(chain.resident_bytes() - root, 2 * 48u);
+  EXPECT_EQ(chain.resident_bytes(),
+            chain.footprint_bytes() - sizeof(ChainTrie));
+  EXPECT_TRUE(chain.debug_validate().empty());
 }
 
 // --- the chm baseline wrapper: same semantics where the surface overlaps ---
