@@ -38,7 +38,9 @@
 //
 // Memory reclamation: the JVM artifact leans on GC; here every operation
 // runs under a Reclaimer guard (EBR by default) and the single thread whose
-// CAS unlinked a node retires it. Helpers never retire.
+// CAS unlinked a node retires it: for a txn, the winner of the announce CAS
+// (helpers run only the slot commit, commit_announced, which retires
+// nothing); for an ENode, the winner of the parent-slot CAS, helper or not.
 #pragma once
 
 #include <algorithm>
@@ -74,15 +76,28 @@ struct LevelHistogram {
   std::array<std::uint64_t, 17> counts{};
   std::uint64_t total = 0;
 
-  /// Fraction of keys on the most populated pair of adjacent depths
-  /// (Theorem 4.2 predicts >= 0.8745 as n grows).
+  /// The most populated pair of adjacent depths {depth, depth + 1} and its
+  /// key count; on a tie the lowest depth wins. The depth sampling moves
+  /// the cache by this rule.
+  struct Pair {
+    std::size_t depth = 0;
+    std::uint64_t count = 0;
+  };
+  Pair best_pair() const noexcept {
+    Pair best;
+    for (std::size_t d = 0; d + 1 < counts.size(); ++d) {
+      const std::uint64_t c = counts[d] + counts[d + 1];
+      if (c > best.count) best = {d, c};
+    }
+    return best;
+  }
+
+  /// Fraction of keys on the best pair (Theorem 4.2 predicts >= 0.8745 as
+  /// n grows).
   double top_pair_share() const noexcept {
     if (total == 0) return 1.0;
-    std::uint64_t best = 0;
-    for (std::size_t d = 0; d + 1 < counts.size(); ++d) {
-      best = std::max(best, counts[d] + counts[d + 1]);
-    }
-    return static_cast<double>(best) / static_cast<double>(total);
+    return static_cast<double>(best_pair().count) /
+           static_cast<double>(total);
   }
 };
 
@@ -757,6 +772,8 @@ class CacheTrie {
   /// The slot half of the txn protocol: commits the value announced on
   /// osn->txn (null for a removal) into the parent slot. The announcer
   /// and any number of helpers run it; only the first CAS takes effect.
+  /// The announcer retires osn after it (commit_txn), never a helper.
+  // [helper: no-retire]
   static void commit_announced(AtomicRef& slot, SNodeT* osn, Ref txn) {
     Ref expected = Ref::to(osn);
     slot.compare_exchange_strong(expected, txn, std::memory_order_acq_rel,
@@ -1740,31 +1757,24 @@ class CacheTrie {
   /// corrects.
   void sample_and_adjust(CacheArray* head) const {
     obs::sites::cachetrie_sampling_pass.add();
-    std::array<std::uint32_t, 17> hist{};
+    LevelHistogram hist;
     auto& rng = util::thread_rng();
     for (std::uint32_t s = 0; s < kSampleSize; ++s) {
       const NodeAt leaf = read_walk(rng.next(), 0, root_, kNoCacheLevel);
       if (leaf.node.null()) continue;
-      ++hist[leaf.level / 4];
+      ++hist.counts[leaf.level / 4];
+      ++hist.total;
       obs::sites::cachetrie_sample_leaf_level.record(leaf.level / 4);
     }
-    std::size_t best_d = 0;
-    std::uint64_t best_count = 0;
-    for (std::size_t d = 0; d + 1 < hist.size(); ++d) {
-      const std::uint64_t c =
-          static_cast<std::uint64_t>(hist[d]) + hist[d + 1];
-      if (c > best_count) {
-        best_count = c;
-        best_d = d;
-      }
-    }
-    if (best_count == 0) return;
+    const LevelHistogram::Pair best = hist.best_pair();
+    if (best.count == 0) return;
     const std::size_t cur_d = head->level / 4;
-    if (best_d > cur_d &&
-        best_count < hist[cur_d] + hist[cur_d + 1] + kLevelHysteresis) {
+    if (best.depth > cur_d &&
+        best.count <
+            hist.counts[cur_d] + hist.counts[cur_d + 1] + kLevelHysteresis) {
       return;
     }
-    std::uint32_t desired = static_cast<std::uint32_t>(best_d) * 4;
+    std::uint32_t desired = static_cast<std::uint32_t>(best.depth) * 4;
     desired = std::max(desired, config_.min_cache_level);
     desired = std::min(desired, config_.max_cache_level);
     adjust_cache_level(head, desired);

@@ -58,9 +58,8 @@ template <typename K, typename V, typename Hash = util::DefaultHash<K>,
 class ConcurrentHashMap {
   struct Node;
 
-  /// Sentinel planted in a transferred bin; searches restart in next_table.
-  /// Recognized by hash == kForwardHash (never produced for real nodes
-  /// because insert() forces bit 63 off... see adjust_hash).
+  /// The hash of the sentinel planted in a transferred bin; searches
+  /// restart in the next table. adjust_hash keeps real hashes off it.
   static constexpr std::uint64_t kForwardHash = ~std::uint64_t{0};
 
   /// Allocated from the node pool (mr/node_pool.hpp), like the tries' nodes.
@@ -129,11 +128,8 @@ class ConcurrentHashMap {
     static void destroy_erased(void* t) { destroy(static_cast<Table*>(t)); }
   };
 
-  /// The forwarding marker is a Node whose hash is kForwardHash and whose
-  /// next points at... nothing; the reader re-reads table_ (which already
-  /// points at the newest table by the time forwarding nodes are visible...
-  /// no: table_ flips only at the end). Instead the marker carries the next
-  /// table through its `fwd` field.
+  /// The forwarding marker: a Node whose hash is kForwardHash, carrying
+  /// the next table in `fwd` (table_ flips only once a transfer ends).
   struct ForwardNode {
     Node node;  // node.hash == kForwardHash; key/value default
     Table* fwd;
@@ -298,14 +294,7 @@ class ConcurrentHashMap {
   template <typename F>
   void for_each(F&& fn) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    Table* t = table_.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < t->nbins; ++i) {
-      for (Node* n = t->bins()[i].load(std::memory_order_acquire);
-           n != nullptr; n = n->next.load(std::memory_order_acquire)) {
-        if (n->hash == kForwardHash) break;  // concurrent resize; best effort
-        fn(n->key, n->value);
-      }
-    }
+    walk(table_.load(std::memory_order_acquire), fn);
   }
 
   /// Heap bytes: the map, its table, and each node at its pool class size
@@ -313,15 +302,8 @@ class ConcurrentHashMap {
   std::size_t footprint_bytes() const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     Table* t = table_.load(std::memory_order_acquire);
-    std::size_t bytes = sizeof(*this) + Table::alloc_size(t->nbins);
-    for (std::size_t i = 0; i < t->nbins; ++i) {
-      for (Node* n = t->bins()[i].load(std::memory_order_acquire);
-           n != nullptr; n = n->next.load(std::memory_order_acquire)) {
-        if (n->hash == kForwardHash) break;
-        bytes += node_bytes();
-      }
-    }
-    return bytes;
+    auto none = [](const K&, const V&) {};
+    return sizeof(*this) + Table::alloc_size(t->nbins) + walk(t, none);
   }
 
   /// O(1) derived footprint: table bytes + size() * node_bytes(). The
@@ -401,6 +383,23 @@ class ConcurrentHashMap {
       }
       if (n == nullptr) return nullptr;
     }
+  }
+
+  /// The one walk behind for_each and footprint_bytes: fn(key, value) for
+  /// every node of `t`'s bins, each bin up to a forwarding marker (a
+  /// concurrent resize; best effort). Returns the nodes' charged bytes.
+  template <typename F>
+  static std::size_t walk(Table* t, F& fn) {
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < t->nbins; ++i) {
+      for (Node* n = t->bins()[i].load(std::memory_order_acquire);
+           n != nullptr && n->hash != kForwardHash;
+           n = n->next.load(std::memory_order_acquire)) {
+        fn(n->key, n->value);
+        bytes += node_bytes();
+      }
+    }
+    return bytes;
   }
 
   /// Under bin `bi`'s lock: puts `replacement` where `old` was linked

@@ -240,24 +240,23 @@ class Ctrie {
   }
 
   std::size_t size() const {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
     std::size_t n = 0;
-    auto count = [&](const K&, const V&) { ++n; };
-    for_each_branch(root_, count);
+    for_each([&](const K&, const V&) { ++n; });
     return n;
   }
 
   template <typename F>
   void for_each(F&& fn) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    for_each_branch(root_, fn);
+    walk(root_, fn);
   }
 
   /// Heap bytes: the map and each node at its pool class size
   /// (NodePool::class_bytes).
   std::size_t footprint_bytes() const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    return sizeof(*this) + branch_footprint(root_);
+    auto none = [](const K&, const V&) {};
+    return sizeof(*this) + walk(root_, none);
   }
 
   /// Quiescent invariant check (see CacheTrie::debug_validate).
@@ -391,11 +390,16 @@ class Ctrie {
           discard_copy(ncn);
           return Res::kRestart;
         }
-        // Distinct key: grow a deeper level under a fresh INode. With equal
-        // full hashes branch_two builds an LNode chain that *copies* sn's
-        // pair (chains have no SNodes), so the original sn is superseded
-        // and must be retired; with distinct hashes sn moves down as-is.
-        INode* nin = INode::make(branch_two(sn, h, key, value, lev + kW));
+        // Distinct key: grow a deeper level under a fresh INode. Equal full
+        // hashes make an LNode chain that *copies* sn's pair (chains have
+        // no SNodes), so the original sn is superseded and must be
+        // retired; with distinct hashes sn moves down as-is.
+        INode* nin = INode::make(
+            sn->hash == h
+                ? LNodeT::make(h, key, value,
+                               LNodeT::make(h, sn->key, sn->value, nullptr))
+                : branch_apart(sn, sn->hash, SNodeT::make(h, key, value),
+                               lev + kW));
         CNode* ncn = cn->updated(pos, nin);
         if (cas_main(i, cn, ncn)) {
           if (sn->hash == h) Reclaimer::template retire<SNodeT>(sn);
@@ -413,8 +417,8 @@ class Ctrie {
         if (ln->hash != h) {
           // Shares only a prefix with the chain: push the chain one level
           // deeper next to the new key.
-          Base* grown =
-              branch_lnode_apart(ln, SNodeT::make(h, key, value), lev);
+          Base* grown = branch_apart(INode::make(ln), ln->hash,
+                                     SNodeT::make(h, key, value), lev);
           if (cas_main(i, ln, grown)) return Res::kNew;
           destroy_tree(grown, ln);
           return Res::kRestart;
@@ -628,52 +632,23 @@ class Ctrie {
 
   // --- construction helpers ---------------------------------------------------
 
-  /// Two leaves with (possibly) different hashes, branching below lev.
-  /// Links the existing sn (branches are shared, not copied).
-  Base* branch_two(SNodeT* sn, std::uint64_t h, const K& key, const V& value,
-                   std::uint32_t lev) {
-    if (sn->hash == h) {
-      LNodeT* chain = LNodeT::make(sn->hash, sn->key, sn->value, nullptr);
-      return LNodeT::make(h, key, value, chain);
-    }
-    // NOTE: unlike the cache-trie, Ctrie CNodes link the *existing* SNode.
-    const std::uint32_t f1 = flag_of(sn->hash, lev);
-    const std::uint32_t f2 = flag_of(h, lev);
-    if (f1 != f2) {
-      CNode* cn = CNode::make(f1 | f2, 2);
-      SNodeT* nsn = SNodeT::make(h, key, value);
-      if (f1 < f2) {
-        cn->array()[0] = sn;
-        cn->array()[1] = nsn;
-      } else {
-        cn->array()[0] = nsn;
-        cn->array()[1] = sn;
-      }
+  /// Hangs `a` (at hash `ah`) and the fresh SNode `b`, whose hashes
+  /// differ, under a minimal chain of CNodes starting at level `lev`, one
+  /// fresh INode per level below the first. `a` is the resident SNode or a
+  /// fresh INode over a chain, linked as-is: Ctrie branches are shared,
+  /// where the cache-trie hangs a copy.
+  static Base* branch_apart(Base* a, std::uint64_t ah, SNodeT* b,
+                            std::uint32_t lev) {
+    const std::uint32_t fa = flag_of(ah, lev);
+    const std::uint32_t fb = flag_of(b->hash, lev);
+    if (fa == fb) {
+      CNode* cn = CNode::make(fa, 1);
+      cn->array()[0] = INode::make(branch_apart(a, ah, b, lev + kW));
       return cn;
     }
-    CNode* cn = CNode::make(f1, 1);
-    cn->array()[0] = INode::make(branch_two(sn, h, key, value, lev + kW));
-    return cn;
-  }
-
-  /// A collision chain and a new key that share only a hash prefix.
-  Base* branch_lnode_apart(LNodeT* ln, SNodeT* nsn, std::uint32_t lev) {
-    const std::uint32_t f1 = flag_of(ln->hash, lev);
-    const std::uint32_t f2 = flag_of(nsn->hash, lev);
-    if (f1 != f2) {
-      CNode* cn = CNode::make(f1 | f2, 2);
-      INode* lin = INode::make(ln);
-      if (f1 < f2) {
-        cn->array()[0] = lin;
-        cn->array()[1] = nsn;
-      } else {
-        cn->array()[0] = nsn;
-        cn->array()[1] = lin;
-      }
-      return cn;
-    }
-    CNode* cn = CNode::make(f1, 1);
-    cn->array()[0] = INode::make(branch_lnode_apart(ln, nsn, lev + kW));
+    CNode* cn = CNode::make(fa | fb, 2);
+    cn->array()[fa < fb ? 0 : 1] = a;
+    cn->array()[fa < fb ? 1 : 0] = b;
     return cn;
   }
 
@@ -742,51 +717,6 @@ class Ctrie {
 
   // --- traversal ---------------------------------------------------------------
 
-  template <typename F>
-  void for_each_branch(const Base* branch, F& fn) const {
-    switch (branch->kind) {
-      case Kind::kSNode: {
-        auto* sn = static_cast<const SNodeT*>(branch);
-        fn(sn->key, sn->value);
-        return;
-      }
-      case Kind::kINode:
-        for_each_main(
-            static_cast<const INode*>(branch)->main.load(
-                std::memory_order_acquire),
-            fn);
-        return;
-      default:
-        assert(false);
-    }
-  }
-
-  template <typename F>
-  void for_each_main(const Base* main, F& fn) const {
-    switch (main->kind) {
-      case Kind::kCNode: {
-        auto* cn = static_cast<const CNode*>(main);
-        for (std::uint32_t i = 0; i < cn->len; ++i) {
-          for_each_branch(cn->array()[i], fn);
-        }
-        return;
-      }
-      case Kind::kTNode: {
-        auto* sn = static_cast<const TNodeT*>(main)->sn;
-        fn(sn->key, sn->value);
-        return;
-      }
-      case Kind::kLNode:
-        for (auto* l = static_cast<const LNodeT*>(main); l != nullptr;
-             l = l->next) {
-          fn(l->key, l->value);
-        }
-        return;
-      default:
-        assert(false);
-    }
-  }
-
   /// A node's bytes at its pool class size (NodePool::class_bytes).
   template <typename N>
   static constexpr std::size_t charged(
@@ -794,42 +724,45 @@ class Ctrie {
     return mr::NodePool::class_bytes(bytes, alignof(N));
   }
 
-  std::size_t branch_footprint(const Base* branch) const {
-    switch (branch->kind) {
-      case Kind::kSNode:
+  /// The one walk behind size, for_each and footprint_bytes: calls
+  /// fn(key, value) for every pair under `node` (a tombed SNode included)
+  /// and returns the charged bytes of every node it passed.
+  template <typename F>
+  static std::size_t walk(const Base* node, F& fn) {
+    switch (node->kind) {
+      case Kind::kSNode: {
+        auto* sn = static_cast<const SNodeT*>(node);
+        fn(sn->key, sn->value);
         return charged<SNodeT>();
+      }
       case Kind::kINode:
         return charged<INode>() +
-               main_footprint(static_cast<const INode*>(branch)->main.load(
-                   std::memory_order_acquire));
-      default:
-        return 0;
-    }
-  }
-
-  std::size_t main_footprint(const Base* main) const {
-    switch (main->kind) {
+               walk(static_cast<const INode*>(node)->main.load(
+                        std::memory_order_acquire),
+                    fn);
       case Kind::kCNode: {
-        auto* cn = static_cast<const CNode*>(main);
+        auto* cn = static_cast<const CNode*>(node);
         std::size_t bytes = charged<CNode>(CNode::alloc_size(cn->len));
         for (std::uint32_t i = 0; i < cn->len; ++i) {
-          bytes += branch_footprint(cn->array()[i]);
+          bytes += walk(cn->array()[i], fn);
         }
         return bytes;
       }
       case Kind::kTNode:
-        return charged<TNodeT>() + charged<SNodeT>();
+        return charged<TNodeT>() +
+               walk(static_cast<const TNodeT*>(node)->sn, fn);
       case Kind::kLNode: {
         std::size_t bytes = 0;
-        for (auto* l = static_cast<const LNodeT*>(main); l != nullptr;
+        for (auto* l = static_cast<const LNodeT*>(node); l != nullptr;
              l = l->next) {
+          fn(l->key, l->value);
           bytes += charged<LNodeT>();
         }
         return bytes;
       }
-      default:
-        return 0;
     }
+    assert(false && "invalid node kind");
+    return 0;
   }
 
   void validate_branch(const Base* branch, std::uint64_t prefix,

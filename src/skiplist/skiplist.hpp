@@ -240,43 +240,23 @@ class ConcurrentSkipList {
   }
 
   std::size_t size() const {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
     std::size_t n = 0;
-    for (Node* curr = ptr_of(head_->next()[0].load(std::memory_order_acquire));
-         curr != nullptr;
-         curr = ptr_of(curr->next()[0].load(std::memory_order_acquire))) {
-      if (!marked(curr->next()[0].load(std::memory_order_acquire))) ++n;
-    }
+    for_each([&](const K&, const V&) { ++n; });
     return n;
   }
 
   template <typename F>
   void for_each(F&& fn) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    for (Node* curr = ptr_of(head_->next()[0].load(std::memory_order_acquire));
-         curr != nullptr;
-         curr = ptr_of(curr->next()[0].load(std::memory_order_acquire))) {
-      if (!marked(curr->next()[0].load(std::memory_order_acquire))) {
-        fn(curr->key, curr->value.load(std::memory_order_acquire));
-      }
-    }
+    walk(fn);
   }
 
   /// Heap bytes: the list and each node at its pool class size
   /// (NodePool::class_bytes), the head included.
   std::size_t footprint_bytes() const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    auto charged = [](const Node* n) {
-      return mr::NodePool::class_bytes(Node::alloc_size(n->top_level),
-                                       alignof(Node));
-    };
-    std::size_t bytes = sizeof(*this) + charged(head_);
-    for (Node* curr = ptr_of(head_->next()[0].load(std::memory_order_acquire));
-         curr != nullptr;
-         curr = ptr_of(curr->next()[0].load(std::memory_order_acquire))) {
-      bytes += charged(curr);
-    }
-    return bytes;
+    auto none = [](const K&, const V&) {};
+    return sizeof(*this) + walk(none);
   }
 
   /// Quiescent invariant check: strictly sorted bottom level, no marks, and
@@ -520,6 +500,25 @@ class ConcurrentSkipList {
     }
     return succs[0] != nullptr && !less_(key, succs[0]->key) &&
            !less_(succs[0]->key, key);
+  }
+
+  /// The one walk behind size, for_each and footprint_bytes: calls
+  /// fn(key, value) for every unmarked node of the bottom level and returns
+  /// the pool class bytes of every node it passed, the head and marked
+  /// nodes included.
+  template <typename F>
+  std::size_t walk(F& fn) const {
+    std::size_t bytes = 0;
+    for (const Node* n = head_; n != nullptr;) {
+      const std::uintptr_t t = n->next()[0].load(std::memory_order_acquire);
+      if (n != head_ && !marked(t)) {
+        fn(n->key, n->value.load(std::memory_order_acquire));
+      }
+      bytes += mr::NodePool::class_bytes(Node::alloc_size(n->top_level),
+                                         alignof(Node));
+      n = ptr_of(t);
+    }
+    return bytes;
   }
 
   /// Geometric level distribution, p = 1/2.

@@ -42,6 +42,7 @@
 #include <atomic>
 #include <thread>
 
+#include "util/hashing.hpp"
 #include "util/thread_id.hpp"
 #endif
 
@@ -223,13 +224,6 @@ constexpr std::uint64_t mixing_word(Site s) noexcept {
 
 namespace chaos {
 
-/// splitmix64 finalizer — shared by seeding and per-call decision mixing.
-constexpr std::uint64_t mix(std::uint64_t x) noexcept {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Aggregate perturbation counters, readable from tests.
 struct Totals {
   std::uint64_t points = 0;  // chaos points crossed while enabled
@@ -301,8 +295,9 @@ inline bool enabled() noexcept {
 /// makes a printed seed replayable regardless of OS thread identity.
 inline void bind_thread(std::uint64_t index) noexcept {
   auto& ts = detail::stream();
-  ts.state = mix(detail::g_seed.load(std::memory_order_relaxed) ^
-                 (0x9e3779b97f4a7c15ULL * (index + 1)));
+  ts.state = util::splitmix64_finalize(
+      detail::g_seed.load(std::memory_order_relaxed) ^
+      (0x9e3779b97f4a7c15ULL * (index + 1)));
   if (ts.state == 0) ts.state = 0x853c49e6748fea9bULL;
   ts.index = index;
   ts.bound = true;
@@ -356,7 +351,7 @@ inline void point(Site site) {
   x ^= x << 25;
   x ^= x >> 27;
   ts.state = x;
-  const std::uint64_t r = mix(x ^ mixing_word(site));
+  const std::uint64_t r = util::splitmix64_finalize(x ^ mixing_word(site));
   detail::g_counters.points.fetch_add(1, std::memory_order_relaxed);
   detail::g_counters.hits[static_cast<std::size_t>(site)].fetch_add(
       1, std::memory_order_relaxed);
@@ -408,7 +403,7 @@ inline std::uint64_t site_hits(Site) noexcept { return 0; }
 }  // namespace chaos
 
 /// Release builds: an empty constexpr inline the optimizer erases entirely
-/// (the acceptance bar: micro_ops throughput unchanged within noise).
+/// (collision_chain_test static_asserts it is a constexpr no-op).
 inline constexpr void chaos_point(Site) noexcept {}
 
 #endif  // CACHETRIE_TESTKIT

@@ -105,16 +105,13 @@ void apply(Map& map, Event& ev) {
 
 namespace driver_detail {
 
-constexpr std::uint64_t mix(std::uint64_t x) noexcept {
-  return chaos::mix(x);
-}
-
 /// One thread's deterministic slice of one history.
 template <util::KvMap Map>
 void run_thread_ops(Map& map, HistoryRecorder& rec, const DriverConfig& cfg,
                     std::uint64_t history, std::uint32_t tid) {
-  util::SplitMix64 rng(mix(cfg.seed ^ (history * 0x9e3779b97f4a7c15ULL) ^
-                           (tid * 0xbf58476d1ce4e5b9ULL)));
+  util::SplitMix64 rng(util::splitmix64_finalize(
+      cfg.seed ^ (history * 0x9e3779b97f4a7c15ULL) ^
+      (tid * 0xbf58476d1ce4e5b9ULL)));
   for (std::uint32_t i = 0; i < cfg.ops_per_thread; ++i) {
     Event ev;
     ev.thread = tid;
@@ -186,7 +183,7 @@ DriverResult run_histories(Factory&& make, const DriverConfig& cfg) {
     if (live) {
       // Per-history chaos seed: every history explores a different
       // perturbation stream while staying a pure function of (seed, h).
-      chaos::set_global_seed(driver_detail::mix(cfg.seed + h));
+      chaos::set_global_seed(util::splitmix64_finalize(cfg.seed + h));
       rec.reset();
       map = make();
     }

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "testkit/chaos.hpp"
+#include "util/hashing.hpp"
 
 #if defined(CACHETRIE_TESTKIT) && CACHETRIE_TESTKIT
 #include <atomic>
@@ -105,12 +106,12 @@ class Plan {
                          std::chrono::nanoseconds min_stall,
                          std::chrono::nanoseconds max_stall) {
     Plan plan(seed);
-    std::uint64_t x = chaos::mix(seed ^ 0x9e3779b97f4a7c15ULL);
+    std::uint64_t x = util::splitmix64_finalize(seed ^ 0x9e3779b97f4a7c15ULL);
     const std::uint64_t span = static_cast<std::uint64_t>(
         (max_stall - min_stall).count() + 1);
     for (std::size_t i = 0; i < sites.size(); ++i) {
       for (std::uint64_t v = 0; v < n_victims; ++v) {
-        x = chaos::mix(x + i * 131 + v * 31 + 1);
+        x = util::splitmix64_finalize(x + i * 131 + v * 31 + 1);
         const auto dur =
             min_stall + std::chrono::nanoseconds(
                             static_cast<std::int64_t>(x % span));

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "testkit/history.hpp"
+#include "util/hashing.hpp"
 
 namespace cachetrie::testkit {
 
@@ -109,15 +110,9 @@ struct Config {
 struct ConfigHash {
   std::size_t operator()(const Config& c) const noexcept {
     std::uint64_t h = c.present ? 0x9e3779b97f4a7c15ULL : 0xbf58476d1ce4e5b9ULL;
-    h = chaos_mix(h ^ c.value);
-    for (std::uint64_t w : c.mask) h = chaos_mix(h ^ w);
+    h = util::splitmix64_finalize(h ^ c.value);
+    for (std::uint64_t w : c.mask) h = util::splitmix64_finalize(h ^ w);
     return static_cast<std::size_t>(h);
-  }
-
-  static constexpr std::uint64_t chaos_mix(std::uint64_t x) noexcept {
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
   }
 };
 

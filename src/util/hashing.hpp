@@ -20,14 +20,29 @@
 
 namespace cachetrie::util {
 
-/// splitmix64 finalizer (Stafford variant 13). Passes practical avalanche
-/// tests; used as the default post-mixer for every key type.
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
+/// The splitmix64 finalizer (Stafford variant 13): the one 64-bit mixer
+/// behind mix64, SplitMix64, the chaos streams and lin_check's state hash.
+constexpr std::uint64_t splitmix64_finalize(std::uint64_t x) noexcept {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
+
+/// One splitmix64 step from `x`: the golden-ratio increment, then the
+/// finalizer. Passes practical avalanche tests; used as the default
+/// post-mixer for every key type.
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  return splitmix64_finalize(x + 0x9e3779b97f4a7c15ULL);
+}
+
+// Pinned outputs: every key's hash and every chaos seed's replay depend on
+// these bits, so an edit that changes them must fail the build.
+static_assert(splitmix64_finalize(0) == 0);
+static_assert(splitmix64_finalize(1) == 0x5692161d100b05e5ULL);
+static_assert(splitmix64_finalize(~0ULL) == 0xb4d055fcf2cbbd7bULL);
+static_assert(mix64(0) == 0xe220a8397b1dcdafULL);
+static_assert(mix64(42) == 0xbdd732262feb6e95ULL);
+static_assert(mix64(~0ULL) == 0xe4d971771b652c20ULL);
 
 /// Murmur3 fmix64 — alternative finalizer, used by tests to cross-check that
 /// results do not depend on one particular mixer.

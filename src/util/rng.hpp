@@ -19,16 +19,10 @@ class SplitMix64 {
 
   constexpr std::uint64_t next() noexcept {
     state_ += 0x9e3779b97f4a7c15ULL;
-    return mix64_tail(state_);
+    return splitmix64_finalize(state_);
   }
 
  private:
-  static constexpr std::uint64_t mix64_tail(std::uint64_t x) noexcept {
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-
   std::uint64_t state_;
 };
 

@@ -91,6 +91,24 @@ TEST(CHashMap, ForEachVisitsEverything) {
   EXPECT_EQ(seen.size(), 5000u);
 }
 
+TEST(CHashMap, QuiescentFootprintEqualsEstimate) {
+  // The walk (one node per live pair) and the O(1) estimate (the striped
+  // counters times node_bytes) agree once no write is in flight, across
+  // resizes and removals.
+  ConcurrentHashMap<std::uint64_t, std::uint64_t> map;
+  cachetrie::util::SplitMix64 rng(17);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t r = rng.next();
+    if (r % 3 == 0) {
+      map.remove(r % 5000);
+    } else {
+      map.insert(r % 5000, r);
+    }
+  }
+  EXPECT_GT(map.bin_count(), 16u);
+  EXPECT_EQ(map.footprint_bytes(), map.footprint_estimate_bytes());
+}
+
 TEST(CHashMapConcurrent, DisjointInsertsDuringResizes) {
   ConcurrentHashMap<int, int> map(16);  // tiny: forces many transfers
   constexpr int kThreads = 8;

@@ -150,6 +150,28 @@ TEST(Ctrie, FullHashCollisionsUseChains) {
   EXPECT_EQ(map.size(), 0u);
 }
 
+TEST(Ctrie, ChainFootprintIsEveryNodesClassBytes) {
+  // Every key hashes to 0: the root INode's CNode holds one INode whose
+  // main is the whole chain. The footprint walk charges exactly those
+  // nodes, each at its pool class.
+  using cachetrie::mr::NodePool;
+  namespace d = cachetrie::ctrie::detail;
+  using Map = Ctrie<std::uint64_t, std::uint64_t,
+                    cachetrie::util::DegradedHash<0>>;
+  using Link = d::LNode<std::uint64_t, std::uint64_t>;
+  constexpr std::size_t kN = 7;
+  Map map;
+  for (std::uint64_t k = 0; k < kN; ++k) ASSERT_TRUE(map.insert(k, k));
+  const std::size_t inode = NodePool::class_bytes(sizeof(d::INode),
+                                                  alignof(d::INode));
+  const std::size_t root_cnode = NodePool::class_bytes(
+      d::CNode::alloc_size(1), alignof(d::CNode));
+  const std::size_t link = NodePool::class_bytes(sizeof(Link), alignof(Link));
+  EXPECT_EQ(map.footprint_bytes(),
+            sizeof(Map) + inode + root_cnode + inode + kN * link);
+  EXPECT_EQ(map.size(), kN);
+}
+
 TEST(Ctrie, DegradedHashDeepPaths) {
   Ctrie<int, int, cachetrie::util::DegradedHash<12>> map;
   constexpr int kN = 20000;

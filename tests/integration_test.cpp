@@ -70,6 +70,40 @@ TEST(Integration, AllFourStructuresAgreeUnderChurn) {
   }
 }
 
+// Seeded single-threaded churn; then size() must count exactly the pairs
+// for_each visits, and both the pairs a reference map holds.
+template <typename Map>
+void expect_size_counts_visits() {
+  Map map;
+  std::map<Key, Val> ref;
+  cachetrie::util::SplitMix64 rng(40);
+  for (int step = 0; step < 30000; ++step) {
+    const std::uint64_t r = rng.next();
+    const Key key = r % 4000;
+    if (r >> 62 == 0) {
+      map.remove(key);
+      ref.erase(key);
+    } else {
+      map.insert(key, r);
+      ref[key] = r;
+    }
+  }
+  std::size_t visits = 0;
+  map.for_each([&](const Key&, const Val&) { ++visits; });
+  EXPECT_EQ(map.size(), visits);
+  EXPECT_EQ(visits, ref.size());
+}
+
+TEST(Integration, BaselineSizeCountsEveryForEachVisit) {
+  using Few = cachetrie::util::DegradedHash<6>;  // chains and deep paths
+  expect_size_counts_visits<cachetrie::ctrie::Ctrie<Key, Val>>();
+  expect_size_counts_visits<cachetrie::ctrie::Ctrie<Key, Val, Few>>();
+  expect_size_counts_visits<cachetrie::chm::ConcurrentHashMap<Key, Val>>();
+  expect_size_counts_visits<
+      cachetrie::chm::ConcurrentHashMap<Key, Val, Few>>();
+  expect_size_counts_visits<cachetrie::csl::ConcurrentSkipList<Key, Val>>();
+}
+
 TEST(Integration, WorkloadGeneratorsDriveAllStructures) {
   const cachetrie::harness::DisjointKeys workload{4, 5000};
   cachetrie::CacheTrie<Key, Val> trie;
