@@ -35,7 +35,8 @@ using cachetrie::harness::Summary;
 using cachetrie::harness::Table;
 namespace sites = cachetrie::obs::sites;
 
-using BoundedTrie = cachetrie::CacheTrie<bench::Key, bench::Val>;
+using BoundedTrie =
+    cachetrie::evict::BoundedCacheTrie<bench::Key, bench::Val>;
 using BoundedChm = cachetrie::evict::BoundedChm<bench::Key, bench::Val>;
 
 constexpr std::size_t kCeiling = 1u << 20;        // 1 MiB byte ceiling
@@ -47,8 +48,8 @@ constexpr std::size_t kZipfRanks = 60000;         // ~4x what the ceiling holds
 constexpr std::size_t kZipfWarm = 150000;
 constexpr std::size_t kZipfOps = 300000;
 
-cachetrie::Config bounded_config() {
-  cachetrie::Config cfg;
+cachetrie::evict::BoundedConfig bounded_config() {
+  cachetrie::evict::BoundedConfig cfg;
   cfg.ceiling_bytes = kCeiling;
   cfg.ttl_ticks = 0;  // pure LRU-pressure mode; TTL is covered by the tests
   return cfg;

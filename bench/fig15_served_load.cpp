@@ -50,7 +50,7 @@
 #include <thread>
 #include <vector>
 
-#include "cachetrie/cache_trie.hpp"
+#include "cachetrie/evict.hpp"
 #include "common.hpp"
 #include "net/client.hpp"
 #include "net/proto.hpp"
@@ -70,7 +70,8 @@ using cachetrie::harness::LatencySummary;
 using cachetrie::harness::RunningStats;
 using cachetrie::harness::Table;
 
-using BoundedTrie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
+using BoundedTrie =
+    cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
 
 constexpr std::size_t kShards = 2;
 constexpr std::size_t kConns = 2;          // generator connections per phase
@@ -283,7 +284,7 @@ int main() {
       "loss counts print below but are load-dependent and never gated.\n"
       "Fixed sizes; REPRO_SCALE is ignored.");
 
-  cachetrie::Config bcfg;
+  cachetrie::evict::BoundedConfig bcfg;
   bcfg.ceiling_bytes = 8u << 20;
   bcfg.ttl_ticks = 0;
   BoundedTrie map{bcfg};

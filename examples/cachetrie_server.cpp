@@ -30,7 +30,7 @@
 #include <thread>
 #include <vector>
 
-#include "cachetrie/cache_trie.hpp"
+#include "cachetrie/evict.hpp"
 #include "net/client.hpp"
 #include "net/proto.hpp"
 #include "net/reactor.hpp"
@@ -41,7 +41,8 @@ namespace {
 
 namespace net = cachetrie::net;
 namespace proto = cachetrie::net::proto;
-using BoundedTrie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
+using BoundedTrie =
+    cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
 
 std::atomic<bool> g_stop{false};
 void on_signal(int) { g_stop.store(true, std::memory_order_release); }
@@ -187,7 +188,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  cachetrie::Config bcfg;
+  cachetrie::evict::BoundedConfig bcfg;
   bcfg.ceiling_bytes = ceiling_mb << 20;
   BoundedTrie map{bcfg};
 

@@ -34,8 +34,8 @@
 # The plain stage also builds benchmark/ as its own project
 # (build-check-benchmark), runs all three of its workloads for 1 s each, and
 # counts the fences and locked instructions in the disassembled
-# CacheTrie<u64,u64>::lookup it runs (and in read_walk, when the compiler
-# keeps that out of line).
+# CacheTrie<u64,u64>::lookup of both instantiations it runs, unbounded and
+# bounded (and in read_walk, when the compiler keeps that out of line).
 #
 # The slow label (soak_test, lin_check_test) is excluded here on purpose —
 # run `ctest -L slow` in any of the build trees for the long suite. The one
@@ -181,47 +181,52 @@ run_stage() {
       echo "=== [$stage] lookup disassembly: no new locked instruction ==="
       # protocol_lint's [read-path] rule reads only marked bodies, not what
       # they call or what inlining makes of them; this reads the machine
-      # code of the instantiation benchmark/ runs. Allowed in lookup: one
-      # locked instruction, the bounded-mode op tick (`lock xadd` in
+      # code of the two instantiations benchmark/ runs: the unbounded trie
+      # (map_read_large, map_churn_small) and the bounded one
+      # (served_evict_churn). The unbounded lookup may hold no locked
+      # instruction; the bounded one one, its op tick (`lock xadd` in
       # evict::Policy::horizon). The pin's xchg sits out of line in
       # EpochDomain::enter, and `xchg %ax,%ax` is a nop with no memory
       # operand, so neither counts. read_walk, the read-only descent lookup
       # and the depth sampling share, is read too whenever the compiler
       # keeps a copy of it out of line, and may hold no locked instruction.
-      # note_leaf_level is left out: its one `lock xadd` is the first-use
-      # counter of util::current_thread_id() in the miss count it inlines,
-      # a slow path.
-      local trie_sym='cachetrie::CacheTrie<unsigned long, unsigned long, cachetrie::util::DefaultHash<unsigned long>, cachetrie::mr::EpochReclaimer>'
-      local fn max_locked asm fences locked
-      for fn in lookup read_walk; do
-        asm="$bench_dir/$fn.s"
-        # Every out-of-line copy, clones included: the header lines of
-        # symbols that start with the member's name.
-        objdump -d -C --no-show-raw-insn "$bench_dir/cachetrie_benchmark" |
-          awk -v sym="<$trie_sym::$fn(" \
+      # No function read here may hold an mfence. note_leaf_level is left
+      # out: its one `lock xadd` is the first-use counter of
+      # util::current_thread_id() in the miss count it inlines, a slow path.
+      local trie_args='unsigned long, unsigned long, cachetrie::util::DefaultHash<unsigned long>, cachetrie::mr::EpochReclaimer'
+      local bounded fn max_locked asm fences locked
+      objdump -d -C --no-show-raw-insn "$bench_dir/cachetrie_benchmark" \
+        >"$bench_dir/benchmark.s"
+      for bounded in false true; do
+        for fn in lookup read_walk; do
+          asm="$bench_dir/$fn.$bounded.s"
+          # Every out-of-line copy, clones included: the header lines of
+          # symbols that start with the member's name.
+          awk -v sym="<cachetrie::CacheTrie<$trie_args, $bounded>::$fn(" \
             '/^[0-9a-f]+ </ && index($0, sym) { f = 1; next } /^$/ { f = 0 } f' \
-            >"$asm"
-        max_locked=0
-        if [ "$fn" = lookup ]; then
-          max_locked=1
-          if [ ! -s "$asm" ]; then
-            echo "FAIL: no out-of-line CacheTrie::lookup in the benchmark binary" >&2
+            "$bench_dir/benchmark.s" >"$asm"
+          max_locked=0
+          if [ "$fn" = lookup ]; then
+            if [ "$bounded" = true ]; then max_locked=1; fi
+            if [ ! -s "$asm" ]; then
+              echo "FAIL: no out-of-line CacheTrie<..., $bounded>::lookup in the benchmark binary" >&2
+              exit 1
+            fi
+          elif [ ! -s "$asm" ]; then
+            echo "$fn (Bounded=$bounded): inlined into its callers"
+            continue
+          fi
+          fences="$(grep -cE '^ *[0-9a-f]+:[[:space:]]+mfence' "$asm" || true)"
+          locked="$(grep -cE '^ *[0-9a-f]+:[[:space:]]+(lock[[:space:]]|xchg[bwlq]?[[:space:]][^#]*\()' \
+            "$asm" || true)"
+          echo "$fn (Bounded=$bounded): $(wc -l <"$asm") instructions," \
+            "$fences mfence, $locked locked (at most $max_locked)"
+          if [ "$fences" -ne 0 ] || [ "$locked" -gt "$max_locked" ]; then
+            grep -nE 'mfence|lock[[:space:]]|xchg' "$asm" >&2
+            echo "FAIL: CacheTrie<..., $bounded>::$fn gained a fence or a locked instruction" >&2
             exit 1
           fi
-        elif [ ! -s "$asm" ]; then
-          echo "$fn: inlined into its callers"
-          continue
-        fi
-        fences="$(grep -cE '^ *[0-9a-f]+:[[:space:]]+mfence' "$asm" || true)"
-        locked="$(grep -cE '^ *[0-9a-f]+:[[:space:]]+(lock[[:space:]]|xchg[bwlq]?[[:space:]][^#]*\()' \
-          "$asm" || true)"
-        echo "$fn: $(wc -l <"$asm") instructions, $fences mfence," \
-          "$locked locked"
-        if [ "$fences" -ne 0 ] || [ "$locked" -gt "$max_locked" ]; then
-          grep -nE 'mfence|lock[[:space:]]|xchg' "$asm" >&2
-          echo "FAIL: CacheTrie::$fn gained a fence or a locked instruction" >&2
-          exit 1
-        fi
+        done
       done
     fi
     local quiet_passes='!/^(\[==========\]|\[  PASSED  \]|Repeating all|$)/'

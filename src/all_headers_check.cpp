@@ -94,11 +94,28 @@ static_assert(caps<SkipListU64>() == kPutIfAbsent);
 // benchmark/ is a frozen contract that names the bounded trie
 // evict::BoundedCacheTrie and reads map->underlying(); this row breaks the
 // build before the benchmark's own build would.
-using BenchmarkTrieU64 = cachetrie::evict::BoundedCacheTrie<U64, U64>;
-static_assert(caps<BenchmarkTrieU64>() == kAllCaps &&
-              std::is_same_v<
-                  decltype(std::declval<BenchmarkTrieU64&>().underlying()),
-                  CacheTrieU64&>);
+using BoundedTrieU64 = cachetrie::evict::BoundedCacheTrie<U64, U64>;
+static_assert(
+    caps<BoundedTrieU64>() == kAllCaps &&
+    std::is_same_v<decltype(std::declval<BoundedTrieU64&>().underlying()),
+                   cachetrie::CacheTrie<U64, U64, util::DefaultHash<U64>,
+                                        cachetrie::mr::EpochReclaimer,
+                                        /*Bounded=*/true>&>);
+
+// Boundedness is the trie's type: the unbounded trie has no bounded-mode
+// surface, carries no eviction state and refuses a BoundedConfig rather
+// than drop its fields, and the serving layer reads the ceiling as a
+// capability.
+template <class M>
+concept HasBoundedSurface = requires(const M& m) { m.resident_bytes(); } ||
+                            requires(M& m, U64 k) { m.evict(k); } ||
+                            util::HasCeiling<M>;
+static_assert(!HasBoundedSurface<CacheTrieU64>);
+static_assert(util::HasCeiling<BoundedTrieU64> &&
+              !util::HasCeiling<CacheTrieU64>);
+static_assert(sizeof(CacheTrieU64) < sizeof(BoundedTrieU64) &&
+              !std::is_constructible_v<CacheTrieU64,
+                                       cachetrie::evict::BoundedConfig>);
 
 // Every node the instantiated maps allocate fits a pool size class, so none
 // silently falls back to ::operator new. The ctrie's CNodes with 31 or 32
@@ -112,24 +129,28 @@ constexpr bool fits_pool_class() {
 namespace ct = cachetrie::detail;
 namespace ctr = cachetrie::ctrie::detail;
 static_assert(fits_pool_class<ct::SNode<U64, U64>>() &&
+              fits_pool_class<ct::SNode<U64, U64, /*Stamped=*/true>>() &&
               fits_pool_class<ct::LNode<U64, U64>>() &&
+              fits_pool_class<ct::LNode<U64, U64, /*Stamped=*/true>>() &&
               fits_pool_class<ct::ENode>());
 static_assert(ct::ANode::alloc_size(16) <= cachetrie::mr::NodePool::kMaxBytes);
 
 // A bounded trie's leaf is exactly the pool's 32 B class (key, value, txn
-// and the trailing stamp word) and an unbounded one fits it too, so a word
-// added to the leaf fails this build in every configuration. The ledger
-// books NodePool::class_bytes of each, which must be the block allocate()
-// serves it: a block of class_of(bytes), (class_of(bytes) + 1) granules.
+// and the stamp word) and an unbounded one is those without the stamp, so
+// a word added to the leaf fails this build in every configuration. The
+// ledger books NodePool::class_bytes of each, which must be the block
+// allocate() serves it: a block of class_of(bytes), (class_of(bytes) + 1)
+// granules.
 using LeafU64 = ct::SNode<U64, U64>;
+using StampedLeafU64 = ct::SNode<U64, U64, /*Stamped=*/true>;
 using cachetrie::mr::NodePool;
 constexpr std::size_t served_block(std::size_t bytes) {
   return (NodePool::class_of(bytes) + 1) * NodePool::kGranule;
 }
-constexpr std::size_t kBoundedLeaf = LeafU64::alloc_size(/*stamped=*/true);
-constexpr std::size_t kUnboundedLeaf = LeafU64::alloc_size(/*stamped=*/false);
-static_assert(kBoundedLeaf == 32 && kUnboundedLeaf <= 32);
-static_assert(NodePool::class_bytes(kBoundedLeaf, alignof(LeafU64)) ==
+constexpr std::size_t kBoundedLeaf = sizeof(StampedLeafU64);
+constexpr std::size_t kUnboundedLeaf = sizeof(LeafU64);
+static_assert(kBoundedLeaf == 32 && kUnboundedLeaf == 24);
+static_assert(NodePool::class_bytes(kBoundedLeaf, alignof(StampedLeafU64)) ==
                   served_block(kBoundedLeaf) &&
               NodePool::class_bytes(kUnboundedLeaf, alignof(LeafU64)) ==
                   served_block(kUnboundedLeaf) &&
@@ -171,6 +192,7 @@ template class cachetrie::net::Server<
 int cachetrie_all_headers_check() {
   int out = 0;
   out += touch<cachetrie::CacheTrie<int, int>>();
+  out += touch<cachetrie::evict::BoundedCacheTrie<int, int>>();
   out += touch<cachetrie::ctrie::Ctrie<int, int>>();
   out += touch<cachetrie::chm::ConcurrentHashMap<int, int>>();
   out += touch<cachetrie::csl::ConcurrentSkipList<int, int>>();

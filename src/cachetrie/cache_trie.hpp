@@ -111,10 +111,30 @@ struct NodeAt {
   std::uint32_t level = 0;
 };
 
+/// A bounded trie's state (DESIGN.md §3): the policy (clock, horizons, idle
+/// window), the byte ledger (booked only by make, retire and discard) and
+/// the probes' clock hand. All advisory: every access is relaxed, and no
+/// protocol decision builds a happens-before edge through them.
+struct Eviction {
+  explicit Eviction(const evict::BoundedConfig& cfg) : policy(cfg) {
+    evict::register_resident_gauge();
+  }
+  evict::Policy policy;
+  mutable std::atomic<std::int64_t> resident_bytes{0};
+  std::atomic<std::uint64_t> cursor{0};
+};
+/// An unbounded trie's: none, in no bytes ([[no_unique_address]]).
+struct NoEviction {
+  explicit NoEviction(const Config&) noexcept {}
+};
+
 }  // namespace detail
 
+/// `Bounded` (DESIGN.md §3; evict::BoundedCacheTrie): the trie stamps its
+/// pairs, books their bytes and evicts under evict_policy.hpp's policy. An
+/// unbounded trie, the paper's, compiles none of that code.
 template <typename K, typename V, typename Hash = util::DefaultHash<K>,
-          typename Reclaimer = mr::EpochReclaimer>
+          typename Reclaimer = mr::EpochReclaimer, bool Bounded = false>
 class CacheTrie {
   using NodeAt = detail::NodeAt;
   using Ref = detail::Ref;
@@ -122,18 +142,19 @@ class CacheTrie {
   using Tag = detail::Tag;
   using ANode = detail::ANode;
   using ENode = detail::ENode;
-  using SNodeT = detail::SNode<K, V>;
-  using LNodeT = detail::LNode<K, V>;
+  using SNodeT = detail::SNode<K, V, Bounded>;
+  using LNodeT = detail::LNode<K, V, Bounded>;
   using CacheArray = detail::CacheArray;
 
  public:
-  explicit CacheTrie(Config config = {})
-      : config_(config),
-        bounded_(config.ceiling_bytes != 0 || config.ttl_ticks != 0),
-        policy_(config) {
-    if (bounded_) evict::register_resident_gauge();
+  explicit CacheTrie(
+      const std::conditional_t<Bounded, evict::BoundedConfig, Config>&
+          config = {})
+      : config_(config), evict_(config) {
     root_ = make<ANode>(16);
   }
+  /// An unbounded trie refuses eviction knobs rather than drop them.
+  CacheTrie(const evict::BoundedConfig&) requires(!Bounded) = delete;
 
   CacheTrie(const CacheTrie&) = delete;
   CacheTrie& operator=(const CacheTrie&) = delete;
@@ -147,7 +168,7 @@ class CacheTrie {
       c = parent;
     }
     // Teardown credited every node it freed, so the ledger closes at zero.
-    assert(resident_bytes_.load(std::memory_order_relaxed) == 0);
+    if constexpr (Bounded) assert(resident_bytes() == 0);
   }
 
   /// Inserts or replaces the pair. Returns true iff the key was new.
@@ -183,7 +204,8 @@ class CacheTrie {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     testkit::chaos_point(testkit::Site::cachetrie_pinned);
     const std::uint64_t h = hasher_(key);
-    const Horizon hz = make_horizon();
+    Horizon hz;
+    if constexpr (Bounded) hz = evict_.policy.horizon();
     CacheArray* cache = config_.use_cache
                             ? cache_head_.load(std::memory_order_acquire)
                             : nullptr;
@@ -266,14 +288,8 @@ class CacheTrie {
   /// Number of keys (O(n) traversal). Bounded mode: TTL-expired pairs are
   /// unobservable, so they are not counted even while physically present.
   std::size_t size() const {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    const Horizon hz = make_horizon();
     std::size_t n = 0;
-    auto count = [&](const K&, const V&, std::uint64_t st, std::uint32_t) {
-      if (bounded_ && hz.expired(st)) return;
-      ++n;
-    };
-    for_each_node(root_, 0, count);
+    for_each([&n](const K&, const V&) { ++n; });
     return n;
   }
 
@@ -284,11 +300,11 @@ class CacheTrie {
   template <typename F>
   void for_each(F&& fn) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
-    const Horizon hz = make_horizon();
+    Horizon hz;
+    if constexpr (Bounded) hz = evict_.policy.horizon();
     auto visit = [&](const K& k, const V& v, std::uint64_t st,
                      std::uint32_t) {
-      if (bounded_ && hz.expired(st)) return;
-      fn(k, v);
+      if (!is_corpse(st, hz)) fn(k, v);
     };
     for_each_node(root_, 0, visit);
   }
@@ -343,35 +359,35 @@ class CacheTrie {
     return {};
   }
 
-  // --- bounded-memory mode (DESIGN.md §3) -----------------------------------
+  // --- bounded-memory mode (DESIGN.md §3): only a bounded trie has these --
 
   /// Observed resident footprint: the bytes of every node this trie made and
   /// has not retired or discarded, each at its pool class size —
   /// footprint_bytes() - sizeof(*this) at quiescence, plus in-flight
   /// operations' unpublished copies. Excludes bytes in reclaimer limbo
-  /// (EpochDomain::retired_bytes()). Always 0 when unbounded.
-  std::size_t resident_bytes() const noexcept {
+  /// (EpochDomain::retired_bytes()).
+  std::size_t resident_bytes() const noexcept requires Bounded {
     return static_cast<std::size_t>(
-        resident_bytes_.load(std::memory_order_relaxed));
+        evict_.resident_bytes.load(std::memory_order_relaxed));
   }
 
   /// Bytes left under the ceiling; SIZE_MAX when there is none.
-  std::size_t resident_headroom_bytes() const noexcept {
-    return policy_.headroom_bytes(resident_bytes());
+  std::size_t resident_headroom_bytes() const noexcept requires Bounded {
+    return evict_.policy.headroom_bytes(resident_bytes());
   }
 
   /// True once resident bytes cross `frac` of the ceiling — the serving
   /// layer's graceful-degradation signal (net/shard.hpp). Always false
   /// without a ceiling.
-  bool near_ceiling(double frac = 0.9) const noexcept {
-    return policy_.near_ceiling(resident_bytes(), frac);
+  bool near_ceiling(double frac = 0.9) const noexcept requires Bounded {
+    return evict_.policy.near_ceiling(resident_bytes(), frac);
   }
 
   /// Forcibly removes the pair through the eviction path. The removal is a
   /// linearizable remove — same two-CAS protocol, same linearization point —
   /// but its success is counted as an LRU eviction, not a user remove.
-  std::optional<V> evict(const K& key) {
-    return do_remove(key, nullptr, /*as_evict=*/true);
+  std::optional<V> evict(const K& key) requires Bounded {
+    return do_remove</*AsEvict=*/true>(key, nullptr);
   }
 
   /// Quiescent structural invariant check, used by the test suite. Returns
@@ -421,25 +437,20 @@ class CacheTrie {
 
   // --- bounded-memory mode machinery (DESIGN.md §3) -------------------------
 
-  /// Per-operation eviction horizons, computed once at each public entry
-  /// point and threaded through the descent. Inert (all zero) when the trie
-  /// is unbounded, so every check falls through at the cost of one
-  /// predictable compare.
+  /// Per-operation eviction horizons, read once at each public entry point
+  /// and threaded through the descent; all zero in an unbounded trie.
   using Horizon = evict::Horizon;
 
-  Horizon make_horizon() const {
-    if (!bounded_) return {};
-    return policy_.horizon();
-  }
-
-  /// Books `delta` bytes in this trie's ledger and in the process-wide
+  /// Books `delta` bytes in a bounded trie's ledger and in the process-wide
   /// gauge; only make, retire and discard call it. Like the stamp/tick/window
   /// words, the sum is advisory — all accesses relaxed, no ordering contract
   /// (ordering_contracts.hpp documents why).
   void account(std::ptrdiff_t delta) const noexcept {
-    if (!bounded_) return;
-    resident_bytes_.fetch_add(delta, std::memory_order_relaxed);
-    evict::process_resident_bytes().fetch_add(delta, std::memory_order_relaxed);
+    if constexpr (Bounded) {
+      evict_.resident_bytes.fetch_add(delta, std::memory_order_relaxed);
+      evict::process_resident_bytes().fetch_add(delta,
+                                                std::memory_order_relaxed);
+    }
   }
 
   // --- node lifecycle (DESIGN.md §3) -----------------------------------------
@@ -450,15 +461,11 @@ class CacheTrie {
 
   /// A node's bytes in the ledger: the pool class its allocation takes
   /// (NodePool::class_bytes), so the ledger books what the pool hands out.
-  /// A leaf's size depends on whether the trie stamps its leaves; an ANode
-  /// is named by its word, whose tag holds its length.
+  /// An ANode is named by its word, whose tag holds its length.
   template <typename N>
-  std::size_t node_bytes(const N* n) const noexcept {
+  static std::size_t node_bytes(const N* n) noexcept {
     if constexpr (std::is_same_v<N, CacheArray>) {
       return n->footprint_bytes();
-    } else if constexpr (std::is_same_v<N, SNodeT>) {
-      return mr::NodePool::class_bytes(SNodeT::alloc_size(bounded_),
-                                       alignof(SNodeT));
     } else {
       return mr::NodePool::class_bytes(sizeof(N), alignof(N));
     }
@@ -475,15 +482,9 @@ class CacheTrie {
     return n;
   }
 
-  /// A fresh leaf, with a stamp word exactly when the trie is bounded.
-  SNodeT* make_leaf(std::uint64_t h, const K& key, const V& value,
-                    std::uint64_t stamp) const {
-    return make<SNodeT>(bounded_, h, key, value, stamp);
-  }
-
   /// A fresh copy of a resident leaf: the same logical entry, stamp included.
   SNodeT* copy_leaf(const SNodeT* sn) const {
-    return make_leaf(hash_of(sn), sn->key, sn->value, stamp_of(sn));
+    return make<SNodeT>(hash_of(sn), sn->key, sn->value, stamp_of(sn));
   }
 
   /// The hash of a resident leaf's key: its stored field, or the key
@@ -512,8 +513,17 @@ class CacheTrie {
   /// A leaf's last-use tick; 0 in an unbounded trie, whose leaves have no
   /// stamp word.
   // [read-path]
-  std::uint64_t stamp_of(const SNodeT* sn) const {
-    return bounded_ ? sn->stamp().load(std::memory_order_relaxed) : 0;
+  static std::uint64_t stamp_of(const SNodeT* sn) {
+    if constexpr (Bounded) return sn->stamp.load(std::memory_order_relaxed);
+    return 0;
+  }
+
+  /// True when a pair stamped `stamp` is a TTL corpse under `hz`; never in
+  /// an unbounded trie.
+  // [read-path]
+  static bool is_corpse(std::uint64_t stamp, const Horizon& hz) {
+    if constexpr (Bounded) return hz.expired(stamp);
+    return false;
   }
 
   /// For a node this thread's CAS unlinked: readers may still hold it, so
@@ -522,11 +532,7 @@ class CacheTrie {
   template <typename N>
   void retire(N* n) const {
     account(-static_cast<std::ptrdiff_t>(node_bytes(n)));
-    if constexpr (std::is_same_v<N, SNodeT>) {  // sized by bounded_
-      auto* del = bounded_ ? &SNodeT::template destroy_erased<true>
-                           : &SNodeT::template destroy_erased<false>;
-      Reclaimer::retire_raw_sized(n, del, node_bytes(n));
-    } else if constexpr (requires { N::destroy(n); }) {  // CacheArray
+    if constexpr (requires { N::destroy_erased(n); }) {  // SNode, CacheArray
       Reclaimer::retire_raw_sized(n, &N::destroy_erased, node_bytes(n));
     } else {
       Reclaimer::template retire<N>(n);
@@ -546,9 +552,7 @@ class CacheTrie {
   template <typename N>
   void discard(N* n) const {
     account(-static_cast<std::ptrdiff_t>(node_bytes(n)));
-    if constexpr (std::is_same_v<N, SNodeT>) {
-      SNodeT::destroy(n, bounded_);
-    } else if constexpr (requires { N::destroy(n); }) {
+    if constexpr (requires { N::destroy(n); }) {  // CacheArray
       N::destroy(n);
     } else {
       delete n;  // [delete: unpublished] -- or no longer reachable
@@ -573,7 +577,7 @@ class CacheTrie {
   /// therefore the unique retirer).
   // [smr: caller-pinned] -- the guard is held by the public entry point.
   bool try_evict_snode(AtomicRef& slot, SNodeT* osn, const WritePos& at,
-                       bool expiry) {
+                       bool expiry) requires Bounded {
     const std::uint64_t h = hash_of(osn);
     if (!commit_txn(slot, osn, Ref{}, h, at.lev, kEvictTxn)) return false;
     note_eviction(expiry, h, at.lev);
@@ -584,8 +588,8 @@ class CacheTrie {
   /// Ceiling enforcement (evict::Policy::backpressure): over the ceiling,
   /// the writer runs a bounded clock-hand scan against the policy's idle
   /// window before doing its own work.
-  void maybe_backpressure(Horizon& hz) {
-    policy_.backpressure(
+  void maybe_backpressure(Horizon& hz) requires Bounded {
+    evict_.policy.backpressure(
         hz, [this] { return resident_bytes(); },
         [this](const Horizon& h) { return evict_scan(h, kEvictProbes); });
   }
@@ -598,12 +602,13 @@ class CacheTrie {
   /// that would restart skips the probe. An empty slot or a chain ends it:
   /// chain corpses are pruned by the chain rebuilds instead.
   // [smr: caller-pinned] -- the guard is held by the public entry point.
-  std::size_t evict_scan(const Horizon& hz, std::uint32_t probes) {
+  std::size_t evict_scan(const Horizon& hz, std::uint32_t probes)
+      requires Bounded {
     testkit::chaos_point(testkit::Site::cachetrie_evict_scan);
     std::size_t evicted = 0;
     for (std::uint32_t p = 0; p < probes; ++p) {
       const std::uint64_t h =
-          util::mix64(evict_cursor_.fetch_add(1, std::memory_order_relaxed));
+          util::mix64(evict_.cursor.fetch_add(1, std::memory_order_relaxed));
       const Res r = write_walk(
           h, 0, root_, /*inhabit=*/false,
           [&](WritePos& at, AtomicRef& slot, Ref old) {
@@ -627,8 +632,11 @@ class CacheTrie {
     // Fault site: a victim parked (or killed) here stalls inside a guard
     // with the epoch pinned — the worst case for epoch reclamation.
     testkit::chaos_point(testkit::Site::cachetrie_pinned);
-    Horizon hz = make_horizon();
-    if (bounded_) maybe_backpressure(hz);  // may raise hz.lru_floor
+    Horizon hz;
+    if constexpr (Bounded) {
+      hz = evict_.policy.horizon();
+      maybe_backpressure(hz);  // may raise hz.lru_floor
+    }
     const std::uint64_t h = hasher_(key);
     return note_mutate_result(
         descend(h, [&](std::uint32_t lev, Ref start) {
@@ -831,7 +839,7 @@ class CacheTrie {
     std::size_t pairs = value != nullptr ? 1 : 0;
     const LNodeT* kept = nullptr;
     for (const LNodeT* l = chain; l != nullptr; l = l->next) {
-      if (bounded_ && hz.expired(l->stamp)) {
+      if (is_corpse(l->stamp, hz)) {
         ++corpses;
       } else if (l->key == key) {
         had_key = true;
@@ -844,12 +852,12 @@ class CacheTrie {
     if (pairs == 1) {
       replacement = Ref::to(
           value != nullptr
-              ? make_leaf(h, key, *value, hz.now)
-              : make_leaf(kept->hash, kept->key, kept->value, kept->stamp));
+              ? make<SNodeT>(h, key, *value, hz.now)
+              : make<SNodeT>(kept->hash, kept->key, kept->value, kept->stamp));
     } else if (pairs > 1) {
       LNodeT* fresh = nullptr;
       for (const LNodeT* l = chain; l != nullptr; l = l->next) {
-        if (l->key == key || (bounded_ && hz.expired(l->stamp))) continue;
+        if (l->key == key || is_corpse(l->stamp, hz)) continue;
         fresh = make<LNodeT>(l->hash, l->key, l->value, fresh, l->stamp);
       }
       if (value != nullptr) {
@@ -893,7 +901,7 @@ class CacheTrie {
     if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
       return Res::kNotFound;
     }
-    const Ref sn = Ref::to(make_leaf(h, key, value, hz.now));
+    const Ref sn = Ref::to(make<SNodeT>(h, key, value, hz.now));
     Ref expected;
     // [publishes: CT_SLOT_COMMIT]
     if (slot.compare_exchange_strong(expected, sn, std::memory_order_acq_rel,
@@ -925,27 +933,26 @@ class CacheTrie {
   Res insert_at_snode(const K& key, const V& value, std::uint64_t h,
                       WritePos& at, AtomicRef& slot, SNodeT* osn, Mode mode,
                       const V* expected_value, const Horizon& hz) {
-    const std::uint64_t ostamp = stamp_of(osn);
     if (holds(osn, key, h)) {
       // A TTL-expired pair is semantically absent (DESIGN.md §3): upsert
       // and put_if_absent replace the corpse through the same txn path —
       // the replacement doubles as the lazy eviction — while the replace
       // modes evict it and report the key absent.
-      const bool corpse = hz.expired(ostamp);
+      const bool corpse = is_corpse(stamp_of(osn), hz);
       if (corpse &&
           (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals)) {
-        try_evict_snode(slot, osn, at, /*expiry=*/true);
+        if constexpr (Bounded) try_evict_snode(slot, osn, at, /*expiry=*/true);
         return Res::kNotFound;
       }
       if (!corpse &&
           (mode == Mode::kIfAbsent ||
            (mode == Mode::kReplaceIfEquals &&
             !value_equals(osn->value, *expected_value)))) {
-        touch(osn, hz);  // the pair stays, and the write is a use of it
+        if constexpr (Bounded) touch(osn, hz);  // the write is a use of it
         return Res::kExists;
       }
       // case (4): same key — two-CAS replacement.
-      if (!commit_txn(slot, osn, Ref::to(make_leaf(h, key, value, hz.now)),
+      if (!commit_txn(slot, osn, Ref::to(make<SNodeT>(h, key, value, hz.now)),
                       h, at.lev, kWriteTxn)) {
         return Res::kRetryLevel;
       }
@@ -957,9 +964,12 @@ class CacheTrie {
     }
     // A stale colliding pair is lazily evicted instead of growing a
     // subtree under a corpse; the caller re-reads the emptied slot.
-    if (bounded_ && hz.evictable(ostamp)) {
-      try_evict_snode(slot, osn, at, hz.expired(ostamp));
-      return Res::kRetryLevel;
+    if constexpr (Bounded) {
+      const std::uint64_t ostamp = stamp_of(osn);
+      if (hz.evictable(ostamp)) {
+        try_evict_snode(slot, osn, at, hz.expired(ostamp));
+        return Res::kRetryLevel;
+      }
     }
     if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
       return Res::kNotFound;
@@ -1013,7 +1023,7 @@ class CacheTrie {
       if (mode == Mode::kReplaceOnly || mode == Mode::kReplaceIfEquals) {
         return Res::kNotFound;
       }
-      SNodeT* sn = make_leaf(h, key, value, hz.now);
+      SNodeT* sn = make<SNodeT>(h, key, value, hz.now);
       const Ref subtree =
           branch_apart(Ref::to(chain), chain->hash, sn, h, at.lev + 4);
       testkit::chaos_point(testkit::Site::cachetrie_chain_grow);
@@ -1072,11 +1082,8 @@ class CacheTrie {
   // [read-path]
   std::optional<V> snode_hit(SNodeT* sn, const K& key, std::uint64_t h,
                              const Horizon& hz) const {
-    if (!holds(sn, key, h)) return std::nullopt;
-    if (bounded_ && hz.expired(sn->stamp().load(std::memory_order_relaxed))) {
-      return std::nullopt;
-    }
-    touch(sn, hz);
+    if (!holds(sn, key, h) || is_corpse(stamp_of(sn), hz)) return std::nullopt;
+    if constexpr (Bounded) touch(sn, hz);
     return sn->value;
   }
 
@@ -1084,8 +1091,8 @@ class CacheTrie {
   /// lookup hit, or a write that leaves the pair in place — restarts its
   /// LRU/TTL clock. Relaxed: the stamp is advisory.
   // [read-path]
-  void touch(SNodeT* sn, const Horizon& hz) const {
-    if (bounded_) sn->stamp().store(hz.now, std::memory_order_relaxed);
+  static void touch(SNodeT* sn, const Horizon& hz) requires Bounded {
+    sn->stamp.store(hz.now, std::memory_order_relaxed);
   }
 
   /// `key`'s live pair in a collision chain, or nullptr when the chain does
@@ -1095,7 +1102,7 @@ class CacheTrie {
                            const Horizon& hz) const {
     for (const LNodeT* l = chain; l != nullptr; l = l->next) {
       if (l->hash == h && l->key == key) {
-        return bounded_ && hz.expired(l->stamp) ? nullptr : l;
+        return is_corpse(l->stamp, hz) ? nullptr : l;
       }
     }
     return nullptr;
@@ -1200,14 +1207,15 @@ class CacheTrie {
     std::uint32_t lev = 0;
   };
 
-  /// `as_evict` routes the success to the eviction counters (the removal is
+  /// `AsEvict` routes the success to the eviction counters (the removal is
   /// the same linearizable protocol either way); used by evict().
-  std::optional<V> do_remove(const K& key, const V* expected,
-                             bool as_evict = false) {
+  template <bool AsEvict = false>
+  std::optional<V> do_remove(const K& key, const V* expected) {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     testkit::chaos_point(testkit::Site::cachetrie_pinned);
     const std::uint64_t h = hasher_(key);
-    const Horizon hz = make_horizon();
+    Horizon hz;
+    if constexpr (Bounded) hz = evict_.policy.horizon();
     Removed out;
     const Res r = descend(h, [&](std::uint32_t lev, Ref start) {
       return write_walk(h, lev, start, /*inhabit=*/false,
@@ -1217,7 +1225,7 @@ class CacheTrie {
                         });
     });
     if (r != Res::kRemoved) return std::nullopt;
-    if (as_evict) {
+    if constexpr (AsEvict) {
       note_eviction(/*expiry=*/false, h, out.lev);
     } else {
       obs::sites::cachetrie_remove.add();
@@ -1245,15 +1253,17 @@ class CacheTrie {
     }
     if (old.tag() != Tag::kSNode) return Res::kNotFound;  // empty slot
     auto* osn = old.as<SNodeT>();
-    const std::uint64_t ostamp = stamp_of(osn);
     const bool mine = holds(osn, key, h);
     // Hygiene: a stale pair crossing a remover's path is evicted even though
     // it is not the remover's key. The remover's own pair, when a corpse, is
     // semantically absent: evict it and report NotFound (even for a plain
     // remove).
-    if (bounded_ && (mine ? hz.expired(ostamp) : hz.evictable(ostamp))) {
-      try_evict_snode(slot, osn, at, hz.expired(ostamp));
-      return Res::kNotFound;
+    if constexpr (Bounded) {
+      const std::uint64_t ostamp = stamp_of(osn);
+      if (mine ? hz.expired(ostamp) : hz.evictable(ostamp)) {
+        try_evict_snode(slot, osn, at, hz.expired(ostamp));
+        return Res::kNotFound;
+      }
     }
     if (!mine) return Res::kNotFound;
     if (expected != nullptr && !value_equals(osn->value, *expected)) {
@@ -1502,7 +1512,7 @@ class CacheTrie {
       return Ref::to(make<LNodeT>(h, key, value, chain, new_stamp));
     }
     SNodeT* copy = copy_leaf(osn);
-    SNodeT* fresh = make_leaf(h, key, value, new_stamp);
+    SNodeT* fresh = make<SNodeT>(h, key, value, new_stamp);
     return branch_apart(Ref::to(copy), oh, fresh, h, lev);
   }
 
@@ -1985,16 +1995,8 @@ class CacheTrie {
   Hash hasher_{};
   Ref root_;  // a wide ANode, made once and never replaced
   mutable std::atomic<CacheArray*> cache_head_{nullptr};
-
-  // --- bounded-memory mode state (DESIGN.md §3). All words are advisory:
-  // every access is relaxed, and no protocol decision builds a
-  // happens-before edge through them.
-  bool bounded_ = false;
-  /// Clock, horizons and idle window, shared in kind with evict::BoundedChm.
-  evict::Policy policy_;
-  /// Booked only by make, retire and discard; never negative.
-  mutable std::atomic<std::int64_t> resident_bytes_{0};
-  std::atomic<std::uint64_t> evict_cursor_{0};
+  [[no_unique_address]] std::conditional_t<Bounded, detail::Eviction,
+                                           detail::NoEviction> evict_;
 };
 
 }  // namespace cachetrie

@@ -1,22 +1,17 @@
 // config.hpp — tuning knobs of the cache-trie.
 //
 // Defaults follow the paper; every knob exists so the ablation benches and
-// the property tests can move it. The same Config switches on the
-// bounded-memory mode (DESIGN.md §3): set `ceiling_bytes` or `ttl_ticks`
-// and the trie evicts under evict_policy.hpp's policy, which
-// evict::BoundedChm reads from the same three fields. Constants below are
-// fixed choices that no caller tunes.
+// the property tests can move it. The bounded-memory mode (DESIGN.md §3) is
+// a type, not a knob: a bounded trie (CacheTrie<..., Bounded = true>, named
+// evict::BoundedCacheTrie) and evict::BoundedChm read evict::BoundedConfig
+// (evict_policy.hpp), which adds the ceiling, the TTL and the clock to
+// Config. Constants below are fixed choices that no caller tunes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 namespace cachetrie {
-
-/// Injectable clock for the bounded-memory mode (DESIGN.md §3). Returns the
-/// current tick; tests point it at a test-controlled atomic so TTL expiry is
-/// deterministic. A plain function pointer keeps Config trivially copyable.
-using TickFn = std::uint64_t (*)();
 
 /// Padded per-thread miss counters per cache array (§3.6: the paper's
 /// THROUGHPUT_FACTOR * #CPU).
@@ -71,23 +66,6 @@ struct Config {
   /// cache array at 2^max_cache_level pointers.
   std::uint32_t min_cache_level = 8;
   std::uint32_t max_cache_level = 24;
-
-  // --- bounded-memory mode (DESIGN.md §3; evict_policy.hpp) -----------------
-  // The mode is active iff ceiling_bytes != 0 or ttl_ticks != 0; otherwise
-  // every knob below is inert and the trie pays one predictable branch.
-
-  /// Hard ceiling on the trie's observed resident bytes (0 = unbounded).
-  /// Enforced by backpressure eviction scans run by every writer, so a dead
-  /// evictor cannot unbound the footprint.
-  std::size_t ceiling_bytes = 0;
-
-  /// TTL in ticks (0 = no TTL): a pair whose stamp is older than
-  /// `now - ttl_ticks` is semantically absent and lazily evicted.
-  std::uint64_t ttl_ticks = 0;
-
-  /// Clock for stamps and horizons; nullptr = a per-trie logical tick that
-  /// advances once per operation.
-  TickFn tick_fn = nullptr;
 };
 
 }  // namespace cachetrie

@@ -1,12 +1,13 @@
-// evict.hpp — the bounded-memory mode's baseline map and the benchmark's
-// name for the bounded trie (DESIGN.md §3).
+// evict.hpp — the bounded-memory mode's two maps (DESIGN.md §3): the bounded
+// trie, and the baseline it is measured against.
 //
-// A bounded trie is a plain CacheTrie with Config::ceiling_bytes and/or
-// Config::ttl_ticks set: every pair carries a last-use stamp, a pair older
-// than the TTL horizon is semantically absent and lazily evicted, and under
-// ceiling pressure every writer runs a short backpressure scan against an
-// adaptive LRU window. evict_policy.hpp decides when a pair may be evicted,
-// for the trie and for BoundedChm below alike.
+// A bounded trie is CacheTrie<K, V, Hash, Reclaimer, /*Bounded=*/true>,
+// named BoundedCacheTrie below: every pair carries a last-use stamp, a pair
+// older than the TTL horizon is semantically absent and lazily evicted, and
+// under ceiling pressure every writer runs a short backpressure scan against
+// an adaptive LRU window. evict_policy.hpp holds the BoundedConfig both maps
+// are built from, and decides when a pair may be evicted, for the trie and
+// for BoundedChm below alike.
 //
 // BoundedChm is the baseline counterpart: the same stamp/TTL/pressure
 // surface over a stamped chm::ConcurrentHashMap, with a *derived* byte
@@ -27,15 +28,14 @@
 
 namespace cachetrie::evict {
 
-// The two names below exist only because benchmark/ (a frozen contract)
-// spells the bounded trie this way; nothing else in the repo uses them.
-using BoundedConfig = Config;
-
+/// The bounded trie. `underlying()` survives because benchmark/ (a frozen
+/// contract) reads the trie through it.
 template <typename K, typename V, typename Hash = util::DefaultHash<K>,
           typename Reclaimer = mr::EpochReclaimer>
-class BoundedCacheTrie : public CacheTrie<K, V, Hash, Reclaimer> {
+class BoundedCacheTrie
+    : public CacheTrie<K, V, Hash, Reclaimer, /*Bounded=*/true> {
  public:
-  using Trie = CacheTrie<K, V, Hash, Reclaimer>;
+  using Trie = CacheTrie<K, V, Hash, Reclaimer, /*Bounded=*/true>;
   using Trie::Trie;
 
   Trie& underlying() { return *this; }
@@ -55,7 +55,7 @@ class BoundedChm {
   using Map = chm::ConcurrentHashMap<K, V, Hash, Reclaimer, /*Stamped=*/true>;
 
   /// Reads `ceiling_bytes`, `ttl_ticks` and `tick_fn`.
-  explicit BoundedChm(const Config& cfg = {}) : policy_(cfg) {}
+  explicit BoundedChm(const BoundedConfig& cfg = {}) : policy_(cfg) {}
 
   bool insert(const K& key, const V& value) {
     const Horizon hz = write_horizon();

@@ -1,12 +1,12 @@
 // evict_policy.hpp — when a pair may be evicted: the one eviction policy of
-// the bounded-memory mode (DESIGN.md §3), shared by CacheTrie and
-// evict::BoundedChm.
+// the bounded-memory mode (DESIGN.md §3), shared by the bounded CacheTrie
+// and evict::BoundedChm.
 //
-// The policy owns the clock (Config::tick_fn, or a per-map logical tick),
-// turns it into each operation's horizons (TTL floor, LRU floor), keeps the
-// adaptive idle window, and answers the near-ceiling question. The map owns
-// the mechanism: its byte count, what a scan visits, and how a pair is
-// unlinked.
+// The policy owns the clock (BoundedConfig::tick_fn, or a per-map logical
+// tick), turns it into each operation's horizons (TTL floor, LRU floor),
+// keeps the adaptive idle window, and answers the near-ceiling question. The
+// map owns the mechanism: its byte count, what a scan visits, and how a pair
+// is unlinked. An unbounded trie has neither.
 //
 // All words here are advisory: every access is relaxed, and no protocol
 // decision builds a happens-before edge through them (the note atop
@@ -48,8 +48,8 @@ inline void register_resident_gauge() {
   });
 }
 
-/// One operation's eviction horizons. All zero (inert) when the map is
-/// unbounded: no stamp is ever below a zero floor.
+/// One operation's eviction horizons. All zero (inert) in an unbounded
+/// trie, which reads no clock: no stamp is ever below a zero floor.
 struct Horizon {
   std::uint64_t now = 0;        // current tick; doubles as creation stamp
   std::uint64_t ttl_floor = 0;  // stamp < ttl_floor => semantically absent
@@ -63,10 +63,33 @@ struct Horizon {
   }
 };
 
-/// Reads `ceiling_bytes`, `ttl_ticks` and `tick_fn` of a Config.
+/// Injectable clock. Returns the current tick; tests point it at a
+/// test-controlled atomic so TTL expiry is deterministic. A plain function
+/// pointer keeps BoundedConfig trivially copyable.
+using TickFn = std::uint64_t (*)();
+
+/// A bounded map's configuration: the trie's knobs plus the three the
+/// policy reads. A bounded map stamps its pairs and keeps its byte count
+/// whatever the limits; with both 0 it never evicts.
+struct BoundedConfig : Config {
+  /// Hard ceiling on the trie's observed resident bytes (0 = no ceiling).
+  /// Enforced by backpressure eviction scans run by every writer, so a dead
+  /// evictor cannot unbound the footprint.
+  std::size_t ceiling_bytes = 0;
+
+  /// TTL in ticks (0 = no TTL): a pair whose stamp is older than
+  /// `now - ttl_ticks` is semantically absent and lazily evicted.
+  std::uint64_t ttl_ticks = 0;
+
+  /// Clock for stamps and horizons; nullptr = a per-map logical tick that
+  /// advances once per operation.
+  TickFn tick_fn = nullptr;
+};
+
+/// Reads `ceiling_bytes`, `ttl_ticks` and `tick_fn` of a BoundedConfig.
 class Policy {
  public:
-  explicit Policy(const Config& cfg) noexcept
+  explicit Policy(const BoundedConfig& cfg) noexcept
       : ceiling_(cfg.ceiling_bytes),
         ttl_(cfg.ttl_ticks),
         tick_fn_(cfg.tick_fn) {}

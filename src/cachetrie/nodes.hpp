@@ -37,17 +37,16 @@
 // 128 B, and a walk addresses the slot it needs from the word it followed,
 // without loading anything from the node first.
 //
-// Two node types still have a variable size, and neither keeps it in the
-// node:
-//   * an ANode's length lives in the words that point to it, so make,
-//     destroy and alloc_size take it from there;
-//   * an SNode's stamp word trails its pair, and only a bounded trie
-//     allocates it. Whether leaves carry one is the trie's property, not the
-//     leaf's, so make, destroy and alloc_size take it from the trie.
+// One node type still has a variable size: an ANode, whose length lives in
+// the words that point to it, so make, destroy and alloc_size take it from
+// there. A leaf and a chain link carry a stamp word only in a bounded trie:
+// SNode<K, V, Stamped> and LNode<K, V, Stamped> take the trie's `Bounded`.
 // An SNode also stores its key's hash only when rehashing the key would cost
 // more than the word (kLeafStoresHash), so an SNode<u64, u64> is `key`,
 // `value` and `txn`: 24 B unbounded, 32 B bounded with its stamp. Both take
 // the pool's 32 B class, half a cache line, whose blocks never straddle one.
+// An LNode<u64, u64> is 32 B unbounded (the 32 B class) and 40 B bounded
+// (the 48 B class).
 #pragma once
 
 #include <atomic>
@@ -64,9 +63,9 @@ namespace cachetrie::detail {
 struct ANode;
 struct ENode;
 class AtomicRef;
-template <typename K, typename V>
+template <typename K, typename V, bool Stamped>
 struct SNode;
-template <typename K, typename V>
+template <typename K, typename V, bool Stamped>
 struct LNode;
 
 /// The raw bits of a trie word. Only Ref and AtomicRef look inside one.
@@ -100,12 +99,12 @@ class Ref {
     assert(length == 4 || length == 16);
     return tagged(a, length == 16 ? Tag::kWide : Tag::kNarrow);
   }
-  template <typename K, typename V>
-  static Ref to(const SNode<K, V>* s) noexcept {
+  template <typename K, typename V, bool Stamped>
+  static Ref to(const SNode<K, V, Stamped>* s) noexcept {
     return tagged(s, Tag::kSNode);
   }
-  template <typename K, typename V>
-  static Ref to(const LNode<K, V>* l) noexcept {
+  template <typename K, typename V, bool Stamped>
+  static Ref to(const LNode<K, V, Stamped>* l) noexcept {
     return tagged(l, Tag::kLNode);
   }
   static Ref to(const ENode* e) noexcept { return tagged(e, Tag::kENode); }
@@ -290,6 +289,14 @@ struct LeafHead<true> : mr::PoolAllocated {
   std::uint64_t hash;
 };
 
+/// The stamp an unbounded trie's leaves and links do not have: it drops the
+/// tick it is given and reads as 0, and [[no_unique_address]] makes it take
+/// no bytes.
+struct NoStamp {
+  constexpr NoStamp(std::uint64_t /*tick*/ = 0) noexcept {}
+  constexpr operator std::uint64_t() const noexcept { return 0; }
+};
+
 /// Leaf node: one key-value pair plus the txn field that coordinates every
 /// modification of the pair (paper Fig. 1). txn states:
 ///   no_txn()     — live, no operation in progress
@@ -298,63 +305,39 @@ struct LeafHead<true> : mr::PoolAllocated {
 ///   other        — replacement announced (an SNode, ANode or LNode word);
 ///                  helpers commit that word into the parent slot
 ///
-/// In a bounded trie (DESIGN.md §3) every leaf is stamped: one word after
-/// the node holds the pair's last-use tick, set at creation, refreshed with a
+/// `Stamped` (a bounded trie's leaves, DESIGN.md §3): one more word after
+/// the txn holds the pair's last-use tick, set at creation, refreshed with a
 /// relaxed store on every hit and read with a relaxed load by eviction
 /// horizons. It is advisory — no protocol decision creates a happens-before
-/// edge through it, so all its accesses stay relaxed. The leaf does not know
-/// whether it has the word: the trie passes its own flag to make, destroy
-/// and alloc_size, and calls stamp() only when it is bounded. Copies made by
-/// the freeze/expand protocol carry the source stamp so the copy remains the
+/// edge through it, so all its accesses stay relaxed. Copies made by the
+/// freeze/expand protocol carry the source stamp so the copy remains the
 /// same logical entry.
-template <typename K, typename V>
+template <typename K, typename V, bool Stamped = false>
 struct SNode : LeafHead<kLeafStoresHash<K>> {
   K key;
   V value;
   AtomicRef txn;
+  [[no_unique_address]] std::conditional_t<Stamped, std::atomic<std::uint64_t>,
+                                           NoStamp> stamp;
 
-  /// Bytes of a leaf with (`stamped`) or without its trailing stamp word.
-  static constexpr std::size_t alloc_size(bool stamped) noexcept {
-    return sizeof(SNode) + (stamped ? sizeof(std::atomic<std::uint64_t>) : 0);
-  }
-
-  /// The trailing stamp word; only a stamped leaf has one.
-  std::atomic<std::uint64_t>& stamp() noexcept {
-    return *reinterpret_cast<std::atomic<std::uint64_t>*>(this + 1);
-  }
-  const std::atomic<std::uint64_t>& stamp() const noexcept {
-    return *reinterpret_cast<const std::atomic<std::uint64_t>*>(this + 1);
-  }
-
-  /// A live leaf (txn NoTxn). `hash` is dropped when the leaf stores none;
-  /// `stamp` is written only into a stamped leaf.
-  static SNode* make(bool stamped, std::uint64_t hash, const K& key,
-                     const V& value, std::uint64_t stamp) {
-    static_assert(alignof(SNode) >= alignof(std::atomic<std::uint64_t>),
-                  "the stamp word must start aligned right after the SNode");
-    void* raw = mr::NodePool::allocate(alloc_size(stamped), alignof(SNode));
-    auto* s = new (raw) SNode(key, value);
+  /// A live leaf (txn NoTxn). `hash` is dropped when the leaf stores none,
+  /// `stamp` unless the leaf is stamped.
+  static SNode* make(std::uint64_t hash, const K& key, const V& value,
+                     std::uint64_t stamp = 0) {
+    auto* s = new SNode(key, value, stamp);
     if constexpr (kLeafStoresHash<K>) s->hash = hash;
-    if (stamped) {
-      std::construct_at(reinterpret_cast<std::atomic<std::uint64_t>*>(s + 1),
-                        stamp);
-    }
     return s;
   }
-
-  /// `stamped` must be the flag the leaf was made with.
-  static void destroy(SNode* s, bool stamped) noexcept {
-    s->~SNode();
-    mr::NodePool::deallocate(s, alloc_size(stamped), alignof(SNode));
-  }
-  /// Type-erased deleter for reclaimer retirement of a leaf made `Stamped`.
-  template <bool Stamped>
+  /// Type-erased deleter for reclaimer retirement, which books a leaf at
+  /// its pool class, as the trie's ledger does.
   static void destroy_erased(void* s) noexcept {
-    destroy(static_cast<SNode*>(s), Stamped);
+    static_cast<SNode*>(s)->~SNode();
+    mr::NodePool::deallocate(s, sizeof(SNode));
   }
 
  private:
-  SNode(const K& k, const V& v) : key(k), value(v), txn(Ref::no_txn()) {}
+  SNode(const K& k, const V& v, std::uint64_t st)
+      : key(k), value(v), txn(Ref::no_txn()), stamp(st) {}
 };
 
 /// Collision list node for keys whose 64-bit hashes are fully equal
@@ -362,19 +345,21 @@ struct SNode : LeafHead<kLeafStoresHash<K>> {
 /// fresh chain and swaps it in with one CAS on the parent slot, so LNodes
 /// need no txn field. Chains always hold >= 2 pairs (a 1-pair chain is
 /// collapsed back into an SNode).
-/// `stamp` is the pair's creation (or last rebuild) tick for the bounded
-/// mode's TTL horizon. Chains are immutable, so chain hits do not refresh it —
-/// a documented approximation: full-hash collisions are vanishingly rare
-/// under the universal hash, and a rebuild re-stamps the surviving pairs'
-/// creation stamps unchanged.
-template <typename K, typename V>
+/// `Stamped` (a bounded trie's links): `stamp` is the pair's creation (or
+/// last rebuild) tick for the bounded mode's TTL horizon. Chains are
+/// immutable, so chain hits do not refresh it — a documented approximation:
+/// full-hash collisions are vanishingly rare under the universal hash, and a
+/// rebuild re-stamps the surviving pairs' creation stamps unchanged.
+template <typename K, typename V, bool Stamped = false>
 struct LNode : mr::PoolAllocated {
   std::uint64_t hash;
   LNode* next;
   K key;
   V value;
-  std::uint64_t stamp;
+  [[no_unique_address]] std::conditional_t<Stamped, std::uint64_t, NoStamp>
+      stamp;
 
+  /// `stamp` is dropped unless the link is stamped.
   static LNode* make(std::uint64_t hash, const K& key, const V& value,
                      LNode* next, std::uint64_t stamp = 0) {
     return new LNode{{}, hash, next, key, value, stamp};

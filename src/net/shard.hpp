@@ -74,8 +74,8 @@ struct ShardConfig {
   std::uint64_t drain_timeout_us = 250'000;  // drain bound after stop
 };
 
-/// Replies carry kFlagDegraded while the map is past this fraction of its
-/// resident ceiling (its near_ceiling(frac)).
+/// Replies carry kFlagDegraded while a map with a ceiling
+/// (util::HasCeiling) is past this fraction of it (its near_ceiling(frac)).
 inline constexpr double kDegradeHeadroom = 0.9;
 /// Idle poll period of every blocking wait in the serving layer (a shard's
 /// epoll_wait, the acceptor's poll): how late a stop flag can be noticed.
@@ -455,8 +455,10 @@ class Shard {
   /// served, and replies; exec-begin is the dequeue clock read, so the
   /// deadline check and the queue phase share one stamp.
   void process_queue() {
-    const std::uint16_t flags =
-        map_.near_ceiling(kDegradeHeadroom) ? proto::kFlagDegraded : 0;
+    std::uint16_t flags = 0;
+    if constexpr (util::HasCeiling<Map>) {
+      if (map_.near_ceiling(kDegradeHeadroom)) flags = proto::kFlagDegraded;
+    }
     while (!queue_.empty()) {
       Pending p = queue_.front();
       queue_.pop_front();

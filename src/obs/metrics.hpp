@@ -315,7 +315,7 @@ class Histogram {
   /// functions (CacheTrie::lookup's 1-in-64 depth sample), and whether the
   /// compiler inlines these two locked adds there would otherwise shift
   /// with the size of the translation unit. check.sh's lookup disassembly
-  /// step allows no locked instruction but the bounded op tick.
+  /// step allows no locked instruction but the bounded trie's op tick.
   [[gnu::noinline]] void record(std::uint64_t v) noexcept {
     auto& s = cells_->stripes[detail::rmw_stripe()];
     s.buckets[LatencyHistogram::index_of(v)].fetch_add(

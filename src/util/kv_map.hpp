@@ -3,11 +3,11 @@
 //
 // Every map in this repo speaks insert/lookup/remove over (uint64, uint64);
 // that is KvMap. The conditional ops (put_if_absent, replace,
-// replace_if_equals, remove_if_equals) exist only on some maps, so each is
-// its own capability concept. Callers test the capability on the map type
-// itself and emit only ops the structure actually has — no emulation (an
-// emulated op would have its own linearization holes, and the lin-check
-// would be testing the emulation, not the structure).
+// replace_if_equals, remove_if_equals) and a ceiling exist only on some
+// maps, so each is its own capability concept. Callers test the capability
+// on the map type itself and emit only ops the structure actually has — no
+// emulation (an emulated op would have its own linearization holes, and the
+// lin-check would be testing the emulation, not the structure).
 #pragma once
 
 #include <concepts>
@@ -21,6 +21,13 @@ concept KvMap = requires(M& m, const M& cm, std::uint64_t k, std::uint64_t v) {
   { m.insert(k, v) } -> std::convertible_to<bool>;
   { cm.lookup(k) } -> std::same_as<std::optional<std::uint64_t>>;
   { m.remove(k) } -> std::same_as<std::optional<std::uint64_t>>;
+};
+
+/// A map with a resident ceiling it can be near: a bounded map. The serving
+/// layer flags its replies degraded past a fraction of it (net/shard.hpp).
+template <typename M>
+concept HasCeiling = requires(const M& cm, double frac) {
+  { cm.near_ceiling(frac) } -> std::convertible_to<bool>;
 };
 
 template <typename M>

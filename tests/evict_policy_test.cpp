@@ -15,7 +15,7 @@
 
 namespace {
 
-using cachetrie::Config;
+using cachetrie::evict::BoundedConfig;
 using cachetrie::kLruIdleTicks;
 using cachetrie::evict::Horizon;
 using cachetrie::evict::Policy;
@@ -25,8 +25,8 @@ std::uint64_t test_clock() { return g_clock.load(std::memory_order_relaxed); }
 
 constexpr std::size_t kCeiling = 4000;
 
-Config policy_config(std::size_t ceiling, std::uint64_t ttl) {
-  Config cfg;
+BoundedConfig policy_config(std::size_t ceiling, std::uint64_t ttl) {
+  BoundedConfig cfg;
   cfg.ceiling_bytes = ceiling;
   cfg.ttl_ticks = ttl;
   cfg.tick_fn = &test_clock;
@@ -79,7 +79,7 @@ TEST(EvictPolicy, TtlFloorBoundaries) {
 }
 
 TEST(EvictPolicy, LogicalClockTicksOncePerHorizon) {
-  Config cfg;
+  BoundedConfig cfg;
   cfg.ttl_ticks = 5;
   Policy p(cfg);
   for (std::uint64_t t = 1; t <= 8; ++t) {

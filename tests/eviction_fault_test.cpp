@@ -48,15 +48,15 @@ using cachetrie::mr::EpochDomain;
 using namespace std::chrono_literals;
 
 using Bounded =
-    cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
+    cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
 
 // Eviction counts are deltas of the registry's cachetrie.evict.* site
 // counters. With metrics compiled out every counter reads 0, so those
 // checks run only when kCounted.
 constexpr bool kCounted = cachetrie::obs::kMetricsCompiled;
 
-cachetrie::Config ceiling_config(std::size_t ceiling) {
-  cachetrie::Config cfg;
+cachetrie::evict::BoundedConfig ceiling_config(std::size_t ceiling) {
+  cachetrie::evict::BoundedConfig cfg;
   cfg.ceiling_bytes = ceiling;
   cfg.ttl_ticks = 0;  // pure LRU-pressure mode
   return cfg;
@@ -243,9 +243,7 @@ TEST(EvictionFault, EvictRacingRemoveHasOneWinner) {
   // evict() is a linearizable remove: racing it against remove() on the
   // same key yields exactly one winner, and only a *successful* eviction
   // moves the eviction counters. Both directions, deterministically.
-  cachetrie::Config cfg;
-  cfg.ttl_ticks = 1ull << 40;  // bounded mode on, horizons inert
-  Bounded trie(cfg);
+  Bounded trie;
   const std::uint64_t lru0 = sites::cachetrie_evict_lru.total();
 
   tk::chaos::set_global_seed(34);
@@ -364,9 +362,10 @@ TEST(EvictionFault, ProbeHelpsTheExpansionItMeets) {
   // 2, so only their backpressure probes can cross slot 1. The clock never
   // moves, so nothing is ever evictable and every over-ceiling write only
   // probes.
-  using Placed = cachetrie::CacheTrie<std::uint64_t, std::uint64_t,
-                                      cachetrie::util::IdentityHash>;
-  cachetrie::Config cfg = ceiling_config(64);
+  using Placed =
+      cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t,
+                                         cachetrie::util::IdentityHash>;
+  cachetrie::evict::BoundedConfig cfg = ceiling_config(64);
   cfg.tick_fn = +[]() -> std::uint64_t { return 1; };
   Placed trie(cfg);
   for (const std::uint64_t k : {0x01, 0x11, 0x02}) {
@@ -417,9 +416,7 @@ TEST(EvictionLedger, ProcessGaugeSumsLiveBoundedTries) {
   const std::int64_t before = gauge();
   {
     Bounded pressured(ceiling_config(64u << 10));
-    cachetrie::Config ttl;
-    ttl.ttl_ticks = 1ull << 40;
-    Bounded churned(ttl);
+    Bounded churned;
     for (std::uint64_t i = 0; i < 4000; ++i) {
       pressured.insert(i, i);
       churned.insert(i, i);

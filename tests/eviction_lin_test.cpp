@@ -11,7 +11,7 @@
 // A spontaneous eviction of a checker-visible key would be an unrecorded
 // remove — the checker would (rightly) reject the history, but that tells
 // us nothing. So the sweeps are split:
-//   * EvictApiRacesUserOps keeps horizons inert (huge TTL, no ceiling) and
+//   * EvictApiRacesUserOps keeps horizons inert (no TTL, no ceiling) and
 //     drives eviction through explicit evict(k) calls, recorded as removes.
 //   * CorpseEvictionUnderneathLiveKeys plants TTL-expired "ballast" pairs
 //     in a disjoint key range before each history (via the injectable
@@ -78,9 +78,10 @@ constexpr bool kCounted = cachetrie::obs::kMetricsCompiled;
 /// divergence in the eviction path's linearization shows up as a violation.
 class BoundedTrieAdapter {
  public:
-  using Map = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
+  using Map =
+      cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
 
-  explicit BoundedTrieAdapter(cachetrie::Config cfg,
+  explicit BoundedTrieAdapter(const cachetrie::evict::BoundedConfig& cfg,
                               bool plant_ballast)
       : map_(cfg) {
     if (plant_ballast) {
@@ -137,13 +138,10 @@ void sweep(Factory&& make, const char* what) {
   EXPECT_GE(total, kSeeds * histories_per_seed()) << what;
 }
 
-cachetrie::Config inert_bounded_config() {
-  cachetrie::Config cfg;
-  // Bounded mode active (stamps written, horizons computed) but inert: the
-  // TTL is astronomically larger than any tick the sweep reaches, and no
-  // ceiling means no backpressure — nothing ever expires spontaneously.
-  cfg.ttl_ticks = 1ull << 40;
-  cfg.ceiling_bytes = 0;
+cachetrie::evict::BoundedConfig inert_bounded_config() {
+  cachetrie::evict::BoundedConfig cfg;
+  // Bounded (stamps written, horizons computed) but inert: no TTL and no
+  // ceiling, so nothing ever expires and nothing is pressured.
   cfg.tick_fn = &test_clock;
   return cfg;
 }
@@ -167,9 +165,8 @@ TEST(EvictionLinSweep, EvictApiRacesUserOps) {
 }
 
 TEST(EvictionLinSweep, CorpseEvictionUnderneathLiveKeys) {
-  cachetrie::Config cfg;
+  cachetrie::evict::BoundedConfig cfg;
   cfg.ttl_ticks = kTtl;
-  cfg.ceiling_bytes = 0;
   cfg.tick_fn = &test_clock;
   tk::chaos::reset_counters();
   const std::uint64_t ttl0 = sites::cachetrie_evict_ttl.total();
@@ -192,11 +189,8 @@ TEST(EvictionLinSweep, BoundedChmInertHorizons) {
   // threading, remove mirrors); this sweep proves the re-routing preserved
   // the chm's linearizability. Horizons inert for the same reason as above.
   using Map = cachetrie::evict::BoundedChm<std::uint64_t, std::uint64_t>;
-  cachetrie::Config cfg;
-  cfg.ttl_ticks = 1ull << 40;
-  cfg.ceiling_bytes = 0;
   tk::chaos::reset_counters();
-  sweep([cfg] { return std::make_unique<Map>(cfg); },
+  sweep([] { return std::make_unique<Map>(); },
         "bounded chashmap (inert horizons)");
   EXPECT_GT(tk::chaos::site_hits(Site::chm_bin_locked), 0u);
 }

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "cachetrie/cache_trie.hpp"
+#include "cachetrie/evict.hpp"
 #include "chashmap/chashmap.hpp"
 #include "ctrie/ctrie.hpp"
 #include "mr/epoch.hpp"
@@ -90,6 +91,8 @@ struct PlacedHash {
 };
 
 using Trie = cachetrie::CacheTrie<Key, std::uint64_t, PlacedHash>;
+using BoundedTrie =
+    cachetrie::evict::BoundedCacheTrie<Key, std::uint64_t, PlacedHash>;
 using Ctrie = cachetrie::ctrie::Ctrie<Key, std::uint64_t, PlacedHash>;
 using Chm = cachetrie::chm::ConcurrentHashMap<Key, std::uint64_t, PlacedHash>;
 using Csl = cachetrie::csl::ConcurrentSkipList<Key, std::uint64_t>;
@@ -114,7 +117,6 @@ template <typename Map>
 struct Subject {
   const char* name;
   Owner owner;
-  bool bounded = false;
   std::vector<Key> keys;  // every key a cell uses
   std::vector<State> states;
   std::vector<std::array<Site, 2>> reparks;
@@ -228,18 +230,16 @@ std::size_t run_cell(const Subject<Map>& sub, const State& state,
   if constexpr (std::is_same_v<Map, Trie>) {
     // Unbounded, each committed insert and remove counts once, however
     // many races it lost first.
-    if (cachetrie::obs::kMetricsCompiled && !sub.bounded &&
+    if (cachetrie::obs::kMetricsCompiled &&
         ops_counted() - ops0 != map->size()) {
       why += "cachetrie.op.insert_new - cachetrie.op.remove != size()\n";
     }
   }
-  if (sub.bounded) {
-    if constexpr (requires { map->resident_bytes(); }) {
-      if (map->resident_bytes() != map->footprint_bytes() - sizeof(Map)) {
-        why += "byte ledger " + std::to_string(map->resident_bytes()) +
-               " != footprint walk " +
-               std::to_string(map->footprint_bytes() - sizeof(Map)) + "\n";
-      }
+  if constexpr (std::is_same_v<Map, BoundedTrie>) {
+    if (map->resident_bytes() != map->footprint_bytes() - sizeof(Map)) {
+      why += "byte ledger " + std::to_string(map->resident_bytes()) +
+             " != footprint walk " +
+             std::to_string(map->footprint_bytes() - sizeof(Map)) + "\n";
     }
   }
   if (!why.empty() && ++report.failures <= 10) {
@@ -322,7 +322,8 @@ void run_matrix(const Subject<Map>& sub) {
     const Site row = static_cast<Site>(i);
     if (tk::owner(row) != sub.owner) continue;
     const std::uint16_t ops = tk::crossing_ops(row);
-    if ((ops & tk::row_ops::bounded) != 0 && !sub.bounded) {
+    if ((ops & tk::row_ops::bounded) != 0 &&
+        !std::is_same_v<Map, BoundedTrie>) {
       std::printf("%s  %s: excluded, bounded mode only\n", sub.name,
                   tk::name(row));
       continue;
@@ -381,8 +382,9 @@ std::vector<State> trie_states() {
 
 /// A fresh trie's config for state `s`: by default the paper's; with
 /// `parent_array`, one miss moves the cache from level 8 to 12 for good.
-cachetrie::Config trie_config(const State& s) {
-  cachetrie::Config cfg;
+template <typename Config = cachetrie::Config>
+Config trie_config(const State& s) {
+  Config cfg;
   if (s.parent_array) {
     cfg.max_misses = 0;
     cfg.min_cache_level = 12;
@@ -403,41 +405,39 @@ std::uint64_t test_clock() { return g_clock.load(std::memory_order_relaxed); }
 constexpr std::uint64_t kNow = 1u << 20;
 constexpr std::uint64_t kTtl = 1000;
 
-std::unique_ptr<Trie> make_bounded(const State& s) {
-  cachetrie::Config cfg = trie_config(s);
-  cfg.ttl_ticks = 1ull << 40;  // bounded mode on, horizons inert
-  if (s.ballast.empty()) return std::make_unique<Trie>(cfg);
+std::unique_ptr<BoundedTrie> make_bounded(const State& s) {
+  auto cfg = trie_config<cachetrie::evict::BoundedConfig>(s);
+  if (s.ballast.empty()) return std::make_unique<BoundedTrie>(cfg);
   // Over a 1-byte ceiling every insert runs a backpressure scan.
   cfg.ttl_ticks = kTtl;
   cfg.ceiling_bytes = 1;
   cfg.tick_fn = &test_clock;
   g_clock.store(1, std::memory_order_relaxed);
-  auto trie = std::make_unique<Trie>(cfg);
+  auto trie = std::make_unique<BoundedTrie>(cfg);
   for (const Key k : s.ballast) trie->insert(k, k);
   g_clock.store(kNow, std::memory_order_relaxed);
   return trie;
 }
 
 Subject<Trie> cachetrie_subject() {
-  return {"cachetrie", Owner::cachetrie, false, kTrieKeys, trie_states(),
+  return {"cachetrie", Owner::cachetrie, kTrieKeys, trie_states(),
           kTrieReparks, [](const State& s) {
             return std::make_unique<Trie>(trie_config(s));
           }};
 }
 
-Subject<Trie> bounded_subject() {
+Subject<BoundedTrie> bounded_subject() {
   auto states = trie_states();
   // 17 is stale in root slot 1: a write on that path evicts it first.
   states.push_back({"stale", {2}, {17}});
   states.push_back({"stale_narrow", {1}, {17}});
-  return {"bounded", Owner::cachetrie, true, kTrieKeys, states, kTrieReparks,
+  return {"bounded", Owner::cachetrie, kTrieKeys, states, kTrieReparks,
           &make_bounded};
 }
 
 Subject<Ctrie> ctrie_subject() {
   return {"ctrie",
           Owner::ctrie,
-          false,
           {1, 2, 33, 65, 0x421, 0x10021, 0x20021, 0x30021},
           {{"empty", {}},
            {"one", {33}},
@@ -455,7 +455,6 @@ Subject<Ctrie> ctrie_subject() {
 Subject<Chm> chm_subject() {
   return {"chm",
           Owner::chm,
-          false,
           {1, 2, 17, 33},
           {{"empty", {}}, {"one", {1}}, {"bin2", {1, 17}}},
           {},
@@ -465,7 +464,6 @@ Subject<Chm> chm_subject() {
 Subject<Csl> csl_subject() {
   return {"csl",
           Owner::csl,
-          false,
           {3, 5, 7, 9, 11, 13, 15, 17},
           // Node heights are random: of twelve removed nodes, some reach an
           // upper level (csl.mark_upper).

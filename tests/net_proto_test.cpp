@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cachetrie/cache_trie.hpp"
+#include "cachetrie/evict.hpp"
 #include "net/client.hpp"
 #include "net/proto.hpp"
 #include "net/reactor.hpp"
@@ -38,6 +39,8 @@ namespace proto = cachetrie::net::proto;
 namespace tk = cachetrie::testkit;
 namespace fault = cachetrie::testkit::fault;
 using Trie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
+using BoundedTrie =
+    cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
 using namespace std::chrono_literals;
 
 // Chaos stream id of shard 0 (reactor.hpp).
@@ -423,9 +426,9 @@ TEST(NetClient, BackoffCurveIsCappedExponentialWithJitter) {
 }
 
 TEST(NetServeMap, DispatchesOpsAndSensesCeiling) {
-  cachetrie::Config cfg;
+  cachetrie::evict::BoundedConfig cfg;
   cfg.ceiling_bytes = 1u << 20;
-  Trie map{cfg};
+  BoundedTrie map{cfg};
 
   proto::RequestFrame req;
   std::uint64_t v = 0;
@@ -470,13 +473,13 @@ TEST(NetServeMap, DispatchesOpsAndSensesCeiling) {
 // statuses, bad-request survival, and a clean drain. This is the ASan
 // sweep of the reactor (see file comment).
 TEST(NetServe, EndToEndBasics) {
-  cachetrie::Config bcfg;
+  cachetrie::evict::BoundedConfig bcfg;
   bcfg.ceiling_bytes = 8u << 20;
-  Trie map{bcfg};
+  BoundedTrie map{bcfg};
 
   net::ServerConfig scfg;
   scfg.shards = 2;
-  net::Server<Trie> server{map, scfg};
+  net::Server<BoundedTrie> server{map, scfg};
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.start());
 
@@ -552,7 +555,7 @@ TEST(NetServe, UnboundedTrieServesWithoutDegradedFlag) {
   server.stop();
   EXPECT_EQ(server.totals().proto_errors, 0u);
   EXPECT_EQ(map.size(), 100u);
-  EXPECT_FALSE(map.near_ceiling());
+  static_assert(!cachetrie::util::HasCeiling<Trie>);
 }
 
 // A trie that always reports itself near its ceiling, so the shard must

@@ -1,8 +1,8 @@
 // nodes_layout_test.cpp — whitebox tests of the node and cache-array
 // memory layouts: exact allocation sizes and the pool classes the ledger
 // books (the footprint benches depend on them), the half-line hash-free
-// leaf with or without its trailing stamp word, the headerless ANode, the
-// tagged words that refer to nodes, and construction/destruction of the
+// leaf with or without its stamp word, the headerless ANode, the tagged
+// words that refer to nodes, and construction/destruction of the
 // variable-size nodes.
 #include <gtest/gtest.h>
 
@@ -66,8 +66,7 @@ TEST(NodeLayout, ANodeSlotsZeroInitializedAndAligned) {
 TEST(NodeLayout, WordsCarryKindWidthAndFrozenBit) {
   const Ref narrow = ANode::make(4);
   const Ref wide = ANode::make(16);
-  auto* leaf = SNode<int, int>::make(/*stamped=*/false, 0x1ull, 1, 10,
-                                     /*stamp=*/0);
+  auto* leaf = SNode<int, int>::make(0x1ull, 1, 10);
   auto* chain = LNode<int, int>::make(0x2ull, 2, 20, nullptr);
   EXPECT_EQ(narrow.tag(), Tag::kNarrow);
   EXPECT_EQ(narrow.length(), 4u);
@@ -91,23 +90,21 @@ TEST(NodeLayout, WordsCarryKindWidthAndFrozenBit) {
   }
   EXPECT_EQ(wide.as_frozen().length(), 16u);
   delete chain;
-  SNode<int, int>::destroy(leaf, /*stamped=*/false);
+  delete leaf;
   ANode::destroy(wide);
   ANode::destroy(narrow);
 }
 
 TEST(NodeLayout, SNodeCarriesPairAndIdleTxn) {
-  auto* s = SNode<int, int>::make(/*stamped=*/false, 0xABCDull, 7, 70,
-                                  /*stamp=*/0);
+  auto* s = SNode<int, int>::make(0xABCDull, 7, 70);
   EXPECT_EQ(s->key, 7);
   EXPECT_EQ(s->value, 70);
   EXPECT_EQ(s->txn.load(std::memory_order_relaxed), Ref::no_txn());
-  // Unbounded tries allocate no stamp word at all, and a hash-free leaf
+  // An unbounded trie's leaf has no stamp word at all, and a hash-free leaf
   // has no header: the node is the pair and its txn.
   using Leaf = SNode<int, int>;
-  EXPECT_EQ(Leaf::alloc_size(false), sizeof(Leaf));
   EXPECT_EQ(sizeof(Leaf), 2 * sizeof(int) + sizeof(AtomicRef));
-  SNode<int, int>::destroy(s, /*stamped=*/false);
+  delete s;
 }
 
 TEST(NodeLayout, StampWordCarriedByBothLeafKinds) {
@@ -115,18 +112,18 @@ TEST(NodeLayout, StampWordCarriedByBothLeafKinds) {
   // one trailing word per SNode, atomic (hits refresh it concurrently), and
   // a plain field on LNodes (chains are immutable — a rebuild copies the
   // stamp forward instead).
-  auto* s = SNode<int, int>::make(/*stamped=*/true, 0x1ull, 1, 10,
-                                  /*stamp=*/42);
-  EXPECT_EQ(s->stamp().load(), 42u);
-  // The word trails the node, as an ANode's slots trail its header.
-  using Leaf = SNode<int, int>;
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&s->stamp()),
-            reinterpret_cast<std::uintptr_t>(s) + sizeof(Leaf));
-  EXPECT_EQ(Leaf::alloc_size(true), sizeof(Leaf) + sizeof(std::uint64_t));
-  auto* l = LNode<int, int>::make(0x2ull, 2, 20, nullptr, /*stamp=*/43);
+  using Leaf = SNode<int, int, /*Stamped=*/true>;
+  auto* s = Leaf::make(0x1ull, 1, 10, /*stamp=*/42);
+  EXPECT_EQ(s->stamp.load(), 42u);
+  // The word trails the unstamped leaf's fields.
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&s->stamp),
+            reinterpret_cast<std::uintptr_t>(s) + sizeof(SNode<int, int>));
+  EXPECT_EQ(sizeof(Leaf), sizeof(SNode<int, int>) + sizeof(std::uint64_t));
+  auto* l = LNode<int, int, /*Stamped=*/true>::make(0x2ull, 2, 20, nullptr,
+                                                    /*stamp=*/43);
   EXPECT_EQ(l->stamp, 43u);
   delete l;
-  SNode<int, int>::destroy(s, /*stamped=*/true);
+  delete s;
 }
 
 // A word-sized key is rehashed instead of stored: the leaf has no `hash`
@@ -134,8 +131,8 @@ TEST(NodeLayout, StampWordCarriedByBothLeafKinds) {
 template <typename Leaf>
 concept HasHashField = requires(Leaf& l) { l.hash; };
 
-// Whether a leaf has a stamp word is its trie's business: the leaf keeps
-// no flag for it.
+// Whether a leaf has a stamp word is its type's (the trie's `Bounded`): the
+// leaf keeps no flag for it.
 template <typename Leaf>
 concept HasShapeField = requires(Leaf& l) { l.stamped; };
 
@@ -144,32 +141,32 @@ TEST(NodeLayout, HashFreeLeafIsHalfALine) {
   using Leaf = SNode<std::uint64_t, std::uint64_t>;
   static_assert(!kLeafStoresHash<std::uint64_t>);
   static_assert(!HasHashField<Leaf>);
-  static_assert(!HasShapeField<Leaf> && !HasShapeField<SNode<int, int>>);
+  using StampedLeaf = SNode<std::uint64_t, std::uint64_t, /*Stamped=*/true>;
+  static_assert(!HasShapeField<Leaf> && !HasShapeField<StampedLeaf> &&
+                !HasShapeField<SNode<int, int>>);
   // key, value, txn: 24 B.
   EXPECT_EQ(sizeof(Leaf), 24u);
-  EXPECT_EQ(Leaf::alloc_size(/*stamped=*/false), 24u);
   // A bounded leaf adds its 8 B stamp word: 32 B, half a line.
-  EXPECT_EQ(Leaf::alloc_size(/*stamped=*/true), 32u);
+  EXPECT_EQ(sizeof(StampedLeaf), 32u);
   // Both are served from, and booked at, the pool's 32 B class.
-  EXPECT_EQ(NodePool::class_bytes(Leaf::alloc_size(false), alignof(Leaf)),
-            32u);
-  EXPECT_EQ(NodePool::class_bytes(Leaf::alloc_size(true), alignof(Leaf)),
+  EXPECT_EQ(NodePool::class_bytes(sizeof(Leaf), alignof(Leaf)), 32u);
+  EXPECT_EQ(NodePool::class_bytes(sizeof(StampedLeaf), alignof(StampedLeaf)),
             32u);
 }
 
 TEST(NodeLayout, CostlyKeysKeepTheirHash) {
   using Leaf = SNode<std::string, int>;
+  using StampedLeaf = SNode<std::string, int, /*Stamped=*/true>;
   static_assert(kLeafStoresHash<std::string>);
-  static_assert(HasHashField<Leaf>);
-  auto* s = Leaf::make(/*stamped=*/false, 0x5555ull, std::string(40, 'k'), 1,
-                       /*stamp=*/0);
+  static_assert(HasHashField<Leaf> && HasHashField<StampedLeaf>);
+  auto* s = Leaf::make(0x5555ull, std::string(40, 'k'), 1);
   EXPECT_EQ(s->hash, 0x5555ull);
   EXPECT_EQ(s->key, std::string(40, 'k'));
-  Leaf::destroy(s, /*stamped=*/false);
-  auto* b = Leaf::make(/*stamped=*/true, 0x6666ull, "b", 2, /*stamp=*/9);
+  delete s;
+  auto* b = StampedLeaf::make(0x6666ull, "b", 2, /*stamp=*/9);
   EXPECT_EQ(b->hash, 0x6666ull);
-  EXPECT_EQ(b->stamp().load(), 9u);
-  Leaf::destroy(b, /*stamped=*/true);
+  EXPECT_EQ(b->stamp.load(), 9u);
+  delete b;
 }
 
 TEST(NodeLayout, PooledHalfLineLeavesNeverStraddleALine) {
@@ -180,7 +177,7 @@ TEST(NodeLayout, PooledHalfLineLeavesNeverStraddleALine) {
   // bypasses it.
   using cachetrie::mr::NodePool;
   const std::size_t leaf = NodePool::class_bytes(
-      SNode<std::uint64_t, std::uint64_t>::alloc_size(/*stamped=*/true));
+      sizeof(SNode<std::uint64_t, std::uint64_t, /*Stamped=*/true>));
   std::thread([leaf] {
     std::vector<std::pair<void*, std::size_t>> blocks;
     for (int i = 0; i < 4000; ++i) {
@@ -209,15 +206,15 @@ TEST(NodeLayout, BoundedLeavesFromThePoolNeverStraddleALine) {
   // pool. Where allocate() bypasses the pool (ASan), the same class is
   // taken from the class allocator directly.
   using cachetrie::mr::NodePool;
-  using Leaf = SNode<std::uint64_t, std::uint64_t>;
-  static_assert(Leaf::alloc_size(/*stamped=*/true) == 32);
+  using Leaf = SNode<std::uint64_t, std::uint64_t, /*Stamped=*/true>;
+  static_assert(sizeof(Leaf) == 32);
   std::thread([] {
     const std::size_t kLine = cachetrie::util::kCacheLineSize;
     std::vector<void*> blocks;
     for (std::uint64_t i = 0; i < 1000; ++i) {
       void* p = NodePool::kEnabled
                     ? static_cast<void*>(
-                          Leaf::make(/*stamped=*/true, i, i, i, /*stamp=*/i))
+                          Leaf::make(i, i, i, /*stamp=*/i))
                     : NodePool::allocate_class(NodePool::class_of(32));
       const auto at = reinterpret_cast<std::uintptr_t>(p);
       ASSERT_LE(at % kLine + 32, kLine)
@@ -227,7 +224,7 @@ TEST(NodeLayout, BoundedLeavesFromThePoolNeverStraddleALine) {
     }
     for (void* p : blocks) {
       if (NodePool::kEnabled) {
-        Leaf::destroy(static_cast<Leaf*>(p), /*stamped=*/true);
+        delete static_cast<Leaf*>(p);
       } else {
         NodePool::deallocate_class(p, NodePool::class_of(32));
       }
@@ -256,9 +253,25 @@ TEST(NodeLayout, LNodeChainLinks) {
   auto* l2 = LNode<int, int>::make(5, 2, 20, l1);
   EXPECT_EQ(l2->next, l1);
   EXPECT_EQ(l2->hash, l1->hash);
-  EXPECT_EQ(l1->stamp, 0u);  // default: unbounded tries never stamp
+  EXPECT_EQ(std::uint64_t{l1->stamp}, 0u);  // unbounded tries never stamp
   delete l2;
   delete l1;
+}
+
+TEST(NodeLayout, ChainLinkStampsOnlyWhenBounded) {
+  // A u64 chain link is hash, next, key and value: 32 B, the pool's 32 B
+  // class. A bounded trie's link adds its stamp field: 40 B, which the pool
+  // serves (and the ledger books) from its 48 B class.
+  using cachetrie::mr::NodePool;
+  using Link = LNode<std::uint64_t, std::uint64_t>;
+  using StampedLink = LNode<std::uint64_t, std::uint64_t, /*Stamped=*/true>;
+  static_assert(sizeof(Link) == 32 && sizeof(StampedLink) == 40);
+  EXPECT_EQ(NodePool::class_bytes(sizeof(Link), alignof(Link)), 32u);
+  EXPECT_EQ(NodePool::class_bytes(sizeof(StampedLink), alignof(StampedLink)),
+            48u);
+  auto* l = Link::make(7, 1, 10, nullptr, /*stamp=*/99);  // stamp dropped
+  EXPECT_EQ(std::uint64_t{l->stamp}, 0u);
+  delete l;
 }
 
 TEST(CacheLayout, EntryCountAndIndexing) {
@@ -298,8 +311,7 @@ TEST(CacheLayout, WordsRoundTripEachShape) {
   CacheArray* c = CacheArray::make(8, nullptr);
   const Ref narrow = ANode::make(4);
   const Ref wide = ANode::make(16);
-  auto* leaf = SNode<int, int>::make(/*stamped=*/false, 0x1ull, 1, 10,
-                                     /*stamp=*/0);
+  auto* leaf = SNode<int, int>::make(0x1ull, 1, 10);
   for (const Ref w : {narrow, wide, Ref::to(leaf)}) {
     c->entry(1).store(w, std::memory_order_relaxed);
     const Ref back = c->entry(1).load(std::memory_order_relaxed);
@@ -312,7 +324,7 @@ TEST(CacheLayout, WordsRoundTripEachShape) {
   EXPECT_EQ(c->entry(2).load(std::memory_order_relaxed).length(), 16u);
   c->entry(3).store(narrow, std::memory_order_relaxed);
   EXPECT_EQ(c->entry(3).load(std::memory_order_relaxed).length(), 4u);
-  SNode<int, int>::destroy(leaf, /*stamped=*/false);
+  delete leaf;
   ANode::destroy(wide);
   ANode::destroy(narrow);
   CacheArray::destroy(c);

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cachetrie/cache_trie.hpp"
+#include "cachetrie/evict.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sites.hpp"
 #include "obs/trace_export.hpp"
@@ -261,8 +262,8 @@ TEST_F(TraceTest, ConcurrentDrainSeesOnlyWellFormedEvents) {
 // as every other eviction does. Under the identity hash, keys 0x01 and 0x11
 // share the root's slot 1 and separate in a narrow node at level 4.
 TEST_F(TraceTest, EvictRecordsTheCommitLevel) {
-  cachetrie::CacheTrie<std::uint64_t, std::uint64_t,
-                       cachetrie::util::IdentityHash>
+  cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t,
+                                     cachetrie::util::IdentityHash>
       trie;
   ASSERT_TRUE(trie.insert(0x01, 1));
   ASSERT_TRUE(trie.insert(0x11, 2));

@@ -34,7 +34,7 @@ namespace {
 namespace sites = cachetrie::obs::sites;
 
 using BoundedTrie =
-    cachetrie::CacheTrie<std::uint64_t, std::uint64_t>;
+    cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
 using BoundedChm =
     cachetrie::evict::BoundedChm<std::uint64_t, std::uint64_t>;
 
@@ -64,8 +64,8 @@ struct EvictionDelta {
   }
 };
 
-cachetrie::Config ttl_config() {
-  cachetrie::Config cfg;
+cachetrie::evict::BoundedConfig ttl_config() {
+  cachetrie::evict::BoundedConfig cfg;
   cfg.ttl_ticks = kTtl;
   cfg.ceiling_bytes = 0;  // TTL only: no pressure machinery in these tests
   cfg.tick_fn = &test_clock;
@@ -250,22 +250,25 @@ TEST(TtlExpiry, ResidentBytesMatchFootprintAtQuiescence) {
 
 TEST(TtlExpiry, HashFreeLeafBooksItsStampWord) {
   // An unbounded leaf is the 24 B pair and txn; a bounded one adds its
-  // trailing 8 B stamp word. Both take the pool's 32 B class, and both
-  // ledgers book that block.
+  // 8 B stamp word. Both take the pool's 32 B class: the bounded
+  // trie's ledger and the unbounded trie's footprint both book that block.
   using Leaf = cachetrie::detail::SNode<std::uint64_t, std::uint64_t>;
+  using StampedLeaf =
+      cachetrie::detail::SNode<std::uint64_t, std::uint64_t, /*Stamped=*/true>;
   static_assert(!cachetrie::detail::kLeafStoresHash<std::uint64_t>);
   g_clock.store(1, std::memory_order_relaxed);
   BoundedTrie bounded(ttl_config());
   const std::size_t before = bounded.resident_bytes();
   ASSERT_TRUE(bounded.insert(5, 50));
-  EXPECT_EQ(bounded.resident_bytes() - before, Leaf::alloc_size(true));
-  EXPECT_EQ(Leaf::alloc_size(true), 32u);
-  BoundedTrie unbounded;
+  EXPECT_EQ(bounded.resident_bytes() - before, sizeof(StampedLeaf));
+  EXPECT_EQ(sizeof(StampedLeaf), 32u);
+  cachetrie::CacheTrie<std::uint64_t, std::uint64_t> unbounded;
   const std::size_t empty = unbounded.footprint_bytes();
   ASSERT_TRUE(unbounded.insert(5, 50));
-  EXPECT_EQ(Leaf::alloc_size(false), 24u);
+  EXPECT_EQ(sizeof(Leaf), 24u);
   EXPECT_EQ(unbounded.footprint_bytes() - empty, 32u);
-  EXPECT_EQ(unbounded.resident_bytes(), 0u);
+  // An unbounded trie keeps no ledger at all: src/all_headers_check.cpp
+  // asserts that it has no resident_bytes().
 }
 
 TEST(TtlExpiry, CopiedHashFreeLeavesKeepTheirStamps) {
@@ -275,8 +278,9 @@ TEST(TtlExpiry, CopiedHashFreeLeavesKeepTheirStamps) {
   // tick 60, so the expansions and subtree builds that the even inserts
   // trigger copy odd leaves, placed by their recomputed hashes. A copy
   // keeps its source's stamp, so at 2 + kTtl exactly the odd keys expire.
-  using IdentityTrie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t,
-                                            cachetrie::util::IdentityHash>;
+  using IdentityTrie =
+      cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t,
+                                         cachetrie::util::IdentityHash>;
   g_clock.store(1, std::memory_order_relaxed);
   IdentityTrie t(ttl_config());
   const EvictionDelta evicted;
@@ -308,7 +312,8 @@ TEST(TtlExpiry, CopiedHashFreeLeavesKeepTheirStamps) {
 
 // --- LNode chains: every key shares one hash ------------------------------
 
-using ChainTrie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t,
+using ChainTrie =
+    cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t,
                                        cachetrie::util::DegradedHash<0>>;
 
 // One chain in the root: `old_keys` stamped at tick 1, `young_keys` at tick
@@ -411,8 +416,9 @@ TEST(TtlExpiryChain, ResidentBytesMatchAfterChainChurn) {
     EXPECT_TRUE(t.debug_validate().empty());
   }
   {
-    using FewBitTrie = cachetrie::CacheTrie<std::uint64_t, std::uint64_t,
-                                            cachetrie::util::DegradedHash<6>>;
+    using FewBitTrie =
+        cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t,
+                                           cachetrie::util::DegradedHash<6>>;
     FewBitTrie t(ttl_config());
     chain_churn(t, 300);
     EXPECT_EQ(t.resident_bytes(), t.footprint_bytes() - sizeof(FewBitTrie));
@@ -433,12 +439,13 @@ TEST(TtlExpiry, LedgerBooksThePoolClassOfOddSizedNodes) {
   // stamp), both 40 B. The pool serves each from its 48 B class, and the
   // ledger books that block, also in builds where allocate() bypasses the
   // pool (NodePool::kEnabled false), so every build books the same bytes.
-  using Leaf = cachetrie::detail::SNode<std::uint64_t, Rgb>;
-  using Link = cachetrie::detail::LNode<std::uint64_t, std::uint64_t>;
-  static_assert(Leaf::alloc_size(true) == 40 && sizeof(Link) == 40);
+  using Leaf = cachetrie::detail::SNode<std::uint64_t, Rgb, /*Stamped=*/true>;
+  using Link =
+      cachetrie::detail::LNode<std::uint64_t, std::uint64_t, /*Stamped=*/true>;
+  static_assert(sizeof(Leaf) == 40 && sizeof(Link) == 40);
   g_clock.store(1, std::memory_order_relaxed);
 
-  using RgbTrie = cachetrie::CacheTrie<std::uint64_t, Rgb>;
+  using RgbTrie = cachetrie::evict::BoundedCacheTrie<std::uint64_t, Rgb>;
   RgbTrie leaves(ttl_config());
   const std::size_t empty = leaves.resident_bytes();
   ASSERT_TRUE(leaves.insert(5, Rgb{1, 2, 3}));
