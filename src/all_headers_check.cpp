@@ -62,7 +62,6 @@ namespace util = cachetrie::util;
 using U64 = std::uint64_t;
 using CacheTrieU64 = cachetrie::CacheTrie<U64, U64>;
 using ChmU64 = cachetrie::chm::ConcurrentHashMap<U64, U64>;
-using BoundedChmU64 = cachetrie::evict::BoundedChm<U64, U64>;
 using CtrieU64 = cachetrie::ctrie::Ctrie<U64, U64>;
 using SkipListU64 = cachetrie::csl::ConcurrentSkipList<U64, U64>;
 
@@ -83,11 +82,9 @@ constexpr unsigned kAllCaps =
     kPutIfAbsent | kReplace | kReplaceIfEquals | kRemoveIfEquals;
 
 static_assert(util::KvMap<CacheTrieU64> && util::KvMap<ChmU64> &&
-              util::KvMap<BoundedChmU64> && util::KvMap<CtrieU64> &&
-              util::KvMap<SkipListU64>);
+              util::KvMap<CtrieU64> && util::KvMap<SkipListU64>);
 static_assert(caps<CacheTrieU64>() == kAllCaps);
 static_assert(caps<ChmU64>() == (kPutIfAbsent | kRemoveIfEquals));
-static_assert(caps<BoundedChmU64>() == (kPutIfAbsent | kRemoveIfEquals));
 static_assert(caps<CtrieU64>() == kPutIfAbsent);
 static_assert(caps<SkipListU64>() == kPutIfAbsent);
 
@@ -162,9 +159,8 @@ static_assert(fits_pool_class<ctr::SNode<U64, U64>>() &&
               fits_pool_class<ctr::INode>() && fits_pool_class<ctr::CNode>());
 static_assert(ctr::CNode::alloc_size(30) <= cachetrie::mr::NodePool::kMaxBytes);
 static_assert(ChmU64::kNodeBytes <= cachetrie::mr::NodePool::kMaxBytes);
-// The hash map's node is the JDK's hash, key, value and next; only the
-// bounded wrapper's map adds the stamp word.
-static_assert(ChmU64::kNodeBytes == 32 && BoundedChmU64::Map::kNodeBytes == 40);
+// The hash map's node is the JDK's hash, key, value and next.
+static_assert(ChmU64::kNodeBytes == 32);
 static_assert(SkipListU64::kMaxNodeBytes <=
               cachetrie::mr::NodePool::kMaxBytes);
 

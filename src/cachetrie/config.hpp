@@ -3,9 +3,8 @@
 // Defaults follow the paper; every knob exists so the ablation benches and
 // the property tests can move it. The bounded-memory mode (DESIGN.md §3) is
 // a type, not a knob: a bounded trie (CacheTrie<..., Bounded = true>, named
-// evict::BoundedCacheTrie) and evict::BoundedChm read evict::BoundedConfig
-// (evict_policy.hpp), which adds the ceiling, the TTL and the clock to
-// Config. Constants below are fixed choices that no caller tunes.
+// evict::BoundedCacheTrie) reads evict::BoundedConfig (evict_policy.hpp),
+// which adds the ceiling, the TTL and the clock to Config. Constants below are fixed choices that no caller tunes.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,5 @@
 // evict_policy.hpp — when a pair may be evicted: the one eviction policy of
-// the bounded-memory mode (DESIGN.md §3), shared by the bounded CacheTrie
-// and evict::BoundedChm.
+// the bounded-memory mode (DESIGN.md §3), which the bounded CacheTrie runs.
 //
 // The policy owns the clock (BoundedConfig::tick_fn, or a per-map logical
 // tick), turns it into each operation's horizons (TTL floor, LRU floor),
@@ -31,7 +30,6 @@ namespace cachetrie::evict {
 /// own), so one registered callback gauge reports the process's bounded-trie
 /// footprint without per-trie gauge registrations (which could dangle: the
 /// registry has no unregister, but this cell outlives every trie).
-/// BoundedChm's footprint is a derived estimate and is not in it.
 inline std::atomic<std::int64_t>& process_resident_bytes() {
   static std::atomic<std::int64_t> cell{0};
   return cell;
@@ -68,8 +66,8 @@ struct Horizon {
 /// pointer keeps BoundedConfig trivially copyable.
 using TickFn = std::uint64_t (*)();
 
-/// A bounded map's configuration: the trie's knobs plus the three the
-/// policy reads. A bounded map stamps its pairs and keeps its byte count
+/// A bounded trie's configuration: the trie's knobs plus the three the
+/// policy reads. A bounded trie stamps its pairs and keeps its byte count
 /// whatever the limits; with both 0 it never evicts.
 struct BoundedConfig : Config {
   /// Hard ceiling on the trie's observed resident bytes (0 = no ceiling).

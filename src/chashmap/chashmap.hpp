@@ -29,7 +29,6 @@
 #include <memory>
 #include <new>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "mr/epoch.hpp"
@@ -43,18 +42,9 @@
 
 namespace cachetrie::chm {
 
-namespace detail {
-/// The stamp an unstamped map's node does not have: empty, and
-/// [[no_unique_address]] makes it take no bytes.
-struct NoStamp {};
-}  // namespace detail
-
-/// `Stamped`: every node carries a last-use tick for the bounded-memory
-/// wrapper (evict::BoundedChm, the only map that sets it), and the stamp
-/// operations (lookup_refresh, remove_if_stale, evict_stale) exist. A plain
-/// map's node is the JDK's hash, key, value and next.
+/// A node is the JDK's hash, key, value and next.
 template <typename K, typename V, typename Hash = util::DefaultHash<K>,
-          typename Reclaimer = mr::EpochReclaimer, bool Stamped = false>
+          typename Reclaimer = mr::EpochReclaimer>
 class ConcurrentHashMap {
   struct Node;
 
@@ -68,24 +58,11 @@ class ConcurrentHashMap {
     K key;
     V value;
     std::atomic<Node*> next;
-    /// Last-use tick, in a stamped map only (evict.hpp); advisory, all
-    /// accesses relaxed. Transfer clones carry the source stamp (same
-    /// logical entry).
-    [[no_unique_address]] std::conditional_t<
-        Stamped, std::atomic<std::uint64_t>, detail::NoStamp> stamp;
 
-    /// `stamp` is dropped unless the map is stamped.
-    static Node* make(std::uint64_t h, const K& k, const V& v, Node* nxt,
-                      [[maybe_unused]] std::uint64_t stamp = 0) {
-      auto* n = new Node{{}, h, k, v, {}, {}};
+    static Node* make(std::uint64_t h, const K& k, const V& v, Node* nxt) {
+      auto* n = new Node{{}, h, k, v, {}};
       n->next.store(nxt, std::memory_order_relaxed);
-      if constexpr (Stamped) n->stamp.store(stamp, std::memory_order_relaxed);
       return n;
-    }
-    /// The node's tick; 0 in an unstamped map.
-    std::uint64_t stamp_value() const noexcept {
-      if constexpr (Stamped) return stamp.load(std::memory_order_relaxed);
-      return 0;
     }
   };
 
@@ -175,41 +152,39 @@ class ConcurrentHashMap {
     Table::destroy(t);
   }
 
-  /// Inserts or replaces; true iff the key was new. `stamp` seeds the new
-  /// node's last-use tick (a stamped map only; ignored otherwise).
-  bool insert(const K& key, const V& value, std::uint64_t stamp = 0) {
-    return do_insert(key, value, /*only_if_absent=*/false, stamp);
+  /// Inserts or replaces; true iff the key was new.
+  bool insert(const K& key, const V& value) {
+    return do_insert(key, value, /*only_if_absent=*/false);
   }
 
-  bool put_if_absent(const K& key, const V& value, std::uint64_t stamp = 0) {
-    return do_insert(key, value, /*only_if_absent=*/true, stamp);
+  bool put_if_absent(const K& key, const V& value) {
+    return do_insert(key, value, /*only_if_absent=*/true);
   }
 
+  /// Lock-free: walks key's bin and follows forwarding markers into the
+  /// next table.
   std::optional<V> lookup(const K& key) const {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     testkit::chaos_point(testkit::Site::chm_pinned);
-    if (Node* n = find(key)) return n->value;
-    return std::nullopt;
+    const std::uint64_t h = adjust_hash(hasher_(key));
+    // [acquires: CHM_TABLE_PUBLISH]
+    Table* t = table_.load(std::memory_order_acquire);
+    while (true) {
+      // [acquires: CHM_BIN_LINK]
+      Node* n = t->bins()[h & (t->nbins - 1)].load(std::memory_order_acquire);
+      while (n != nullptr) {
+        if (n->hash == kForwardHash) {
+          t = reinterpret_cast<ForwardNode*>(n)->fwd;
+          break;  // retry in the next table
+        }
+        if (n->hash == h && n->key == key) return n->value;
+        n = n->next.load(std::memory_order_acquire);
+      }
+      if (n == nullptr) return std::nullopt;
+    }
   }
 
   bool contains(const K& key) const { return lookup(key).has_value(); }
-
-  /// Bounded-wrapper lookup: a hit whose stamp is older than `ttl_floor` is
-  /// reported absent (the corpse stays until an eviction pass unlinks it);
-  /// a live hit refreshes the stamp to `now`. Wait-free, like lookup().
-  std::optional<V> lookup_refresh(const K& key, std::uint64_t now,
-                                  std::uint64_t ttl_floor) const
-    requires Stamped
-  {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point(testkit::Site::chm_pinned);
-    Node* n = find(key);
-    if (n == nullptr || n->stamp.load(std::memory_order_relaxed) < ttl_floor) {
-      return std::nullopt;
-    }
-    n->stamp.store(now, std::memory_order_relaxed);
-    return n->value;
-  }
 
   /// JDK's 2-argument remove: unlink only while the value equals `expected`.
   /// The bin lock pins the value for the compare (values are inline and
@@ -219,63 +194,6 @@ class ConcurrentHashMap {
   {
     return unlink_if(key, [&](const Node& n) { return n.value == expected; })
         .has_value();
-  }
-
-  /// Bounded-wrapper TTL unlink: removes the key's node only if its stamp
-  /// is older than `floor` (the lazy eviction of an expired entry observed
-  /// by a traversal). Returns true iff it unlinked.
-  bool remove_if_stale(const K& key, std::uint64_t floor)
-    requires Stamped
-  {
-    return unlink_if(key, [&](const Node& n) {
-             return n.stamp.load(std::memory_order_relaxed) < floor;
-           })
-        .has_value();
-  }
-
-  /// Bounded-wrapper pressure scan: sweeps up to `max_bins` bins from a
-  /// roving cursor, unlinking every node whose stamp is older than `floor`.
-  /// Returns the number of nodes removed. Skips forwarded bins (a resize in
-  /// flight; the nodes will be seen again in the next table).
-  std::size_t evict_stale(std::uint64_t floor, std::size_t max_bins)
-    requires Stamped
-  {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    testkit::chaos_point(testkit::Site::chm_pinned);
-    Table* t = table_.load(std::memory_order_acquire);
-    std::size_t removed = 0;
-    for (std::size_t probe = 0; probe < max_bins; ++probe) {
-      const std::size_t bi =
-          evict_cursor_.fetch_add(1, std::memory_order_relaxed) &
-          (t->nbins - 1);
-      Node* head = t->bins()[bi].load(std::memory_order_acquire);
-      if (head == nullptr) continue;
-      if (head->hash == kForwardHash) continue;
-      BinLock lock{t, bi};
-      head = t->bins()[bi].load(std::memory_order_acquire);
-      if (head != nullptr && head->hash == kForwardHash) continue;
-      Node* prev = nullptr;
-      for (Node* n = head; n != nullptr;) {
-        Node* nx = n->next.load(std::memory_order_relaxed);
-        if (n->stamp.load(std::memory_order_relaxed) < floor) {
-          splice(t, bi, prev, n, nx);
-          add_count(-1);
-          ++removed;
-        } else {
-          prev = n;
-        }
-        n = nx;
-      }
-    }
-    return removed;
-  }
-
-  /// Per-entry heap cost: the pool class a node takes (evict.hpp derives the
-  /// wrapper's byte estimate as size() * node_bytes() + table footprint;
-  /// exact accounting is the cache-trie's game — the baseline reports an
-  /// estimate, DESIGN.md §3).
-  static constexpr std::size_t node_bytes() noexcept {
-    return mr::NodePool::class_bytes(sizeof(Node), alignof(Node));
   }
 
   std::optional<V> remove(const K& key) {
@@ -304,18 +222,6 @@ class ConcurrentHashMap {
     Table* t = table_.load(std::memory_order_acquire);
     auto none = [](const K&, const V&) {};
     return sizeof(*this) + Table::alloc_size(t->nbins) + walk(t, none);
-  }
-
-  /// O(1) derived footprint: table bytes + size() * node_bytes(). The
-  /// striped size counter makes this approximate under concurrency, but it
-  /// is cheap enough to evaluate on every operation — the bounded mode's
-  /// backpressure check (evict.hpp) polls it per write, where the exact
-  /// traversal above would turn each insert into a full-table walk.
-  std::size_t footprint_estimate_bytes() const {
-    [[maybe_unused]] auto guard = Reclaimer::pin();
-    Table* t = table_.load(std::memory_order_acquire);
-    return sizeof(*this) + Table::alloc_size(t->nbins) +
-           size() * node_bytes();
   }
 
   /// Number of bins in the current table (tests observe resize growth).
@@ -364,30 +270,10 @@ class ConcurrentHashMap {
     ~BinLock() { t->locks()[bi].store(0, std::memory_order_release); }
   };
 
-  /// The lock-free find of lookup and lookup_refresh: walks key's bin and
-  /// follows forwarding markers into the next table. Caller is pinned.
-  Node* find(const K& key) const {
-    const std::uint64_t h = adjust_hash(hasher_(key));
-    // [acquires: CHM_TABLE_PUBLISH]
-    Table* t = table_.load(std::memory_order_acquire);
-    while (true) {
-      // [acquires: CHM_BIN_LINK]
-      Node* n = t->bins()[h & (t->nbins - 1)].load(std::memory_order_acquire);
-      while (n != nullptr) {
-        if (n->hash == kForwardHash) {
-          t = reinterpret_cast<ForwardNode*>(n)->fwd;
-          break;  // retry in the next table
-        }
-        if (n->hash == h && n->key == key) return n;
-        n = n->next.load(std::memory_order_acquire);
-      }
-      if (n == nullptr) return nullptr;
-    }
-  }
-
   /// The one walk behind for_each and footprint_bytes: fn(key, value) for
   /// every node of `t`'s bins, each bin up to a forwarding marker (a
-  /// concurrent resize; best effort). Returns the nodes' charged bytes.
+  /// concurrent resize; best effort). Returns the nodes' charged bytes, each
+  /// node at its pool class size.
   template <typename F>
   static std::size_t walk(Table* t, F& fn) {
     std::size_t bytes = 0;
@@ -396,7 +282,7 @@ class ConcurrentHashMap {
            n != nullptr && n->hash != kForwardHash;
            n = n->next.load(std::memory_order_acquire)) {
         fn(n->key, n->value);
-        bytes += node_bytes();
+        bytes += mr::NodePool::class_bytes(sizeof(Node), alignof(Node));
       }
     }
     return bytes;
@@ -454,8 +340,7 @@ class ConcurrentHashMap {
     }
   }
 
-  bool do_insert(const K& key, const V& value, bool only_if_absent,
-                 std::uint64_t stamp = 0) {
+  bool do_insert(const K& key, const V& value, bool only_if_absent) {
     [[maybe_unused]] auto guard = Reclaimer::pin();
     // Fault site: stalls a thread inside a guard before it does anything.
     // Note this map is lock-BASED (bin locks): forever-stall plans must
@@ -471,7 +356,7 @@ class ConcurrentHashMap {
       Node* head = bin.load(std::memory_order_acquire);
       if (head == nullptr) {
         // Lock-free fast path: CAS into the empty bin.
-        Node* fresh = Node::make(h, key, value, nullptr, stamp);
+        Node* fresh = Node::make(h, key, value, nullptr);
         testkit::chaos_point(testkit::Site::chm_bin_cas);
         Node* expected = nullptr;
         // [publishes: CHM_BIN_LINK]
@@ -506,11 +391,11 @@ class ConcurrentHashMap {
           // in-place write would tear).
           splice(t, bi, prev, n,
                  Node::make(h, key, value,
-                            n->next.load(std::memory_order_relaxed), stamp));
+                            n->next.load(std::memory_order_relaxed)));
           return false;
         }
         // Append at the head (cheapest; chain order is irrelevant).
-        Node* fresh = Node::make(h, key, value, head, stamp);
+        Node* fresh = Node::make(h, key, value, head);
         bin.store(fresh, std::memory_order_release);
         inserted = true;
       }
@@ -630,11 +515,10 @@ class ConcurrentHashMap {
         (run_bit ? hi : lo) = last_run;
         for (Node* n = head; n != last_run;
              n = n->next.load(std::memory_order_relaxed)) {
-          const std::uint64_t st = n->stamp_value();
           if ((n->hash & t->nbins) == 0) {
-            lo = Node::make(n->hash, n->key, n->value, lo, st);
+            lo = Node::make(n->hash, n->key, n->value, lo);
           } else {
-            hi = Node::make(n->hash, n->key, n->value, hi, st);
+            hi = Node::make(n->hash, n->key, n->value, hi);
           }
         }
       }
@@ -687,8 +571,6 @@ class ConcurrentHashMap {
   Hash hasher_{};
   std::atomic<Table*> table_{nullptr};
   util::PaddedCounter counters_[kCounterStripes];
-  /// Roving bin cursor for evict_stale() (bounded wrapper only).
-  std::atomic<std::size_t> evict_cursor_{0};
 };
 
 }  // namespace cachetrie::chm

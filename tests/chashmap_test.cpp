@@ -91,24 +91,6 @@ TEST(CHashMap, ForEachVisitsEverything) {
   EXPECT_EQ(seen.size(), 5000u);
 }
 
-TEST(CHashMap, QuiescentFootprintEqualsEstimate) {
-  // The walk (one node per live pair) and the O(1) estimate (the striped
-  // counters times node_bytes) agree once no write is in flight, across
-  // resizes and removals.
-  ConcurrentHashMap<std::uint64_t, std::uint64_t> map;
-  cachetrie::util::SplitMix64 rng(17);
-  for (int i = 0; i < 20000; ++i) {
-    const std::uint64_t r = rng.next();
-    if (r % 3 == 0) {
-      map.remove(r % 5000);
-    } else {
-      map.insert(r % 5000, r);
-    }
-  }
-  EXPECT_GT(map.bin_count(), 16u);
-  EXPECT_EQ(map.footprint_bytes(), map.footprint_estimate_bytes());
-}
-
 TEST(CHashMapConcurrent, DisjointInsertsDuringResizes) {
   ConcurrentHashMap<int, int> map(16);  // tiny: forces many transfers
   constexpr int kThreads = 8;
@@ -192,7 +174,7 @@ TEST(CHashMapConcurrent, ChurnWithOwnership) {
   }
 }
 
-// --- conditional unlinks: remove_if_equals, remove_if_stale, evict_stale ----
+// --- conditional unlink: remove_if_equals -----------------------------------
 
 /// Each case runs on two bin shapes: a roomy table whose bins hold about one
 /// node each, and a DegradedHash<2> map whose four live bins hold dozens of
@@ -202,16 +184,11 @@ struct BinShape {
   using MapType = Map;
   static constexpr std::size_t initial_bins = kInitialBins;
 };
-/// The stamp operations exist only in a stamped map (the one the bounded
-/// wrapper uses).
 template <typename Hash>
-using StampedMap =
-    ConcurrentHashMap<std::uint64_t, std::uint64_t, Hash,
-                      cachetrie::mr::EpochReclaimer, /*Stamped=*/true>;
+using U64Map = ConcurrentHashMap<std::uint64_t, std::uint64_t, Hash>;
 using SingleNodeBins =
-    BinShape<StampedMap<cachetrie::util::DefaultHash<std::uint64_t>>,
-             1u << 14>;
-using CrowdedBins = BinShape<StampedMap<cachetrie::util::DegradedHash<2>>, 16>;
+    BinShape<U64Map<cachetrie::util::DefaultHash<std::uint64_t>>, 1u << 14>;
+using CrowdedBins = BinShape<U64Map<cachetrie::util::DegradedHash<2>>, 16>;
 
 template <typename Shape>
 class CHashMapUnlink : public ::testing::Test {
@@ -222,9 +199,6 @@ using BinShapes = ::testing::Types<SingleNodeBins, CrowdedBins>;
 TYPED_TEST_SUITE(CHashMapUnlink, BinShapes);
 
 constexpr std::uint64_t kUnlinkKeys = 64;
-constexpr std::uint64_t kFloor = 10;
-/// Odd keys carry a stale stamp (below kFloor), even keys a fresh one.
-constexpr std::uint64_t stamp_of(std::uint64_t k) { return k % 2 ? 5 : 20; }
 
 TYPED_TEST(CHashMapUnlink, RemoveIfEqualsChecksValue) {
   auto& map = this->map;
@@ -243,64 +217,6 @@ TYPED_TEST(CHashMapUnlink, RemoveIfEqualsChecksValue) {
   EXPECT_EQ(map.size(), kUnlinkKeys / 2);
   for (std::uint64_t k = 0; k < kUnlinkKeys; ++k) {
     EXPECT_EQ(map.contains(k), k % 2 == 0) << k;
-  }
-}
-
-TYPED_TEST(CHashMapUnlink, RemoveIfStaleChecksStamp) {
-  auto& map = this->map;
-  for (std::uint64_t k = 0; k < kUnlinkKeys; ++k) {
-    ASSERT_TRUE(map.insert(k, k, stamp_of(k)));
-  }
-  for (std::uint64_t k = 0; k < kUnlinkKeys; k += 2) {
-    EXPECT_FALSE(map.remove_if_stale(k, kFloor)) << k;
-  }
-  EXPECT_EQ(map.size(), kUnlinkKeys);
-  for (std::uint64_t k = 1; k < kUnlinkKeys; k += 2) {
-    EXPECT_TRUE(map.remove_if_stale(k, kFloor)) << k;
-    EXPECT_FALSE(map.remove_if_stale(k, kFloor)) << k;
-  }
-  EXPECT_EQ(map.size(), kUnlinkKeys / 2);
-  for (std::uint64_t k = 0; k < kUnlinkKeys; ++k) {
-    EXPECT_EQ(map.contains(k), k % 2 == 0) << k;
-  }
-}
-
-TYPED_TEST(CHashMapUnlink, LookupRefreshLeavesStaleStampAlone) {
-  auto& map = this->map;
-  for (std::uint64_t k = 0; k < kUnlinkKeys; ++k) {
-    ASSERT_TRUE(map.insert(k, k, stamp_of(k)));
-  }
-  constexpr std::uint64_t kNow = 100;
-  for (std::uint64_t k = 0; k < kUnlinkKeys; ++k) {
-    const auto hit = map.lookup_refresh(k, kNow, kFloor);
-    if (k % 2) {
-      EXPECT_FALSE(hit.has_value()) << k;
-    } else {
-      EXPECT_EQ(hit, std::optional<std::uint64_t>(k)) << k;
-    }
-  }
-  // A stale hit kept its stamp, so the same floor still unlinks it; a live
-  // hit was refreshed to kNow, so even a floor above its old stamp spares it.
-  for (std::uint64_t k = 0; k < kUnlinkKeys; ++k) {
-    EXPECT_EQ(map.remove_if_stale(k, kNow), k % 2 == 1) << k;
-  }
-  EXPECT_EQ(map.size(), kUnlinkKeys / 2);
-}
-
-TYPED_TEST(CHashMapUnlink, EvictStaleRemovesExactlyTheStale) {
-  auto& map = this->map;
-  constexpr std::uint64_t kKeys = 256;
-  for (std::uint64_t k = 0; k < kKeys; ++k) {
-    ASSERT_TRUE(map.insert(k, k, stamp_of(k)));
-  }
-  EXPECT_EQ(map.evict_stale(kFloor, map.bin_count()), kKeys / 2);
-  EXPECT_EQ(map.size(), kKeys / 2);
-  for (std::uint64_t k = 0; k < kKeys; ++k) {
-    if (k % 2) {
-      EXPECT_FALSE(map.contains(k)) << k;
-    } else {
-      EXPECT_EQ(map.lookup(k), std::optional<std::uint64_t>(k)) << k;
-    }
   }
 }
 

@@ -1,8 +1,8 @@
 // evict_policy_test.cpp — the bounded mode's one eviction policy
 // (evict_policy.hpp), driven directly with an injectable clock and a fake
 // scan, so every boundary is exact: the TTL floor, the LRU floor, and the
-// adaptive idle window's halving and relaxing. CacheTrie and BoundedChm
-// both decide eviction through this type.
+// adaptive idle window's halving and relaxing. The bounded CacheTrie
+// decides eviction through this type.
 
 #include <gtest/gtest.h>
 

@@ -159,45 +159,6 @@ TEST(EvictionFault, DeadEvictorCeilingHolds) {
   tk::chaos::enable(false);
 }
 
-TEST(EvictionFault, BoundedChmCeilingHolds) {
-  // The baseline's counterpart of DeadEvictorCeilingHolds, with every
-  // writer alive: four threads insert fresh keys worth ~10x the ceiling,
-  // and each write's backpressure sweep keeps the derived footprint
-  // estimate near the ceiling.
-  using Chm = cachetrie::evict::BoundedChm<std::uint64_t, std::uint64_t>;
-  constexpr std::size_t kCeiling = 256u << 10;  // 256 KiB
-  constexpr std::uint64_t kThreads = 4;
-  constexpr std::uint64_t kPerThread =
-      10 * kCeiling / Chm::Map::kNodeBytes / kThreads;
-
-  Chm map(ceiling_config(kCeiling));
-  const std::uint64_t lru0 = sites::cachetrie_evict_lru.total();
-  std::atomic<std::uint64_t> running{kThreads};
-  std::vector<std::thread> churners;
-  for (std::uint64_t t = 1; t <= kThreads; ++t) {
-    churners.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        map.insert(t * 100000000ull + i, i);
-      }
-      running.fetch_sub(1, std::memory_order_release);
-    });
-  }
-  std::size_t hwm = 0;
-  while (running.load(std::memory_order_acquire) != 0) {
-    hwm = std::max(hwm, map.resident_bytes());
-    std::this_thread::sleep_for(1ms);
-  }
-  for (auto& c : churners) c.join();
-  hwm = std::max(hwm, map.resident_bytes());
-
-  EXPECT_LT(hwm, kCeiling + kCeiling / 2)
-      << "the estimate escaped the ceiling (" << kPerThread
-      << " fresh keys per thread)";
-  if (kCounted) {
-    EXPECT_GT(sites::cachetrie_evict_lru.total() - lru0, 0u);
-  }
-}
-
 TEST(EvictionFault, RemoveIfEqualsRevalidatesAfterCompare) {
   // Regression for the value-compare window (satellite audit): the remover
   // compares the value, then parks *before* its txn announcement; a racer

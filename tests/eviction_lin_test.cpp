@@ -184,15 +184,4 @@ TEST(EvictionLinSweep, CorpseEvictionUnderneathLiveKeys) {
   }
 }
 
-TEST(EvictionLinSweep, BoundedChmInertHorizons) {
-  // The baseline wrapper re-routes every operation (lookup_refresh, stamp
-  // threading, remove mirrors); this sweep proves the re-routing preserved
-  // the chm's linearizability. Horizons inert for the same reason as above.
-  using Map = cachetrie::evict::BoundedChm<std::uint64_t, std::uint64_t>;
-  tk::chaos::reset_counters();
-  sweep([] { return std::make_unique<Map>(); },
-        "bounded chashmap (inert horizons)");
-  EXPECT_GT(tk::chaos::site_hits(Site::chm_bin_locked), 0u);
-}
-
 }  // namespace

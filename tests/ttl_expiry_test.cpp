@@ -35,8 +35,6 @@ namespace sites = cachetrie::obs::sites;
 
 using BoundedTrie =
     cachetrie::evict::BoundedCacheTrie<std::uint64_t, std::uint64_t>;
-using BoundedChm =
-    cachetrie::evict::BoundedChm<std::uint64_t, std::uint64_t>;
 
 std::atomic<std::uint64_t> g_clock{0};
 std::uint64_t test_clock() { return g_clock.load(std::memory_order_relaxed); }
@@ -44,7 +42,7 @@ std::uint64_t test_clock() { return g_clock.load(std::memory_order_relaxed); }
 constexpr std::uint64_t kTtl = 100;
 
 // Eviction counts are deltas of the registry's cachetrie.evict.* site
-// counters, which both bounded maps record. With metrics compiled out every
+// counters, which the bounded trie records. With metrics compiled out every
 // counter reads 0, so those checks run only when kCounted.
 constexpr bool kCounted = cachetrie::obs::kMetricsCompiled;
 
@@ -463,66 +461,6 @@ TEST(TtlExpiry, LedgerBooksThePoolClassOfOddSizedNodes) {
   EXPECT_EQ(chain.resident_bytes(),
             chain.footprint_bytes() - sizeof(ChainTrie));
   EXPECT_TRUE(chain.debug_validate().empty());
-}
-
-// --- the chm baseline wrapper: same semantics where the surface overlaps ---
-
-TEST(TtlExpiryChm, ExpiredKeysUnobservableAndEvictedLazily) {
-  g_clock.store(1, std::memory_order_relaxed);
-  BoundedChm m(ttl_config());
-  const EvictionDelta evicted;
-  for (std::uint64_t k = 0; k < 10; ++k) ASSERT_TRUE(m.insert(k, k * 7));
-
-  g_clock.store(2 + kTtl, std::memory_order_relaxed);
-  for (std::uint64_t k = 0; k < 10; ++k) {
-    EXPECT_EQ(m.lookup(k), std::nullopt);
-  }
-  // The wrapper expires only the operation's own key; each remove() of a
-  // corpse reports "absent" and counts one expiry.
-  EXPECT_EQ(m.remove(0), std::nullopt);
-  EXPECT_FALSE(m.remove_if_equals(1, 7));
-  if (kCounted) {
-    EXPECT_EQ(evicted.ttl(), 2u);
-  }
-
-  // Insert over a corpse: the corpse is dropped first, so this is a fresh
-  // insert, and put_if_absent succeeds.
-  EXPECT_TRUE(m.insert(2, 999));
-  EXPECT_TRUE(m.put_if_absent(3, 888));
-  if (kCounted) {
-    EXPECT_EQ(evicted.ttl(), 4u);
-  }
-  EXPECT_EQ(m.lookup(2), std::optional<std::uint64_t>(999));
-  EXPECT_EQ(m.lookup(3), std::optional<std::uint64_t>(888));
-}
-
-TEST(TtlExpiryChm, StampRefreshOnHit) {
-  g_clock.store(1, std::memory_order_relaxed);
-  BoundedChm m(ttl_config());
-  ASSERT_TRUE(m.insert(1, 11));
-  ASSERT_TRUE(m.insert(2, 22));
-
-  g_clock.store(90, std::memory_order_relaxed);
-  EXPECT_EQ(m.lookup(1), std::optional<std::uint64_t>(11));
-
-  g_clock.store(150, std::memory_order_relaxed);
-  EXPECT_EQ(m.lookup(1), std::optional<std::uint64_t>(11));
-  EXPECT_EQ(m.lookup(2), std::nullopt);
-}
-
-TEST(TtlExpiryChm, UnexpiredNeverEvicted) {
-  g_clock.store(1, std::memory_order_relaxed);
-  BoundedChm m(ttl_config());
-  const EvictionDelta evicted;
-  for (std::uint64_t k = 0; k < 64; ++k) ASSERT_TRUE(m.insert(k, k));
-  g_clock.store(kTtl / 2, std::memory_order_relaxed);
-  for (std::uint64_t k = 0; k < 64; ++k) {
-    EXPECT_TRUE(m.lookup(k).has_value()) << "key " << k;
-  }
-  if (kCounted) {
-    EXPECT_EQ(evicted.ttl(), 0u);
-    EXPECT_EQ(evicted.lru(), 0u);
-  }
 }
 
 }  // namespace
