@@ -127,7 +127,7 @@ run_stage() {
       echo "=== [$stage] cachetrie_server cross-process smoke ==="
       # The example server is the only client of the wire protocol that
       # runs in another process, and the only one outside the tests that
-      # reads the stats frame. Start it on a kernel-assigned port, drive
+      # reads a kStats reply's JSON. Start it on a kernel-assigned port, drive
       # data ops, a kStats pull (must be valid JSON) and kTraceCtl on/off
       # from separate client processes, then drain it with SIGINT: it must
       # exit 0 and print its served= report. One timeout bounds the whole

@@ -31,8 +31,8 @@ inline constexpr std::uint32_t kSampleSize = 192;
 /// doubles back once the footprint is at most 3/4 of the ceiling.
 inline constexpr std::uint64_t kLruIdleTicks = 1024;
 
-/// Bounded mode: hash paths (trie) or bins (chm) probed per backpressure
-/// scan — the lazy clock hand.
+/// Bounded mode: trie hash paths probed per backpressure scan — the lazy
+/// clock hand.
 inline constexpr std::uint32_t kEvictProbes = 8;
 
 /// Samples by which a pass's best pair of adjacent levels must outscore the

@@ -37,7 +37,9 @@
 // Reply publication is the NET_REPLY_PUBLISH edge: payload fields are
 // relaxed atomic stores sequenced before a release store of the request id
 // into the slot's done-word; a waiter's acquire load of the done-word makes
-// the payload visible. Slots recycle every kSlots requests.
+// the payload visible. Slots recycle every kSlots requests. Every reply is
+// one proto::ReplyFrame; a kStats reply's JSON, which follows it inside the
+// same frame, goes into a mutexed side table before that release store.
 //
 // Shed handling is where client and server cooperate on overload: a kShed
 // reply means "not executed, try later", and call() retries it under
@@ -55,6 +57,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -64,6 +67,7 @@
 #include "net/socket.hpp"
 #include "obs/sites.hpp"
 #include "testkit/chaos.hpp"
+#include "util/rng.hpp"
 #include "util/spinwait.hpp"
 
 namespace cachetrie::net {
@@ -212,8 +216,8 @@ class Client {
         }
         return r;
       }
-      const std::uint64_t delay =
-          retry_backoff_us(attempt, kRetryBaseUs, kRetryCapUs, next_jitter());
+      const std::uint64_t delay = retry_backoff_us(
+          attempt, kRetryBaseUs, kRetryCapUs, jitter_.next());
       if (delay > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(delay));
       }
@@ -309,15 +313,6 @@ class Client {
 
   Slot& slot(std::uint64_t id) noexcept {
     return slots_[id & (kSlots - 1)];
-  }
-
-  std::uint64_t next_jitter() noexcept {  // xorshift64, sender-local
-    std::uint64_t x = rng_;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    rng_ = x;
-    return x;
   }
 
   /// The connection's one writer and one reader. Each round lingers for
@@ -426,39 +421,30 @@ class Client {
       std::size_t off = 0;
       while (true) {
         proto::ReplyFrame rep;
-        proto::StatsReplyHeader stats;
-        const unsigned char* payload = nullptr;
-        bool is_stats = false;
+        std::string_view payload;
         std::size_t consumed = 0;
-        const auto pr = proto::parse_reply_stream(
-            buf.data() + off, buf.size() - off, &rep, &stats, &payload,
-            &is_stats, &consumed);
+        const auto pr = proto::parse_reply(buf.data() + off, buf.size() - off,
+                                           &rep, &payload, &consumed);
         if (pr == proto::ParseResult::kNeedMore) break;
         // Framing is lost — no later byte can be trusted. Sever the
         // connection (waiters unblock with kClosed) instead of scanning a
         // corrupt stream forever.
         if (pr == proto::ParseResult::kProtocolError) return false;
         off += consumed;
-        if (is_stats) {
+        if (!payload.empty()) {
           // Payload lands in the side table before the done-word release
           // below, so a stats() waiter that observes done also sees it.
           std::lock_guard<std::mutex> lk(stats_mu_);
-          stats_payloads_[stats.request_id].assign(
-              reinterpret_cast<const char*>(payload), stats.payload_len);
+          stats_payloads_[rep.request_id].assign(payload);
         }
-        const std::uint64_t req_id =
-            is_stats ? stats.request_id : rep.request_id;
-        Slot& s = slot(req_id);
-        s.status.store(is_stats ? stats.status : rep.status,
-                       std::memory_order_relaxed);
-        s.flags.store(is_stats ? stats.flags : rep.flags,
-                      std::memory_order_relaxed);
-        s.value.store(is_stats ? 0 : rep.value, std::memory_order_relaxed);
-        s.queue_us.store(is_stats ? 0 : rep.queue_us,
-                         std::memory_order_relaxed);
+        Slot& s = slot(rep.request_id);
+        s.status.store(rep.status, std::memory_order_relaxed);
+        s.flags.store(rep.flags, std::memory_order_relaxed);
+        s.value.store(rep.value, std::memory_order_relaxed);
+        s.queue_us.store(rep.queue_us, std::memory_order_relaxed);
         // Publishes the relaxed payload stores above to poll()'s acquire.
         // [publishes: NET_REPLY_PUBLISH]
-        s.done.store(req_id, std::memory_order_release);
+        s.done.store(rep.request_id, std::memory_order_release);
         ++*published;
       }
       buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(off));
@@ -468,7 +454,7 @@ class Client {
 
   ClientConfig cfg_;
   Fd fd_;
-  std::uint64_t rng_ = kJitterSeed;  // xorshift state: never 0
+  util::XorShift64Star jitter_{kJitterSeed};  // call()'s shed backoff
   Fd wake_;  // eventfd: send() kicks it to wake a parked I/O thread
   std::mutex send_mu_;
   std::uint64_t next_id_ = 1;               // guarded by send_mu_

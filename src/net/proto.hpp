@@ -2,6 +2,7 @@
 //
 // One frame = a u32 byte length followed by a fixed-size body. Requests
 // carry (op, key, value, deadline); replies carry (status, value, flags).
+// A kStats reply's length also covers the JSON that follows its body.
 // Keys and values are u64, matching the map instantiations every bench in
 // this repo serves — the protocol's job is to put the four maps behind real
 // sockets, not to be a general serialization format (DESIGN.md §4).
@@ -25,15 +26,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace cachetrie::net::proto {
 
 inline constexpr std::uint32_t kRequestMagic = 0x31525443u;  // "CTR1"
 inline constexpr std::uint32_t kReplyMagic = 0x31504443u;    // "CDP1"
-inline constexpr std::uint32_t kStatsMagic = 0x32504443u;    // "CDP2"
 
 enum class Op : std::uint8_t {
   kGet = 1,
@@ -45,7 +45,7 @@ enum class Op : std::uint8_t {
   // Introspection ops (DESIGN.md §4). Requests are ordinary fixed frames;
   // they ride the same admission queue as data ops so a stats poll sees the
   // server exactly as a data request would (it can be shed, it can expire).
-  kStats = 6,     // reply is a variable-length StatsReplyHeader + JSON
+  kStats = 6,     // reply is a ReplyFrame followed by its JSON
   kTraceCtl = 7,  // request.value = TraceCtl action; fixed reply
 };
 
@@ -99,41 +99,20 @@ struct ReplyFrame {
   std::uint32_t reserved32 = 0;
 };
 
-/// The one variable-length frame in the protocol: the reply to a kStats
-/// request. A fixed header (kStatsMagic disambiguates it from ReplyFrame —
-/// frames are told apart by magic, not by length) followed by payload_len
-/// bytes of UTF-8 JSON: the metrics registry snapshot plus the shard's
-/// interval delta (obs/interval.hpp). Capped at kMaxStatsPayload so the
-/// no-4-GiB-buffer rule survives the variable-length extension: a length
-/// prefix over the cap is rejected before any body byte is buffered.
-struct StatsReplyHeader {
-  std::uint32_t magic = kStatsMagic;
-  std::uint8_t status = 0;
-  std::uint8_t op = static_cast<std::uint8_t>(Op::kStats);
-  std::uint16_t flags = 0;
-  std::uint64_t request_id = 0;
-  std::uint32_t payload_len = 0;  // JSON bytes following this header
-  std::uint32_t reserved32 = 0;
-};
-
-static_assert(sizeof(RequestFrame) == 48 && sizeof(ReplyFrame) == 32 &&
-                  sizeof(StatsReplyHeader) == 24,
+static_assert(sizeof(RequestFrame) == 48 && sizeof(ReplyFrame) == 32,
               "wire frames must be padding-free");
 static_assert(std::is_trivially_copyable_v<RequestFrame> &&
-              std::is_trivially_copyable_v<ReplyFrame> &&
-              std::is_trivially_copyable_v<StatsReplyHeader>);
+              std::is_trivially_copyable_v<ReplyFrame>);
 
 /// Length prefix + the body bounds this protocol version defines. A length
 /// outside the valid range is a protocol error and closes the connection —
 /// a garbage prefix must never make the server buffer "one 4 GiB frame".
-/// Requests stay fixed-size; the reply stream's upper bound is the stats
-/// header plus its payload cap.
+/// Requests are fixed-size; a reply is one ReplyFrame, which only a kStats
+/// reply follows with its JSON, capped at kMaxStatsPayload.
 inline constexpr std::size_t kLenPrefix = sizeof(std::uint32_t);
-inline constexpr std::size_t kMinBody = sizeof(StatsReplyHeader);
-inline constexpr std::size_t kMaxBody = sizeof(RequestFrame);
 inline constexpr std::size_t kMaxStatsPayload = 1u << 20;  // 1 MiB of JSON
 inline constexpr std::size_t kMaxReplyBody =
-    sizeof(StatsReplyHeader) + kMaxStatsPayload;
+    sizeof(ReplyFrame) + kMaxStatsPayload;
 inline constexpr std::size_t kRequestWire = kLenPrefix + sizeof(RequestFrame);
 inline constexpr std::size_t kReplyWire = kLenPrefix + sizeof(ReplyFrame);
 
@@ -145,13 +124,24 @@ inline std::uint64_t now_us() noexcept {
           .count());
 }
 
+/// Serializes one frame: the length prefix, the fixed body, then
+/// `payload` (a kStats reply's JSON; empty for every other frame). The
+/// caller guarantees payload.size() <= kMaxStatsPayload (the shard
+/// downgrades an oversized snapshot to a payload-free kBadRequest reply).
 template <typename Frame>
-inline void append_frame(std::vector<unsigned char>& out, const Frame& f) {
-  const std::uint32_t len = sizeof(Frame);
+inline void append_frame(std::vector<unsigned char>& out, const Frame& f,
+                         std::string_view payload = {}) {
+  const std::uint32_t len =
+      static_cast<std::uint32_t>(sizeof(Frame) + payload.size());
   const std::size_t base = out.size();
-  out.resize(base + kLenPrefix + sizeof(Frame));
-  std::memcpy(out.data() + base, &len, kLenPrefix);
-  std::memcpy(out.data() + base + kLenPrefix, &f, sizeof(Frame));
+  out.resize(base + kLenPrefix + len);
+  unsigned char* p = out.data() + base;
+  std::memcpy(p, &len, kLenPrefix);
+  std::memcpy(p + kLenPrefix, &f, sizeof(Frame));
+  if (!payload.empty()) {
+    std::memcpy(p + kLenPrefix + sizeof(Frame), payload.data(),
+                payload.size());
+  }
 }
 
 /// Outcome of pulling one frame out of a byte stream.
@@ -177,73 +167,33 @@ inline ParseResult parse_request(const unsigned char* data, std::size_t size,
   return ParseResult::kFrame;
 }
 
-/// Serializes one stats reply: length prefix, header, then the JSON bytes.
-/// The caller guarantees payload.size() <= kMaxStatsPayload (the shard
-/// downgrades an oversized snapshot to a fixed kBadRequest reply instead).
-inline void append_stats_frame(std::vector<unsigned char>& out,
-                               StatsReplyHeader header,
-                               std::string_view payload) {
-  header.magic = kStatsMagic;
-  header.payload_len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t len =
-      static_cast<std::uint32_t>(sizeof(StatsReplyHeader) + payload.size());
-  const std::size_t base = out.size();
-  out.resize(base + kLenPrefix + len);
-  std::memcpy(out.data() + base, &len, kLenPrefix);
-  std::memcpy(out.data() + base + kLenPrefix, &header,
-              sizeof(StatsReplyHeader));
-  std::memcpy(out.data() + base + kLenPrefix + sizeof(StatsReplyHeader),
-              payload.data(), payload.size());
-}
-
-/// Parses one frame off the *reply* stream, which carries two frame kinds:
-/// fixed ReplyFrames and variable-length stats replies. Dispatch is by
-/// magic (peeked as soon as the first four body bytes arrive, so garbage
-/// fails fast); lengths are validated against each kind's contract before
-/// any further buffering. On kFrame exactly one of the two outputs is
-/// filled: `*is_stats` says which, and for stats frames `*payload_out`
-/// points at the JSON bytes inside `data` (valid until the caller consumes
-/// the buffer; `stats_out->payload_len` is its length).
-inline ParseResult parse_reply_stream(const unsigned char* data,
-                                      std::size_t size, ReplyFrame* out,
-                                      StatsReplyHeader* stats_out,
-                                      const unsigned char** payload_out,
-                                      bool* is_stats,
-                                      std::size_t* consumed) noexcept {
+/// Parses one reply from `data[0..size)`. On kFrame, `*consumed` is the
+/// total wire bytes of the frame and `*payload` views the bytes after the
+/// ReplyFrame inside `data` (a kStats reply's JSON, valid until the caller
+/// consumes the buffer; empty for every other reply).
+inline ParseResult parse_reply(const unsigned char* data, std::size_t size,
+                               ReplyFrame* out, std::string_view* payload,
+                               std::size_t* consumed) noexcept {
   if (size < kLenPrefix) return ParseResult::kNeedMore;
   std::uint32_t len = 0;
   std::memcpy(&len, data, kLenPrefix);
   // The oversize cap fires on the prefix alone — before the peer can make
   // us buffer the body it announces.
-  if (len < kMinBody || len > kMaxReplyBody) return ParseResult::kProtocolError;
-  if (size >= kLenPrefix + sizeof(std::uint32_t)) {
-    std::uint32_t magic = 0;
-    std::memcpy(&magic, data + kLenPrefix, sizeof(magic));
-    if (magic == kReplyMagic) {
-      if (len != sizeof(ReplyFrame)) return ParseResult::kProtocolError;
-    } else if (magic == kStatsMagic) {
-      if (len < sizeof(StatsReplyHeader)) return ParseResult::kProtocolError;
-    } else {
-      return ParseResult::kProtocolError;
-    }
+  if (len < sizeof(ReplyFrame) || len > kMaxReplyBody) {
+    return ParseResult::kProtocolError;
   }
   if (size < kLenPrefix + len) return ParseResult::kNeedMore;
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, data + kLenPrefix, sizeof(magic));
-  if (magic == kReplyMagic) {
-    std::memcpy(out, data + kLenPrefix, sizeof(ReplyFrame));
-    *is_stats = false;
-  } else {
-    std::memcpy(stats_out, data + kLenPrefix, sizeof(StatsReplyHeader));
-    // A header whose payload_len disagrees with the frame length is a
-    // truncated (or padded) frame — reject it rather than mis-split the
-    // stream.
-    if (sizeof(StatsReplyHeader) + stats_out->payload_len != len) {
-      return ParseResult::kProtocolError;
-    }
-    *payload_out = data + kLenPrefix + sizeof(StatsReplyHeader);
-    *is_stats = true;
+  std::memcpy(out, data + kLenPrefix, sizeof(ReplyFrame));
+  if (out->magic != kReplyMagic) return ParseResult::kProtocolError;
+  // Only a kStats reply carries bytes past its ReplyFrame: trailing bytes
+  // on any other reply mean the stream is mis-framed.
+  if (len != sizeof(ReplyFrame) &&
+      out->op != static_cast<std::uint8_t>(Op::kStats)) {
+    return ParseResult::kProtocolError;
   }
+  *payload = std::string_view(
+      reinterpret_cast<const char*>(data + kLenPrefix + sizeof(ReplyFrame)),
+      len - sizeof(ReplyFrame));
   *consumed = kLenPrefix + len;
   return ParseResult::kFrame;
 }

@@ -509,7 +509,7 @@ class Shard {
   /// kStats / kTraceCtl (DESIGN.md §4), executed in queue order like any
   /// data op (they went through the same admission and deadline gates).
   /// kStats serves a registry snapshot plus this shard's interval delta as
-  /// `*payload`, the protocol's one variable-length frame; kTraceCtl flips
+  /// `*payload`, the JSON that follows its ReplyFrame; kTraceCtl flips
   /// the flight recorder or triggers a post-mortem-style dump on demand,
   /// and `*value` echoes the resulting recorder state (0/1), or whether a
   /// dump file landed.
@@ -548,12 +548,12 @@ class Shard {
 
   /// The one reply writer: every reply — served, shed, or expired — is
   /// framed, buffered and capped here, then flushed with the rest of its
-  /// connection's replies at the end of the pass (flush_dirty). A
-  /// non-empty `payload` is a kStats reply and goes out as the "CDP2"
-  /// frame (an over-cap payload downgrades to a fixed kBadRequest reply
-  /// rather than emitting a frame the parser is contracted to reject);
-  /// every other reply is a fixed "CDP1" frame whose queue_us is
-  /// exec_begin_us - admit_us. A served reply passes its exec-end stamp
+  /// connection's replies at the end of the pass (flush_dirty). Every
+  /// reply is one ReplyFrame whose queue_us is exec_begin_us - admit_us;
+  /// a kStats reply's non-empty `payload` follows it inside the same
+  /// length prefix (an over-cap payload downgrades to a payload-free
+  /// kBadRequest reply rather than emitting a frame the parser is
+  /// contracted to reject). A served reply passes its exec-end stamp
   /// and pushes a ReplyMark, whose flush/total phases complete when the
   /// kernel accepts its last byte; shed and deadline replies pass none —
   /// they were refused, not served, so they advance the stream counters
@@ -572,23 +572,15 @@ class Shard {
       st = proto::Status::kBadRequest;
       payload = {};
     }
+    proto::ReplyFrame rep;
+    rep.status = static_cast<std::uint8_t>(st);
+    rep.op = p.req.op;
+    rep.flags = flags;
+    rep.request_id = p.req.request_id;
+    rep.value = value;
+    rep.queue_us = static_cast<std::uint32_t>(exec_begin_us - p.admit_us);
     const std::size_t before = c.wbuf.size();
-    if (payload.empty()) {
-      proto::ReplyFrame rep;
-      rep.status = static_cast<std::uint8_t>(st);
-      rep.op = p.req.op;
-      rep.flags = flags;
-      rep.request_id = p.req.request_id;
-      rep.value = value;
-      rep.queue_us = static_cast<std::uint32_t>(exec_begin_us - p.admit_us);
-      proto::append_frame(c.wbuf, rep);
-    } else {
-      proto::StatsReplyHeader h;
-      h.status = static_cast<std::uint8_t>(st);
-      h.flags = flags;
-      h.request_id = p.req.request_id;
-      proto::append_stats_frame(c.wbuf, h, payload);
-    }
+    proto::append_frame(c.wbuf, rep, payload);
     c.enqueued_bytes += c.wbuf.size() - before;
     if (exec_end_us != 0) {
       c.marks.push_back({c.enqueued_bytes, p.req.request_id, p.admit_us,

@@ -3,17 +3,21 @@
 // the shard's interval delta) while data traffic hammers the same server,
 // and kTraceCtl must flip the flight recorder and trigger a dump over the
 // wire, and the registry's phase histograms must describe the requests
-// PhaseLatency does. Lives in the net label because it wants the machine
+// PhaseLatency does; a raw socket pins how the server frames a kStats
+// reply. Lives in the net label because it wants the machine
 // to itself — the concurrent-load pass makes latency-ish claims about a
 // shared server.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/time.h>
 
 #include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
-#include <sys/stat.h>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,6 +26,7 @@
 #include "net/client.hpp"
 #include "net/proto.hpp"
 #include "net/reactor.hpp"
+#include "net/socket.hpp"
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -222,6 +227,87 @@ TEST(NetIntrospect, StatsParseValidUnderConcurrentLoad) {
   EXPECT_EQ(data_failures.load(), 0u);
   EXPECT_EQ(server.totals().proto_errors, 0u);
   EXPECT_EQ(server.killed_shards(), 0u);
+}
+
+// Reads one reply off a blocking raw socket: the length prefix, then as
+// many body bytes as it announces. Returns every byte that arrived, so a
+// caller sees a second frame or a short one as a size mismatch.
+std::vector<unsigned char> read_reply(int fd) {
+  std::vector<unsigned char> in;
+  unsigned char chunk[4096];
+  std::uint32_t len = 0;
+  while (in.size() < proto::kLenPrefix || in.size() < proto::kLenPrefix + len) {
+    const long r = net::read_some(fd, chunk, sizeof(chunk));
+    if (r <= 0) break;
+    in.insert(in.end(), chunk, chunk + r);
+    if (in.size() >= proto::kLenPrefix) {
+      std::memcpy(&len, in.data(), proto::kLenPrefix);
+    }
+  }
+  return in;
+}
+
+// How the server frames a kStats reply, seen from a raw socket instead of
+// through the client's parser: an expired kStats is a bare ReplyFrame, and
+// a served one is a ReplyFrame whose length prefix also covers its JSON.
+TEST(NetIntrospect, StatsReplyFramingOnTheWire) {
+  Trie map;
+  net::Server<Trie> server{map, {}};
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.start());
+  net::Fd raw = net::connect_loopback(server.port());
+  ASSERT_TRUE(raw.valid());
+  const timeval read_bound{5, 0};  // a missing reply fails, not hangs
+  ::setsockopt(raw.get(), SOL_SOCKET, SO_RCVTIMEO, &read_bound,
+               sizeof(read_bound));
+  const auto request = [&](std::uint64_t id, std::uint64_t send_ts_us,
+                           std::uint32_t deadline_us) {
+    proto::RequestFrame req;
+    req.op = static_cast<std::uint8_t>(proto::Op::kStats);
+    req.request_id = id;
+    req.send_ts_us = send_ts_us;
+    req.deadline_us = deadline_us;
+    std::vector<unsigned char> wire;
+    proto::append_frame(wire, req);
+    return net::write_all(raw.get(), wire.data(), wire.size());
+  };
+  const auto header = [](const std::vector<unsigned char>& frame,
+                         std::uint32_t* len, proto::ReplyFrame* rep) {
+    std::memcpy(len, frame.data(), proto::kLenPrefix);
+    std::memcpy(rep, frame.data() + proto::kLenPrefix, sizeof(*rep));
+  };
+  std::uint32_t len = 0;
+  proto::ReplyFrame rep;
+
+  // A 1 us budget from send_ts_us = 1 expired long before admission.
+  ASSERT_TRUE(request(1, 1, 1));
+  auto frame = read_reply(raw.get());
+  ASSERT_EQ(frame.size(), proto::kReplyWire);
+  header(frame, &len, &rep);
+  EXPECT_EQ(len, sizeof(proto::ReplyFrame));
+  EXPECT_EQ(rep.magic, proto::kReplyMagic);
+  EXPECT_EQ(rep.op, static_cast<std::uint8_t>(proto::Op::kStats));
+  EXPECT_EQ(rep.status,
+            static_cast<std::uint8_t>(proto::Status::kDeadlineExceeded));
+  EXPECT_EQ(rep.request_id, 1u);
+
+  ASSERT_TRUE(request(2, 0, 0));
+  frame = read_reply(raw.get());
+  ASSERT_GT(frame.size(), proto::kReplyWire);
+  header(frame, &len, &rep);
+  const std::string json(frame.begin() + proto::kReplyWire, frame.end());
+  EXPECT_EQ(len, sizeof(proto::ReplyFrame) + json.size());
+  EXPECT_EQ(rep.magic, proto::kReplyMagic);
+  EXPECT_EQ(rep.op, static_cast<std::uint8_t>(proto::Op::kStats));
+  EXPECT_EQ(rep.status, static_cast<std::uint8_t>(proto::Status::kOk));
+  EXPECT_EQ(rep.request_id, 2u);
+  EXPECT_TRUE(json_valid(json)) << json;
+
+  const timeval quiet{0, 20'000};  // nothing more may follow
+  ::setsockopt(raw.get(), SOL_SOCKET, SO_RCVTIMEO, &quiet, sizeof(quiet));
+  unsigned char extra[64];
+  EXPECT_EQ(net::read_some(raw.get(), extra, sizeof(extra)), -1);
+  server.stop();
 }
 
 // kTraceCtl over the wire: enable → the recorder is live and the reply

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -160,14 +161,12 @@ TEST(NetProto, ReplyRoundTrip) {
   ASSERT_EQ(wire.size(), proto::kReplyWire);
 
   proto::ReplyFrame out;
-  proto::StatsReplyHeader stats;
-  const unsigned char* payload = nullptr;
-  bool is_stats = true;
+  std::string_view payload = "not empty";
   std::size_t consumed = 0;
-  ASSERT_EQ(proto::parse_reply_stream(wire.data(), wire.size(), &out, &stats,
-                                      &payload, &is_stats, &consumed),
+  ASSERT_EQ(proto::parse_reply(wire.data(), wire.size(), &out, &payload,
+                               &consumed),
             proto::ParseResult::kFrame);
-  EXPECT_FALSE(is_stats);
+  EXPECT_TRUE(payload.empty());
   EXPECT_EQ(consumed, proto::kReplyWire);
   EXPECT_EQ(static_cast<proto::Status>(out.status), proto::Status::kShed);
   EXPECT_EQ(out.flags, proto::kFlagDegraded | proto::kFlagDraining);
@@ -228,134 +227,130 @@ TEST(NetProto, BadMagicAndBadLengthAreProtocolErrors) {
             proto::ParseResult::kProtocolError);
 }
 
-// ---- variable-length stats replies (the "CDP2" frame) -------------------
+// ---- stats replies: a ReplyFrame followed by its JSON ------------------
 
-// Convenience: run the dual-kind stream parser over a buffer.
-struct StreamParse {
+// Convenience: run the reply parser over a buffer.
+struct ReplyParse {
   proto::ParseResult result = proto::ParseResult::kNeedMore;
   proto::ReplyFrame rep;
-  proto::StatsReplyHeader stats;
-  const unsigned char* payload = nullptr;
-  bool is_stats = false;
+  std::string_view payload;
   std::size_t consumed = 0;
 };
 
-StreamParse parse_stream(const unsigned char* data, std::size_t size) {
-  StreamParse p;
-  p.result = proto::parse_reply_stream(data, size, &p.rep, &p.stats,
-                                       &p.payload, &p.is_stats, &p.consumed);
+ReplyParse parse_buf(const unsigned char* data, std::size_t size) {
+  ReplyParse p;
+  p.result = proto::parse_reply(data, size, &p.rep, &p.payload, &p.consumed);
   return p;
 }
 
+proto::ReplyFrame stats_reply(std::uint64_t request_id) {
+  proto::ReplyFrame rep;
+  rep.op = static_cast<std::uint8_t>(proto::Op::kStats);
+  rep.request_id = request_id;
+  return rep;
+}
+
 TEST(NetProto, StatsReplyRoundTrip) {
-  proto::StatsReplyHeader hdr;
-  hdr.status = static_cast<std::uint8_t>(proto::Status::kOk);
-  hdr.flags = proto::kFlagDegraded;
-  hdr.request_id = 91;
+  proto::ReplyFrame rep = stats_reply(91);
+  rep.status = static_cast<std::uint8_t>(proto::Status::kOk);
+  rep.flags = proto::kFlagDegraded;
+  rep.queue_us = 12;
   const std::string json = R"({"shard":0,"counters":{"a":1}})";
 
   std::vector<unsigned char> wire;
-  proto::append_stats_frame(wire, hdr, json);
-  ASSERT_EQ(wire.size(), proto::kLenPrefix + sizeof(proto::StatsReplyHeader) +
-                             json.size());
+  proto::append_frame(wire, rep, json);
+  ASSERT_EQ(wire.size(), proto::kReplyWire + json.size());
 
-  const auto p = parse_stream(wire.data(), wire.size());
+  const auto p = parse_buf(wire.data(), wire.size());
   ASSERT_EQ(p.result, proto::ParseResult::kFrame);
-  ASSERT_TRUE(p.is_stats);
   EXPECT_EQ(p.consumed, wire.size());
-  EXPECT_EQ(static_cast<proto::Status>(p.stats.status), proto::Status::kOk);
-  EXPECT_EQ(p.stats.flags, proto::kFlagDegraded);
-  EXPECT_EQ(p.stats.request_id, 91u);
-  ASSERT_EQ(p.stats.payload_len, json.size());
-  EXPECT_EQ(std::string(reinterpret_cast<const char*>(p.payload),
-                        p.stats.payload_len),
-            json);
+  EXPECT_EQ(static_cast<proto::Op>(p.rep.op), proto::Op::kStats);
+  EXPECT_EQ(static_cast<proto::Status>(p.rep.status), proto::Status::kOk);
+  EXPECT_EQ(p.rep.flags, proto::kFlagDegraded);
+  EXPECT_EQ(p.rep.request_id, 91u);
+  EXPECT_EQ(p.rep.queue_us, 12u);
+  EXPECT_EQ(p.payload, json);
 }
 
 TEST(NetProto, ReplyStreamMixesFixedAndStatsFrames) {
   // Fixed reply, stats reply, fixed reply — back to back on one stream, the
-  // way a pipelined connection interleaves them. Dispatch is by magic.
+  // way a pipelined connection interleaves them. The length prefix alone
+  // says where each frame ends.
   proto::ReplyFrame a;
   a.request_id = 1;
-  proto::StatsReplyHeader s;
-  s.request_id = 2;
+  const proto::ReplyFrame s = stats_reply(2);
   const std::string json = "{}";
   proto::ReplyFrame b;
   b.request_id = 3;
 
   std::vector<unsigned char> wire;
   proto::append_frame(wire, a);
-  proto::append_stats_frame(wire, s, json);
+  proto::append_frame(wire, s, json);
   proto::append_frame(wire, b);
 
   std::size_t off = 0;
-  auto p = parse_stream(wire.data() + off, wire.size() - off);
+  auto p = parse_buf(wire.data() + off, wire.size() - off);
   ASSERT_EQ(p.result, proto::ParseResult::kFrame);
-  EXPECT_FALSE(p.is_stats);
+  EXPECT_TRUE(p.payload.empty());
   EXPECT_EQ(p.rep.request_id, 1u);
   off += p.consumed;
 
-  p = parse_stream(wire.data() + off, wire.size() - off);
+  p = parse_buf(wire.data() + off, wire.size() - off);
   ASSERT_EQ(p.result, proto::ParseResult::kFrame);
-  ASSERT_TRUE(p.is_stats);
-  EXPECT_EQ(p.stats.request_id, 2u);
-  EXPECT_EQ(p.stats.payload_len, json.size());
+  EXPECT_EQ(p.rep.request_id, 2u);
+  EXPECT_EQ(p.payload, json);
   off += p.consumed;
 
-  p = parse_stream(wire.data() + off, wire.size() - off);
+  p = parse_buf(wire.data() + off, wire.size() - off);
   ASSERT_EQ(p.result, proto::ParseResult::kFrame);
-  EXPECT_FALSE(p.is_stats);
+  EXPECT_TRUE(p.payload.empty());
   EXPECT_EQ(p.rep.request_id, 3u);
   off += p.consumed;
   EXPECT_EQ(off, wire.size());
 }
 
 TEST(NetProto, StatsReplyIncrementalNeedsMore) {
-  proto::StatsReplyHeader hdr;
-  hdr.request_id = 5;
   const std::string json = R"({"gauges":{"g":42},"histograms":{}})";
   std::vector<unsigned char> wire;
-  proto::append_stats_frame(wire, hdr, json);
+  proto::append_frame(wire, stats_reply(5), json);
 
   // Every strict prefix — mid-prefix, mid-header, mid-payload — parses as
   // kNeedMore, never as an error and never as a short frame.
   for (std::size_t n = 0; n < wire.size(); ++n) {
-    const auto p = parse_stream(wire.data(), n);
+    const auto p = parse_buf(wire.data(), n);
     EXPECT_EQ(p.result, proto::ParseResult::kNeedMore) << "prefix " << n;
   }
-  const auto p = parse_stream(wire.data(), wire.size());
+  const auto p = parse_buf(wire.data(), wire.size());
   EXPECT_EQ(p.result, proto::ParseResult::kFrame);
 }
 
 TEST(NetProto, TruncatedStatsFrameIsRejected) {
-  proto::StatsReplyHeader hdr;
   const std::string json = "{\"x\":1}";
   std::vector<unsigned char> wire;
-  proto::append_stats_frame(wire, hdr, json);
+  proto::append_frame(wire, stats_reply(0), json);
 
-  // payload_len disagreeing with the frame length (a truncated or padded
-  // frame) must be rejected, not mis-split. payload_len sits at header
-  // offset 16 (after magic, status, op, flags, request_id).
-  auto corrupted = wire;
-  corrupted[proto::kLenPrefix + 16] += 1;
-  auto p = parse_stream(corrupted.data(), corrupted.size());
-  EXPECT_EQ(p.result, proto::ParseResult::kProtocolError);
-
-  // An unknown magic on the reply stream fails as soon as the first four
-  // body bytes arrive.
+  // An unknown magic on the reply stream is a protocol error.
   auto garbage = wire;
   garbage[proto::kLenPrefix] ^= 0xff;
-  p = parse_stream(garbage.data(), garbage.size());
+  auto p = parse_buf(garbage.data(), garbage.size());
   EXPECT_EQ(p.result, proto::ParseResult::kProtocolError);
 
-  // A fixed-reply magic announcing a non-fixed length is a protocol error
-  // too (frames are told apart by magic, lengths are per-kind contracts).
+  // A non-kStats reply whose prefix announces 33 bytes carries a trailing
+  // byte no reply but kStats may have: the stream is mis-framed.
+  proto::ReplyFrame get;
+  get.op = static_cast<std::uint8_t>(proto::Op::kGet);
   std::vector<unsigned char> bad;
-  proto::append_frame(bad, proto::ReplyFrame{});
-  bad[0] += 1;  // length prefix now 33 with kReplyMagic body
+  proto::append_frame(bad, get);
+  bad[0] += 1;  // length prefix now 33
   bad.push_back(0);
-  p = parse_stream(bad.data(), bad.size());
+  p = parse_buf(bad.data(), bad.size());
   EXPECT_EQ(p.result, proto::ParseResult::kProtocolError);
+
+  // The same 33 bytes under op kStats are a frame with a one-byte payload.
+  bad[proto::kLenPrefix + 5] = static_cast<std::uint8_t>(proto::Op::kStats);
+  p = parse_buf(bad.data(), bad.size());
+  ASSERT_EQ(p.result, proto::ParseResult::kFrame);
+  EXPECT_EQ(p.payload.size(), 1u);
 }
 
 TEST(NetProto, OversizedStatsPayloadRejectedOnPrefixAlone) {
@@ -365,13 +360,14 @@ TEST(NetProto, OversizedStatsPayloadRejectedOnPrefixAlone) {
       static_cast<std::uint32_t>(proto::kMaxReplyBody) + 1;
   unsigned char prefix[proto::kLenPrefix];
   std::memcpy(prefix, &len, sizeof(len));
-  const auto p = parse_stream(prefix, sizeof(prefix));
+  const auto p = parse_buf(prefix, sizeof(prefix));
   EXPECT_EQ(p.result, proto::ParseResult::kProtocolError);
 
-  // And a prefix below the minimum body is equally dead on arrival.
-  const std::uint32_t tiny = static_cast<std::uint32_t>(proto::kMinBody) - 1;
+  // And a prefix below one ReplyFrame is equally dead on arrival.
+  const std::uint32_t tiny =
+      static_cast<std::uint32_t>(sizeof(proto::ReplyFrame)) - 1;
   std::memcpy(prefix, &tiny, sizeof(tiny));
-  EXPECT_EQ(parse_stream(prefix, sizeof(prefix)).result,
+  EXPECT_EQ(parse_buf(prefix, sizeof(prefix)).result,
             proto::ParseResult::kProtocolError);
 }
 
@@ -506,7 +502,7 @@ TEST(NetServe, EndToEndBasics) {
 
     // Live introspection over the same connection: kStats hands back the
     // shard's JSON snapshot+delta and the stream keeps its discipline —
-    // data ops after the variable-length frame still work.
+    // data ops after the JSON-carrying reply still work.
     const auto s = client.stats();
     EXPECT_TRUE(s.ok());
     ASSERT_FALSE(s.json.empty());
@@ -979,16 +975,13 @@ TEST(NetServe, ShortReadStrandsNoRequest) {
     std::size_t off = 0;
     while (true) {
       proto::ReplyFrame rep;
-      proto::StatsReplyHeader stats;
-      const unsigned char* payload = nullptr;
-      bool is_stats = false;
+      std::string_view payload;
       std::size_t consumed = 0;
-      const auto pr = proto::parse_reply_stream(in.data() + off,
-                                                in.size() - off, &rep, &stats,
-                                                &payload, &is_stats, &consumed);
+      const auto pr = proto::parse_reply(in.data() + off, in.size() - off,
+                                         &rep, &payload, &consumed);
       if (pr == proto::ParseResult::kNeedMore) break;
       ASSERT_EQ(pr, proto::ParseResult::kFrame);
-      ASSERT_FALSE(is_stats);
+      ASSERT_TRUE(payload.empty());
       off += consumed;
       ASSERT_GE(rep.request_id, 1u);
       ASSERT_LE(rep.request_id, kRun + 1);
